@@ -132,6 +132,7 @@ RunResult BenchContext::Run(
   double total = 0;
   double io = 0;
   storage::IoStats io_sum;
+  algo::HolisticStats stats_sum;
   uint64_t retries = 0;
   for (int r = 0; r < repeats; ++r) {
     // Start each repeat from scratch: drop cached pages AND reset the pool's
@@ -157,11 +158,11 @@ RunResult BenchContext::Run(
           average.quarantined_views.push_back(v);
         }
       }
-      average.stats = result.stats;  // identical across repeats (pure CPU)
     }
     total += result.total_ms;
     io += result.io_ms;
     io_sum += result.io;
+    stats_sum += result.stats;
     retries += result.retries;
   }
   // Average every reported counter over the repeats, not just the times —
@@ -178,6 +179,22 @@ RunResult BenchContext::Run(
   average.io.pool_hits = io_sum.pool_hits / n;
   average.io.pool_misses = io_sum.pool_misses / n;
   average.io.read_retries = io_sum.read_retries / n;
+  average.io.prefetch_issued = io_sum.prefetch_issued / n;
+  average.io.prefetch_hits = io_sum.prefetch_hits / n;
+  average.io.prefetch_wasted = io_sum.prefetch_wasted / n;
+  // The join counters repeat exactly; output_pass_ms is a timing. The sum
+  // already holds the largest peak_buffered, which is a peak, not a total.
+  average.stats = stats_sum;
+  average.stats.entries_scanned /= n;
+  average.stats.entries_skipped /= n;
+  average.stats.pointer_jumps /= n;
+  average.stats.candidates /= n;
+  average.stats.flushes /= n;
+  average.stats.spill_pages_written /= n;
+  average.stats.spill_pages_read /= n;
+  average.stats.output_pass_ms /= repeats;
+  average.stats.output_entries_scanned /= n;
+  average.stats.output_pointer_jumps /= n;
   return average;
 }
 

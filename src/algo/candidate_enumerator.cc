@@ -172,27 +172,47 @@ void CandidateEnumerator::Enumerate(
     VJ_DCHECK(std::is_sorted(list.begin(), list.end()));
   }
 
-  SemiJoinFilter filter(doc_, pattern_, candidates);
-  if (!filter.Run()) return;
-
-  // Filtered per-node solution lists (ids + labels), document order.
+  // Filtered per-node solution lists (ids + labels), document order. The
+  // filter's scratch is freed before the start indices below are built.
   std::vector<std::vector<NodeId>> lists(nq);
   std::vector<std::vector<Label>> labels(nq);
-  for (size_t q = 0; q < nq; ++q) {
-    lists[q].reserve(candidates[q].size());
-    labels[q].reserve(candidates[q].size());
-    for (size_t i = 0; i < candidates[q].size(); ++i) {
-      if (filter.Keep(q, i)) {
-        lists[q].push_back(candidates[q][i]);
-        labels[q].push_back(doc_.NodeLabel(candidates[q][i]));
+  {
+    SemiJoinFilter filter(doc_, pattern_, candidates);
+    if (!filter.Run()) return;
+    for (size_t q = 0; q < nq; ++q) {
+      lists[q].reserve(candidates[q].size());
+      labels[q].reserve(candidates[q].size());
+      for (size_t i = 0; i < candidates[q].size(); ++i) {
+        if (filter.Keep(q, i)) {
+          lists[q].push_back(candidates[q][i]);
+          labels[q].push_back(doc_.NodeLabel(candidates[q][i]));
+        }
       }
+      if (lists[q].empty()) return;
     }
-    if (lists[q].empty()) return;
   }
 
-  // Output-sensitive enumeration (every explored branch completes).
+  // first[q][i]: index of the first candidate of q whose start is not
+  // before that of parent candidate i — the same position a lower_bound per
+  // recursion step would find, computed for every parent candidate by one
+  // linear merge of the two start-ordered lists.
+  std::vector<std::vector<uint32_t>> first(nq);
+  for (size_t q = 1; q < nq; ++q) {
+    const std::vector<Label>& pl =
+        labels[static_cast<size_t>(pattern_.node(static_cast<int>(q)).parent)];
+    const std::vector<Label>& cl = labels[q];
+    first[q].resize(pl.size());
+    uint32_t j = 0;
+    for (size_t i = 0; i < pl.size(); ++i) {
+      while (j < cl.size() && cl[j].start < pl[i].start) ++j;
+      first[q][i] = j;
+    }
+  }
+
+  // Output-sensitive enumeration (every explored branch completes). The
+  // recursion carries each bound node's index into its filtered list.
   tpq::Match match(nq, kInvalidNode);
-  std::vector<Label> match_labels(nq);
+  std::vector<uint32_t> chosen(nq);
   auto recurse = [&](auto&& self, size_t q) -> void {
     if (q == nq) {
       if (ctx != nullptr && ctx->Checkpoint()) return;
@@ -200,27 +220,22 @@ void CandidateEnumerator::Enumerate(
       return;
     }
     const PatternNode& pn = pattern_.node(static_cast<int>(q));
-    const Label& pl = match_labels[static_cast<size_t>(pn.parent)];
+    const size_t parent = static_cast<size_t>(pn.parent);
+    const Label& pl = labels[parent][chosen[parent]];
     const std::vector<Label>& ll = labels[q];
-    size_t begin = static_cast<size_t>(
-        std::lower_bound(ll.begin(), ll.end(), pl.start,
-                         [](const Label& l, uint32_t s) {
-                           return l.start < s;
-                         }) -
-        ll.begin());
-    for (size_t i = begin; i < ll.size(); ++i) {
+    for (size_t i = first[q][chosen[parent]]; i < ll.size(); ++i) {
       if (ctx != nullptr && ctx->aborted()) return;
       if (ll[i].start > pl.end) break;
       if (pn.incoming == Axis::kChild && ll[i].level != pl.level + 1) continue;
       match[q] = lists[q][i];
-      match_labels[q] = ll[i];
+      chosen[q] = static_cast<uint32_t>(i);
       self(self, q + 1);
     }
   };
   for (size_t i = 0; i < lists[0].size(); ++i) {
     if (ctx != nullptr && ctx->aborted()) return;
     match[0] = lists[0][i];
-    match_labels[0] = labels[0][i];
+    chosen[0] = static_cast<uint32_t>(i);
     recurse(recurse, 1);
   }
 }

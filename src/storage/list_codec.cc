@@ -28,8 +28,13 @@ void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
 }
 
 /// Bounds-checked LEB128 decode; false on truncation or a >10-byte varint.
-bool GetVarint(const uint8_t* payload, uint32_t limit, uint32_t* pos,
-               uint64_t* out) {
+/// Most fields (level, small deltas) fit one byte, which skips the loop.
+inline bool GetVarint(const uint8_t* payload, uint32_t limit, uint32_t* pos,
+                      uint64_t* out) {
+  if (*pos < limit && payload[*pos] < 0x80) {
+    *out = payload[(*pos)++];
+    return true;
+  }
   uint64_t value = 0;
   for (uint32_t shift = 0; shift < 64; shift += 7) {
     if (*pos >= limit) return false;

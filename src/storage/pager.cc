@@ -1,9 +1,12 @@
 #include "storage/pager.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -107,9 +110,25 @@ std::function<void(int)>& BackoffHook() {
   return hook;
 }
 
-long PageOffset(PageId id) {
-  return static_cast<long>(Pager::kHeaderSize) +
-         static_cast<long>(id) * static_cast<long>(Pager::kPhysicalPageSize);
+off_t PageOffset(PageId id) {
+  return static_cast<off_t>(Pager::kHeaderSize) +
+         static_cast<off_t>(id) * static_cast<off_t>(Pager::kPhysicalPageSize);
+}
+
+/// Moves all `size` bytes at `off` with ::pread or ::pwrite, resuming short
+/// transfers. False on an error (errno set) or on end of file / a write that
+/// made no progress (errno left as the caller set it).
+template <typename Syscall, typename Byte>
+bool TransferFull(Syscall io, int fd, Byte* buf, size_t size, off_t off) {
+  while (size > 0) {
+    ssize_t n = io(fd, buf, size, off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    buf += n;
+    size -= static_cast<size_t>(n);
+    off += n;
+  }
+  return true;
 }
 
 /// Typed verdict for a failed write: a full device (real ENOSPC from the OS)
@@ -139,11 +158,11 @@ void Pager::SetRetryBackoffHook(std::function<void(int)> hook) {
 }
 
 Pager::Pager(const std::string& path, Mode mode) : path_(path), mode_(mode) {
-  const char* fmode = "w+b";
-  if (mode == Mode::kReopen) fmode = "r+b";
-  if (mode == Mode::kReadOnly) fmode = "rb";
-  file_ = std::fopen(path.c_str(), fmode);
-  if (file_ == nullptr) {
+  int flags = O_RDWR | O_CREAT | O_TRUNC;
+  if (mode == Mode::kReopen) flags = O_RDWR;
+  if (mode == Mode::kReadOnly) flags = O_RDONLY;
+  fd_ = ::open(path.c_str(), flags | O_CLOEXEC, 0666);
+  if (fd_ < 0) {
     init_status_ = (mode == Mode::kReopen || mode == Mode::kReadOnly)
                        ? util::Status::NotFound("cannot open pager file " +
                                                 path + ": " +
@@ -157,8 +176,8 @@ Pager::Pager(const std::string& path, Mode mode) : path_(path), mode_(mode) {
                      ? ValidateExistingFile()
                      : WriteHeader();
   if (!init_status_.ok()) {
-    std::fclose(file_);
-    file_ = nullptr;
+    ::close(fd_);
+    fd_ = -1;
   }
 }
 
@@ -171,27 +190,21 @@ Pager::~Pager() {
 
 util::Status Pager::Close() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return close_status_;  // already closed (idempotent)
-  // Persistent stores must reach the OS before close; a swallowed flush
-  // error here would silently hand the next Reopen a truncated file, so the
-  // verdict is latched in close_status_ for ViewCatalog::Close to surface.
-  if (mode_ == Mode::kPersist || mode_ == Mode::kReopen) {
-    bool injected = util::FaultInjector::Global().OnFlushAttempt();
-    errno = 0;
-    if (injected) {
-      close_status_ =
-          util::Status::IoError("pager close-time flush failed for " + path_ +
-                                ": injected flush fault");
-    } else if (std::fflush(file_) != 0) {
-      close_status_ = WriteFailure("pager close-time flush failed for " + path_);
-    }
+  if (fd_ < 0) return close_status_;  // already closed (idempotent)
+  // Writes go straight to the OS, so there is nothing left to flush; the
+  // close-time flush stays an injectable event, and its verdict is latched
+  // in close_status_ for ViewCatalog::Close to surface.
+  if ((mode_ == Mode::kPersist || mode_ == Mode::kReopen) &&
+      util::FaultInjector::Global().OnFlushAttempt()) {
+    close_status_ =
+        util::Status::IoError("pager close-time flush failed for " + path_ +
+                              ": injected flush fault");
   }
-  if (std::fclose(file_) != 0 && close_status_.ok() &&
-      mode_ != Mode::kTruncate) {
+  if (::close(fd_) != 0 && close_status_.ok() && mode_ != Mode::kTruncate) {
     close_status_ = util::Status::IoError("pager close failed for " + path_ +
                                           ": " + std::strerror(errno));
   }
-  file_ = nullptr;
+  fd_ = -1;
   if (mode_ == Mode::kTruncate) std::remove(path_.c_str());
   if (!close_status_.ok() && last_error_.ok()) last_error_ = close_status_;
   return close_status_;
@@ -235,31 +248,24 @@ util::Status Pager::WriteHeader() {
       return InjectedNoSpace("cannot write pager header to " + path_);
   }
   errno = 0;
-  if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-      std::fwrite(header, write_bytes, 1, file_) != 1) {
-    report_failure = true;
-  }
-  if (report_failure) {
+  if (!TransferFull(::pwrite, fd_, header, write_bytes, 0) || report_failure) {
     return WriteFailure("cannot write pager header to " + path_);
   }
   return util::Status::Ok();
 }
 
 util::Status Pager::ValidateExistingFile() {
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    return util::Status::IoError("cannot seek in pager file " + path_);
-  }
-  long size = std::ftell(file_);
-  if (size < 0) {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
     return util::Status::IoError("cannot size pager file " + path_);
   }
-  if (static_cast<size_t>(size) < kHeaderSize) {
+  size_t size = static_cast<size_t>(st.st_size);
+  if (size < kHeaderSize) {
     return util::Status::Corruption("pager file " + path_ +
                                     " is truncated (no file header)");
   }
   uint8_t header[kHeaderSize];
-  if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-      std::fread(header, kHeaderSize, 1, file_) != 1) {
+  if (!TransferFull(::pread, fd_, header, kHeaderSize, 0)) {
     return util::Status::IoError("cannot read pager header of " + path_);
   }
   if (std::memcmp(header + kHdrMagicOff, kFileMagic, sizeof(kFileMagic)) != 0) {
@@ -281,7 +287,7 @@ util::Status Pager::ValidateExistingFile() {
       GetU32(header, kHdrHeaderSizeOff) != kHeaderSize) {
     return util::Status::Corruption("pager page geometry mismatch in " + path_);
   }
-  size_t body = static_cast<size_t>(size) - kHeaderSize;
+  size_t body = size - kHeaderSize;
   if (body % kPhysicalPageSize != 0) {
     return util::Status::Corruption(
         "pager file " + path_ + " is truncated: " + std::to_string(size) +
@@ -323,7 +329,7 @@ util::Status Pager::WritePage(PageId id, const void* data) {
     return Latch(util::Status::InvalidArgument(
         "cannot write pages in read-only pager " + path_));
   }
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
   }
   if (id >= page_count_) {
@@ -363,13 +369,10 @@ util::Status Pager::WritePage(PageId id, const void* data) {
   }
 
   errno = 0;
-  if (std::fseek(file_, PageOffset(id), SEEK_SET) != 0 ||
-      std::fwrite(phys, write_bytes, 1, file_) != 1) {
-    report_failure = true;
-  }
+  bool landed = TransferFull(::pwrite, fd_, phys, write_bytes, PageOffset(id));
   stats_.write_micros += timer.ElapsedMicros();
   ++stats_.pages_written;
-  if (report_failure) {
+  if (!landed || report_failure) {
     return Latch(WriteFailure("page write failed for page " +
                               std::to_string(id) + " in " + path_));
   }
@@ -383,27 +386,31 @@ util::Status Pager::AppendPhysicalPages(const uint8_t* phys, uint32_t count) {
     return Latch(util::Status::InvalidArgument(
         "cannot append pages to read-only pager " + path_));
   }
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
   }
   if (count == 0) return util::Status::Ok();
   util::Timer timer;
-  if (std::fseek(file_, PageOffset(page_count_), SEEK_SET) != 0) {
-    return Latch(util::Status::IoError(
-        "seek for append of " + std::to_string(count) + " pages failed in " +
-        path_));
-  }
   // The injector is consulted once per page — identical counting to the old
   // page-at-a-time write loop, so tests arming "the nth write" keep hitting
-  // the same page whether it lands via WritePage or a staged append.
+  // the same page whether it lands via WritePage or a staged append. Clean
+  // pages are gathered into runs that land with one pwrite each.
   bool failed = false;
   bool no_space = false;
-  uint32_t written = 0;
+  uint32_t written = 0;  // pages already in the file
+  uint32_t run = 0;      // clean pages after them, not yet written
+  auto write_run = [&] {
+    const size_t first = static_cast<size_t>(written) * kPhysicalPageSize;
+    bool ok = TransferFull(::pwrite, fd_, phys + first,
+                           static_cast<size_t>(run) * kPhysicalPageSize,
+                           PageOffset(page_count_ + written));
+    if (ok) written += run;
+    run = 0;
+    return ok;
+  };
   errno = 0;
   for (uint32_t p = 0; p < count && !failed; ++p) {
-    const uint8_t* src = phys + static_cast<size_t>(p) * kPhysicalPageSize;
     if (util::FaultInjector::Global().OnDiskCharge(kPhysicalPageSize)) {
-      failed = true;
       no_space = true;
       break;
     }
@@ -412,48 +419,51 @@ util::Status Pager::AppendPhysicalPages(const uint8_t* phys, uint32_t count) {
       // A full disk stops the append before this page's first byte: the tail
       // written so far is still dead bytes past page_count_, never a torn
       // page.
-      failed = true;
       no_space = true;
       break;
     }
     if (fault == util::WriteFault::kNone) {
-      failed = std::fwrite(src, kPhysicalPageSize, 1, file_) != 1;
-    } else {
-      uint8_t page[kPhysicalPageSize];
-      std::memcpy(page, src, kPhysicalPageSize);
-      size_t write_bytes = kPhysicalPageSize;
-      switch (fault) {
-        case util::WriteFault::kShortWrite:
-          write_bytes = kPhysicalPageSize / 2;
-          failed = true;
-          break;
-        case util::WriteFault::kTornPage:
-          std::memset(page + kPhysicalPageSize / 2, 0xAA,
-                      kPhysicalPageSize / 2);
-          break;
-        case util::WriteFault::kBitFlip:
-          page[kBitFlipByte] ^= kBitFlipMask;
-          break;
-        case util::WriteFault::kNone:
-        case util::WriteFault::kNoSpace:  // handled before the write above
-          break;
-      }
-      if (std::fwrite(page, write_bytes, 1, file_) != 1) failed = true;
+      ++run;
+      continue;
     }
+    failed = !write_run();  // land the clean run before the faulted page
+    if (failed) break;
+    uint8_t page[kPhysicalPageSize];
+    std::memcpy(page, phys + static_cast<size_t>(p) * kPhysicalPageSize,
+                kPhysicalPageSize);
+    size_t write_bytes = kPhysicalPageSize;
+    switch (fault) {
+      case util::WriteFault::kShortWrite:
+        write_bytes = kPhysicalPageSize / 2;
+        failed = true;
+        break;
+      case util::WriteFault::kTornPage:
+        std::memset(page + kPhysicalPageSize / 2, 0xAA, kPhysicalPageSize / 2);
+        break;
+      case util::WriteFault::kBitFlip:
+        page[kBitFlipByte] ^= kBitFlipMask;
+        break;
+      case util::WriteFault::kNone:
+      case util::WriteFault::kNoSpace:  // handled before the write above
+        break;
+    }
+    failed |= !TransferFull(::pwrite, fd_, page, write_bytes,
+                            PageOffset(page_count_ + p));
     if (!failed) ++written;
   }
+  if (!failed && run > 0 && !write_run()) failed = true;
   stats_.write_micros += timer.ElapsedMicros();
   stats_.pages_written += written;
+  // The append fails as a unit: page_count_ stays put, so the partial tail
+  // is unaddressable dead bytes (recovery truncates it on a persistent
+  // store). Torn pages and bit flips "succeed" here exactly as they do on
+  // real hardware; the page checksum catches them at read time.
+  if (no_space) {
+    return Latch(InjectedNoSpace("append of " + std::to_string(count) +
+                                 " pages stopped after " +
+                                 std::to_string(written) + " in " + path_));
+  }
   if (failed) {
-    // The append fails as a unit: page_count_ stays put, so the partial tail
-    // is unaddressable dead bytes (recovery truncates it on a persistent
-    // store). Torn pages and bit flips "succeed" here exactly as they do on
-    // real hardware; the page checksum catches them at read time.
-    if (no_space) {
-      return Latch(InjectedNoSpace("append of " + std::to_string(count) +
-                                   " pages stopped after " +
-                                   std::to_string(written) + " in " + path_));
-    }
     return Latch(WriteFailure("append of " + std::to_string(count) +
                               " pages failed in " + path_));
   }
@@ -468,7 +478,7 @@ util::Status Pager::TruncateToPageCount(uint32_t count) {
     return Latch(util::Status::InvalidArgument(
         "cannot truncate read-only pager " + path_));
   }
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
   }
   if (count > page_count_) {
@@ -476,36 +486,24 @@ util::Status Pager::TruncateToPageCount(uint32_t count) {
         "cannot truncate " + path_ + " to " + std::to_string(count) +
         " pages: only " + std::to_string(page_count_) + " committed"));
   }
-  // A failed append can leave the stream's error flag raised and dead bytes
-  // buffered; clear both before cutting the file, or the flush would refuse.
-  std::clearerr(file_);
-  (void)std::fflush(file_);
-  if (::ftruncate(::fileno(file_), PageOffset(count)) != 0) {
+  if (::ftruncate(fd_, PageOffset(count)) != 0) {
     return Latch(util::Status::IoError("cannot truncate " + path_ + " to " +
                                        std::to_string(count) + " pages: " +
                                        std::strerror(errno)));
-  }
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    return Latch(
-        util::Status::IoError("seek after truncate failed in " + path_));
   }
   page_count_ = count;
   return util::Status::Ok();
 }
 
-util::Status Pager::ReadPhysicalOnce(PageId id, uint8_t* phys) {
-  if (file_ == nullptr) {
+util::Status Pager::ReadPhysicalOnce(int fd, PageId id, uint8_t* phys) const {
+  if (fd < 0) {
     return util::Status::IoError("pager " + path_ + " is closed");
   }
   if (util::FaultInjector::Global().OnReadAttempt()) {
     return util::Status::IoError("injected read fault on page " +
                                  std::to_string(id) + " in " + path_);
   }
-  if (std::fseek(file_, PageOffset(id), SEEK_SET) != 0) {
-    return util::Status::IoError("seek failed for page " + std::to_string(id) +
-                                 " in " + path_);
-  }
-  if (std::fread(phys, kPhysicalPageSize, 1, file_) != 1) {
+  if (!TransferFull(::pread, fd, phys, kPhysicalPageSize, PageOffset(id))) {
     return util::Status::IoError("short read of page " + std::to_string(id) +
                                  " in " + path_);
   }
@@ -529,67 +527,55 @@ util::Status Pager::ReadPhysicalOnce(PageId id, uint8_t* phys) {
 util::Status Pager::ReadPage(PageId id, void* out) {
   if (!init_status_.ok()) return init_status_;
   util::Timer timer;
-  util::Status status;
+  int fd = -1;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (id >= page_count_) {
       return Latch(util::Status::InvalidArgument(
           "read of unallocated page " + std::to_string(id) + " in " + path_));
     }
-    uint8_t phys[kPhysicalPageSize];
-    for (int attempt = 1; attempt <= kReadAttempts; ++attempt) {
-      if (attempt > 1) {
-        ++stats_.read_retries;
-        if (BackoffHook()) BackoffHook()(attempt);
-      }
-      status = ReadPhysicalOnce(id, phys);
-      if (status.ok()) break;
-    }
-    if (status.ok()) std::memcpy(out, phys, kPageSize);
+    fd = fd_;
   }
-  // Simulated latency runs unlocked so concurrent readers overlap it.
+  // A page below the snapshotted count is complete in the file and not
+  // being rewritten (see the class comment): read and verify it unlocked.
+  uint8_t phys[kPhysicalPageSize];
+  util::Status status;
+  int attempt = 1;
+  for (;; ++attempt) {
+    status = ReadPhysicalOnce(fd, id, phys);
+    if (status.ok() || attempt == kReadAttempts) break;
+    if (BackoffHook()) BackoffHook()(attempt + 1);
+  }
+  if (status.ok()) std::memcpy(out, phys, kPageSize);
   ApplySimulatedReadLatency(timer);
   std::lock_guard<std::mutex> lock(mu_);
+  stats_.read_retries += static_cast<uint64_t>(attempt - 1);
   stats_.read_micros += timer.ElapsedMicros();
   ++stats_.pages_read;
-  if (!status.ok()) return Latch(status);
-  return util::Status::Ok();
+  return Latch(status);
 }
 
 util::Status Pager::VerifyPage(PageId id, void* out) {
   if (!init_status_.ok()) return init_status_;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id >= page_count_) {
-    return util::Status::InvalidArgument("page " + std::to_string(id) +
-                                         " is beyond the end of " + path_);
+  int fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (id >= page_count_) {
+      return util::Status::InvalidArgument("page " + std::to_string(id) +
+                                           " is beyond the end of " + path_);
+    }
+    fd = fd_;
   }
   uint8_t phys[kPhysicalPageSize];
-  util::Status status = ReadPhysicalOnce(id, phys);
+  util::Status status = ReadPhysicalOnce(fd, id, phys);
   if (status.ok() && out != nullptr) std::memcpy(out, phys, kPageSize);
   return status;
-}
-
-util::Status Pager::Flush() {
-  if (!init_status_.ok()) return init_status_;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) {
-    return Latch(util::Status::IoError("pager " + path_ + " is closed"));
-  }
-  if (util::FaultInjector::Global().OnFlushAttempt()) {
-    return Latch(util::Status::IoError("flush failed for " + path_ +
-                                       ": injected flush fault"));
-  }
-  errno = 0;
-  if (std::fflush(file_) != 0) {
-    return Latch(WriteFailure("flush failed for " + path_));
-  }
-  return util::Status::Ok();
 }
 
 util::Status Pager::Sync() {
   if (!init_status_.ok()) return init_status_;
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) {
+  if (fd_ < 0) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
   }
   if (util::FaultInjector::Global().OnFlushAttempt()) {
@@ -597,7 +583,7 @@ util::Status Pager::Sync() {
                                        ": injected flush fault"));
   }
   errno = 0;
-  if (std::fflush(file_) != 0 || ::fsync(fileno(file_)) != 0) {
+  if (::fsync(fd_) != 0) {
     return Latch(WriteFailure("sync failed for " + path_));
   }
   return util::Status::Ok();

@@ -2,7 +2,6 @@
 #define VIEWJOIN_STORAGE_PAGER_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -41,10 +40,19 @@ inline constexpr PageId kInvalidPage = 0xFFFFFFFFu;
 /// latched in last_error() so layers that cannot thread a Status through
 /// (e.g. the spill spool inside a join) can still detect it afterwards.
 ///
-/// Thread-safe: one internal mutex serializes file access, counters and the
-/// error latch, so concurrent queries (buffer-pool misses from several
-/// ExecuteBatch workers) can read through one pager. Simulated read latency
-/// (VIEWJOIN_PAGE_READ_MICROS) is applied *outside* that mutex, so with
+/// Thread-safe. The file is a raw descriptor accessed with pread/pwrite, so
+/// no call shares a file position. ReadPage and VerifyPage hold the internal
+/// mutex only to snapshot the page count (and descriptor); the positioned
+/// read and the footer/CRC check run unlocked, so concurrent buffer-pool
+/// misses (ExecuteBatch workers, server threads, read-ahead) read in
+/// parallel, and the stats and error latch are then updated under the lock.
+/// A page below the snapshotted count is complete in the file: appends bump
+/// the count only after their bytes landed. Callers must not WritePage a
+/// page while another thread reads it (view pages are append-only; spill
+/// and document-store pages are written before their first read), and must
+/// not Close while reads are in flight. Writes, appends, truncation and sync
+/// stay serialized under the mutex. Simulated read latency
+/// (VIEWJOIN_PAGE_READ_MICROS) is also applied unlocked, so with
 /// VIEWJOIN_PAGE_READ_SLEEP=1 concurrent reads overlap their simulated I/O
 /// the way parallel requests overlap on real storage.
 class Pager {
@@ -124,17 +132,16 @@ class Pager {
   /// side effects on last_error) — the fsck primitive.
   util::Status VerifyPage(PageId id, void* out);
 
-  /// Flushes buffered writes to the OS.
-  util::Status Flush();
-
-  /// Flushes and then fsyncs the backing file — the durability barrier of
-  /// the shadow-install protocol (data must be on the medium before the
-  /// journal commit record that makes it visible).
+  /// fsyncs the backing file — the durability barrier of the shadow-install
+  /// protocol (data must be on the medium before the journal commit record
+  /// that makes it visible). Writes are unbuffered pwrites, so a page is
+  /// readable as soon as its write returns; only durability needs this.
   util::Status Sync();
 
-  /// Flushes (persistent modes) and closes the backing file, latching the
-  /// outcome in LastFlushStatus(). Idempotent; the destructor calls it, so a
-  /// caller that needs the verdict (ViewCatalog::Close) invokes it first.
+  /// Closes the backing file (persistent modes first pass the injectable
+  /// close-time flush fault point), latching the outcome in
+  /// LastFlushStatus(). Idempotent; the destructor calls it, so a caller
+  /// that needs the verdict (ViewCatalog::Close) invokes it first.
   util::Status Close();
 
   /// Outcome of the final flush+close (Ok until Close has run). A swallowed
@@ -177,19 +184,20 @@ class Pager {
  private:
   util::Status WriteHeader();
   util::Status ValidateExistingFile();
-  util::Status ReadPhysicalOnce(PageId id, uint8_t* phys);
+  util::Status ReadPhysicalOnce(int fd, PageId id, uint8_t* phys) const;
   util::Status Latch(util::Status status);  // first error; caller holds mu_
 
   std::string path_;
   Mode mode_ = Mode::kTruncate;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   uint32_t page_count_ = 0;
   util::Status init_status_;
   util::Status last_error_;
   util::Status close_status_;
   IoStats stats_;
-  /// Serializes file access, counters and the error latch. init_status_,
-  /// path_ and mode_ are immutable after construction and need no lock.
+  /// Guards fd_, page_count_, the counters and the error latch; file reads
+  /// run outside it. init_status_, path_ and mode_ are immutable after
+  /// construction and need no lock.
   mutable std::mutex mu_;
 };
 

@@ -265,5 +265,72 @@ TEST(CandidateEnumeratorTest, EmptyCandidateListShortCircuits) {
   EXPECT_TRUE(sink.matches().empty());
 }
 
+/// Enumerates `query` over `candidates` and compares the sorted matches with
+/// the naive evaluator's.
+void ExpectEnumerationMatchesOracle(
+    const xml::Document& doc, const TreePattern& query,
+    const std::vector<std::vector<xml::NodeId>>& candidates) {
+  algo::CandidateEnumerator enumerator(doc, query);
+  tpq::CollectingSink sink;
+  enumerator.Enumerate(candidates, &sink);
+  std::vector<Match> matches = sink.matches();
+  tpq::SortMatches(&matches);
+  EXPECT_EQ(matches, SortedOracle(doc, query)) << query.ToString();
+}
+
+/// Every node carrying each pattern node's tag: the loosest candidate lists,
+/// so the semi-join filter and the merged start indices do all the work.
+std::vector<std::vector<xml::NodeId>> TagCandidates(const xml::Document& doc,
+                                                    const TreePattern& query) {
+  std::vector<std::vector<xml::NodeId>> candidates;
+  for (size_t q = 0; q < query.size(); ++q) {
+    xml::TagId tag = doc.FindTag(query.node(static_cast<int>(q)).tag);
+    candidates.push_back(tag == xml::kInvalidTag ? std::vector<xml::NodeId>{}
+                                                 : doc.NodesOfTag(tag));
+  }
+  return candidates;
+}
+
+// NASA-style recursion (field/footnote/para nesting into themselves, at
+// least three deep): a parent candidate's children interleave with those of
+// the candidates nested inside it, which is where each parent's first child
+// index, computed once by a merge, must stay exact.
+TEST(CandidateEnumeratorTest, NestedSameTagsMatchOracle) {
+  xml::Document doc = MakeDoc(
+      "r(field(footnote(para(para(para)) field(para footnote(para(para))"
+      " field(footnote(para) para(field(para))))) para)"
+      " field(para(footnote(para)) field(field(footnote))) para)");
+  const char* queries[] = {
+      "//field//para",           "//footnote//para",
+      "//field//footnote//para", "//field/para",
+      "//field/footnote/para",   "/r/field//para",
+      "/r//field/footnote",      "//field[//footnote]//para",
+      "//field[/para]//footnote", "/r[//footnote/para]//field/para",
+  };
+  for (const char* xpath : queries) {
+    TreePattern query = MustParse(xpath);
+    ExpectEnumerationMatchesOracle(doc, query, TagCandidates(doc, query));
+    // Exact solution lists take the same path with nothing to filter.
+    ExpectEnumerationMatchesOracle(
+        doc, query, tpq::NaiveEvaluator(doc, query).SolutionNodes());
+  }
+}
+
+TEST(CandidateEnumeratorTest, RandomRecursiveDocsMatchOracle) {
+  const std::vector<std::string> tags = {"field", "footnote", "para"};
+  const char* queries[] = {"//field//para", "//field//footnote//para",
+                           "//field/footnote//para",
+                           "//field[//footnote]/para",
+                           "/root0//para[/footnote]//field"};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(seed);
+    xml::Document doc = testing::RandomDoc(&rng, 120, tags);
+    for (const char* xpath : queries) {
+      TreePattern query = MustParse(xpath);
+      ExpectEnumerationMatchesOracle(doc, query, TagCandidates(doc, query));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace viewjoin

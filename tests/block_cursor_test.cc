@@ -267,6 +267,93 @@ TEST(DeltaCodecTest, GarbagePageIsRejectedNotMisdecoded) {
                    .ok());
 }
 
+/// Decodes `page` (exactly one heap-allocated page, so ASan flags any read
+/// past it) as `expected` records of `layout`.
+util::Status DecodeWholePage(const std::vector<uint8_t>& page,
+                             const RecordLayout& layout, uint32_t expected,
+                             std::vector<uint32_t>* levels = nullptr) {
+  EXPECT_EQ(page.size(), Pager::kPageSize);
+  size_t labels = static_cast<size_t>(expected) * layout.label_count;
+  std::vector<uint32_t> starts(labels), ends(labels), own_levels(labels);
+  std::vector<uint32_t> pointers(static_cast<size_t>(expected) *
+                                 layout.PointerSlots());
+  std::vector<uint32_t>* out_levels = levels != nullptr ? levels : &own_levels;
+  out_levels->assign(labels, 0);
+  return storage::DecodeDeltaPage(
+      page.data(), layout, 0, expected, starts.data(), ends.data(),
+      out_levels->data(), layout.has_pointers ? pointers.data() : nullptr);
+}
+
+std::vector<uint8_t> PageWithCount(uint16_t count, uint8_t fill) {
+  std::vector<uint8_t> page(Pager::kPageSize, fill);
+  std::memcpy(page.data(), &count, 2);
+  page[2] = 0;
+  page[3] = 0;
+  return page;
+}
+
+TEST(DeltaCodecTest, VarintsAtThePageEdgeAreBoundsChecked) {
+  const RecordLayout layout{1, false, 0};  // 3 varints per record
+  const uint32_t body = Pager::kPageSize - 4;
+  // 1362 one-byte records, then one whose level is a 4-byte varint ending
+  // on the last byte of the page: valid.
+  const uint32_t records = (body - 6) / 3 + 1;
+  std::vector<uint8_t> page = PageWithCount(static_cast<uint16_t>(records), 0);
+  const uint8_t last[6] = {0x02, 0x00, 0x81, 0x80, 0x80, 0x01};
+  std::memcpy(page.data() + Pager::kPageSize - 6, last, 6);
+  std::vector<uint32_t> levels;
+  util::Status ok = DecodeWholePage(page, layout, records, &levels);
+  ASSERT_TRUE(ok.ok()) << ok.ToString();
+  EXPECT_EQ(levels.back(), 1u + (1u << 21));
+
+  // The same varint still continuing at the page end runs past it.
+  page[Pager::kPageSize - 1] = 0x81;
+  EXPECT_EQ(DecodeWholePage(page, layout, records).code(),
+            util::StatusCode::kCorruption);
+
+  // One record more than the page holds starts exactly at kPageSize.
+  page = PageWithCount(static_cast<uint16_t>(body / 3 + 1), 0);
+  EXPECT_EQ(DecodeWholePage(page, layout, body / 3).code(),
+            util::StatusCode::kCorruption);  // count mismatch
+  EXPECT_EQ(DecodeWholePage(page, layout, body / 3 + 1).code(),
+            util::StatusCode::kCorruption);  // truncated varint
+}
+
+TEST(DeltaCodecTest, AllContinuationBytesPageIsCorruption) {
+  // Header included: the record count reads as 0x8080, and every varint
+  // after it is longer than ten bytes.
+  std::vector<uint8_t> page(Pager::kPageSize, 0x80);
+  for (const RecordLayout& layout :
+       {RecordLayout{1, false, 0}, RecordLayout{1, true, 2},
+        RecordLayout{3, false, 0}}) {
+    EXPECT_EQ(DecodeWholePage(page, layout, 0x8080).code(),
+              util::StatusCode::kCorruption);
+  }
+}
+
+TEST(DeltaCodecTest, TruncatedRecordsAreCorruption) {
+  util::Rng rng(5);
+  for (const RecordLayout& layout :
+       {RecordLayout{1, false, 0}, RecordLayout{1, true, 3},
+        RecordLayout{2, false, 0}}) {
+    std::vector<uint8_t> blob = RandomRecords(&rng, 2000, layout);
+    auto encoded = storage::EncodeDeltaList(blob.data(), 2000, layout);
+    ASSERT_TRUE(encoded.ok());
+    ASSERT_GE(encoded->pages.size(), 2u);
+    const uint32_t records = encoded->page_first_entry[1];
+    // Cut the first page's records at several points and fill the rest with
+    // bytes whose continuation bit never clears.
+    for (size_t cut : {5, 100, 1001, 2048, 4000}) {
+      std::vector<uint8_t> page = encoded->pages[0];
+      std::fill(page.begin() + static_cast<std::ptrdiff_t>(cut), page.end(),
+                0xFF);
+      EXPECT_EQ(DecodeWholePage(page, layout, records).code(),
+                util::StatusCode::kCorruption)
+          << "cut at " << cut;
+    }
+  }
+}
+
 // ---- Differential: every mode × format against scalar/fixed ----------------
 
 struct CursorStore {

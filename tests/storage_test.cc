@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -49,6 +50,174 @@ TEST(PagerTest, WriteReadRoundTrip) {
   EXPECT_EQ(out[7], 7);
   EXPECT_EQ(pager.stats().pages_read, 1u);
   EXPECT_EQ(pager.stats().pages_written, 2u);
+}
+
+/// Payload of page `page` in the pager tests below: every byte depends on
+/// the page and the offset, so a misplaced or torn read cannot pass for
+/// another page.
+std::vector<uint8_t> PatternPage(uint32_t page) {
+  std::vector<uint8_t> payload(Pager::kPageSize);
+  for (size_t j = 0; j < payload.size(); ++j) {
+    payload[j] = static_cast<uint8_t>(j * 31 + page * 17 + 5);
+  }
+  return payload;
+}
+
+/// Physical bytes of a pattern page, stamped for the final page id.
+std::vector<uint8_t> PatternPhysicalPage(uint32_t page) {
+  std::vector<uint8_t> phys(Pager::kPhysicalPageSize);
+  Pager::EncodePhysicalPage(page, PatternPage(page).data(), phys.data());
+  return phys;
+}
+
+// Readers take the pager lock only to snapshot the page count, so reads run
+// concurrently with each other, with an appender growing the file, and with
+// a stats poller. Every read must still return the verified bytes.
+TEST(PagerTest, ConcurrentReadsDuringAppends) {
+  Pager pager(TempPath("pager_conc.db"));
+  constexpr uint32_t kInitial = 8;
+  constexpr uint32_t kAppends = 24;
+  std::vector<uint8_t> batch;
+  for (uint32_t p = 0; p < kInitial; ++p) {
+    std::vector<uint8_t> phys = PatternPhysicalPage(p);
+    batch.insert(batch.end(), phys.begin(), phys.end());
+  }
+  ASSERT_TRUE(pager.AppendPhysicalPages(batch.data(), kInitial).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<uint8_t> out(Pager::kPageSize);
+      do {
+        uint32_t count = pager.page_count();
+        for (uint32_t i = 0; i < count; ++i) {
+          uint32_t page = (i + static_cast<uint32_t>(t) * 5) % count;
+          if (!pager.ReadPage(page, out.data()).ok() ||
+              out != PatternPage(page)) {
+            bad_reads.fetch_add(1);
+          }
+          reads.fetch_add(1);
+        }
+      } while (!done.load());
+    });
+  }
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      storage::IoStats stats = pager.stats();
+      if (stats.pages_read > reads.load() + 4) bad_reads.fetch_add(1);
+      (void)pager.page_count();
+      std::this_thread::yield();
+    }
+  });
+  bool appended = true;
+  for (uint32_t p = kInitial; p < kInitial + kAppends && appended; ++p) {
+    std::vector<uint8_t> phys = PatternPhysicalPage(p);
+    appended = pager.AppendPhysicalPages(phys.data(), 1).ok();
+    std::this_thread::yield();
+  }
+  done.store(true);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_TRUE(appended);
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_EQ(pager.page_count(), kInitial + kAppends);
+  EXPECT_EQ(pager.stats().pages_read, reads.load());
+  EXPECT_EQ(pager.stats().read_retries, 0u);
+  EXPECT_TRUE(pager.last_error().ok());
+}
+
+// Writes are positioned and unbuffered: a page is readable as soon as
+// WritePage returns, with no flush or sync in between, and rewriting it is
+// seen by the next read.
+TEST(PagerTest, WrittenPageIsReadableWithoutFlush) {
+  Pager pager(TempPath("pager_noflush.db"));
+  storage::PageId id = *pager.AllocatePage();
+  ASSERT_TRUE(pager.WritePage(id, PatternPage(3).data()).ok());
+  std::vector<uint8_t> out(Pager::kPageSize);
+  ASSERT_TRUE(pager.ReadPage(id, out.data()).ok());
+  // The footer CRC is over the payload only, so page 0 may carry page 3's
+  // pattern.
+  EXPECT_EQ(out, PatternPage(3));
+  ASSERT_TRUE(pager.WritePage(id, PatternPage(4).data()).ok());
+  ASSERT_TRUE(pager.ReadPage(id, out.data()).ok());
+  EXPECT_EQ(out, PatternPage(4));
+}
+
+/// A three-page store exactly as the FILE*-based pager wrote it (format
+/// version 2): the 64-byte header, then per page the pattern payload and
+/// the footer {magic "VJPG", page id, payload CRC32, 0}. The checksums are
+/// literals captured from that writer, not recomputed here.
+std::vector<uint8_t> LegacyStoreBytes() {
+  const uint8_t header[Pager::kHeaderSize] = {
+      0x56, 0x4A, 0x50, 0x41, 0x47, 0x45, 0x52, 0x46, 0x02, 0x00, 0x00, 0x00,
+      0x00, 0x10, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x3E, 0xB2, 0xCF, 0x74};
+  const uint32_t page_crcs[3] = {0x2D1E12CDu, 0xBCC902B3u, 0x654AA357u};
+  std::vector<uint8_t> bytes(header, header + Pager::kHeaderSize);
+  for (uint32_t p = 0; p < 3; ++p) {
+    std::vector<uint8_t> payload = PatternPage(p);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    const uint32_t footer[4] = {0x47504A56u, p, page_crcs[p], 0};
+    const uint8_t* raw = reinterpret_cast<const uint8_t*>(footer);
+    bytes.insert(bytes.end(), raw, raw + sizeof(footer));
+  }
+  return bytes;
+}
+
+std::vector<uint8_t> ReadWholeFile(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  uint8_t buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + got);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// The on-disk format did not move: a store written by the earlier stdio
+// pager reopens and reads clean, and writing the same pages today produces
+// the same bytes.
+TEST(PagerTest, LegacyStoreReopensAndWritesIdenticalBytes) {
+  const std::vector<uint8_t> legacy = LegacyStoreBytes();
+  const std::string path = TempPath("pager_legacy.db");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(legacy.data(), 1, legacy.size(), f), legacy.size());
+    std::fclose(f);
+  }
+  {
+    Pager pager(path, Pager::Mode::kReadOnly);
+    ASSERT_TRUE(pager.init_status().ok()) << pager.init_status().ToString();
+    ASSERT_EQ(pager.page_count(), 3u);
+    std::vector<uint8_t> out(Pager::kPageSize);
+    for (uint32_t p = 0; p < 3; ++p) {
+      ASSERT_TRUE(pager.ReadPage(p, out.data()).ok());
+      EXPECT_EQ(out, PatternPage(p));
+      EXPECT_TRUE(pager.VerifyPage(p, nullptr).ok());
+    }
+  }
+  const std::string fresh = TempPath("pager_fresh.db");
+  {
+    Pager pager(fresh, Pager::Mode::kPersist);
+    for (uint32_t p = 0; p < 3; ++p) {
+      storage::PageId id = *pager.AllocatePage();
+      ASSERT_TRUE(pager.WritePage(id, PatternPage(p).data()).ok());
+    }
+    ASSERT_TRUE(pager.Close().ok());
+  }
+  EXPECT_EQ(ReadWholeFile(fresh), legacy);
+  std::remove(path.c_str());
+  std::remove(fresh.c_str());
 }
 
 /// Writes `pages` pages whose first byte is the page id (mod 256).
