@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives: XPath
 // parsing, label predicates, structural joins, buffer-pool access, stored
-// list scans/seeks, view materialization and candidate enumeration.
+// list scans/seeks, view materialization, candidate enumeration, and the
+// planner's document statistics (full collection vs. per-update upkeep).
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "tpq/pattern.h"
 #include "util/rng.h"
 #include "xml/document.h"
+#include "xml/statistics.h"
 
 namespace viewjoin {
 namespace {
@@ -151,6 +153,49 @@ void BM_CandidateEnumerator(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CandidateEnumerator);
+
+void BM_CollectStatistics(benchmark::State& state) {
+  static const xml::Document* doc =
+      new xml::Document(data::GenerateXmark({.scale = 1, .seed = 42}));
+  for (auto _ : state) {
+    xml::DocumentStatistics stats = xml::DocumentStatistics::Collect(*doc);
+    benchmark::DoNotOptimize(stats.node_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(doc->NodeCount()));
+}
+BENCHMARK(BM_CollectStatistics)->Unit(benchmark::kMillisecond);
+
+// One bidder insert and one delete, each followed by its statistics delta —
+// what a live update adds to an ApplyUpdates batch instead of a full
+// Collect. The document mutations are part of the timed work.
+void BM_MaintainStatistics(benchmark::State& state) {
+  xml::Document doc = data::GenerateXmark({.scale = 1, .seed = 42});
+  if (!doc.RelabelWithGap(256).ok()) {
+    state.SkipWithError("relabel failed");
+    return;
+  }
+  xml::DocumentStatistics stats = xml::DocumentStatistics::Collect(doc);
+  const xml::SubtreeSpec bidder = xml::SpecFromDocument(
+      doc, doc.NodesOfTag(doc.FindTag("bidder")).front());
+  const xml::NodeId auction =
+      doc.NodesOfTag(doc.FindTag("open_auction")).front();
+  for (auto _ : state) {
+    util::StatusOr<xml::NodeId> inserted = doc.InsertSubtree(bidder, auction);
+    if (!inserted.ok()) {
+      state.SkipWithError("insert failed");
+      break;
+    }
+    stats.ApplySubtree(doc, *inserted, +1);
+    if (!doc.DeleteSubtree(*inserted).ok()) {
+      state.SkipWithError("delete failed");
+      break;
+    }
+    stats.ApplySubtree(doc, *inserted, -1);
+    benchmark::DoNotOptimize(stats.node_count());
+  }
+}
+BENCHMARK(BM_MaintainStatistics);
 
 void BM_GenerateXmark(benchmark::State& state) {
   for (auto _ : state) {

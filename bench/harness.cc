@@ -364,7 +364,7 @@ void PrintBanner(const std::string& title, const BenchContext& context) {
   std::printf(
       "document: %zu elements (~%.1f MB serialized with text), %zu tags, "
       "max depth %u, avg depth %.1f\n",
-      context.doc().NodeCount(),
+      context.doc().LiveNodeCount(),
       static_cast<double>(xml::SerializedSize(
           context.doc(), {.synthetic_text = true, .indent = 0})) /
           (1024.0 * 1024.0),

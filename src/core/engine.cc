@@ -237,18 +237,23 @@ RunResult Engine::ExecuteInternal(
   storage::IoStats doc_before =
       doc_store_ != nullptr ? doc_store_->Stats() : storage::IoStats{};
 
-  // Document statistics feed the planner's cardinality estimates. Collecting
-  // them is document preprocessing (one DFS per document revision, like view
-  // materialization), so it happens before the query timer starts. Keyed on
-  // revision(): live updates invalidate them, and since the revision only
-  // moves under the exclusive document lock, a refill can never race a
-  // sibling query still reading the previous statistics.
+  // Document statistics feed the planner's cardinality estimates, which only
+  // kAuto planning reads. Collecting them is document preprocessing (one DFS
+  // per engine lifetime, like view materialization), so it happens before
+  // the query timer starts; ApplyUpdates keeps them current per subtree and
+  // re-keys them to the new revision(). A revision mismatch means the
+  // document changed outside ApplyUpdates, and the DFS runs again. The
+  // statistics only change under the exclusive document lock, so the
+  // pointer stays valid while this query holds the lock shared.
+  const xml::DocumentStatistics* statistics = nullptr;
   if (run.algorithm == Algorithm::kAuto) {
     std::lock_guard<std::mutex> stats_lock(doc_stats_mu_);
     if (!doc_stats_.has_value() || doc_stats_revision_ != doc_->revision()) {
       doc_stats_.emplace(xml::DocumentStatistics::Collect(*doc_));
       doc_stats_revision_ = doc_->revision();
+      ++doc_stats_collections_;
     }
+    statistics = &*doc_stats_;
   }
 
   util::Timer timer;
@@ -264,7 +269,7 @@ RunResult Engine::ExecuteInternal(
   pin.query = &query;
   pin.views = views;
   pin.catalog = catalog_.get();
-  if (doc_stats_.has_value()) pin.statistics = &*doc_stats_;
+  pin.statistics = statistics;
   pin.algorithm = run.algorithm;
   pin.mode = run.output_mode;
   pin.disk_doc_mode = doc_store_ != nullptr;
@@ -960,6 +965,16 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
     // document; view maintenance below runs without the lock (the document
     // is read-only again), so queries overlap the install.
     std::unique_lock<std::shared_mutex> doc_lock(doc_mu_);
+    // Statistics that describe the pre-batch document follow each op by its
+    // subtree delta instead of being re-collected by the next kAuto query.
+    // RelabelWithGap leaves them as they are: they are structural, and
+    // levels do not move.
+    std::lock_guard<std::mutex> stats_lock(doc_stats_mu_);
+    xml::DocumentStatistics* stats = nullptr;
+    if (doc_stats_.has_value() &&
+        doc_stats_revision_ == mutable_doc_->revision()) {
+      stats = &*doc_stats_;
+    }
     // Ops address nodes by their pre-batch labels; a mid-batch relabel
     // multiplies every position by the gap, so scale later ops' coordinates.
     uint32_t label_scale = 1;
@@ -987,6 +1002,7 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
           continue;
         }
         if (!rebuild_all) collector.DidDelete();
+        if (stats != nullptr) stats->ApplySubtree(*mutable_doc_, target, -1);
         ++out.applied;
         continue;
       }
@@ -1029,12 +1045,14 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
         continue;  // the Will* scope stays open; the next op overwrites it
       }
       if (!rebuild_all) collector.DidInsert(*inserted);
+      if (stats != nullptr) stats->ApplySubtree(*mutable_doc_, *inserted, +1);
       ++out.applied;
     }
     // Disk doc-mode: re-snapshot the paged store while the exclusive lock
     // still guarantees no cursor is live over the old pages. Queries
     // admitted after this block scan the post-batch streams.
     if (out.applied > 0 || out.relabeled) RebuildDocStore();
+    if (stats != nullptr) doc_stats_revision_ = mutable_doc_->revision();
   }
   out.doc_revision = mutable_doc_->revision();
   if (out.applied == 0 && !out.relabeled) return out;  // document unchanged
@@ -1090,8 +1108,8 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
     }
   }
   // Plan-cache invalidation is implicit: entries key on the catalog epoch,
-  // which the transaction just bumped; document statistics re-key on
-  // revision() at the next kAuto query.
+  // which the transaction just bumped. Document statistics were maintained
+  // in the exclusive phase above.
   return out;
 }
 

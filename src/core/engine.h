@@ -427,8 +427,9 @@ class Engine {
   ///     RelabelWithGap(16) + full rebuild of all views;
   ///   - freshly installed views are checksum-verified post-commit and
   ///     quarantined on failure;
-  ///   - plans invalidate via the catalog epoch, document statistics via
-  ///     revision().
+  ///   - plans invalidate via the catalog epoch; the planner's document
+  ///     statistics, once collected, are kept current per inserted and
+  ///     deleted subtree instead of being re-collected.
   /// Env knobs (strict parsing, util/env.h): VIEWJOIN_UPDATE_BATCH_SIZE
   /// rejects oversized batches up front (0/unset = unlimited);
   /// VIEWJOIN_UPDATE_DELTA_SPILL_BYTES sets the delta spill threshold.
@@ -472,6 +473,13 @@ class Engine {
   /// recovery lock the query path uses, so a scrub heal and a query-path
   /// rebuild of the same view never race.
   storage::Scrubber* scrubber() { return scrubber_.get(); }
+
+  /// Full document walks the planner's statistics have cost so far (tests
+  /// pin that update batches maintain them instead of re-collecting).
+  uint64_t statistics_collections() {
+    std::lock_guard<std::mutex> lock(doc_stats_mu_);
+    return doc_stats_collections_;
+  }
 
  private:
   /// Per-call execution environment: which spill pager to spool into,
@@ -518,11 +526,15 @@ class Engine {
   /// would race on the destination directory for no benefit).
   std::mutex backup_mu_;
   /// Document statistics for the planner's cardinality estimates, collected
-  /// lazily on the first kAuto query and re-collected when the document
-  /// revision moves (live updates invalidate them).
+  /// lazily on the first kAuto query, maintained per subtree by
+  /// ApplyUpdates, and re-collected only when the document revision moved
+  /// some other way. Maintenance runs under an exclusive doc_mu_ and a
+  /// re-collection only after revision() moved, so a pointer a query takes
+  /// under a shared doc_mu_ stays valid until it releases the lock.
   std::mutex doc_stats_mu_;
   uint64_t doc_stats_revision_ = UINT64_MAX;
   std::optional<xml::DocumentStatistics> doc_stats_;
+  uint64_t doc_stats_collections_ = 0;
   std::string storage_path_;
   EngineOptions options_;
   std::unique_ptr<storage::ViewCatalog> catalog_;

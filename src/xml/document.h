@@ -129,8 +129,10 @@ class Document {
 
   /// Unlinks the subtree rooted at `root` (which must not be the document
   /// root) and tombstones its nodes: they leave every per-tag stream and the
-  /// structure links, but their labels and tags stay readable so callers can
-  /// compute deltas from the ids appended to `removed` (preorder). Bumps
+  /// live tree, but their labels, tags, parent links and the child/sibling
+  /// links inside the removed subtree stay readable, so callers can compute
+  /// deltas from the ids appended to `removed` (preorder) or walk the
+  /// removed subtree from `root`. Bumps
   /// revision(). Fails with kInvalidArgument on the document root or an
   /// already-deleted node.
   util::Status DeleteSubtree(NodeId root,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "data/nasa_generator.h"
+#include "data/xmark_generator.h"
 #include "tests/test_util.h"
 #include "tpq/evaluator.h"
 #include "util/rng.h"
@@ -77,6 +78,202 @@ TEST(StatisticsTest, PairCountsMatchOracleOnRandomDocs) {
             << pc.ToString();
       }
     }
+  }
+}
+
+TEST(StatisticsTest, CountsOnlyLiveNodesAfterDelete) {
+  xml::Document doc = MakeDoc("a(b(c) b d(b(c)))");
+  // Levels a=1, b=2, c=3, b=2, d=2, b=3, c=4; d's subtree goes.
+  ASSERT_TRUE(doc.DeleteSubtree(doc.NodesOfTag(doc.FindTag("d"))[0]).ok());
+  DocumentStatistics stats = DocumentStatistics::Collect(doc);
+  EXPECT_EQ(stats.node_count(), 4u);
+  EXPECT_EQ(stats.node_count(), doc.LiveNodeCount());
+  EXPECT_DOUBLE_EQ(stats.average_depth(), 8.0 / 4.0);
+  EXPECT_EQ(stats.max_depth(), 3u);
+}
+
+// Every accessor of `maintained` agrees with a fresh Collect over `doc`.
+::testing::AssertionResult SameAsCollect(const xml::Document& doc,
+                                         const DocumentStatistics& maintained) {
+  DocumentStatistics fresh = DocumentStatistics::Collect(doc);
+  if (fresh.node_count() != doc.LiveNodeCount()) {
+    return ::testing::AssertionFailure()
+           << "Collect counted " << fresh.node_count() << " nodes, "
+           << doc.LiveNodeCount() << " are live";
+  }
+  if (maintained.node_count() != fresh.node_count() ||
+      maintained.max_depth() != fresh.max_depth() ||
+      maintained.average_depth() != fresh.average_depth()) {
+    return ::testing::AssertionFailure()
+           << "node_count/max_depth/average_depth " << maintained.node_count()
+           << "/" << maintained.max_depth() << "/"
+           << maintained.average_depth() << " vs fresh "
+           << fresh.node_count() << "/" << fresh.max_depth() << "/"
+           << fresh.average_depth();
+  }
+  const auto tags = static_cast<xml::TagId>(doc.TagCount());
+  for (xml::TagId a = 0; a < tags; ++a) {
+    if (maintained.TagCount(a) != fresh.TagCount(a)) {
+      return ::testing::AssertionFailure() << "TagCount(" << doc.TagName(a)
+                                           << ") " << maintained.TagCount(a)
+                                           << " vs " << fresh.TagCount(a);
+    }
+    for (xml::TagId b = 0; b < tags; ++b) {
+      if (maintained.PcPairCount(a, b) != fresh.PcPairCount(a, b) ||
+          maintained.AdPairCount(a, b) != fresh.AdPairCount(a, b) ||
+          maintained.DistinctPcChildren(a, b) !=
+              fresh.DistinctPcChildren(a, b) ||
+          maintained.DistinctAdDescendants(a, b) !=
+              fresh.DistinctAdDescendants(a, b)) {
+        return ::testing::AssertionFailure()
+               << "pair (" << doc.TagName(a) << ", " << doc.TagName(b)
+               << ") pc/ad/distinct-pc/distinct-ad "
+               << maintained.PcPairCount(a, b) << "/"
+               << maintained.AdPairCount(a, b) << "/"
+               << maintained.DistinctPcChildren(a, b) << "/"
+               << maintained.DistinctAdDescendants(a, b) << " vs fresh "
+               << fresh.PcPairCount(a, b) << "/" << fresh.AdPairCount(a, b)
+               << "/" << fresh.DistinctPcChildren(a, b) << "/"
+               << fresh.DistinctAdDescendants(a, b);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+size_t SubtreeSize(const xml::Document& doc, xml::NodeId root) {
+  size_t size = 0;
+  std::vector<xml::NodeId> stack = {root};
+  while (!stack.empty()) {
+    xml::NodeId n = stack.back();
+    stack.pop_back();
+    ++size;
+    for (xml::NodeId c = doc.FirstChild(n); c != xml::kInvalidNode;
+         c = doc.NextSibling(c)) {
+      stack.push_back(c);
+    }
+  }
+  return size;
+}
+
+xml::NodeId RandomLiveNode(util::Rng* rng, const xml::Document& doc) {
+  while (true) {
+    auto n = static_cast<xml::NodeId>(rng->Uniform(doc.NodeCount()));
+    if (doc.IsLive(n)) return n;
+  }
+}
+
+// Drives the document through inserts and deletes, maintaining statistics
+// per subtree the way Engine::ApplyUpdates does, and compares them with a
+// fresh Collect after every op. The scripted prefix covers a tag the
+// document has never seen, raising and lowering max_depth, and deleting
+// every subtree that holds the document's own max_depth; the random tail
+// mixes inserts (fragments and copies of live subtrees), deletes and
+// relabels.
+void CheckMaintainedAgainstCollect(xml::Document doc, uint64_t seed,
+                                   const std::vector<std::string>& fragments,
+                                   int random_ops) {
+  util::Rng rng(seed);
+  ASSERT_TRUE(doc.RelabelWithGap(64).ok());
+  DocumentStatistics stats = DocumentStatistics::Collect(doc);
+  ASSERT_TRUE(SameAsCollect(doc, stats));
+
+  auto insert = [&](const xml::SubtreeSpec& spec, xml::NodeId parent,
+                    xml::NodeId after) -> xml::NodeId {
+    util::StatusOr<xml::NodeId> id = doc.InsertSubtree(spec, parent, after);
+    if (!id.ok() &&
+        id.status().code() == util::StatusCode::kResourceExhausted &&
+        doc.RelabelWithGap(4).ok()) {
+      id = doc.InsertSubtree(spec, parent, after);
+    }
+    if (!id.ok()) return xml::kInvalidNode;
+    stats.ApplySubtree(doc, *id, +1);
+    return *id;
+  };
+  auto erase = [&](xml::NodeId root) {
+    ASSERT_TRUE(doc.DeleteSubtree(root).ok());
+    stats.ApplySubtree(doc, root, -1);
+  };
+
+  // A chain of a never-seen tag, deeper than anything in the document,
+  // hung under one of the deepest nodes, then deleted again.
+  const uint32_t original_depth = stats.max_depth();
+  ASSERT_EQ(doc.FindTag("fresh"), xml::kInvalidTag);
+  xml::NodeId deepest = xml::kInvalidNode;
+  for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
+    if (doc.NodeLabel(n).level == original_depth) deepest = n;
+  }
+  ASSERT_NE(deepest, xml::kInvalidNode);
+  xml::SubtreeSpec chain;
+  for (uint32_t i = 0; i < 5; ++i) {
+    chain.nodes.push_back({"fresh", i == 0 ? xml::SubtreeSpec::kNoParent
+                                           : i - 1});
+  }
+  xml::NodeId chain_root = insert(chain, deepest, xml::kInvalidNode);
+  ASSERT_NE(chain_root, xml::kInvalidNode);
+  ASSERT_TRUE(SameAsCollect(doc, stats));
+  EXPECT_EQ(stats.max_depth(), original_depth + 5);
+  EXPECT_EQ(stats.TagCount(doc.FindTag("fresh")), 5u);
+  erase(chain_root);
+  ASSERT_TRUE(SameAsCollect(doc, stats));
+  EXPECT_EQ(stats.max_depth(), original_depth);
+  EXPECT_EQ(stats.TagCount(doc.FindTag("fresh")), 0u);
+
+  // Delete every subtree holding the document's own max_depth.
+  for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
+    if (!doc.IsLive(n) || doc.NodeLabel(n).level != original_depth) continue;
+    erase(doc.Parent(n));
+    ASSERT_TRUE(SameAsCollect(doc, stats));
+  }
+  EXPECT_LT(stats.max_depth(), original_depth);
+
+  std::vector<xml::SubtreeSpec> specs;
+  for (const std::string& f : fragments) {
+    specs.push_back(xml::SpecFromDocument(MakeDoc(f)));
+  }
+  int relabels = 0;
+  for (int op = 0; op < random_ops; ++op) {
+    const uint64_t kind = rng.Uniform(10);
+    if (kind < 4) {
+      xml::NodeId victim = RandomLiveNode(&rng, doc);
+      if (doc.NodeLabel(victim).level < 3) continue;
+      erase(victim);
+    } else if (kind < 9) {
+      xml::NodeId parent = RandomLiveNode(&rng, doc);
+      xml::NodeId after = xml::kInvalidNode;
+      for (xml::NodeId c = doc.FirstChild(parent); c != xml::kInvalidNode;
+           c = doc.NextSibling(c)) {
+        if (rng.Uniform(3) == 0) after = c;
+      }
+      xml::NodeId source = RandomLiveNode(&rng, doc);
+      const xml::SubtreeSpec spec =
+          kind < 7 || SubtreeSize(doc, source) > 20
+              ? specs[rng.Uniform(specs.size())]
+              : xml::SpecFromDocument(doc, source);
+      insert(spec, parent, after);
+    } else {
+      if (doc.RelabelWithGap(2).ok()) ++relabels;
+    }
+    ASSERT_TRUE(SameAsCollect(doc, stats)) << "after random op " << op;
+  }
+  EXPECT_GT(relabels, 0);
+}
+
+TEST(StatisticsTest, MaintainedMatchesCollect) {
+  {
+    SCOPED_TRACE("xmark 0.2");
+    CheckMaintainedAgainstCollect(
+        data::GenerateXmark({.scale = 0.2, .seed = 42}), 14,
+        {"bidder(date time personref increase)", "fresh(bidder(fresh))",
+         "open_auction(bidder(increase) bidder(increase) fresh)"},
+        200);
+  }
+  {
+    SCOPED_TRACE("recursive same-tag");
+    util::Rng doc_rng(15);
+    CheckMaintainedAgainstCollect(
+        testing::RandomDoc(&doc_rng, 400, {"a", "b"}), 16,
+        {"a(a(b a(b)))", "b(b(b))", "fresh(a(fresh(b)))"}, 300);
   }
 }
 
