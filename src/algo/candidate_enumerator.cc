@@ -192,10 +192,10 @@ void CandidateEnumerator::Enumerate(
     }
   }
 
-  // first[q][i]: index of the first candidate of q whose start is not
-  // before that of parent candidate i — the same position a lower_bound per
-  // recursion step would find, computed for every parent candidate by one
-  // linear merge of the two start-ordered lists.
+  // first[q][i]: index of the first candidate of q whose start is after
+  // that of parent candidate i — the first possible strict descendant, so a
+  // repeated tag never pairs a node with itself. One linear merge of the two
+  // start-ordered lists computes it for every parent candidate.
   std::vector<std::vector<uint32_t>> first(nq);
   for (size_t q = 1; q < nq; ++q) {
     const std::vector<Label>& pl =
@@ -204,7 +204,7 @@ void CandidateEnumerator::Enumerate(
     first[q].resize(pl.size());
     uint32_t j = 0;
     for (size_t i = 0; i < pl.size(); ++i) {
-      while (j < cl.size() && cl[j].start < pl[i].start) ++j;
+      while (j < cl.size() && cl[j].start <= pl[i].start) ++j;
       first[q][i] = j;
     }
   }

@@ -945,14 +945,13 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
 
   UpdateResult out;
 
-  // Maintain the healthy tip of every replacement chain; quarantined views
-  // without a replacement are already unusable and stay behind.
+  // Maintain every live view (the tip of each replacement chain);
+  // quarantined views without a replacement are already unusable and stay
+  // behind.
   std::vector<const MaterializedView*> maintain;
   std::vector<tpq::TreePattern> patterns;
-  for (const MaterializedView* v : catalog_->ViewsSnapshot()) {
-    if (catalog_->IsQuarantined(v) || catalog_->ReplacementFor(v) != nullptr) {
-      continue;
-    }
+  for (const MaterializedView* v : catalog_->LiveViews()) {
+    if (catalog_->IsQuarantined(v)) continue;
     maintain.push_back(v);
     patterns.push_back(v->pattern());
   }

@@ -319,6 +319,31 @@ void BufferPool::Clear() {
   ResetError();
 }
 
+void BufferPool::Discard(PageId first_page, uint32_t count) {
+  if (count == 0 || capacity_ == 0) return;
+  const PageId end = first_page + count;
+  {
+    std::lock_guard<std::mutex> lock(prefetch_mu_);
+    std::erase_if(prefetch_queue_, [&](PageId page) {
+      if (page < first_page || page >= end) return false;
+      prefetch_queued_.erase(page);
+      return true;
+    });
+  }
+  for (PageId page = first_page; page < end; ++page) {
+    Shard& shard = ShardFor(page);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(page);
+    if (it == shard.index.end() || it->second->pins != 0) continue;
+    if (it->second->prefetched) {
+      prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
+    }
+    shard.lru.erase(it->second);
+    shard.index.erase(it);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 // ---- Read-ahead ------------------------------------------------------------
 
 void BufferPool::SetReadAhead(size_t depth) {

@@ -180,7 +180,6 @@ class BufferPool {
   /// engine's quarantine path calls it after re-materializing a view so a
   /// stale poison latch cannot outlive the fault it recorded.
   void ResetError();
-  void ClearError() { ResetError(); }  // legacy spelling
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -259,6 +258,13 @@ class BufferPool {
   /// experiments) and resets the pool-global error latch — a cleared pool
   /// must not keep reporting a fault from a previous run.
   void Clear();
+
+  /// Drops the unpinned frames of pages [first_page, first_page + count),
+  /// and any read-ahead still queued for them. The catalog calls this when a
+  /// view version is superseded and no query can reach its pages any more.
+  /// Pinned frames stay and age out through LRU once released; the pages
+  /// stay on disk, so a later fetch of one is an ordinary miss.
+  void Discard(PageId first_page, uint32_t count);
 
  private:
   struct Frame {

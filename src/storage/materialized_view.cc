@@ -445,7 +445,7 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
                                          "file");
     }
     by_epoch[r.epoch] = view.get();
-    catalog->views_.push_back(std::move(view));
+    catalog->RegisterLocked(std::move(view));
   }
   for (uint64_t e : replay.quarantined) {
     auto it = by_epoch.find(e);
@@ -456,7 +456,8 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
     auto to = by_epoch.find(new_epoch);
     if (from != by_epoch.end() && to != by_epoch.end() &&
         from->second != to->second) {
-      catalog->replacement_[from->second] = to->second;
+      // Nothing is cached yet, so the retired version has no pages to drop.
+      (void)catalog->LinkReplacementLocked(from->second, to->second);
     }
   }
   catalog->epoch_.store(std::max<uint64_t>(replay.last_epoch, 1),
@@ -556,7 +557,7 @@ util::Status ViewCatalog::LoadLegacyManifest() {
     ok = ok && load(&view->tuple_list_);
     if (ok) {
       view->epoch_ = AllocateEpoch();
-      views_.push_back(std::move(view));
+      RegisterLocked(std::move(view));
     }
   }
   std::fclose(in);
@@ -744,7 +745,7 @@ util::StatusOr<const MaterializedView*> ViewCatalog::InstallView(
   const MaterializedView* result = view.get();
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
-    views_.push_back(std::move(view));
+    RegisterLocked(std::move(view));
   }
   return result;
 }
@@ -1574,14 +1575,19 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   if (shadowed) std::remove(shadow.c_str());
   remove_sidecar();
 
+  std::vector<const MaterializedView*> retired;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     for (size_t i = 0; i < specs.size(); ++i) {
-      result.new_views.push_back(new_views[i].get());
-      replacement_[specs[i].view] = new_views[i].get();
-      views_.push_back(std::move(new_views[i]));
+      const MaterializedView* fresh = new_views[i].get();
+      result.new_views.push_back(fresh);
+      RegisterLocked(std::move(new_views[i]));
+      if (LinkReplacementLocked(specs[i].view, fresh)) {
+        retired.push_back(specs[i].view);
+      }
     }
   }
+  for (const MaterializedView* view : retired) DiscardPages(view);
   return result;
 }
 
@@ -1612,15 +1618,8 @@ size_t ViewCatalog::quarantined_count() const {
 const MaterializedView* ViewCatalog::ReplacementFor(
     const MaterializedView* view) const {
   std::lock_guard<std::mutex> lock(registry_mu_);
-  const MaterializedView* current = nullptr;
-  auto it = replacement_.find(view);
-  // Follow the chain: a replacement may itself have been quarantined and
-  // replaced again.
-  while (it != replacement_.end()) {
-    current = it->second;
-    it = replacement_.find(current);
-  }
-  return current;
+  const MaterializedView* tip = TipLocked(view);
+  return tip == view ? nullptr : tip;
 }
 
 void ViewCatalog::SetReplacement(const MaterializedView* from,
@@ -1630,28 +1629,27 @@ void ViewCatalog::SetReplacement(const MaterializedView* from,
   if (journal_ != nullptr) {
     (void)journal_->AppendReplace(epoch, from->epoch(), to->epoch());
   }
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  replacement_[from] = to;
+  bool retired = false;
+  {
+    std::lock_guard<std::mutex> lock(registry_mu_);
+    retired = LinkReplacementLocked(from, to);
+  }
+  if (retired) DiscardPages(from);
 }
 
 const MaterializedView* ViewCatalog::FindView(
     const std::string& pattern_string, Scheme scheme) const {
   std::lock_guard<std::mutex> lock(registry_mu_);
-  // Scan newest-first so a re-materialized twin wins over its corrupt
+  auto it = by_pattern_.find(pattern_string);
+  if (it == by_pattern_.end()) return nullptr;
+  // Newest-first so a re-materialized twin wins over its corrupt
   // predecessor even before the replacement link is consulted.
-  for (auto it = views_.rbegin(); it != views_.rend(); ++it) {
-    const MaterializedView* v = it->get();
-    if (v->scheme() != scheme || v->pattern().ToString() != pattern_string) {
-      continue;
-    }
+  const std::vector<const MaterializedView*>& candidates = it->second;
+  for (auto c = candidates.rbegin(); c != candidates.rend(); ++c) {
+    if ((*c)->scheme_ != scheme) continue;
     // Follow replacements, then reject anything still quarantined.
-    auto r = replacement_.find(v);
-    while (r != replacement_.end()) {
-      v = r->second;
-      r = replacement_.find(v);
-    }
-    if (quarantined_.count(v) != 0) continue;
-    return v;
+    const MaterializedView* v = TipLocked(*c);
+    if (quarantined_.count(v) == 0) return v;
   }
   return nullptr;
 }
@@ -1662,6 +1660,65 @@ std::vector<const MaterializedView*> ViewCatalog::ViewsSnapshot() const {
   snapshot.reserve(views_.size());
   for (const auto& view : views_) snapshot.push_back(view.get());
   return snapshot;
+}
+
+std::vector<const MaterializedView*> ViewCatalog::LiveViews() const {
+  std::lock_guard<std::mutex> lock(registry_mu_);
+  std::vector<const MaterializedView*> live;
+  live.reserve(live_.size());
+  for (const auto& [epoch, view] : live_) live.push_back(view);
+  return live;
+}
+
+void ViewCatalog::RegisterLocked(std::unique_ptr<MaterializedView> view) {
+  live_.emplace(view->epoch_, view.get());
+  by_pattern_[view->pattern_.ToString()].push_back(view.get());
+  views_.push_back(std::move(view));
+}
+
+bool ViewCatalog::LinkReplacementLocked(const MaterializedView* from,
+                                        const MaterializedView* to) {
+  auto [link, fresh] = replacement_.try_emplace(from, to);
+  if (!fresh) {
+    // Re-pointing an already retired version (a rebuild racing an update
+    // batch): shortcuts compressed through the old link are stale, so start
+    // over from the links as registered.
+    if (link->second != to) {
+      link->second = to;
+      tip_ = replacement_;
+    }
+    return false;
+  }
+  tip_[from] = to;
+  live_.erase(from->epoch_);
+  return true;
+}
+
+const MaterializedView* ViewCatalog::TipLocked(
+    const MaterializedView* view) const {
+  auto it = tip_.find(view);
+  if (it == tip_.end()) return view;
+  const MaterializedView* tip = it->second;
+  for (auto next = tip_.find(tip); next != tip_.end(); next = tip_.find(tip)) {
+    tip = next->second;
+  }
+  // Point every member of the walked path straight at the tip.
+  for (const MaterializedView* v = view; v != tip;) {
+    const MaterializedView*& shortcut = tip_.find(v)->second;
+    v = shortcut;
+    shortcut = tip;
+  }
+  return tip;
+}
+
+void ViewCatalog::DiscardPages(const MaterializedView* view) {
+  auto discard = [this](const StoredList& list) {
+    if (list.count != 0 && list.first_page != kInvalidPage) {
+      pool_->Discard(list.first_page, list.PageSpan());
+    }
+  };
+  for (const StoredList& list : view->lists_) discard(list);
+  discard(view->tuple_list_);
 }
 
 const MaterializedView* ViewCatalog::ViewOfPage(PageId page) const {

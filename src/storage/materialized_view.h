@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -250,7 +251,8 @@ class ViewCatalog {
   // before the commit record rolls the entire batch back on reopen; after
   // it, the batch is fully applied. Old views stay registered (in-flight
   // queries keep reading their pages) with replacement links to the new
-  // ones, exactly like quarantine replacements.
+  // ones, exactly like quarantine replacements — but they are retired: they
+  // leave LiveViews() and their unpinned pages leave the buffer pool.
 
   /// Start-sorted label deltas for one view: added[q] / removed[q] are the
   /// labels entering / leaving the solution list of view pattern node q.
@@ -327,9 +329,12 @@ class ViewCatalog {
   bool IsQuarantined(const MaterializedView* view) const;
   size_t quarantined_count() const;
 
-  /// Latest healthy replacement for `view` (follows replacement chains), or
-  /// nullptr when none has been materialized yet.
+  /// Latest healthy replacement for `view` (the tip of its replacement
+  /// chain), or nullptr when none has been materialized yet. O(1) amortized:
+  /// lookups compress the chain they walk.
   const MaterializedView* ReplacementFor(const MaterializedView* view) const;
+  /// Registers `to` as the replacement of `from` and retires `from` (see
+  /// LiveViews).
   void SetReplacement(const MaterializedView* from, const MaterializedView* to);
 
   /// The view whose stored lists contain `page`, or nullptr (spill pages and
@@ -356,9 +361,17 @@ class ViewCatalog {
   }
 
   /// Registry snapshot safe to take while other threads install or
-  /// quarantine views (the scrubber's worklist). View pointers stay valid
-  /// for the catalog's lifetime.
+  /// quarantine views: every version ever registered, retired ones included.
+  /// View pointers stay valid for the catalog's lifetime.
   std::vector<const MaterializedView*> ViewsSnapshot() const;
+
+  /// The live versions, in epoch order: every registered view that no
+  /// replacement supersedes (quarantined ones included — callers that want
+  /// only servable views skip IsQuarantined). A version leaves this list, is
+  /// retired, the moment a replacement is registered for it — by an update
+  /// batch, SetReplacement or journal replay — and its unpinned pages are
+  /// then discarded from the buffer pool. Costs O(live), not O(history).
+  std::vector<const MaterializedView*> LiveViews() const;
 
   /// Monotone catalog epoch: the largest epoch any recorded event (install,
   /// quarantine, replacement) carries, resuming across restarts on a
@@ -374,8 +387,11 @@ class ViewCatalog {
 
   /// The healthy view with the given pattern serialization and scheme, or
   /// nullptr. Quarantined views (without a replacement) never match; a
-  /// replaced view resolves to its latest replacement. The planner uses this
-  /// to find same-pattern twins in alternative schemes.
+  /// replaced view resolves to its latest replacement; among several, the
+  /// newest registered wins. The planner uses this to find same-pattern
+  /// twins in alternative schemes. A hash probe on the pattern string, then
+  /// that pattern's versions newest-first; normally the first one tried is
+  /// the live tip.
   const MaterializedView* FindView(const std::string& pattern_string,
                                    Scheme scheme) const;
 
@@ -427,6 +443,24 @@ class ViewCatalog {
       const MaterializedView& old, const ListDeltas& deltas,
       StagedPages& staged);
 
+  /// Registers a freshly installed or replayed view as live. The *Locked
+  /// helpers run under registry_mu_, or during Open, before the catalog is
+  /// shared.
+  void RegisterLocked(std::unique_ptr<MaterializedView> view);
+
+  /// Records `to` as the replacement of `from` and retires `from`. Returns
+  /// true when `from` was live until now (its pages are then dead and the
+  /// caller discards them once registry_mu_ is released).
+  bool LinkReplacementLocked(const MaterializedView* from,
+                             const MaterializedView* to);
+
+  /// The tip of `view`'s replacement chain (`view` itself when live),
+  /// compressing the path it walks.
+  const MaterializedView* TipLocked(const MaterializedView* view) const;
+
+  /// Drops the retired `view`'s unpinned frames from the buffer pool.
+  void DiscardPages(const MaterializedView* view);
+
   /// The journal install record describing `view`.
   ManifestViewRecord RecordFor(const MaterializedView& view,
                                uint32_t page_count_after) const;
@@ -446,13 +480,28 @@ class ViewCatalog {
   /// Serializes InstallView (page-id assignment through journal commit) and
   /// Checkpoint. Ordered before registry_mu_ when both are taken.
   std::mutex install_mu_;
-  /// Guards views_, quarantined_ and replacement_. MaterializedView objects
-  /// themselves are immutable once registered and may be read lock-free.
+  /// Guards the registry below. MaterializedView objects themselves are
+  /// immutable once registered and may be read lock-free.
   mutable std::mutex registry_mu_;
+  /// Every version ever registered, in registration (epoch) order.
   std::vector<std::unique_ptr<MaterializedView>> views_;
+  /// The versions with no replacement, keyed by epoch. Everything else in
+  /// views_ is retired.
+  std::map<uint64_t, const MaterializedView*> live_;
   std::unordered_set<const MaterializedView*> quarantined_;
+  /// Replacement links as registered (from -> to).
   std::unordered_map<const MaterializedView*, const MaterializedView*>
       replacement_;
+  /// Shortcuts into replacement chains: from -> a later member of its chain
+  /// (the tip once a lookup has compressed the path). Mutable because const
+  /// lookups compress.
+  mutable std::unordered_map<const MaterializedView*, const MaterializedView*>
+      tip_;
+  /// FindView's index: pattern string -> every version of that pattern (any
+  /// scheme) in registration order. The newest is normally the live tip, so
+  /// the newest-first probe stops at once.
+  std::unordered_map<std::string, std::vector<const MaterializedView*>>
+      by_pattern_;
   /// Last allocated epoch (== current catalog epoch).
   std::atomic<uint64_t> epoch_{1};
   RecoveryReport recovery_;

@@ -61,7 +61,8 @@ uint32_t Scrubber::Step(uint32_t page_budget) {
 uint32_t Scrubber::ScanLocked(uint32_t page_budget,
                               std::vector<const MaterializedView*>* to_heal) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const MaterializedView*> views = catalog_->ViewsSnapshot();
+  // No query resolves to a retired version, so it is not scrubbed.
+  std::vector<const MaterializedView*> views = catalog_->LiveViews();
   std::vector<uint8_t> buffer(Pager::kPageSize);
   uint32_t scanned = 0;
   while (scanned < page_budget) {

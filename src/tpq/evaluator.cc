@@ -144,10 +144,11 @@ class Enumerator {
     NodeId parent_match = match_[static_cast<size_t>(pn.parent)];
     const xml::Label& pl = doc_.NodeLabel(parent_match);
     const std::vector<NodeId>& list = lists_[q];
-    // Nodes strictly inside (pl.start, pl.end) are exactly the descendants.
-    auto begin = std::lower_bound(
-        list.begin(), list.end(), pl.start, [&](NodeId n, uint32_t s) {
-          return doc_.NodeLabel(n).start < s;
+    // Nodes strictly inside (pl.start, pl.end) are exactly the descendants;
+    // the parent match itself (same start, when the tags repeat) is not.
+    auto begin = std::upper_bound(
+        list.begin(), list.end(), pl.start, [&](uint32_t s, NodeId n) {
+          return s < doc_.NodeLabel(n).start;
         });
     for (auto it = begin; it != list.end(); ++it) {
       const xml::Label& dl = doc_.NodeLabel(*it);

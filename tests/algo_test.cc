@@ -11,6 +11,7 @@
 #include "algo/spill_buffer.h"
 #include "algo/structural_join.h"
 #include "algo/twig_stack.h"
+#include "core/engine.h"
 #include "storage/materialized_view.h"
 #include "tests/test_util.h"
 #include "tpq/evaluator.h"
@@ -329,6 +330,44 @@ TEST(CandidateEnumeratorTest, RandomRecursiveDocsMatchOracle) {
       TreePattern query = MustParse(xpath);
       ExpectEnumerationMatchesOracle(doc, query, TagCandidates(doc, query));
     }
+  }
+}
+
+// A query that repeats a tag pairs each node with its strict descendants of
+// that tag, never with itself: on r(p(p(p))), //p//p has 3 matches, not 4.
+// The engine's binders refuse repeated tags (the paper's views need unique
+// element types), so the scans that would meet such a query are checked
+// directly: the naive evaluator (the oracle, and the source of the T-scheme
+// tuples IJ joins) and the candidate enumerator (TS's and VJ's output stage).
+TEST(RepeatedTagTest, DescendantStepExcludesTheNodeItself) {
+  xml::Document doc = MakeDoc("r(p(p(p)))");
+  const std::pair<const char*, size_t> cases[] = {
+      {"//p//p", 3}, {"//p/p", 2}, {"//p//p//p", 1}, {"/r//p//p", 3}};
+  for (const auto& [xpath, count] : cases) {
+    TreePattern query = MustParse(xpath);
+    std::vector<Match> expected = testing::BruteForceMatches(doc, query);
+    tpq::SortMatches(&expected);
+    ASSERT_EQ(expected.size(), count) << xpath;
+    EXPECT_EQ(SortedOracle(doc, query), expected) << xpath;
+    ExpectEnumerationMatchesOracle(doc, query, TagCandidates(doc, query));
+    ExpectEnumerationMatchesOracle(
+        doc, query, tpq::NaiveEvaluator(doc, query).SolutionNodes());
+  }
+
+  // TS, VJ and IJ refuse the query rather than answer it.
+  core::Engine engine(&doc, TempPath("repeated_tag.db"));
+  const MaterializedView* list_view = engine.AddView("//p", Scheme::kElement);
+  const MaterializedView* tuple_view = engine.AddView("//p", Scheme::kTuple);
+  const TreePattern query = MustParse("//p//p");
+  for (core::Algorithm algorithm :
+       {core::Algorithm::kTwigStack, core::Algorithm::kViewJoin,
+        core::Algorithm::kInterJoin}) {
+    core::RunOptions run;
+    run.algorithm = algorithm;
+    const MaterializedView* view =
+        algorithm == core::Algorithm::kInterJoin ? tuple_view : list_view;
+    EXPECT_FALSE(engine.Execute(query, {view}, run).ok)
+        << core::AlgorithmName(algorithm);
   }
 }
 
