@@ -39,7 +39,11 @@ int main(int argc, char** argv) {
                         Scheme::kLinkedElement);
     catalog.Materialize(doc, *viewjoin::tpq::TreePattern::Parse("//initial"),
                         Scheme::kLinkedElement);
-    catalog.SaveManifest();
+    viewjoin::util::Status saved = catalog.Checkpoint();
+    if (!saved.ok()) {
+      std::fprintf(stderr, "checkpoint failed: %s\n", saved.ToString().c_str());
+      return 1;
+    }
     std::printf("materialized 3 views in %.2f ms; catalog saved to %s\n",
                 timer.ElapsedMillis(), path);
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 
 namespace viewjoin::algo {
 
@@ -34,7 +35,7 @@ const char* AbortReasonName(AbortReason reason);
 /// within one loop iteration.
 ///
 /// Thread model: configuration and budget accounting belong to the owning
-/// worker thread; RequestAbort() and DeadlineExpired() are safe from any
+/// worker thread; RequestAbort() and FireIfExpired() are safe from any
 /// thread (the watchdog). A default-constructed context is ungoverned — no
 /// deadline, no token, no budgets — and never aborts, so algorithms can run
 /// against a local default instead of null-checking.
@@ -50,16 +51,11 @@ class QueryContext {
   // --- Configuration (owning thread, before evaluation) ---
 
   /// Arms (or re-arms) the deadline `ms` milliseconds from now. Stored as an
-  /// atomic so the watchdog can poll DeadlineExpired() concurrently.
+  /// atomic so the watchdog can poll it concurrently (FireIfExpired()).
   void set_deadline_after_ms(double ms) {
     deadline_ns_.store(NowNanos() + static_cast<int64_t>(ms * 1e6),
                        std::memory_order_relaxed);
   }
-  /// Disarms the deadline. ResetForRetry() deliberately keeps it (a retry of
-  /// the same query runs under the same clock); a *session* reusing one
-  /// context across unrelated queries must disarm between them or query N+1
-  /// inherits query N's deadline.
-  void clear_deadline() { deadline_ns_.store(0, std::memory_order_relaxed); }
   void set_cancel_token(const std::atomic<bool>* token) { cancel_ = token; }
   /// Budgets are in bytes; 0 means unlimited.
   void set_memory_budget(uint64_t bytes) { memory_budget_ = bytes; }
@@ -116,16 +112,21 @@ class QueryContext {
                                     std::memory_order_relaxed);
     aborted_.store(true, std::memory_order_release);
   }
-  /// True once an armed deadline lies in the past. Safe from any thread.
-  bool DeadlineExpired() const {
-    int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
-    return deadline != 0 && NowNanos() >= deadline;
+  /// The watchdog's step: fires kDeadline when an armed deadline lies in
+  /// the past. Check and fire are one step with respect to ResetForQuery(),
+  /// so a watchdog that saw query N's deadline expire can never abort query
+  /// N+1 on a reused context. Safe from any thread; true when it fired.
+  bool FireIfExpired() {
+    std::lock_guard<std::mutex> lock(arm_mu_);
+    if (!DeadlineExpired()) return false;
+    RequestAbort(AbortReason::kDeadline);
+    return true;
   }
 
   // --- Attempt lifecycle (owning thread) ---
 
   /// Clears the abort verdict and per-attempt budget accounting before a new
-  /// evaluation attempt (the memory→disk downgrade or a batch retry). The
+  /// evaluation attempt (the memory→disk downgrade or a retry). The
   /// deadline, token, budgets, peak and checkpoint counters persist.
   void ResetForRetry() {
     aborted_.store(false, std::memory_order_relaxed);
@@ -133,6 +134,16 @@ class QueryContext {
     memory_used_ = 0;
     disk_used_ = 0;
     until_check_ = kCheckInterval;
+  }
+  /// Starts a new query on a reused context: disarms the deadline and clears
+  /// the abort verdict, the attempt accounting and the per-query peak and
+  /// checkpoint counters. Serialized with FireIfExpired() (see there).
+  void ResetForQuery() {
+    std::lock_guard<std::mutex> lock(arm_mu_);
+    deadline_ns_.store(0, std::memory_order_relaxed);
+    ResetForRetry();
+    peak_memory_ = 0;
+    checkpoints_ = 0;
   }
 
   // --- Observation ---
@@ -155,6 +166,16 @@ class QueryContext {
 
   bool SlowCheckpoint();
 
+  /// True once an armed deadline lies in the past.
+  bool DeadlineExpired() const {
+    int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
+    return deadline != 0 && NowNanos() >= deadline;
+  }
+
+  /// Orders FireIfExpired() against ResetForQuery(): a deadline check and
+  /// the abort it fires happen within one arming. Never taken on the hot
+  /// path (Checkpoint() stays lock-free).
+  std::mutex arm_mu_;
   std::atomic<int64_t> deadline_ns_{0};  // 0 = no deadline armed
   const std::atomic<bool>* cancel_ = nullptr;
   uint64_t memory_budget_ = 0;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <optional>
 #include <thread>
 
@@ -122,7 +121,7 @@ Engine::Engine(const xml::Document* doc, const std::string& storage_path,
       options_(options),
       catalog_(std::make_unique<storage::ViewCatalog>(
           storage_path, options.pool_pages, options.persistent)),
-      spill_(std::make_unique<storage::Pager>(storage_path + ".spill")) {
+      session_(new Session(this, storage_path + ".spill", /*seed=*/0)) {
   if (options_.readahead_pages > 0) {
     catalog_->pool()->SetReadAhead(options_.readahead_pages);
   }
@@ -191,49 +190,47 @@ util::StatusOr<const MaterializedView*> Engine::TryAddView(
   return catalog_->TryMaterialize(*doc_, *pattern, scheme);
 }
 
+void Engine::DropCaches() {
+  // An update batch rebuilds the document store under the exclusive lock;
+  // holding it shared keeps the store alive while its frames are dropped.
+  std::shared_lock<std::shared_mutex> doc_lock(doc_mu_);
+  catalog_->DropCaches();
+  catalog_->ResetStats();
+  session_->spill_.ResetStats();
+  if (doc_store_ != nullptr) {
+    doc_store_->DropCaches();
+    doc_store_->ResetStats();
+  }
+}
+
 RunResult Engine::Execute(
     const TreePattern& query,
     const std::vector<const MaterializedView*>& views, const RunOptions& run,
     tpq::MatchSink* sink) {
-  algo::QueryContext gov;
-  ConfigureGovernance(&gov, run);
-  return ExecuteInternal(query, views, run, sink,
-                         ExecContext{spill_.get(), /*exclusive=*/true, &gov});
+  if (run.cold_cache) DropCaches();
+  return session_->Run(query, views, run, {}, sink);
 }
 
 RunResult Engine::ExecuteInternal(
     const TreePattern& query,
     const std::vector<const MaterializedView*>& views, const RunOptions& run,
-    tpq::MatchSink* sink, const ExecContext& ctx) {
+    tpq::MatchSink* sink, storage::Pager* spill, algo::QueryContext* gov) {
   RunResult result;
   // The whole run holds the document shared: a live-update batch
   // (ApplyUpdates) waits for in-flight queries before mutating, and this
   // query keeps answering from the views it resolved — the previous epoch —
   // even while a batch's replacement views install concurrently.
   std::shared_lock<std::shared_mutex> doc_lock(doc_mu_);
-  algo::QueryContext ungoverned;
-  algo::QueryContext* gov =
-      ctx.governance != nullptr ? ctx.governance : &ungoverned;
   // When a user sink is supplied, attempts stream into a replay buffer so
   // the user only ever observes the matches of a fault-free run.
   ReplaySink replay;
 
-  // Batch workers capture this query's page faults in a thread-local scope so
-  // a sibling's poison latch cannot leak into this result (and vice versa).
-  std::optional<storage::BufferPool::ErrorScope> scope;
-  if (!ctx.exclusive) scope.emplace(catalog_->pool());
+  // This query's page faults latch in a thread-local scope, so a sibling
+  // session's poison latch cannot leak into this result (and vice versa).
+  storage::BufferPool::ErrorScope scope(catalog_->pool());
 
-  if (run.cold_cache && ctx.exclusive) {
-    catalog_->DropCaches();
-    catalog_->ResetStats();
-    ctx.spill->ResetStats();
-    if (doc_store_ != nullptr) {
-      doc_store_->DropCaches();
-      doc_store_->ResetStats();
-    }
-  }
   storage::IoStats before = catalog_->Stats();
-  storage::IoStats spill_before = ctx.spill->stats();
+  storage::IoStats spill_before = spill->stats();
   storage::IoStats doc_before =
       doc_store_ != nullptr ? doc_store_->Stats() : storage::IoStats{};
 
@@ -309,7 +306,7 @@ RunResult Engine::ExecuteInternal(
     config.views = vs;
     config.pool = catalog_->pool();
     config.mode = mode;
-    config.spill = ctx.spill;
+    config.spill = spill;
     config.doc_store = doc_store_.get();
     std::unique_ptr<plan::Operator> op = plan::MakeOperator(algorithm, config);
     util::Status open = op->Open();
@@ -349,7 +346,7 @@ RunResult Engine::ExecuteInternal(
     if (doc_store_ != nullptr) {
       result.io += doc_store_->Stats().Delta(doc_before);
     }
-    storage::IoStats spill_io = ctx.spill->stats().Delta(spill_before);
+    storage::IoStats spill_io = spill->stats().Delta(spill_before);
     result.io.pages_read += spill_io.pages_read;
     result.io.pages_written += spill_io.pages_written;
     result.io.read_micros += spill_io.read_micros;
@@ -431,24 +428,6 @@ RunResult Engine::ExecuteInternal(
     return result;
   };
 
-  // This query's view-store fault latch: the thread-local scope in batch
-  // mode, the pool-global latch when running exclusively.
-  auto view_error = [&]() -> util::Status {
-    return scope.has_value() ? scope->error() : catalog_->pool()->error();
-  };
-  auto view_error_page = [&]() -> storage::PageId {
-    return scope.has_value() ? scope->error_page()
-                             : catalog_->pool()->error_page();
-  };
-  auto clear_view_error = [&]() {
-    if (scope.has_value()) {
-      scope->Clear();
-    } else {
-      catalog_->pool()->ResetError();
-      catalog_->pager()->ClearError();
-    }
-  };
-
   // Attempt loop: a clean run returns directly; a storage fault quarantines
   // the corrupt view, re-materializes it from the in-memory document, and
   // retries. Bounded so a persistently failing medium cannot loop forever.
@@ -457,8 +436,8 @@ RunResult Engine::ExecuteInternal(
   bool memory_downgraded = false;
   util::Status last_storage_error;
   for (int attempt = 0; attempt < kMaxViewAttempts; ++attempt) {
-    clear_view_error();
-    ctx.spill->ClearError();
+    scope.Clear();
+    spill->ClearError();
     replay.Reset();
     TeeSink tee(sink != nullptr ? static_cast<tpq::MatchSink*>(&replay)
                                 : nullptr);
@@ -471,8 +450,7 @@ RunResult Engine::ExecuteInternal(
       // spilling is unavailable or also over budget does the abort become
       // terminal (RESOURCE_EXHAUSTED, the ladder's last rung).
       if (gov->reason() == algo::AbortReason::kMemoryBudget &&
-          mode == algo::OutputMode::kMemory && !memory_downgraded &&
-          ctx.spill != nullptr) {
+          mode == algo::OutputMode::kMemory && !memory_downgraded) {
         memory_downgraded = true;
         mode = algo::OutputMode::kDisk;
         result.degraded = true;
@@ -483,8 +461,8 @@ RunResult Engine::ExecuteInternal(
       return finish_aborted();
     }
 
-    util::Status view_err = view_error();
-    util::Status spill_err = ctx.spill->last_error();
+    util::Status view_err = scope.error();
+    util::Status spill_err = spill->last_error();
     if (view_err.ok() && spill_err.ok()) return finish(tee);
     last_storage_error = view_err.ok() ? spill_err : view_err;
 
@@ -501,7 +479,7 @@ RunResult Engine::ExecuteInternal(
       std::lock_guard<std::mutex> recovery_lock(recovery_mu_);
       std::vector<const MaterializedView*> suspects;
       const MaterializedView* culprit =
-          catalog_->ViewOfPage(view_error_page());
+          catalog_->ViewOfPage(scope.error_page());
       if (culprit != nullptr) {
         suspects.push_back(culprit);
       } else {
@@ -530,7 +508,7 @@ RunResult Engine::ExecuteInternal(
       }
       // The fault is handled (or about to be escalated): drop the latch so a
       // stale poison record cannot outlive the view it referred to.
-      clear_view_error();
+      scope.Clear();
       if (!rebuilt) break;  // medium too sick to rebuild on — fall back
     }
     // Test hook: an armed recovery barrier holds the worker here — between
@@ -543,8 +521,8 @@ RunResult Engine::ExecuteInternal(
   // base-document fallback get a typed, retryable error instead — the batch
   // retry ladder (bounded, with backoff) is their recovery path.
   if (!run.allow_base_fallback) {
-    clear_view_error();
-    ctx.spill->ClearError();
+    scope.Clear();
+    spill->ClearError();
     fill_common();
     result.ok = false;
     result.retryable = true;
@@ -561,8 +539,8 @@ RunResult Engine::ExecuteInternal(
   // spill faults; the match set is identical by definition. Its work is
   // charged to the plan's verify-fallback step (via residual absorption in
   // fill_common).
-  clear_view_error();
-  ctx.spill->ClearError();
+  scope.Clear();
+  spill->ClearError();
   replay.Reset();
   result.error.clear();
   std::unique_ptr<plan::Operator> base = plan::MakeBaseFallbackOperator(
@@ -589,19 +567,7 @@ std::vector<RunResult> Engine::ExecuteBatch(
 
   // Cold cache applies to the batch as a whole: the pool is shared, so a
   // per-query drop would evict pages siblings are still cursoring over.
-  if (options.run.cold_cache) {
-    catalog_->DropCaches();
-    catalog_->ResetStats();
-  }
-  RunOptions per_query = options.run;
-  per_query.cold_cache = false;
-  if (options.deadline_ms > 0) per_query.deadline_ms = options.deadline_ms;
-  if (options.per_query_memory_budget > 0) {
-    per_query.memory_budget_bytes = options.per_query_memory_budget;
-  }
-  if (options.per_query_disk_budget > 0) {
-    per_query.disk_budget_bytes = options.per_query_disk_budget;
-  }
+  if (options.run.cold_cache) DropCaches();
 
   size_t workers = std::min(std::max<size_t>(options.threads, 1),
                             queries.size());
@@ -621,54 +587,33 @@ std::vector<RunResult> Engine::ExecuteBatch(
   }
   if (admitted == 0) return results;
 
-  // One governance context per admitted query. They live in a deque that
-  // outlives both workers and watchdog, so the watchdog can never touch a
-  // freed context; finished queries just keep an expired (ignored) deadline.
-  std::deque<algo::QueryContext> govs(admitted);
+  // One session per worker, each spooling disk-mode intermediates into a
+  // private scratch file ("<storage_path>.spill.<worker>", removed when the
+  // batch ends). The sessions outlive both workers and watchdog.
+  std::vector<std::unique_ptr<Session>> sessions;
+  sessions.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    sessions.emplace_back(
+        new Session(this, storage_path_ + ".spill." + std::to_string(w),
+                    static_cast<uint64_t>(w) << 32));
+  }
   std::atomic<size_t> next{0};
 
-  auto serve = [&](size_t worker_id) {
-    // Each worker spools disk-mode intermediates into a private scratch file;
-    // kTruncate removes it on close.
-    storage::Pager spill(storage_path_ + ".spill." + std::to_string(worker_id),
-                         storage::Pager::Mode::kTruncate);
+  auto serve = [&](Session* session) {
     for (size_t i = next.fetch_add(1); i < admitted; i = next.fetch_add(1)) {
       const BatchQuery& q = queries[i];
       VJ_CHECK(q.query != nullptr) << "batch query " << i << " has no pattern";
-      RunOptions mine = per_query;
+      RunOptions mine = options.run;
       if (q.deadline_ms >= 0) mine.deadline_ms = q.deadline_ms;
       if (q.cancel != nullptr) mine.cancel = q.cancel;
-      algo::QueryContext& gov = govs[i];
-      ExecContext ctx{&spill, /*exclusive=*/false, &gov};
-      // Decorrelated jitter, seeded per (worker, query): deterministic for a
-      // given schedule, but workers that trip over the same fault back off on
-      // spread-out delays instead of retrying in lockstep.
-      util::DecorrelatedJitterBackoff backoff(
-          options.retry_backoff_ms, options.retry_backoff_cap_ms,
-          (static_cast<uint64_t>(worker_id) << 32) ^ i);
-      int attempt = 0;
-      while (true) {
-        ++attempt;
-        gov.ResetForRetry();
-        // Re-arms the deadline: each service attempt gets the full budget.
-        ConfigureGovernance(&gov, mine);
-        results[i] = ExecuteInternal(*q.query, q.views, mine,
-                                     /*sink=*/nullptr, ctx);
-        results[i].attempts = attempt;
-        if (results[i].ok || !results[i].retryable ||
-            attempt > options.max_retries) {
-          break;
-        }
-        // Transient storage fault: back off with jitter, then retry.
-        RetrySleep(backoff.NextDelayMs());
-      }
+      results[i] = session->Run(*q.query, q.views, mine, options.retry);
     }
   };
 
   // Watchdog: cooperative checkpoints cannot run while a worker sits inside
   // a long page read, so deadlines are also fired from outside. The worker
   // observes the abort flag at its next loop iteration.
-  bool need_watchdog = per_query.deadline_ms > 0;
+  bool need_watchdog = options.run.deadline_ms > 0;
   for (const BatchQuery& q : queries) need_watchdog |= q.deadline_ms > 0;
   std::mutex wd_mu;
   std::condition_variable wd_cv;
@@ -679,21 +624,21 @@ std::vector<RunResult> Engine::ExecuteBatch(
       std::unique_lock<std::mutex> lock(wd_mu);
       while (!wd_stop) {
         wd_cv.wait_for(lock, std::chrono::milliseconds(5));
-        for (algo::QueryContext& gov : govs) {
-          if (gov.DeadlineExpired()) {
-            gov.RequestAbort(algo::AbortReason::kDeadline);
-          }
+        for (const std::unique_ptr<Session>& session : sessions) {
+          session->governance()->FireIfExpired();
         }
       }
     });
   }
 
   if (workers == 1) {
-    serve(0);
+    serve(sessions[0].get());
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) pool.emplace_back(serve, w);
+    for (const std::unique_ptr<Session>& session : sessions) {
+      pool.emplace_back(serve, session.get());
+    }
     for (std::thread& t : pool) t.join();
   }
 
@@ -709,43 +654,39 @@ std::vector<RunResult> Engine::ExecuteBatch(
 }
 
 Engine::Session::Session(Engine* engine, size_t id)
+    : Session(engine,
+              engine->storage_path_ + ".session." + std::to_string(id),
+              0x5E5510ULL ^ (static_cast<uint64_t>(id) << 20)) {}
+
+Engine::Session::Session(Engine* engine, const std::string& spill_path,
+                         uint64_t seed)
+    // kTruncate removes the scratch file when the session ends.
     : engine_(engine),
-      // Like a batch worker's scratch file, but named per session and living
-      // as long as the session does; kTruncate removes it on close.
-      spill_(engine->storage_path_ + ".session." + std::to_string(id),
-             storage::Pager::Mode::kTruncate),
-      seed_(0x5E5510ULL ^ (static_cast<uint64_t>(id) << 20)) {}
+      spill_(spill_path, storage::Pager::Mode::kTruncate),
+      seed_(seed) {}
 
 RunResult Engine::Session::Run(
     const TreePattern& query, const std::vector<const MaterializedView*>& views,
-    const RunOptions& run, const RetryPolicy& retry) {
-  RunOptions mine = run;
-  // The store and pool are shared with sibling sessions: dropping caches or
-  // resetting pool-global counters here would sabotage them.
-  mine.cold_cache = false;
-  ExecContext ctx{&spill_, /*exclusive=*/false, &gov_};
+    const RunOptions& run, const RetryPolicy& retry, tpq::MatchSink* sink) {
   // Fresh jitter ladder per query, deterministically reseeded so two queries
   // on one session (and the same query on two sessions) spread differently.
   util::DecorrelatedJitterBackoff backoff(retry.backoff_ms,
                                           retry.backoff_cap_ms, seed_++);
+  // A reused context must not inherit the previous query's deadline, abort
+  // verdict or counters.
+  gov_.ResetForQuery();
   RunResult result;
-  int attempt = 0;
-  while (true) {
-    ++attempt;
-    // A reused context must not inherit the previous query's deadline
-    // (ResetForRetry deliberately keeps it for same-query retries).
-    gov_.clear_deadline();
-    gov_.ResetForRetry();
-    ConfigureGovernance(&gov_, mine);
-    result = engine_->ExecuteInternal(query, views, mine, /*sink=*/nullptr,
-                                      ctx);
+  for (int attempt = 1;; ++attempt) {
+    // Arms (and on a retry re-arms) the deadline: each service attempt gets
+    // the full budget.
+    ConfigureGovernance(&gov_, run);
+    result = engine_->ExecuteInternal(query, views, run, sink, &spill_, &gov_);
     result.attempts = attempt;
     if (result.ok || !result.retryable || attempt > retry.max_retries) break;
+    // Transient storage fault: back off with jitter, then retry.
     RetrySleep(backoff.NextDelayMs());
+    gov_.ResetForRetry();
   }
-  // Disarm so a watchdog polling between queries never sees a stale expired
-  // deadline from a query that already answered.
-  gov_.clear_deadline();
   return result;
 }
 

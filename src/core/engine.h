@@ -125,10 +125,24 @@ struct RunOptions {
 struct BatchQuery {
   const tpq::TreePattern* query = nullptr;
   std::vector<const storage::MaterializedView*> views;
-  /// Per-query deadline override in ms; < 0 inherits BatchOptions::deadline_ms.
+  /// Per-query deadline override in ms; < 0 inherits
+  /// BatchOptions::run.deadline_ms.
   double deadline_ms = -1;
   /// Per-query cancellation token; overrides BatchOptions::run.cancel.
   const std::atomic<bool>* cancel = nullptr;
+};
+
+/// Bounded retry for queries that failed on a transient storage fault
+/// (RunResult::retryable): up to `max_retries` re-executions with
+/// decorrelated-jitter backoff — each delay is uniform in
+/// [backoff_ms, min(backoff_cap_ms, 3 x previous delay)], so workers that
+/// faulted together retry spread out instead of in lockstep (the
+/// thundering-herd hazard of deterministic doubling). Deterministic failures
+/// (bad bindings, budget exhaustion, deadline, cancel) are never retried.
+struct RetryPolicy {
+  int max_retries = 0;
+  double backoff_ms = 1.0;
+  double backoff_cap_ms = 100.0;
 };
 
 struct BatchOptions {
@@ -139,30 +153,13 @@ struct BatchOptions {
   /// never executed (backpressure instead of unbounded queueing). The
   /// default admits everything.
   size_t max_queued = SIZE_MAX;
-  /// Per-query deadline in ms applied to every admitted query (0 = none).
-  /// The clock starts when a worker picks the query up; enforced both
-  /// cooperatively and by a watchdog thread that fires deadlines on workers
-  /// stuck inside long page reads.
-  double deadline_ms = 0;
-  /// Per-query memory/disk budgets in bytes (0 = unlimited); same
-  /// degradation ladder as RunOptions::memory_budget_bytes.
-  uint64_t per_query_memory_budget = 0;
-  uint64_t per_query_disk_budget = 0;
-  /// Bounded retry for queries that failed on a transient storage fault
-  /// (RunResult::retryable): up to `max_retries` re-executions with
-  /// decorrelated-jitter backoff — each delay is uniform in
-  /// [retry_backoff_ms, min(retry_backoff_cap_ms, 3 x previous delay)], so
-  /// workers that faulted together retry spread out instead of in lockstep
-  /// (the thundering-herd hazard of deterministic doubling). Deterministic
-  /// failures (bad bindings, budget exhaustion, deadline, cancel) are never
-  /// retried.
-  int max_retries = 0;
-  double retry_backoff_ms = 1.0;
-  double retry_backoff_cap_ms = 100.0;
-  /// Per-query options. `cold_cache` applies once to the whole batch (the
-  /// pool is shared; dropping it per query would evict siblings' pages).
-  /// deadline_ms / budget fields here act as defaults; the dedicated batch
-  /// fields above override them when non-zero.
+  /// Retry ladder applied to every admitted query.
+  RetryPolicy retry;
+  /// Per-query options. A deadline's clock starts when a worker picks the
+  /// query up; it is enforced both cooperatively and by a watchdog thread
+  /// that fires deadlines on workers stuck inside long page reads.
+  /// `cold_cache` applies once to the whole batch (the pool is shared;
+  /// dropping it per query would evict siblings' pages).
   RunOptions run;
 };
 
@@ -181,12 +178,12 @@ struct RunResult {
   bool timed_out = false;
   bool cancelled = false;
   /// False for deterministic failures; true when the failure was a storage
-  /// fault that a retry might not hit (the batch retry ladder keys on this).
+  /// fault that a retry might not hit (the retry ladder keys on this).
   bool retryable = false;
   /// Admission verdict (always kAdmitted outside ExecuteBatch). Rejected
   /// queries carry no other information: they were never executed.
   BatchAdmission admission = BatchAdmission::kAdmitted;
-  /// Execution attempts the batch retry ladder spent (1 = no retry).
+  /// Execution attempts the retry ladder spent (1 = no retry).
   int attempts = 1;
   /// Peak bytes of buffered intermediate solutions charged against the
   /// memory budget (0 when the run was ungoverned and unbudgeted — the
@@ -226,15 +223,6 @@ struct RunResult {
   /// end (all zero when scrubbing is off). Cumulative across calls, not a
   /// per-call delta — surfaced so --explain can report scrub health.
   storage::ScrubStats scrub;
-};
-
-/// Bounded-retry policy for Engine::Session::Run — the same
-/// decorrelated-jitter ladder ExecuteBatch uses (see
-/// BatchOptions::max_retries).
-struct RetryPolicy {
-  int max_retries = 0;
-  double backoff_ms = 1.0;
-  double backoff_cap_ms = 100.0;
 };
 
 /// One live-document mutation of an Engine::ApplyUpdates batch. Nodes are
@@ -289,20 +277,18 @@ struct UpdateResult {
 
 class Engine {
  public:
-  using RetryPolicy = core::RetryPolicy;
-
-  /// A long-lived, non-exclusive execution handle: what a query server's
-  /// worker thread holds. Each session owns a private spill pager (like a
-  /// batch worker's scratch file) and one reusable governance context, and
-  /// runs queries through the same fault-recovery + bounded-retry ladder as
-  /// ExecuteBatch — but one query at a time, indefinitely, concurrently with
-  /// sibling sessions on the same engine.
+  /// The one code path that runs a query: Execute runs on the engine's own
+  /// session, ExecuteBatch on one session per worker, and a query server's
+  /// worker thread holds one for its lifetime. Each session owns a private
+  /// spill pager and one reusable governance context, and runs queries
+  /// through the fault-recovery + bounded-retry ladder, one at a time,
+  /// concurrently with sibling sessions on the same engine.
   ///
   /// Rules: Run() is serial per session (one query at a time); sessions on
   /// one engine may Run() concurrently with each other and with the
-  /// scrubber, but not with Execute/ExecuteBatch (those assume exclusivity
-  /// for cold-cache drops). governance() is safe to poll from a watchdog
-  /// thread while Run() executes — RequestAbort/DeadlineExpired only.
+  /// scrubber, but not with Execute/ExecuteBatch (those drop caches for
+  /// cold_cache). governance() is safe to poll from a watchdog thread while
+  /// Run() executes — FireIfExpired/RequestAbort only.
   class Session {
    public:
     Session(Engine* engine, size_t id);
@@ -310,18 +296,25 @@ class Engine {
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
-    /// Runs one query. cold_cache is forced off (the store is shared with
-    /// sibling sessions); everything else in `run` applies as in Execute.
-    /// RunResult::attempts counts the retry ladder's executions.
+    /// Runs one query, streaming matches into `sink` when provided (only a
+    /// fault-free attempt's matches reach it). Never drops caches:
+    /// cold_cache is the caller's business, everything else in `run`
+    /// applies as documented there. RunResult::attempts counts the retry
+    /// ladder's executions; peak_memory_bytes and checkpoints are this
+    /// query's own, not the session's running totals.
     RunResult Run(const tpq::TreePattern& query,
                   const std::vector<const storage::MaterializedView*>& views,
-                  const RunOptions& run, const RetryPolicy& retry = {});
+                  const RunOptions& run, const RetryPolicy& retry = {},
+                  tpq::MatchSink* sink = nullptr);
 
     /// The session's governance context, for an external watchdog:
-    /// DeadlineExpired()/RequestAbort() only (those are thread-safe).
+    /// FireIfExpired()/RequestAbort() only (those are thread-safe).
     algo::QueryContext* governance() { return &gov_; }
 
    private:
+    friend class Engine;
+    Session(Engine* engine, const std::string& spill_path, uint64_t seed);
+
     Engine* engine_;
     storage::Pager spill_;
     algo::QueryContext gov_;
@@ -329,10 +322,10 @@ class Engine {
     uint64_t seed_;
   };
 
-  /// Replaces the retry ladder's backoff sleeps (ExecuteBatch and
-  /// Session::Run) with `hook` — tests observe the jittered delays instead
-  /// of waiting them out. Pass nullptr to restore real sleeping. Not
-  /// thread-safe against in-flight batches; set it before running.
+  /// Replaces the retry ladder's backoff sleeps (Session::Run) with `hook` —
+  /// tests observe the jittered delays instead of waiting them out. Pass
+  /// nullptr to restore real sleeping. Not thread-safe against in-flight
+  /// queries; set it before running.
   static void SetRetrySleepHookForTest(std::function<void(double)> hook);
 
   /// `storage_path` is the backing file for materialized views; a sibling
@@ -366,7 +359,9 @@ class Engine {
       const std::string& xpath, storage::Scheme scheme);
 
   /// Runs `query` over the covering `views`, streaming matches into an
-  /// internal hashing sink (see Result) — or into `sink` when provided.
+  /// internal hashing sink (see Result) — or into `sink` when provided — on
+  /// the engine's own session (spill file "<storage_path>.spill"), after a
+  /// cache drop when run.cold_cache is set. One Execute at a time.
   RunResult Execute(const tpq::TreePattern& query,
                  const std::vector<const storage::MaterializedView*>& views,
                  const RunOptions& run = {}, tpq::MatchSink* sink = nullptr);
@@ -381,11 +376,11 @@ class Engine {
   ///     worker reuses a replacement a sibling already rebuilt;
   ///   - each worker spools disk-mode intermediates into its own spill file
   ///     ("<storage_path>.spill.<worker>").
-  /// Governance (see BatchOptions): queries beyond threads + max_queued are
-  /// rejected up front (kRejected) without perturbing admitted queries; a
-  /// watchdog thread fires per-query deadlines on stuck workers; queries
-  /// failing on transient storage faults are retried with exponential
-  /// backoff up to max_retries times.
+  /// Each worker is a Session. Governance (see BatchOptions): queries beyond
+  /// threads + max_queued are rejected up front (kRejected) without
+  /// perturbing admitted queries; a watchdog thread fires per-query
+  /// deadlines on stuck workers; queries failing on transient storage
+  /// faults are retried with jittered backoff up to retry.max_retries times.
   /// io counters in batch results come from the shared pool/pager and so
   /// attribute sibling I/O to whichever query observed it; use the aggregate
   /// across the batch, not per-query splits. Not reentrant: one batch (or
@@ -482,21 +477,20 @@ class Engine {
   }
 
  private:
-  /// Per-call execution environment: which spill pager to spool into,
-  /// whether this call owns the engine exclusively, and the query's
-  /// governance context. Exclusive calls (plain Execute) may drop caches and
-  /// use the pool-global error latch; batch workers run non-exclusive with a
-  /// thread-local ErrorScope instead.
-  struct ExecContext {
-    storage::Pager* spill = nullptr;
-    bool exclusive = true;
-    algo::QueryContext* governance = nullptr;
-  };
-
+  /// One service attempt of Session::Run: plans `query`, then evaluates it
+  /// through the fault-recovery ladder, spooling disk-mode intermediates
+  /// into `spill`, governed by `gov`, with page faults latched in the
+  /// attempt's own BufferPool::ErrorScope.
   RunResult ExecuteInternal(
       const tpq::TreePattern& query,
       const std::vector<const storage::MaterializedView*>& views,
-      const RunOptions& run, tpq::MatchSink* sink, const ExecContext& ctx);
+      const RunOptions& run, tpq::MatchSink* sink, storage::Pager* spill,
+      algo::QueryContext* gov);
+
+  /// Cold start for Execute/ExecuteBatch: drops the cached pages of the view
+  /// store and the document store and resets their I/O counters (and the
+  /// engine session's spill counters).
+  void DropCaches();
 
   /// (Re)snapshots the document into the paged store (disk doc-mode only;
   /// no-op otherwise). Must not race queries — callers run it from the
@@ -543,7 +537,8 @@ class Engine {
   /// live over a store being torn down.
   std::unique_ptr<storage::DocumentStore> doc_store_;
   util::Status doc_store_status_;
-  std::unique_ptr<storage::Pager> spill_;
+  /// Execute's session (spill file "<storage_path>.spill").
+  std::unique_ptr<Session> session_;
   /// Declared after catalog_ so it is destroyed (and its thread joined)
   /// first; ~Engine also stops it explicitly before members tear down.
   std::unique_ptr<storage::Scrubber> scrubber_;

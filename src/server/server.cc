@@ -315,13 +315,8 @@ QueryResponse QueryServer::HandleQuery(const QueryRequest& request,
   run.memory_budget_bytes = options_.per_query_memory_budget;
   run.allow_base_fallback = options_.allow_base_fallback;
 
-  core::Engine::RetryPolicy retry;
-  retry.max_retries = options_.max_retries;
-  retry.backoff_ms = options_.retry_backoff_ms;
-  retry.backoff_cap_ms = options_.retry_backoff_cap_ms;
-
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  core::RunResult result = session->Run(*query, views, run, retry);
+  core::RunResult result = session->Run(*query, views, run, options_.retry);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   queries_served_.fetch_add(1, std::memory_order_relaxed);
 
@@ -513,9 +508,7 @@ void QueryServer::WatchdogLoop() {
     // page read; expired deadlines are fired from here, exactly as the batch
     // watchdog does.
     for (const std::unique_ptr<core::Engine::Session>& session : sessions_) {
-      if (session->governance()->DeadlineExpired()) {
-        session->governance()->RequestAbort(algo::AbortReason::kDeadline);
-      }
+      session->governance()->FireIfExpired();
     }
     int64_t drain_deadline = drain_deadline_ns_.load(std::memory_order_acquire);
     if (drain_deadline != 0 && NowNanos() >= drain_deadline) {

@@ -55,9 +55,8 @@ struct ServerOptions {
   /// connections are shed at accept time.
   uint64_t memory_high_water_bytes = 0;
   /// Engine-side bounded retry for transient storage faults.
-  int max_retries = 2;
-  double retry_backoff_ms = 1.0;
-  double retry_backoff_cap_ms = 50.0;
+  core::RetryPolicy retry = {
+      .max_retries = 2, .backoff_ms = 1.0, .backoff_cap_ms = 50.0};
   /// Serving prefers a bounded, typed failure over the base-document
   /// fallback's unbounded full scan; flip for availability-over-latency.
   bool allow_base_fallback = false;

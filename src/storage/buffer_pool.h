@@ -43,9 +43,9 @@ namespace viewjoin::storage {
 /// 0xFF bytes, which every algorithm reads as an exhausted stream with null
 /// pointers. The engine checks the latch after a run and discards the
 /// result, so a corrupt page can stop a run early but never fabricate a
-/// match. Under ExecuteBatch each query installs a thread-local ErrorScope,
-/// so one query's poison latch never contaminates a sibling query running
-/// against the same pool.
+/// match. Every engine query installs a thread-local ErrorScope, so one
+/// query's poison latch never contaminates a sibling query running against
+/// the same pool; the pool-global latch catches faults outside any scope.
 ///
 /// `capacity` is the total number of cached frames and must be >= 1; a pool
 /// constructed with capacity 0 is rejected at use: every Fetch returns
@@ -106,8 +106,9 @@ class BufferPool {
   /// Redirects the calling thread's error latching on `pool` into a private
   /// latch for the scope's lifetime: page faults observed while the scope is
   /// active are recorded here instead of in the pool-global latch. This is
-  /// how ExecuteBatch keeps degraded/quarantine state per query — each worker
-  /// wraps each query in a scope, so a sibling's fault is invisible to it.
+  /// how the engine keeps degraded/quarantine state per query — every
+  /// session wraps each query in a scope, so a sibling's fault is invisible
+  /// to it.
   /// Scopes nest (per thread, innermost matching pool wins) and must be
   /// destroyed on the thread that created them.
   class ErrorScope {

@@ -220,12 +220,6 @@ util::Status ViewCatalog::Checkpoint() {
   return util::Status::Ok();
 }
 
-void ViewCatalog::SaveManifest() {
-  VJ_CHECK(persistent_) << "SaveManifest requires a persistent catalog";
-  util::Status status = Checkpoint();
-  VJ_CHECK(status.ok()) << status.ToString();
-}
-
 ViewCatalog::BackupSnapshot ViewCatalog::SnapshotForBackup() {
   std::lock_guard<std::mutex> install_lock(install_mu_);
   BackupSnapshot snap;

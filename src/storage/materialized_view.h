@@ -168,10 +168,6 @@ class ViewCatalog {
   /// growth and replay time, nothing more.
   util::Status Checkpoint();
 
-  /// Legacy spelling of Checkpoint() that dies on failure (setup-time
-  /// convenience, mirroring Materialize vs TryMaterialize).
-  void SaveManifest();
-
   /// Point-in-time image of the catalog's durable state, for the hot-backup
   /// module: install records for every live view, quarantined epochs, the
   /// epoch counter, and the pager page count. Taken under the install mutex,

@@ -56,8 +56,9 @@ bool Exists(const std::string& path) {
 
 /// `groups` independent a(b(c)) subtrees: //a//b//c yields exactly `groups`
 /// matches, and the three stored lists scan linearly with no skipping, so
-/// evaluation time is proportional to pages read.
-xml::Document GroupDoc(int groups) {
+/// evaluation time is proportional to pages read. `pairs` x(y) subtrees
+/// follow them, for a light //x//y query on the same document.
+xml::Document GroupDoc(int groups, int pairs = 0) {
   xml::Document doc;
   doc.StartElement("r");
   for (int i = 0; i < groups; ++i) {
@@ -65,6 +66,12 @@ xml::Document GroupDoc(int groups) {
     doc.StartElement("b");
     doc.StartElement("c");
     doc.EndElement();
+    doc.EndElement();
+    doc.EndElement();
+  }
+  for (int i = 0; i < pairs; ++i) {
+    doc.StartElement("x");
+    doc.StartElement("y");
     doc.EndElement();
     doc.EndElement();
   }
@@ -302,6 +309,82 @@ TEST(BudgetTest, UnlimitedBudgetsReportPeakWithoutAborting) {
   EXPECT_GT(r.checkpoints, 0u);
 }
 
+// ---- Per-query counters on a reused session --------------------------------
+
+TEST(SessionCountersTest, RepeatedQueryReportsItsOwnCheckpoints) {
+  xml::Document doc = GroupDoc(2000);
+  TreePattern query = MustParse("//a//b//c");
+  Engine engine(&doc, TempPath("gov_session_ckpt.db"));
+  std::vector<const MaterializedView*> views = AddGroupViews(&engine);
+  Engine::Session session(&engine, 0);
+  RunResult first = session.Run(query, views, {});
+  RunResult second = session.Run(query, views, {});
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_GT(first.checkpoints, 0u);
+  EXPECT_EQ(second.checkpoints, first.checkpoints);
+  EXPECT_EQ(second.peak_memory_bytes, first.peak_memory_bytes);
+}
+
+TEST(SessionCountersTest, LightQueryAfterHeavyReportsItsOwnPeak) {
+  xml::Document doc = GroupDoc(2000, /*pairs=*/3);
+  TreePattern heavy = MustParse("//a//b//c");
+  TreePattern light = MustParse("//x//y");
+  Engine engine(&doc, TempPath("gov_session_peak.db"));
+  std::vector<const MaterializedView*> heavy_views = AddGroupViews(&engine);
+  std::vector<const MaterializedView*> light_views = {
+      engine.AddView("//x//y", Scheme::kLinkedElement)};
+  RunResult fresh = engine.Execute(light, light_views);
+  ASSERT_TRUE(fresh.ok) << fresh.error;
+
+  Engine::Session session(&engine, 0);
+  RunResult h = session.Run(heavy, heavy_views, {});
+  RunResult l = session.Run(light, light_views, {});
+  ASSERT_TRUE(h.ok) << h.error;
+  ASSERT_TRUE(l.ok) << l.error;
+  EXPECT_GT(h.peak_memory_bytes, fresh.peak_memory_bytes);
+  EXPECT_EQ(l.peak_memory_bytes, fresh.peak_memory_bytes);
+  EXPECT_EQ(l.checkpoints, fresh.checkpoints);
+
+  // Execute runs on the engine's own session: same contract.
+  ASSERT_TRUE(engine.Execute(heavy, heavy_views).ok);
+  RunResult again = engine.Execute(light, light_views);
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.peak_memory_bytes, fresh.peak_memory_bytes);
+
+  // A one-worker batch serves both queries on one session.
+  BatchOptions options;
+  options.threads = 1;
+  std::vector<RunResult> batch = engine.ExecuteBatch(
+      {BatchQuery{&heavy, heavy_views}, BatchQuery{&light, light_views}},
+      options);
+  ASSERT_TRUE(batch[0].ok) << batch[0].error;
+  ASSERT_TRUE(batch[1].ok) << batch[1].error;
+  EXPECT_EQ(batch[0].peak_memory_bytes, h.peak_memory_bytes);
+  EXPECT_EQ(batch[1].peak_memory_bytes, fresh.peak_memory_bytes);
+}
+
+// ---- Watchdog firing -------------------------------------------------------
+
+TEST(WatchdogFireTest, FiresAnExpiredArmingButNotALaterOne) {
+  algo::QueryContext ctx;
+  EXPECT_FALSE(ctx.FireIfExpired());  // nothing armed
+  ctx.set_deadline_after_ms(-1);      // already in the past
+  EXPECT_TRUE(ctx.FireIfExpired());
+  EXPECT_TRUE(ctx.aborted());
+  EXPECT_EQ(ctx.reason(), algo::AbortReason::kDeadline);
+
+  // The owner starts the next query after that check: the stale verdict is
+  // gone, and neither an unarmed nor a future deadline fires.
+  ctx.ResetForQuery();
+  EXPECT_FALSE(ctx.aborted());
+  EXPECT_EQ(ctx.reason(), algo::AbortReason::kNone);
+  EXPECT_FALSE(ctx.FireIfExpired());
+  ctx.set_deadline_after_ms(60000);
+  EXPECT_FALSE(ctx.FireIfExpired());
+  EXPECT_FALSE(ctx.aborted());
+}
+
 // ---- Admission control -----------------------------------------------------
 
 TEST(AdmissionTest, OverflowIsRejectedWithoutPerturbingAdmittedQueries) {
@@ -371,7 +454,7 @@ TEST(BatchRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     fi->ArmReadFault(/*nth=*/1, /*count=*/-1);
     BatchOptions options;
     options.threads = 1;
-    options.max_retries = 0;
+    options.retry.max_retries = 0;
     options.run.allow_base_fallback = false;
     std::vector<RunResult> results =
         engine.ExecuteBatch({BatchQuery{&query, views}}, options);
@@ -392,8 +475,8 @@ TEST(BatchRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     fi->ArmReadFault(/*nth=*/1, /*count=*/static_cast<int>(consumed));
     BatchOptions options;
     options.threads = 1;
-    options.max_retries = 5;
-    options.retry_backoff_ms = 0.1;
+    options.retry.max_retries = 5;
+    options.retry.backoff_ms = 0.1;
     options.run.allow_base_fallback = false;
     std::vector<RunResult> results =
         engine.ExecuteBatch({BatchQuery{&query, views}}, options);
@@ -413,7 +496,7 @@ TEST(BatchRetryTest, DeterministicFailuresAreNeverRetried) {
       engine.AddView("//a//b", Scheme::kLinkedElement)};
   BatchOptions options;
   options.threads = 1;
-  options.max_retries = 5;
+  options.retry.max_retries = 5;
   std::vector<RunResult> results =
       engine.ExecuteBatch({BatchQuery{&query, bad}}, options);
   ASSERT_FALSE(results[0].ok);
@@ -442,9 +525,9 @@ TEST(BatchRetryTest, RetryBackoffIsJitteredNotADeterministicLadder) {
   fi->ArmReadFault(/*nth=*/1, /*count=*/-1);  // permanently dead disk
   BatchOptions options;
   options.threads = 2;
-  options.max_retries = 4;
-  options.retry_backoff_ms = 1.0;
-  options.retry_backoff_cap_ms = 8.0;
+  options.retry.max_retries = 4;
+  options.retry.backoff_ms = 1.0;
+  options.retry.backoff_cap_ms = 8.0;
   options.run.allow_base_fallback = false;
   std::vector<BatchQuery> batch(4, BatchQuery{&query, views});
   std::vector<RunResult> results = engine.ExecuteBatch(batch, options);

@@ -56,7 +56,7 @@ TEST(PersistenceTest, ManifestRoundTripPreservesViews) {
     tpq::HashingSink fresh;
     ts.Evaluate(&fresh);
     fresh_hash = fresh.hash();
-    catalog.SaveManifest();
+    ASSERT_TRUE(catalog.Checkpoint().ok());
   }
   auto opened = ViewCatalog::Open(path, 64);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -103,7 +103,7 @@ TEST(PersistenceTest, OpenRejectsCorruptManifest) {
   {
     ViewCatalog catalog(path, 16, /*persistent=*/true);
     catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
-    catalog.SaveManifest();
+    ASSERT_TRUE(catalog.Checkpoint().ok());
   }
   // Truncate the manifest mid-way.
   {
@@ -124,7 +124,7 @@ TEST(PersistenceTest, OpenRejectsManifestPointingPastFile) {
   {
     ViewCatalog catalog(path, 16, /*persistent=*/true);
     catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
-    catalog.SaveManifest();
+    ASSERT_TRUE(catalog.Checkpoint().ok());
   }
   // Rewrite the manifest so a list claims a first page beyond the pager file.
   {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -287,6 +289,49 @@ TEST_P(GovernedStressTest, TinyBudgetsNeverProduceWrongAnswers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GovernedStressTest, ::testing::Range(0, 30));
+
+/// A watchdog fires an expired deadline as one step with respect to the
+/// session re-arming its context: a watchdog that saw query N's deadline
+/// expire must never abort query N+1. One session alternates queries whose
+/// deadline has already passed with undeadlined ones while a watchdog
+/// thread fires in a tight loop; no undeadlined query may time out.
+TEST(WatchdogRaceTest, ExpiredDeadlineNeverLeaksIntoTheNextQuery) {
+  xml::Document doc;
+  doc.StartElement("r");
+  for (int i = 0; i < 20; ++i) {
+    doc.StartElement("a");
+    doc.StartElement("b");
+    doc.EndElement();
+    doc.EndElement();
+  }
+  doc.EndElement();
+  TreePattern query = testing::MustParse("//a//b");
+  Engine engine(&doc, TempPath("watchdog_race.db"));
+  std::vector<const MaterializedView*> views = {
+      engine.AddView("//a//b", Scheme::kLinkedElement)};
+  Engine::Session session(&engine, 0);
+
+  std::atomic<bool> stop{false};
+  std::thread watchdog([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      session.governance()->FireIfExpired();
+    }
+  });
+  RunOptions expired;
+  expired.deadline_ms = 1e-6;
+  RunOptions undeadlined;
+  int leaked = 0;
+  for (int i = 0; i < 1000; ++i) {
+    RunResult e = session.Run(query, views, expired);
+    EXPECT_TRUE(e.ok || e.timed_out) << e.error;
+    RunResult u = session.Run(query, views, undeadlined);
+    if (u.timed_out) ++leaked;
+    EXPECT_TRUE(u.ok || u.timed_out) << u.error;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  watchdog.join();
+  EXPECT_EQ(leaked, 0);
+}
 
 }  // namespace
 }  // namespace viewjoin
