@@ -81,7 +81,7 @@ double ColdFactor(storage::BufferPool* pool, const MaterializedView* view,
   constexpr double kColdReadAhead = 1.1;  // reads overlapped by the IO thread
   const storage::StoredList& list = view->list(vn);
   if (pool == nullptr || list.count == 0 || list.PageSpan() == 0) return 1.0;
-  if (pool->Contains(list.first_page)) return 1.0;
+  if (pool->Contains(list.pages.front())) return 1.0;
   return readahead_pages > 0 ? kColdReadAhead : kColdScan;
 }
 

@@ -319,18 +319,21 @@ void BufferPool::Clear() {
   ResetError();
 }
 
-void BufferPool::Discard(PageId first_page, uint32_t count) {
-  if (count == 0 || capacity_ == 0) return;
-  const PageId end = first_page + count;
+void BufferPool::Discard(const std::vector<PageId>& pages) {
+  if (pages.empty() || capacity_ == 0) return;
   {
     std::lock_guard<std::mutex> lock(prefetch_mu_);
-    std::erase_if(prefetch_queue_, [&](PageId page) {
-      if (page < first_page || page >= end) return false;
-      prefetch_queued_.erase(page);
-      return true;
-    });
+    // prefetch_queued_ mirrors the queue: unmark the dropped pages, then
+    // drop the queue entries that lost their mark.
+    size_t unmarked = 0;
+    for (PageId page : pages) unmarked += prefetch_queued_.erase(page);
+    if (unmarked != 0) {
+      std::erase_if(prefetch_queue_, [this](PageId page) {
+        return prefetch_queued_.count(page) == 0;
+      });
+    }
   }
-  for (PageId page = first_page; page < end; ++page) {
+  for (PageId page : pages) {
     Shard& shard = ShardFor(page);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(page);

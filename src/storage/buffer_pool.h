@@ -260,12 +260,12 @@ class BufferPool {
   /// must not keep reporting a fault from a previous run.
   void Clear();
 
-  /// Drops the unpinned frames of pages [first_page, first_page + count),
-  /// and any read-ahead still queued for them. The catalog calls this when a
-  /// view version is superseded and no query can reach its pages any more.
-  /// Pinned frames stay and age out through LRU once released; the pages
-  /// stay on disk, so a later fetch of one is an ordinary miss.
-  void Discard(PageId first_page, uint32_t count);
+  /// Drops the unpinned frames of `pages`, and any read-ahead still queued
+  /// for them. The catalog calls this when a view version is superseded,
+  /// with the pages no live version shares, so no query can reach them any
+  /// more. Pinned frames stay and age out through LRU once released; the
+  /// pages stay on disk, so a later fetch of one is an ordinary miss.
+  void Discard(const std::vector<PageId>& pages);
 
  private:
   struct Frame {

@@ -436,6 +436,7 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
       if (current == xml::kInvalidTag) return util::Status::Ok();
       util::Status s = writer.Finish();
       if (!s.ok()) return s;
+      (*lists)[current].AssignRun(page_base);
       records_on_page = 0;
       return util::Status::Ok();
     };
@@ -447,9 +448,7 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
         if (!s.ok()) return s;
         current = rec->tag;
         VJ_CHECK(current < lists->size());
-        StoredList& list = (*lists)[current];
         page_base = pager->page_count();
-        list.first_page = page_base;
       }
       StoredList& list = (*lists)[current];
       if (records_on_page == 0) list.page_first_start.push_back(rec->start);
@@ -471,7 +470,7 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
     }
     PageWriter writer(pager);
     nodes_list->layout = arena_layout;
-    nodes_list->first_page = pager->page_count();
+    const PageId arena_base = pager->page_count();
     uint8_t rec_bytes[24];
     uint64_t emitted = 0;
     for (const DocRecord* rec = arena_source->Next(); rec != nullptr;
@@ -489,6 +488,7 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
     util::Status s = writer.Finish();
     if (!s.ok()) return s;
     nodes_list->count = static_cast<uint32_t>(node_count);
+    nodes_list->AssignRun(arena_base);
     if (emitted != node_count) {
       return util::Status::Corruption(
           "document store: arena stream lost records (" +
@@ -512,9 +512,7 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
     rec.pattern = tag_names[t];
     rec.match_count = list.count;
     rec.size_bytes = static_cast<uint64_t>(list.PageSpan()) * Pager::kPageSize;
-    pages_so_far = list.first_page == kInvalidPage
-                       ? pages_so_far
-                       : list.first_page + list.PageSpan();
+    pages_so_far = list.pages.empty() ? pages_so_far : list.pages.back() + 1;
     rec.page_count_after = pages_so_far;
     rec.list_lengths = {list.count};
     rec.lists = {list};
@@ -720,8 +718,7 @@ util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::Open(
     }
     const StoredList& list = rec.lists[0];
     if (list.count > 0 &&
-        (list.first_page == kInvalidPage ||
-         list.first_page + list.PageSpan() > page_count)) {
+        !list.PagesWithin(page_count)) {
       return util::Status::Corruption("document store list '" + rec.pattern +
                                       "' points past the pager file");
     }

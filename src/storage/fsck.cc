@@ -61,22 +61,34 @@ std::vector<std::string> FindOrphanShadows(
   return found;
 }
 
-/// "list q spans [first, first+span) past durable prefix <n>" or empty.
+/// The first page run of `list` that reaches past `durable`, rendered
+/// "[first, end)", or empty when the whole table lies inside the prefix. A
+/// table that does not cover the list's pages renders as "(no page table)".
+std::string RunPastPrefix(const StoredList& list, uint32_t durable) {
+  if (list.PagesWithin(durable)) return std::string();
+  for (const PageRun& run : list.Runs()) {
+    if (run.first >= durable || run.count > durable - run.first) {
+      return "[" + std::to_string(run.first) + ", " +
+             std::to_string(static_cast<uint64_t>(run.first) + run.count) +
+             ")";
+    }
+  }
+  return "(no page table)";
+}
+
+/// "list q spans pages [first, end) past durable prefix <n>" per list whose
+/// page table reaches past the durable prefix.
 void CheckViewRanges(const ManifestViewRecord& record, uint32_t durable,
                      std::vector<std::string>* bad) {
-  auto check = [&](const StoredList& list, const char* what) {
-    if (list.count == 0) return;
-    if (list.first_page >= durable ||
-        list.PageSpan() > durable - list.first_page) {
-      bad->push_back("epoch " + std::to_string(record.epoch) + " (" +
-                     record.pattern + "): " + what + " spans pages [" +
-                     std::to_string(list.first_page) + ", " +
-                     std::to_string(list.first_page + list.PageSpan()) +
-                     ") past durable prefix " + std::to_string(durable));
-    }
+  auto check = [&](const StoredList& list, const std::string& what) {
+    const std::string run = RunPastPrefix(list, durable);
+    if (run.empty()) return;
+    bad->push_back("epoch " + std::to_string(record.epoch) + " (" +
+                   record.pattern + "): " + what + " spans pages " + run +
+                   " past durable prefix " + std::to_string(durable));
   };
   for (size_t q = 0; q < record.lists.size(); ++q) {
-    check(record.lists[q], ("list " + std::to_string(q)).c_str());
+    check(record.lists[q], "list " + std::to_string(q));
   }
   check(record.tuple_list, "tuple list");
 }
@@ -111,7 +123,10 @@ void CheckDeltaList(Pager& pager, const ManifestViewRecord& record,
   std::vector<uint8_t> page(Pager::kPageSize);
   std::vector<uint32_t> starts, ends, levels, pointers;
   for (uint32_t p = 0; p < pages; ++p) {
-    if (!pager.VerifyPage(list.first_page + p, page.data()).ok()) continue;
+    if (p >= list.pages.size() ||
+        !pager.VerifyPage(list.pages[p], page.data()).ok()) {
+      continue;
+    }
     const uint32_t first = list.page_first_entry[p];
     const uint32_t expected = list.RecordsOnPage(p);
     starts.assign(static_cast<size_t>(expected) * layout.label_count, 0);
@@ -259,11 +274,10 @@ void CheckDocList(Pager& pager, const ManifestViewRecord& record,
   };
   const StoredList& list = record.lists[0];
   if (list.count == 0) return;
-  if (list.first_page >= durable ||
-      list.PageSpan() > durable - list.first_page) {
-    report("spans pages [" + std::to_string(list.first_page) + ", " +
-           std::to_string(list.first_page + list.PageSpan()) +
-           ") past durable prefix " + std::to_string(durable));
+  const std::string run = RunPastPrefix(list, durable);
+  if (!run.empty()) {
+    report("spans pages " + run + " past durable prefix " +
+           std::to_string(durable));
     return;
   }
   const bool is_arena =
@@ -273,7 +287,7 @@ void CheckDocList(Pager& pager, const ManifestViewRecord& record,
   uint32_t prev_start = 0;
   bool have_prev = false;
   for (uint32_t p = 0; p < list.PageSpan(); ++p) {
-    if (!pager.VerifyPage(list.first_page + p, page.data()).ok()) {
+    if (!pager.VerifyPage(list.pages[p], page.data()).ok()) {
       have_prev = false;  // cannot order-check across a hole
       continue;
     }

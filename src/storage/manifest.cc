@@ -101,30 +101,74 @@ class PayloadReader {
   bool failed_ = false;
 };
 
+/// Format-byte flag of a list whose page table is more than one run; the
+/// runs then follow the fence keys. A single-run list spends no bytes on
+/// its table: the leading first-page id and the list's page span (from its
+/// count or directory) describe it, so such records keep the v2 layout.
+constexpr uint8_t kMultiRunFlag = 0x80;
+
+/// Largest page table a decoded list may expand to (a 64 GiB list); a
+/// record claiming more is garbage, and its list decodes with no table so
+/// range checks reject it instead of allocating for it.
+constexpr uint64_t kMaxListPages = 1u << 24;
+
 void EncodeStoredList(std::vector<uint8_t>& out, const StoredList& list) {
-  PutU32(out, list.first_page);
+  const std::vector<PageRun> runs = list.Runs();
+  PutU32(out, runs.empty() ? kInvalidPage : runs.front().first);
   PutU32(out, list.count);
   PutU32(out, list.layout.label_count);
   PutU8(out, list.layout.has_pointers ? 1 : 0);
   PutU32(out, list.layout.child_count);
   // v2 extensions: physical format plus the page directory (delta lists)
   // and fence keys (both formats) that make page-level galloping possible.
-  PutU8(out, static_cast<uint8_t>(list.format));
+  const bool multi_run = runs.size() > 1;
+  PutU8(out, static_cast<uint8_t>(list.format) |
+                 (multi_run ? kMultiRunFlag : 0));
   PutU32(out, static_cast<uint32_t>(list.page_first_entry.size()));
   for (uint32_t e : list.page_first_entry) PutU32(out, e);
   PutU32(out, static_cast<uint32_t>(list.page_first_start.size()));
   for (uint32_t s : list.page_first_start) PutU32(out, s);
+  if (multi_run) {
+    PutU32(out, static_cast<uint32_t>(runs.size()));
+    for (const PageRun& run : runs) {
+      PutU32(out, run.first);
+      PutU32(out, run.count);
+    }
+  }
+}
+
+/// Expands decoded runs into `list`'s page table when they cover exactly
+/// its PageSpan() pages without overflowing a page id; otherwise leaves the
+/// table empty, which every range check rejects. The list's count, layout
+/// and directory must be decoded and its layout valid.
+void ExpandRuns(const std::vector<PageRun>& runs, StoredList* list) {
+  uint64_t total = 0;
+  for (const PageRun& run : runs) {
+    if (static_cast<uint64_t>(run.first) + run.count > kInvalidPage) return;
+    total += run.count;
+  }
+  if (total != list->PageSpan() || total > kMaxListPages) return;
+  list->pages.reserve(total);
+  for (const PageRun& run : runs) {
+    for (uint32_t p = 0; p < run.count; ++p) {
+      list->pages.push_back(run.first + p);
+    }
+  }
 }
 
 StoredList DecodeStoredList(PayloadReader& in, uint32_t version) {
   StoredList list;
-  list.first_page = in.U32();
+  const PageId first_page = in.U32();
   list.count = in.U32();
   list.layout.label_count = in.U32();
   list.layout.has_pointers = in.U8() != 0;
   list.layout.child_count = in.U32();
+  std::vector<PageRun> runs;
+  bool multi_run = false;
   if (version >= 2) {
     uint8_t format = in.U8();
+    multi_run = (format & kMultiRunFlag) != 0;
+    format &= static_cast<uint8_t>(~kMultiRunFlag);
     // An unknown format byte cannot pass the record CRC unless a newer
     // writer produced it; degrade to fixed so ListInRange rejects cleanly.
     list.format =
@@ -141,10 +185,24 @@ StoredList DecodeStoredList(PayloadReader& in, uint32_t version) {
     for (uint32_t i = 0; i < fence_count && !in.failed(); ++i) {
       list.page_first_start.push_back(in.U32());
     }
+    if (multi_run) {
+      uint32_t run_count = in.U32();
+      if (run_count > ManifestJournal::kMaxPayload / 8) run_count = 0;
+      runs.reserve(run_count);
+      for (uint32_t i = 0; i < run_count && !in.failed(); ++i) {
+        const PageId first = in.U32();
+        runs.push_back({first, in.U32()});
+      }
+    }
   }
   // v1 lists decode as fixed format with no fences; cursors fall back to
   // entry-level galloping until the catalog's upgrade checkpoint rewrites
   // the journal at v2.
+  if (in.failed() || list.count == 0) return list;
+  const uint32_t record = list.layout.RecordSize();
+  if (record == 0 || record > Pager::kPageSize) return list;  // rejected later
+  if (!multi_run) runs = {{first_page, list.PageSpan()}};
+  ExpandRuns(runs, &list);
   return list;
 }
 

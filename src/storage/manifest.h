@@ -119,8 +119,10 @@ struct ManifestReplayResult {
 class ManifestJournal {
  public:
   /// v1: fixed-format lists, 17-byte StoredList encoding. v2: adds a list
-  /// format byte and the delta page directory / fence keys per list. Replay
-  /// accepts both; writers always emit kFormatVersion.
+  /// format byte and the delta page directory / fence keys per list; a list
+  /// whose page table is several runs sets bit 0x80 of that byte and appends
+  /// the runs (readers that predate the flag reject such a record). Replay
+  /// accepts both versions; writers always emit kFormatVersion.
   static constexpr uint32_t kFormatVersion = 2;
   /// Sanity cap on one record's payload (a view with thousands of lists is
   /// still far below this); a larger length prefix is treated as garbage.

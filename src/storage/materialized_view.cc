@@ -46,13 +46,16 @@ std::optional<Scheme> ParseScheme(std::string_view name) {
 
 // ---- Staging ---------------------------------------------------------------
 
-/// Payload pages of one view accumulated in memory before installation. The
-/// staged lists carry page ids *relative* to this build; InstallView rebases
-/// them onto the pager's tail under the install lock, so staging (and the
-/// pattern evaluation feeding it) runs outside any catalog lock.
+/// Payload pages of one view accumulated in memory before installation.
+/// Staged page p gets the id `base + p`. Materialization stages outside any
+/// catalog lock with base 0, and InstallView shifts the ids onto the pager's
+/// tail under the install lock. An update batch holds that lock from staging
+/// on, so it stages at the tail directly, and its merged lists may also
+/// reference committed pages of the versions they replace (ids below base).
 struct ViewCatalog::StagedPages {
   std::vector<uint8_t> payload;  // page_count * kPageSize, zero-padded
   uint32_t page_count = 0;
+  PageId base = 0;
 };
 
 util::StatusOr<StoredList> ViewCatalog::StageList(
@@ -74,18 +77,15 @@ util::StatusOr<StoredList> ViewCatalog::StageList(
         " bytes) does not fit a " + std::to_string(Pager::kPageSize) +
         "-byte page; pattern fan-out too wide to materialize");
   }
-  if (count == 0) {
-    list.first_page = kInvalidPage;
-    return list;
-  }
+  if (count == 0) return list;
   if (format == ListFormat::kDelta) {
     util::StatusOr<DeltaEncoded> encoded =
         EncodeDeltaList(bytes.data(), count, layout);
     if (!encoded.ok()) return encoded.status();
     uint32_t pages = static_cast<uint32_t>(encoded->pages.size());
-    list.first_page = staged.page_count;  // relative until installed
     list.page_first_entry = std::move(encoded->page_first_entry);
     list.page_first_start = std::move(encoded->page_first_start);
+    list.AssignRun(staged.base + staged.page_count);
     staged.payload.resize(
         static_cast<size_t>(staged.page_count + pages) * Pager::kPageSize, 0);
     for (uint32_t p = 0; p < pages; ++p) {
@@ -99,7 +99,7 @@ util::StatusOr<StoredList> ViewCatalog::StageList(
   }
   uint32_t per_page = static_cast<uint32_t>(Pager::kPageSize) / record_size;
   uint32_t pages = (count + per_page - 1) / per_page;
-  list.first_page = staged.page_count;  // relative until installed
+  list.AssignRun(staged.base + staged.page_count);
   staged.payload.resize(
       static_cast<size_t>(staged.page_count + pages) * Pager::kPageSize, 0);
   list.page_first_start.reserve(pages);
@@ -193,22 +193,10 @@ util::Status ViewCatalog::Checkpoint() {
         "checkpoint requires a persistent catalog");
   }
   std::lock_guard<std::mutex> install_lock(install_mu_);
-  std::vector<ManifestViewRecord> records;
-  std::vector<uint64_t> quarantined;
-  uint32_t pages = pager_->page_count();
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    records.reserve(views_.size());
-    for (const auto& view : views_) records.push_back(RecordFor(*view, pages));
-    quarantined.reserve(quarantined_.size());
-    for (const MaterializedView* view : quarantined_) {
-      quarantined.push_back(view->epoch_);
-    }
-    std::sort(quarantined.begin(), quarantined.end());
-  }
+  const BackupSnapshot snap = SnapshotLocked();
   const std::string journal_path = ManifestJournal::PathFor(pager_->path());
   util::Status written = ManifestJournal::WriteCheckpoint(
-      journal_path, records, quarantined, epoch());
+      journal_path, snap.records, snap.quarantined_epochs, snap.epoch);
   if (!written.ok()) return written;
   // The rename replaced the inode the open journal handle points at; switch
   // appends over to the fresh compact file.
@@ -222,19 +210,23 @@ util::Status ViewCatalog::Checkpoint() {
 
 ViewCatalog::BackupSnapshot ViewCatalog::SnapshotForBackup() {
   std::lock_guard<std::mutex> install_lock(install_mu_);
+  return SnapshotLocked();
+}
+
+ViewCatalog::BackupSnapshot ViewCatalog::SnapshotLocked() const {
   BackupSnapshot snap;
   snap.page_count = pager_->page_count();
   {
+    // Live versions only: a retired version is reachable through no lookup,
+    // and writing it without its replacement link would revive it.
     std::lock_guard<std::mutex> lock(registry_mu_);
-    snap.records.reserve(views_.size());
-    for (const auto& view : views_) {
+    snap.records.reserve(live_.size());
+    for (const auto& [epoch, view] : live_) {
       snap.records.push_back(RecordFor(*view, snap.page_count));
+      if (quarantined_.count(view) != 0) {
+        snap.quarantined_epochs.push_back(epoch);
+      }
     }
-    snap.quarantined_epochs.reserve(quarantined_.size());
-    for (const MaterializedView* view : quarantined_) {
-      snap.quarantined_epochs.push_back(view->epoch_);
-    }
-    std::sort(snap.quarantined_epochs.begin(), snap.quarantined_epochs.end());
   }
   snap.epoch = epoch();
   return snap;
@@ -314,8 +306,7 @@ bool ListInRange(const StoredList& list, uint32_t pages) {
              list.page_first_start.size() != list.PageSpan()) {
     return false;
   }
-  return list.first_page != kInvalidPage && list.first_page < pages &&
-         list.PageSpan() <= pages - list.first_page;
+  return list.PagesWithin(pages);
 }
 
 }  // namespace
@@ -503,6 +494,7 @@ util::Status ViewCatalog::LoadLegacyManifest() {
   if (in == nullptr) {
     return util::Status::NotFound("missing manifest for " + path);
   }
+  const uint32_t pager_pages = pager_->page_count();
   char magic[16];
   int version = 0;
   size_t num_views = 0;
@@ -538,10 +530,21 @@ util::Status ViewCatalog::LoadLegacyManifest() {
     ok = ok && std::fscanf(in, " L %zu", &num_lists) == 1;
     auto load = [&](StoredList* list) {
       uint32_t hp = 0;
-      return std::fscanf(in, "%u %u %u %u %u", &list->first_page,
-                         &list->count, &list->layout.label_count, &hp,
-                         &list->layout.child_count) == 5 &&
-             ((list->layout.has_pointers = hp != 0), true);
+      PageId first = kInvalidPage;
+      if (std::fscanf(in, "%u %u %u %u %u", &first, &list->count,
+                      &list->layout.label_count, &hp,
+                      &list->layout.child_count) != 5) {
+        return false;
+      }
+      list->layout.has_pointers = hp != 0;
+      // A run that does not fit the pager file leaves the table empty for
+      // ListInRange to reject below.
+      const uint32_t record = list->layout.RecordSize();
+      if (list->count != 0 && record != 0 && record <= Pager::kPageSize &&
+          first < pager_pages && list->PageSpan() <= pager_pages - first) {
+        list->AssignRun(first);
+      }
+      return true;
     };
     for (size_t i = 0; ok && i < num_lists; ++i) {
       StoredList list;
@@ -556,15 +559,14 @@ util::Status ViewCatalog::LoadLegacyManifest() {
   }
   std::fclose(in);
   if (!ok) return fail("truncated or unparsable view records");
-  uint32_t pages = pager_->page_count();
   for (const auto& view : views_) {
     for (const StoredList& list : view->lists_) {
-      if (!ListInRange(list, pages)) {
+      if (!ListInRange(list, pager_pages)) {
         return fail("view " + view->pattern_.ToString() +
                     " references pages beyond the pager file");
       }
     }
-    if (!ListInRange(view->tuple_list_, pages)) {
+    if (!ListInRange(view->tuple_list_, pager_pages)) {
       return fail("view " + view->pattern_.ToString() +
                   " references pages beyond the pager file");
     }
@@ -647,11 +649,13 @@ util::StatusOr<const MaterializedView*> ViewCatalog::InstallView(
   // Rebase the staged lists onto their final page ids and encode the pages
   // with those ids stamped in the footers — the bytes appended below are
   // byte-identical to what page-at-a-time writes would have produced.
+  VJ_DCHECK(staged.base == 0);
   const PageId base = pager_->page_count();
-  for (StoredList& list : view->lists_) {
-    if (list.count != 0) list.first_page += base;
-  }
-  if (view->tuple_list_.count != 0) view->tuple_list_.first_page += base;
+  auto rebase = [base](StoredList& list) {
+    for (PageId& page : list.pages) page += base;
+  };
+  for (StoredList& list : view->lists_) rebase(list);
+  rebase(view->tuple_list_);
   std::vector<uint8_t> phys(static_cast<size_t>(staged.page_count) *
                             Pager::kPhysicalPageSize);
   for (uint32_t p = 0; p < staged.page_count; ++p) {
@@ -1152,7 +1156,7 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
     RecordLayout layout;
     layout.label_count = 1;
 
-    // Prefix reuse needs per-page fence keys to prove a page holds only
+    // Prefix sharing needs per-page fence keys to prove a page holds only
     // labels below the first change; v1 lists without fences re-encode
     // fully (prefix_pages stays 0).
     const uint32_t old_pages = old_list.PageSpan();
@@ -1163,7 +1167,7 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
     uint32_t prefix_pages = 0;
     if (fenced) {
       if (added.empty() && removed.empty()) {
-        prefix_pages = old_pages;  // untouched list: copy page-for-page
+        prefix_pages = old_pages;  // untouched list: share every page
       } else {
         uint32_t first_change = 0xFFFFFFFFu;
         if (!removed.empty()) first_change = removed[0].start;
@@ -1171,7 +1175,7 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
           first_change = std::min(first_change, added[0].start);
         // Pages [0, p) hold only labels strictly below fence p (starts are
         // strictly increasing), so every page before the last fence <=
-        // first_change is reusable; the page containing the first change —
+        // first_change is shared; the page containing the first change —
         // and everything after it — is re-encoded.
         auto it = std::upper_bound(old_list.page_first_start.begin(),
                                    old_list.page_first_start.end(),
@@ -1187,27 +1191,8 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
                                         ? old_list.count
                                         : old_list.FirstEntryOfPage(prefix_pages);
 
-    // Raw-copy the reusable prefix pages into the staging area.
-    const uint32_t rel_first_page = staged.page_count;
-    if (prefix_pages > 0) {
-      staged.payload.resize(
-          static_cast<size_t>(staged.page_count + prefix_pages) *
-              Pager::kPageSize,
-          0);
-      for (uint32_t p = 0; p < prefix_pages; ++p) {
-        BufferPool::PinnedPage pin;
-        util::Status fetched = pool_->Fetch(old_list.first_page + p, &pin);
-        if (!fetched.ok()) return fetched;
-        std::memcpy(staged.payload.data() +
-                        static_cast<size_t>(staged.page_count + p) *
-                            Pager::kPageSize,
-                    pin.data(), Pager::kPageSize);
-      }
-      staged.page_count += prefix_pages;
-    }
-
     // Read the affected suffix, merge the deltas, re-encode it as fresh
-    // pages directly behind the prefix (one contiguous staged run).
+    // staged pages behind the shared prefix.
     std::vector<Label> tail_old;
     tail_old.reserve(old_list.count - prefix_entries);
     ListCursor cursor(&old_list, pool_.get());
@@ -1235,10 +1220,10 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
     list.layout = layout;
     list.format = old_list.format;
     list.count = prefix_entries + static_cast<uint32_t>(merged->size());
-    if (list.count == 0) {
-      list.first_page = kInvalidPage;
-    } else {
-      list.first_page = rel_first_page;  // relative until installed
+    if (list.count != 0) {
+      // The prefix pages are committed, hence immutable: reference them.
+      list.pages.assign(old_list.pages.begin(),
+                        old_list.pages.begin() + prefix_pages);
       list.page_first_start.assign(
           old_list.page_first_start.begin(),
           old_list.page_first_start.begin() + prefix_pages);
@@ -1255,6 +1240,8 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
             StageList(staged, bytes, layout,
                       static_cast<uint32_t>(merged->size()), old_list.format);
         if (!tail.ok()) return tail.status();
+        list.pages.insert(list.pages.end(), tail->pages.begin(),
+                          tail->pages.end());
         list.page_first_start.insert(list.page_first_start.end(),
                                      tail->page_first_start.begin(),
                                      tail->page_first_start.end());
@@ -1344,7 +1331,10 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   };
 
   // ---- Stage every new view into one page run ------------------------------
+  // The install lock freezes the pager's page count, so the run is staged
+  // at its final ids, above every page a merged view shares.
   StagedPages staged;
+  staged.base = pager_->page_count();
   std::vector<std::unique_ptr<MaterializedView>> new_views;
   new_views.reserve(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -1379,8 +1369,8 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       continue;
     }
     if (!spec.full_rebuild && old.scheme() == Scheme::kElement) {
-      // E-scheme delta merge: reuse encoded pages below the first changed
-      // label instead of decoding and re-encoding whole lists.
+      // E-scheme delta merge: share the old version's pages below the first
+      // changed label instead of decoding and re-encoding whole lists.
       util::StatusOr<std::unique_ptr<MaterializedView>> view =
           StageMergedElementView(old, *delta_for[i], staged);
       if (!view.ok()) {
@@ -1457,14 +1447,10 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
     }
   }
 
-  // Rebase all staged lists onto their final page ids and encode the pages.
-  const PageId base = pager_->page_count();
-  for (auto& view : new_views) {
-    for (StoredList& list : view->lists_) {
-      if (list.count != 0) list.first_page += base;
-    }
-    if (view->tuple_list_.count != 0) view->tuple_list_.first_page += base;
-  }
+  // Encode the staged pages at the ids they were staged at: the install lock
+  // kept the pager's tail where staging found it.
+  const PageId base = staged.base;
+  VJ_DCHECK(pager_->page_count() == base);
   std::vector<uint8_t> phys(static_cast<size_t>(staged.page_count) *
                             Pager::kPhysicalPageSize);
   for (uint32_t p = 0; p < staged.page_count; ++p) {
@@ -1569,7 +1555,9 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   if (shadowed) std::remove(shadow.c_str());
   remove_sidecar();
 
-  std::vector<const MaterializedView*> retired;
+  // (retired version, its replacement)
+  std::vector<std::pair<const MaterializedView*, const MaterializedView*>>
+      retired;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -1577,11 +1565,11 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       result.new_views.push_back(fresh);
       RegisterLocked(std::move(new_views[i]));
       if (LinkReplacementLocked(specs[i].view, fresh)) {
-        retired.push_back(specs[i].view);
+        retired.emplace_back(specs[i].view, fresh);
       }
     }
   }
-  for (const MaterializedView* view : retired) DiscardPages(view);
+  for (const auto& [old, fresh] : retired) DiscardPages(old, fresh);
   return result;
 }
 
@@ -1628,7 +1616,7 @@ void ViewCatalog::SetReplacement(const MaterializedView* from,
     std::lock_guard<std::mutex> lock(registry_mu_);
     retired = LinkReplacementLocked(from, to);
   }
-  if (retired) DiscardPages(from);
+  if (retired) DiscardPages(from, to);
 }
 
 const MaterializedView* ViewCatalog::FindView(
@@ -1705,27 +1693,38 @@ const MaterializedView* ViewCatalog::TipLocked(
   return tip;
 }
 
-void ViewCatalog::DiscardPages(const MaterializedView* view) {
-  auto discard = [this](const StoredList& list) {
-    if (list.count != 0 && list.first_page != kInvalidPage) {
-      pool_->Discard(list.first_page, list.PageSpan());
+void ViewCatalog::DiscardPages(const MaterializedView* retired,
+                               const MaterializedView* replacement) {
+  std::unordered_set<PageId> shared;
+  auto collect = [&shared](const StoredList& list) {
+    shared.insert(list.pages.begin(), list.pages.end());
+  };
+  for (const StoredList& list : replacement->lists_) collect(list);
+  collect(replacement->tuple_list_);
+  std::vector<PageId> dead;
+  auto discard = [&](const StoredList& list) {
+    for (PageId page : list.pages) {
+      if (shared.count(page) == 0) dead.push_back(page);
     }
   };
-  for (const StoredList& list : view->lists_) discard(list);
-  discard(view->tuple_list_);
+  for (const StoredList& list : retired->lists_) discard(list);
+  discard(retired->tuple_list_);
+  pool_->Discard(dead);
 }
 
 const MaterializedView* ViewCatalog::ViewOfPage(PageId page) const {
   std::lock_guard<std::mutex> lock(registry_mu_);
   auto contains = [page](const StoredList& list) {
-    return list.count != 0 && list.first_page != kInvalidPage &&
-           page >= list.first_page && page - list.first_page < list.PageSpan();
+    return std::find(list.pages.begin(), list.pages.end(), page) !=
+           list.pages.end();
   };
-  for (const auto& view : views_) {
-    for (const StoredList& list : view->lists_) {
-      if (contains(list)) return view.get();
+  // Newest first: versions of one view share pages, and the newest holder
+  // of a page is the one queries read it through (normally the live tip).
+  for (auto view = views_.rbegin(); view != views_.rend(); ++view) {
+    for (const StoredList& list : (*view)->lists_) {
+      if (contains(list)) return view->get();
     }
-    if (contains(view->tuple_list_)) return view.get();
+    if (contains((*view)->tuple_list_)) return view->get();
   }
   return nullptr;
 }
@@ -1734,9 +1733,8 @@ util::Status ViewCatalog::VerifyView(const MaterializedView* view) {
   std::vector<uint8_t> page(Pager::kPageSize);
   auto verify_list = [&](const StoredList& list) {
     if (list.count == 0) return util::Status::Ok();
-    for (uint32_t p = 0; p < list.PageSpan(); ++p) {
-      util::Status status = pager_->VerifyPage(list.first_page + p,
-                                               page.data());
+    for (PageId id : list.pages) {
+      util::Status status = pager_->VerifyPage(id, page.data());
       if (!status.ok()) return status;
     }
     return util::Status::Ok();

@@ -163,9 +163,10 @@ class ViewCatalog {
   ~ViewCatalog();
 
   /// Compacts the manifest journal to one install record per live view
-  /// (atomic tmp + fsync + rename) and reopens it for appending. Requires
-  /// `persistent`. Journaled installs make this optional — it bounds journal
-  /// growth and replay time, nothing more.
+  /// (atomic tmp + fsync + rename) and reopens it for appending; retired
+  /// versions are left out, so a reopen registers exactly LiveViews().
+  /// Requires `persistent`. Journaled installs make this optional — it
+  /// bounds journal growth and replay time, nothing more.
   util::Status Checkpoint();
 
   /// Point-in-time image of the catalog's durable state, for the hot-backup
@@ -333,8 +334,10 @@ class ViewCatalog {
   /// LiveViews).
   void SetReplacement(const MaterializedView* from, const MaterializedView* to);
 
-  /// The view whose stored lists contain `page`, or nullptr (spill pages and
-  /// dead space belong to no view).
+  /// The newest view whose stored lists contain `page`, or nullptr (spill
+  /// pages and dead space belong to no view). Versions of one view share
+  /// the pages a delta merge left unchanged; the newest holder is the
+  /// version queries read the page through, normally the live tip.
   const MaterializedView* ViewOfPage(PageId page) const;
 
   /// Scans every page of `view`'s lists through checksum verification.
@@ -406,9 +409,9 @@ class ViewCatalog {
 
   /// Lays `bytes` (records of `layout`) out into staged pages — verbatim
   /// fixed records or delta-compressed varint pages per `format`; the
-  /// returned list's first_page is *relative* to the staged build until
-  /// InstallView rebases it onto final page ids. InvalidArgument when a
-  /// record cannot fit one page (pathological pattern fan-out).
+  /// returned list's page table names staged ids (see StagedPages), which
+  /// the install rebases onto final page ids. InvalidArgument when a record
+  /// cannot fit one page (pathological pattern fan-out).
   static util::StatusOr<StoredList> StageList(StagedPages& staged,
                                               const std::vector<uint8_t>& bytes,
                                               RecordLayout layout,
@@ -429,12 +432,13 @@ class ViewCatalog {
       const std::vector<std::vector<xml::Label>>& labels, StagedPages& staged);
 
   /// Delta-merges `deltas` into an E-scheme view without rewriting the
-  /// unchanged prefix: encoded pages wholly below the first changed label
-  /// are copied into `staged` verbatim (no decode / re-encode), and only
-  /// the affected suffix is read, merged, and freshly encoded. Lists with
-  /// empty deltas are copied page-for-page. Element records carry no
-  /// cross-list pointers, so prefix bytes cannot go stale — pointer
-  /// schemes must take the full re-encode path instead.
+  /// unchanged prefix: the new version's page table references the old
+  /// version's committed pages wholly below the first changed label (no
+  /// copy, decode or re-encode), and only the affected suffix is read,
+  /// merged, and freshly encoded into `staged`. Lists with empty deltas
+  /// share every page. Element records carry no cross-list pointers, so
+  /// prefix bytes cannot go stale — pointer schemes must take the full
+  /// re-encode path instead.
   util::StatusOr<std::unique_ptr<MaterializedView>> StageMergedElementView(
       const MaterializedView& old, const ListDeltas& deltas,
       StagedPages& staged);
@@ -454,8 +458,13 @@ class ViewCatalog {
   /// compressing the path it walks.
   const MaterializedView* TipLocked(const MaterializedView* view) const;
 
-  /// Drops the retired `view`'s unpinned frames from the buffer pool.
-  void DiscardPages(const MaterializedView* view);
+  /// Drops from the buffer pool the unpinned frames of the pages `retired`
+  /// does not share with its `replacement`.
+  void DiscardPages(const MaterializedView* retired,
+                    const MaterializedView* replacement);
+
+  /// SnapshotForBackup's body; the caller holds install_mu_.
+  BackupSnapshot SnapshotLocked() const;
 
   /// The journal install record describing `view`.
   ManifestViewRecord RecordFor(const MaterializedView& view,

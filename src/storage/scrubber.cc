@@ -26,7 +26,7 @@ uint32_t TotalPages(const std::vector<const StoredList*>& segments) {
 PageId PageAt(const std::vector<const StoredList*>& segments, uint32_t index) {
   for (const StoredList* list : segments) {
     uint32_t span = list->PageSpan();
-    if (index < span) return list->first_page + index;
+    if (index < span) return list->pages[index];
     index -= span;
   }
   return kInvalidPage;

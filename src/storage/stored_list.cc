@@ -54,7 +54,7 @@ void ListCursor::EnsureBlock(EntryIndex i, uint32_t wanted) const {
     block_.fields = 0;
     block_.point_reads = 0;
     block_.valid = true;
-    pin_ = pool_->GetPage(list_->first_page + page);
+    pin_ = pool_->GetPage(list_->pages[page]);
     MaybeReadAhead(page);
     if (list_->format == ListFormat::kDelta) {
       const uint32_t n = block_.count;
@@ -127,7 +127,7 @@ void ListCursor::MaybeReadAhead(uint32_t page) const {
   uint32_t end = page + 1 + static_cast<uint32_t>(depth);
   if (end > pages) end = pages;
   for (uint32_t p = std::max(page + 1, prefetch_edge_); p < end; ++p) {
-    pool_->Prefetch(list_->first_page + p);
+    pool_->Prefetch(list_->pages[p]);
   }
   if (end > prefetch_edge_) prefetch_edge_ = end;
 }

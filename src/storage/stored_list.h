@@ -51,8 +51,21 @@ enum class ListFormat : uint8_t {
   kDelta = 1,  // prefix/delta varint pages (list_codec.h) + page directory
 };
 
+/// A maximal run of consecutive pager pages in a list's page table.
+struct PageRun {
+  PageId first = kInvalidPage;
+  uint32_t count = 0;
+};
+
 /// Metadata of one immutable list stored in a pager file. Created by the
 /// materializer; read through ListCursor.
+///
+/// `pages` is the list's page table: pages[p] is the pager page holding the
+/// list's p-th page, one entry per page of PageSpan(). A list built from
+/// scratch occupies one contiguous run; a list written by the E-scheme delta
+/// merge shares its unchanged leading pages with the version it replaced, so
+/// its table is that version's prefix followed by fresh pages. Ids ascend
+/// either way (fresh pages land at the pager's tail).
 ///
 /// kFixed lists locate entries arithmetically (PageOf/OffsetOf). kDelta
 /// pages hold a variable number of whole records, so they carry a page
@@ -62,7 +75,7 @@ enum class ListFormat : uint8_t {
 /// without touching them; lists decoded from v1 manifests have no fences
 /// and fall back to entry-level galloping.
 struct StoredList {
-  PageId first_page = kInvalidPage;
+  std::vector<PageId> pages;  // page table; empty for an empty list
   uint32_t count = 0;
   RecordLayout layout;
   ListFormat format = ListFormat::kFixed;
@@ -77,7 +90,7 @@ struct StoredList {
   /// Page/offset of an entry — the paper's pointer representation.
   PageId PageOf(EntryIndex i) const {
     VJ_DCHECK(format == ListFormat::kFixed);
-    return first_page + i / RecordsPerPage();
+    return pages[i / RecordsPerPage()];
   }
   uint32_t OffsetOf(EntryIndex i) const {
     VJ_DCHECK(format == ListFormat::kFixed);
@@ -108,6 +121,39 @@ struct StoredList {
     EntryIndex first = FirstEntryOfPage(p);
     EntryIndex next = p + 1 < PageSpan() ? FirstEntryOfPage(p + 1) : count;
     return next - first;
+  }
+  /// Sets the page table to the run [first, first + PageSpan()); count,
+  /// format and directory must already be final.
+  void AssignRun(PageId first) {
+    pages.resize(PageSpan());
+    for (uint32_t p = 0; p < pages.size(); ++p) pages[p] = first + p;
+  }
+  /// The page table as maximal runs of consecutive ids (the manifest's
+  /// encoding of it).
+  std::vector<PageRun> Runs() const {
+    std::vector<PageRun> runs;
+    for (PageId page : pages) {
+      if (!runs.empty() && runs.back().first + runs.back().count == page) {
+        ++runs.back().count;
+      } else {
+        runs.push_back({page, 1});
+      }
+    }
+    return runs;
+  }
+  /// True when the table covers exactly PageSpan() pages, all below `limit`
+  /// (a pager's page count or durable prefix). False for a record layout no
+  /// page can hold.
+  bool PagesWithin(uint32_t limit) const {
+    if (count == 0) return pages.empty();
+    if (layout.RecordSize() == 0 || layout.RecordSize() > Pager::kPageSize) {
+      return false;
+    }
+    if (pages.size() != PageSpan()) return false;
+    for (PageId page : pages) {
+      if (page >= limit) return false;
+    }
+    return true;
   }
 };
 

@@ -567,7 +567,7 @@ TEST(FsckDeltaTest, VerifiesCompressedListsAndFlagsLyingPayloads) {
     const MaterializedView* view =
         catalog.Materialize(doc, MustParse("//a//b"), Scheme::kLinkedElement);
     ASSERT_EQ(view->list(0).format, ListFormat::kDelta);
-    victim = view->list(0).first_page;
+    victim = view->list(0).pages.front();
     ASSERT_TRUE(catalog.Close().ok());
   }
   storage::FsckCatalogReport clean = storage::FsckCatalog(path);

@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "storage/document_store.h"
 #include "storage/fsck.h"
+#include "storage/manifest.h"
 #include "storage/stored_list.h"
 #include "tests/test_util.h"
 #include "util/fault_injection.h"
@@ -219,6 +220,31 @@ TEST(DocumentStoreTest, OpenWithoutManifestIsNotFound) {
   auto reopened = DocumentStore::Open(path, {});
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kNotFound);
+}
+
+TEST(DocumentStoreTest, RecordWithNoRecordSizeIsCorruptionNotACrash) {
+  // A TOC record whose list layout has a zero-byte record (checksum-valid,
+  // so only a buggy or hostile writer makes one) has no page span: Open and
+  // fsck must reject it instead of dividing by the record size.
+  const std::string path = TempPath("doc_zero_record.doc");
+  {
+    auto store = DocumentStore::BuildFromText(path, BigXml(5), {});
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+  }
+  const std::string toc = storage::ManifestJournal::PathFor(path);
+  auto replay = storage::ManifestJournal::Replay(toc);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  std::vector<storage::ManifestViewRecord> records = replay->installed;
+  ASSERT_FALSE(records.empty());
+  records[0].lists[0].layout.label_count = 0;
+  ASSERT_TRUE(storage::ManifestJournal::WriteCheckpoint(toc, records, {},
+                                                        replay->last_epoch)
+                  .ok());
+  auto reopened = DocumentStore::Open(path, {});
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  FsckDocStoreReport report = FsckDocumentStore(path);
+  EXPECT_TRUE(report.corrupt()) << storage::ToJson(report);
 }
 
 TEST(DocumentStoreTest, CorruptPageSurfacesThroughErrorScope) {

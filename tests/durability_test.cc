@@ -340,7 +340,9 @@ TEST(ManifestJournalTest, LegacyTextManifestIsConverted) {
     std::snprintf(buf, sizeof(buf), "\nL %zu\n", view->lists().size());
     legacy_text += buf;
     auto list_line = [&](const storage::StoredList& list) {
-      std::snprintf(buf, sizeof(buf), "%u %u %u %u %u\n", list.first_page,
+      std::snprintf(buf, sizeof(buf), "%u %u %u %u %u\n",
+                    list.pages.empty() ? storage::kInvalidPage
+                                       : list.pages.front(),
                     list.count, list.layout.label_count,
                     list.layout.has_pointers ? 1 : 0, list.layout.child_count);
       legacy_text += buf;
@@ -418,6 +420,77 @@ TEST(ManifestJournalTest, EpochResumesAcrossReopen) {
   EXPECT_EQ((*added)->epoch(), (*opened)->epoch());
 }
 
+long FileSize(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<long>(st.st_size) : -1;
+}
+
+TEST(ManifestJournalTest, SingleRunListsKeepTheirRecordBytes) {
+  // A freshly materialized view's lists are single page runs, which cost no
+  // table bytes: 26 bytes plus their directory and fence keys, the run's
+  // first page id standing for the whole table. The pinned size keeps
+  // stores that never take an update batch byte-compatible.
+  xml::Document doc = CrashDoc();
+  std::string path = TempPath("manifest_single_run.db");
+  CleanupStore(path);
+  ViewCatalog catalog(path, 64, /*persistent=*/true);
+  catalog.set_list_format(storage::ListFormat::kDelta);
+  const MaterializedView* view =
+      catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
+  auto list_bytes = [](const storage::StoredList& list) {
+    EXPECT_LE(list.Runs().size(), 1u);
+    return 26 + 4 * (list.page_first_entry.size() +
+                     list.page_first_start.size());
+  };
+  const size_t pattern = view->pattern().ToString().size();
+  size_t install = 8 + 1 + 2 + pattern + 3 * 8 + 4 +
+                   list_bytes(view->tuple_list()) + 4 + 4 +
+                   4 * view->pattern().size();
+  for (const storage::StoredList& list : view->lists()) {
+    install += list_bytes(list);
+  }
+  // Header, then a kBegin and a kInstall frame (length, type, CRC: 9 bytes).
+  const size_t journal = 16 + (9 + 8 + 1 + 2 + pattern) + (9 + install);
+  EXPECT_EQ(FileSize(path + ".manifest"), static_cast<long>(journal));
+  EXPECT_EQ(FileSize(path + ".manifest"), 206);
+}
+
+TEST(ManifestJournalTest, MultiRunPageTablesRoundTripAsRuns) {
+  // Three fixed pages of 341 records each; the table {5, 9, 10} is the runs
+  // (5, 1) and (9, 2).
+  storage::StoredList list;
+  list.count = 1000;
+  list.layout.label_count = 1;
+  list.page_first_start = {0, 3410, 6820};
+  list.AssignRun(5);
+  storage::ManifestViewRecord record;
+  record.epoch = 7;
+  record.pattern = "//a";
+  record.page_count_after = 11;
+  record.list_lengths = {list.count};
+  record.lists = {list};
+  const std::string single = TempPath("manifest_runs_single.manifest");
+  ASSERT_TRUE(ManifestJournal::WriteCheckpoint(single, {record}, {}, 7).ok());
+  record.lists[0].pages = {5, 9, 10};
+  const std::string multi = TempPath("manifest_runs_multi.manifest");
+  ASSERT_TRUE(ManifestJournal::WriteCheckpoint(multi, {record}, {}, 7).ok());
+
+  // A multi-run table costs a run count and 8 bytes per run.
+  EXPECT_EQ(FileSize(multi) - FileSize(single), 4 + 8 * 2);
+  auto single_replay = ManifestJournal::Replay(single);
+  auto multi_replay = ManifestJournal::Replay(multi);
+  ASSERT_TRUE(single_replay.ok()) << single_replay.status().ToString();
+  ASSERT_TRUE(multi_replay.ok()) << multi_replay.status().ToString();
+  ASSERT_EQ(single_replay->installed.size(), 1u);
+  ASSERT_EQ(multi_replay->installed.size(), 1u);
+  EXPECT_EQ(single_replay->installed[0].lists[0].pages,
+            (std::vector<storage::PageId>{5, 6, 7}));
+  EXPECT_EQ(multi_replay->installed[0].lists[0].pages,
+            (std::vector<storage::PageId>{5, 9, 10}));
+  std::remove(single.c_str());
+  std::remove(multi.c_str());
+}
+
 // ---- Close-time flush surfacing --------------------------------------------
 
 TEST(CloseTest, FlushFailureSurfacesThroughCatalogClose) {
@@ -459,7 +532,7 @@ TEST(ScrubberTest, DetectsQuarantinesAndHealsCorruptView) {
     std::vector<uint8_t> zeros(Pager::kPageSize, 0);
     ASSERT_TRUE(engine.catalog()
                     ->pager()
-                    ->WritePage(ab->list(0).first_page, zeros.data())
+                    ->WritePage(ab->list(0).pages.front(), zeros.data())
                     .ok());
   }
   engine.catalog()->DropCaches();
@@ -611,7 +684,7 @@ TEST(FsckCatalogTest, RottenDurablePageIsCorruptNotRepairable) {
     ViewCatalog catalog(path, 64, /*persistent=*/true);
     const MaterializedView* view =
         catalog.Materialize(doc, MustParse("//a//b"), Scheme::kLinkedElement);
-    victim_page = view->list(0).first_page;
+    victim_page = view->list(0).pages.front();
     ScopedFaultInjection fi;
     fi->ArmWriteFault(WriteFault::kBitFlip, 1);
     std::vector<uint8_t> zeros(Pager::kPageSize, 0);

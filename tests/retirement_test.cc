@@ -13,7 +13,13 @@
 //     set stays at the standing views, no superseded page stays cached, and
 //     queries through the original (stale) view pointers answer like a fresh
 //     materialization — also while readers hold pins on retired pages;
-//   - the scrubber scans live versions only.
+//   - the scrubber scans live versions only;
+//   - copy-on-write versions: an E-scheme delta merge shares the replaced
+//     version's unchanged pages instead of copying them, retirement keeps
+//     the shared frames cached, a corrupt shared page is charged to the live
+//     version, and multi-run page tables survive checkpoint, reopen, backup
+//     restore and fsck. A checkpoint or a backup registers only the live
+//     versions on reopen.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -33,13 +40,19 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "plan/operator.h"
+#include "storage/backup.h"
 #include "storage/buffer_pool.h"
+#include "storage/fsck.h"
+#include "storage/manifest.h"
 #include "storage/materialized_view.h"
 #include "storage/pager.h"
 #include "tests/test_util.h"
 #include "tpq/evaluator.h"
 #include "util/check.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
+#include "view/delta.h"
 
 namespace viewjoin {
 namespace {
@@ -70,13 +83,16 @@ void RemoveStore(const std::string& path) {
   std::remove((path + ".spill").c_str());
 }
 
+void RemoveTree(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+}
+
 /// Every page id the view's stored lists occupy.
 std::vector<PageId> PagesOf(const MaterializedView* view) {
   std::vector<PageId> pages;
   auto add = [&pages](const StoredList& list) {
-    for (uint32_t p = 0; p < list.PageSpan(); ++p) {
-      pages.push_back(list.first_page + p);
-    }
+    pages.insert(pages.end(), list.pages.begin(), list.pages.end());
   };
   for (const StoredList& list : view->lists()) add(list);
   add(view->tuple_list());
@@ -101,7 +117,7 @@ TEST(BufferPoolDiscardTest, DropsUnpinnedFramesAndKeepsPinnedOnes) {
   for (PageId p = 0; p < 6; ++p) (void)pool.GetPage(p);
   BufferPool::PinnedPage held = pool.GetPage(2);
 
-  pool.Discard(1, 3);  // pages 1, 2, 3
+  pool.Discard({1, 2, 3});
   EXPECT_TRUE(pool.Contains(0));
   EXPECT_FALSE(pool.Contains(1));
   EXPECT_TRUE(pool.Contains(2)) << "a pinned frame must survive Discard";
@@ -118,9 +134,9 @@ TEST(BufferPoolDiscardTest, DropsUnpinnedFramesAndKeepsPinnedOnes) {
 
   // Once unpinned, the survivor goes with the next Discard.
   held.Release();
-  pool.Discard(2, 1);
+  pool.Discard({2});
   EXPECT_FALSE(pool.Contains(2));
-  pool.Discard(0, 0);  // empty range: no-op
+  pool.Discard({});  // nothing to drop: no-op
   EXPECT_TRUE(pool.Contains(0));
   EXPECT_EQ(pool.pinned_frames(), 0u);
   std::remove(path.c_str());
@@ -313,6 +329,45 @@ TEST(ViewCatalogRetirementTest, LookupsMatchNewestFirstScanOverSeededMix) {
 
 constexpr int kParents = 100;
 
+/// A document with `parents` `p` anchors, each holding one a(b(c)),
+/// relabelled with a gap wide enough for hundreds of nested inserts.
+xml::Document MakeAnchorDocument(int parents) {
+  std::string spec = "r(";
+  for (int i = 0; i < parents; ++i) spec += " p(a(b(c)))";
+  xml::Document made = MakeDoc(spec + ")");
+  VJ_CHECK(made.RelabelWithGap(1u << 16).ok());
+  return made;
+}
+
+/// The ops that replace the a(b(c)) under `d`'s `anchor`-th `p`: graft a
+/// fresh a(b(c)) as the anchor's first child, then (with `drop_old`) drop
+/// the anchor's old `a` subtree. Dropping first would free the whole
+/// anchor, and the graft would reuse the dropped labels exactly — a batch
+/// with no net change.
+std::vector<UpdateOp> GraftOps(const xml::Document& d, size_t anchor_index,
+                               bool drop_old) {
+  const xml::NodeId anchor = d.NodesOfTag(d.FindTag("p"))[anchor_index];
+  UpdateOp ins;
+  ins.kind = UpdateOp::Kind::kInsertSubtree;
+  ins.target_tag = "p";
+  ins.target_start = d.NodeLabel(anchor).start;
+  ins.subtree = xml::SpecFromDocument(MakeDoc("a(b(c))"));
+  if (!drop_old) return {ins};
+  xml::NodeId first_a = xml::kInvalidNode;
+  for (xml::NodeId n : d.NodesOfTag(d.FindTag("a"))) {
+    if (d.Parent(n) == anchor) {
+      first_a = n;
+      break;
+    }
+  }
+  VJ_CHECK(first_a != xml::kInvalidNode);
+  UpdateOp del;
+  del.kind = UpdateOp::Kind::kDeleteSubtree;
+  del.target_tag = "a";
+  del.target_start = d.NodeLabel(first_a).start;
+  return {ins, del};
+}
+
 /// A small document with kParents `p` anchors, each holding one a(b(c)).
 /// Batch i grafts a fresh a(b(c)) in front of the one under p[i % kParents]
 /// and drops the old one, so every standing view changes in every batch and
@@ -337,40 +392,12 @@ struct RetirementFixture {
     RemoveStore(path);
   }
 
-  static xml::Document MakeDocument() {
-    std::string spec = "r(";
-    for (int i = 0; i < kParents; ++i) spec += " p(a(b(c)))";
-    xml::Document made = MakeDoc(spec + ")");
-    VJ_CHECK(made.RelabelWithGap(1u << 16).ok());
-    return made;
-  }
+  static xml::Document MakeDocument() { return MakeAnchorDocument(kParents); }
 
-  /// The ops of batch `i` over `d`'s current labels: graft a fresh a(b(c))
-  /// as the anchor's first child, then (with drop_old) drop the anchor's old
-  /// `a` subtree. Dropping first would free the whole anchor, and the graft
-  /// would reuse the dropped labels exactly — a batch with no net change.
+  /// The ops of batch `i` over `d`'s current labels (GraftOps at anchor
+  /// i mod kParents).
   std::vector<UpdateOp> BatchOps(const xml::Document& d, int i) const {
-    const xml::NodeId anchor =
-        d.NodesOfTag(d.FindTag("p"))[static_cast<size_t>(i % kParents)];
-    UpdateOp ins;
-    ins.kind = UpdateOp::Kind::kInsertSubtree;
-    ins.target_tag = "p";
-    ins.target_start = d.NodeLabel(anchor).start;
-    ins.subtree = xml::SpecFromDocument(MakeDoc("a(b(c))"));
-    if (!drop_old) return {ins};
-    xml::NodeId first_a = xml::kInvalidNode;
-    for (xml::NodeId n : d.NodesOfTag(d.FindTag("a"))) {
-      if (d.Parent(n) == anchor) {
-        first_a = n;
-        break;
-      }
-    }
-    VJ_CHECK(first_a != xml::kInvalidNode);
-    UpdateOp del;
-    del.kind = UpdateOp::Kind::kDeleteSubtree;
-    del.target_tag = "a";
-    del.target_start = d.NodeLabel(first_a).start;
-    return {ins, del};
+    return GraftOps(d, static_cast<size_t>(i % kParents), drop_old);
   }
 
   /// Applies batch `i` to the engine's document and asserts it took the
@@ -625,6 +652,405 @@ TEST(ScrubberRetirementTest, FullPassScansOnlyLiveVersions) {
   EXPECT_EQ(after.pages_scanned - before.pages_scanned, live_pages);
   EXPECT_EQ(after.full_passes - before.full_passes, 1u);
   EXPECT_EQ(after.corrupt_pages, 0u);
+}
+
+// ---- Copy-on-write versions ---------------------------------------------------
+
+/// Anchors of the sharing fixture: enough that every delta-format list spans
+/// several pages.
+constexpr int kSharingParents = 3000;
+
+/// A persistent engine over kSharingParents anchors with the E-scheme views
+/// //p//a and //b//c. A batch replaces the a(b(c)) of one anchor, so the a,
+/// b and c lists change at that anchor's position and the delta merge shares
+/// the pages before it; //p//a's p list never changes and is shared whole.
+struct SharingFixture {
+  explicit SharingFixture(const std::string& path_name)
+      : doc(MakeAnchorDocument(kSharingParents)), path(TempPath(path_name)) {
+    RemoveStore(path);
+    core::EngineOptions options;
+    options.persistent = true;
+    engine = std::make_unique<Engine>(&doc, path, options);
+    for (const std::string& pattern : Patterns()) {
+      engine->AddView(pattern, Scheme::kElement);
+    }
+  }
+  ~SharingFixture() {
+    engine.reset();
+    RemoveStore(path);
+  }
+
+  static std::vector<std::string> Patterns() {
+    return {MustParse("//p//a").ToString(), MustParse("//b//c").ToString()};
+  }
+
+  /// The live version of each pattern, in Patterns() order.
+  static std::vector<const MaterializedView*> Tips(const ViewCatalog& catalog) {
+    std::vector<const MaterializedView*> tips;
+    for (const std::string& pattern : Patterns()) {
+      tips.push_back(catalog.FindView(pattern, Scheme::kElement));
+    }
+    return tips;
+  }
+
+  /// Replaces the a(b(c)) under anchor `anchor` through the engine.
+  void ApplyBatch(size_t anchor) {
+    const std::vector<UpdateOp> ops = GraftOps(doc, anchor, /*drop_old=*/true);
+    auto result = engine->ApplyUpdates(ops);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result->failed.empty()) << result->failed.front();
+    ASSERT_FALSE(result->relabeled);
+    ASSERT_EQ(result->delta_maintained, Patterns().size());
+  }
+
+  uint64_t OracleHash() const {
+    tpq::HashingSink sink;
+    NaiveEvaluator(doc, query).Evaluate(&sink);
+    return sink.hash();
+  }
+
+  xml::Document doc;
+  std::string path;
+  std::unique_ptr<Engine> engine;
+  const TreePattern query = MustParse("//p//a//b//c");
+};
+
+/// Batches at anchors moving toward the back of the document: each merge
+/// shares pages of the previous merge's fresh suffix, so the page tables
+/// end up with several runs.
+constexpr size_t kMultiRunAnchors[] = {kSharingParents / 3,
+                                       kSharingParents / 2,
+                                       kSharingParents - 2};
+
+/// Answer hash of `query` over `views`, read from `catalog`'s pages by the
+/// plan layer's ViewJoin operator (no Engine needed on a reopened store).
+uint64_t CatalogAnswerHash(const xml::Document& doc, ViewCatalog* catalog,
+                           const TreePattern& query,
+                           const std::vector<const MaterializedView*>& views) {
+  plan::Operator::Config config;
+  config.doc = &doc;
+  config.query = &query;
+  config.views = views;
+  config.pool = catalog->pool();
+  std::unique_ptr<plan::Operator> op =
+      plan::MakeOperator(core::Algorithm::kViewJoin, config);
+  util::Status opened = op->Open();
+  EXPECT_TRUE(opened.ok()) << opened.ToString();
+  if (!opened.ok()) return 0;
+  tpq::HashingSink sink;
+  algo::QueryContext context;
+  op->Evaluate(&sink, &context);
+  op->Close();
+  return sink.hash();
+}
+
+/// Applies GraftOps(anchor) to `doc` and maintains `catalog`'s live views the
+/// way Engine::ApplyUpdates does: deltas collected around each mutation,
+/// views with empty deltas skipped, one ApplyUpdateBatch.
+util::StatusOr<ViewCatalog::UpdateBatchResult> ApplyGraftToCatalog(
+    ViewCatalog* catalog, xml::Document* doc, size_t anchor) {
+  const std::vector<const MaterializedView*> live = catalog->LiveViews();
+  std::vector<TreePattern> patterns;
+  for (const MaterializedView* v : live) patterns.push_back(v->pattern());
+  view::DeltaCollector collector(doc, patterns);
+  for (const UpdateOp& op : GraftOps(*doc, anchor, /*drop_old=*/true)) {
+    const xml::NodeId target =
+        doc->FindByStart(doc->FindTag(op.target_tag), op.target_start);
+    if (op.kind == UpdateOp::Kind::kDeleteSubtree) {
+      collector.WillDelete(target);
+      VJ_CHECK(doc->DeleteSubtree(target).ok());
+      collector.DidDelete();
+    } else {
+      collector.WillInsert(target);
+      util::StatusOr<xml::NodeId> inserted =
+          doc->InsertSubtree(op.subtree, target);
+      VJ_CHECK(inserted.ok()) << inserted.status().ToString();
+      collector.DidInsert(*inserted);
+    }
+  }
+  std::vector<view::PatternDeltas> deltas = collector.TakeDeltas();
+  std::vector<ViewCatalog::ViewUpdateSpec> specs;
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (deltas[i].empty()) continue;
+    ViewCatalog::ViewUpdateSpec spec;
+    spec.view = live[i];
+    spec.deltas.added = std::move(deltas[i].added);
+    spec.deltas.removed = std::move(deltas[i].removed);
+    specs.push_back(std::move(spec));
+  }
+  return catalog->ApplyUpdateBatch(*doc, specs);
+}
+
+TEST(CopyOnWriteTest, BatchSharesUnchangedPagesAndAppendsOnlyTheSuffix) {
+  SharingFixture fx("cow_share.db");
+  ViewCatalog* catalog = fx.engine->catalog();
+  BufferPool* pool = catalog->pool();
+  const std::vector<const MaterializedView*> before =
+      SharingFixture::Tips(*catalog);
+  for (const MaterializedView* v : before) {
+    for (const StoredList& list : v->lists()) {
+      ASSERT_GE(list.PageSpan(), 3u) << v->pattern().ToString();
+    }
+  }
+  // Cache every page of the live versions, so retirement has work to do.
+  for (const MaterializedView* v : before) {
+    for (PageId page : PagesOf(v)) (void)pool->GetPage(page);
+  }
+  const uint32_t pages_before = catalog->pager()->page_count();
+
+  fx.ApplyBatch(kSharingParents - 2);
+  if (HasFatalFailure()) return;
+
+  const std::vector<const MaterializedView*> after =
+      SharingFixture::Tips(*catalog);
+  uint32_t fresh_pages = 0;
+  for (size_t v = 0; v < before.size(); ++v) {
+    ASSERT_NE(after[v], before[v]);
+    const std::vector<PageId> after_pages = PagesOf(after[v]);
+    const std::set<PageId> kept(after_pages.begin(), after_pages.end());
+    for (size_t q = 0; q < before[v]->lists().size(); ++q) {
+      const std::string where = before[v]->pattern().ToString() + " list " +
+                                std::to_string(q);
+      const StoredList& old_list = before[v]->list(static_cast<int>(q));
+      const StoredList& new_list = after[v]->list(static_cast<int>(q));
+      size_t shared = 0;
+      while (shared < old_list.pages.size() &&
+             shared < new_list.pages.size() &&
+             old_list.pages[shared] == new_list.pages[shared]) {
+        ++shared;
+      }
+      if (v == 0 && q == 0) {
+        // //p//a's p list has no delta: the new version shares all of it.
+        EXPECT_EQ(new_list.pages, old_list.pages) << where;
+      } else {
+        // The change sits on the last page: every page before it is shared,
+        // and the page holding it is re-encoded.
+        EXPECT_EQ(shared + 1, old_list.pages.size()) << where;
+      }
+      // Every page past the shared prefix is fresh, at the pager's old tail.
+      for (size_t p = shared; p < new_list.pages.size(); ++p) {
+        EXPECT_GE(new_list.pages[p], pages_before) << where;
+        ++fresh_pages;
+      }
+    }
+    // Retirement keeps the shared frames and drops only the retired ones.
+    for (PageId page : PagesOf(before[v])) {
+      EXPECT_EQ(pool->Contains(page), kept.count(page) != 0)
+          << before[v]->pattern().ToString() << " page " << page;
+    }
+  }
+  EXPECT_GT(fresh_pages, 0u);
+  EXPECT_EQ(catalog->pager()->page_count() - pages_before, fresh_pages)
+      << "the pager grows by the re-encoded suffix pages only";
+
+  RunOptions run;
+  run.algorithm = core::Algorithm::kViewJoin;
+  RunResult answer = fx.engine->Execute(fx.query, after, run);
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(answer.result_hash, fx.OracleHash());
+}
+
+TEST(CopyOnWriteTest, CorruptSharedPageQuarantinesTheLiveVersion) {
+  SharingFixture fx("cow_rot.db");
+  ViewCatalog* catalog = fx.engine->catalog();
+  const MaterializedView* original = SharingFixture::Tips(*catalog)[1];
+  fx.ApplyBatch(kSharingParents - 2);
+  if (HasFatalFailure()) return;
+  const std::vector<const MaterializedView*> tips =
+      SharingFixture::Tips(*catalog);
+  const MaterializedView* tip = tips[1];  // //b//c
+  ASSERT_NE(tip, original);
+  const PageId shared = tip->list(0).pages.front();
+  ASSERT_EQ(shared, original->list(0).pages.front());
+  EXPECT_EQ(catalog->ViewOfPage(shared), tip)
+      << "a shared page is charged to the newest version holding it";
+
+  // Rot the shared page behind the pool's back: rewrite its own bytes with
+  // one bit flipped after the checksum was computed.
+  {
+    std::vector<uint8_t> bytes(Pager::kPageSize);
+    ASSERT_TRUE(catalog->pager()->ReadPage(shared, bytes.data()).ok());
+    util::ScopedFaultInjection fi;
+    fi->ArmWriteFault(util::WriteFault::kBitFlip, 1);
+    ASSERT_TRUE(catalog->pager()->WritePage(shared, bytes.data()).ok());
+  }
+  catalog->DropCaches();
+
+  RunOptions run;
+  run.algorithm = core::Algorithm::kViewJoin;
+  RunResult answer = fx.engine->Execute(fx.query, tips, run);
+  ASSERT_TRUE(answer.ok) << answer.error;
+  EXPECT_EQ(answer.result_hash, fx.OracleHash());
+  EXPECT_EQ(answer.quarantined_views,
+            std::vector<std::string>{tip->pattern().ToString()});
+  EXPECT_TRUE(catalog->IsQuarantined(tip));
+  const MaterializedView* rebuilt = catalog->ReplacementFor(tip);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(catalog->FindView(tip->pattern().ToString(), Scheme::kElement),
+            rebuilt);
+}
+
+/// What a reopened store must reproduce of one live version.
+struct VersionImage {
+  uint64_t epoch = 0;
+  std::vector<std::vector<PageId>> tables;  // one page table per list
+};
+
+std::vector<VersionImage> ImagesOf(
+    const std::vector<const MaterializedView*>& versions) {
+  std::vector<VersionImage> images;
+  for (const MaterializedView* v : versions) {
+    VersionImage image;
+    image.epoch = v->epoch();
+    for (const StoredList& list : v->lists()) image.tables.push_back(list.pages);
+    images.push_back(std::move(image));
+  }
+  return images;
+}
+
+/// The store at `reopened` holds `registered` versions of which exactly
+/// `tips` are live (same epochs, same page tables), answers like the oracle,
+/// and its next batch maintains those versions and nothing else.
+void ExpectReopensLiveVersions(ViewCatalog* reopened, SharingFixture& fx,
+                               const std::vector<VersionImage>& tips,
+                               size_t registered, const std::string& where) {
+  EXPECT_EQ(reopened->ViewsSnapshot().size(), registered) << where;
+  ASSERT_EQ(reopened->LiveViews().size(), tips.size()) << where;
+  const std::vector<const MaterializedView*> live =
+      SharingFixture::Tips(*reopened);
+  ASSERT_EQ(live.size(), tips.size());
+  for (size_t v = 0; v < tips.size(); ++v) {
+    ASSERT_NE(live[v], nullptr) << where;
+    EXPECT_EQ(live[v]->epoch(), tips[v].epoch) << where;
+    EXPECT_EQ(ImagesOf({live[v]})[0].tables, tips[v].tables)
+        << where << ": " << live[v]->pattern().ToString();
+  }
+  EXPECT_EQ(CatalogAnswerHash(fx.doc, reopened, fx.query, live),
+            fx.OracleHash())
+      << where;
+
+  auto applied = ApplyGraftToCatalog(reopened, &fx.doc, kSharingParents - 1);
+  ASSERT_TRUE(applied.ok()) << where << ": " << applied.status().ToString();
+  EXPECT_EQ(applied->delta_maintained, tips.size()) << where;
+  EXPECT_EQ(applied->new_views.size(), tips.size()) << where;
+  EXPECT_EQ(reopened->LiveViews().size(), tips.size()) << where;
+  EXPECT_EQ(CatalogAnswerHash(fx.doc, reopened, fx.query,
+                              SharingFixture::Tips(*reopened)),
+            fx.OracleHash())
+      << where << ", after the next batch";
+}
+
+/// Runs the multi-run batches and returns the live versions, asserting that
+/// some page table really has several runs.
+std::vector<VersionImage> BuildMultiRunTables(SharingFixture& fx) {
+  for (size_t anchor : kMultiRunAnchors) {
+    fx.ApplyBatch(anchor);
+    if (::testing::Test::HasFatalFailure()) return {};
+  }
+  const std::vector<const MaterializedView*> tips =
+      SharingFixture::Tips(*fx.engine->catalog());
+  size_t max_runs = 0;
+  for (const MaterializedView* v : tips) {
+    for (const StoredList& list : v->lists()) {
+      max_runs = std::max(max_runs, list.Runs().size());
+    }
+  }
+  EXPECT_GE(max_runs, 3u);
+  return ImagesOf(tips);
+}
+
+TEST(CopyOnWriteTest, JournalReplayKeepsMultiRunTables) {
+  SharingFixture fx("cow_replay.db");
+  const std::vector<VersionImage> tips = BuildMultiRunTables(fx);
+  if (HasFatalFailure()) return;
+  const size_t registered = fx.engine->catalog()->ViewsSnapshot().size();
+  fx.engine.reset();
+
+  auto reopened = ViewCatalog::Open(fx.path, 4096);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectReopensLiveVersions(reopened->get(), fx, tips, registered,
+                            "journal replay");
+}
+
+TEST(CopyOnWriteTest, CheckpointReopenRegistersOnlyLiveVersions) {
+  SharingFixture fx("cow_checkpoint.db");
+  const std::vector<VersionImage> tips = BuildMultiRunTables(fx);
+  if (HasFatalFailure()) return;
+  ViewCatalog* catalog = fx.engine->catalog();
+  ASSERT_EQ(catalog->ViewsSnapshot().size(),
+            tips.size() * (1 + std::size(kMultiRunAnchors)));
+  ASSERT_TRUE(catalog->Checkpoint().ok());
+  fx.engine.reset();
+
+  auto reopened = ViewCatalog::Open(fx.path, 4096);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectReopensLiveVersions(reopened->get(), fx, tips, tips.size(),
+                            "checkpoint reopen");
+}
+
+TEST(CopyOnWriteTest, BackupRestoreRegistersOnlyLiveVersions) {
+  SharingFixture fx("cow_backup.db");
+  const std::string img = TempPath("cow_backup_img");
+  const std::string restored = TempPath("cow_backup_restored.db");
+  RemoveTree(img);
+  RemoveStore(restored);
+  const std::vector<VersionImage> tips = BuildMultiRunTables(fx);
+  if (HasFatalFailure()) return;
+  auto backup = fx.engine->CreateBackup(img);
+  ASSERT_TRUE(backup.ok()) << backup.status().ToString();
+  auto restore = storage::RestoreBackup(img, restored);
+  ASSERT_TRUE(restore.ok()) << restore.status().ToString();
+  {
+    auto opened = ViewCatalog::Open(restored, 4096);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ExpectReopensLiveVersions(opened->get(), fx, tips, tips.size(),
+                              "backup restore");
+  }
+  RemoveTree(img);
+  RemoveStore(restored);
+}
+
+TEST(CopyOnWriteTest, FsckIsCleanOnSharedPagesAndFlagsARunPastThePrefix) {
+  SharingFixture fx("cow_fsck.db");
+  BuildMultiRunTables(fx);
+  if (HasFatalFailure()) return;
+  fx.engine.reset();
+  storage::FsckCatalogReport clean = storage::FsckCatalog(fx.path);
+  EXPECT_TRUE(clean.clean()) << storage::ToJson(clean);
+
+  // Rewrite the journal with one multi-run list whose second run is moved
+  // past the durable prefix; its first run still lies inside.
+  const std::string journal = storage::ManifestJournal::PathFor(fx.path);
+  auto replay = storage::ManifestJournal::Replay(journal);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  const uint32_t durable = replay->durable_page_count;
+  std::vector<storage::ManifestViewRecord> records = replay->installed;
+  bool moved = false;
+  for (storage::ManifestViewRecord& record : records) {
+    for (StoredList& list : record.lists) {
+      const std::vector<storage::PageRun> runs = list.Runs();
+      if (moved || runs.size() < 2) continue;
+      for (uint32_t p = 0; p < runs[1].count; ++p) {
+        list.pages[runs[0].count + p] = durable + p;
+      }
+      moved = true;
+    }
+  }
+  ASSERT_TRUE(moved);
+  ASSERT_TRUE(storage::ManifestJournal::WriteCheckpoint(
+                  journal, records, {}, replay->last_epoch)
+                  .ok());
+  storage::FsckCatalogReport report = storage::FsckCatalog(fx.path);
+  EXPECT_TRUE(report.corrupt()) << storage::ToJson(report);
+  ASSERT_EQ(report.bad_views.size(), 1u) << storage::ToJson(report);
+  EXPECT_NE(report.bad_views[0].find("spans pages [" + std::to_string(durable) +
+                                     ", "),
+            std::string::npos)
+      << report.bad_views[0];
+  EXPECT_NE(report.bad_views[0].find("past durable prefix " +
+                                     std::to_string(durable)),
+            std::string::npos)
+      << report.bad_views[0];
 }
 
 }  // namespace

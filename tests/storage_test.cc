@@ -364,9 +364,9 @@ TEST(BufferPoolTest, ErrorScopeIsolatesLatchesPerThread) {
 
 TEST(StoredListTest, PageOffsetArithmetic) {
   StoredList list;
-  list.first_page = 3;
   list.count = 1000;
   list.layout.label_count = 1;
+  list.AssignRun(3);
   ASSERT_EQ(list.layout.RecordSize(), 12u);
   EXPECT_EQ(list.RecordsPerPage(), 341u);
   EXPECT_EQ(list.PageOf(0), 3u);
