@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives: XPath
 // parsing, label predicates, structural joins, buffer-pool access, stored
-// list scans/seeks, view materialization, candidate enumeration, and the
-// planner's document statistics (full collection vs. per-update upkeep).
+// list scans/seeks, view materialization, the output pass (label -> node
+// resolution and candidate enumeration), and the planner's document
+// statistics (full collection vs. per-update upkeep).
 
 #include <benchmark/benchmark.h>
 
@@ -9,10 +10,12 @@
 #include <vector>
 
 #include "algo/candidate_enumerator.h"
+#include "algo/monotone_resolver.h"
 #include "algo/structural_join.h"
 #include "data/nasa_generator.h"
 #include "data/xmark_generator.h"
 #include "storage/materialized_view.h"
+#include "tests/test_util.h"
 #include "tpq/evaluator.h"
 #include "tpq/pattern.h"
 #include "util/rng.h"
@@ -25,6 +28,12 @@ namespace {
 const xml::Document& XmarkDoc() {
   static const xml::Document* doc =
       new xml::Document(data::GenerateXmark({.scale = 0.5, .seed = 42}));
+  return *doc;
+}
+
+const xml::Document& XmarkScale1Doc() {
+  static const xml::Document* doc =
+      new xml::Document(data::GenerateXmark({.scale = 1, .seed = 42}));
   return *doc;
 }
 
@@ -144,25 +153,54 @@ void BM_CandidateEnumerator(benchmark::State& state) {
   const xml::Document& doc = XmarkDoc();
   tpq::TreePattern pattern = *tpq::TreePattern::Parse("//item//text//keyword");
   tpq::NaiveEvaluator eval(doc, pattern);
-  std::vector<std::vector<xml::NodeId>> lists = eval.SolutionNodes();
+  // Exact solution lists: the in-place filter keeps every candidate, so the
+  // same lists serve every iteration.
+  algo::CandidateLists lists =
+      testing::WithLabels(doc, eval.SolutionNodes());
   algo::CandidateEnumerator enumerator(doc, pattern);
   for (auto _ : state) {
     tpq::CountingSink sink;
-    enumerator.Enumerate(lists, &sink);
+    enumerator.Enumerate(&lists, &sink);
     benchmark::DoNotOptimize(sink.count());
   }
 }
 BENCHMARK(BM_CandidateEnumerator);
 
-void BM_CollectStatistics(benchmark::State& state) {
-  static const xml::Document* doc =
-      new xml::Document(data::GenerateXmark({.scale = 1, .seed = 42}));
+// The output pass's first step: every solution label of //item//text//keyword
+// resolved back to its node, one forward scan of each tag's start index.
+void BM_ResolveCandidates(benchmark::State& state) {
+  const xml::Document& doc = XmarkScale1Doc();
+  tpq::TreePattern pattern = *tpq::TreePattern::Parse("//item//text//keyword");
+  const algo::CandidateLists lists = testing::WithLabels(
+      doc, tpq::NaiveEvaluator(doc, pattern).SolutionNodes());
+  std::vector<xml::TagId> tags;
+  int64_t labels = 0;
+  for (size_t q = 0; q < pattern.size(); ++q) {
+    tags.push_back(doc.FindTag(pattern.node(static_cast<int>(q)).tag));
+    labels += static_cast<int64_t>(lists[q].size());
+  }
   for (auto _ : state) {
-    xml::DocumentStatistics stats = xml::DocumentStatistics::Collect(*doc);
+    algo::MonotoneResolver resolver(&doc, tags);
+    uint64_t acc = 0;
+    for (size_t q = 0; q < lists.size(); ++q) {
+      for (const algo::Candidate& c : lists[q]) {
+        acc += resolver.Resolve(static_cast<int>(q), c.label.start);
+      }
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * labels);
+}
+BENCHMARK(BM_ResolveCandidates);
+
+void BM_CollectStatistics(benchmark::State& state) {
+  const xml::Document& doc = XmarkScale1Doc();
+  for (auto _ : state) {
+    xml::DocumentStatistics stats = xml::DocumentStatistics::Collect(doc);
     benchmark::DoNotOptimize(stats.node_count());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(doc->NodeCount()));
+                          static_cast<int64_t>(doc.NodeCount()));
 }
 BENCHMARK(BM_CollectStatistics)->Unit(benchmark::kMillisecond);
 

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "util/check.h"
 #include "xml/document.h"
 
 namespace viewjoin::algo {
@@ -11,29 +10,41 @@ namespace viewjoin::algo {
 /// Resolves stored labels back to document nodes in amortized O(1): each
 /// per-query-node stream of labels arrives in ascending start order (list
 /// pushes, drain and extension are all monotone), so one forward pointer per
-/// query node walks the document's tag list exactly once per evaluation.
+/// query node walks the document's per-tag start index exactly once per
+/// evaluation. The index arrays are cached at construction; the document
+/// must not change while the resolver is in use (queries hold its read
+/// lock).
 class MonotoneResolver {
  public:
-  MonotoneResolver(const xml::Document* doc, std::vector<xml::TagId> tags)
-      : doc_(doc), tags_(std::move(tags)), pos_(tags_.size(), 0) {}
+  MonotoneResolver(const xml::Document* doc,
+                   const std::vector<xml::TagId>& tags) {
+    streams_.reserve(tags.size());
+    for (xml::TagId tag : tags) {
+      const std::vector<uint32_t>& starts = doc->StartsOfTag(tag);
+      streams_.push_back(Stream{starts.data(), doc->NodesOfTag(tag).data(),
+                                starts.size(), 0});
+    }
+  }
 
   /// Resolves the node of query node `q` whose label starts at `start`.
   /// `start` must be non-decreasing across calls with the same `q`.
   xml::NodeId Resolve(int q, uint32_t start) {
-    const std::vector<xml::NodeId>& list =
-        doc_->NodesOfTag(tags_[static_cast<size_t>(q)]);
-    size_t& p = pos_[static_cast<size_t>(q)];
-    while (p < list.size() && doc_->NodeLabel(list[p]).start < start) ++p;
-    if (p < list.size() && doc_->NodeLabel(list[p]).start == start) {
-      return list[p];
-    }
+    Stream& s = streams_[static_cast<size_t>(q)];
+    while (s.pos < s.size && s.starts[s.pos] < start) ++s.pos;
+    if (s.pos < s.size && s.starts[s.pos] == start) return s.nodes[s.pos];
     return xml::kInvalidNode;
   }
 
  private:
-  const xml::Document* doc_;
-  std::vector<xml::TagId> tags_;
-  std::vector<size_t> pos_;
+  /// One query node's tag: its start index and node list (aligned), and the
+  /// forward pointer into them.
+  struct Stream {
+    const uint32_t* starts;
+    const xml::NodeId* nodes;
+    size_t size;
+    size_t pos;
+  };
+  std::vector<Stream> streams_;
 };
 
 }  // namespace viewjoin::algo

@@ -2,8 +2,7 @@
 
 #include <memory>
 
-#include "algo/candidate_enumerator.h"
-#include "algo/monotone_resolver.h"
+#include "algo/output_pass.h"
 #include "algo/spill_buffer.h"
 #include "util/check.h"
 
@@ -13,7 +12,6 @@ using storage::ListCursor;
 using tpq::Axis;
 using tpq::TreePattern;
 using xml::Label;
-using xml::NodeId;
 
 namespace {
 
@@ -33,14 +31,7 @@ class TwigStack::Impl {
         mode_(mode),
         stats_(stats),
         ctx_(ctx != nullptr ? ctx : &default_ctx_),
-        enumerator_(binding.doc(), binding.query()),
-        resolver_(&binding.doc(), [&binding] {
-          std::vector<xml::TagId> tags;
-          for (size_t q = 0; q < binding.query().size(); ++q) {
-            tags.push_back(binding.binding(static_cast<int>(q)).tag);
-          }
-          return tags;
-        }()) {
+        output_(binding) {
     size_t nq = query_.size();
     cursors_.resize(nq);
     stacks_.resize(nq);
@@ -211,26 +202,12 @@ class TwigStack::Impl {
     // An aborted run's candidates are never resolved or enumerated (their
     // partial output would be discarded anyway); the buffers die with Impl.
     if (ctx_->aborted()) return;
-    bool any = false;
-    size_t nq = query_.size();
-    std::vector<std::vector<NodeId>> resolved(nq);
-    for (size_t q = 0; q < nq; ++q) {
+    for (size_t q = 0; q < query_.size(); ++q) {
       std::vector<Label> labels =
           mode_ == OutputMode::kDisk ? spill_->Drain(q)
                                      : std::move(candidates_[q]);
       candidates_[q].clear();
-      resolved[q].reserve(labels.size());
-      for (const Label& label : labels) {
-        if (ctx_->Checkpoint()) return;
-        NodeId n = resolver_.Resolve(static_cast<int>(q), label.start);
-        VJ_DCHECK(n != xml::kInvalidNode);
-        // A label that resolves to no document node can only come from a
-        // corrupt or poisoned page; the engine will see the latched storage
-        // error and discard this run — never emit the phantom node.
-        if (n == xml::kInvalidNode) continue;
-        resolved[q].push_back(n);
-      }
-      if (!resolved[q].empty()) any = true;
+      if (!output_.Resolve(q, labels, ctx_)) return;
     }
     if (mode_ == OutputMode::kDisk) {
       stats_->spill_pages_written = spill_->pages_written();
@@ -241,9 +218,7 @@ class TwigStack::Impl {
     // The flushed candidates are freed; return their budget charge.
     ctx_->ReleaseMemory(charged_memory_);
     charged_memory_ = 0;
-    if (!any) return;
-    ++stats_->flushes;
-    enumerator_.Enumerate(resolved, sink_, ctx_);
+    if (output_.Enumerate(sink_, ctx_)) ++stats_->flushes;
   }
 
   static constexpr uint64_t kFlushThreshold = 8192;
@@ -255,8 +230,7 @@ class TwigStack::Impl {
   HolisticStats* stats_;
   QueryContext default_ctx_;  // ungoverned stand-in when the caller passes none
   QueryContext* ctx_;
-  CandidateEnumerator enumerator_;
-  MonotoneResolver resolver_;
+  OutputPass output_;
   std::vector<ListCursor> cursors_;
   std::vector<Label> heads_;
   std::vector<std::vector<Label>> stacks_;

@@ -4,8 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "algo/candidate_enumerator.h"
-#include "algo/monotone_resolver.h"
+#include "algo/output_pass.h"
 #include "algo/spill_buffer.h"
 #include "storage/materialized_view.h"
 #include "storage/stored_list.h"
@@ -25,7 +24,6 @@ using storage::Scheme;
 using tpq::Axis;
 using tpq::TreePattern;
 using xml::Label;
-using xml::NodeId;
 
 namespace {
 
@@ -53,14 +51,7 @@ class ViewJoin::Impl {
         mode_(mode),
         stats_(stats),
         ctx_(ctx != nullptr ? ctx : &default_ctx_),
-        enumerator_(binding.doc(), binding.query()),
-        resolver_(&binding.doc(), [&binding] {
-          std::vector<xml::TagId> tags;
-          for (size_t q = 0; q < binding.query().size(); ++q) {
-            tags.push_back(binding.binding(static_cast<int>(q)).tag);
-          }
-          return tags;
-        }()) {
+        output_(binding) {
     size_t nq = query_.size();
     cursors_.resize(nq);
     stacks_.resize(nq);
@@ -373,31 +364,17 @@ class ViewJoin::Impl {
       ExtendRemoved(r, anchor, removed_slot_[i], removed_edge_ad_[i] != 0);
       if (ctx_->aborted()) return;
     }
-    // Step 2: gather per-node candidate NodeIds and enumerate.
-    size_t nq = query_.size();
-    std::vector<std::vector<NodeId>> resolved(nq);
-    bool any = false;
-    for (size_t q = 0; q < nq; ++q) {
-      std::vector<Label> labels;
-      if (mode_ == OutputMode::kDisk) {
-        labels = spill_->Drain(q);
-      } else {
-        labels.reserve(buffer_[q].size());
-        for (const FEntry& e : buffer_[q]) labels.push_back(e.label);
-      }
+    // Step 2: resolve every F entry's label once, then enumerate.
+    for (size_t q = 0; q < query_.size(); ++q) {
+      bool resolved =
+          mode_ == OutputMode::kDisk
+              ? output_.Resolve(q, spill_->Drain(q), ctx_)
+              : output_.Resolve(
+                    q, buffer_[q],
+                    [](const FEntry& e) -> const Label& { return e.label; },
+                    ctx_);
       buffer_[q].clear();
-      resolved[q].reserve(labels.size());
-      for (const Label& label : labels) {
-        if (ctx_->Checkpoint()) return;
-        NodeId n = resolver_.Resolve(static_cast<int>(q), label.start);
-        VJ_DCHECK(n != xml::kInvalidNode);
-        // Corrupt/poisoned pages can surface labels that resolve to no
-        // document node; skip them — the engine discards the run via the
-        // latched storage error.
-        if (n == xml::kInvalidNode) continue;
-        resolved[q].push_back(n);
-      }
-      if (!resolved[q].empty()) any = true;
+      if (!resolved) return;
     }
     if (mode_ == OutputMode::kDisk) {
       stats_->spill_pages_written = spill_->pages_written();
@@ -409,9 +386,7 @@ class ViewJoin::Impl {
     // The flushed F entries are freed; return their budget charge.
     ctx_->ReleaseMemory(charged_memory_);
     charged_memory_ = 0;
-    if (!any) return;
-    ++stats_->flushes;
-    enumerator_.Enumerate(resolved, sink_, ctx_);
+    if (output_.Enumerate(sink_, ctx_)) ++stats_->flushes;
   }
 
   /// Collects the F entries of removed node `r` under the buffered entries
@@ -487,8 +462,7 @@ class ViewJoin::Impl {
   HolisticStats* stats_;
   algo::QueryContext default_ctx_;  // ungoverned stand-in when none supplied
   algo::QueryContext* ctx_;
-  algo::CandidateEnumerator enumerator_;
-  algo::MonotoneResolver resolver_;
+  algo::OutputPass output_;
 
   std::vector<ListCursor> cursors_;
   std::vector<Label> heads_;

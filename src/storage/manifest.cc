@@ -344,14 +344,18 @@ Status SyncFile(std::FILE* file, const std::string& path) {
   return Status::Ok();
 }
 
+/// kBegin records not yet matched by their install: epoch -> (pattern,
+/// scheme).
+using PendingBegins =
+    std::unordered_map<uint64_t, std::pair<std::string, uint8_t>>;
+
 /// Applies one parsed record to the accumulating replay state. Returns
 /// kCorruption when the payload does not decode.
 Status ApplyRecord(ManifestRecordType type, const uint8_t* payload,
                    size_t payload_size, uint32_t version,
                    const std::string& path, long offset,
                    ManifestReplayResult& result,
-                   std::unordered_map<uint64_t, std::pair<std::string, uint8_t>>&
-                       pending_begins) {
+                   PendingBegins& pending_begins) {
   PayloadReader in(payload, payload_size);
   uint64_t epoch = in.U64();
   switch (type) {
@@ -432,6 +436,115 @@ Status ApplyRecord(ManifestRecordType type, const uint8_t* payload,
                               " does not decode");
   }
   if (epoch > result.last_epoch) result.last_epoch = epoch;
+  return Status::Ok();
+}
+
+/// One pass over a journal's records: the replay state plus the bookkeeping
+/// the record loop keeps across records.
+struct RecordScan {
+  ManifestReplayResult result;
+  PendingBegins pending;
+  /// Offset of the first record not applied (torn tail start or the end).
+  long offset = static_cast<long>(kJournalHeaderSize);
+  // Epoch bookkeeping across every scanned record, including records an
+  // update rollback later undoes: the epoch counter must resume above
+  // everything ever written, or a restart would mint colliding epochs.
+  uint64_t max_epoch_seen = 0;
+  uint64_t prev_epoch = 0;
+  uint64_t regressions = 0;
+  /// An update transaction (kUpdateBegin) has seen no kUpdateCommit yet.
+  bool txn_open = false;
+  long txn_begin_offset = 0;
+};
+
+/// Applies the records from scan.offset up to `end`, reading sequentially
+/// from `file`'s current position (which must be scan.offset). Stops at a
+/// torn record (tail_torn); fails with kCorruption on a record that is fully
+/// present but bad.
+Status ScanRecords(std::FILE* file, const std::string& path, long end,
+                   RecordScan& scan) {
+  std::vector<uint8_t> buf;
+  while (scan.offset < end) {
+    const long offset = scan.offset;
+    long remaining = end - offset;
+    uint8_t len_bytes[4];
+    if (remaining < 4 ||
+        std::fread(len_bytes, 1, 4, file) != 4) {
+      scan.result.tail_torn = true;  // crash tore the length prefix itself
+      break;
+    }
+    uint32_t payload_len = 0;
+    for (int i = 0; i < 4; ++i) {
+      payload_len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
+    }
+    long record_size = 4 + 1 + static_cast<long>(payload_len) + 4;
+    if (payload_len > ManifestJournal::kMaxPayload || remaining < record_size) {
+      // Either the record's bytes end before its declared size (classic torn
+      // append) or the length prefix itself is torn garbage; both are the
+      // signature of a crash at EOF, not of rot inside the valid prefix.
+      scan.result.tail_torn = true;
+      break;
+    }
+    buf.resize(1 + payload_len + 4);
+    if (std::fread(buf.data(), 1, buf.size(), file) != buf.size()) {
+      scan.result.tail_torn = true;
+      break;
+    }
+    uint32_t stored_crc = 0;
+    for (int i = 0; i < 4; ++i) {
+      stored_crc |= static_cast<uint32_t>(buf[1 + payload_len + i]) << (8 * i);
+    }
+    if (stored_crc != util::Crc32(buf.data(), 1 + payload_len)) {
+      // The record is fully present yet fails its checksum: bit rot, not a
+      // torn append — a crash cannot fabricate the trailing bytes.
+      return Status::Corruption("manifest record at offset " +
+                                std::to_string(offset) + " of " + path +
+                                " fails its checksum");
+    }
+    uint8_t type = buf[0];
+    if (type < static_cast<uint8_t>(ManifestRecordType::kBegin) ||
+        type > static_cast<uint8_t>(ManifestRecordType::kEpochMark)) {
+      return Status::Corruption("manifest record at offset " +
+                                std::to_string(offset) + " of " + path +
+                                " has unknown type " + std::to_string(type));
+    }
+    // Every record type leads its payload with a u64 epoch; decode it here
+    // for the file-wide monotonicity and high-water-mark tracking.
+    uint64_t lead_epoch = 0;
+    if (payload_len >= 8) {
+      for (int i = 0; i < 8; ++i) {
+        lead_epoch |= static_cast<uint64_t>(buf[1 + i]) << (8 * i);
+      }
+    }
+    if (lead_epoch < scan.prev_epoch) ++scan.regressions;
+    scan.prev_epoch = lead_epoch;
+    if (lead_epoch > scan.max_epoch_seen) scan.max_epoch_seen = lead_epoch;
+
+    const ManifestRecordType rtype = static_cast<ManifestRecordType>(type);
+    if (rtype == ManifestRecordType::kUpdateBegin) {
+      if (scan.txn_open) {
+        return Status::Corruption("manifest record at offset " +
+                                  std::to_string(offset) + " of " + path +
+                                  " opens a nested update transaction");
+      }
+      scan.txn_open = true;
+      scan.txn_begin_offset = offset;
+    } else if (rtype == ManifestRecordType::kUpdateCommit) {
+      if (!scan.txn_open) {
+        return Status::Corruption("manifest record at offset " +
+                                  std::to_string(offset) + " of " + path +
+                                  " commits an update transaction that was "
+                                  "never opened");
+      }
+      scan.txn_open = false;
+    } else if (rtype != ManifestRecordType::kEpochMark) {
+      Status applied = ApplyRecord(rtype, buf.data() + 1, payload_len,
+                                   scan.result.header_version, path, offset,
+                                   scan.result, scan.pending);
+      if (!applied.ok()) return applied;
+    }
+    scan.offset += record_size;
+  }
   return Status::Ok();
 }
 
@@ -525,134 +638,40 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
     return Status::Corruption("manifest journal " + path +
                               " header fails validation (version/CRC)");
   }
-  result.header_version = header_version;
 
-  std::unordered_map<uint64_t, std::pair<std::string, uint8_t>> pending;
-  long offset = static_cast<long>(kJournalHeaderSize);
-  std::vector<uint8_t> buf;
-  // Epoch bookkeeping across the *whole* file, including records an update
-  // rollback later undoes: the epoch counter must resume above everything
-  // ever written, or a restart would mint colliding epochs.
-  uint64_t max_epoch_seen = 0;
-  uint64_t prev_epoch = 0;
-  uint64_t regressions = 0;
-  // Open update transaction, if any: result/pending as of its kUpdateBegin,
-  // restored wholesale when the commit record never arrives.
-  bool txn_open = false;
-  long txn_begin_offset = 0;
-  ManifestReplayResult txn_snapshot;
-  std::unordered_map<uint64_t, std::pair<std::string, uint8_t>>
-      txn_pending_snapshot;
-  while (offset < file_size) {
-    long remaining = file_size - offset;
-    uint8_t len_bytes[4];
-    if (remaining < 4 ||
-        std::fread(len_bytes, 1, 4, file) != 4) {
-      result.tail_torn = true;  // crash tore the length prefix itself
-      break;
-    }
-    uint32_t payload_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      payload_len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
-    }
-    long record_size = 4 + 1 + static_cast<long>(payload_len) + 4;
-    if (payload_len > kMaxPayload || remaining < record_size) {
-      // Either the record's bytes end before its declared size (classic torn
-      // append) or the length prefix itself is torn garbage; both are the
-      // signature of a crash at EOF, not of rot inside the valid prefix.
-      result.tail_torn = true;
-      break;
-    }
-    buf.resize(1 + payload_len + 4);
-    if (std::fread(buf.data(), 1, buf.size(), file) != buf.size()) {
-      result.tail_torn = true;
-      break;
-    }
-    uint32_t stored_crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored_crc |= static_cast<uint32_t>(buf[1 + payload_len + i]) << (8 * i);
-    }
-    if (stored_crc != util::Crc32(buf.data(), 1 + payload_len)) {
-      // The record is fully present yet fails its checksum: bit rot, not a
-      // torn append — a crash cannot fabricate the trailing bytes.
-      std::fclose(file);
-      return Status::Corruption("manifest record at offset " +
-                                std::to_string(offset) + " of " + path +
-                                " fails its checksum");
-    }
-    uint8_t type = buf[0];
-    if (type < static_cast<uint8_t>(ManifestRecordType::kBegin) ||
-        type > static_cast<uint8_t>(ManifestRecordType::kEpochMark)) {
-      std::fclose(file);
-      return Status::Corruption("manifest record at offset " +
-                                std::to_string(offset) + " of " + path +
-                                " has unknown type " + std::to_string(type));
-    }
-    // Every record type leads its payload with a u64 epoch; decode it here
-    // for the file-wide monotonicity and high-water-mark tracking.
-    uint64_t lead_epoch = 0;
-    if (payload_len >= 8) {
-      for (int i = 0; i < 8; ++i) {
-        lead_epoch |= static_cast<uint64_t>(buf[1 + i]) << (8 * i);
-      }
-    }
-    if (lead_epoch < prev_epoch) ++regressions;
-    prev_epoch = lead_epoch;
-    if (lead_epoch > max_epoch_seen) max_epoch_seen = lead_epoch;
-
-    const ManifestRecordType rtype = static_cast<ManifestRecordType>(type);
-    if (rtype == ManifestRecordType::kUpdateBegin) {
-      if (txn_open) {
-        std::fclose(file);
-        return Status::Corruption("manifest record at offset " +
-                                  std::to_string(offset) + " of " + path +
-                                  " opens a nested update transaction");
-      }
-      txn_open = true;
-      txn_begin_offset = offset;
-      txn_snapshot = result;
-      txn_pending_snapshot = pending;
-    } else if (rtype == ManifestRecordType::kUpdateCommit) {
-      if (!txn_open) {
-        std::fclose(file);
-        return Status::Corruption("manifest record at offset " +
-                                  std::to_string(offset) + " of " + path +
-                                  " commits an update transaction that was "
-                                  "never opened");
-      }
-      txn_open = false;
-      txn_snapshot = ManifestReplayResult();
-      txn_pending_snapshot.clear();
-    } else if (rtype != ManifestRecordType::kEpochMark) {
-      Status applied =
-          ApplyRecord(rtype, buf.data() + 1, payload_len, header_version, path,
-                      offset, result, pending);
-      if (!applied.ok()) {
-        std::fclose(file);
-        return applied;
-      }
-    }
-    offset += record_size;
+  PendingBegins pending;
+  RecordScan scan;
+  scan.result.header_version = header_version;
+  Status scanned = ScanRecords(file, path, file_size, scan);
+  if (scanned.ok() && scan.txn_open) {
+    // Crash mid-batch: the commit record never landed, so none of the
+    // batch's installs/replaces happened. Rebuild the pre-batch state by
+    // scanning the records before the kUpdateBegin once more (only a torn
+    // batch pays this second pass; committed batches are applied once, with
+    // no per-transaction snapshot), and point valid_bytes at the kUpdateBegin
+    // record so recovery truncates the half-applied suffix — otherwise
+    // records appended after recovery would sit behind a dangling open
+    // transaction and be rolled back by every future replay.
+    RecordScan before;
+    before.result.header_version = header_version;
+    scanned = std::fseek(file, before.offset, SEEK_SET) == 0
+                  ? ScanRecords(file, path, scan.txn_begin_offset, before)
+                  : IoError("cannot rewind manifest journal " + path);
+    before.result.valid_bytes = scan.txn_begin_offset;
+    before.result.rolled_back_update_batches = 1;
+    result = std::move(before.result);
+    pending = std::move(before.pending);
+  } else {
+    result = std::move(scan.result);
+    pending = std::move(scan.pending);
+    result.valid_bytes = scan.offset;
   }
   std::fclose(file);
-  if (txn_open) {
-    // Crash mid-batch: the commit record never landed, so none of the
-    // batch's installs/replaces happened. Restore the pre-batch state and
-    // point valid_bytes at the kUpdateBegin record so recovery truncates
-    // the half-applied suffix — otherwise records appended after recovery
-    // would sit behind a dangling open transaction and be rolled back by
-    // every future replay.
-    const uint32_t hv = result.header_version;
-    result = std::move(txn_snapshot);
-    pending = std::move(txn_pending_snapshot);
-    result.header_version = hv;
-    result.valid_bytes = txn_begin_offset;
-    result.rolled_back_update_batches = 1;
-  } else {
-    result.valid_bytes = offset;
+  if (!scanned.ok()) return scanned;
+  if (scan.max_epoch_seen > result.last_epoch) {
+    result.last_epoch = scan.max_epoch_seen;
   }
-  if (max_epoch_seen > result.last_epoch) result.last_epoch = max_epoch_seen;
-  result.epoch_regressions = regressions;
+  result.epoch_regressions = scan.regressions;
   for (auto& [epoch, begin] : pending) {
     (void)epoch;
     result.rolled_back.emplace_back(std::move(begin.first), begin.second);

@@ -13,6 +13,7 @@ TagId Document::InternTag(std::string_view name) {
   tag_names_.emplace_back(name);
   tag_ids_.emplace(std::string(name), id);
   nodes_by_tag_.emplace_back();
+  starts_by_tag_.emplace_back();
   return id;
 }
 
@@ -53,6 +54,7 @@ NodeId Document::StartElement(TagId tag) {
     last_child_[parent] = id;
   }
   nodes_by_tag_[tag].push_back(id);
+  starts_by_tag_[tag].push_back(label.start);
   open_stack_.push_back(id);
   return id;
 }
@@ -69,14 +71,16 @@ const std::vector<NodeId>& Document::NodesOfTag(TagId tag) const {
   return nodes_by_tag_[tag];
 }
 
+const std::vector<uint32_t>& Document::StartsOfTag(TagId tag) const {
+  if (tag >= starts_by_tag_.size()) return empty_starts_;
+  return starts_by_tag_[tag];
+}
+
 NodeId Document::FindByStart(TagId tag, uint32_t start) const {
-  const std::vector<NodeId>& list = NodesOfTag(tag);
-  auto it = std::lower_bound(list.begin(), list.end(), start,
-                             [this](NodeId n, uint32_t s) {
-                               return labels_[n].start < s;
-                             });
-  if (it == list.end() || labels_[*it].start != start) return kInvalidNode;
-  return *it;
+  const std::vector<uint32_t>& starts = StartsOfTag(tag);
+  auto it = std::lower_bound(starts.begin(), starts.end(), start);
+  if (it == starts.end() || *it != start) return kInvalidNode;
+  return nodes_by_tag_[tag][static_cast<size_t>(it - starts.begin())];
 }
 
 util::Status Document::RelabelWithGap(uint32_t gap) {
@@ -95,6 +99,9 @@ util::Status Document::RelabelWithGap(uint32_t gap) {
   for (Label& l : labels_) {
     l.start *= gap;
     l.end *= gap;
+  }
+  for (std::vector<uint32_t>& starts : starts_by_tag_) {
+    for (uint32_t& s : starts) s *= gap;
   }
   next_pos_ = labels_[0].end + 1;
   ++revision_;
@@ -213,14 +220,15 @@ util::StatusOr<NodeId> Document::InsertSubtree(const SubtreeSpec& spec,
     if (last_child_[parent] == kInvalidNode) last_child_[parent] = base;
   }
 
-  // Keep every per-tag stream sorted by start label.
+  // Keep every per-tag stream and its start index sorted by start label.
   for (NodeId id = base; id < base + n; ++id) {
+    std::vector<uint32_t>& starts = starts_by_tag_[tags_[id]];
+    auto it = std::lower_bound(starts.begin(), starts.end(),
+                               labels_[id].start);
+    const auto pos = it - starts.begin();
+    starts.insert(it, labels_[id].start);
     std::vector<NodeId>& list = nodes_by_tag_[tags_[id]];
-    auto it = std::lower_bound(list.begin(), list.end(), labels_[id].start,
-                               [this](NodeId a, uint32_t s) {
-                                 return labels_[a].start < s;
-                               });
-    list.insert(it, id);
+    list.insert(list.begin() + pos, id);
   }
   ++revision_;
   return base;
@@ -274,13 +282,14 @@ util::Status Document::DeleteSubtree(NodeId root,
   // stay readable so delta maintenance can see what was removed.
   for (NodeId n : subtree) {
     deleted_[n] = 1;
+    std::vector<uint32_t>& starts = starts_by_tag_[tags_[n]];
+    auto it = std::lower_bound(starts.begin(), starts.end(),
+                               labels_[n].start);
+    const auto pos = it - starts.begin();
     std::vector<NodeId>& list = nodes_by_tag_[tags_[n]];
-    auto it = std::lower_bound(list.begin(), list.end(), labels_[n].start,
-                               [this](NodeId a, uint32_t s) {
-                                 return labels_[a].start < s;
-                               });
-    VJ_DCHECK(it != list.end() && *it == n);
-    list.erase(it);
+    VJ_DCHECK(it != starts.end() && list[static_cast<size_t>(pos)] == n);
+    starts.erase(it);
+    list.erase(list.begin() + pos);
   }
   next_sibling_[root] = kInvalidNode;
   deleted_count_ += subtree.size();
@@ -315,8 +324,11 @@ SubtreeSpec SpecFromDocument(const Document& doc, NodeId root) {
 }
 
 size_t Document::MemoryBytes() const {
+  // Per node: label, tag, parent/child/sibling links, its tag-stream entry
+  // and that entry's start index slot.
   size_t bytes = labels_.size() * (sizeof(Label) + sizeof(TagId) +
-                                   3 * sizeof(NodeId) + sizeof(NodeId));
+                                   3 * sizeof(NodeId) + sizeof(NodeId) +
+                                   sizeof(uint32_t));
   for (const auto& name : tag_names_) bytes += name.size() + sizeof(TagId);
   return bytes;
 }

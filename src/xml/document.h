@@ -98,6 +98,11 @@ class Document {
   /// unknown tags).
   const std::vector<NodeId>& NodesOfTag(TagId tag) const;
 
+  /// Start labels of NodesOfTag(tag), index for index: StartsOfTag(tag)[i] ==
+  /// NodeLabel(NodesOfTag(tag)[i]).start. A contiguous, ascending array, so
+  /// label -> node resolution scans or searches it without touching labels.
+  const std::vector<uint32_t>& StartsOfTag(TagId tag) const;
+
   /// Node of type `tag` whose label has the given `start`, or kInvalidNode.
   /// Start labels are unique, so this resolves stored labels back to nodes.
   NodeId FindByStart(TagId tag, uint32_t start) const;
@@ -174,7 +179,9 @@ class Document {
   std::vector<std::string> tag_names_;
   std::unordered_map<std::string, TagId> tag_ids_;
   std::vector<std::vector<NodeId>> nodes_by_tag_;
+  std::vector<std::vector<uint32_t>> starts_by_tag_;  // aligned with the above
   std::vector<NodeId> empty_list_;
+  std::vector<uint32_t> empty_starts_;
 
   std::vector<NodeId> open_stack_;
   uint32_t next_pos_ = 1;

@@ -6,6 +6,7 @@
 
 #include "algo/candidate_enumerator.h"
 #include "algo/inter_join.h"
+#include "algo/output_pass.h"
 #include "algo/path_stack.h"
 #include "algo/query_binding.h"
 #include "algo/spill_buffer.h"
@@ -250,8 +251,9 @@ TEST(CandidateEnumeratorTest, FiltersNonJoiningCandidates) {
   xml::TagId b = doc.FindTag("b");
   std::vector<std::vector<xml::NodeId>> candidates = {doc.NodesOfTag(a),
                                                       doc.NodesOfTag(b)};
+  algo::CandidateLists lists = testing::WithLabels(doc, candidates);
   tpq::CollectingSink sink;
-  enumerator.Enumerate(candidates, &sink);
+  enumerator.Enumerate(&lists, &sink);
   std::vector<Match> matches = sink.matches();
   tpq::SortMatches(&matches);
   EXPECT_EQ(matches, SortedOracle(doc, query));
@@ -262,7 +264,8 @@ TEST(CandidateEnumeratorTest, EmptyCandidateListShortCircuits) {
   TreePattern query = MustParse("//a//b");
   algo::CandidateEnumerator enumerator(doc, query);
   tpq::CollectingSink sink;
-  enumerator.Enumerate({{0}, {}}, &sink);
+  algo::CandidateLists lists = testing::WithLabels(doc, {{0}, {}});
+  enumerator.Enumerate(&lists, &sink);
   EXPECT_TRUE(sink.matches().empty());
 }
 
@@ -272,8 +275,9 @@ void ExpectEnumerationMatchesOracle(
     const xml::Document& doc, const TreePattern& query,
     const std::vector<std::vector<xml::NodeId>>& candidates) {
   algo::CandidateEnumerator enumerator(doc, query);
+  algo::CandidateLists lists = testing::WithLabels(doc, candidates);
   tpq::CollectingSink sink;
-  enumerator.Enumerate(candidates, &sink);
+  enumerator.Enumerate(&lists, &sink);
   std::vector<Match> matches = sink.matches();
   tpq::SortMatches(&matches);
   EXPECT_EQ(matches, SortedOracle(doc, query)) << query.ToString();
@@ -330,6 +334,134 @@ TEST(CandidateEnumeratorTest, RandomRecursiveDocsMatchOracle) {
       TreePattern query = MustParse(xpath);
       ExpectEnumerationMatchesOracle(doc, query, TagCandidates(doc, query));
     }
+  }
+}
+
+// ---- The shared output pass (the flush of TwigStack and ViewJoin) --------
+
+std::vector<Label> LabelsOf(const xml::Document& doc,
+                            const std::vector<xml::NodeId>& nodes) {
+  std::vector<Label> labels;
+  for (xml::NodeId n : nodes) labels.push_back(doc.NodeLabel(n));
+  return labels;
+}
+
+// r(a(c) a(b)): only the second a has a b below it. A b candidate whose
+// label starts at the c inside the first a resolves to no b node — what a
+// corrupt or poisoned page would surface. It is dropped at resolution, before
+// the semi-join, so it cannot keep the first a alive.
+TEST(OutputPassTest, PhantomLabelIsDroppedBeforeTheSemiJoin) {
+  xml::Document doc = MakeDoc("r(a(c) a(b))");
+  TreePattern query = MustParse("//a//b");
+  std::optional<QueryBinding> binding = QueryBinding::BindBase(doc, query);
+  ASSERT_TRUE(binding.has_value());
+  const std::vector<xml::NodeId>& as = doc.NodesOfTag(doc.FindTag("a"));
+  const xml::NodeId c = doc.NodesOfTag(doc.FindTag("c")).front();
+  const xml::NodeId b = doc.NodesOfTag(doc.FindTag("b")).front();
+  Label phantom = doc.NodeLabel(c);
+  ASSERT_TRUE(IsAncestor(doc.NodeLabel(as[0]), phantom));
+
+  algo::OutputPass pass(*binding);
+  algo::QueryContext ctx;
+  ASSERT_TRUE(pass.Resolve(0, LabelsOf(doc, as), &ctx));
+  ASSERT_TRUE(pass.Resolve(1, {phantom, doc.NodeLabel(b)}, &ctx));
+  tpq::CollectingSink sink;
+  EXPECT_TRUE(pass.Enumerate(&sink, &ctx));
+  ASSERT_EQ(sink.matches(), (std::vector<Match>{{as[1], b}}));
+
+  // A flush whose every label is a phantom resolves nothing and enumerates
+  // nothing.
+  ASSERT_TRUE(pass.Resolve(1, {phantom}, &ctx));
+  tpq::CollectingSink empty;
+  EXPECT_FALSE(pass.Enumerate(&empty, &ctx));
+  EXPECT_TRUE(empty.matches().empty());
+}
+
+// The resolver's forward pointers persist across the flushes of one
+// evaluation (disk mode flushes every closed root group): each flush resolves
+// labels that start after the previous flush's. On a document whose inserted
+// nodes take ids out of document order, every group flushed one at a time
+// must yield exactly its own matches.
+TEST(OutputPassTest, ResolutionStaysMonotoneAcrossFlushes) {
+  xml::Document doc = MakeDoc("r(a(b b) a(c) a(b(b)) a(b))");
+  ASSERT_TRUE(doc.RelabelWithGap(64).ok());
+  const xml::NodeId root = doc.Root();
+  xml::SubtreeSpec spec = {{{"a", xml::SubtreeSpec::kNoParent}, {"b", 0}}};
+  ASSERT_TRUE(doc.InsertSubtree(spec, root).ok());  // new first group
+  const xml::NodeId second = doc.NodesOfTag(doc.FindTag("a"))[2];
+  ASSERT_TRUE(doc.InsertSubtree(spec, root, second).ok());  // middle group
+  TreePattern query = MustParse("//a//b");
+  std::optional<QueryBinding> binding = QueryBinding::BindBase(doc, query);
+  ASSERT_TRUE(binding.has_value());
+
+  algo::OutputPass pass(*binding);
+  algo::QueryContext ctx;
+  std::vector<Match> all;
+  const xml::TagId b = doc.FindTag("b");
+  size_t flushes = 0;
+  for (xml::NodeId a : doc.NodesOfTag(doc.FindTag("a"))) {
+    std::vector<xml::NodeId> bs;
+    for (xml::NodeId n : doc.NodesOfTag(b)) {
+      if (doc.IsAncestor(a, n)) bs.push_back(n);
+    }
+    ASSERT_TRUE(pass.Resolve(0, LabelsOf(doc, {a}), &ctx));
+    ASSERT_TRUE(pass.Resolve(1, LabelsOf(doc, bs), &ctx));
+    tpq::CollectingSink sink;
+    flushes += pass.Enumerate(&sink, &ctx);
+    for (const Match& m : sink.matches()) {
+      EXPECT_EQ(m[0], a);
+      all.push_back(m);
+    }
+  }
+  EXPECT_EQ(flushes, 6u);
+  tpq::SortMatches(&all);
+  EXPECT_EQ(all, SortedOracle(doc, query));
+}
+
+// End to end: TwigStack and ViewJoin in disk output mode flush every few
+// thousand candidates, on a document whose inserted groups have ids out of
+// document order; both must agree with memory mode and the naive evaluator.
+TEST(OutputPassTest, DiskModeFlushesAgreeAfterInserts) {
+  xml::Document doc;
+  doc.StartElement("r");
+  for (int i = 0; i < 3000; ++i) {
+    doc.StartElement("a");
+    doc.StartElement("b");
+    doc.StartElement("c");
+    doc.EndElement();
+    doc.EndElement();
+    doc.EndElement();
+  }
+  doc.EndElement();
+  ASSERT_TRUE(doc.RelabelWithGap(16).ok());
+  xml::SubtreeSpec group = {{{"a", xml::SubtreeSpec::kNoParent},
+                             {"b", 0},
+                             {"c", 1},
+                             {"c", 1}}};
+  const std::vector<xml::NodeId> anchors = doc.NodesOfTag(doc.FindTag("a"));
+  for (size_t i = 0; i < anchors.size(); i += 7) {
+    ASSERT_TRUE(doc.InsertSubtree(group, doc.Root(), anchors[i]).ok());
+  }
+  TreePattern query = MustParse("//a//b//c");
+  const uint64_t expected = tpq::NaiveEvaluator(doc, query).Collect().size();
+
+  core::Engine engine(&doc, TempPath("output_pass_disk.db"));
+  std::vector<const MaterializedView*> views = {
+      engine.AddView("//a//b", Scheme::kLinkedElement),
+      engine.AddView("//c", Scheme::kLinkedElement),
+  };
+  for (core::Algorithm algorithm :
+       {core::Algorithm::kTwigStack, core::Algorithm::kViewJoin}) {
+    core::RunOptions mem;
+    mem.algorithm = algorithm;
+    core::RunOptions disk = mem;
+    disk.output_mode = OutputMode::kDisk;
+    core::RunResult m = engine.Execute(query, views, mem);
+    core::RunResult d = engine.Execute(query, views, disk);
+    ASSERT_TRUE(m.ok && d.ok) << m.error << d.error;
+    EXPECT_EQ(m.match_count, expected) << core::AlgorithmName(algorithm);
+    EXPECT_EQ(d.result_hash, m.result_hash) << core::AlgorithmName(algorithm);
+    EXPECT_GT(d.stats.flushes, 1u) << core::AlgorithmName(algorithm);
   }
 }
 

@@ -29,6 +29,7 @@
 #include "tests/test_util.h"
 #include "tpq/evaluator.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
 
@@ -489,6 +490,156 @@ TEST(ManifestJournalTest, MultiRunPageTablesRoundTripAsRuns) {
             (std::vector<storage::PageId>{5, 9, 10}));
   std::remove(single.c_str());
   std::remove(multi.c_str());
+}
+
+/// Writes a journal of two installed views followed by `batches` committed
+/// update batches, each of which installs a new version of one view and
+/// replaces and drops the old one (the shape update batches journal).
+/// Returns the next free epoch.
+uint64_t WriteCommittedBatches(ManifestJournal* journal, int batches) {
+  auto install = [&](uint64_t epoch, const std::string& pattern) {
+    storage::ManifestViewRecord record;
+    record.epoch = epoch;
+    record.pattern = pattern;
+    record.page_count_after = static_cast<uint32_t>(epoch + 1);
+    record.list_lengths = {3};
+    storage::StoredList list;
+    list.count = 3;
+    list.layout.label_count = 1;
+    list.AssignRun(static_cast<storage::PageId>(epoch));
+    record.lists = {list};
+    EXPECT_TRUE(journal->AppendBegin(epoch, 0, pattern).ok());
+    EXPECT_TRUE(journal->AppendInstall(record).ok());
+  };
+  uint64_t epoch = 1;
+  uint64_t live[2] = {epoch, epoch + 1};
+  install(epoch++, "//a");
+  install(epoch++, "//b");
+  for (int i = 0; i < batches; ++i) {
+    const uint64_t txn = epoch++;
+    EXPECT_TRUE(journal->AppendUpdateBegin(txn, 1).ok());
+    const uint64_t fresh = epoch++;
+    install(fresh, i % 2 == 0 ? "//a" : "//b");
+    EXPECT_TRUE(journal->AppendReplace(epoch++, live[i % 2], fresh).ok());
+    EXPECT_TRUE(journal->AppendDrop(epoch++, live[i % 2]).ok());
+    live[i % 2] = fresh;
+    EXPECT_TRUE(journal->AppendUpdateCommit(epoch++, txn).ok());
+  }
+  return epoch;
+}
+
+void ExpectSameReplayState(const storage::ManifestReplayResult& got,
+                           const storage::ManifestReplayResult& want) {
+  ASSERT_EQ(got.installed.size(), want.installed.size());
+  for (size_t i = 0; i < got.installed.size(); ++i) {
+    const storage::ManifestViewRecord& g = got.installed[i];
+    const storage::ManifestViewRecord& w = want.installed[i];
+    EXPECT_EQ(g.epoch, w.epoch);
+    EXPECT_EQ(g.pattern, w.pattern);
+    EXPECT_EQ(g.page_count_after, w.page_count_after);
+    EXPECT_EQ(g.list_lengths, w.list_lengths);
+    ASSERT_EQ(g.lists.size(), w.lists.size());
+    for (size_t l = 0; l < g.lists.size(); ++l) {
+      EXPECT_EQ(g.lists[l].pages, w.lists[l].pages);
+    }
+  }
+  EXPECT_EQ(got.quarantined, want.quarantined);
+  EXPECT_EQ(got.replaced, want.replaced);
+  EXPECT_EQ(got.rolled_back, want.rolled_back);
+  EXPECT_EQ(got.durable_page_count, want.durable_page_count);
+  EXPECT_EQ(got.valid_bytes, want.valid_bytes);
+  EXPECT_EQ(got.tail_torn, want.tail_torn);
+  EXPECT_EQ(got.epoch_regressions, want.epoch_regressions);
+  EXPECT_EQ(got.header_version, want.header_version);
+}
+
+TEST(ManifestJournalTest, TornBatchAfterManyCommitsReplaysToThePreBatchState) {
+  const std::string path = TempPath("manifest_many_batches.manifest");
+  const std::string prefix = TempPath("manifest_many_batches_prefix.manifest");
+  long begin_offset = 0;
+  uint64_t last_epoch = 0;
+  {
+    auto journal = ManifestJournal::Create(path);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    uint64_t epoch = WriteCommittedBatches(journal->get(), 200);
+    begin_offset = (*journal)->AppendOffset();
+    // The torn batch: installs, replaces, drops, quarantines and opens a
+    // materialization, but its commit record never lands.
+    const uint64_t txn = epoch++;
+    ASSERT_TRUE((*journal)->AppendUpdateBegin(txn, 2).ok());
+    storage::ManifestViewRecord record;
+    record.epoch = epoch++;
+    record.pattern = "//c";
+    record.page_count_after = 100000;
+    ASSERT_TRUE((*journal)->AppendInstall(record).ok());
+    ASSERT_TRUE((*journal)->AppendReplace(epoch++, 1, record.epoch).ok());
+    ASSERT_TRUE((*journal)->AppendDrop(epoch++, 2).ok());
+    ASSERT_TRUE((*journal)->AppendQuarantine(epoch++, 3).ok());
+    ASSERT_TRUE((*journal)->AppendBegin(epoch, 0, "//d").ok());
+    last_epoch = epoch;
+  }
+  // The pre-batch journal: the same bytes cut at the kUpdateBegin record.
+  {
+    std::FILE* in = std::fopen(path.c_str(), "rb");
+    std::FILE* out = std::fopen(prefix.c_str(), "wb");
+    ASSERT_NE(in, nullptr);
+    ASSERT_NE(out, nullptr);
+    std::vector<char> bytes(static_cast<size_t>(begin_offset));
+    ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), in), bytes.size());
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+    std::fclose(in);
+    std::fclose(out);
+  }
+  auto replayed = ManifestJournal::Replay(path);
+  auto before = ManifestJournal::Replay(prefix);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->installed.size(), 2u);
+  EXPECT_EQ(before->rolled_back_update_batches, 0u);
+  EXPECT_EQ(before->valid_bytes, begin_offset);
+
+  // Everything the torn batch did is undone; only the epoch counter keeps
+  // its records' epochs, so a restart never reuses them.
+  EXPECT_EQ(replayed->rolled_back_update_batches, 1u);
+  EXPECT_EQ(replayed->last_epoch, last_epoch);
+  EXPECT_LT(before->last_epoch, last_epoch);
+  ExpectSameReplayState(*replayed, *before);
+  std::remove(path.c_str());
+  std::remove(prefix.c_str());
+}
+
+TEST(ManifestJournalTest, UndecodableRecordInATornBatchIsCorruption) {
+  // A record that is fully present and passes its checksum but does not
+  // decode is corruption, even inside a batch that never commits.
+  const std::string path = TempPath("manifest_bad_in_batch.manifest");
+  {
+    auto journal = ManifestJournal::Create(path);
+    ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+    uint64_t epoch = WriteCommittedBatches(journal->get(), 20);
+    ASSERT_TRUE((*journal)->AppendUpdateBegin(epoch, 1).ok());
+  }
+  {
+    // An install payload cut short after its epoch and scheme.
+    std::vector<uint8_t> frame = {9, 0, 0, 0,
+                                  static_cast<uint8_t>(
+                                      storage::ManifestRecordType::kInstall)};
+    for (int i = 0; i < 9; ++i) frame.push_back(i == 0 ? 200 : 0);
+    const uint32_t crc = util::Crc32(frame.data() + 4, frame.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      frame.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+    }
+    std::FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f), frame.size());
+    std::fclose(f);
+  }
+  auto replayed = ManifestJournal::Replay(path);
+  ASSERT_FALSE(replayed.ok());
+  EXPECT_EQ(replayed.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(replayed.status().ToString().find("does not decode"),
+            std::string::npos)
+      << replayed.status().ToString();
+  std::remove(path.c_str());
 }
 
 // ---- Close-time flush surfacing --------------------------------------------

@@ -56,6 +56,22 @@ Document MakeDoc(const std::string& spec) {
   return doc;
 }
 
+algo::CandidateLists WithLabels(
+    const xml::Document& doc,
+    const std::vector<std::vector<xml::NodeId>>& node_lists) {
+  algo::CandidateLists lists(node_lists.size());
+  for (size_t q = 0; q < node_lists.size(); ++q) {
+    for (xml::NodeId n : node_lists[q]) {
+      lists[q].push_back(algo::Candidate{doc.NodeLabel(n), n});
+    }
+    std::sort(lists[q].begin(), lists[q].end(),
+              [](const algo::Candidate& a, const algo::Candidate& b) {
+                return a.label.start < b.label.start;
+              });
+  }
+  return lists;
+}
+
 TreePattern MustParse(const std::string& xpath) {
   std::string error;
   std::optional<TreePattern> pattern = TreePattern::Parse(xpath, &error);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "algo/candidate_enumerator.h"
 #include "tpq/pattern.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -15,6 +16,12 @@ namespace viewjoin::testing {
 /// Builds a document from a compact spec: "a(b(c)d)" is an `a` root with
 /// children `b` (containing `c`) and `d`. Whitespace is ignored.
 xml::Document MakeDoc(const std::string& spec);
+
+/// Pairs every node of each list with its label, in document order: the
+/// candidate lists CandidateEnumerator::Enumerate takes.
+algo::CandidateLists WithLabels(
+    const xml::Document& doc,
+    const std::vector<std::vector<xml::NodeId>>& node_lists);
 
 /// Parses an XPath or dies (test convenience).
 tpq::TreePattern MustParse(const std::string& xpath);

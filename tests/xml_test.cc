@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "tests/test_util.h"
+#include "util/rng.h"
 #include "xml/document.h"
 #include "xml/label.h"
 #include "xml/parser.h"
@@ -83,6 +87,126 @@ TEST(DocumentTest, FindByStart) {
     EXPECT_EQ(doc.FindByStart(b, doc.NodeLabel(n).start), n);
   }
   EXPECT_EQ(doc.FindByStart(b, 9999), xml::kInvalidNode);
+}
+
+TEST(DocumentTest, StartsOfTagAlignsWithNodesOfTag) {
+  Document doc = MakeDoc("a(b(c) b c(b))");
+  for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
+    const std::vector<NodeId>& nodes = doc.NodesOfTag(t);
+    const std::vector<uint32_t>& starts = doc.StartsOfTag(t);
+    ASSERT_EQ(starts.size(), nodes.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      EXPECT_EQ(starts[i], doc.NodeLabel(nodes[i]).start);
+    }
+  }
+  EXPECT_TRUE(doc.StartsOfTag(xml::kInvalidTag).empty());
+}
+
+/// Linear-scan reference for FindByStart: the live node of `tag` whose label
+/// starts at `start`, or kInvalidNode.
+NodeId ScanForStart(const Document& doc, xml::TagId tag, uint32_t start) {
+  for (NodeId n = 0; n < doc.NodeCount(); ++n) {
+    if (doc.IsLive(n) && doc.NodeTag(n) == tag &&
+        doc.NodeLabel(n).start == start) {
+      return n;
+    }
+  }
+  return xml::kInvalidNode;
+}
+
+/// Checks the start index of every tag against the node lists, and
+/// FindByStart against the linear scan at every node's start, under its own
+/// tag and a random one (hits, other tags' starts, tombstoned nodes' starts),
+/// plus a random position per node (mostly misses).
+void ExpectStartIndexConsistent(const Document& doc, util::Rng* rng) {
+  for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
+    const std::vector<NodeId>& nodes = doc.NodesOfTag(t);
+    const std::vector<uint32_t>& starts = doc.StartsOfTag(t);
+    ASSERT_EQ(starts.size(), nodes.size()) << doc.TagName(t);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      ASSERT_EQ(starts[i], doc.NodeLabel(nodes[i]).start)
+          << doc.TagName(t) << "[" << i << "]";
+      if (i > 0) ASSERT_LT(starts[i - 1], starts[i]);
+    }
+  }
+  const uint32_t max_pos = doc.NodeLabel(doc.Root()).end + 2;
+  for (NodeId n = 0; n < doc.NodeCount(); ++n) {
+    const uint32_t start = doc.NodeLabel(n).start;
+    const uint32_t miss = static_cast<uint32_t>(rng->Uniform(max_pos));
+    const xml::TagId other = static_cast<xml::TagId>(rng->Uniform(doc.TagCount()));
+    for (xml::TagId t : {doc.NodeTag(n), other}) {
+      ASSERT_EQ(doc.FindByStart(t, start), ScanForStart(doc, t, start))
+          << "tag " << doc.TagName(t) << " start " << start;
+      ASSERT_EQ(doc.FindByStart(t, miss), ScanForStart(doc, t, miss))
+          << "tag " << doc.TagName(t) << " start " << miss;
+    }
+  }
+}
+
+// A seeded random sequence of live updates: after every InsertSubtree,
+// DeleteSubtree and RelabelWithGap, each tag's start index is still aligned
+// with its node list and FindByStart agrees with a linear scan.
+TEST(DocumentTest, StartIndexStaysAlignedUnderRandomUpdates) {
+  const std::vector<std::string> tags = {"a", "b", "c"};
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    util::Rng rng(seed);
+    Document doc = testing::RandomDoc(&rng, 40, tags);
+    ASSERT_TRUE(doc.RelabelWithGap(8).ok());
+    ExpectStartIndexConsistent(doc, &rng);
+    int inserts = 0;
+    int deletes = 0;
+    int relabels = 0;
+    for (int step = 0; step < 120; ++step) {
+      std::vector<NodeId> live;
+      for (NodeId n = 0; n < doc.NodeCount(); ++n) {
+        if (doc.IsLive(n)) live.push_back(n);
+      }
+      const uint64_t op = rng.Uniform(10);
+      if (op < 6) {
+        // Insert a small random subtree (sometimes with a fresh tag) after a
+        // random child of a random live parent, or as its first child.
+        NodeId parent = live[rng.Uniform(live.size())];
+        std::vector<NodeId> kids;
+        for (NodeId c = doc.FirstChild(parent); c != xml::kInvalidNode;
+             c = doc.NextSibling(c)) {
+          kids.push_back(c);
+        }
+        NodeId after = kids.empty() || rng.Bernoulli(0.3)
+                           ? xml::kInvalidNode
+                           : kids[rng.Uniform(kids.size())];
+        xml::SubtreeSpec spec;
+        const uint64_t size = 1 + rng.Uniform(4);
+        for (uint64_t i = 0; i < size; ++i) {
+          std::string tag = rng.Bernoulli(0.1) ? "n" + std::to_string(step)
+                                               : tags[rng.Uniform(tags.size())];
+          uint32_t p = i == 0 ? xml::SubtreeSpec::kNoParent
+                              : static_cast<uint32_t>(rng.Uniform(i));
+          spec.nodes.push_back({tag, p});
+        }
+        util::StatusOr<NodeId> inserted = doc.InsertSubtree(spec, parent, after);
+        if (!inserted.ok()) {
+          ASSERT_EQ(inserted.status().code(),
+                    util::StatusCode::kResourceExhausted);
+          if (doc.RelabelWithGap(4).ok()) ++relabels;
+        } else {
+          ++inserts;
+        }
+      } else if (op < 9) {
+        if (live.size() < 2) continue;
+        NodeId victim = live[1 + rng.Uniform(live.size() - 1)];
+        ASSERT_TRUE(doc.DeleteSubtree(victim).ok());
+        ++deletes;
+      } else {
+        // Small gaps keep the labels far from 32-bit overflow.
+        if (doc.RelabelWithGap(2).ok()) ++relabels;
+      }
+      ExpectStartIndexConsistent(doc, &rng);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(inserts, 0);
+    EXPECT_GT(deletes, 0);
+    EXPECT_GT(relabels, 0);
+  }
 }
 
 TEST(ParserTest, ParsesNestedElements) {
