@@ -2,10 +2,10 @@
 //
 // Three sections, one row group each in the JSON report:
 //   1. recovery — a persistent store of XMark path views is crashed at every
-//      install crash point (shadow staged / shadow sealed / data synced /
-//      journal torn) via the fault injector, then reopened; the row records
-//      the wall time of ViewCatalog::Open (journal replay + rollback +
-//      shadow cleanup) and what recovery did. A clean-close reopen is the
+//      install crash point (data synced / journal torn) via the fault
+//      injector, then reopened; the row records the wall time of
+//      ViewCatalog::Open (journal replay + rollback + staging cleanup) and
+//      what recovery did. A clean-close reopen is the
 //      baseline row.
 //   2. scrub — one synchronous full scrubber pass over the store, reported
 //      as pages/second of checksum verification throughput.
@@ -78,10 +78,6 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
   };
   const Case cases[] = {
       {"clean close", CrashPoint::kNone},
-      {CrashPointName(CrashPoint::kCrashBeforeRename),
-       CrashPoint::kCrashBeforeRename},
-      {CrashPointName(CrashPoint::kCrashAfterRename),
-       CrashPoint::kCrashAfterRename},
       {CrashPointName(CrashPoint::kCrashAfterDataSync),
        CrashPoint::kCrashAfterDataSync},
       {CrashPointName(CrashPoint::kCrashMidJournal),

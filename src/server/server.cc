@@ -74,35 +74,35 @@ void QueryServer::AcceptLoop() {
   while (true) {
     util::StatusOr<Conn> conn = listener_.Accept();
     if (!conn.ok()) return;  // listener shut down: drain step 1
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
 
-    size_t depth;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      depth = pending_.size();
-    }
     // Load shedding happens here, before the request is read: a saturated
     // server answers "come back later" in O(1) instead of queueing work it
-    // cannot serve within any deadline.
-    if (depth >= options_.max_pending) {
-      rejected_shed_.fetch_add(1, std::memory_order_relaxed);
-      Shed(std::move(*conn), "pending-connection queue at high water");
-      continue;
-    }
-    if (options_.memory_high_water_bytes > 0 &&
-        options_.per_query_memory_budget > 0) {
-      uint64_t committed =
-          (in_flight_.load(std::memory_order_relaxed) + depth + 1) *
-          options_.per_query_memory_budget;
-      if (committed > options_.memory_high_water_bytes) {
-        rejected_shed_.fetch_add(1, std::memory_order_relaxed);
-        Shed(std::move(*conn), "memory budget at high water");
-        continue;
-      }
-    }
+    // cannot serve within any deadline. The count, the verdict and the
+    // enqueue share one critical section, so a status snapshot never sees
+    // a connection accepted but neither queued, claimed nor shed.
+    const char* shed = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      pending_.push_back(std::move(*conn));
+      connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+      const size_t depth = pending_.size();
+      if (depth >= options_.max_pending) {
+        shed = "pending-connection queue at high water";
+      } else if (options_.memory_high_water_bytes > 0 &&
+                 options_.per_query_memory_budget > 0 &&
+                 (in_flight_.load(std::memory_order_relaxed) + depth + 1) *
+                         options_.per_query_memory_budget >
+                     options_.memory_high_water_bytes) {
+        shed = "memory budget at high water";
+      } else {
+        pending_.push_back(std::move(*conn));
+      }
+      if (shed != nullptr) {
+        rejected_shed_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (shed != nullptr) {
+      Shed(std::move(*conn), shed);
+      continue;
     }
     cv_.notify_one();
   }
@@ -600,6 +600,8 @@ StatusResponse QueryServer::Snapshot() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     depth = pending_.size();
+    status.connections_accepted =
+        connections_accepted_.load(std::memory_order_relaxed);
   }
   status.healthy = true;
   status.draining = state >= State::kDraining;
@@ -614,8 +616,6 @@ StatusResponse QueryServer::Snapshot() const {
   }
   status.ready =
       state == State::kServing && depth < options_.max_pending && memory_ok;
-  status.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
   status.queries_served = queries_served_.load(std::memory_order_relaxed);
   status.rejected_quota = rejected_quota_.load(std::memory_order_relaxed);
   status.rejected_shed = rejected_shed_.load(std::memory_order_relaxed);

@@ -32,11 +32,13 @@ namespace viewjoin::storage {
 //
 // Consistency: CreateBackup pins the catalog's state with
 // ViewCatalog::SnapshotForBackup() — a microsecond hold of the install mutex
-// that fixes {install records, quarantined epochs, epoch, page count}. The
-// catalog pager is append-only for committed pages, so every page below the
-// pinned count is immutable and is copied afterwards with no lock held;
-// queries and update batches keep serving, and updates committed past the
-// pinned epoch are simply absent from the image. The document store is
+// that fixes {install records, quarantined epochs, epoch, page count} and
+// registers a backup pin. While a backup pin is live the catalog reuses no
+// free page and only appends, so every page below the pinned count is
+// immutable and is copied afterwards with no lock held; queries and update
+// batches keep serving, and updates committed past the pinned epoch are
+// simply absent from the image. Pages no pinned install record references
+// are free space and land in the image as zero pages. The document store is
 // copied by the caller under its own read lock (Engine holds the document
 // mutex shared, so queries proceed and updates briefly wait).
 

@@ -319,8 +319,10 @@ void BufferPool::Clear() {
   ResetError();
 }
 
-void BufferPool::Discard(const std::vector<PageId>& pages) {
-  if (pages.empty() || capacity_ == 0) return;
+std::vector<PageId> BufferPool::Discard(const std::vector<PageId>& pages) {
+  std::vector<PageId> pinned;
+  if (pages.empty() || capacity_ == 0) return pinned;
+  discards_.fetch_add(1, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> lock(prefetch_mu_);
     // prefetch_queued_ mirrors the queue: unmark the dropped pages, then
@@ -337,7 +339,11 @@ void BufferPool::Discard(const std::vector<PageId>& pages) {
     Shard& shard = ShardFor(page);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(page);
-    if (it == shard.index.end() || it->second->pins != 0) continue;
+    if (it == shard.index.end()) continue;
+    if (it->second->pins != 0) {
+      pinned.push_back(page);
+      continue;
+    }
     if (it->second->prefetched) {
       prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -345,6 +351,7 @@ void BufferPool::Discard(const std::vector<PageId>& pages) {
     shard.index.erase(it);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
+  return pinned;
 }
 
 // ---- Read-ahead ------------------------------------------------------------
@@ -432,12 +439,15 @@ void BufferPool::FulfillPrefetch(PageId page) {
   // design: the demand fetch will re-read with retry semantics and report
   // through the proper (scoped) latch — a speculative thread latching errors
   // would attribute faults to whichever query ran next.
+  const uint64_t discards = discards_.load(std::memory_order_acquire);
   std::vector<uint8_t> data(Pager::kPageSize);
   util::Status status = pager_->ReadPage(page, data.data());
   if (!status.ok()) return;
   Shard& shard = ShardFor(page);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.index.find(page) != shard.index.end()) return;
+  // A Discard since the read began may have freed this page for reuse.
+  if (discards_.load(std::memory_order_acquire) != discards) return;
   EvictForSpace(&shard);
   if (shard.lru.size() >= per_shard_capacity_) return;  // all pinned: drop
   shard.lru.push_front(Frame{page, 0, true, std::move(data)});

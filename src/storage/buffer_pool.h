@@ -261,11 +261,11 @@ class BufferPool {
   void Clear();
 
   /// Drops the unpinned frames of `pages`, and any read-ahead still queued
-  /// for them. The catalog calls this when a view version is superseded,
-  /// with the pages no live version shares, so no query can reach them any
-  /// more. Pinned frames stay and age out through LRU once released; the
-  /// pages stay on disk, so a later fetch of one is an ordinary miss.
-  void Discard(const std::vector<PageId>& pages);
+  /// or in flight for them. The catalog calls this when a view version is
+  /// superseded, with the pages no live version shares, and again before it
+  /// reuses such a page for new bytes. Returns the pages whose frames stayed
+  /// because they are pinned; those age out through LRU once released.
+  std::vector<PageId> Discard(const std::vector<PageId>& pages);
 
  private:
   struct Frame {
@@ -305,6 +305,9 @@ class BufferPool {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
+  /// Bumped by every Discard: a prefetch read that overlapped one may hold
+  /// the bytes of a page about to be reused, so it is dropped, not cached.
+  std::atomic<uint64_t> discards_{0};
   mutable std::mutex error_mu_;
   util::Status error_;
   PageId error_page_ = kInvalidPage;

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -382,9 +383,34 @@ util::Status Pager::WritePage(PageId id, const void* data) {
 util::Status Pager::AppendPhysicalPages(const uint8_t* phys, uint32_t count) {
   if (!init_status_.ok()) return init_status_;
   std::lock_guard<std::mutex> lock(mu_);
+  std::vector<PageId> ids(count);
+  for (uint32_t p = 0; p < count; ++p) ids[p] = page_count_ + p;
+  return WritePhysicalPagesLocked(ids.data(), phys, count);
+}
+
+util::Status Pager::WritePhysicalPages(const std::vector<PageId>& ids,
+                                       const uint8_t* phys) {
+  if (!init_status_.ok()) return init_status_;
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint32_t count = static_cast<uint32_t>(ids.size());
+  uint32_t existing = 0;
+  while (existing < count && ids[existing] < page_count_) ++existing;
+  for (uint32_t p = existing; p < count; ++p) {
+    if (ids[p] != page_count_ + (p - existing)) {
+      return Latch(util::Status::InvalidArgument(
+          "page " + std::to_string(ids[p]) + " is neither allocated nor the "
+          "next append position of " + path_));
+    }
+  }
+  return WritePhysicalPagesLocked(ids.data(), phys, count);
+}
+
+util::Status Pager::WritePhysicalPagesLocked(const PageId* ids,
+                                             const uint8_t* phys,
+                                             uint32_t count) {
   if (mode_ == Mode::kReadOnly) {
     return Latch(util::Status::InvalidArgument(
-        "cannot append pages to read-only pager " + path_));
+        "cannot write pages to read-only pager " + path_));
   }
   if (fd_ < 0) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
@@ -393,40 +419,45 @@ util::Status Pager::AppendPhysicalPages(const uint8_t* phys, uint32_t count) {
   util::Timer timer;
   // The injector is consulted once per page — identical counting to the old
   // page-at-a-time write loop, so tests arming "the nth write" keep hitting
-  // the same page whether it lands via WritePage or a staged append. Clean
-  // pages are gathered into runs that land with one pwrite each.
+  // the same page whether it lands via WritePage or a staged write. Clean
+  // pages with consecutive ids are gathered into runs that land with one
+  // pwrite each.
   bool failed = false;
   bool no_space = false;
-  uint32_t written = 0;  // pages already in the file
-  uint32_t run = 0;      // clean pages after them, not yet written
-  auto write_run = [&] {
-    const size_t first = static_cast<size_t>(written) * kPhysicalPageSize;
-    bool ok = TransferFull(::pwrite, fd_, phys + first,
-                           static_cast<size_t>(run) * kPhysicalPageSize,
-                           PageOffset(page_count_ + written));
-    if (ok) written += run;
-    run = 0;
+  uint32_t written = 0;    // pages already in the file
+  uint32_t run_start = 0;  // first clean page not yet written
+  auto write_run = [&](uint32_t end) {
+    if (end == run_start) return true;
+    bool ok = TransferFull(
+        ::pwrite, fd_,
+        phys + static_cast<size_t>(run_start) * kPhysicalPageSize,
+        static_cast<size_t>(end - run_start) * kPhysicalPageSize,
+        PageOffset(ids[run_start]));
+    if (ok) written += end - run_start;
+    run_start = end;
     return ok;
   };
   errno = 0;
-  for (uint32_t p = 0; p < count && !failed; ++p) {
+  uint32_t p = 0;  // where the loop stopped: count, or the refused page
+  for (; p < count && !failed; ++p) {
     if (util::FaultInjector::Global().OnDiskCharge(kPhysicalPageSize)) {
       no_space = true;
       break;
     }
     util::WriteFault fault = util::FaultInjector::Global().OnWriteAttempt();
     if (fault == util::WriteFault::kNoSpace) {
-      // A full disk stops the append before this page's first byte: the tail
-      // written so far is still dead bytes past page_count_, never a torn
-      // page.
+      // A full disk stops the write before this page's first byte: appended
+      // pages written so far are still dead bytes past page_count_, never a
+      // torn page.
       no_space = true;
       break;
     }
-    if (fault == util::WriteFault::kNone) {
-      ++run;
-      continue;
+    if (p > run_start && ids[p] != ids[p - 1] + 1) {
+      failed = !write_run(p);  // the id run breaks: land what is gathered
+      if (failed) break;
     }
-    failed = !write_run();  // land the clean run before the faulted page
+    if (fault == util::WriteFault::kNone) continue;
+    failed = !write_run(p);  // land the clean run before the faulted page
     if (failed) break;
     uint8_t page[kPhysicalPageSize];
     std::memcpy(page, phys + static_cast<size_t>(p) * kPhysicalPageSize,
@@ -448,26 +479,30 @@ util::Status Pager::AppendPhysicalPages(const uint8_t* phys, uint32_t count) {
         break;
     }
     failed |= !TransferFull(::pwrite, fd_, page, write_bytes,
-                            PageOffset(page_count_ + p));
+                            PageOffset(ids[p]));
     if (!failed) ++written;
+    run_start = p + 1;
   }
-  if (!failed && run > 0 && !write_run()) failed = true;
+  if (!failed && !write_run(p)) failed = true;
   stats_.write_micros += timer.ElapsedMicros();
   stats_.pages_written += written;
-  // The append fails as a unit: page_count_ stays put, so the partial tail
-  // is unaddressable dead bytes (recovery truncates it on a persistent
-  // store). Torn pages and bit flips "succeed" here exactly as they do on
-  // real hardware; the page checksum catches them at read time.
+  // The write fails as a unit: page_count_ stays put, so a partial appended
+  // tail is unaddressable dead bytes (recovery truncates it on a persistent
+  // store), and rewritten pages hold bytes no committed page table names.
+  // Torn pages and bit flips "succeed" here exactly as they do on real
+  // hardware; the page checksum catches them at read time.
   if (no_space) {
-    return Latch(InjectedNoSpace("append of " + std::to_string(count) +
+    return Latch(InjectedNoSpace("write of " + std::to_string(count) +
                                  " pages stopped after " +
                                  std::to_string(written) + " in " + path_));
   }
   if (failed) {
-    return Latch(WriteFailure("append of " + std::to_string(count) +
+    return Latch(WriteFailure("write of " + std::to_string(count) +
                               " pages failed in " + path_));
   }
-  page_count_ += count;
+  for (uint32_t p = 0; p < count; ++p) {
+    page_count_ = std::max(page_count_, ids[p] + 1);
+  }
   return util::Status::Ok();
 }
 

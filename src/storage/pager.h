@@ -5,6 +5,7 @@
 #include <functional>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "storage/io_stats.h"
 #include "util/status.h"
@@ -47,9 +48,10 @@ inline constexpr PageId kInvalidPage = 0xFFFFFFFFu;
 /// misses (ExecuteBatch workers, server threads, read-ahead) read in
 /// parallel, and the stats and error latch are then updated under the lock.
 /// A page below the snapshotted count is complete in the file: appends bump
-/// the count only after their bytes landed. Callers must not WritePage a
-/// page while another thread reads it (view pages are append-only; spill
-/// and document-store pages are written before their first read), and must
+/// the count only after their bytes landed. Callers must not write a page
+/// while another thread reads it (a view catalog rewrites only free pages,
+/// which no pinned reader can reach; spill and document-store pages are
+/// written before their first read), and must
 /// not Close while reads are in flight. Writes, appends, truncation and sync
 /// stay serialized under the mutex. Simulated read latency
 /// (VIEWJOIN_PAGE_READ_MICROS) is also applied unlocked, so with
@@ -97,19 +99,26 @@ class Pager {
 
   /// Serializes one page into its on-disk physical form: payload (`kPageSize`
   /// bytes) followed by the stamped footer {magic, id, CRC32(payload)}.
-  /// `out_phys` must hold kPhysicalPageSize bytes. Shadow-materialization
-  /// builds stage pages with their *final* ids through this, so the bytes
-  /// appended at install time are byte-identical to a direct WritePage.
+  /// `out_phys` must hold kPhysicalPageSize bytes. Installs encode staged
+  /// pages with their *final* ids through this, so the bytes written at
+  /// install time are byte-identical to a direct WritePage.
   static void EncodePhysicalPage(PageId id, const void* payload,
                                  uint8_t* out_phys);
 
   /// Appends `count` already-encoded physical pages in one contiguous write.
   /// The pages must be stamped (EncodePhysicalPage) with ids
   /// `page_count() .. page_count()+count-1`; on success the pager's page
-  /// count covers them. This is the install step of shadow materialization —
-  /// the staged pages of a complete view land in the file with one
-  /// sequential write instead of page-at-a-time seeks.
+  /// count covers them.
   util::Status AppendPhysicalPages(const uint8_t* phys, uint32_t count);
+
+  /// Writes already-encoded physical pages (phys[p] stamped with ids[p]):
+  /// ids below page_count() rewrite existing pages, and the rest must be
+  /// page_count(), page_count()+1, ... in order, extending the file. Pages
+  /// with consecutive ids land with one pwrite per run. This is the install
+  /// step of a view version: a catalog reuses free pages first and appends
+  /// the remainder. On failure page_count() is unchanged.
+  util::Status WritePhysicalPages(const std::vector<PageId>& ids,
+                                  const uint8_t* phys);
 
   /// Rolls the file back to exactly `count` pages (count <= page_count()),
   /// cutting away any appended-but-uncommitted tail bytes a failed append
@@ -132,7 +141,7 @@ class Pager {
   /// side effects on last_error) — the fsck primitive.
   util::Status VerifyPage(PageId id, void* out);
 
-  /// fsyncs the backing file — the durability barrier of the shadow-install
+  /// fsyncs the backing file — the durability barrier of the install
   /// protocol (data must be on the medium before the journal commit record
   /// that makes it visible). Writes are unbuffered pwrites, so a page is
   /// readable as soon as its write returns; only durability needs this.
@@ -185,6 +194,10 @@ class Pager {
   util::Status WriteHeader();
   util::Status ValidateExistingFile();
   util::Status ReadPhysicalOnce(int fd, PageId id, uint8_t* phys) const;
+  /// The write loop behind AppendPhysicalPages and WritePhysicalPages;
+  /// caller holds mu_ and has validated `ids`.
+  util::Status WritePhysicalPagesLocked(const PageId* ids, const uint8_t* phys,
+                                        uint32_t count);
   util::Status Latch(util::Status status);  // first error; caller holds mu_
 
   std::string path_;

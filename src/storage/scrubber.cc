@@ -61,7 +61,10 @@ uint32_t Scrubber::Step(uint32_t page_budget) {
 uint32_t Scrubber::ScanLocked(uint32_t page_budget,
                               std::vector<const MaterializedView*>* to_heal) {
   std::lock_guard<std::mutex> lock(mu_);
-  // No query resolves to a retired version, so it is not scrubbed.
+  // No query resolves to a retired version, so it is not scrubbed: its
+  // pages may already hold another version's bytes. The pin keeps the
+  // versions resolved here from being reused while this step reads them.
+  const PageReclaimer::Pin pin = catalog_->PinReader();
   std::vector<const MaterializedView*> views = catalog_->LiveViews();
   std::vector<uint8_t> buffer(Pager::kPageSize);
   uint32_t scanned = 0;

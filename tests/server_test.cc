@@ -371,6 +371,10 @@ TEST(ServerTest, QueueHighWaterShedsBeforeReadingRequest) {
   ServerOptions options;
   options.workers = 1;
   options.max_pending = 1;
+  // The idle connections must outlive every ~2 s WaitFor poll below: with
+  // the default read deadline the worker could reap the busy one and claim
+  // the queued one before the poll sees it queued.
+  options.read_deadline_ms = 60000;
   Fixture fx(10, options, {}, "serve_shed.db");
 
   // One idle connection occupies the single worker; a second sits in the

@@ -290,6 +290,9 @@ int main(int argc, char** argv) {
     for (const std::string& bad : report.bad_compressed_lists) {
       std::printf("bad compressed list: %s\n", bad.c_str());
     }
+    for (const std::string& claim : report.double_claims) {
+      std::printf("page claimed twice: %s\n", claim.c_str());
+    }
     if (report.orphan_pages > 0) {
       std::printf("%u uncommitted page(s) past durable prefix%s\n",
                   report.orphan_pages,
@@ -299,11 +302,12 @@ int main(int argc, char** argv) {
       std::printf("orphan shadow: %s\n", shadow.c_str());
     }
     std::printf("%s: %zu view(s), %zu quarantined, epoch %llu, "
-                "%u durable page(s), %u bad, %zu compressed list(s) verified\n",
+                "%u durable page(s), %u free, %u bad, %zu compressed list(s) "
+                "verified\n",
                 path.c_str(), report.view_count, report.quarantined_count,
                 static_cast<unsigned long long>(report.last_epoch),
-                report.durable_page_count, report.corrupt_durable_pages,
-                report.compressed_lists_checked);
+                report.durable_page_count, report.free_pages,
+                report.corrupt_durable_pages, report.compressed_lists_checked);
     if (have_doc) PrintDocReport(doc_path, doc_report);
   }
 
