@@ -71,7 +71,7 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
   }
 
   util::TablePrinter table({"crash point", "open (ms)", "views", "rolled back",
-                            "orphan pages", "shadows removed"});
+                            "orphan pages"});
   struct Case {
     const char* label;
     CrashPoint point;
@@ -108,8 +108,7 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
     table.AddRow({c.label, util::FormatDouble(open_ms, 2),
                   std::to_string(catalog.views().size()),
                   std::to_string(recovery.pending_rebuild.size()),
-                  std::to_string(recovery.orphan_pages_truncated),
-                  std::to_string(recovery.orphan_shadows_removed)});
+                  std::to_string(recovery.orphan_pages_truncated)});
     report->AddRow()
         .Set("section", "recovery")
         .Set("crash_point", c.label)
@@ -119,7 +118,6 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
              static_cast<uint64_t>(recovery.pending_rebuild.size()))
         .Set("orphan_pages_truncated",
              static_cast<uint64_t>(recovery.orphan_pages_truncated))
-        .Set("orphan_shadows_removed", recovery.orphan_shadows_removed)
         .Set("journal_tail_truncated", recovery.journal_tail_truncated);
     // Restore the store to N committed views for the next crash point: the
     // interrupted install rolled back, so nothing to undo — just close.

@@ -1,21 +1,17 @@
-// Block-at-a-time cursor ablation over the Fig. 5 path workloads: every
-// pointer-heavy algorithm × scheme combination (TS/VJ × LE/LE_p, plus the
-// pointerless E baselines) is run three ways —
+// List-format ablation of the block-at-a-time cursors over the Fig. 5 path
+// workloads: every pointer-heavy algorithm × scheme combination (TS/VJ ×
+// LE/LE_p, plus the pointerless E baselines) is run two ways —
 //
-//   scalar_fixed : the original per-entry cursor over fixed-size records
-//   block_fixed  : whole-page SoA decode + galloping/SIMD skipping
-//   block_delta  : block cursors over delta-varint compressed lists
+//   block_fixed  : whole-page SoA decode + galloping/SIMD skipping over
+//                  fixed-size records
+//   block_delta  : the same cursors over delta-varint compressed lists
 //
 // — and cross-checked to produce identical match sets. The summary reports
-// the geometric-mean speedup of the shipped block/SIMD cursor stack
-// (block_delta — the scalar cursor cannot read compressed lists) over the
-// old scalar cursor on the pointer-heavy combos, the isolated
-// format-held-fixed block effect, and the page-read reduction of the
-// compressed format. The workload is I/O-bound (cold pool per repeat), so
-// the block cursor's win comes from SIMD skipping *and* the 4x denser
-// compressed pages it unlocks; the fixed-format column isolates how little
-// of it is decode overhead. Emits BENCH_simd.json via --json; `--smoke`
-// shrinks the datasets for CI.
+// the geometric-mean speedup of the compressed format (the shipped default)
+// over the fixed one on the pointer-heavy combos, and its page-read
+// reduction. The workload is I/O-bound (cold pool per repeat), so the win
+// comes from the 4x denser compressed pages. Emits BENCH_simd.json via
+// --json; `--smoke` shrinks the datasets for CI.
 
 #include <cmath>
 #include <cstdio>
@@ -35,20 +31,18 @@
 namespace viewjoin::bench {
 namespace {
 
-using storage::CursorMode;
 using storage::ListFormat;
 
 struct Variant {
   const char* name;
-  CursorMode cursor;
   ListFormat format;
 };
 
 const Variant kVariants[] = {
-    {"scalar_fixed", CursorMode::kScalar, ListFormat::kFixed},
-    {"block_fixed", CursorMode::kBlock, ListFormat::kFixed},
-    {"block_delta", CursorMode::kBlock, ListFormat::kDelta},
+    {"block_fixed", ListFormat::kFixed},
+    {"block_delta", ListFormat::kDelta},
 };
+constexpr int kNumVariants = 2;
 
 bool PointerHeavy(const Combo& combo) {
   return combo.scheme == storage::Scheme::kLinkedElement ||
@@ -64,10 +58,9 @@ std::vector<Combo> SimdCombos() {
 }
 
 struct Accumulator {
-  double log_speedup_sum = 0;        // block_delta vs scalar_fixed
-  double log_fixed_effect_sum = 0;   // block_fixed vs scalar_fixed
-  int speedup_n = 0;                 // pointer-heavy combos only
-  uint64_t fixed_pages = 0;  // scalar_fixed vs block_delta, all combos
+  double log_speedup_sum = 0;  // block_delta vs block_fixed
+  int speedup_n = 0;           // pointer-heavy combos only
+  uint64_t fixed_pages = 0;    // block_fixed vs block_delta, all combos
   uint64_t delta_pages = 0;
 };
 
@@ -78,9 +71,9 @@ void RunDataset(const std::string& title, const std::string& dataset,
   // One context per variant: the list format is a property of the catalog
   // (every view it materializes), so the variants cannot share materialized
   // views. The document itself is regenerated per context from the same
-  // seed, so all three evaluate identical data.
-  std::unique_ptr<BenchContext> contexts[3];
-  for (int v = 0; v < 3; ++v) {
+  // seed, so both evaluate identical data.
+  std::unique_ptr<BenchContext> contexts[kNumVariants];
+  for (int v = 0; v < kNumVariants; ++v) {
     contexts[v] = nasa
                       ? BenchContext::Nasa(static_cast<int64_t>(scale_or_sets))
                       : BenchContext::Xmark(scale_or_sets);
@@ -101,15 +94,13 @@ void RunDataset(const std::string& title, const std::string& dataset,
     tpq::TreePattern query = ParseQuery(spec.xpath);
     std::vector<tpq::TreePattern> split = PairViews(query);
     for (const Combo& combo : combos) {
-      double ms[3] = {0, 0, 0};
-      uint64_t pages[3] = {0, 0, 0};
+      double ms[kNumVariants] = {0, 0};
+      uint64_t pages[kNumVariants] = {0, 0};
       uint64_t count = 0, hash = 0;
-      for (int v = 0; v < 3; ++v) {
-        storage::SetDefaultCursorMode(kVariants[v].cursor);
+      for (int v = 0; v < kNumVariants; ++v) {
         core::RunResult result = contexts[v]->Run(
             query, contexts[v]->Views(split, combo.scheme), combo,
             algo::OutputMode::kMemory, repeats);
-        storage::SetDefaultCursorMode(CursorMode::kBlock);
         VJ_CHECK(result.ok) << spec.name << " " << combo.Label() << " "
                             << kVariants[v].name << ": " << result.error;
         if (v == 0) {
@@ -130,23 +121,20 @@ void RunDataset(const std::string& title, const std::string& dataset,
             .Set("pointer_heavy", PointerHeavy(combo))
             .Metrics(result);
       }
-      double speedup = ms[2] > 0 ? ms[0] / ms[2] : 1.0;
-      double fixed_effect = ms[1] > 0 ? ms[0] / ms[1] : 1.0;
+      double speedup = ms[1] > 0 ? ms[0] / ms[1] : 1.0;
       double saved =
           pages[0] > 0
-              ? 1.0 - static_cast<double>(pages[2]) /
+              ? 1.0 - static_cast<double>(pages[1]) /
                           static_cast<double>(pages[0])
               : 0.0;
       if (PointerHeavy(combo)) {
         acc->log_speedup_sum += std::log(speedup);
-        acc->log_fixed_effect_sum += std::log(fixed_effect);
         ++acc->speedup_n;
       }
       acc->fixed_pages += pages[0];
-      acc->delta_pages += pages[2];
+      acc->delta_pages += pages[1];
       table.AddRow({spec.name, combo.Label(), std::to_string(count),
                     util::FormatDouble(ms[0], 2), util::FormatDouble(ms[1], 2),
-                    util::FormatDouble(ms[2], 2),
                     util::FormatDouble(speedup, 2) + "x",
                     util::FormatDouble(100.0 * saved, 1) + "%"});
     }
@@ -178,9 +166,9 @@ void Main(int argc, char** argv) {
   report.SetMeta("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
   report.SetMeta("simd_backend", storage::simd::BackendName());
 
-  std::printf("Block cursor / SIMD / compression ablation (SIMD backend: %s)\n",
+  std::printf("Block cursor list-format ablation (SIMD backend: %s)\n",
               storage::simd::BackendName());
-  std::printf("variants: scalar_fixed | block_fixed | block_delta\n\n");
+  std::printf("variants: block_fixed | block_delta\n\n");
 
   Accumulator acc;
   RunDataset("XMark path queries", "xmark", xmark_scale, /*nasa=*/false,
@@ -191,25 +179,18 @@ void Main(int argc, char** argv) {
 
   double geomean =
       acc.speedup_n > 0 ? std::exp(acc.log_speedup_sum / acc.speedup_n) : 1.0;
-  double fixed_effect =
-      acc.speedup_n > 0 ? std::exp(acc.log_fixed_effect_sum / acc.speedup_n)
-                        : 1.0;
   double page_reduction =
       acc.fixed_pages > 0
           ? 1.0 - static_cast<double>(acc.delta_pages) /
                       static_cast<double>(acc.fixed_pages)
           : 0.0;
-  report.SetMeta("geomean_block_speedup_pointer_heavy", geomean);
-  report.SetMeta("geomean_block_fixed_format_speedup", fixed_effect);
+  report.SetMeta("geomean_delta_speedup_pointer_heavy", geomean);
   report.SetMeta("delta_page_read_reduction", page_reduction);
   std::printf(
-      "geomean block/scalar cursor speedup (pointer-heavy combos): %.2fx\n",
+      "geomean delta/fixed format speedup (pointer-heavy combos): %.2fx\n",
       geomean);
   std::printf(
-      "  of which format held fixed (block effect alone):          %.2fx\n",
-      fixed_effect);
-  std::printf(
-      "page reads saved by delta compression (all combos):         %.1f%%\n",
+      "page reads saved by delta compression (all combos):        %.1f%%\n",
       100.0 * page_reduction);
   report.Write();
 }

@@ -768,8 +768,8 @@ util::StatusOr<const MaterializedView*> Engine::Rematerialize(
     // document is authoritative, so heal from it instead.
     return catalog_->TryMaterialize(*doc_, pattern, scheme);
   }
-  return catalog_->TryMaterializeFromLists(*doc_, pattern, sink.TakeSorted(),
-                                           scheme);
+  return catalog_->MaterializeFromLists(*doc_, pattern, sink.TakeSorted(),
+                                        scheme);
 }
 
 RunResult Engine::ExecuteToView(
@@ -799,8 +799,8 @@ RunResult Engine::ExecuteToView(
   }
   std::shared_lock<std::shared_mutex> doc_lock(doc_mu_);
   util::StatusOr<const MaterializedView*> stored =
-      catalog_->TryMaterializeFromLists(*doc_, query, sink.TakeSorted(),
-                                        result_scheme);
+      catalog_->MaterializeFromLists(*doc_, query, sink.TakeSorted(),
+                                     result_scheme);
   if (!stored.ok()) {
     // Storing the answer failed but the answer itself is sound; surface the
     // storage fault as a retryable error instead of dying mid-call.
@@ -870,19 +870,6 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
         "engine was constructed over a const document; live updates need "
         "the mutable-document constructor");
   }
-  util::StatusOr<int64_t> batch_cap =
-      util::ParseNonNegativeIntEnv("VIEWJOIN_UPDATE_BATCH_SIZE", 0);
-  if (!batch_cap.ok()) return batch_cap.status();
-  if (*batch_cap > 0 && ops.size() > static_cast<size_t>(*batch_cap)) {
-    return util::Status::InvalidArgument(
-        "update batch of " + std::to_string(ops.size()) +
-        " ops exceeds VIEWJOIN_UPDATE_BATCH_SIZE=" +
-        std::to_string(*batch_cap));
-  }
-  util::StatusOr<int64_t> spill_bytes = util::ParseNonNegativeIntEnv(
-      "VIEWJOIN_UPDATE_DELTA_SPILL_BYTES", 1 << 20);
-  if (!spill_bytes.ok()) return spill_bytes.status();
-
   // One batch at a time engine-wide: the document mutation below and the
   // catalog's update transaction must not interleave with a sibling batch.
   std::lock_guard<std::mutex> update_lock(update_mu_);
@@ -1035,11 +1022,9 @@ util::StatusOr<UpdateResult> Engine::ApplyUpdates(
   // concurrent queries proceed (answering from the still-registered old
   // views) while the new epoch stages and installs. ApplyUpdateBatch
   // registers the whole batch atomically after its commit record lands.
-  storage::ViewCatalog::UpdateBatchOptions batch_options;
-  batch_options.delta_spill_bytes = static_cast<size_t>(*spill_bytes);
   util::FaultInjector::Global().OnUpdateMaintenancePoint();
   util::StatusOr<storage::ViewCatalog::UpdateBatchResult> applied =
-      catalog_->ApplyUpdateBatch(*mutable_doc_, specs, batch_options);
+      catalog_->ApplyUpdateBatch(*mutable_doc_, specs);
   if (!applied.ok()) return applied.status();
   out.txn_epoch = applied->txn_epoch;
   out.delta_maintained = applied->delta_maintained;

@@ -431,9 +431,8 @@ class Engine {
   ///   - plans invalidate via the catalog epoch; the planner's document
   ///     statistics, once collected, are kept current per inserted and
   ///     deleted subtree instead of being re-collected.
-  /// Env knobs (strict parsing, util/env.h): VIEWJOIN_UPDATE_BATCH_SIZE
-  /// rejects oversized batches up front (0/unset = unlimited);
-  /// VIEWJOIN_UPDATE_DELTA_SPILL_BYTES sets the delta spill threshold.
+  /// Serialized deltas over 1 MiB spill to a sidecar file (see
+  /// ViewCatalog::ApplyUpdateBatch).
   /// Fails with InvalidArgument when constructed over a const document.
   /// Update batches are serialized engine-wide.
   util::StatusOr<UpdateResult> ApplyUpdates(const std::vector<UpdateOp>& ops);

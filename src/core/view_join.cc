@@ -216,7 +216,7 @@ class ViewJoin::Impl {
         continue;
       }
       // LE_p: a null follow pointer may mean "target was adjacent" — advance
-      // within the current decoded block (scalar cursor: one entry) and
+      // within the current decoded block (memory cursor: one entry) and
       // re-check the landing entry's pointer on the next loop turn.
       uint64_t scanned = 0;
       bool aborted =

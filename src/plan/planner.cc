@@ -102,19 +102,11 @@ constexpr double kInterViewEdgeCpu = 0.65;
 /// even though the anchor is tiny (XMark Q6), and a 2× reduction (XMark Q1)
 /// is eaten by the chase overhead — only order-of-magnitude skew like N8's
 /// 236 description anchors over a 107k-entry //para list wins outright.
-/// Block-mode cursors gallop over fence keys and binary-search inside one
-/// decoded page per landing, so a pointer-directed skip costs O(log) probes
-/// instead of the scalar path's per-entry stepping: both the chase weight
-/// and the per-anchor jump overhead shrink, and skipping starts paying at
-/// milder anchor skew.
-double SkipCost() {
-  return storage::DefaultCursorMode() == storage::CursorMode::kBlock ? 1.6
-                                                                     : 2.5;
-}
-double SkipFanout() {
-  return storage::DefaultCursorMode() == storage::CursorMode::kBlock ? 4.0
-                                                                     : 8.0;
-}
+/// Cursors gallop over fence keys and binary-search inside one decoded page
+/// per landing, so a pointer-directed skip costs O(log) probes rather than
+/// per-entry stepping; both weights are calibrated for that.
+constexpr double kSkipCost = 1.6;
+constexpr double kSkipFanout = 4.0;
 /// Per-anchor-entry weight of recovering a removed trunk node through child
 /// pointers in the output pass: every surviving segment match chases and
 /// enumerates, which costs well more than scanning the dropped list would
@@ -317,11 +309,9 @@ uint64_t Planner::EnvFingerprint(
   };
   mix(static_cast<uint64_t>(algorithm) + 1);
   mix(static_cast<uint64_t>(mode) + 1);
-  // Cursor mode changes the skip-cost calibration below; a cached plan from
-  // the other mode would carry the wrong algorithm choice. Same for the
-  // out-of-core knobs: doc mode and read-ahead depth shift the cold-scan
-  // pricing.
-  mix(static_cast<uint64_t>(storage::DefaultCursorMode()) + 1);
+  // The out-of-core knobs shift the cold-scan pricing: a cached plan from
+  // another doc mode or read-ahead depth would carry the wrong algorithm
+  // choice.
   mix(disk_doc_mode ? 2 : 1);
   mix(static_cast<uint64_t>(readahead_pages) + 1);
   for (const MaterializedView* v : views) {
@@ -495,7 +485,7 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
           if (HasPointers(scheme) && shape.eq[q] > 0 &&
               !std::isinf(partner) && q < est_qualifying.size()) {
             effective = std::min(
-                len, est_qualifying[q] * SkipCost() + partner * SkipFanout());
+                len, est_qualifying[q] * kSkipCost + partner * kSkipFanout);
           }
           vj += effective * width;
         }

@@ -73,7 +73,7 @@ class Planner {
   std::shared_ptr<const PhysicalPlan> Plan(const PlannerInput& input,
                                            bool* from_cache = nullptr) const;
 
-  /// Folds algorithm, mode, view identities, cursor mode and the out-of-core
+  /// Folds algorithm, mode, view identities and the out-of-core
   /// environment (doc mode, read-ahead depth) into the cache key's
   /// environment fingerprint.
   static uint64_t EnvFingerprint(

@@ -699,10 +699,6 @@ util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::Open(
     const std::string& path, const Options& options) {
   auto replay = ManifestJournal::Replay(ManifestJournal::PathFor(path));
   if (!replay.ok()) return replay.status();
-  if (replay->legacy_text) {
-    return util::Status::Corruption(
-        "document store manifest has the legacy text format");
-  }
 
   auto store = std::unique_ptr<DocumentStore>(new DocumentStore());
   store->path_ = path;

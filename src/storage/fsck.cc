@@ -31,35 +31,21 @@ FsckReport FsckPagerFile(const std::string& path) {
 
 namespace {
 
-/// Leftover shadow staging files ("<base>.shadow.*", "<base>.manifest.tmp")
-/// in the pager file's directory, sorted for deterministic output.
-std::vector<std::string> FindOrphanShadows(
-    const std::string& path, std::vector<std::string>* delta_files) {
-  std::string dir = ".";
-  std::string base = path;
-  size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) {
-    dir = path.substr(0, slash);
-    base = path.substr(slash + 1);
-  }
-  std::vector<std::string> found;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return found;
-  const std::string shadow_prefix = base + ".shadow.";
-  const std::string manifest_tmp = base + ".manifest.tmp";
-  const std::string delta_sidecar = base + ".updatedelta";
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.rfind(shadow_prefix, 0) == 0 || name == manifest_tmp) {
-      found.push_back(dir + "/" + name);
-    } else if (name == delta_sidecar || name == delta_sidecar + ".tmp") {
-      delta_files->push_back(dir + "/" + name);
+bool FileExists(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Records the staging files a crash can leave next to the pager file (the
+/// same set ViewCatalog::Open deletes).
+void FindStagingFiles(const std::string& path, FsckCatalogReport* report) {
+  const std::string checkpoint_tmp = ManifestJournal::PathFor(path) + ".tmp";
+  if (FileExists(checkpoint_tmp)) report->checkpoint_tmp = checkpoint_tmp;
+  for (const char* suffix : {".updatedelta", ".updatedelta.tmp"}) {
+    if (FileExists(path + suffix)) {
+      report->orphan_delta_files.push_back(path + suffix);
     }
   }
-  ::closedir(d);
-  std::sort(found.begin(), found.end());
-  std::sort(delta_files->begin(), delta_files->end());
-  return found;
 }
 
 /// The first page run of `list` that reaches past `durable`, rendered
@@ -155,17 +141,17 @@ void CheckDeltaList(Pager& pager, const ManifestViewRecord& record,
 
 FsckCatalogReport FsckCatalog(const std::string& path) {
   FsckCatalogReport report;
-  report.orphan_shadows = FindOrphanShadows(path, &report.orphan_delta_files);
+  FindStagingFiles(path, &report);
 
   util::StatusOr<ManifestReplayResult> replayed =
       ManifestJournal::Replay(ManifestJournal::PathFor(path));
   report.manifest_status = replayed.status();
   report.pager = FsckPagerFile(path);
 
-  if (!replayed.ok() || replayed->legacy_text) {
-    // No journal to establish a durable prefix (bare pager file or legacy
-    // text manifest): the whole file is claimed, so every bad page counts.
-    report.legacy = replayed.ok() && replayed->legacy_text;
+  if (!replayed.ok()) {
+    // No journal to establish a durable prefix (bare pager file or an
+    // unreadable manifest): the whole file is claimed, so every bad page
+    // counts.
     report.corrupt_durable_pages =
         static_cast<uint32_t>(report.pager.bad_pages.size());
     return report;
@@ -377,12 +363,6 @@ FsckDocStoreReport FsckDocumentStore(const std::string& path) {
         replayed.status().code() == util::StatusCode::kNotFound && pager_exists;
     return report;
   }
-  if (replayed->legacy_text) {
-    report.manifest_status =
-        util::Status::Corruption("document store manifest is a legacy text "
-                                 "manifest (never written by the builder)");
-    return report;
-  }
 
   const ManifestReplayResult& journal = *replayed;
   report.durable_page_count = journal.durable_page_count;
@@ -541,7 +521,6 @@ std::string ToJson(const FsckCatalogReport& report) {
   out += "  },\n";
   out += "  \"manifest_status\": " +
          JsonQuote(report.manifest_status.ToString()) + ",\n";
-  out += "  \"legacy\": " + JsonBool(report.legacy) + ",\n";
   out += "  \"last_epoch\": " + std::to_string(report.last_epoch) + ",\n";
   out += "  \"max_epoch\": " + std::to_string(report.max_epoch) + ",\n";
   out += "  \"epoch_regressions\": " +
@@ -561,8 +540,7 @@ std::string ToJson(const FsckCatalogReport& report) {
   out += "  \"orphan_pages\": " + std::to_string(report.orphan_pages) + ",\n";
   out += "  \"pager_tail_partial\": " + JsonBool(report.pager_tail_partial) +
          ",\n";
-  out += "  \"orphan_shadows\": " + JsonStringArray(report.orphan_shadows) +
-         ",\n";
+  out += "  \"checkpoint_tmp\": " + JsonQuote(report.checkpoint_tmp) + ",\n";
   out += "  \"orphan_delta_files\": " +
          JsonStringArray(report.orphan_delta_files) + ",\n";
   out += "  \"corrupt_durable_pages\": " +

@@ -36,20 +36,17 @@ FsckReport FsckPagerFile(const std::string& path);
 ///     record failing its CRC mid-file, an install record pointing past the
 ///     journal's durable prefix, or a data file shorter than that prefix;
 ///   - *crash artifacts* (interrupted-but-rolled-backable state): a torn
-///     journal tail, pager pages past the durable prefix, leftover shadow
-///     files, a pre-journal text manifest. These are what RepairCatalog
+///     journal tail, pager pages past the durable prefix, leftover staging
+///     files. These are what RepairCatalog
 ///     (or the next ViewCatalog::Open) cleans up.
 struct FsckCatalogReport {
   /// Page-level scan of the pager file (checksums, footers).
   FsckReport pager;
-  /// Journal replay verdict: OK, kNotFound (no manifest), or kCorruption.
+  /// Journal replay verdict: OK, kNotFound (no manifest), or kCorruption
+  /// (which covers any header but the current version's).
   util::Status manifest_status;
-  /// The journal held a pre-journal "VIEWJOINCAT" text manifest. Journal
-  /// cross-checks are skipped (the legacy format carries no epochs); the
-  /// next Open converts it.
-  bool legacy = false;
 
-  // -- Journal summary (valid when manifest_status is OK and !legacy) -------
+  // -- Journal summary (valid when manifest_status is OK) -------------------
   uint64_t last_epoch = 0;
   /// Epoch high-water mark over EVERY journal record, including records a
   /// rolled-back update batch undid — the value the epoch allocator resumes
@@ -75,8 +72,9 @@ struct FsckCatalogReport {
   /// pager rejects such a file wholesale, so the page scan is skipped; the
   /// journal still proves everything up to the durable prefix.
   bool pager_tail_partial = false;
-  /// Leftover "<path>.shadow.*" staging files from interrupted installs.
-  std::vector<std::string> orphan_shadows;
+  /// Path of a stale "<path>.manifest.tmp" from a checkpoint cut short
+  /// before its rename; empty when there is none.
+  std::string checkpoint_tmp;
   /// Leftover "<path>.updatedelta" spill files (whole or torn) from an
   /// interrupted update batch; pure staging, swept by the next Open.
   std::vector<std::string> orphan_delta_files;
@@ -117,7 +115,7 @@ struct FsckCatalogReport {
 
   /// Nothing wrong at all.
   bool clean() const {
-    return pager.ok() && manifest_status.ok() && !legacy && !corrupt() &&
+    return pager.ok() && manifest_status.ok() && !corrupt() &&
            !repair_needed();
   }
   /// Something validates as wrong (vs. merely interrupted).
@@ -132,19 +130,19 @@ struct FsckCatalogReport {
   /// Crash artifacts present that RepairCatalog / Open would clean up.
   bool repair_needed() const {
     return journal_tail_torn || orphan_pages > 0 || pager_tail_partial ||
-           !orphan_shadows.empty() || !orphan_delta_files.empty() ||
-           rolled_back_update_batches > 0 || legacy;
+           !checkpoint_tmp.empty() || !orphan_delta_files.empty() ||
+           rolled_back_update_batches > 0;
   }
 };
 
 /// Read-only consistency check of the persistent catalog at `path` (pager
-/// file + "<path>.manifest" journal + shadow leftovers). Never modifies any
+/// file + "<path>.manifest" journal + staging leftovers). Never modifies any
 /// file and never aborts; every finding lands in the report.
 FsckCatalogReport FsckCatalog(const std::string& path);
 
 /// Repairs the crash artifacts FsckCatalog flags: opens the catalog (which
 /// runs startup recovery — truncating the torn journal tail and orphan
-/// pages, deleting orphan shadows, converting a legacy manifest), then
+/// pages, deleting staging files), then
 /// checkpoints the journal and closes cleanly. Returns the recovery report
 /// describing what was done, or the error that prevented opening — genuine
 /// corruption (checksum-bad pages, missing committed data) is NOT repaired,

@@ -24,8 +24,8 @@ struct GallopResult {
 /// and yields the tightest bound proven so far — every index < pos is known
 /// below the target, so a caller that seeks to pos skips only dead entries.
 ///
-/// This is the one shared skip-search core: the scalar cursor paths and the
-/// block cursor's page gallop both route through it, so the uint32 overflow
+/// This is the one shared skip-search core: the entry-level cursor paths and
+/// the block cursor's page gallop both route through it, so the uint32 overflow
 /// that the old open-coded loops had (`lo + step` wrapping near 2^31
 /// entries, looping forever) is fixed in exactly one place. All arithmetic
 /// here is on differences (`step < hi - lo`), which cannot wrap.

@@ -17,7 +17,6 @@ using util::Status;
 using util::StatusOr;
 
 constexpr char kMagic[8] = {'V', 'J', 'M', 'A', 'N', 'I', 'F', 'J'};
-constexpr char kLegacyMagic[] = "VIEWJOINCAT";
 constexpr size_t kJournalHeaderSize = 16;
 
 // ---- Little-endian append/read helpers -------------------------------------
@@ -156,48 +155,42 @@ void ExpandRuns(const std::vector<PageRun>& runs, StoredList* list) {
   }
 }
 
-StoredList DecodeStoredList(PayloadReader& in, uint32_t version) {
+StoredList DecodeStoredList(PayloadReader& in) {
   StoredList list;
   const PageId first_page = in.U32();
   list.count = in.U32();
   list.layout.label_count = in.U32();
   list.layout.has_pointers = in.U8() != 0;
   list.layout.child_count = in.U32();
+  uint8_t format = in.U8();
+  const bool multi_run = (format & kMultiRunFlag) != 0;
+  format &= static_cast<uint8_t>(~kMultiRunFlag);
+  // An unknown format byte cannot pass the record CRC unless a newer
+  // writer produced it; degrade to fixed so ListInRange rejects cleanly.
+  list.format =
+      format <= 1 ? static_cast<ListFormat>(format) : ListFormat::kFixed;
+  uint32_t dir_count = in.U32();
+  if (dir_count > ManifestJournal::kMaxPayload / 4) dir_count = 0;
+  list.page_first_entry.reserve(dir_count);
+  for (uint32_t i = 0; i < dir_count && !in.failed(); ++i) {
+    list.page_first_entry.push_back(in.U32());
+  }
+  uint32_t fence_count = in.U32();
+  if (fence_count > ManifestJournal::kMaxPayload / 4) fence_count = 0;
+  list.page_first_start.reserve(fence_count);
+  for (uint32_t i = 0; i < fence_count && !in.failed(); ++i) {
+    list.page_first_start.push_back(in.U32());
+  }
   std::vector<PageRun> runs;
-  bool multi_run = false;
-  if (version >= 2) {
-    uint8_t format = in.U8();
-    multi_run = (format & kMultiRunFlag) != 0;
-    format &= static_cast<uint8_t>(~kMultiRunFlag);
-    // An unknown format byte cannot pass the record CRC unless a newer
-    // writer produced it; degrade to fixed so ListInRange rejects cleanly.
-    list.format =
-        format <= 1 ? static_cast<ListFormat>(format) : ListFormat::kFixed;
-    uint32_t dir_count = in.U32();
-    if (dir_count > ManifestJournal::kMaxPayload / 4) dir_count = 0;
-    list.page_first_entry.reserve(dir_count);
-    for (uint32_t i = 0; i < dir_count && !in.failed(); ++i) {
-      list.page_first_entry.push_back(in.U32());
-    }
-    uint32_t fence_count = in.U32();
-    if (fence_count > ManifestJournal::kMaxPayload / 4) fence_count = 0;
-    list.page_first_start.reserve(fence_count);
-    for (uint32_t i = 0; i < fence_count && !in.failed(); ++i) {
-      list.page_first_start.push_back(in.U32());
-    }
-    if (multi_run) {
-      uint32_t run_count = in.U32();
-      if (run_count > ManifestJournal::kMaxPayload / 8) run_count = 0;
-      runs.reserve(run_count);
-      for (uint32_t i = 0; i < run_count && !in.failed(); ++i) {
-        const PageId first = in.U32();
-        runs.push_back({first, in.U32()});
-      }
+  if (multi_run) {
+    uint32_t run_count = in.U32();
+    if (run_count > ManifestJournal::kMaxPayload / 8) run_count = 0;
+    runs.reserve(run_count);
+    for (uint32_t i = 0; i < run_count && !in.failed(); ++i) {
+      const PageId first = in.U32();
+      runs.push_back({first, in.U32()});
     }
   }
-  // v1 lists decode as fixed format with no fences; cursors fall back to
-  // entry-level galloping until the catalog's upgrade checkpoint rewrites
-  // the journal at v2.
   if (in.failed() || list.count == 0) return list;
   const uint32_t record = list.layout.RecordSize();
   if (record == 0 || record > Pager::kPageSize) return list;  // rejected later
@@ -352,8 +345,7 @@ using PendingBegins =
 /// Applies one parsed record to the accumulating replay state. Returns
 /// kCorruption when the payload does not decode.
 Status ApplyRecord(ManifestRecordType type, const uint8_t* payload,
-                   size_t payload_size, uint32_t version,
-                   const std::string& path, long offset,
+                   size_t payload_size, const std::string& path, long offset,
                    ManifestReplayResult& result,
                    PendingBegins& pending_begins) {
   PayloadReader in(payload, payload_size);
@@ -375,12 +367,12 @@ Status ApplyRecord(ManifestRecordType type, const uint8_t* payload,
       r.size_bytes = in.U64();
       r.pointer_count = in.U64();
       r.page_count_after = in.U32();
-      r.tuple_list = DecodeStoredList(in, version);
+      r.tuple_list = DecodeStoredList(in);
       uint32_t list_count = in.U32();
       if (list_count > ManifestJournal::kMaxPayload / 17) break;
       r.lists.reserve(list_count);
       for (uint32_t i = 0; i < list_count && !in.failed(); ++i) {
-        r.lists.push_back(DecodeStoredList(in, version));
+        r.lists.push_back(DecodeStoredList(in));
       }
       uint32_t length_count = in.U32();
       if (length_count > ManifestJournal::kMaxPayload / 4) break;
@@ -538,9 +530,8 @@ Status ScanRecords(std::FILE* file, const std::string& path, long end,
       }
       scan.txn_open = false;
     } else if (rtype != ManifestRecordType::kEpochMark) {
-      Status applied = ApplyRecord(rtype, buf.data() + 1, payload_len,
-                                   scan.result.header_version, path, offset,
-                                   scan.result, scan.pending);
+      Status applied = ApplyRecord(rtype, buf.data() + 1, payload_len, path,
+                                   offset, scan.result, scan.pending);
       if (!applied.ok()) return applied;
     }
     scan.offset += record_size;
@@ -630,30 +621,15 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
 
   uint8_t header[kJournalHeaderSize];
   size_t got = std::fread(header, 1, sizeof(header), file);
-  if (got >= sizeof(kLegacyMagic) - 1 &&
-      std::memcmp(header, kLegacyMagic, sizeof(kLegacyMagic) - 1) == 0) {
-    std::fclose(file);
-    result.legacy_text = true;
-    result.valid_bytes = file_size;
-    return result;
-  }
   if (got != sizeof(header) ||
       std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     std::fclose(file);
     return Status::Corruption("manifest journal " + path +
                               " has a bad or truncated header");
   }
-  // Validate the header manually rather than against the current writer's
-  // bytes: replay accepts any version we know how to decode (1 or 2), while
-  // the CRC over magic+version still catches a flipped version byte.
-  uint32_t header_version = 0;
-  uint32_t header_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    header_version |= static_cast<uint32_t>(header[8 + i]) << (8 * i);
-    header_crc |= static_cast<uint32_t>(header[12 + i]) << (8 * i);
-  }
-  if (header_crc != util::Crc32(header, 12) || header_version < 1 ||
-      header_version > kFormatVersion) {
+  // The header is exactly what the writer emits: a flipped version byte, a
+  // bad CRC and a journal of another version all fail the same comparison.
+  if (std::memcmp(header, EncodeJournalHeader().data(), sizeof(header)) != 0) {
     std::fclose(file);
     return Status::Corruption("manifest journal " + path +
                               " header fails validation (version/CRC)");
@@ -661,7 +637,6 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
 
   PendingBegins pending;
   RecordScan scan;
-  scan.result.header_version = header_version;
   Status scanned = ScanRecords(file, path, file_size, scan);
   if (scanned.ok() && scan.txn_open) {
     // Crash mid-batch: the commit record never landed, so none of the
@@ -673,7 +648,6 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
     // records appended after recovery would sit behind a dangling open
     // transaction and be rolled back by every future replay.
     RecordScan before;
-    before.result.header_version = header_version;
     scanned = std::fseek(file, before.offset, SEEK_SET) == 0
                   ? ScanRecords(file, path, scan.txn_begin_offset, before)
                   : IoError("cannot rewind manifest journal " + path);

@@ -89,13 +89,6 @@ struct ManifestReplayResult {
   /// regression means the epoch counter was reused after a faulty
   /// compaction; fsck reports this as corruption.
   uint64_t epoch_regressions = 0;
-  /// The file held a pre-journal plain-text manifest ("VIEWJOINCAT"); the
-  /// caller must parse it with the legacy loader and convert.
-  bool legacy_text = false;
-  /// Format version from the journal header (1 = fixed-format lists only,
-  /// 2 = versioned StoredList encoding with list format + page directory).
-  /// Catalogs upgrade v1 journals wholesale via Checkpoint after open.
-  uint32_t header_version = 0;
 };
 
 /// Append-only, checksummed journal of view-lifecycle events — the
@@ -105,7 +98,7 @@ struct ManifestReplayResult {
 ///
 /// On-disk layout:
 ///
-///   [ 16-byte header: magic "VJMANIFJ", u32 version (1 or 2), u32 CRC32 ]
+///   [ 16-byte header: magic "VJMANIFJ", u32 version (2), u32 CRC32 ]
 ///   [ record ]*
 ///
 /// where each record is
@@ -123,18 +116,17 @@ struct ManifestReplayResult {
 ///     truncates it away;
 ///   - a fully present record with a CRC mismatch is *corruption* (bit rot
 ///     or tampering) and fails the replay with kCorruption;
-///   - a file beginning with the legacy text magic "VIEWJOINCAT" is flagged
-///     legacy_text for the caller to convert.
+///   - a header with another magic or version (a pre-journal text manifest,
+///     a v1 journal) is kCorruption too: no build writes those any more.
 ///
 /// Thread-safety: appends are serialized by an internal mutex; Replay and
 /// Checkpoint are static and operate on paths.
 class ManifestJournal {
  public:
-  /// v1: fixed-format lists, 17-byte StoredList encoding. v2: adds a list
-  /// format byte and the delta page directory / fence keys per list; a list
-  /// whose page table is several runs sets bit 0x80 of that byte and appends
-  /// the runs (readers that predate the flag reject such a record). Replay
-  /// accepts both versions; writers always emit kFormatVersion.
+  /// The only version written and read. Each StoredList carries a list
+  /// format byte and the delta page directory / fence keys; a list whose
+  /// page table is several runs sets bit 0x80 of that byte and appends the
+  /// runs.
   static constexpr uint32_t kFormatVersion = 2;
   /// Sanity cap on one record's payload (a view with thousands of lists is
   /// still far below this); a larger length prefix is treated as garbage.
@@ -163,8 +155,8 @@ class ManifestJournal {
 
   /// Atomically replaces `path` with a compact journal holding exactly
   /// `records` (+ quarantine markers for `quarantined_epochs`), via
-  /// tmp file + fsync + rename. Used by checkpointing and by the legacy
-  /// text-manifest conversion. The header write is fault-injectable.
+  /// tmp file + fsync + rename. Used by checkpointing. The header write is
+  /// fault-injectable.
   static util::Status WriteCheckpoint(
       const std::string& path, const std::vector<ManifestViewRecord>& records,
       const std::vector<uint64_t>& quarantined_epochs, uint64_t last_epoch);

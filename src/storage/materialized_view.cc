@@ -1,6 +1,5 @@
 #include "storage/materialized_view.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -140,27 +139,11 @@ ViewCatalog::ViewCatalog(const std::string& path, size_t pool_pages,
   }
 }
 
-namespace {
-
-ListFormat DefaultListFormat() {
-  const char* env = std::getenv("VIEWJOIN_LIST_FORMAT");
-  if (env == nullptr || *env == '\0') return ListFormat::kDelta;
-  if (std::strcmp(env, "fixed") == 0) return ListFormat::kFixed;
-  if (std::strcmp(env, "delta") == 0) return ListFormat::kDelta;
-  VJ_CHECK(false) << "VIEWJOIN_LIST_FORMAT must be \"fixed\" or \"delta\", "
-                     "got \""
-                  << env << "\"";
-  return ListFormat::kDelta;
-}
-
-}  // namespace
-
 ViewCatalog::ViewCatalog(const std::string& path, size_t pool_pages,
                          bool persistent, Pager::Mode mode)
     : pager_(std::make_unique<Pager>(path, mode)),
       pool_(std::make_unique<BufferPool>(pager_.get(), pool_pages)),
-      persistent_(persistent),
-      list_format_(DefaultListFormat()) {}
+      persistent_(persistent) {}
 
 ViewCatalog::~ViewCatalog() { (void)Close(); }
 
@@ -257,42 +240,19 @@ ViewCatalog::BackupSnapshot ViewCatalog::SnapshotLocked() const {
 
 namespace {
 
-/// Deletes leftover shadow files ("<base>.shadow.*", sealed or .tmp, which
-/// older builds staged installs through) and a stray checkpoint tmp next to
-/// the pager file. Returns how many were removed. A shadow is pure staging —
-/// its content is either uncommitted (discard) or already in the pager file
-/// (redundant), so deletion is always the right recovery action.
-int RemoveOrphanShadows(const std::string& pager_path,
-                        int* delta_files_removed = nullptr) {
-  std::string dir = ".";
-  std::string base = pager_path;
-  size_t slash = pager_path.rfind('/');
-  if (slash != std::string::npos) {
-    dir = pager_path.substr(0, slash);
-    base = pager_path.substr(slash + 1);
-  }
-  const std::string shadow_prefix = base + ".shadow.";
-  const std::string checkpoint_tmp = base + ".manifest.tmp";
-  const std::string delta_sidecar = base + ".updatedelta";
-  int removed = 0;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return 0;
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.rfind(shadow_prefix, 0) == 0 || name == checkpoint_tmp) {
-      if (std::remove((dir + "/" + name).c_str()) == 0) ++removed;
-    } else if (name == delta_sidecar || name == delta_sidecar + ".tmp") {
-      // Delta spill sidecars are staging for an update batch in flight; any
-      // survivor (torn or whole) belongs to a batch that either committed
-      // (sidecar redundant) or rolled back (sidecar garbage).
-      if (std::remove((dir + "/" + name).c_str()) == 0 &&
-          delta_files_removed != nullptr) {
-        ++*delta_files_removed;
-      }
+/// Deletes the staging files a crash can leave next to the pager file: a
+/// checkpoint tmp cut short before its rename, and an update batch's delta
+/// spill sidecar (whole or torn). Each is pure staging — its batch or
+/// checkpoint either committed (file redundant) or rolled back (file
+/// garbage) — so deletion is always the right recovery action.
+void RemoveStagingFiles(const std::string& pager_path, RecoveryReport* report) {
+  report->checkpoint_tmp_removed =
+      std::remove((ManifestJournal::PathFor(pager_path) + ".tmp").c_str()) == 0;
+  for (const char* suffix : {".updatedelta", ".updatedelta.tmp"}) {
+    if (std::remove((pager_path + suffix).c_str()) == 0) {
+      ++report->orphan_delta_files_removed;
     }
   }
-  ::closedir(d);
-  return removed;
 }
 
 util::Status MalformedManifest(const std::string& path,
@@ -349,37 +309,8 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
   ManifestReplayResult replay = std::move(*replayed);
 
   RecoveryReport report;
-  report.orphan_shadows_removed =
-      RemoveOrphanShadows(path, &report.orphan_delta_files_removed);
+  RemoveStagingFiles(path, &report);
   report.rolled_back_update_batches = replay.rolled_back_update_batches;
-
-  if (replay.legacy_text) {
-    // Pre-journal text manifest: load with the legacy parser, then convert
-    // the store to the journal format in place.
-    auto catalog = std::unique_ptr<ViewCatalog>(new ViewCatalog(
-        path, pool_pages, /*persistent=*/true, Pager::Mode::kReopen));
-    if (!catalog->pager_->init_status().ok()) {
-      return catalog->pager_->init_status();
-    }
-    util::Status loaded = catalog->LoadLegacyManifest();
-    if (!loaded.ok()) return loaded;
-    uint32_t pages = catalog->pager_->page_count();
-    std::vector<ManifestViewRecord> records;
-    records.reserve(catalog->views_.size());
-    for (const auto& view : catalog->views_) {
-      records.push_back(catalog->RecordFor(*view, pages));
-    }
-    util::Status converted = ManifestJournal::WriteCheckpoint(
-        journal_path, records, {}, catalog->epoch());
-    if (!converted.ok()) return converted;
-    auto journal = ManifestJournal::OpenForAppend(journal_path,
-                                                  /*valid_bytes=*/-1);
-    if (!journal.ok()) return journal.status();
-    catalog->journal_ = std::move(*journal);
-    report.legacy_manifest_converted = true;
-    catalog->recovery_ = std::move(report);
-    return catalog;
-  }
 
   // Roll the pager file back to the journal's durable prefix *before* the
   // pager validates it: a crash between the data append and the journal
@@ -505,108 +436,8 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
       queue_rebuild(pattern, view->scheme_);
     }
   }
-  // A v1 journal decodes fine, but appending v2-encoded records to it would
-  // produce a mixed-version file no single header version describes.
-  // Rewrite it wholesale at the current version before any append happens
-  // (the views just built re-encode through the v2 writer; the data file is
-  // untouched).
-  if (replay.header_version < ManifestJournal::kFormatVersion) {
-    util::Status upgraded = catalog->Checkpoint();
-    if (!upgraded.ok()) return upgraded;
-    report.journal_upgraded = true;
-  }
-
   catalog->recovery_ = std::move(report);
   return catalog;
-}
-
-util::Status ViewCatalog::LoadLegacyManifest() {
-  const std::string path = pager_->path();
-  auto fail = [&path](const std::string& message) {
-    return MalformedManifest(path, message);
-  };
-  std::FILE* in = std::fopen((path + ".manifest").c_str(), "r");
-  if (in == nullptr) {
-    return util::Status::NotFound("missing manifest for " + path);
-  }
-  const uint32_t pager_pages = pager_->page_count();
-  char magic[16];
-  int version = 0;
-  size_t num_views = 0;
-  bool ok = std::fscanf(in, "%15s %d %zu", magic, &version, &num_views) == 3 &&
-            std::string(magic) == "VIEWJOINCAT" && version == 1;
-  for (size_t v = 0; ok && v < num_views; ++v) {
-    auto view = std::make_unique<MaterializedView>();
-    int scheme = 0;
-    char pattern_buf[512];
-    ok = std::fscanf(in, " V %d %511s", &scheme, pattern_buf) == 2;
-    if (!ok) break;
-    std::optional<tpq::TreePattern> pattern =
-        tpq::TreePattern::Parse(pattern_buf);
-    if (!pattern.has_value()) {
-      ok = false;
-      break;
-    }
-    view->pattern_ = *pattern;
-    view->scheme_ = static_cast<Scheme>(scheme);
-    unsigned long long mc = 0, sb = 0, pc = 0;
-    ok = std::fscanf(in, " M %llu %llu %llu", &mc, &sb, &pc) == 3;
-    if (!ok) break;
-    view->match_count_ = mc;
-    view->size_bytes_ = sb;
-    view->pointer_count_ = pc;
-    ok = std::fscanf(in, " G") == 0;
-    for (size_t q = 0; ok && q < view->pattern_.size(); ++q) {
-      uint32_t len = 0;
-      ok = std::fscanf(in, "%u", &len) == 1;
-      view->list_lengths_.push_back(len);
-    }
-    size_t num_lists = 0;
-    ok = ok && std::fscanf(in, " L %zu", &num_lists) == 1;
-    auto load = [&](StoredList* list) {
-      uint32_t hp = 0;
-      PageId first = kInvalidPage;
-      if (std::fscanf(in, "%u %u %u %u %u", &first, &list->count,
-                      &list->layout.label_count, &hp,
-                      &list->layout.child_count) != 5) {
-        return false;
-      }
-      list->layout.has_pointers = hp != 0;
-      // A run that does not fit the pager file leaves the table empty for
-      // ListInRange to reject below.
-      const uint32_t record = list->layout.RecordSize();
-      if (list->count != 0 && record != 0 && record <= Pager::kPageSize &&
-          first < pager_pages && list->PageSpan() <= pager_pages - first) {
-        list->AssignRun(first);
-      }
-      return true;
-    };
-    for (size_t i = 0; ok && i < num_lists; ++i) {
-      StoredList list;
-      ok = load(&list);
-      view->lists_.push_back(list);
-    }
-    ok = ok && load(&view->tuple_list_);
-    if (ok) {
-      view->epoch_ = AllocateEpoch();
-      RegisterLocked(std::move(view));
-    }
-  }
-  std::fclose(in);
-  if (!ok) return fail("truncated or unparsable view records");
-  for (const auto& view : views_) {
-    for (const StoredList& list : view->lists_) {
-      if (!ListInRange(list, pager_pages)) {
-        return fail("view " + view->pattern_.ToString() +
-                    " references pages beyond the pager file");
-      }
-    }
-    if (!ListInRange(view->tuple_list_, pager_pages)) {
-      return fail("view " + view->pattern_.ToString() +
-                  " references pages beyond the pager file");
-    }
-  }
-  return util::Status::Ok();
 }
 
 IoStats ViewCatalog::Stats() const {
@@ -896,17 +727,7 @@ util::StatusOr<const MaterializedView*> ViewCatalog::TryMaterialize(
 
   // Element-list based schemes. Gather solution node lists and their labels.
   std::vector<std::vector<NodeId>> solutions = evaluator.SolutionNodes();
-  return TryMaterializeFromLists(doc, pattern, solutions, scheme);
-}
-
-const MaterializedView* ViewCatalog::MaterializeFromLists(
-    const Document& doc, const TreePattern& pattern,
-    const std::vector<std::vector<NodeId>>& solutions, Scheme scheme) {
-  util::StatusOr<const MaterializedView*> result =
-      TryMaterializeFromLists(doc, pattern, solutions, scheme);
-  VJ_CHECK(result.ok()) << "materialization of " << pattern.ToString()
-                        << " failed: " << result.status().ToString();
-  return *result;
+  return MaterializeFromLists(doc, pattern, solutions, scheme);
 }
 
 util::StatusOr<std::unique_ptr<MaterializedView>> ViewCatalog::StageListView(
@@ -944,7 +765,7 @@ util::StatusOr<std::unique_ptr<MaterializedView>> ViewCatalog::StageListView(
   return view;
 }
 
-util::StatusOr<const MaterializedView*> ViewCatalog::TryMaterializeFromLists(
+util::StatusOr<const MaterializedView*> ViewCatalog::MaterializeFromLists(
     const Document& doc, const TreePattern& pattern,
     const std::vector<std::vector<NodeId>>& solutions, Scheme scheme) {
   VJ_CHECK(scheme != Scheme::kTuple)
@@ -1008,14 +829,15 @@ util::StatusOr<std::vector<Label>> MergeDelta(
   return merged;
 }
 
-// Delta spill sidecar ("<pager>.updatedelta"): big update batches stage
-// their serialized deltas on disk instead of holding two copies in memory.
-// Layout: magic "VJUPDELT" | u32 spec_count | per spec (u32 nq, per node:
+// Delta spill sidecar ("<pager>.updatedelta"): update batches whose
+// serialized deltas exceed kDeltaSpillBytes stage them on disk instead of
+// holding two copies in memory. Layout: magic "VJUPDELT" | u32 spec_count | per spec (u32 nq, per node:
 // u32 added_count, labels..., u32 removed_count, labels...) | u32 CRC32 of
 // everything after the magic. The file is pure staging: recovery deletes
 // any survivor, torn or whole.
 
 constexpr char kDeltaMagic[8] = {'V', 'J', 'U', 'P', 'D', 'E', 'L', 'T'};
+constexpr size_t kDeltaSpillBytes = 1u << 20;
 
 void PutLabelVec(std::vector<uint8_t>* out, const std::vector<Label>& v) {
   AppendU32(out, static_cast<uint32_t>(v.size()));
@@ -1275,8 +1097,7 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
 }
 
 util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
-    const Document& doc, const std::vector<ViewUpdateSpec>& specs,
-    const UpdateBatchOptions& options) {
+    const Document& doc, const std::vector<ViewUpdateSpec>& specs) {
   if (specs.empty()) {
     return util::Status::InvalidArgument("empty update batch");
   }
@@ -1341,7 +1162,8 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   bool sidecar_on_disk = false;
   if (persistent_) {
     std::vector<uint8_t> serialized = EncodeDeltaSidecar(delta_for);
-    if (serialized.size() > options.delta_spill_bytes) {
+    if (serialized.size() > kDeltaSpillBytes ||
+        util::FaultInjector::Global().delta_spill_armed()) {
       util::Status written = WriteDeltaSidecar(sidecar, serialized);
       if (!written.ok()) return written;
       sidecar_on_disk = true;

@@ -108,11 +108,9 @@ struct RecoveryReport {
   /// Pager pages past the journal's durable prefix (a crash between the data
   /// append and the journal commit) that were truncated away.
   uint32_t orphan_pages_truncated = 0;
-  /// Leftover shadow staging files ("<path>.shadow.*", written by older
-  /// builds' installs) and checkpoint tmp files that were deleted.
-  int orphan_shadows_removed = 0;
-  /// A pre-journal plain-text manifest was converted to the journal format.
-  bool legacy_manifest_converted = false;
+  /// A stale checkpoint tmp file ("<path>.manifest.tmp", from a checkpoint
+  /// cut short before its rename) was deleted.
+  bool checkpoint_tmp_removed = false;
   /// Update batches whose commit record never landed: replay rolled their
   /// installs back wholesale and recovery truncated the half-applied suffix,
   /// so the store reopened at the pre-batch epoch with the pre-batch views.
@@ -120,9 +118,6 @@ struct RecoveryReport {
   /// Leftover delta spill files ("<base>.updatedelta") from interrupted
   /// update batches that were deleted (pure staging).
   int orphan_delta_files_removed = 0;
-  /// A v1 binary journal was rewritten at the current format version (via a
-  /// checkpoint) so subsequent appends carry the versioned list encoding.
-  bool journal_upgraded = false;
   /// Views whose (re-)materialization a crash rolled back, plus quarantined
   /// views with no healthy replacement: the store serves without them, but a
   /// caller holding the source document should re-materialize each one.
@@ -252,12 +247,7 @@ class ViewCatalog {
   /// pattern — how a query's answer is stored back as a view (ViewJoin
   /// keeps its intermediate solutions in the view DAG structure precisely to
   /// enable this, paper Section IV-B feature 2). List schemes only.
-  const MaterializedView* MaterializeFromLists(
-      const xml::Document& doc, const tpq::TreePattern& pattern,
-      const std::vector<std::vector<xml::NodeId>>& solutions, Scheme scheme);
-
-  /// Recoverable variant of MaterializeFromLists.
-  util::StatusOr<const MaterializedView*> TryMaterializeFromLists(
+  util::StatusOr<const MaterializedView*> MaterializeFromLists(
       const xml::Document& doc, const tpq::TreePattern& pattern,
       const std::vector<std::vector<xml::NodeId>>& solutions, Scheme scheme);
 
@@ -304,13 +294,6 @@ class ViewCatalog {
     std::vector<std::vector<xml::NodeId>> solutions;
   };
 
-  struct UpdateBatchOptions {
-    /// Serialized deltas larger than this spill to a "<path>.updatedelta"
-    /// sidecar (CRC-checked, re-read before merging, removed at commit);
-    /// crash artifacts are swept by recovery and reported by fsck.
-    size_t delta_spill_bytes = 1u << 20;
-  };
-
   struct UpdateBatchResult {
     /// Epoch of the kUpdateBegin record (the transaction's identity).
     uint64_t txn_epoch = 0;
@@ -331,7 +314,10 @@ class ViewCatalog {
   /// catalog object must be abandoned and the store reopened, like the
   /// install crash points. InvalidArgument when a delta does not match the
   /// stored list (a removed label absent, an added label already present, a
-  /// T-scheme spec without full_rebuild).
+  /// T-scheme spec without full_rebuild). Serialized deltas over 1 MiB (or
+  /// any, under FaultInjector::ArmDeltaSpill) spill to a CRC-checked
+  /// "<path>.updatedelta" sidecar, re-read before merging and removed at
+  /// commit; recovery sweeps a crash's leftover and fsck reports it.
   ///
   /// A spec naming a version that a replacement superseded before the batch
   /// took the install lock is skipped (counted in `superseded`; no
@@ -340,12 +326,7 @@ class ViewCatalog {
   /// until then, so such a replacement was built from `doc` and is already
   /// current.
   util::StatusOr<UpdateBatchResult> ApplyUpdateBatch(
-      const xml::Document& doc, const std::vector<ViewUpdateSpec>& specs,
-      const UpdateBatchOptions& options);
-  util::StatusOr<UpdateBatchResult> ApplyUpdateBatch(
-      const xml::Document& doc, const std::vector<ViewUpdateSpec>& specs) {
-    return ApplyUpdateBatch(doc, specs, UpdateBatchOptions());
-  }
+      const xml::Document& doc, const std::vector<ViewUpdateSpec>& specs);
 
   // ---- Quarantine (fault-tolerant degradation) -----------------------------
   //
@@ -431,7 +412,7 @@ class ViewCatalog {
 
   /// Physical encoding for lists materialized after the call (existing views
   /// keep the format they were built with; both read fine side by side).
-  /// Defaults from VIEWJOIN_LIST_FORMAT ("fixed"/"delta"; delta if unset).
+  /// Defaults to delta.
   ListFormat list_format() const { return list_format_; }
   void set_list_format(ListFormat format) { list_format_ = format; }
 
@@ -532,10 +513,6 @@ class ViewCatalog {
   /// The journal install record describing `view`.
   ManifestViewRecord RecordFor(const MaterializedView& view,
                                uint32_t page_count_after) const;
-
-  /// Parses a pre-journal "VIEWJOINCAT" text manifest into views_ (Open's
-  /// legacy path; the caller then converts the file to the journal format).
-  util::Status LoadLegacyManifest();
 
   uint64_t AllocateEpoch() {
     return epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;

@@ -70,17 +70,16 @@ struct PageRun {
 /// kFixed lists locate entries arithmetically (PageOf/OffsetOf). kDelta
 /// pages hold a variable number of whole records, so they carry a page
 /// directory: `page_first_entry[p]` is the entry index of page p's first
-/// record. Both formats may carry `page_first_start` fence keys (the first
+/// record. Both formats carry `page_first_start` fence keys (the first
 /// record's start label per page), which let seeks gallop across pages
-/// without touching them; lists decoded from v1 manifests have no fences
-/// and fall back to entry-level galloping.
+/// without touching them.
 struct StoredList {
   std::vector<PageId> pages;  // page table; empty for an empty list
   uint32_t count = 0;
   RecordLayout layout;
   ListFormat format = ListFormat::kFixed;
   std::vector<uint32_t> page_first_entry;  // kDelta only
-  std::vector<uint32_t> page_first_start;  // fence keys; may be empty (v1)
+  std::vector<uint32_t> page_first_start;  // fence keys, one per page
 
   uint32_t RecordsPerPage() const {
     VJ_DCHECK(layout.RecordSize() != 0 &&
@@ -157,18 +156,6 @@ struct StoredList {
   }
 };
 
-/// How cursors read list pages. kScalar is the original per-entry path
-/// (pin check + memcpy per field read); kBlock decodes a whole page into
-/// struct-of-arrays scratch once and serves reads from it, enabling the
-/// galloping/SIMD skip primitives below. kDelta lists always decode by
-/// block regardless of mode (varints have no random access).
-enum class CursorMode { kScalar, kBlock };
-
-/// Process default, from VIEWJOIN_CURSOR ("scalar"/"block"; default block).
-CursorMode DefaultCursorMode();
-/// Overrides the default (benches/tests); affects cursors created after.
-void SetDefaultCursorMode(CursorMode mode);
-
 /// Result of a non-moving skip search (FindFirstStart).
 struct SeekOutcome {
   EntryIndex pos = 0;
@@ -187,17 +174,16 @@ struct BlockView {
 };
 
 /// Cursor over a StoredList. Provides sequential Next() and random Seek()
-/// (how pointer jumps land). In scalar mode, field decoders read the current
-/// record through the buffer pool; the cursor holds a *pin* on its current
-/// page, so consecutive reads within a page cost one pool lookup and the
-/// page cannot be evicted (and its pointer never dangles) while the cursor
-/// sits on it — even when other queries thrash the shared pool concurrently.
-/// In block mode the cursor instead decodes the whole page into per-cursor
-/// struct-of-arrays scratch (one pin + one pass per page) and serves
-/// LabelAt/pointer reads and the skip primitives from the decoded arrays.
-/// A page that fails to read (the pool's poison page) or fails delta decode
-/// yields sentinel records — 0xFFFFFFFF labels, null pointers — matching the
-/// scalar path's poison-read semantics so governance sees the same values.
+/// (how pointer jumps land). The cursor reads a page at a time: it holds a
+/// *pin* on its current page, so the page cannot be evicted (and its
+/// pointer never dangles) while the cursor sits on it — even when other
+/// queries thrash the shared pool concurrently — and decodes the page into
+/// per-cursor struct-of-arrays scratch (delta pages at once, fixed pages
+/// lazily per field), serving LabelAt/pointer reads and the galloping/SIMD
+/// skip primitives from the decoded arrays. A page that fails to read (the
+/// pool's poison page) or fails delta decode yields sentinel records —
+/// 0xFFFFFFFF labels, null pointers — so governance sees the same values
+/// under either format.
 ///
 /// A second, memory-backed mode wraps a plain label array instead of a pager
 /// list: the base-document fallback streams the document's own tag lists
@@ -210,12 +196,12 @@ struct BlockView {
 /// EXPLAIN stats stay exact however a skip is executed.
 class ListCursor {
  public:
-  ListCursor() : mode_(DefaultCursorMode()) {}
+  ListCursor() = default;
   ListCursor(const StoredList* list, BufferPool* pool)
-      : list_(list), pool_(pool), mode_(DefaultCursorMode()) {}
+      : list_(list), pool_(pool) {}
   /// Memory-backed cursor over `count` labels (no storage behind it).
   ListCursor(const xml::Label* labels, uint32_t count)
-      : mem_labels_(labels), mem_count_(count), mode_(DefaultCursorMode()) {}
+      : mem_labels_(labels), mem_count_(count) {}
 
   bool valid() const { return list_ != nullptr || mem_labels_ != nullptr; }
   bool AtEnd() const { return index_ >= size(); }
@@ -241,37 +227,29 @@ class ListCursor {
       VJ_DCHECK(!AtEnd());
       return mem_labels_[index_];
     }
-    if (UseBlocks()) {
-      EnsureBlock(index_, 0);
-      if ((block_.fields & kLabelFields) != kLabelFields) {
-        // Undecoded fixed page: read the one record directly until the page
-        // has seen enough traffic to be worth de-interleaving.
-        if (block_.point_reads < kDecodeAfterPointReads) {
-          ++block_.point_reads;
-          uint32_t off = index_ - block_.first;
-          return {FixedFieldAt(off, 12 * k), FixedFieldAt(off, 12 * k + 4),
-                  FixedFieldAt(off, 12 * k + 8)};
-        }
-        EnsureBlock(index_, kLabelFields);
+    EnsureBlock(index_, 0);
+    if ((block_.fields & kLabelFields) != kLabelFields) {
+      // Undecoded fixed page: read the one record directly until the page
+      // has seen enough traffic to be worth de-interleaving.
+      if (block_.point_reads < kDecodeAfterPointReads) {
+        ++block_.point_reads;
+        uint32_t off = index_ - block_.first;
+        return {FixedFieldAt(off, 12 * k), FixedFieldAt(off, 12 * k + 4),
+                FixedFieldAt(off, 12 * k + 8)};
       }
-      uint32_t slot = (index_ - block_.first) * list_->layout.label_count + k;
-      return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
+      EnsureBlock(index_, kLabelFields);
     }
-    const uint8_t* rec = Record();
-    xml::Label label;
-    std::memcpy(&label.start, rec + 12 * k, 4);
-    std::memcpy(&label.end, rec + 12 * k + 4, 4);
-    std::memcpy(&label.level, rec + 12 * k + 8, 4);
-    return label;
+    uint32_t slot = (index_ - block_.first) * list_->layout.label_count + k;
+    return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
   }
 
   EntryIndex Following() const { return PointerAt(0); }
   EntryIndex Descendant() const { return PointerAt(1); }
   EntryIndex Child(uint32_t k) const { return PointerAt(2 + k); }
 
-  /// True when reads decode whole pages (block mode or delta lists) —
+  /// True for storage-backed cursors, whose reads decode whole pages —
   /// callers may then batch via CurrentBlock() instead of per-entry reads.
-  bool block_capable() const { return list_ != nullptr && UseBlocks(); }
+  bool block_capable() const { return list_ != nullptr; }
 
   /// Decoded block containing the current entry (block-capable only).
   BlockView CurrentBlock() const {
@@ -294,10 +272,10 @@ class ListCursor {
       ++bound;  // first start > old bound == first start >= bound+1
     }
     if (index_ >= size()) return {size(), false};
-    if (list_ != nullptr && UseBlocks() && !list_->page_first_start.empty()) {
+    if (list_ != nullptr && !list_->page_first_start.empty()) {
       return FindFirstStartBlocks(bound, probes, ck);
     }
-    // Entry-level gallop: memory mode, scalar mode, or fenceless v1 lists.
+    // Entry-level gallop: memory mode (or a list without fence keys).
     auto below = [&](EntryIndex i) { return StartAt(i) < bound; };
     auto on_probe = [&] {
       ++*probes;
@@ -312,14 +290,14 @@ class ListCursor {
   /// `bound`). Ends are not sorted, so this is a forward scan — SIMD within
   /// decoded blocks. Every passed entry is added to `*scanned` and charged
   /// through `ck`. With `one_block`, stops at the first block boundary
-  /// (scalar mode: after one entry) so callers that must re-check pruned
+  /// (memory mode: after one entry) so callers that must re-check pruned
   /// LE_p pointers keep their step-and-revalidate behavior. Returns true
   /// if `ck` aborted.
   template <typename Ck>
   bool SkipEndsBelow(uint32_t bound, bool one_block, uint64_t* scanned,
                      Ck&& ck) {
     VJ_DCHECK(mem_labels_ != nullptr || list_->layout.label_count == 1);
-    if (list_ != nullptr && UseBlocks()) {
+    if (list_ != nullptr) {
       while (index_ < size()) {
         EnsureBlock(index_, 0);
         uint32_t offset = index_ - block_.first;
@@ -327,8 +305,8 @@ class ListCursor {
             block_.point_reads < kDecodeAfterPointReads) {
           // Undecoded fixed page: step directly off the page first. Most
           // pointer-jump landing zones qualify within a few entries, and
-          // de-interleaving a whole page for them is the block cursor's one
-          // regression against scalar. Sustained traffic trips the decode.
+          // de-interleaving a whole page for them would cost more than the
+          // reads it saves. Sustained traffic trips the decode.
           bool stopped = false;
           uint32_t passed = 0;
           while (offset < block_.count &&
@@ -362,7 +340,7 @@ class ListCursor {
       }
       return false;
     }
-    // Memory mode / scalar mode: per-entry steps, per-entry checkpoints.
+    // Memory mode: per-entry steps, per-entry checkpoints.
     while (index_ < size() && EndAt(index_) < bound) {
       ++index_;
       ++*scanned;
@@ -391,7 +369,7 @@ class ListCursor {
       }
       ++bound;
     }
-    if (list_ != nullptr && UseBlocks()) {
+    if (list_ != nullptr) {
       while (index_ < size()) {
         EnsureBlock(index_, 0);
         uint32_t offset = index_ - block_.first;
@@ -468,11 +446,6 @@ class ListCursor {
     std::vector<uint32_t> levels;
     std::vector<uint32_t> pointers;  // PointerSlots()-strided
   };
-
-  bool UseBlocks() const {
-    return list_ != nullptr &&
-           (list_->format == ListFormat::kDelta || mode_ == CursorMode::kBlock);
-  }
 
   /// Makes block_ describe (and pin_ hold) the page containing entry `i`,
   /// with at least the `wanted` BlockField arrays decoded. Landing on a
@@ -564,34 +537,16 @@ class ListCursor {
 
   EntryIndex PointerAt(uint32_t slot) const {
     VJ_DCHECK(list_ != nullptr && list_->layout.has_pointers);
-    if (UseBlocks()) {
-      EnsureBlock(index_, 0);
-      if ((block_.fields & kPointersField) == 0) {
-        // Fixed pages never SoA-decode pointers: each is read at most a
-        // couple of times per record, so the direct read always wins.
-        return FixedFieldAt(index_ - block_.first,
-                            12 * list_->layout.label_count + 4 * slot);
-      }
-      uint32_t idx =
-          (index_ - block_.first) * list_->layout.PointerSlots() + slot;
-      return block_.pointers[idx];
+    EnsureBlock(index_, 0);
+    if ((block_.fields & kPointersField) == 0) {
+      // Fixed pages never SoA-decode pointers: each is read at most a
+      // couple of times per record, so the direct read always wins.
+      return FixedFieldAt(index_ - block_.first,
+                          12 * list_->layout.label_count + 4 * slot);
     }
-    const uint8_t* rec = Record();
-    EntryIndex value;
-    std::memcpy(&value, rec + 12 * list_->layout.label_count + 4 * slot, 4);
-    return value;
-  }
-
-  const uint8_t* Record() const {
-    VJ_DCHECK(!AtEnd());
-    PageId page = list_->PageOf(index_);
-    if (!pin_.valid() || pin_.page() != page) {
-      // Acquire the new page before dropping the old pin (GetPage replaces
-      // pin_ wholesale); a failed fetch pins the pool's poison page instead.
-      pin_ = pool_->GetPage(page);
-      MaybeReadAhead(list_->PageIndexOf(index_));
-    }
-    return pin_.data() + list_->OffsetOf(index_);
+    uint32_t idx =
+        (index_ - block_.first) * list_->layout.PointerSlots() + slot;
+    return block_.pointers[idx];
   }
 
   const StoredList* list_ = nullptr;
@@ -599,7 +554,6 @@ class ListCursor {
   const xml::Label* mem_labels_ = nullptr;
   uint32_t mem_count_ = 0;
   EntryIndex index_ = 0;
-  CursorMode mode_ = CursorMode::kBlock;
   mutable BufferPool::PinnedPage pin_;
   mutable Block block_;
   mutable uint32_t prefetch_edge_ = 0;  // pages below this were already queued

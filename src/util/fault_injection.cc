@@ -56,6 +56,7 @@ void FaultInjector::Reset() {
   injected_crashes_ = 0;
   recovery_barrier_armed_ = false;
   update_barrier_armed_ = false;
+  delta_spill_armed_ = false;
   barrier_cv_.notify_all();
 }
 

@@ -127,6 +127,18 @@ class FaultInjector {
     return update_barrier_waiting_;
   }
 
+  /// Makes every update batch of a persistent catalog spill its serialized
+  /// deltas to the sidecar file, however small, until Reset(): the spill
+  /// round trip without a megabyte of updates.
+  void ArmDeltaSpill() {
+    std::lock_guard<std::mutex> lock(mu_);
+    delta_spill_armed_ = true;
+  }
+  bool delta_spill_armed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return delta_spill_armed_;
+  }
+
   bool armed() const {
     std::lock_guard<std::mutex> lock(mu_);
     return read_remaining_ != 0 || write_remaining_ != 0 ||
@@ -238,6 +250,7 @@ class FaultInjector {
   bool recovery_barrier_armed_ = false;
   bool update_barrier_armed_ = false;
   bool update_barrier_waiting_ = false;
+  bool delta_spill_armed_ = false;
 };
 
 // ---- Network fault injection ----------------------------------------------

@@ -1,7 +1,7 @@
 // Block-at-a-time cursor tests: the SIMD scan kernels against scalar
 // references, the overflow-safe gallop helper, the delta codec round trip,
-// randomized differential checks of every cursor mode × list format against
-// the original scalar/fixed path, the wide-fan-out materialization guard,
+// randomized differential checks of both list formats against a scalar
+// oracle over fixed pages, the wide-fan-out materialization guard,
 // abort soundness of the skip primitives, and fsck's verification of the
 // compressed list format.
 
@@ -28,7 +28,6 @@ namespace viewjoin {
 namespace {
 
 using storage::BufferPool;
-using storage::CursorMode;
 using storage::EntryIndex;
 using storage::GallopLowerBound;
 using storage::GallopResult;
@@ -48,20 +47,6 @@ using xml::Label;
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + name;
 }
-
-/// Restores the process-wide cursor mode on scope exit; cursors capture the
-/// mode at construction, so every cursor under test is built inside one.
-class ScopedCursorMode {
- public:
-  explicit ScopedCursorMode(CursorMode mode)
-      : saved_(storage::DefaultCursorMode()) {
-    storage::SetDefaultCursorMode(mode);
-  }
-  ~ScopedCursorMode() { storage::SetDefaultCursorMode(saved_); }
-
- private:
-  CursorMode saved_;
-};
 
 // ---- SIMD scan kernels ------------------------------------------------------
 
@@ -354,7 +339,20 @@ TEST(DeltaCodecTest, TruncatedRecordsAreCorruption) {
   }
 }
 
-// ---- Differential: every mode × format against scalar/fixed ----------------
+// ---- Differential: both formats against a scalar fixed-page oracle ---------
+
+/// Reads fixed-format entry `i` of `list` the plain way — pin the page at
+/// PageOf(i), memcpy the record at OffsetOf(i) — with none of the cursor's
+/// block decoding: its label and its following pointer.
+void ReadFixedEntry(const StoredList& list, BufferPool* pool, EntryIndex i,
+                    Label* label, EntryIndex* following) {
+  BufferPool::PinnedPage pin = pool->GetPage(list.PageOf(i));
+  const uint8_t* rec = pin.data() + list.OffsetOf(i);
+  std::memcpy(&label->start, rec, 4);
+  std::memcpy(&label->end, rec + 4, 4);
+  std::memcpy(&label->level, rec + 8, 4);
+  std::memcpy(following, rec + 12 * list.layout.label_count, 4);
+}
 
 struct CursorStore {
   std::unique_ptr<ViewCatalog> catalog;
@@ -370,7 +368,7 @@ CursorStore BuildStore(const xml::Document& doc, const char* path,
   return store;
 }
 
-TEST(BlockCursorTest, AllModesAndFormatsAgreeWithScalarFixed) {
+TEST(BlockCursorTest, BothFormatsAgreeWithScalarFixedOracle) {
   util::Rng rng(23);
   for (uint64_t seed : {1u, 2u, 3u}) {
     util::Rng doc_rng(seed);
@@ -386,27 +384,20 @@ TEST(BlockCursorTest, AllModesAndFormatsAgreeWithScalarFixed) {
       ASSERT_GT(ref_list->count, 0u);
       const uint32_t n = ref_list->count;
 
-      // Reference answers from the original scalar path over fixed pages.
+      // Reference answers read straight off the fixed pages.
       std::vector<Label> labels(n);
       std::vector<EntryIndex> follows(n);
-      {
-        ScopedCursorMode scalar(CursorMode::kScalar);
-        ListCursor ref(ref_list, fixed.catalog->pool());
-        for (uint32_t i = 0; i < n; ++i, ref.Next()) {
-          labels[i] = ref.LabelAt();
-          follows[i] = ref.Following();
-        }
+      for (uint32_t i = 0; i < n; ++i) {
+        ReadFixedEntry(*ref_list, fixed.catalog->pool(), i, &labels[i],
+                       &follows[i]);
       }
 
       // Memory-backed cursor participates in the label differential.
       std::vector<Label> mem_copy = labels;
 
       auto never = [](uint32_t) { return false; };
-      for (int variant = 0; variant < 3; ++variant) {
-        CursorMode mode =
-            variant == 1 ? CursorMode::kScalar : CursorMode::kBlock;
+      for (int variant = 0; variant < 2; ++variant) {
         const CursorStore& store = variant == 0 ? fixed : delta;
-        ScopedCursorMode scoped(mode);
         ListCursor cursor(&store.view->list(1), store.catalog->pool());
         ListCursor mem(mem_copy.data(), n);
 

@@ -1,13 +1,13 @@
 // Crash safety of the view store. The crash matrix simulates kill -9 at
 // every instant of the install protocol (data synced / journal record torn),
 // reopens the store, and asserts recovery leaves exactly the committed
-// catalog: no staging files, no uncommitted pages, identical query answers,
-// and the interrupted view re-queued for rebuilding. Around the matrix: manifest
-// journal torn-tail vs. bit-rot handling, legacy manifest conversion, the
-// integrity scrubber (detect + heal, alone and under concurrent batch
-// queries), close-time flush surfacing, and the offline fsck/repair pipeline.
+// catalog: no uncommitted pages, identical query answers, and the
+// interrupted view re-queued for rebuilding. Around the matrix: manifest
+// journal torn-tail vs. bit-rot handling, typed rejection of headers no build
+// writes any more, the integrity scrubber (detect + heal, alone and under
+// concurrent batch queries), close-time flush surfacing, and the offline
+// fsck/repair pipeline.
 
-#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -20,6 +20,7 @@
 #include "algo/query_binding.h"
 #include "algo/twig_stack.h"
 #include "core/engine.h"
+#include "storage/document_store.h"
 #include "storage/fsck.h"
 #include "storage/manifest.h"
 #include "storage/materialized_view.h"
@@ -59,46 +60,32 @@ std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + name;
 }
 
-/// Removes the store's files plus any shadow leftovers a previous (failed)
-/// test run may have parked in the shared temp directory.
+/// Removes the store's files plus a checkpoint tmp a previous (failed) test
+/// run may have parked in the shared temp directory.
 void CleanupStore(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".manifest").c_str());
   std::remove((path + ".manifest.tmp").c_str());
-  std::string dir = ".";
-  std::string base = path;
-  size_t slash = path.rfind('/');
-  if (slash != std::string::npos) {
-    dir = path.substr(0, slash);
-    base = path.substr(slash + 1);
-  }
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return;
-  const std::string prefix = base + ".shadow.";
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
-    if (name.rfind(prefix, 0) == 0) std::remove((dir + "/" + name).c_str());
-  }
-  ::closedir(d);
 }
 
-int CountShadowFiles(const std::string& path) {
-  std::string dir = ".";
-  std::string base = path;
-  size_t slash = path.rfind('/');
-  if (slash != std::string::npos) {
-    dir = path.substr(0, slash);
-    base = path.substr(slash + 1);
+std::string ReadFile(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.append(buf, got);
   }
-  int count = 0;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return 0;
-  const std::string prefix = base + ".shadow.";
-  while (struct dirent* entry = ::readdir(d)) {
-    if (std::string(entry->d_name).rfind(prefix, 0) == 0) ++count;
-  }
-  ::closedir(d);
-  return count;
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  VJ_CHECK(f != nullptr) << path;
+  VJ_CHECK_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
 }
 
 /// Fingerprints the answer of `query` evaluated over `views` in `catalog`.
@@ -187,7 +174,6 @@ TEST_P(CrashMatrixTest, ReopenAfterCrashMatchesCleanRun) {
                              << reopened.status().ToString();
   ViewCatalog& catalog = **reopened;
 
-  EXPECT_EQ(CountShadowFiles(path), 0) << CrashPointName(param.point);
   const RecoveryReport& recovery = catalog.recovery_report();
   ASSERT_EQ(recovery.pending_rebuild.size(), 1u) << CrashPointName(param.point);
   EXPECT_EQ(recovery.pending_rebuild[0].first, target);
@@ -295,70 +281,66 @@ TEST(ManifestJournalTest, MidFileCorruptionIsFatal) {
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
 }
 
-TEST(ManifestJournalTest, LegacyTextManifestIsConverted) {
+/// A 16-byte journal header for `version` with a valid CRC: magic, u32
+/// version, u32 CRC32 of both, little-endian.
+std::string JournalHeader(uint32_t version) {
+  std::string header = "VJMANIFJ";
+  auto put_u32 = [&header](uint32_t v) {
+    for (int i = 0; i < 4; ++i) header.push_back(static_cast<char>(v >> 8 * i));
+  };
+  put_u32(version);
+  put_u32(util::Crc32(header.data(), header.size()));
+  return header;
+}
+
+TEST(ManifestJournalTest, RetiredHeadersAreCorruptionForEveryReader) {
   xml::Document doc = CrashDoc();
-  std::string path = TempPath("legacy.db");
+  const std::string path = TempPath("retired_header.db");
+  const std::string doc_path = TempPath("retired_header.doc");
   CleanupStore(path);
-  uint64_t match_count = 0, size_bytes = 0;
-  std::string legacy_text;
+  CleanupStore(doc_path);
   {
     ViewCatalog catalog(path, 64, /*persistent=*/true);
-    const MaterializedView* view =
-        catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
-    match_count = view->MatchCount();
-    size_bytes = view->SizeBytes();
-    // Render the store's manifest the way the pre-journal code did, from the
-    // live view's real stored-list coordinates.
-    char buf[512];
-    legacy_text = "VIEWJOINCAT 1 1\n";
-    std::snprintf(buf, sizeof(buf), "V %d %s\n",
-                  static_cast<int>(view->scheme()),
-                  view->pattern().ToString().c_str());
-    legacy_text += buf;
-    std::snprintf(buf, sizeof(buf), "M %llu %llu %llu\nG",
-                  static_cast<unsigned long long>(view->MatchCount()),
-                  static_cast<unsigned long long>(view->SizeBytes()),
-                  static_cast<unsigned long long>(view->PointerCount()));
-    legacy_text += buf;
-    for (size_t q = 0; q < view->pattern().size(); ++q) {
-      std::snprintf(buf, sizeof(buf), " %u",
-                    view->ListLength(static_cast<int>(q)));
-      legacy_text += buf;
+    catalog.Materialize(doc, MustParse("//a//b"), Scheme::kLinkedElement);
+  }
+  ASSERT_TRUE(
+      storage::DocumentStore::BuildFromText(doc_path, "<r><a><b/></a></r>", {})
+          .ok());
+  const std::string records =
+      ReadFile(ManifestJournal::PathFor(path)).substr(16);
+  ASSERT_FALSE(records.empty());
+
+  // Headers no build writes any more, and one none has written yet. Each
+  // must be a typed Corruption for every reader of the journal: no crash,
+  // no conversion, no upgrade checkpoint rewriting the file.
+  const std::pair<const char*, std::string> inputs[] = {
+      {"pre-journal text manifest", "VIEWJOINCAT 1 1\nV 0 //a//b\n"},
+      {"v1 journal with a valid CRC", JournalHeader(1) + records},
+      {"v3 journal with a valid CRC", JournalHeader(3) + records},
+  };
+  for (const auto& [name, bytes] : inputs) {
+    SCOPED_TRACE(name);
+    for (const std::string& store : {path, doc_path}) {
+      WriteFile(ManifestJournal::PathFor(store), bytes);
     }
-    std::snprintf(buf, sizeof(buf), "\nL %zu\n", view->lists().size());
-    legacy_text += buf;
-    auto list_line = [&](const storage::StoredList& list) {
-      std::snprintf(buf, sizeof(buf), "%u %u %u %u %u\n",
-                    list.pages.empty() ? storage::kInvalidPage
-                                       : list.pages.front(),
-                    list.count, list.layout.label_count,
-                    list.layout.has_pointers ? 1 : 0, list.layout.child_count);
-      legacy_text += buf;
-    };
-    for (const storage::StoredList& list : view->lists()) list_line(list);
-    list_line(view->tuple_list());
+    auto catalog = ViewCatalog::Open(path, 64);
+    ASSERT_FALSE(catalog.ok());
+    EXPECT_EQ(catalog.status().code(), StatusCode::kCorruption)
+        << catalog.status().ToString();
+    auto doc_store = storage::DocumentStore::Open(doc_path, {});
+    ASSERT_FALSE(doc_store.ok());
+    EXPECT_EQ(doc_store.status().code(), StatusCode::kCorruption)
+        << doc_store.status().ToString();
+    FsckCatalogReport report = FsckCatalog(path);
+    EXPECT_EQ(report.manifest_status.code(), StatusCode::kCorruption);
+    EXPECT_TRUE(report.corrupt());
+    EXPECT_FALSE(report.clean());
+    for (const std::string& store : {path, doc_path}) {
+      EXPECT_EQ(ReadFile(ManifestJournal::PathFor(store)), bytes)
+          << "a failed open rewrote " << store;
+    }
   }
-  {
-    std::FILE* f = std::fopen((path + ".manifest").c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(legacy_text.c_str(), f);
-    std::fclose(f);
-  }
-  auto opened = ViewCatalog::Open(path, 64);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_TRUE((*opened)->recovery_report().legacy_manifest_converted);
-  ASSERT_EQ((*opened)->views().size(), 1u);
-  const MaterializedView* view = (*opened)->views()[0].get();
-  EXPECT_EQ(view->MatchCount(), match_count);
-  EXPECT_EQ(view->SizeBytes(), size_bytes);
-  EXPECT_TRUE((*opened)->VerifyView(view).ok());
-  EXPECT_TRUE((*opened)->Close().ok());
-  // The conversion rewrote the file in journal format: a second open takes
-  // the binary path.
-  auto again = ViewCatalog::Open(path, 64);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  EXPECT_FALSE((*again)->recovery_report().legacy_manifest_converted);
-  EXPECT_EQ((*again)->views().size(), 1u);
+  CleanupStore(doc_path);
 }
 
 TEST(ManifestJournalTest, CheckpointSurvivesHeaderShortWrite) {
@@ -537,7 +519,6 @@ void ExpectSameReplayState(const storage::ManifestReplayResult& got,
   EXPECT_EQ(got.valid_bytes, want.valid_bytes);
   EXPECT_EQ(got.tail_torn, want.tail_torn);
   EXPECT_EQ(got.epoch_regressions, want.epoch_regressions);
-  EXPECT_EQ(got.header_version, want.header_version);
 }
 
 TEST(ManifestJournalTest, TornBatchAfterManyCommitsReplaysToThePreBatchState) {
@@ -792,27 +773,22 @@ TEST(FsckCatalogTest, CrashArtifactsAreFlaggedAndRepaired) {
         catalog.TryMaterialize(doc, MustParse("//a//b"), Scheme::kElement);
     ASSERT_FALSE(failed.ok());
   }
-  // Installs no longer stage through shadow files, but an older build's
-  // interrupted install may have left one: fsck flags it, repair sweeps it.
-  {
-    std::FILE* shadow = std::fopen((path + ".shadow.7").c_str(), "wb");
-    ASSERT_NE(shadow, nullptr);
-    std::fputs("staged pages", shadow);
-    std::fclose(shadow);
-  }
+  // A checkpoint cut short before its rename leaves its tmp file behind:
+  // fsck flags it, repair sweeps it.
+  WriteFile(path + ".manifest.tmp", "half a checkpoint");
   FsckCatalogReport before = FsckCatalog(path);
   EXPECT_FALSE(before.clean());
   EXPECT_FALSE(before.corrupt());
   EXPECT_TRUE(before.repair_needed());
   EXPECT_GT(before.orphan_pages, 0u);
-  EXPECT_FALSE(before.orphan_shadows.empty());
+  EXPECT_EQ(before.checkpoint_tmp, path + ".manifest.tmp");
   EXPECT_EQ(before.pending_rebuild, 1u);
   EXPECT_EQ(before.corrupt_durable_pages, 0u);
 
   auto repaired = RepairCatalog(path);
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_GT(repaired->orphan_pages_truncated, 0u);
-  EXPECT_GT(repaired->orphan_shadows_removed, 0);
+  EXPECT_TRUE(repaired->checkpoint_tmp_removed);
   ASSERT_EQ(repaired->pending_rebuild.size(), 1u);
   EXPECT_EQ(repaired->pending_rebuild[0].first, "//a//b");
 

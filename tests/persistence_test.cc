@@ -14,6 +14,7 @@
 
 #include "algo/query_binding.h"
 #include "algo/twig_stack.h"
+#include "storage/manifest.h"
 #include "storage/materialized_view.h"
 #include "storage/pager.h"
 #include "tests/test_util.h"
@@ -24,6 +25,7 @@ namespace viewjoin {
 namespace {
 
 using storage::ListCursor;
+using storage::ManifestJournal;
 using storage::MaterializedView;
 using storage::Pager;
 using storage::Scheme;
@@ -105,17 +107,12 @@ TEST(PersistenceTest, OpenRejectsCorruptManifest) {
     catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
     ASSERT_TRUE(catalog.Checkpoint().ok());
   }
-  // Truncate the manifest mid-way.
-  {
-    std::FILE* w = std::fopen((path + ".manifest").c_str(), "w");
-    ASSERT_NE(w, nullptr);
-    std::fprintf(w, "VIEWJOINCAT 1\n5\nV 0 //a//b\n");
-    std::fclose(w);
-  }
+  // Truncate the manifest mid-way through its header.
+  ASSERT_EQ(::truncate(ManifestJournal::PathFor(path).c_str(), 10), 0);
   auto opened = ViewCatalog::Open(path, 16);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(opened.status().message().find("malformed"), std::string::npos);
+  EXPECT_NE(opened.status().message().find("header"), std::string::npos);
 }
 
 TEST(PersistenceTest, OpenRejectsManifestPointingPastFile) {
@@ -128,16 +125,21 @@ TEST(PersistenceTest, OpenRejectsManifestPointingPastFile) {
   }
   // Rewrite the manifest so a list claims a first page beyond the pager file.
   {
-    std::FILE* w = std::fopen((path + ".manifest").c_str(), "w");
-    ASSERT_NE(w, nullptr);
-    std::fprintf(w,
-                 "VIEWJOINCAT 1\n1\nV 0 //a//b\nM 1 24 0\nG 1 1\nL 2\n"
-                 "999 1 1 0 0\n0 1 1 0 0\n0 0 1 0 0\n");
-    std::fclose(w);
+    const std::string journal = ManifestJournal::PathFor(path);
+    auto replayed = ManifestJournal::Replay(journal);
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    ASSERT_EQ(replayed->installed.size(), 1u);
+    replayed->installed[0].lists[0].AssignRun(999);
+    ASSERT_TRUE(ManifestJournal::WriteCheckpoint(journal, replayed->installed,
+                                                 {}, replayed->last_epoch)
+                    .ok());
   }
   auto opened = ViewCatalog::Open(path, 16);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(opened.status().message().find("beyond the pager file"),
+            std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(PersistenceTest, ScratchCatalogRemovesItsFile) {

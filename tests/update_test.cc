@@ -6,13 +6,13 @@
 //   - view::DeltaCollector, differentially against the NaiveEvaluator oracle
 //     on random documents (post == pre + added - removed, per pattern node);
 //   - core::Engine::ApplyUpdates (delta maintenance vs. rebuild, the relabel
-//     fallback, per-op skip semantics, plan-cache invalidation, the strict
-//     VIEWJOIN_UPDATE_* env knobs, concurrent queries during a batch);
+//     fallback, per-op skip semantics, plan-cache invalidation, the forced
+//     delta spill, concurrent queries during a batch);
 //   - the update crash matrix: kill -9 simulated inside ApplyUpdateBatch at
 //     every transaction instant x every storage scheme, with the delta spill
 //     sidecar forced on — reopen must land exactly on the pre-batch or the
 //     post-batch catalog, with answers matching a clean run, no orphan
-//     shadows or sidecars, and no epoch reuse;
+//     sidecars, and no epoch reuse;
 //   - manifest checkpoint compaction torn mid-write (the original journal
 //     must win) and vj_fsck's epoch-monotonicity reporting.
 
@@ -77,17 +77,13 @@ bool FileExists(const std::string& path) {
 }
 
 /// Removes the store plus every staging artifact a previous (failed) run may
-/// have left: manifest, checkpoint tmp, shadows, the delta spill sidecar.
+/// have left: manifest, checkpoint tmp, the delta spill sidecar.
 void CleanupStore(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".manifest").c_str());
   std::remove((path + ".manifest.tmp").c_str());
   std::remove((path + ".updatedelta").c_str());
   std::remove((path + ".spill").c_str());
-  for (int e = 0; e < 64; ++e) {
-    std::remove((path + ".shadow." + std::to_string(e)).c_str());
-    std::remove((path + ".shadow." + std::to_string(e) + ".tmp").c_str());
-  }
 }
 
 /// Fingerprints the answer of `query` over `views` (list schemes).
@@ -101,31 +97,6 @@ uint64_t QueryHash(const xml::Document& doc, ViewCatalog* catalog,
   ts.Evaluate(&sink);
   return sink.hash();
 }
-
-/// RAII setenv: restores the previous value (or unsets) on scope exit.
-class ScopedSetenv {
- public:
-  ScopedSetenv(const char* name, const char* value) : name_(name) {
-    const char* old = ::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedSetenv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// The first live node of `tag`, or kInvalidNode.
 xml::NodeId FirstOfTag(const xml::Document& doc, const std::string& tag) {
@@ -515,49 +486,14 @@ TEST(EngineUpdateTest, PlanCacheInvalidatesOnEpochBump) {
   EXPECT_EQ(third.match_count, fx.OracleCount());
 }
 
-// ---- Strict VIEWJOIN_UPDATE_* env knobs (util/env.h) ------------------------
+// ---- Forced delta spill ----------------------------------------------------
 
-TEST(EngineUpdateEnvTest, BatchSizeCapRejectsOversizedBatches) {
-  EngineFixture fx(Scheme::kLinkedElement);
-  ScopedSetenv env("VIEWJOIN_UPDATE_BATCH_SIZE", "1");
-  auto result = fx.engine->ApplyUpdates(fx.CanonicalOps());  // 2 ops
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("VIEWJOIN_UPDATE_BATCH_SIZE"),
-            std::string::npos)
-      << result.status().ToString();
-}
-
-TEST(EngineUpdateEnvTest, MalformedKnobsAreTypedErrorsNotDefaults) {
-  EngineFixture fx(Scheme::kLinkedElement);
-  for (const char* bad : {"abc", "12x", "-3", " 7"}) {
-    ScopedSetenv env("VIEWJOIN_UPDATE_BATCH_SIZE", bad);
-    auto result = fx.engine->ApplyUpdates(fx.CanonicalOps());
-    ASSERT_FALSE(result.ok()) << "value '" << bad << "' was accepted";
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(result.status().message().find("VIEWJOIN_UPDATE_BATCH_SIZE"),
-              std::string::npos)
-        << result.status().ToString();
-  }
-  {
-    ScopedSetenv env("VIEWJOIN_UPDATE_DELTA_SPILL_BYTES", "1MB");
-    auto result = fx.engine->ApplyUpdates(fx.CanonicalOps());
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(
-        result.status().message().find("VIEWJOIN_UPDATE_DELTA_SPILL_BYTES"),
-        std::string::npos)
-        << result.status().ToString();
-  }
-  // The document was never touched by any of the rejected batches.
-  EXPECT_EQ(fx.doc.revision(), 1u);  // the relabel only
-}
-
-TEST(EngineUpdateEnvTest, ForcedDeltaSpillRoundTripsAndCleansUp) {
+TEST(EngineUpdateSpillTest, ForcedDeltaSpillRoundTripsAndCleansUp) {
   EngineOptions options;
   options.persistent = true;
   EngineFixture fx(Scheme::kLinkedElement, options);
-  ScopedSetenv env("VIEWJOIN_UPDATE_DELTA_SPILL_BYTES", "1");
+  ScopedFaultInjection fi;
+  fi->ArmDeltaSpill();
   auto result = fx.engine->ApplyUpdates(fx.CanonicalOps());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->delta_maintained, 2u);
@@ -802,16 +738,14 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
       specs[1].full_rebuild = true;
     }
 
-    // Force the delta spill sidecar so the crash leaves it on disk too.
-    ViewCatalog::UpdateBatchOptions options;
-    options.delta_spill_bytes = 1;
-
     ScopedFaultInjection fi;
+    // Force the delta spill sidecar so the crash leaves it on disk too.
+    fi->ArmDeltaSpill();
     // Mid-delta-merge fires at the top of the nth per-view install: nth=2
     // leaves view 0 installed and view 1 missing — the half-merged state.
     fi->ArmCrashPoint(param.point,
                       param.point == CrashPoint::kCrashMidDeltaMerge ? 2 : 1);
-    auto failed = victim.ApplyUpdateBatch(vic, specs, options);
+    auto failed = victim.ApplyUpdateBatch(vic, specs);
     ASSERT_FALSE(failed.ok()) << CrashPointName(param.point);
     EXPECT_NE(failed.status().message().find("injected crash"),
               std::string::npos)
@@ -820,8 +754,8 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
     // Scope exit abandons the catalog with the mid-flight on-disk state.
   }
 
-  // The crash left its staging artifacts behind: the batch shadow and the
-  // spilled delta sidecar (cleanup runs only after the commit point).
+  // The crash left its staging artifact behind: the spilled delta sidecar
+  // (cleanup runs only after the commit point).
   EXPECT_TRUE(FileExists(path + ".updatedelta"));
 
   // Offline fsck before recovery: artifacts, never corruption.
@@ -850,9 +784,6 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
   // Staging artifacts are swept either way.
   EXPECT_FALSE(FileExists(path + ".updatedelta"));
   EXPECT_GE(catalog.recovery_report().orphan_delta_files_removed, 1);
-  for (int e = 0; e < 64; ++e) {
-    EXPECT_FALSE(FileExists(path + ".shadow." + std::to_string(e)));
-  }
   if (!committed) {
     EXPECT_EQ(catalog.recovery_report().rolled_back_update_batches, 1u);
   } else {
@@ -952,11 +883,10 @@ TEST(UpdateCrashTest, TornDeltaSidecarIsSweptOnReopen) {
     specs[0].view = v1;
     specs[0].deltas.added = std::move(deltas[0].added);
     specs[0].deltas.removed = std::move(deltas[0].removed);
-    ViewCatalog::UpdateBatchOptions options;
-    options.delta_spill_bytes = 1;
     ScopedFaultInjection fi;
+    fi->ArmDeltaSpill();
     fi->ArmCrashPoint(CrashPoint::kCrashBeforeEpochBump);
-    ASSERT_FALSE(victim.ApplyUpdateBatch(doc, specs, options).ok());
+    ASSERT_FALSE(victim.ApplyUpdateBatch(doc, specs).ok());
   }
   // Tear the sidecar in half, as a crash mid-write would.
   const std::string sidecar = path + ".updatedelta";

@@ -4,7 +4,7 @@
 // check is catalog-level: every page is scanned through the format-v2
 // checksum verification AND the journal is replayed and cross-checked
 // against the data file (durable prefix vs. file size, install-record page
-// ranges, torn tails, orphan shadow files). A bare pager file without a
+// ranges, torn tails, leftover staging files). A bare pager file without a
 // manifest gets the page-level scan only.
 //
 // Document stores: --doc checks the given path as a paged base-document
@@ -24,8 +24,8 @@
 //   1  the file was read but is corrupt (bad header, checksum, footer,
 //      journal CRC mismatch, or journal/data inconsistency)
 //   2  usage error, or the file could not be read at all (missing, I/O)
-//   3  crash artifacts found (torn journal tail, uncommitted pages, orphan
-//      shadows, legacy manifest, aborted doc-store builds) — recoverable;
+//   3  crash artifacts found (torn journal tail, uncommitted pages, stale
+//      staging files, aborted doc-store builds) — recoverable;
 //      with --repair they were repaired and the store is clean again
 //   4  the BASE DOCUMENT store is corrupt (and the view catalog, if any, is
 //      not) — a different failure domain: views rebuild from the document,
@@ -271,14 +271,12 @@ int main(int argc, char** argv) {
   if (!quiet && !json) {
     for (const auto& [page, status] : report.pager.bad_pages) {
       const char* where =
-          !report.legacy && page >= report.durable_page_count ? " (orphan)"
-                                                              : "";
+          page >= report.durable_page_count ? " (orphan)" : "";
       std::printf("page %u%s: %s\n", page, where, status.ToString().c_str());
     }
     if (!report.manifest_status.ok()) {
       std::printf("manifest: %s\n", report.manifest_status.ToString().c_str());
     }
-    if (report.legacy) std::printf("manifest: legacy text format\n");
     if (report.journal_tail_torn) std::printf("manifest: torn tail\n");
     if (report.data_missing) {
       std::printf("data file shorter than journal's durable prefix (%u pages)\n",
@@ -298,8 +296,8 @@ int main(int argc, char** argv) {
                   report.orphan_pages,
                   report.pager_tail_partial ? " (partial tail)" : "");
     }
-    for (const std::string& shadow : report.orphan_shadows) {
-      std::printf("orphan shadow: %s\n", shadow.c_str());
+    if (!report.checkpoint_tmp.empty()) {
+      std::printf("stale checkpoint tmp: %s\n", report.checkpoint_tmp.c_str());
     }
     std::printf("%s: %zu view(s), %zu quarantined, epoch %llu, "
                 "%u durable page(s), %u free, %u bad, %zu compressed list(s) "
@@ -342,16 +340,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!quiet) {
-    std::printf("repaired: %s%u orphan page(s) truncated, "
-                "%d orphan shadow(s) removed, %zu view(s) pending rebuild%s\n",
+    std::printf("repaired: %s%u orphan page(s) truncated, %s"
+                "%zu view(s) pending rebuild\n",
                 repaired->journal_tail_truncated ? "journal tail truncated, "
                                                  : "",
                 repaired->orphan_pages_truncated,
-                repaired->orphan_shadows_removed,
-                repaired->pending_rebuild.size(),
-                repaired->legacy_manifest_converted
-                    ? ", legacy manifest converted"
-                    : "");
+                repaired->checkpoint_tmp_removed
+                    ? "stale checkpoint tmp removed, "
+                    : "",
+                repaired->pending_rebuild.size());
   }
   return CombineExit(3, doc_exit);
 }
