@@ -126,6 +126,7 @@ void BenchRecovery(const xml::Document& doc, JsonReport* report) {
   std::printf("-- recovery: timed ViewCatalog::Open after each crash --\n");
   table.Print();
   std::printf("\n");
+  RemoveStore(kStorePath);
 }
 
 void BenchScrubAndOverhead(const xml::Document& doc, int batch_replicas,
@@ -223,6 +224,7 @@ void Main(int argc, char** argv) {
 
   BenchRecovery(doc, &report);
   BenchScrubAndOverhead(doc, batch_replicas, &report);
+  RemoveStore(kEnginePath);
   report.Write();
 }
 

@@ -1,8 +1,10 @@
 // Microbenchmarks (google-benchmark) for the substrate primitives: XPath
 // parsing, label predicates, structural joins, buffer-pool access, stored
-// list scans/seeks, view materialization, the output pass (label -> node
-// resolution and candidate enumeration), and the planner's document
-// statistics (full collection vs. per-update upkeep).
+// list scans/seeks, cursor landings on delta pages (warm: read the pool's
+// decoded frame in place; cold: read and decode the page), view
+// materialization, the output pass (label -> node resolution and candidate
+// enumeration), and the planner's document statistics (full collection vs.
+// per-update upkeep).
 
 #include <benchmark/benchmark.h>
 
@@ -34,6 +36,13 @@ const xml::Document& XmarkDoc() {
 const xml::Document& XmarkScale1Doc() {
   static const xml::Document* doc =
       new xml::Document(data::GenerateXmark({.scale = 1, .seed = 42}));
+  return *doc;
+}
+
+/// Large enough that one tag's view list spans a few dozen delta pages.
+const xml::Document& XmarkScale8Doc() {
+  static const xml::Document* doc =
+      new xml::Document(data::GenerateXmark({.scale = 8, .seed = 42}));
   return *doc;
 }
 
@@ -148,6 +157,43 @@ void BM_ListCursorPointerChase(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ListCursorPointerChase);
+
+// One landing per page of a delta list: seek to the page's first entry and
+// read its label. Arg 0 picks the E (0) or LE (1) scheme, arg 1 a warm pool
+// (every landing reads a decoded frame in place) or a cold one (cleared
+// before each pass, so every landing reads and decodes its page once).
+void BM_CursorLanding(benchmark::State& state) {
+  const bool linked = state.range(0) != 0;
+  const bool cold = state.range(1) != 0;
+  const xml::Document& doc = XmarkScale8Doc();
+  tpq::TreePattern pattern = *tpq::TreePattern::Parse("//text");
+  storage::ViewCatalog catalog("/tmp/viewjoin_micro_landing.db", 1024);
+  const auto* view = catalog.Materialize(
+      doc, pattern,
+      linked ? storage::Scheme::kLinkedElement : storage::Scheme::kElement);
+  const storage::StoredList& list = view->list(0);
+  const uint32_t pages = list.PageSpan();
+  storage::ListCursor cursor(&list, catalog.pool());
+  for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      cursor.Reset();  // drop the pin so Clear takes every frame
+      catalog.pool()->Clear();
+      state.ResumeTiming();
+    }
+    uint64_t sum = 0;
+    for (uint32_t p = 0; p < pages; ++p) {
+      cursor.Seek(list.FirstEntryOfPage(p));
+      sum += cursor.LabelAt().start;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * pages);
+  state.counters["pages"] = pages;
+}
+BENCHMARK(BM_CursorLanding)
+    ->ArgNames({"le", "cold"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_CandidateEnumerator(benchmark::State& state) {
   const xml::Document& doc = XmarkDoc();

@@ -178,6 +178,8 @@ RunResult BenchContext::Run(
   average.io.prefetch_issued = io_sum.prefetch_issued / n;
   average.io.prefetch_hits = io_sum.prefetch_hits / n;
   average.io.prefetch_wasted = io_sum.prefetch_wasted / n;
+  average.io.pages_decoded = io_sum.pages_decoded / n;
+  average.io.decode_mismatches = io_sum.decode_mismatches / n;
   // The join counters repeat exactly; output_pass_ms is a timing. The sum
   // already holds the largest peak_buffered, which is a peak, not a total.
   average.stats = stats_sum;
@@ -311,6 +313,7 @@ JsonReport::Row& JsonReport::Row::Metrics(const core::RunResult& result) {
   Set("prefetch_issued", result.io.prefetch_issued);
   Set("prefetch_hits", result.io.prefetch_hits);
   Set("prefetch_wasted", result.io.prefetch_wasted);
+  Set("pages_decoded", result.io.pages_decoded);
   Set("degraded", result.degraded);
   return *this;
 }

@@ -326,6 +326,7 @@ RunResult Engine::ExecuteInternal(
     if (plan::PlanStep* eval = step(plan::StepKind::kEvalSegments)) {
       eval->stats.elapsed_ms += attempt_ms - s.output_pass_ms;
       eval->stats.pages_read += op->io().pages_read;
+      eval->stats.pages_decoded += op->io().pages_decoded;
       eval->stats.entries_advanced +=
           s.entries_scanned - s.output_entries_scanned;
       eval->stats.pointer_jumps += s.pointer_jumps - s.output_pointer_jumps;
@@ -374,6 +375,10 @@ RunResult Engine::ExecuteInternal(
       verify->stats.pages_read =
           result.io.pages_read > accounted.pages_read
               ? result.io.pages_read - accounted.pages_read
+              : 0;
+      verify->stats.pages_decoded =
+          result.io.pages_decoded > accounted.pages_decoded
+              ? result.io.pages_decoded - accounted.pages_decoded
               : 0;
       verify->stats.entries_advanced =
           result.stats.entries_scanned > accounted.entries_advanced

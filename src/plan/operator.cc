@@ -45,6 +45,7 @@ class OperatorBase : public Operator {
     io_.pool_hits += scope.hits() + doc_scope.hits();
     io_.pool_misses += scope.misses() + doc_scope.misses();
     io_.pages_read += scope.misses() + doc_scope.misses();
+    io_.pages_decoded += scope.pages_decoded() + doc_scope.pages_decoded();
   }
 
   void Close() override { open_ = false; }

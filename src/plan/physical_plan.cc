@@ -48,13 +48,15 @@ std::string ExplainResult::ToString() const {
   std::ostringstream out;
   out << text;
   if (!steps.empty()) {
-    out << "  step              elapsed_ms  pages_read  entries     jumps\n";
+    out << "  step              elapsed_ms  pages_read   decoded  entries     "
+           "jumps\n";
     for (const PlanStep& step : steps) {
       char line[160];
       std::snprintf(line, sizeof(line),
-                    "  %-16s  %10.3f  %10llu  %10llu  %8llu\n",
+                    "  %-16s  %10.3f  %10llu  %8llu  %10llu  %8llu\n",
                     StepKindName(step.kind), step.stats.elapsed_ms,
                     static_cast<unsigned long long>(step.stats.pages_read),
+                    static_cast<unsigned long long>(step.stats.pages_decoded),
                     static_cast<unsigned long long>(
                         step.stats.entries_advanced),
                     static_cast<unsigned long long>(step.stats.pointer_jumps));

@@ -26,19 +26,22 @@ const char* StepKindName(StepKind kind);
 
 /// Runtime counters of one executed plan step. The engine guarantees that
 /// over a finished RunResult the step columns sum exactly to the run totals:
-/// Σ elapsed_ms = total_ms, Σ pages_read = io.pages_read, Σ entries_advanced
-/// = stats.entries_scanned, Σ pointer_jumps = stats.pointer_jumps. Residual
-/// work that cannot be attributed to a measured step (retry bookkeeping,
-/// quarantine/rebuild, the base-document fallback) lands in kVerifyFallback.
+/// Σ elapsed_ms = total_ms, Σ pages_read = io.pages_read, Σ pages_decoded =
+/// io.pages_decoded, Σ entries_advanced = stats.entries_scanned,
+/// Σ pointer_jumps = stats.pointer_jumps. Residual work that cannot be
+/// attributed to a measured step (retry bookkeeping, quarantine/rebuild, the
+/// base-document fallback) lands in kVerifyFallback.
 struct StepStats {
   double elapsed_ms = 0;
   uint64_t pages_read = 0;
+  uint64_t pages_decoded = 0;
   uint64_t entries_advanced = 0;
   uint64_t pointer_jumps = 0;
 
   StepStats& operator+=(const StepStats& other) {
     elapsed_ms += other.elapsed_ms;
     pages_read += other.pages_read;
+    pages_decoded += other.pages_decoded;
     entries_advanced += other.entries_advanced;
     pointer_jumps += other.pointer_jumps;
     return *this;

@@ -1,5 +1,8 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "util/check.h"
 
 namespace viewjoin::storage {
@@ -30,17 +33,20 @@ BufferPool::PinnedPage::PinnedPage(BufferPool* pool, Shard* shard, Frame* frame)
       shard_(shard),
       frame_(frame),
       page_(frame->page),
-      data_(frame->data.data()) {}
+      data_(frame->values ? nullptr : frame->data.data()),
+      values_(frame->values.get()) {}
 
-BufferPool::PinnedPage::PinnedPage(PageId page, const uint8_t* poison)
-    : page_(page), data_(poison) {}
+BufferPool::PinnedPage::PinnedPage(PageId page, const uint8_t* data,
+                                   const uint32_t* values)
+    : page_(page), data_(data), values_(values) {}
 
 BufferPool::PinnedPage::PinnedPage(const PinnedPage& other)
     : pool_(other.pool_),
       shard_(other.shard_),
       frame_(other.frame_),
       page_(other.page_),
-      data_(other.data_) {
+      data_(other.data_),
+      values_(other.values_) {
   if (frame_ != nullptr) {
     std::lock_guard<std::mutex> lock(shard_->mu);
     ++frame_->pins;
@@ -55,34 +61,25 @@ BufferPool::PinnedPage& BufferPool::PinnedPage::operator=(
   return *this;
 }
 
-BufferPool::PinnedPage::PinnedPage(PinnedPage&& other) noexcept
-    : pool_(other.pool_),
-      shard_(other.shard_),
-      frame_(other.frame_),
-      page_(other.page_),
-      data_(other.data_) {
-  other.pool_ = nullptr;
-  other.shard_ = nullptr;
-  other.frame_ = nullptr;
-  other.page_ = kInvalidPage;
-  other.data_ = nullptr;
+BufferPool::PinnedPage::PinnedPage(PinnedPage&& other) noexcept {
+  Steal(&other);
 }
 
 BufferPool::PinnedPage& BufferPool::PinnedPage::operator=(
     PinnedPage&& other) noexcept {
   if (this == &other) return *this;
   Release();
-  pool_ = other.pool_;
-  shard_ = other.shard_;
-  frame_ = other.frame_;
-  page_ = other.page_;
-  data_ = other.data_;
-  other.pool_ = nullptr;
-  other.shard_ = nullptr;
-  other.frame_ = nullptr;
-  other.page_ = kInvalidPage;
-  other.data_ = nullptr;
+  Steal(&other);
   return *this;
+}
+
+void BufferPool::PinnedPage::Steal(PinnedPage* other) {
+  pool_ = std::exchange(other->pool_, nullptr);
+  shard_ = std::exchange(other->shard_, nullptr);
+  frame_ = std::exchange(other->frame_, nullptr);
+  page_ = std::exchange(other->page_, kInvalidPage);
+  data_ = std::exchange(other->data_, nullptr);
+  values_ = std::exchange(other->values_, nullptr);
 }
 
 void BufferPool::PinnedPage::Release() {
@@ -92,6 +89,7 @@ void BufferPool::PinnedPage::Release() {
   frame_ = nullptr;
   page_ = kInvalidPage;
   data_ = nullptr;
+  values_ = nullptr;
 }
 
 // ---- ErrorScope ------------------------------------------------------------
@@ -148,8 +146,9 @@ BufferPool::Shard& BufferPool::ShardFor(PageId page) {
   return shards_[(h >> 16) & shard_mask_];
 }
 
-void BufferPool::EvictForSpace(Shard* shard) {
-  while (shard->lru.size() >= per_shard_capacity_) {
+void BufferPool::EvictForSpace(Shard* shard, size_t incoming) {
+  while (shard->charge + incoming > per_shard_capacity_ &&
+         !shard->lru.empty()) {
     // Take the least-recently-used unpinned frame; a fully pinned shard
     // overflows rather than invalidating a page someone still holds.
     auto victim = shard->lru.end();
@@ -161,13 +160,46 @@ void BufferPool::EvictForSpace(Shard* shard) {
       if (it == shard->lru.begin()) break;
     }
     if (victim == shard->lru.end()) break;
-    if (victim->prefetched) {
-      prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard->index.erase(victim->page);
-    shard->lru.erase(victim);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    Drop(shard, victim);
   }
+}
+
+BufferPool::Frame& BufferPool::Insert(Shard* shard, Frame frame) {
+  const uint64_t key = FrameKey(frame.page, frame.values != nullptr);
+  shard->charge += frame.charge;
+  shard->lru.push_front(std::move(frame));
+  shard->index.emplace(key, shard->lru.begin());
+  return shard->lru.front();
+}
+
+void BufferPool::Drop(Shard* shard, std::list<Frame>::iterator it) {
+  VJ_DCHECK(it->pins == 0);
+  if (it->prefetched) {
+    prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
+  }
+  shard->charge -= it->charge;
+  shard->index.erase(FrameKey(it->page, it->values != nullptr));
+  shard->lru.erase(it);
+  evictions_.fetch_add(1, std::memory_order_relaxed);
+}
+
+BufferPool::PinnedPage BufferPool::PinDemanded(Shard* shard, Frame* frame) {
+  if (frame->prefetched) {
+    // Either a prefetch hit, or the read-ahead thread landed the page while
+    // a demand read was in flight: the frame is demanded, not speculative.
+    frame->prefetched = false;
+  }
+  ++frame->pins;
+  return PinnedPage(this, shard, frame);
+}
+
+BufferPool::PinnedPage BufferPool::PinHit(Shard* shard,
+                                          std::list<Frame>::iterator it) {
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  CreditScopes(&StatsScope::hits_);
+  shard->lru.splice(shard->lru.begin(), shard->lru, it);
+  if (it->prefetched) prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
+  return PinDemanded(shard, &*it);
 }
 
 void BufferPool::Unpin(Shard* shard, Frame* frame) {
@@ -176,26 +208,24 @@ void BufferPool::Unpin(Shard* shard, Frame* frame) {
   --frame->pins;
 }
 
+namespace {
+
+util::Status CapacityZero() {
+  return util::Status::InvalidArgument(
+      "buffer pool has capacity 0; a pool needs at least one frame");
+}
+
+}  // namespace
+
 util::Status BufferPool::Fetch(PageId page, PinnedPage* out) {
-  if (capacity_ == 0) {
-    return util::Status::InvalidArgument(
-        "buffer pool has capacity 0; a pool needs at least one frame");
-  }
+  if (capacity_ == 0) return CapacityZero();
   Shard& shard = ShardFor(page);
+  const uint64_t key = FrameKey(page, /*decoded=*/false);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(page);
+    auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      CreditScopes(/*hit=*/true);
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      Frame& frame = *it->second;
-      if (frame.prefetched) {
-        frame.prefetched = false;
-        prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ++frame.pins;
-      *out = PinnedPage(this, &shard, &frame);
+      *out = PinHit(&shard, it->second);
       return util::Status::Ok();
     }
   }
@@ -203,27 +233,23 @@ util::Status BufferPool::Fetch(PageId page, PinnedPage* out) {
   // are not blocked behind the physical read.
   std::vector<uint8_t> data(Pager::kPageSize);
   util::Status status = pager_->ReadPage(page, data.data());
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  CreditScopes(/*hit=*/false);
+  CountMiss();
   if (!status.ok()) return status;
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(page);
-  if (it == shard.index.end()) {
-    EvictForSpace(&shard);
-    shard.lru.push_front(Frame{page, 0, false, std::move(data)});
-    it = shard.index.emplace(page, shard.lru.begin()).first;
-  }
+  auto it = shard.index.find(key);
   // (If another thread cached the page while we read, ours is dropped and
   // the already-cached copy is pinned — pages are immutable, both are equal.)
-  Frame& frame = *it->second;
-  if (frame.prefetched) {
-    // The read-ahead thread landed it while our demand read was in flight:
-    // the prefetch arrived too late to save this miss, but the frame is now
-    // demanded, not speculative.
-    frame.prefetched = false;
+  Frame* frame = nullptr;
+  if (it != shard.index.end()) {
+    frame = &*it->second;
+  } else {
+    EvictForSpace(&shard, 1);
+    Frame fresh;
+    fresh.page = page;
+    fresh.data = std::move(data);
+    frame = &Insert(&shard, std::move(fresh));
   }
-  ++frame.pins;
-  *out = PinnedPage(this, &shard, &frame);
+  *out = PinDemanded(&shard, frame);
   return util::Status::Ok();
 }
 
@@ -234,18 +260,122 @@ BufferPool::PinnedPage BufferPool::GetPage(PageId page) {
   LatchError(status, page);
   // 0xFF poison: labels read as the exhausted-stream sentinel and pointers as
   // kNullEntry, so cursors terminate instead of chasing garbage.
-  return PinnedPage(page, poison_.data());
+  return PinnedPage(page, poison_.data(), nullptr);
 }
 
-void BufferPool::CreditScopes(bool hit) {
+namespace {
+
+/// The per-thread raw page a decoded fetch reads into before decoding.
+uint8_t* ThreadPageBuffer() {
+  thread_local std::vector<uint8_t> buffer(Pager::kPageSize);
+  return buffer.data();
+}
+
+/// Sentinel records in the single-buffer layout: what a poison page yields
+/// under the fixed format, so governance sees the same values either way.
+void FillSentinels(const DecodeKey& key, uint32_t* out) {
+  const size_t labels =
+      static_cast<size_t>(key.records) * key.layout.label_count;
+  std::fill(out, out + 2 * labels, 0xFFFFFFFFu);  // starts, ends
+  std::fill(out + 2 * labels, out + 3 * labels, 0u);  // levels
+  std::fill(out + 3 * labels, out + DecodedValues(key.layout, key.records),
+            0xFFFFFFFFu);  // pointers: kNullEntry
+}
+
+}  // namespace
+
+uint32_t BufferPool::ChargeFor(const DecodeKey& key) {
+  const size_t bytes =
+      DecodedValues(key.layout, key.records) * sizeof(uint32_t);
+  return std::max<uint32_t>(
+      1, static_cast<uint32_t>((bytes + Pager::kPageSize - 1) /
+                               Pager::kPageSize));
+}
+
+bool BufferPool::Decode(const uint8_t* payload, const DecodeKey& key,
+                        uint32_t* out, bool demand) {
+  pages_decoded_.fetch_add(1, std::memory_order_relaxed);
+  if (demand) CreditScopes(&StatsScope::pages_decoded_);
+  return DecodeDeltaPage(payload, key.layout, key.first_entry, key.records,
+                         out)
+      .ok();
+}
+
+BufferPool::PinnedPage BufferPool::GetDecoded(PageId page, const DecodeKey& key,
+                                              std::vector<uint32_t>* scratch) {
+  const size_t values = DecodedValues(key.layout, key.records);
+  auto private_handle = [&] {
+    return PinnedPage(page, nullptr, scratch->data());
+  };
+  auto sentinels = [&] {
+    scratch->resize(values);
+    FillSentinels(key, scratch->data());
+    return private_handle();
+  };
+  if (capacity_ == 0) {
+    LatchError(CapacityZero(), page);
+    return sentinels();
+  }
+  Shard& shard = ShardFor(page);
+  const uint64_t frame_key = FrameKey(page, /*decoded=*/true);
+  bool mismatch = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.index.find(frame_key);
+    if (it != shard.index.end()) {
+      if (it->second->key == key) return PinHit(&shard, it->second);
+      mismatch = true;
+    }
+  }
+  // Miss: read and decode outside the shard lock.
+  uint8_t* raw = ThreadPageBuffer();
+  util::Status status = pager_->ReadPage(page, raw);
+  CountMiss();
+  if (!status.ok()) {
+    LatchError(status, page);
+    return sentinels();
+  }
+  if (mismatch) {
+    decode_mismatches_.fetch_add(1, std::memory_order_relaxed);
+    scratch->resize(values);
+    if (!Decode(raw, key, scratch->data(), /*demand=*/true)) return sentinels();
+    return private_handle();
+  }
+  std::unique_ptr<uint32_t[]> block =
+      std::make_unique_for_overwrite<uint32_t[]>(values);
+  if (!Decode(raw, key, block.get(), /*demand=*/true)) {
+    // Failed delta decode (torn/corrupt page): sentinels, never cached. The
+    // catalog's checksum/scrub machinery owns the actual fault handling.
+    return sentinels();
+  }
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(frame_key);
+  if (it == shard.index.end()) {
+    Frame fresh;
+    fresh.page = page;
+    fresh.charge = ChargeFor(key);
+    EvictForSpace(&shard, fresh.charge);
+    fresh.key = key;
+    fresh.values = std::move(block);
+    return PinDemanded(&shard, &Insert(&shard, std::move(fresh)));
+  }
+  // Another thread cached the page while we read: pin its frame when it
+  // decodes under our key (both decodes are equal), else serve ours.
+  if (it->second->key == key) return PinDemanded(&shard, &*it->second);
+  decode_mismatches_.fetch_add(1, std::memory_order_relaxed);
+  scratch->assign(block.get(), block.get() + values);
+  return private_handle();
+}
+
+void BufferPool::CountMiss() {
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  CreditScopes(&StatsScope::misses_);
+}
+
+void BufferPool::CreditScopes(uint64_t StatsScope::*counter) {
   for (StatsScope* scope = g_stats_scope; scope != nullptr;
        scope = scope->prev_) {
-    if (scope->pool_ != this) continue;
-    if (hit) {
-      ++scope->hits_;
-    } else {
-      ++scope->misses_;
-    }
+    if (scope->pool_ == this) ++(scope->*counter);
   }
 }
 
@@ -304,16 +434,9 @@ void BufferPool::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->pins == 0) {
-        if (it->prefetched) {
-          prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-        }
-        shard.index.erase(it->page);
-        it = shard.lru.erase(it);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        ++it;
-      }
+      auto next = std::next(it);
+      if (it->pins == 0) Drop(&shard, it);
+      it = next;
     }
   }
   ResetError();
@@ -330,26 +453,25 @@ std::vector<PageId> BufferPool::Discard(const std::vector<PageId>& pages) {
     size_t unmarked = 0;
     for (PageId page : pages) unmarked += prefetch_queued_.erase(page);
     if (unmarked != 0) {
-      std::erase_if(prefetch_queue_, [this](PageId page) {
-        return prefetch_queued_.count(page) == 0;
+      std::erase_if(prefetch_queue_, [this](const PrefetchRequest& request) {
+        return prefetch_queued_.count(request.page) == 0;
       });
     }
   }
   for (PageId page : pages) {
     Shard& shard = ShardFor(page);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(page);
-    if (it == shard.index.end()) continue;
-    if (it->second->pins != 0) {
-      pinned.push_back(page);
-      continue;
+    bool held = false;
+    for (bool decoded : {false, true}) {
+      auto it = shard.index.find(FrameKey(page, decoded));
+      if (it == shard.index.end()) continue;
+      if (it->second->pins != 0) {
+        held = true;
+      } else {
+        Drop(&shard, it->second);
+      }
     }
-    if (it->second->prefetched) {
-      prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (held) pinned.push_back(page);
   }
   return pinned;
 }
@@ -378,24 +500,31 @@ bool BufferPool::Contains(PageId page) {
   if (page == kInvalidPage || capacity_ == 0) return false;
   Shard& shard = ShardFor(page);
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.index.find(page) != shard.index.end();
+  return shard.index.count(FrameKey(page, false)) != 0 ||
+         shard.index.count(FrameKey(page, true)) != 0;
 }
 
-void BufferPool::Prefetch(PageId page) {
+void BufferPool::Prefetch(PageId page) { Enqueue({page, false, {}}); }
+
+void BufferPool::Prefetch(PageId page, const DecodeKey& key) {
+  Enqueue({page, true, key});
+}
+
+void BufferPool::Enqueue(const PrefetchRequest& request) {
   if (read_ahead_depth_.load(std::memory_order_relaxed) == 0) return;
-  if (page == kInvalidPage || capacity_ == 0) return;
+  if (request.page == kInvalidPage || capacity_ == 0) return;
   {
     // Already resident? Pure index probe — no LRU touch, no counters, so a
     // speculative inquiry never perturbs what the demand path measures.
-    Shard& shard = ShardFor(page);
+    Shard& shard = ShardFor(request.page);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.find(page) != shard.index.end()) return;
+    if (shard.index.count(FrameKey(request.page, request.decoded)) != 0) return;
   }
   {
     std::lock_guard<std::mutex> lock(prefetch_mu_);
     if (prefetch_queue_.size() >= kMaxPrefetchQueue) return;
-    if (!prefetch_queued_.insert(page).second) return;
-    prefetch_queue_.push_back(page);
+    if (!prefetch_queued_.insert(request.page).second) return;
+    prefetch_queue_.push_back(request);
     prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
   }
   prefetch_cv_.notify_one();
@@ -409,18 +538,18 @@ void BufferPool::DrainPrefetches() {
 
 void BufferPool::ReadAheadLoop() {
   for (;;) {
-    PageId page;
+    PrefetchRequest request;
     {
       std::unique_lock<std::mutex> lock(prefetch_mu_);
       prefetch_cv_.wait(
           lock, [this] { return prefetch_stop_ || !prefetch_queue_.empty(); });
       if (prefetch_stop_) return;
-      page = prefetch_queue_.front();
+      request = prefetch_queue_.front();
       prefetch_queue_.pop_front();
-      prefetch_queued_.erase(page);
+      prefetch_queued_.erase(request.page);
       prefetch_busy_ = true;
     }
-    FulfillPrefetch(page);
+    FulfillPrefetch(request);
     {
       std::lock_guard<std::mutex> lock(prefetch_mu_);
       prefetch_busy_ = false;
@@ -429,29 +558,47 @@ void BufferPool::ReadAheadLoop() {
   }
 }
 
-void BufferPool::FulfillPrefetch(PageId page) {
-  {
-    Shard& shard = ShardFor(page);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.find(page) != shard.index.end()) return;
-  }
-  // Physical read outside every lock. A failure is dropped on the floor by
-  // design: the demand fetch will re-read with retry semantics and report
-  // through the proper (scoped) latch — a speculative thread latching errors
-  // would attribute faults to whichever query ran next.
-  const uint64_t discards = discards_.load(std::memory_order_acquire);
-  std::vector<uint8_t> data(Pager::kPageSize);
-  util::Status status = pager_->ReadPage(page, data.data());
-  if (!status.ok()) return;
+void BufferPool::FulfillPrefetch(const PrefetchRequest& request) {
+  const PageId page = request.page;
+  const uint64_t frame_key = FrameKey(page, request.decoded);
   Shard& shard = ShardFor(page);
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (shard.index.count(frame_key) != 0) return;
+  }
+  // Physical read (and decode) outside every lock. A failure is dropped on
+  // the floor by design: the demand fetch will re-read with retry semantics
+  // and report through the proper (scoped) latch — a speculative thread
+  // latching errors would attribute faults to whichever query ran next.
+  const uint64_t discards = discards_.load(std::memory_order_acquire);
+  Frame fresh;
+  fresh.page = page;
+  fresh.prefetched = true;
+  if (request.decoded) {
+    fresh.charge = ChargeFor(request.key);
+    uint8_t* raw = ThreadPageBuffer();
+    if (!pager_->ReadPage(page, raw).ok()) return;
+    fresh.key = request.key;
+    fresh.values = std::make_unique_for_overwrite<uint32_t[]>(
+        DecodedValues(request.key.layout, request.key.records));
+    if (!Decode(raw, request.key, fresh.values.get(), /*demand=*/false)) {
+      return;
+    }
+  } else {
+    fresh.data.resize(Pager::kPageSize);
+    if (!pager_->ReadPage(page, fresh.data.data()).ok()) return;
+  }
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.index.find(page) != shard.index.end()) return;
+  if (shard.index.count(frame_key) != 0) return;
   // A Discard since the read began may have freed this page for reuse.
   if (discards_.load(std::memory_order_acquire) != discards) return;
-  EvictForSpace(&shard);
-  if (shard.lru.size() >= per_shard_capacity_) return;  // all pinned: drop
-  shard.lru.push_front(Frame{page, 0, true, std::move(data)});
-  shard.index.emplace(page, shard.lru.begin());
+  EvictForSpace(&shard, fresh.charge);
+  // Still no room: what is left is pinned, so drop the speculative page.
+  if (!shard.lru.empty() &&
+      shard.charge + fresh.charge > per_shard_capacity_) {
+    return;
+  }
+  Insert(&shard, std::move(fresh));
 }
 
 void BufferPool::StopReadAhead() {

@@ -6,16 +6,30 @@
 #include <cstdint>
 #include <deque>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "storage/list_codec.h"
 #include "storage/pager.h"
 #include "util/status.h"
 
 namespace viewjoin::storage {
+
+/// What a delta list page decodes under: the entry index of its first record
+/// (pointer deltas are relative to it), its record count and the list's
+/// record layout. A decoded frame remembers the key it was filled under and
+/// is served only for an equal key, so a page id that was reclaimed and
+/// reused by another list can never hand out the old list's arrays.
+struct DecodeKey {
+  uint32_t first_entry = 0;
+  uint32_t records = 0;
+  RecordLayout layout;
+  bool operator==(const DecodeKey&) const = default;
+};
 
 /// Sharded LRU page cache in front of a Pager. All list cursors read through
 /// a pool; hit/miss counters let benches report logical vs. physical page
@@ -47,11 +61,22 @@ namespace viewjoin::storage {
 /// query's poison latch never contaminates a sibling query running against
 /// the same pool; the pool-global latch catches faults outside any scope.
 ///
-/// `capacity` is the total number of cached frames and must be >= 1; a pool
-/// constructed with capacity 0 is rejected at use: every Fetch returns
-/// Status::InvalidArgument (and GetPage latches it and returns poison).
-/// Capacity is split evenly across shards (at least one frame per shard), so
-/// tiny pools may cache slightly more than `capacity` frames in total.
+/// Delta list pages are cached *decoded*: GetDecoded fills the frame with the
+/// page's struct-of-arrays block (list_codec.h's single-buffer form) when the
+/// page is read, and later fetches hand cursors pointers into it, so a page
+/// is varint-decoded once per residency rather than once per landing. The
+/// decoded block replaces the raw bytes; it is not kept beside them. Raw
+/// frames (GetPage/Fetch: fixed-format lists, the document store) and
+/// decoded frames of one page id are cached under separate index keys.
+///
+/// `capacity` is counted in kPageSize slots and must be >= 1: a raw frame
+/// takes one slot, a decoded frame ceil(bytes / kPageSize), so the cached
+/// bytes stay within capacity * kPageSize. A pool constructed with capacity
+/// 0 is rejected at use: every Fetch returns Status::InvalidArgument (and
+/// GetPage/GetDecoded latch it and return poison). Capacity is split evenly
+/// across shards (at least one slot per shard), and a shard whose share is
+/// smaller than one decoded frame holds that frame alone, so tiny pools may
+/// cache slightly more than `capacity` slots in total.
 class BufferPool {
  private:
   struct Frame;
@@ -82,11 +107,15 @@ class BufferPool {
     PinnedPage& operator=(PinnedPage&& other) noexcept;
     ~PinnedPage() { Release(); }
 
-    bool valid() const { return data_ != nullptr; }
+    bool valid() const { return data_ != nullptr || values_ != nullptr; }
     /// Page id this handle was fetched for (kInvalidPage when invalid).
     PageId page() const { return page_; }
-    /// The kPageSize-byte page content (nullptr when invalid).
+    /// The kPageSize-byte page content (nullptr when invalid, and for
+    /// handles from GetDecoded).
     const uint8_t* data() const { return data_; }
+    /// The decoded arrays of a GetDecoded handle, in list_codec.h's
+    /// single-buffer layout (nullptr for raw handles).
+    const uint32_t* values() const { return values_; }
 
     /// Drops the pin (idempotent); the handle becomes invalid.
     void Release();
@@ -94,13 +123,17 @@ class BufferPool {
    private:
     friend class BufferPool;
     PinnedPage(BufferPool* pool, Shard* shard, Frame* frame);
-    PinnedPage(PageId page, const uint8_t* poison);  // unpinned poison handle
+    /// Unpinned handle on memory the frame table does not own: the poison
+    /// page, or a caller's scratch arrays.
+    PinnedPage(PageId page, const uint8_t* data, const uint32_t* values);
+    void Steal(PinnedPage* other);
 
-    BufferPool* pool_ = nullptr;  // null for empty and poison handles
+    BufferPool* pool_ = nullptr;  // null for empty and unpinned handles
     Shard* shard_ = nullptr;
     Frame* frame_ = nullptr;
     PageId page_ = kInvalidPage;
     const uint8_t* data_ = nullptr;
+    const uint32_t* values_ = nullptr;
   };
 
   /// Redirects the calling thread's error latching on `pool` into a private
@@ -154,6 +187,8 @@ class BufferPool {
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
     uint64_t reads() const { return hits_ + misses_; }
+    /// Delta pages this thread decoded (frame fills and private decodes).
+    uint64_t pages_decoded() const { return pages_decoded_; }
 
    private:
     friend class BufferPool;
@@ -161,6 +196,7 @@ class BufferPool {
     StatsScope* prev_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
+    uint64_t pages_decoded_ = 0;
   };
 
   /// Fetches `page` through the cache and pins it into `*out` (replacing
@@ -171,6 +207,23 @@ class BufferPool {
   /// Returns a pinned handle on `page`, or an unpinned poison handle (all
   /// 0xFF) after latching the error when the read fails.
   PinnedPage GetPage(PageId page);
+
+  /// Returns delta list page `page` decoded under `key`; values() points at
+  /// its arrays. A miss reads the page into a reused per-thread buffer and
+  /// decodes it once into a new frame, which is never written again; every
+  /// later fetch under the same key is a hit that decodes nothing.
+  ///
+  /// When the page cannot be served from a frame, the handle is unpinned and
+  /// values() points into `*scratch` (valid until `*scratch` is next
+  /// touched), which receives:
+  ///   - sentinel records (0xFFFFFFFF starts/ends, level 0, null pointers)
+  ///     when the read fails (the error is latched as GetPage does) or the
+  ///     payload fails to decode; neither is cached, so every landing
+  ///     re-reads;
+  ///   - a private decode when the cached frame was filled under another key
+  ///     (counted by decode_mismatches()).
+  PinnedPage GetDecoded(PageId page, const DecodeKey& key,
+                        std::vector<uint32_t>* scratch);
 
   /// First fetch failure since the last ResetError() (OK when none). Errors
   /// captured by an active ErrorScope bypass this pool-global latch.
@@ -184,9 +237,21 @@ class BufferPool {
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// Delta pages decoded so far, by demand fetches and read-ahead alike.
+  uint64_t pages_decoded() const {
+    return pages_decoded_.load(std::memory_order_relaxed);
+  }
+  /// GetDecoded calls that found the page cached under another DecodeKey
+  /// and decoded it privately instead. Page reclamation discards a page's
+  /// frames before reusing its id, so this stays 0 unless that breaks.
+  uint64_t decode_mismatches() const {
+    return decode_mismatches_.load(std::memory_order_relaxed);
+  }
   void ResetStats() {
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
+    pages_decoded_.store(0, std::memory_order_relaxed);
+    decode_mismatches_.store(0, std::memory_order_relaxed);
     prefetch_issued_.store(0, std::memory_order_relaxed);
     prefetch_hits_.store(0, std::memory_order_relaxed);
     prefetch_wasted_.store(0, std::memory_order_relaxed);
@@ -215,14 +280,16 @@ class BufferPool {
     return read_ahead_depth_.load(std::memory_order_relaxed);
   }
 
-  /// Enqueues `page` for background fetch. No-op when read-ahead is off,
+  /// Enqueues `page` for background fetch: raw, or (with `key`) decoded
+  /// into the frame GetDecoded would fill. No-op when read-ahead is off,
   /// the page is already cached or queued, or the queue is full (speculation
   /// never blocks the caller).
   void Prefetch(PageId page);
+  void Prefetch(PageId page, const DecodeKey& key);
 
-  /// True when `page` is currently cached (pinned or not). A one-shard probe
-  /// with no LRU movement and no counter side effects — the planner uses it
-  /// to price resident vs cold lists.
+  /// True when `page` is currently cached, raw or decoded (pinned or not).
+  /// A one-shard probe with no LRU movement and no counter side effects —
+  /// the planner uses it to price resident vs cold lists.
   bool Contains(PageId page);
 
   /// Blocks until the prefetch queue is empty and the worker is idle (tests
@@ -260,7 +327,8 @@ class BufferPool {
   /// must not keep reporting a fault from a previous run.
   void Clear();
 
-  /// Drops the unpinned frames of `pages`, and any read-ahead still queued
+  /// Drops the unpinned frames (raw and decoded) of `pages`, and any
+  /// read-ahead still queued
   /// or in flight for them. The catalog calls this when a view version is
   /// superseded, with the pages no live version shares, and again before it
   /// reuses such a page for new bytes. Returns the pages whose frames stayed
@@ -274,26 +342,63 @@ class BufferPool {
     /// Landed via the read-ahead thread and not yet demanded (guarded by the
     /// owning shard's mutex, like pins).
     bool prefetched = false;
+    /// Capacity slots this frame is charged: 1 raw, ceil(bytes / kPageSize)
+    /// decoded.
+    uint32_t charge = 1;
+    /// Raw frames: the kPageSize page bytes.
     std::vector<uint8_t> data;
+    /// Decoded frames: the key they were filled under and the arrays.
+    DecodeKey key;
+    std::unique_ptr<uint32_t[]> values;
   };
 
   struct Shard {
     std::mutex mu;
     std::list<Frame> lru;  // front = most recent; node addresses are stable
-    std::unordered_map<PageId, std::list<Frame>::iterator> index;
+    /// Keyed by FrameKey(page, decoded).
+    std::unordered_map<uint64_t, std::list<Frame>::iterator> index;
+    size_t charge = 0;  // sum of the frames' charges
   };
 
+  /// A queued read-ahead: raw unless `decoded`.
+  struct PrefetchRequest {
+    PageId page = kInvalidPage;
+    bool decoded = false;
+    DecodeKey key;
+  };
+
+  static uint64_t FrameKey(PageId page, bool decoded) {
+    return (static_cast<uint64_t>(page) << 1) | (decoded ? 1 : 0);
+  }
   Shard& ShardFor(PageId page);
-  /// Evicts LRU unpinned frames until the shard is under its capacity share.
-  /// Caller holds the shard mutex.
-  void EvictForSpace(Shard* shard);
+  /// Evicts LRU unpinned frames until `incoming` more slots fit the shard's
+  /// capacity share. Caller holds the shard mutex.
+  void EvictForSpace(Shard* shard, size_t incoming);
+  /// Inserts a filled frame at the LRU front. Caller holds the shard mutex
+  /// and has made space.
+  Frame& Insert(Shard* shard, Frame frame);
+  /// Unlinks an unpinned frame. Caller holds the shard mutex.
+  void Drop(Shard* shard, std::list<Frame>::iterator it);
+  /// Pins a frame that satisfies a demand fetch. Caller holds the mutex.
+  PinnedPage PinDemanded(Shard* shard, Frame* frame);
+  /// Counts a hit, moves the frame to the LRU front and pins it. Caller
+  /// holds the mutex.
+  PinnedPage PinHit(Shard* shard, std::list<Frame>::iterator it);
   void Unpin(Shard* shard, Frame* frame);
   void LatchError(const util::Status& status, PageId page);
-  void CreditScopes(bool hit);
+  /// Credits this thread's active StatsScopes for the pool.
+  void CreditScopes(uint64_t StatsScope::*counter);
+  void CountMiss();
+  /// Decodes `payload` under `key` into `out`; counts the decode.
+  bool Decode(const uint8_t* payload, const DecodeKey& key, uint32_t* out,
+              bool demand);
+  /// Capacity slots a decoded frame for `key` is charged.
+  static uint32_t ChargeFor(const DecodeKey& key);
+  void Enqueue(const PrefetchRequest& request);
   /// The background read-ahead thread's main loop.
   void ReadAheadLoop();
   /// Fetches one prefetch request (outside all shard locks) and inserts it.
-  void FulfillPrefetch(PageId page);
+  void FulfillPrefetch(const PrefetchRequest& request);
   /// Stops and joins the read-ahead thread; pending requests are dropped.
   void StopReadAhead();
 
@@ -304,6 +409,8 @@ class BufferPool {
   std::vector<Shard> shards_;
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> pages_decoded_{0};
+  std::atomic<uint64_t> decode_mismatches_{0};
   std::atomic<uint64_t> evictions_{0};
   /// Bumped by every Discard: a prefetch read that overlapped one may hold
   /// the bytes of a page about to be reused, so it is dropped, not cached.
@@ -324,7 +431,7 @@ class BufferPool {
   std::mutex prefetch_mu_;
   std::condition_variable prefetch_cv_;
   std::condition_variable prefetch_idle_cv_;
-  std::deque<PageId> prefetch_queue_;
+  std::deque<PrefetchRequest> prefetch_queue_;
   std::unordered_set<PageId> prefetch_queued_;
   bool prefetch_stop_ = false;
   bool prefetch_busy_ = false;

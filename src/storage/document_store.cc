@@ -386,6 +386,8 @@ IoStats DocumentStore::Stats() const {
   stats.prefetch_issued = pool_->prefetch_issued();
   stats.prefetch_hits = pool_->prefetch_hits();
   stats.prefetch_wasted = pool_->prefetch_wasted();
+  stats.pages_decoded = pool_->pages_decoded();
+  stats.decode_mismatches = pool_->decode_mismatches();
   return stats;
 }
 

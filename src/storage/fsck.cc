@@ -557,6 +557,67 @@ std::string ToJson(const FsckCatalogReport& report) {
   return out;
 }
 
+std::string ToText(const FsckCatalogReport& report, const std::string& path) {
+  std::string out;
+  char line[512];
+  for (const auto& [page, status] : report.pager.bad_pages) {
+    const char* where = page >= report.durable_page_count ? " (orphan)" : "";
+    out += "page " + std::to_string(page) + where + ": " + status.ToString() +
+           "\n";
+  }
+  if (!report.manifest_status.ok()) {
+    out += "manifest: " + report.manifest_status.ToString() + "\n";
+  }
+  if (report.journal_tail_torn) out += "manifest: torn tail\n";
+  if (report.data_missing) {
+    out += "data file shorter than journal's durable prefix (" +
+           std::to_string(report.durable_page_count) + " pages)\n";
+  }
+  for (const std::string& bad : report.bad_views) {
+    out += "bad view: " + bad + "\n";
+  }
+  for (const std::string& bad : report.bad_compressed_lists) {
+    out += "bad compressed list: " + bad + "\n";
+  }
+  for (const std::string& claim : report.double_claims) {
+    out += "page claimed twice: " + claim + "\n";
+  }
+  if (report.orphan_pages > 0) {
+    out += std::to_string(report.orphan_pages) +
+           " uncommitted page(s) past durable prefix" +
+           (report.pager_tail_partial ? " (partial tail)" : "") + "\n";
+  }
+  if (!report.checkpoint_tmp.empty()) {
+    out += "stale checkpoint tmp: " + report.checkpoint_tmp + "\n";
+  }
+  for (const std::string& file : report.orphan_delta_files) {
+    out += "leftover update delta: " + file + "\n";
+  }
+  std::snprintf(line, sizeof(line),
+                "%s: %zu view(s), %zu quarantined, epoch %llu, "
+                "%u durable page(s), %u free, %u bad, %zu compressed list(s) "
+                "verified\n",
+                path.c_str(), report.view_count, report.quarantined_count,
+                static_cast<unsigned long long>(report.last_epoch),
+                report.durable_page_count, report.free_pages,
+                report.corrupt_durable_pages, report.compressed_lists_checked);
+  return out + line;
+}
+
+std::string ToText(const RecoveryReport& report) {
+  std::string out = "repaired: ";
+  if (report.journal_tail_truncated) out += "journal tail truncated, ";
+  out += std::to_string(report.orphan_pages_truncated) +
+         " orphan page(s) truncated, ";
+  if (report.checkpoint_tmp_removed) out += "stale checkpoint tmp removed, ";
+  if (report.orphan_delta_files_removed > 0) {
+    out += std::to_string(report.orphan_delta_files_removed) +
+           " leftover update delta file(s) removed, ";
+  }
+  return out + std::to_string(report.pending_rebuild.size()) +
+         " view(s) pending rebuild\n";
+}
+
 std::string ToJson(const FsckDocStoreReport& report) {
   std::string out = "{\n";
   out += "  \"present\": " + JsonBool(report.present) + ",\n";

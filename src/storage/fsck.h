@@ -215,6 +215,13 @@ std::string ToJson(const FsckReport& report);
 std::string ToJson(const FsckCatalogReport& report);
 std::string ToJson(const FsckDocStoreReport& report);
 
+/// Human-readable renderings (vj_fsck's default output). The catalog report
+/// prints one line per finding, naming every leftover staging file, then a
+/// summary line for `path`; the recovery report is the one `--repair` line
+/// saying what RepairCatalog did.
+std::string ToText(const FsckCatalogReport& report, const std::string& path);
+std::string ToText(const RecoveryReport& report);
+
 }  // namespace viewjoin::storage
 
 #endif  // VIEWJOIN_STORAGE_FSCK_H_

@@ -24,6 +24,12 @@ struct IoStats {
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_hits = 0;
   uint64_t prefetch_wasted = 0;
+  /// Delta list pages varint-decoded: once per pool residency of a page,
+  /// so a warm repeat of a query decodes none. decode_mismatches counts the
+  /// fetches that found a page cached under another list's decode key and
+  /// decoded it privately instead (0 unless page reuse lost a discard).
+  uint64_t pages_decoded = 0;
+  uint64_t decode_mismatches = 0;
 
   IoStats& operator+=(const IoStats& other) {
     pages_read += other.pages_read;
@@ -36,6 +42,8 @@ struct IoStats {
     prefetch_issued += other.prefetch_issued;
     prefetch_hits += other.prefetch_hits;
     prefetch_wasted += other.prefetch_wasted;
+    pages_decoded += other.pages_decoded;
+    decode_mismatches += other.decode_mismatches;
     return *this;
   }
 
@@ -51,6 +59,8 @@ struct IoStats {
     d.prefetch_issued = prefetch_issued - since.prefetch_issued;
     d.prefetch_hits = prefetch_hits - since.prefetch_hits;
     d.prefetch_wasted = prefetch_wasted - since.prefetch_wasted;
+    d.pages_decoded = pages_decoded - since.pages_decoded;
+    d.decode_mismatches = decode_mismatches - since.decode_mismatches;
     return d;
   }
 

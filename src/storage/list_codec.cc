@@ -190,4 +190,14 @@ util::Status DecodeDeltaPage(const uint8_t* payload, const RecordLayout& layout,
   return util::Status::Ok();
 }
 
+util::Status DecodeDeltaPage(const uint8_t* payload, const RecordLayout& layout,
+                             uint32_t first_entry, uint32_t expected_records,
+                             uint32_t* out) {
+  const size_t labels =
+      static_cast<size_t>(expected_records) * layout.label_count;
+  return DecodeDeltaPage(payload, layout, first_entry, expected_records, out,
+                         out + labels, out + 2 * labels,
+                         layout.has_pointers ? out + 3 * labels : nullptr);
+}
+
 }  // namespace viewjoin::storage

@@ -1,6 +1,7 @@
 #ifndef VIEWJOIN_STORAGE_LIST_CODEC_H_
 #define VIEWJOIN_STORAGE_LIST_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -8,7 +9,28 @@
 
 namespace viewjoin::storage {
 
-struct RecordLayout;
+/// On-disk record layouts of a list (all little-endian uint32 fields):
+///
+///  element record  : start, end, level                          (12 bytes)
+///  LE record       : start, end, level, following, descendant,
+///                    child[0..m)                                (20 + 4m)
+///  tuple record    : n consecutive element records              (12n)
+///
+/// `following`/`descendant`/`child[k]` hold an EntryIndex into the pointed
+/// list or kNullEntry.
+struct RecordLayout {
+  uint32_t label_count = 1;   // 1 for element/LE lists, n for tuple lists
+  bool has_pointers = false;  // true for LE / LE_p lists
+  uint32_t child_count = 0;   // number of child pointers (LE only)
+
+  uint32_t RecordSize() const {
+    return 12 * label_count + (has_pointers ? 8 + 4 * child_count : 0);
+  }
+  uint32_t PointerSlots() const {
+    return has_pointers ? 2 + child_count : 0;
+  }
+  bool operator==(const RecordLayout&) const = default;
+};
 
 /// Prefix/delta varint codec for list pages (list format kDelta).
 ///
@@ -59,6 +81,21 @@ util::Status DecodeDeltaPage(const uint8_t* payload, const RecordLayout& layout,
                        uint32_t first_entry, uint32_t expected_records,
                        uint32_t* starts, uint32_t* ends, uint32_t* levels,
                        uint32_t* pointers);
+
+/// Number of uint32 values `records` decoded records of `layout` occupy in
+/// the single-buffer form below.
+inline size_t DecodedValues(const RecordLayout& layout, uint32_t records) {
+  return static_cast<size_t>(records) *
+         (3 * layout.label_count + layout.PointerSlots());
+}
+
+/// Decodes one delta page into one buffer of DecodedValues(layout,
+/// expected_records) values, laid out as the four arrays above back to back:
+/// starts, ends, levels (each label_count * expected_records), then the
+/// pointer slots. This is the form the buffer pool caches a delta page in.
+util::Status DecodeDeltaPage(const uint8_t* payload, const RecordLayout& layout,
+                             uint32_t first_entry, uint32_t expected_records,
+                             uint32_t* out);
 
 /// Worst-case encoded size of one record — the page-fit guard bound.
 uint32_t MaxEncodedRecordSize(const RecordLayout& layout);

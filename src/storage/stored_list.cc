@@ -13,58 +13,54 @@ void ListCursor::EnsureBlock(EntryIndex i, uint32_t wanted) const {
   const uint32_t slots = layout.PointerSlots();
   if (!(block_.valid && i >= block_.first && i < block_.first + block_.count)) {
     // Land on the page holding `i`. Fixed pages decode nothing yet; delta
-    // pages decode everything (varints have no random access).
+    // pages arrive decoded (varints have no random access).
     const uint32_t page = list_->PageIndexOf(i);
     block_.first = list_->FirstEntryOfPage(page);
     block_.count = list_->RecordsOnPage(page);
-    block_.fields = 0;
     block_.point_reads = 0;
     block_.valid = true;
-    pin_ = pool_->GetPage(list_->pages[page]);
-    MaybeReadAhead(page);
     if (list_->format == ListFormat::kDelta) {
-      const uint32_t n = block_.count;
-      block_.starts.resize(static_cast<size_t>(n) * layout.label_count);
-      block_.ends.resize(static_cast<size_t>(n) * layout.label_count);
-      block_.levels.resize(static_cast<size_t>(n) * layout.label_count);
-      block_.pointers.resize(static_cast<size_t>(n) * slots);
-      bool ok = DecodeDeltaPage(pin_.data(), layout, block_.first, n,
-                                block_.starts.data(), block_.ends.data(),
-                                block_.levels.data(),
-                                slots > 0 ? block_.pointers.data() : nullptr)
-                    .ok();
-      if (!ok) {
-        // Failed delta decode (torn/corrupt page): present sentinel records,
-        // mirroring what a poison page yields under the fixed format.
-        // Cursors keep working; the sentinel labels join nothing and the
-        // catalog's checksum/scrub machinery owns the actual fault handling.
-        std::fill(block_.starts.begin(), block_.starts.end(), 0xFFFFFFFFu);
-        std::fill(block_.ends.begin(), block_.ends.end(), 0xFFFFFFFFu);
-        std::fill(block_.levels.begin(), block_.levels.end(), 0u);
-        std::fill(block_.pointers.begin(), block_.pointers.end(), kNullEntry);
-      }
+      pin_ = pool_->GetDecoded(list_->pages[page], list_->DecodeKeyOf(page),
+                               &block_.scratch);
+      const uint32_t* values = pin_.values();
+      const size_t labels =
+          static_cast<size_t>(block_.count) * layout.label_count;
+      block_.starts = values;
+      block_.ends = values + labels;
+      block_.levels = values + 2 * labels;
+      block_.pointers = slots > 0 ? values + 3 * labels : nullptr;
       block_.fields = kAllBlockFields;
+      MaybeReadAhead(page);
       return;
     }
+    block_.fields = 0;
+    pin_ = pool_->GetPage(list_->pages[page]);
+    MaybeReadAhead(page);
   }
   uint32_t missing = wanted & ~block_.fields;
   if (missing == 0) return;
+  const size_t labels = static_cast<size_t>(block_.count) * layout.label_count;
   // De-interleave the requested field classes of the fixed page into their
-  // SoA arrays — one strided pass per array, only for arrays actually
+  // scratch arrays — one strided pass per array, only for arrays actually
   // wanted. A poison page (pool read failure) is 0xFF-filled, which these
   // passes faithfully decode into 0xFFFFFFFF sentinels.
+  if (block_.fields == 0) {
+    // First decode on this page: lay the arrays out over the scratch.
+    block_.scratch.resize(DecodedValues(layout, block_.count));
+  }
+  uint32_t* values = block_.scratch.data();
+  block_.starts = values;
+  block_.ends = values + labels;
+  block_.levels = values + 2 * labels;
+  block_.pointers = slots > 0 ? values + 3 * labels : nullptr;
   const uint8_t* payload = pin_.data();
   const uint32_t record_size = layout.RecordSize();
   const uint32_t n = block_.count;
-  const size_t label_values = static_cast<size_t>(n) * layout.label_count;
   for (uint32_t field = kStartsField; field <= kLevelsField; field <<= 1) {
     if ((missing & field) == 0) continue;
-    std::vector<uint32_t>& out = field == kStartsField ? block_.starts
-                                 : field == kEndsField ? block_.ends
-                                                       : block_.levels;
     const uint32_t base =
         field == kStartsField ? 0u : field == kEndsField ? 4u : 8u;
-    out.resize(label_values);
+    uint32_t* out = values + (base / 4) * labels;
     for (uint32_t r = 0; r < n; ++r) {
       const uint8_t* rec = payload + static_cast<size_t>(r) * record_size;
       for (uint32_t k = 0; k < layout.label_count; ++k) {
@@ -73,11 +69,11 @@ void ListCursor::EnsureBlock(EntryIndex i, uint32_t wanted) const {
     }
   }
   if ((missing & kPointersField) != 0 && slots > 0) {
-    block_.pointers.resize(static_cast<size_t>(n) * slots);
+    uint32_t* out = values + 3 * labels;
     for (uint32_t r = 0; r < n; ++r) {
       const uint8_t* rec = payload + static_cast<size_t>(r) * record_size;
       for (uint32_t s = 0; s < slots; ++s) {
-        std::memcpy(&block_.pointers[r * slots + s],
+        std::memcpy(&out[r * slots + s],
                     rec + 12 * layout.label_count + 4 * s, 4);
       }
     }
@@ -92,7 +88,11 @@ void ListCursor::MaybeReadAhead(uint32_t page) const {
   uint32_t end = page + 1 + static_cast<uint32_t>(depth);
   if (end > pages) end = pages;
   for (uint32_t p = std::max(page + 1, prefetch_edge_); p < end; ++p) {
-    pool_->Prefetch(list_->pages[p]);
+    if (list_->format == ListFormat::kDelta) {
+      pool_->Prefetch(list_->pages[p], list_->DecodeKeyOf(p));
+    } else {
+      pool_->Prefetch(list_->pages[p]);
+    }
   }
   if (end > prefetch_edge_) prefetch_edge_ = end;
 }

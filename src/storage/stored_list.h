@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "storage/buffer_pool.h"
+#include "storage/list_codec.h"
 #include "storage/list_search.h"
 #include "storage/pager.h"
 #include "storage/simd_scan.h"
@@ -22,28 +23,6 @@ namespace viewjoin::storage {
 using EntryIndex = uint32_t;
 
 inline constexpr EntryIndex kNullEntry = 0xFFFFFFFFu;
-
-/// On-disk record layouts (all little-endian uint32 fields):
-///
-///  element record  : start, end, level                          (12 bytes)
-///  LE record       : start, end, level, following, descendant,
-///                    child[0..m)                                (20 + 4m)
-///  tuple record    : n consecutive element records              (12n)
-///
-/// `following`/`descendant`/`child[k]` hold an EntryIndex into the pointed
-/// list or kNullEntry.
-struct RecordLayout {
-  uint32_t label_count = 1;   // 1 for element/LE lists, n for tuple lists
-  bool has_pointers = false;  // true for LE / LE_p lists
-  uint32_t child_count = 0;   // number of child pointers (LE only)
-
-  uint32_t RecordSize() const {
-    return 12 * label_count + (has_pointers ? 8 + 4 * child_count : 0);
-  }
-  uint32_t PointerSlots() const {
-    return has_pointers ? 2 + child_count : 0;
-  }
-};
 
 /// Physical encoding of a list's pages.
 enum class ListFormat : uint8_t {
@@ -121,6 +100,10 @@ struct StoredList {
     EntryIndex next = p + 1 < PageSpan() ? FirstEntryOfPage(p + 1) : count;
     return next - first;
   }
+  /// What delta page p decodes under (BufferPool::GetDecoded).
+  DecodeKey DecodeKeyOf(uint32_t p) const {
+    return {FirstEntryOfPage(p), RecordsOnPage(p), layout};
+  }
   /// Sets the page table to the run [first, first + PageSpan()); count,
   /// format and directory must already be final.
   void AssignRun(PageId first) {
@@ -164,7 +147,7 @@ struct SeekOutcome {
 
 /// A decoded page of a block-capable cursor, as struct-of-arrays spans.
 /// Arrays are record-major, strided by label_count. Valid until the cursor
-/// decodes another block or is destroyed.
+/// lands on another block or is destroyed.
 struct BlockView {
   EntryIndex first = 0;  // entry index of the block's first record
   uint32_t count = 0;    // records in the block
@@ -177,13 +160,14 @@ struct BlockView {
 /// (how pointer jumps land). The cursor reads a page at a time: it holds a
 /// *pin* on its current page, so the page cannot be evicted (and its
 /// pointer never dangles) while the cursor sits on it — even when other
-/// queries thrash the shared pool concurrently — and decodes the page into
-/// per-cursor struct-of-arrays scratch (delta pages at once, fixed pages
-/// lazily per field), serving LabelAt/pointer reads and the galloping/SIMD
-/// skip primitives from the decoded arrays. A page that fails to read (the
-/// pool's poison page) or fails delta decode yields sentinel records —
-/// 0xFFFFFFFF labels, null pointers — so governance sees the same values
-/// under either format.
+/// queries thrash the shared pool concurrently — and serves LabelAt/pointer
+/// reads and the galloping/SIMD skip primitives from struct-of-arrays
+/// blocks. A delta page's block is the pool's decoded frame itself, read in
+/// place (the pool decodes each page once per residency); a fixed page is
+/// de-interleaved lazily per field into per-cursor scratch. A page that
+/// fails to read (the pool's poison page) or fails delta decode yields
+/// sentinel records — 0xFFFFFFFF labels, null pointers — so governance sees
+/// the same values under either format.
 ///
 /// A second, memory-backed mode wraps a plain label array instead of a pager
 /// list: the base-document fallback streams the document's own tag lists
@@ -202,6 +186,14 @@ class ListCursor {
   /// Memory-backed cursor over `count` labels (no storage behind it).
   ListCursor(const xml::Label* labels, uint32_t count)
       : mem_labels_(labels), mem_count_(count) {}
+
+  // Move-only: the block's array pointers may point into its own scratch,
+  // which a move carries along (the heap buffer stays put) but a copy would
+  // alias.
+  ListCursor(const ListCursor&) = delete;
+  ListCursor& operator=(const ListCursor&) = delete;
+  ListCursor(ListCursor&&) noexcept = default;
+  ListCursor& operator=(ListCursor&&) noexcept = default;
 
   bool valid() const { return list_ != nullptr || mem_labels_ != nullptr; }
   bool AtEnd() const { return index_ >= size(); }
@@ -255,8 +247,8 @@ class ListCursor {
   BlockView CurrentBlock() const {
     VJ_DCHECK(block_capable() && !AtEnd());
     EnsureBlock(index_, kLabelFields);
-    return {block_.first, block_.count, block_.starts.data(),
-            block_.ends.data(), block_.levels.data()};
+    return {block_.first, block_.count, block_.starts, block_.ends,
+            block_.levels};
   }
 
   /// First position >= index() whose start is >= `bound` (or > `bound` when
@@ -330,7 +322,7 @@ class ListCursor {
         }
         EnsureBlock(index_, kEndsField);
         offset = index_ - block_.first;
-        uint32_t pos = offset + simd::FirstGe(block_.ends.data() + offset,
+        uint32_t pos = offset + simd::FirstGe(block_.ends + offset,
                                               block_.count - offset, bound);
         uint32_t passed = pos - offset;
         *scanned += passed;
@@ -397,7 +389,7 @@ class ListCursor {
         }
         EnsureBlock(index_, kStartsField);
         offset = index_ - block_.first;
-        uint32_t pos = offset + simd::LowerBoundGe(block_.starts.data() + offset,
+        uint32_t pos = offset + simd::LowerBoundGe(block_.starts + offset,
                                                    block_.count - offset, bound);
         uint32_t passed = pos - offset;
         *scanned += passed;
@@ -417,9 +409,10 @@ class ListCursor {
 
  private:
   /// Which SoA arrays of the current block hold decoded data. Delta pages
-  /// decode everything in one pass (varints have no random access); fixed
-  /// pages decode *lazily per field* — a pointer-jump landing that reads two
-  /// labels must not pay for de-interleaving a whole page of records.
+  /// arrive fully decoded from the pool (varints have no random access);
+  /// fixed pages decode *lazily per field* — a pointer-jump landing that
+  /// reads two labels must not pay for de-interleaving a whole page of
+  /// records.
   enum BlockField : uint32_t {
     kStartsField = 1,
     kEndsField = 2,
@@ -441,16 +434,20 @@ class ListCursor {
     uint32_t point_reads = 0;  // direct reads on this page so far
     EntryIndex first = 0;
     uint32_t count = 0;
-    std::vector<uint32_t> starts;    // label_count-strided, record-major
-    std::vector<uint32_t> ends;
-    std::vector<uint32_t> levels;
-    std::vector<uint32_t> pointers;  // PointerSlots()-strided
+    const uint32_t* starts = nullptr;  // label_count-strided, record-major
+    const uint32_t* ends = nullptr;
+    const uint32_t* levels = nullptr;
+    const uint32_t* pointers = nullptr;  // PointerSlots()-strided
+    /// Cursor-private arrays in list_codec.h's single-buffer layout: a fixed
+    /// page's lazily decoded fields, or a delta page the pool could not
+    /// serve from a frame (sentinels, or a private decode).
+    std::vector<uint32_t> scratch;
   };
 
   /// Makes block_ describe (and pin_ hold) the page containing entry `i`,
   /// with at least the `wanted` BlockField arrays decoded. Landing on a
-  /// delta page decodes everything; landing on a fixed page decodes nothing
-  /// until a field is wanted. No-op when already satisfied.
+  /// delta page pins its decoded frame; landing on a fixed page decodes
+  /// nothing until a field is wanted. No-op when already satisfied.
   void EnsureBlock(EntryIndex i, uint32_t wanted) const;
 
   /// Queues background fetches for the pages after `page` (a page index
@@ -502,7 +499,7 @@ class ListCursor {
     if (ck(1)) return {std::max(index_, block_.first), true};
     uint32_t pos;
     if ((block_.fields & kStartsField) != 0) {
-      pos = simd::LowerBoundGe(block_.starts.data(), block_.count, bound);
+      pos = simd::LowerBoundGe(block_.starts, block_.count, bound);
     } else {
       // Undecoded fixed page: a log2(n) strided binary search beats
       // de-interleaving the page for a single seek; repeated seeks against

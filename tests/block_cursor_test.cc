@@ -1,16 +1,21 @@
 // Block-at-a-time cursor tests: the SIMD scan kernels against scalar
 // references, the overflow-safe gallop helper, the delta codec round trip,
-// randomized differential checks of both list formats against a scalar
-// oracle over fixed pages, the wide-fan-out materialization guard,
-// abort soundness of the skip primitives, and fsck's verification of the
-// compressed list format.
+// the buffer pool's decoded delta frames (fill once, key checks, discard,
+// read-ahead, sentinel pages, concurrent cold landings), randomized
+// differential checks of both list formats against a scalar oracle over
+// fixed pages, the wide-fan-out materialization guard, abort soundness of
+// the skip primitives, and fsck's verification of the compressed list
+// format.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -28,6 +33,7 @@ namespace viewjoin {
 namespace {
 
 using storage::BufferPool;
+using storage::DecodeKey;
 using storage::EntryIndex;
 using storage::GallopLowerBound;
 using storage::GallopResult;
@@ -35,6 +41,7 @@ using storage::kNullEntry;
 using storage::ListCursor;
 using storage::ListFormat;
 using storage::MaterializedView;
+using storage::PageId;
 using storage::Pager;
 using storage::RecordLayout;
 using storage::Scheme;
@@ -337,6 +344,317 @@ TEST(DeltaCodecTest, TruncatedRecordsAreCorruption) {
           << "cut at " << cut;
     }
   }
+}
+
+// ---- Decoded frames in the buffer pool --------------------------------------
+
+/// A random delta list written to a pager file, one pager page per list
+/// page, with the decode key and reference decode of every page.
+struct DeltaFile {
+  std::unique_ptr<Pager> pager;
+  StoredList list;
+  std::vector<DecodeKey> keys;
+  std::vector<std::vector<uint32_t>> decoded;
+};
+
+std::vector<uint32_t> ReferenceDecode(const uint8_t* page,
+                                      const DecodeKey& key) {
+  std::vector<uint32_t> out(storage::DecodedValues(key.layout, key.records));
+  EXPECT_TRUE(storage::DecodeDeltaPage(page, key.layout, key.first_entry,
+                                       key.records, out.data())
+                  .ok());
+  return out;
+}
+
+DeltaFile WriteDeltaFile(const char* name, const RecordLayout& layout,
+                         uint32_t count, uint64_t seed) {
+  DeltaFile file;
+  const std::string path = TempPath(name);
+  std::remove(path.c_str());
+  file.pager = std::make_unique<Pager>(path);
+  util::Rng rng(seed);
+  std::vector<uint8_t> blob = RandomRecords(&rng, count, layout);
+  auto encoded = storage::EncodeDeltaList(blob.data(), count, layout);
+  EXPECT_TRUE(encoded.ok());
+  file.list.count = count;
+  file.list.layout = layout;
+  file.list.format = ListFormat::kDelta;
+  file.list.page_first_entry = encoded->page_first_entry;
+  file.list.page_first_start = encoded->page_first_start;
+  for (uint32_t p = 0; p < encoded->pages.size(); ++p) {
+    auto id = file.pager->AllocatePage();
+    EXPECT_TRUE(id.ok());
+    EXPECT_TRUE(file.pager->WritePage(*id, encoded->pages[p].data()).ok());
+    file.list.pages.push_back(*id);
+    DecodeKey key = file.list.DecodeKeyOf(p);
+    file.keys.push_back(key);
+    file.decoded.push_back(ReferenceDecode(encoded->pages[p].data(), key));
+  }
+  return file;
+}
+
+std::vector<uint32_t> Values(const BufferPool::PinnedPage& pin,
+                             const DecodeKey& key) {
+  EXPECT_NE(pin.values(), nullptr);
+  return std::vector<uint32_t>(
+      pin.values(),
+      pin.values() + storage::DecodedValues(key.layout, key.records));
+}
+
+TEST(DecodedFrameTest, WarmFetchesReadTheFrameWithoutDecoding) {
+  DeltaFile file = WriteDeltaFile("frame_warm.db", {1, true, 2}, 3000, 41);
+  ASSERT_GE(file.list.pages.size(), 3u);
+  BufferPool pool(file.pager.get(), 64);
+  std::vector<uint32_t> scratch;
+  for (size_t p = 0; p < file.list.pages.size(); ++p) {
+    BufferPool::PinnedPage pin =
+        pool.GetDecoded(file.list.pages[p], file.keys[p], &scratch);
+    EXPECT_EQ(pin.data(), nullptr) << "decoded frames keep no raw bytes";
+    EXPECT_EQ(Values(pin, file.keys[p]), file.decoded[p]);
+  }
+  const uint64_t decoded = pool.pages_decoded();
+  EXPECT_EQ(decoded, file.list.pages.size());
+  EXPECT_EQ(pool.misses(), file.list.pages.size());
+  for (int round = 0; round < 3; ++round) {
+    for (size_t p = 0; p < file.list.pages.size(); ++p) {
+      BufferPool::PinnedPage pin =
+          pool.GetDecoded(file.list.pages[p], file.keys[p], &scratch);
+      EXPECT_EQ(Values(pin, file.keys[p]), file.decoded[p]);
+    }
+  }
+  EXPECT_EQ(pool.pages_decoded(), decoded) << "a hit must not decode";
+  EXPECT_EQ(pool.hits(), 3 * file.list.pages.size());
+  EXPECT_EQ(pool.decode_mismatches(), 0u);
+  EXPECT_TRUE(scratch.empty()) << "every fetch was served from a frame";
+
+  // A cursor over the list reads the same frames in place.
+  BufferPool::StatsScope scope(&pool);
+  ListCursor cursor(&file.list, &pool);
+  uint64_t entries = 0;
+  for (cursor.Reset(); !cursor.AtEnd(); cursor.Next()) {
+    const uint32_t p = file.list.PageIndexOf(cursor.index());
+    const uint32_t r = cursor.index() - file.keys[p].first_entry;
+    EXPECT_EQ(cursor.LabelAt().start, file.decoded[p][r]);
+    ++entries;
+  }
+  EXPECT_EQ(entries, file.list.count);
+  EXPECT_EQ(scope.pages_decoded(), 0u);
+  EXPECT_EQ(scope.misses(), 0u);
+}
+
+TEST(DecodedFrameTest, DecodedFramesAreChargedTheirBytes) {
+  DeltaFile file = WriteDeltaFile("frame_charge.db", {1, true, 3}, 6000, 43);
+  const DecodeKey& key = file.keys.front();
+  const size_t bytes =
+      storage::DecodedValues(key.layout, key.records) * sizeof(uint32_t);
+  const size_t charge = (bytes + Pager::kPageSize - 1) / Pager::kPageSize;
+  ASSERT_GE(charge, 2u) << "decoded pages outgrow their raw bytes";
+  constexpr size_t kCapacity = 8;
+  BufferPool pool(file.pager.get(), kCapacity, /*shards=*/1);
+  std::vector<uint32_t> scratch;
+  for (size_t p = 0; p < file.list.pages.size(); ++p) {
+    (void)pool.GetDecoded(file.list.pages[p], file.keys[p], &scratch);
+  }
+  size_t resident = 0;
+  size_t resident_bytes = 0;
+  for (size_t p = 0; p < file.list.pages.size(); ++p) {
+    if (!pool.Contains(file.list.pages[p])) continue;
+    ++resident;
+    resident_bytes += storage::DecodedValues(file.keys[p].layout,
+                                             file.keys[p].records) *
+                      sizeof(uint32_t);
+  }
+  EXPECT_GE(resident, 1u);
+  EXPECT_LT(resident, kCapacity) << "each frame takes more than one slot";
+  EXPECT_LE(resident_bytes, kCapacity * Pager::kPageSize);
+  EXPECT_GT(pool.eviction_version(), 0u);
+}
+
+TEST(DecodedFrameTest, DiscardAndClearDropDecodedFrames) {
+  DeltaFile file = WriteDeltaFile("frame_discard.db", {1, false, 0}, 4000, 47);
+  ASSERT_GE(file.list.pages.size(), 3u);
+  BufferPool pool(file.pager.get(), 64);
+  std::vector<uint32_t> scratch;
+  const std::vector<PageId>& pages = file.list.pages;
+  for (size_t p = 0; p < pages.size(); ++p) {
+    (void)pool.GetDecoded(pages[p], file.keys[p], &scratch);
+    ASSERT_TRUE(pool.Contains(pages[p]));
+  }
+  // A pinned frame survives Discard and is reported; the others go.
+  BufferPool::PinnedPage held =
+      pool.GetDecoded(pages[1], file.keys[1], &scratch);
+  EXPECT_EQ(pool.Discard({pages[0], pages[1]}), std::vector<PageId>{pages[1]});
+  EXPECT_FALSE(pool.Contains(pages[0]));
+  EXPECT_TRUE(pool.Contains(pages[1]));
+  EXPECT_EQ(Values(held, file.keys[1]), file.decoded[1]);
+  uint64_t decoded = pool.pages_decoded();
+  EXPECT_EQ(Values(pool.GetDecoded(pages[0], file.keys[0], &scratch),
+                   file.keys[0]),
+            file.decoded[0]);
+  EXPECT_EQ(pool.pages_decoded(), decoded + 1) << "a discarded page re-decodes";
+  held.Release();
+  EXPECT_TRUE(pool.Discard({pages[1]}).empty());
+  EXPECT_FALSE(pool.Contains(pages[1]));
+
+  pool.Clear();
+  for (PageId page : pages) EXPECT_FALSE(pool.Contains(page));
+  decoded = pool.pages_decoded();
+  for (size_t p = 0; p < pages.size(); ++p) {
+    EXPECT_EQ(Values(pool.GetDecoded(pages[p], file.keys[p], &scratch),
+                     file.keys[p]),
+              file.decoded[p]);
+  }
+  EXPECT_EQ(pool.pages_decoded(), decoded + pages.size());
+}
+
+TEST(DecodedFrameTest, AnotherKeyNeverServesTheCachedDecode) {
+  // Page id 0 first holds page 0 of an LE list, then (reclaimed and reused
+  // while a reader still pins the old frame) page 0 of an E list.
+  DeltaFile le = WriteDeltaFile("frame_key_le.db", {1, true, 1}, 2000, 53);
+  DeltaFile e = WriteDeltaFile("frame_key_e.db", {1, false, 0}, 2000, 59);
+  const PageId page = le.list.pages[0];
+  BufferPool pool(le.pager.get(), 64);
+  std::vector<uint32_t> scratch;
+  BufferPool::PinnedPage old_frame =
+      pool.GetDecoded(page, le.keys[0], &scratch);
+  ASSERT_EQ(pool.Discard({page}), std::vector<PageId>{page});
+
+  // Same bytes, another first entry: pointer deltas resolve differently.
+  DecodeKey shifted = le.keys[0];
+  shifted.first_entry += 5;
+  BufferPool::PinnedPage other = pool.GetDecoded(page, shifted, &scratch);
+  std::vector<uint8_t> raw(Pager::kPageSize);
+  ASSERT_TRUE(le.pager->ReadPage(page, raw.data()).ok());
+  EXPECT_EQ(Values(other, shifted), ReferenceDecode(raw.data(), shifted));
+  EXPECT_NE(Values(other, shifted), le.decoded[0]);
+  EXPECT_EQ(other.values(), scratch.data()) << "served privately";
+  EXPECT_EQ(pool.decode_mismatches(), 1u);
+
+  // New bytes under a new layout.
+  std::vector<uint8_t> e_page(Pager::kPageSize);
+  ASSERT_TRUE(e.pager->ReadPage(e.list.pages[0], e_page.data()).ok());
+  ASSERT_TRUE(le.pager->WritePage(page, e_page.data()).ok());
+  BufferPool::PinnedPage reused = pool.GetDecoded(page, e.keys[0], &scratch);
+  EXPECT_EQ(Values(reused, e.keys[0]), e.decoded[0]);
+  EXPECT_EQ(pool.decode_mismatches(), 2u);
+  // The old reader still sees its own arrays.
+  EXPECT_EQ(Values(old_frame, le.keys[0]), le.decoded[0]);
+
+  // Once the old frame is released and discarded, the new key caches.
+  old_frame.Release();
+  EXPECT_TRUE(pool.Discard({page}).empty());
+  BufferPool::PinnedPage cached = pool.GetDecoded(page, e.keys[0], &scratch);
+  EXPECT_NE(cached.values(), scratch.data());
+  EXPECT_EQ(Values(cached, e.keys[0]), e.decoded[0]);
+  EXPECT_EQ(pool.decode_mismatches(), 2u);
+}
+
+TEST(DecodedFrameTest, ConcurrentColdLandingsReadIdenticalArrays) {
+  DeltaFile file = WriteDeltaFile("frame_race.db", {1, true, 2}, 4000, 61);
+  BufferPool pool(file.pager.get(), 256);
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 20; ++round) {
+    const size_t p = static_cast<size_t>(round) % file.list.pages.size();
+    pool.Clear();
+    std::atomic<int> ready{0};
+    std::vector<std::vector<uint32_t>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<uint32_t> scratch;
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        BufferPool::PinnedPage pin =
+            pool.GetDecoded(file.list.pages[p], file.keys[p], &scratch);
+        seen[t] = Values(pin, file.keys[p]);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t], file.decoded[p]) << "round " << round << " thread "
+                                          << t;
+    }
+    EXPECT_TRUE(pool.Contains(file.list.pages[p]));
+    EXPECT_EQ(pool.pinned_frames(), 0u);
+  }
+  EXPECT_EQ(pool.decode_mismatches(), 0u);
+  EXPECT_EQ(pool.hits() + pool.misses(), 20u * kThreads);
+}
+
+TEST(DecodedFrameTest, UndecodablePagesAreNotCachedAndReadAsSentinels) {
+  DeltaFile file = WriteDeltaFile("frame_bad.db", {1, true, 1}, 1500, 67);
+  // Page 0's payload claims one record too many: checksums pass, decode
+  // fails.
+  std::vector<uint8_t> page(Pager::kPageSize);
+  ASSERT_TRUE(file.pager->ReadPage(file.list.pages[0], page.data()).ok());
+  uint16_t n;
+  std::memcpy(&n, page.data(), 2);
+  ++n;
+  std::memcpy(page.data(), &n, 2);
+  ASSERT_TRUE(file.pager->WritePage(file.list.pages[0], page.data()).ok());
+
+  BufferPool pool(file.pager.get(), 64);
+  BufferPool::StatsScope scope(&pool);
+  for (int landing = 0; landing < 3; ++landing) {
+    ListCursor cursor(&file.list, &pool);
+    cursor.Seek(1);
+    EXPECT_EQ(cursor.LabelAt().start, 0xFFFFFFFFu);
+    EXPECT_EQ(cursor.LabelAt().end, 0xFFFFFFFFu);
+    EXPECT_EQ(cursor.LabelAt().level, 0u);
+    EXPECT_EQ(cursor.Following(), kNullEntry);
+    EXPECT_EQ(cursor.Child(0), kNullEntry);
+    EXPECT_FALSE(pool.Contains(file.list.pages[0]));
+    // The next page is intact and cached.
+    cursor.Seek(file.keys[1].first_entry);
+    EXPECT_EQ(cursor.LabelAt().start, file.decoded[1][0]);
+  }
+  EXPECT_EQ(scope.misses(), 3u + 1u) << "the bad page re-reads every landing";
+  EXPECT_EQ(scope.pages_decoded(), 3u + 1u);
+  EXPECT_TRUE(pool.error().ok()) << "a decode failure latches nothing";
+
+  // A failed read (past the file's end) is poison: latched, not cached.
+  StoredList missing = file.list;
+  missing.pages[0] = 999;
+  ListCursor cursor(&missing, &pool);
+  EXPECT_EQ(cursor.LabelAt().start, 0xFFFFFFFFu);
+  EXPECT_EQ(cursor.Following(), kNullEntry);
+  EXPECT_FALSE(pool.Contains(999));
+  EXPECT_EQ(pool.error_page(), 999u);
+}
+
+TEST(DecodedFrameTest, PrefetchFillsDecodedFrames) {
+  DeltaFile file = WriteDeltaFile("frame_prefetch.db", {1, false, 0}, 6000, 71);
+  ASSERT_GE(file.list.pages.size(), 4u);
+  BufferPool pool(file.pager.get(), 256);
+  pool.SetReadAhead(8);
+  for (size_t p = 0; p < file.list.pages.size(); ++p) {
+    pool.Prefetch(file.list.pages[p], file.keys[p]);
+  }
+  pool.DrainPrefetches();
+  const uint64_t decoded = pool.pages_decoded();
+  EXPECT_EQ(decoded, file.list.pages.size());
+  std::vector<uint32_t> scratch;
+  for (size_t p = 0; p < file.list.pages.size(); ++p) {
+    ASSERT_TRUE(pool.Contains(file.list.pages[p]));
+    EXPECT_EQ(Values(pool.GetDecoded(file.list.pages[p], file.keys[p],
+                                     &scratch),
+                     file.keys[p]),
+              file.decoded[p]);
+  }
+  EXPECT_EQ(pool.prefetch_hits(), file.list.pages.size());
+  EXPECT_EQ(pool.misses(), 0u);
+  EXPECT_EQ(pool.pages_decoded(), decoded);
+
+  // A cursor scan queues the decoded form of the pages ahead of it.
+  pool.Clear();
+  ListCursor cursor(&file.list, &pool);
+  for (cursor.Reset(); !cursor.AtEnd(); cursor.Next()) {
+    (void)cursor.LabelAt();
+    if (cursor.index() == 0) pool.DrainPrefetches();
+  }
+  EXPECT_GT(pool.prefetch_hits(), file.list.pages.size());
+  pool.SetReadAhead(0);
 }
 
 // ---- Differential: both formats against a scalar fixed-page oracle ---------

@@ -131,6 +131,8 @@ TEST(PlanStepStatsTest, StepColumnsSumToRunTotals) {
       EXPECT_NEAR(sum.elapsed_ms, r.total_ms, 1e-9)
           << AlgorithmName(algorithm) << " " << r.plan.text;
       EXPECT_EQ(sum.pages_read, r.io.pages_read) << AlgorithmName(algorithm);
+      EXPECT_EQ(sum.pages_decoded, r.io.pages_decoded)
+          << AlgorithmName(algorithm);
       EXPECT_EQ(sum.entries_advanced, r.stats.entries_scanned)
           << AlgorithmName(algorithm);
       EXPECT_EQ(sum.pointer_jumps, r.stats.pointer_jumps)

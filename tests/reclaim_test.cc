@@ -991,6 +991,103 @@ TEST(ReclaimPoolTest, ReusedPageIsNeverServedFromAStaleFrame) {
   EXPECT_EQ(answer.result_hash, OracleHash(fx.doc, fx.query));
 }
 
+/// The decode key of `page` within the live or retired version `views`
+/// hold it in (false when none of their lists does).
+bool KeyOfPage(const std::vector<const MaterializedView*>& views, PageId page,
+               storage::DecodeKey* key) {
+  for (const MaterializedView* v : views) {
+    std::vector<const StoredList*> lists;
+    for (const StoredList& list : v->lists()) lists.push_back(&list);
+    lists.push_back(&v->tuple_list());
+    for (const StoredList* list : lists) {
+      for (uint32_t p = 0; p < list->pages.size(); ++p) {
+        if (list->pages[p] != page) continue;
+        EXPECT_EQ(list->format, storage::ListFormat::kDelta);
+        *key = list->DecodeKeyOf(p);
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(ReclaimPoolTest, ReusedPageIsNeverServedAStaleDecode) {
+  ReclaimFixture fx("reclaim_decode.db");
+  ViewCatalog* catalog = fx.catalog();
+  BufferPool* pool = catalog->pool();
+  fx.ApplyBatch(0);
+  if (HasFatalFailure()) return;
+
+  // A reader pinned before batch 1 lands on a page batch 1 retires, so its
+  // decoded frame is cached when the page is reclaimed.
+  storage::PageReclaimer::Pin pin = catalog->PinReader();
+  const std::vector<const MaterializedView*> old_tips = catalog->LiveViews();
+  fx.ApplyBatch(1);
+  if (HasFatalFailure()) return;
+  const std::set<PageId> live = LivePages(*catalog);
+  PageId victim = storage::kInvalidPage;
+  for (const MaterializedView* v : old_tips) {
+    for (PageId page : PagesOf(v)) {
+      if (live.count(page) == 0) victim = std::min(victim, page);
+    }
+  }
+  ASSERT_NE(victim, storage::kInvalidPage);
+  storage::DecodeKey old_key;
+  ASSERT_TRUE(KeyOfPage(old_tips, victim, &old_key));
+  std::vector<uint32_t> scratch;
+  std::vector<uint32_t> old_values;
+  {
+    BufferPool::PinnedPage frame = pool->GetDecoded(victim, old_key, &scratch);
+    ASSERT_NE(frame.values(), scratch.data()) << "not cached as a frame";
+    old_values.assign(frame.values(),
+                      frame.values() + storage::DecodedValues(
+                                           old_key.layout, old_key.records));
+  }
+  pin.Release();
+
+  // The next batch frees the lowest retired id first and writes over it.
+  fx.ApplyBatch(2);
+  if (HasFatalFailure()) return;
+  const std::vector<const MaterializedView*> new_tips = catalog->LiveViews();
+  storage::DecodeKey new_key;
+  ASSERT_TRUE(KeyOfPage(new_tips, victim, &new_key))
+      << "page " << victim << " was not reused";
+  EXPECT_FALSE(pool->Contains(victim)) << "the stale frame survived reuse";
+
+  // A landing under the new key decodes the new bytes into a frame.
+  std::vector<uint8_t> disk(Pager::kPageSize);
+  ASSERT_TRUE(catalog->pager()->VerifyPage(victim, disk.data()).ok());
+  std::vector<uint32_t> expected(
+      storage::DecodedValues(new_key.layout, new_key.records));
+  ASSERT_TRUE(storage::DecodeDeltaPage(disk.data(), new_key.layout,
+                                       new_key.first_entry, new_key.records,
+                                       expected.data())
+                  .ok());
+  {
+    BufferPool::PinnedPage frame = pool->GetDecoded(victim, new_key, &scratch);
+    ASSERT_NE(frame.values(), scratch.data());
+    std::vector<uint32_t> values(frame.values(),
+                                 frame.values() + expected.size());
+    EXPECT_EQ(values, expected);
+    EXPECT_TRUE(new_key != old_key || values != old_values);
+  }
+  RunOptions run;
+  run.algorithm = core::Algorithm::kViewJoin;
+  run.cold_cache = false;
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    RunResult answer = fx.engine->Execute(fx.query, fx.QueryViews(), run);
+    ASSERT_TRUE(answer.ok) << answer.error;
+    EXPECT_FALSE(answer.degraded);
+    EXPECT_EQ(answer.result_hash, OracleHash(fx.doc, fx.query));
+    if (repeat == 1) {
+      EXPECT_EQ(answer.io.pages_decoded, 0u);
+    }
+  }
+  // Reclamation discarded the frame before reuse; the key check never had
+  // to catch a stale decode.
+  EXPECT_EQ(pool->decode_mismatches(), 0u);
+}
+
 // ---- fsck and the scrubber -------------------------------------------------
 
 /// The pages the last batch retired (pending: nothing reused them yet).

@@ -6,12 +6,14 @@
 #include <set>
 #include <thread>
 
+#include "core/engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/materialized_view.h"
 #include "storage/pager.h"
 #include "storage/stored_list.h"
 #include "tests/test_util.h"
 #include "tpq/evaluator.h"
+#include "util/rng.h"
 
 namespace viewjoin {
 namespace {
@@ -567,6 +569,48 @@ TEST(MaterializeLargeTest, MultiPageListsReadBackCorrectly) {
     EXPECT_EQ(b_cursor.LabelAt().level, label.level + 1);
   }
   EXPECT_GT(catalog.pool()->eviction_version(), 0u);
+}
+
+// A query's first run decodes each delta page it lands on once; a warm
+// repeat finds every page decoded in the pool and decodes none. EXPLAIN's
+// decoded column carries the count per step.
+TEST(DecodedPoolTest, WarmRepeatOfAQueryDecodesNoPages) {
+  util::Rng rng(29);
+  xml::Document doc = testing::RandomDoc(&rng, 6000, {"a", "b", "c", "d"});
+  core::Engine engine(&doc, TempPath("warm_decode.db"));
+  tpq::TreePattern query = MustParse("//a//b[//c]//d");
+  std::vector<const MaterializedView*> views = {
+      engine.AddView("//a//b", Scheme::kLinkedElement),
+      engine.AddView("//c", Scheme::kElement),
+      engine.AddView("//d", Scheme::kLinkedElement),
+  };
+  for (core::Algorithm algorithm :
+       {core::Algorithm::kTwigStack, core::Algorithm::kViewJoin}) {
+    core::RunOptions cold;
+    cold.algorithm = algorithm;
+    cold.cold_cache = true;
+    core::RunResult first = engine.Execute(query, views, cold);
+    ASSERT_TRUE(first.ok) << first.error;
+    EXPECT_GT(first.io.pages_decoded, 0u);
+    EXPECT_LE(first.io.pages_decoded, first.io.pool_misses);
+
+    core::RunOptions warm = cold;
+    warm.cold_cache = false;
+    core::RunResult second = engine.Execute(query, views, warm);
+    ASSERT_TRUE(second.ok) << second.error;
+    EXPECT_EQ(second.result_hash, first.result_hash);
+    EXPECT_EQ(second.io.pages_decoded, 0u);
+    EXPECT_EQ(second.io.pool_misses, 0u);
+    EXPECT_GT(second.io.pool_hits, 0u);
+    EXPECT_EQ(second.io.decode_mismatches, 0u);
+
+    uint64_t step_decodes = 0;
+    for (const plan::PlanStep& step : first.plan.steps) {
+      step_decodes += step.stats.pages_decoded;
+    }
+    EXPECT_EQ(step_decodes, first.io.pages_decoded);
+    EXPECT_NE(first.plan.ToString().find("decoded"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -899,10 +899,20 @@ TEST(UpdateCrashTest, TornDeltaSidecarIsSweptOnReopen) {
   EXPECT_FALSE(report.corrupt()) << storage::ToJson(report);
   ASSERT_EQ(report.orphan_delta_files.size(), 1u);
   EXPECT_TRUE(report.repair_needed());
+  // vj_fsck's text output names the file it exits 3 for.
+  EXPECT_NE(storage::ToText(report, path).find("leftover update delta: " +
+                                               sidecar + "\n"),
+            std::string::npos)
+      << storage::ToText(report, path);
 
   auto reopened = ViewCatalog::Open(path, 128);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_GE((*reopened)->recovery_report().orphan_delta_files_removed, 1);
+  // ... and the --repair line counts it.
+  const std::string repaired = storage::ToText((*reopened)->recovery_report());
+  EXPECT_NE(repaired.find("1 leftover update delta file(s) removed"),
+            std::string::npos)
+      << repaired;
   EXPECT_FALSE(FileExists(sidecar));
   // The rolled-back view is the pre-batch one, intact.
   const MaterializedView* v = (*reopened)->FindView(p1.ToString(),

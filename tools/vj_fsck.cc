@@ -269,43 +269,7 @@ int main(int argc, char** argv) {
   }
 
   if (!quiet && !json) {
-    for (const auto& [page, status] : report.pager.bad_pages) {
-      const char* where =
-          page >= report.durable_page_count ? " (orphan)" : "";
-      std::printf("page %u%s: %s\n", page, where, status.ToString().c_str());
-    }
-    if (!report.manifest_status.ok()) {
-      std::printf("manifest: %s\n", report.manifest_status.ToString().c_str());
-    }
-    if (report.journal_tail_torn) std::printf("manifest: torn tail\n");
-    if (report.data_missing) {
-      std::printf("data file shorter than journal's durable prefix (%u pages)\n",
-                  report.durable_page_count);
-    }
-    for (const std::string& bad : report.bad_views) {
-      std::printf("bad view: %s\n", bad.c_str());
-    }
-    for (const std::string& bad : report.bad_compressed_lists) {
-      std::printf("bad compressed list: %s\n", bad.c_str());
-    }
-    for (const std::string& claim : report.double_claims) {
-      std::printf("page claimed twice: %s\n", claim.c_str());
-    }
-    if (report.orphan_pages > 0) {
-      std::printf("%u uncommitted page(s) past durable prefix%s\n",
-                  report.orphan_pages,
-                  report.pager_tail_partial ? " (partial tail)" : "");
-    }
-    if (!report.checkpoint_tmp.empty()) {
-      std::printf("stale checkpoint tmp: %s\n", report.checkpoint_tmp.c_str());
-    }
-    std::printf("%s: %zu view(s), %zu quarantined, epoch %llu, "
-                "%u durable page(s), %u free, %u bad, %zu compressed list(s) "
-                "verified\n",
-                path.c_str(), report.view_count, report.quarantined_count,
-                static_cast<unsigned long long>(report.last_epoch),
-                report.durable_page_count, report.free_pages,
-                report.corrupt_durable_pages, report.compressed_lists_checked);
+    std::fputs(viewjoin::storage::ToText(report, path).c_str(), stdout);
     if (have_doc) PrintDocReport(doc_path, doc_report);
   }
 
@@ -339,16 +303,6 @@ int main(int argc, char** argv) {
     }
     return 2;
   }
-  if (!quiet) {
-    std::printf("repaired: %s%u orphan page(s) truncated, %s"
-                "%zu view(s) pending rebuild\n",
-                repaired->journal_tail_truncated ? "journal tail truncated, "
-                                                 : "",
-                repaired->orphan_pages_truncated,
-                repaired->checkpoint_tmp_removed
-                    ? "stale checkpoint tmp removed, "
-                    : "",
-                repaired->pending_rebuild.size());
-  }
+  if (!quiet) std::fputs(viewjoin::storage::ToText(*repaired).c_str(), stdout);
   return CombineExit(3, doc_exit);
 }
