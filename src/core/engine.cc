@@ -731,6 +731,7 @@ void Engine::RebuildDocStore() {
   storage::DocumentStore::Options opts;
   opts.pool_pages = options_.doc_pool_pages;
   opts.parse_budget_bytes = options_.doc_parse_budget_bytes;
+  opts.persistent = options_.persistent;
   util::StatusOr<std::unique_ptr<storage::DocumentStore>> store =
       storage::DocumentStore::BuildFromDocument(storage_path_ + ".doc", *doc_,
                                                 opts);

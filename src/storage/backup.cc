@@ -1,7 +1,6 @@
 #include "storage/backup.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -10,6 +9,8 @@
 #include <cstring>
 #include <thread>
 
+#include "storage/file.h"
+#include "storage/fsck.h"
 #include "storage/pager.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
@@ -23,29 +24,8 @@ using util::StatusOr;
 
 constexpr char kMetaMagic[] = "VJBACKUP v1";
 
-Status IoError(const std::string& message) {
-  return Status::IoError(message + ": " + std::strerror(errno));
-}
-
-/// Typed verdict for a failed backup write: real ENOSPC becomes
-/// kResourceExhausted. Callers clear errno before the write.
-Status WriteError(const std::string& message) {
-  int err = errno;
-  std::string detail =
-      message + ": " + (err != 0 ? std::strerror(err) : "short write");
-  if (err == ENOSPC) return Status::ResourceExhausted(detail);
-  return Status::IoError(detail);
-}
-
-Status NoSpace(const std::string& message) {
-  return Status::ResourceExhausted(message +
-                                   ": no space left on device (injected)");
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
+/// Backup copies move this many bytes per read, write and disk charge.
+constexpr uint64_t kChunkBytes = 1 << 16;
 
 /// Paces backup I/O to `bytes_per_sec` (0 = unthrottled): after charging N
 /// bytes, sleeps until wall time catches up with N / rate — a token bucket
@@ -76,74 +56,48 @@ class RateLimiter {
 /// what actually landed on disk is what the meta file promises.
 Status FileSizeAndCrc(const std::string& path, uint64_t* size,
                       uint32_t* crc32) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return IoError("cannot open " + path);
-  uint8_t buf[1 << 16];
-  uint64_t total = 0;
-  uint32_t crc = 0;
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    crc = util::Crc32(buf, got, crc);
-    total += got;
+  StatusOr<File> file = File::Open(path, File::Mode::kReadOnly);
+  if (!file.ok()) return file.status();
+  *size = file->append_offset();
+  *crc32 = 0;
+  std::vector<uint8_t> buf(kChunkBytes);
+  for (uint64_t off = 0; off < *size; off += kChunkBytes) {
+    const size_t n = static_cast<size_t>(std::min(kChunkBytes, *size - off));
+    Status read = file->ReadAt(buf.data(), n, off);
+    if (!read.ok()) return read;
+    *crc32 = util::Crc32(buf.data(), n, *crc32);
   }
-  bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return IoError("cannot read " + path);
-  *size = total;
-  *crc32 = crc;
   return Status::Ok();
 }
 
-/// Byte-for-byte copy with rate limiting, disk-budget charging, and the
-/// mid-backup-copy crash point. On an injected crash the half-copied
+/// Byte-for-byte copy with rate limiting, per-chunk disk-budget charging,
+/// and the mid-backup-copy crash point. On an injected crash the half-copied
 /// destination is left behind (as a dying process would) and *crashed is
 /// set so the caller skips cleanup; genuine failures are reported for the
 /// caller to clean up. The source is only ever read.
 Status CopyFileRaw(const std::string& src, const std::string& dst,
                    RateLimiter& limiter, uint64_t* copied, bool* crashed) {
-  std::FILE* in = std::fopen(src.c_str(), "rb");
-  if (in == nullptr) return IoError("cannot open " + src);
-  std::FILE* out = std::fopen(dst.c_str(), "wb");
-  if (out == nullptr) {
-    std::fclose(in);
-    return IoError("cannot create " + dst);
-  }
-  Status status;
-  uint8_t buf[1 << 16];
-  size_t got;
-  while (status.ok() && (got = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-    if (util::FaultInjector::Global().AtCrashPoint(
-            util::CrashPoint::kCrashMidBackupCopy)) {
-      std::fwrite(buf, 1, got / 2, out);
-      std::fflush(out);
-      *crashed = true;
-      status = Status::IoError("injected crash mid-backup-copy writing " + dst);
-      break;
+  StatusOr<File> in = File::Open(src, File::Mode::kReadOnly);
+  if (!in.ok()) return in.status();
+  StatusOr<File> out = File::Open(dst, File::Mode::kCreate);
+  if (!out.ok()) return out.status();
+  const uint64_t size = in->append_offset();
+  std::vector<uint8_t> buf(kChunkBytes);
+  for (uint64_t off = 0; off < size; off += kChunkBytes) {
+    const size_t n = static_cast<size_t>(std::min(kChunkBytes, size - off));
+    Status status = in->ReadAt(buf.data(), n, off);
+    if (status.ok()) {
+      status = out->Append(buf.data(), n,
+                           util::CrashPoint::kCrashMidBackupCopy);
     }
-    if (util::FaultInjector::Global().OnDiskCharge(got)) {
-      status = NoSpace("cannot copy " + src + " to " + dst);
-      break;
+    if (!status.ok()) {
+      *crashed = out->crashed();
+      return status;
     }
-    errno = 0;
-    if (std::fwrite(buf, 1, got, out) != got) {
-      status = WriteError("cannot copy " + src + " to " + dst);
-      break;
-    }
-    limiter.Charge(got);
-    if (copied != nullptr) *copied += got;
+    limiter.Charge(n);
+    if (copied != nullptr) *copied += n;
   }
-  if (status.ok() && std::ferror(in) != 0) {
-    status = IoError("cannot read " + src);
-  }
-  if (status.ok()) {
-    errno = 0;
-    if (std::fflush(out) != 0 || ::fsync(fileno(out)) != 0) {
-      status = WriteError("cannot sync " + dst);
-    }
-  }
-  std::fclose(in);
-  std::fclose(out);
-  return status;
+  return out->Sync();
 }
 
 /// Copies the first `limit` pages of the pager file at `src_path` into a
@@ -268,51 +222,18 @@ std::string RenderMeta(const BackupReport& report) {
   return out;
 }
 
-/// Writes backup.meta atomically (tmp + fsync + rename) — the commit point
-/// of the whole backup: an image without a valid meta is torn by definition.
-Status WriteMeta(const std::string& meta_path, const BackupReport& report) {
-  const std::string content = RenderMeta(report);
-  if (util::FaultInjector::Global().OnDiskCharge(content.size())) {
-    return NoSpace("cannot write " + meta_path);
-  }
-  const std::string tmp = meta_path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return IoError("cannot create " + tmp);
-  errno = 0;
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-            content.size();
-  ok = ok && std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
-  Status status = ok ? Status::Ok() : WriteError("cannot write " + tmp);
-  std::fclose(f);
-  if (!status.ok()) {
-    std::remove(tmp.c_str());
-    return status;
-  }
-  if (std::rename(tmp.c_str(), meta_path.c_str()) != 0) {
-    Status renamed = IoError("cannot install " + meta_path);
-    std::remove(tmp.c_str());
-    return renamed;
-  }
-  return Status::Ok();
-}
-
 /// Parses backup.meta into a report skeleton (files carry the *recorded*
 /// size/CRC). kCorruption when the format or the self-checksum is off.
 StatusOr<BackupReport> ParseMeta(const std::string& dir) {
   const std::string meta_path = dir + "/" + kBackupMetaName;
-  std::FILE* f = std::fopen(meta_path.c_str(), "rb");
-  if (f == nullptr) {
+  StatusOr<std::vector<uint8_t>> read = ReadWholeFile(meta_path);
+  if (!read.ok()) {
+    if (read.status().code() != util::StatusCode::kNotFound) {
+      return read.status();
+    }
     return Status::NotFound("no backup image: " + meta_path + " is missing");
   }
-  std::string content;
-  uint8_t buf[1 << 12];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(reinterpret_cast<const char*>(buf), got);
-  }
-  bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed) return IoError("cannot read " + meta_path);
+  const std::string content(read->begin(), read->end());
 
   // The final line must be "crc <hex>" over every byte before it.
   size_t crc_line = content.rfind("crc ");
@@ -375,19 +296,15 @@ StatusOr<BackupReport> ParseMeta(const std::string& dir) {
 
 /// Footer + checksum verification of every page of a copied pager file.
 Status VerifyPagerFile(const std::string& path, uint32_t expect_pages) {
-  Pager pager(path, Pager::Mode::kReadOnly);
-  if (!pager.init_status().ok()) return pager.init_status();
-  if (expect_pages != kInvalidPage && pager.page_count() != expect_pages) {
+  const FsckReport scanned = FsckPagerFile(path);
+  if (!scanned.file_status.ok()) return scanned.file_status;
+  if (expect_pages != kInvalidPage && scanned.page_count != expect_pages) {
     return Status::Corruption(path + " holds " +
-                              std::to_string(pager.page_count()) +
+                              std::to_string(scanned.page_count) +
                               " pages, backup.meta records " +
                               std::to_string(expect_pages));
   }
-  uint8_t payload[Pager::kPageSize];
-  for (PageId id = 0; id < pager.page_count(); ++id) {
-    Status verified = pager.VerifyPage(id, payload);
-    if (!verified.ok()) return verified;
-  }
+  if (!scanned.bad_pages.empty()) return scanned.bad_pages.front().second;
   return Status::Ok();
 }
 
@@ -422,7 +339,8 @@ StatusOr<BackupReport> CreateBackup(ViewCatalog& catalog,
                                     const std::string& dest_dir,
                                     const BackupOptions& options) {
   if (::mkdir(dest_dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return IoError("cannot create backup directory " + dest_dir);
+    return Status::IoError("cannot create backup directory " + dest_dir +
+                           ": " + std::strerror(errno));
   }
   const std::string meta_path = dest_dir + "/" + kBackupMetaName;
   if (FileExists(meta_path)) {
@@ -451,7 +369,7 @@ StatusOr<BackupReport> CreateBackup(ViewCatalog& catalog,
     // An injected crash leaves the torn image exactly as a dying process
     // would (recognizable: no backup.meta); genuine failures clean up.
     if (!crashed) {
-      for (const std::string& path : created) std::remove(path.c_str());
+      for (const std::string& path : created) RemoveFile(path);
     }
     return status;
   };
@@ -501,8 +419,14 @@ StatusOr<BackupReport> CreateBackup(ViewCatalog& catalog,
     if (!summed.ok()) return fail(summed);
     report.files.push_back(std::move(info));
   }
-  Status meta = WriteMeta(meta_path, report);
-  if (!meta.ok()) return fail(meta);
+  // Writing backup.meta commits the image. A failure after its rename (the
+  // directory sync) reports the backup failed, so the meta goes too.
+  created.push_back(meta_path);
+  const std::string meta = RenderMeta(report);
+  Status committed = ReplaceFileDurably(meta_path, [&meta](File& file) {
+    return file.Append(meta.data(), meta.size());
+  });
+  if (!committed.ok()) return fail(committed);
   return report;
 }
 
@@ -599,7 +523,7 @@ StatusOr<BackupReport> RestoreBackup(const std::string& dir,
   std::vector<std::string> created;
   auto fail = [&](Status status) -> StatusOr<BackupReport> {
     if (!crashed) {
-      for (const std::string& path : created) std::remove(path.c_str());
+      for (const std::string& path : created) RemoveFile(path);
     }
     return status;
   };

@@ -1,15 +1,13 @@
 #include "storage/document_store.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <queue>
 
+#include "storage/file.h"
 #include "storage/manifest.h"
 #include "util/check.h"
-#include "util/fault_injection.h"
 #include "xml/parser.h"
 
 namespace viewjoin::storage {
@@ -46,35 +44,11 @@ std::string RunPath(const std::string& path, size_t run, char order) {
 /// Writes one sorted run to disk. Typed failure: a full disk (real ENOSPC or
 /// the injected budget) is kResourceExhausted, so the build aborts as
 /// resource exhaustion rather than corruption; a failed run never survives
-/// on disk.
+/// on disk. Runs are scratch, read back by this build only: no fsync.
 util::Status WriteRun(const std::string& run_path,
                       const std::vector<DocRecord>& recs) {
-  if (util::FaultInjector::Global().OnDiskCharge(recs.size() *
-                                                 sizeof(DocRecord))) {
-    return util::Status::ResourceExhausted(
-        "cannot write spill run " + run_path +
-        ": no space left on device (injected)");
-  }
-  std::FILE* f = std::fopen(run_path.c_str(), "wb");
-  if (f == nullptr) {
-    return util::Status::IoError("cannot create spill run " + run_path + ": " +
-                                 std::strerror(errno));
-  }
-  errno = 0;
-  size_t wrote = std::fwrite(recs.data(), sizeof(DocRecord), recs.size(), f);
-  bool ok = wrote == recs.size() && std::fflush(f) == 0;
-  int err = errno;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(run_path.c_str());
-    if (err == ENOSPC) {
-      return util::Status::ResourceExhausted("cannot write spill run " +
-                                             run_path +
-                                             ": no space left on device");
-    }
-    return util::Status::IoError("cannot write spill run " + run_path);
-  }
-  return util::Status::Ok();
+  return WriteFile(run_path, recs.data(), recs.size() * sizeof(DocRecord),
+                   /*durable=*/false);
 }
 
 /// Buffered sequential reader over one spill run.
@@ -83,35 +57,37 @@ class RunReader {
   static constexpr size_t kBatch = 512;  // records per refill (~12 KiB)
 
   bool Open(const std::string& run_path) {
-    file_ = std::fopen(run_path.c_str(), "rb");
-    if (file_ == nullptr) return false;
+    util::StatusOr<File> file = File::Open(run_path, File::Mode::kReadOnly);
+    if (!file.ok()) return false;
+    file_ = std::move(*file);
     Refill();
     return true;
-  }
-  ~RunReader() {
-    if (file_ != nullptr) std::fclose(file_);
   }
 
   bool exhausted() const { return pos_ >= buf_.size(); }
   const DocRecord& Peek() const { return buf_[pos_]; }
   void Next() {
     ++pos_;
-    if (pos_ >= buf_.size() && !eof_) Refill();
+    if (pos_ >= buf_.size() && offset_ < file_.append_offset()) Refill();
   }
 
  private:
+  /// Reads the next batch; a failed read ends the run early, like end of
+  /// file (the arena pass then counts fewer records than nodes).
   void Refill() {
-    buf_.resize(kBatch);
-    size_t got = std::fread(buf_.data(), sizeof(DocRecord), kBatch, file_);
-    buf_.resize(got);
+    const uint64_t size = file_.append_offset();  // the run's size
+    buf_.resize(std::min<uint64_t>(kBatch,
+                                   (size - offset_) / sizeof(DocRecord)));
     pos_ = 0;
-    if (got < kBatch) eof_ = true;
+    const size_t bytes = buf_.size() * sizeof(DocRecord);
+    if (!file_.ReadAt(buf_.data(), bytes, offset_).ok()) buf_.clear();
+    offset_ = buf_.empty() ? size : offset_ + bytes;
   }
 
-  std::FILE* file_ = nullptr;
+  File file_;
+  uint64_t offset_ = 0;  // next byte to read
   std::vector<DocRecord> buf_;
   size_t pos_ = 0;
-  bool eof_ = false;
 };
 
 /// Merged, ordered record stream: either a single sorted in-memory vector
@@ -281,8 +257,8 @@ class StoreBuilder : public xml::ParseHandler {
   /// Removes every run file this builder created (idempotent).
   void RemoveRuns() {
     for (size_t r = 0; r < runs_; ++r) {
-      std::remove(RunPath(path_, r, 'a').c_str());
-      std::remove(RunPath(path_, r, 'b').c_str());
+      RemoveFile(RunPath(path_, r, 'a'));
+      RemoveFile(RunPath(path_, r, 'b'));
     }
   }
 
@@ -340,6 +316,8 @@ void EncodeLabelRecord(uint8_t* out, uint32_t start, uint32_t end,
 DocumentStore::~DocumentStore() {
   // The pool's read-ahead thread (if any) must stop before the pager goes.
   if (pool_ != nullptr) pool_->SetReadAhead(0);
+  // A scratch store's pager removes its file on close; its TOC goes here.
+  if (scratch_) RemoveFile(ManifestJournal::PathFor(path_));
 }
 
 util::Status DocumentStore::AttachPool(size_t pool_pages) {
@@ -539,162 +517,119 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
 
 }  // namespace
 
-util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::BuildFromText(
-    const std::string& path, std::string_view xml, const Options& options) {
+util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::BuildWith(
+    const std::string& path, const Options& options,
+    const std::function<util::Status(DocumentStore*)>& fill) {
   // A stale TOC must never describe the file we are about to truncate.
-  std::remove(ManifestJournal::PathFor(path).c_str());
-
+  RemoveFile(ManifestJournal::PathFor(path));
   auto store = std::unique_ptr<DocumentStore>(new DocumentStore());
   store->path_ = path;
-  store->pager_ = std::make_unique<Pager>(path, Pager::Mode::kPersist);
+  store->scratch_ = !options.persistent;
+  store->pager_ = std::make_unique<Pager>(
+      path,
+      options.persistent ? Pager::Mode::kPersist : Pager::Mode::kTruncate);
   if (!store->pager_->init_status().ok()) return store->pager_->init_status();
-
-  StoreBuilder builder(path, options.parse_budget_bytes);
-  xml::StreamResult parsed = xml::ParseStream(xml, &builder);
-  auto abort = [&](util::Status status)
-      -> util::StatusOr<std::unique_ptr<DocumentStore>> {
-    builder.RemoveRuns();
+  util::Status status = fill(store.get());
+  if (!status.ok()) {
+    // A failed build leaves nothing behind: no pager file, no TOC.
     store->pager_->Close();
-    std::remove(path.c_str());
+    RemoveFile(path);
+    RemoveFile(ManifestJournal::PathFor(path));
     return status;
-  };
-  if (!parsed.ok) {
-    if (builder.spill_failed()) {
-      return abort(builder.spill_status());
-    }
-    return abort(util::Status::InvalidArgument(
-        "parse error at offset " + std::to_string(parsed.error_offset) + ": " +
-        parsed.error));
   }
-  util::Status s = builder.FinishInput();
-  if (!s.ok()) return abort(s);
-
-  store->tag_names_ = std::move(builder.tag_names());
-  store->tag_ids_ = std::move(builder.tag_ids());
-  s = EmitStore(store.get(), store->pager_.get(), store->tag_names_,
-                [&builder] { return builder.TagSource(); },
-                [&builder] { return builder.ArenaSource(); },
-                builder.node_count(), &store->lists_, &store->nodes_list_);
-  builder.RemoveRuns();
-  if (!s.ok()) {
-    store->pager_->Close();
-    std::remove(path.c_str());
-    std::remove(ManifestJournal::PathFor(path).c_str());
-    return s;
-  }
-  s = store->AttachPool(options.pool_pages);
-  if (!s.ok()) return s;
+  status = store->AttachPool(options.pool_pages);
+  if (!status.ok()) return status;
   return store;
+}
+
+util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::BuildStreamed(
+    const std::string& path, const Options& options,
+    const std::function<xml::StreamResult(xml::ParseHandler*)>& parse) {
+  return BuildWith(path, options, [&](DocumentStore* store) {
+    StoreBuilder builder(path, options.parse_budget_bytes);
+    xml::StreamResult parsed = parse(&builder);
+    util::Status s;
+    if (builder.spill_failed()) {
+      s = builder.spill_status();
+    } else if (!parsed.ok && parsed.error.rfind("cannot open file", 0) == 0) {
+      s = util::Status::NotFound(parsed.error);
+    } else if (!parsed.ok) {
+      s = util::Status::InvalidArgument("parse error at offset " +
+                                        std::to_string(parsed.error_offset) +
+                                        ": " + parsed.error);
+    }
+    if (s.ok()) s = builder.FinishInput();
+    if (s.ok()) {
+      store->tag_names_ = std::move(builder.tag_names());
+      store->tag_ids_ = std::move(builder.tag_ids());
+      s = EmitStore(store, store->pager_.get(), store->tag_names_,
+                    [&builder] { return builder.TagSource(); },
+                    [&builder] { return builder.ArenaSource(); },
+                    builder.node_count(), &store->lists_, &store->nodes_list_);
+    }
+    builder.RemoveRuns();
+    return s;
+  });
+}
+
+util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::BuildFromText(
+    const std::string& path, std::string_view xml, const Options& options) {
+  return BuildStreamed(path, options, [xml](xml::ParseHandler* handler) {
+    return xml::ParseStream(xml, handler);
+  });
 }
 
 util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::Build(
     const std::string& path, const std::string& xml_path,
     const Options& options) {
-  std::remove(ManifestJournal::PathFor(path).c_str());
-
-  auto store = std::unique_ptr<DocumentStore>(new DocumentStore());
-  store->path_ = path;
-  store->pager_ = std::make_unique<Pager>(path, Pager::Mode::kPersist);
-  if (!store->pager_->init_status().ok()) return store->pager_->init_status();
-
-  StoreBuilder builder(path, options.parse_budget_bytes);
-  xml::StreamResult parsed = xml::ParseFileStream(xml_path, &builder);
-  auto abort = [&](util::Status status)
-      -> util::StatusOr<std::unique_ptr<DocumentStore>> {
-    builder.RemoveRuns();
-    store->pager_->Close();
-    std::remove(path.c_str());
-    return status;
-  };
-  if (!parsed.ok) {
-    if (builder.spill_failed()) {
-      return abort(builder.spill_status());
-    }
-    if (parsed.error.rfind("cannot open file", 0) == 0) {
-      return abort(util::Status::NotFound(parsed.error));
-    }
-    return abort(util::Status::InvalidArgument(
-        "parse error at offset " + std::to_string(parsed.error_offset) + ": " +
-        parsed.error));
-  }
-  util::Status s = builder.FinishInput();
-  if (!s.ok()) return abort(s);
-
-  store->tag_names_ = std::move(builder.tag_names());
-  store->tag_ids_ = std::move(builder.tag_ids());
-  s = EmitStore(store.get(), store->pager_.get(), store->tag_names_,
-                [&builder] { return builder.TagSource(); },
-                [&builder] { return builder.ArenaSource(); },
-                builder.node_count(), &store->lists_, &store->nodes_list_);
-  builder.RemoveRuns();
-  if (!s.ok()) {
-    store->pager_->Close();
-    std::remove(path.c_str());
-    std::remove(ManifestJournal::PathFor(path).c_str());
-    return s;
-  }
-  s = store->AttachPool(options.pool_pages);
-  if (!s.ok()) return s;
-  return store;
+  return BuildStreamed(path, options, [&xml_path](xml::ParseHandler* handler) {
+    return xml::ParseFileStream(xml_path, handler);
+  });
 }
 
 util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::BuildFromDocument(
     const std::string& path, const xml::Document& doc, const Options& options) {
-  std::remove(ManifestJournal::PathFor(path).c_str());
-
-  auto store = std::unique_ptr<DocumentStore>(new DocumentStore());
-  store->path_ = path;
-  store->pager_ = std::make_unique<Pager>(path, Pager::Mode::kPersist);
-  if (!store->pager_->init_status().ok()) return store->pager_->init_status();
-
-  store->tag_names_.reserve(doc.TagCount());
-  for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
-    store->tag_names_.push_back(doc.TagName(t));
-    store->tag_ids_.emplace(store->tag_names_.back(), t);
-  }
-
-  // The document already holds both orders: per-tag streams are sorted by
-  // start, and node ids index the arrays directly. Adapt them to the same
-  // two sorted streams the streaming build produces. Tag lists carry only
-  // live nodes (tombstones leave the streams); the arena keeps every id so
-  // NodeAt(id) answers for exactly the ids the document answers for.
-  std::vector<DocRecord> tag_stream;
-  tag_stream.reserve(doc.LiveNodeCount());
-  for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
-    for (xml::NodeId n : doc.NodesOfTag(t)) {
-      const xml::Label& l = doc.NodeLabel(n);
-      tag_stream.push_back(DocRecord{t, l.start, l.end, l.level,
-                                     doc.Parent(n), 0});
+  return BuildWith(path, options, [&](DocumentStore* store) {
+    store->tag_names_.reserve(doc.TagCount());
+    for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
+      store->tag_names_.push_back(doc.TagName(t));
+      store->tag_ids_.emplace(store->tag_names_.back(), t);
     }
-  }
-  std::vector<DocRecord> arena_stream;
-  arena_stream.reserve(doc.NodeCount());
-  for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
-    const xml::Label& l = doc.NodeLabel(n);
-    arena_stream.push_back(DocRecord{doc.NodeTag(n), l.start, l.end, l.level,
-                                     doc.Parent(n), 0});
-  }
-  // Deliberately NOT sorted: arena order is id order here (post-update ids
-  // are not start-ordered), and the tag stream is already grouped/sorted.
-  // Two distinct vectors, so the factories just wrap them.
-  util::Status s = EmitStore(
-      store.get(), store->pager_.get(), store->tag_names_,
-      [&tag_stream] {
-        return std::make_unique<RecordSource>(&tag_stream, TagOrder);
-      },
-      [&arena_stream] {
-        return std::make_unique<RecordSource>(&arena_stream, StartOrder);
-      },
-      doc.NodeCount(), &store->lists_, &store->nodes_list_);
-  if (!s.ok()) {
-    store->pager_->Close();
-    std::remove(path.c_str());
-    std::remove(ManifestJournal::PathFor(path).c_str());
-    return s;
-  }
-  s = store->AttachPool(options.pool_pages);
-  if (!s.ok()) return s;
-  return store;
+
+    // The document already holds both orders: per-tag streams are sorted by
+    // start, and node ids index the arrays directly. Adapt them to the same
+    // two sorted streams the streaming build produces. Tag lists carry only
+    // live nodes (tombstones leave the streams); the arena keeps every id so
+    // NodeAt(id) answers for exactly the ids the document answers for.
+    std::vector<DocRecord> tag_stream;
+    tag_stream.reserve(doc.LiveNodeCount());
+    for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
+      for (xml::NodeId n : doc.NodesOfTag(t)) {
+        const xml::Label& l = doc.NodeLabel(n);
+        tag_stream.push_back(DocRecord{t, l.start, l.end, l.level,
+                                       doc.Parent(n), 0});
+      }
+    }
+    std::vector<DocRecord> arena_stream;
+    arena_stream.reserve(doc.NodeCount());
+    for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
+      const xml::Label& l = doc.NodeLabel(n);
+      arena_stream.push_back(DocRecord{doc.NodeTag(n), l.start, l.end, l.level,
+                                       doc.Parent(n), 0});
+    }
+    // Deliberately NOT sorted: arena order is id order here (post-update ids
+    // are not start-ordered), and the tag stream is already grouped/sorted.
+    // Two distinct vectors, so the factories just wrap them.
+    return EmitStore(
+        store, store->pager_.get(), store->tag_names_,
+        [&tag_stream] {
+          return std::make_unique<RecordSource>(&tag_stream, TagOrder);
+        },
+        [&arena_stream] {
+          return std::make_unique<RecordSource>(&arena_stream, StartOrder);
+        },
+        doc.NodeCount(), &store->lists_, &store->nodes_list_);
+  });
 }
 
 util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::Open(

@@ -2,6 +2,7 @@
 #define VIEWJOIN_STORAGE_DOCUMENT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -14,6 +15,7 @@
 #include "util/status.h"
 #include "xml/document.h"
 #include "xml/label.h"
+#include "xml/parser.h"
 
 namespace viewjoin::storage {
 
@@ -66,6 +68,9 @@ class DocumentStore {
     /// In-memory bytes of parsed label records before the builder spills a
     /// sorted run (floor: one page's worth of records).
     size_t parse_budget_bytes = size_t{64} << 20;
+    /// False builds a scratch store: its pager file and TOC are removed when
+    /// the store is destroyed, the way a Pager::Mode::kTruncate file is.
+    bool persistent = true;
   };
 
   /// Streams the XML file at `xml_path` into a fresh store at `path`
@@ -140,10 +145,21 @@ class DocumentStore {
  private:
   DocumentStore() = default;
 
+  /// Every build: a store with a fresh pager file at `path`, filled by
+  /// `fill`. A failed fill removes the pager file and TOC.
+  static util::StatusOr<std::unique_ptr<DocumentStore>> BuildWith(
+      const std::string& path, const Options& options,
+      const std::function<util::Status(DocumentStore*)>& fill);
+  /// Build() and BuildFromText(): `parse` streams the XML into the store.
+  static util::StatusOr<std::unique_ptr<DocumentStore>> BuildStreamed(
+      const std::string& path, const Options& options,
+      const std::function<xml::StreamResult(xml::ParseHandler*)>& parse);
+
   /// Shared tail of every Build flavour and Open.
   util::Status AttachPool(size_t pool_pages);
 
   std::string path_;
+  bool scratch_ = false;
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
 

@@ -1,15 +1,14 @@
 #include "storage/fsck.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <unordered_set>
 #include <vector>
 
 #include "storage/document_store.h"
+#include "storage/file.h"
 #include "storage/list_codec.h"
 #include "storage/manifest.h"
 
@@ -30,11 +29,6 @@ FsckReport FsckPagerFile(const std::string& path) {
 }
 
 namespace {
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 /// Records the staging files a crash can leave next to the pager file (the
 /// same set ViewCatalog::Open deletes).
@@ -231,19 +225,20 @@ FsckCatalogReport FsckCatalog(const std::string& path) {
 
   // Data file vs. durable prefix, from raw size — the pager rejects a file
   // with a partial page tail, but the journal still vouches for the prefix.
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
+  util::StatusOr<uint64_t> file_size = FileSize(path);
+  if (!file_size.ok()) {
     report.data_missing = journal.durable_page_count > 0;
     return report;
   }
+  const int64_t size = static_cast<int64_t>(*file_size);
   const int64_t expected =
       static_cast<int64_t>(Pager::kHeaderSize) +
       static_cast<int64_t>(journal.durable_page_count) *
           static_cast<int64_t>(Pager::kPhysicalPageSize);
-  if (st.st_size < expected) {
+  if (size < expected) {
     report.data_missing = true;
-  } else if (st.st_size > expected) {
-    const int64_t extra = st.st_size - expected;
+  } else if (size > expected) {
+    const int64_t extra = size - expected;
     report.orphan_pages = static_cast<uint32_t>(
         extra / static_cast<int64_t>(Pager::kPhysicalPageSize));
     if (extra % static_cast<int64_t>(Pager::kPhysicalPageSize) != 0) {
@@ -262,22 +257,16 @@ namespace {
 /// Leftover "<base>.runN.{a,b}" spill files next to a document store —
 /// artifacts of an interrupted streaming build.
 std::vector<std::string> FindStrayRuns(const std::string& path) {
-  std::string dir = ".";
-  std::string base = path;
-  size_t slash = path.find_last_of('/');
-  if (slash != std::string::npos) {
-    dir = path.substr(0, slash);
-    base = path.substr(slash + 1);
-  }
+  const std::filesystem::path store(path);
+  const std::string dir =
+      store.has_parent_path() ? store.parent_path().string() : ".";
+  const std::string run_prefix = store.filename().string() + ".run";
   std::vector<std::string> found;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return found;
-  const std::string run_prefix = base + ".run";
-  while (struct dirent* entry = ::readdir(d)) {
-    std::string name = entry->d_name;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
     if (name.rfind(run_prefix, 0) == 0) found.push_back(dir + "/" + name);
   }
-  ::closedir(d);
   std::sort(found.begin(), found.end());
   return found;
 }
@@ -344,8 +333,8 @@ FsckDocStoreReport FsckDocumentStore(const std::string& path) {
   FsckDocStoreReport report;
   report.stray_runs = FindStrayRuns(path);
 
-  struct stat st;
-  const bool pager_exists = ::stat(path.c_str(), &st) == 0;
+  const util::StatusOr<uint64_t> pager_size = FileSize(path);
+  const bool pager_exists = pager_size.ok();
   util::StatusOr<ManifestReplayResult> replayed =
       ManifestJournal::Replay(ManifestJournal::PathFor(path));
   report.manifest_status = replayed.status();
@@ -414,7 +403,9 @@ FsckDocStoreReport FsckDocumentStore(const std::string& path) {
       static_cast<int64_t>(Pager::kHeaderSize) +
       static_cast<int64_t>(journal.durable_page_count) *
           static_cast<int64_t>(Pager::kPhysicalPageSize);
-  if (st.st_size < expected) report.data_missing = true;
+  if (static_cast<int64_t>(*pager_size) < expected) {
+    report.data_missing = true;
+  }
   for (const auto& [page, status] : report.pager.bad_pages) {
     if (page < journal.durable_page_count) ++report.corrupt_durable_pages;
   }

@@ -1,11 +1,8 @@
 #include "storage/manifest.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <sys/stat.h>
-#include <unistd.h>
 
+#include "storage/file.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
 
@@ -279,62 +276,23 @@ std::vector<uint8_t> EncodeJournalHeader() {
   return header;
 }
 
-Status IoError(const std::string& message) {
-  return Status::IoError(message + ": " + std::strerror(errno));
-}
-
-/// Typed verdict for a failed journal write: real ENOSPC from the OS becomes
-/// kResourceExhausted (the engine treats a full disk as an operational
-/// condition, not rot), everything else stays kIoError. Callers clear errno
-/// before the write so a stale value cannot retype an unrelated failure.
-Status WriteError(const std::string& message) {
-  int err = errno;
-  std::string detail =
-      message + ": " + (err != 0 ? std::strerror(err) : "short write");
-  if (err == ENOSPC) return Status::ResourceExhausted(detail);
-  return Status::IoError(detail);
-}
-
-/// The injected flavor of a full disk, typed identically to the real one.
-Status NoSpace(const std::string& message) {
-  return Status::ResourceExhausted(message +
-                                   ": no space left on device (injected)");
-}
-
-/// Writes the journal header, honoring header-write fault injection (the
-/// manifest header and the pager header share the injector channel).
-Status WriteJournalHeader(std::FILE* file, const std::string& path) {
+/// Writes the journal header at the start of `file`, honoring header-write
+/// fault injection (the manifest header and the pager header share the
+/// injector channel).
+Status WriteJournalHeader(File& file) {
   std::vector<uint8_t> header = EncodeJournalHeader();
   util::WriteFault fault = util::FaultInjector::Global().OnHeaderWriteAttempt();
   if (fault == util::WriteFault::kShortWrite) {
-    std::fwrite(header.data(), 1, header.size() / 2, file);
-    std::fflush(file);
+    (void)file.WriteAt(header.data(), header.size() / 2, 0);
     return Status::IoError("injected short write on manifest header of " +
-                           path);
+                           file.path());
   }
-  if (fault == util::WriteFault::kNoSpace ||
-      util::FaultInjector::Global().OnDiskCharge(header.size())) {
-    // A full disk rejects the header before any byte lands; the (fresh or
-    // tmp) file stays empty for the caller to remove.
-    return NoSpace("cannot write manifest header of " + path);
-  }
-  if (fault == util::WriteFault::kTornPage) {
-    std::memset(header.data() + header.size() / 2, 0xAA, header.size() / 2);
-  } else if (fault == util::WriteFault::kBitFlip) {
-    header[sizeof(kMagic)] ^= 0x01;  // corrupt the version field
-  }
-  errno = 0;
-  if (std::fwrite(header.data(), 1, header.size(), file) != header.size()) {
-    return WriteError("cannot write manifest header of " + path);
-  }
-  return Status::Ok();
-}
-
-Status SyncFile(std::FILE* file, const std::string& path) {
-  errno = 0;
-  if (std::fflush(file) != 0) return WriteError("cannot flush " + path);
-  if (::fsync(fileno(file)) != 0) return WriteError("cannot fsync " + path);
-  return Status::Ok();
+  // A full disk rejects the header before any byte lands; the (fresh or
+  // tmp) file stays empty for the caller to remove.
+  if (fault == util::WriteFault::kNoSpace) return InjectedNoSpace(file.path());
+  // A bit flip corrupts the version field.
+  ApplyWriteFault(fault, header.data(), header.size(), sizeof(kMagic), 0x01);
+  return file.Append(header.data(), header.size());
 }
 
 /// kBegin records not yet matched by their install: epoch -> (pattern,
@@ -449,25 +407,22 @@ struct RecordScan {
   long txn_begin_offset = 0;
 };
 
-/// Applies the records from scan.offset up to `end`, reading sequentially
-/// from `file`'s current position (which must be scan.offset). Stops at a
-/// torn record (tail_torn); fails with kCorruption on a record that is fully
-/// present but bad.
-Status ScanRecords(std::FILE* file, const std::string& path, long end,
-                   RecordScan& scan) {
-  std::vector<uint8_t> buf;
+/// Applies the records of `journal` from scan.offset up to `end`. Stops at
+/// a torn record (tail_torn); fails with kCorruption on a record that is
+/// fully present but bad.
+Status ScanRecords(const std::vector<uint8_t>& journal,
+                   const std::string& path, long end, RecordScan& scan) {
   while (scan.offset < end) {
     const long offset = scan.offset;
     long remaining = end - offset;
-    uint8_t len_bytes[4];
-    if (remaining < 4 ||
-        std::fread(len_bytes, 1, 4, file) != 4) {
+    if (remaining < 4) {
       scan.result.tail_torn = true;  // crash tore the length prefix itself
       break;
     }
+    const uint8_t* record = journal.data() + offset;
     uint32_t payload_len = 0;
     for (int i = 0; i < 4; ++i) {
-      payload_len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
+      payload_len |= static_cast<uint32_t>(record[i]) << (8 * i);
     }
     long record_size = 4 + 1 + static_cast<long>(payload_len) + 4;
     if (payload_len > ManifestJournal::kMaxPayload || remaining < record_size) {
@@ -477,16 +432,12 @@ Status ScanRecords(std::FILE* file, const std::string& path, long end,
       scan.result.tail_torn = true;
       break;
     }
-    buf.resize(1 + payload_len + 4);
-    if (std::fread(buf.data(), 1, buf.size(), file) != buf.size()) {
-      scan.result.tail_torn = true;
-      break;
-    }
+    const uint8_t* buf = record + 4;  // type | payload | crc
     uint32_t stored_crc = 0;
     for (int i = 0; i < 4; ++i) {
       stored_crc |= static_cast<uint32_t>(buf[1 + payload_len + i]) << (8 * i);
     }
-    if (stored_crc != util::Crc32(buf.data(), 1 + payload_len)) {
+    if (stored_crc != util::Crc32(buf, 1 + payload_len)) {
       // The record is fully present yet fails its checksum: bit rot, not a
       // torn append — a crash cannot fabricate the trailing bytes.
       return Status::Corruption("manifest record at offset " +
@@ -530,7 +481,7 @@ Status ScanRecords(std::FILE* file, const std::string& path, long end,
       }
       scan.txn_open = false;
     } else if (rtype != ManifestRecordType::kEpochMark) {
-      Status applied = ApplyRecord(rtype, buf.data() + 1, payload_len, path,
+      Status applied = ApplyRecord(rtype, buf + 1, payload_len, path,
                                    offset, scan.result, scan.pending);
       if (!applied.ok()) return applied;
     }
@@ -561,83 +512,77 @@ std::vector<bool> ReferencedPages(
   return referenced;
 }
 
-ManifestJournal::ManifestJournal(std::string path, std::FILE* file)
-    : path_(std::move(path)), file_(file) {}
+ManifestJournal::ManifestJournal(File file) : file_(std::move(file)) {}
 
 ManifestJournal::~ManifestJournal() { Close(); }
 
 void ManifestJournal::Close() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  (void)file_.Close();
 }
 
 StatusOr<std::unique_ptr<ManifestJournal>> ManifestJournal::Create(
     const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "wb+");
-  if (file == nullptr) {
-    return IoError("cannot create manifest journal " + path);
-  }
-  Status status = WriteJournalHeader(file, path);
-  if (status.ok()) status = SyncFile(file, path);
+  StatusOr<File> file = File::Open(path, File::Mode::kCreate);
+  if (!file.ok()) return file.status();
+  Status status = WriteJournalHeader(*file);
+  if (status.ok()) status = file->Sync();
+  if (status.ok()) status = SyncDirectoryOf(path);
   if (!status.ok()) {
     // Nothing durable was promised yet, so a failed create must not leave an
     // empty/truncated journal for the next open to mistake for corruption.
-    std::fclose(file);
-    std::remove(path.c_str());
+    (void)file->Close();
+    RemoveFile(path);
     return status;
   }
-  return std::unique_ptr<ManifestJournal>(new ManifestJournal(path, file));
+  return std::unique_ptr<ManifestJournal>(
+      new ManifestJournal(std::move(*file)));
 }
 
 StatusOr<std::unique_ptr<ManifestJournal>> ManifestJournal::OpenForAppend(
     const std::string& path, long valid_bytes) {
+  StatusOr<File> file = File::Open(path, File::Mode::kReadWrite);
+  if (!file.ok()) return file.status();
   // Truncate away any torn tail first so appends resume at a record
   // boundary; truncating to the replay-validated prefix is exactly the
   // recovery action for a crash mid-append.
-  if (valid_bytes >= 0 && ::truncate(path.c_str(), valid_bytes) != 0) {
-    return IoError("cannot truncate manifest journal " + path);
+  if (valid_bytes >= 0) {
+    Status truncated = file->Truncate(static_cast<uint64_t>(valid_bytes));
+    if (!truncated.ok()) return truncated;
   }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    return IoError("cannot open manifest journal " + path);
-  }
-  return std::unique_ptr<ManifestJournal>(new ManifestJournal(path, file));
+  return std::unique_ptr<ManifestJournal>(
+      new ManifestJournal(std::move(*file)));
 }
 
 StatusOr<ManifestReplayResult> ManifestJournal::Replay(
     const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  StatusOr<std::vector<uint8_t>> read = ReadWholeFile(path);
+  if (!read.ok()) {
+    if (read.status().code() != util::StatusCode::kNotFound) {
+      return read.status();
+    }
     return Status::NotFound("manifest journal " + path + " does not exist");
   }
-  std::fseek(file, 0, SEEK_END);
-  long file_size = std::ftell(file);
-  std::rewind(file);
+  const std::vector<uint8_t>& journal = *read;
+  const long file_size = static_cast<long>(journal.size());
 
   ManifestReplayResult result;
-
-  uint8_t header[kJournalHeaderSize];
-  size_t got = std::fread(header, 1, sizeof(header), file);
-  if (got != sizeof(header) ||
-      std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
-    std::fclose(file);
+  if (journal.size() < kJournalHeaderSize ||
+      std::memcmp(journal.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("manifest journal " + path +
                               " has a bad or truncated header");
   }
   // The header is exactly what the writer emits: a flipped version byte, a
   // bad CRC and a journal of another version all fail the same comparison.
-  if (std::memcmp(header, EncodeJournalHeader().data(), sizeof(header)) != 0) {
-    std::fclose(file);
+  if (std::memcmp(journal.data(), EncodeJournalHeader().data(),
+                  kJournalHeaderSize) != 0) {
     return Status::Corruption("manifest journal " + path +
                               " header fails validation (version/CRC)");
   }
 
   PendingBegins pending;
   RecordScan scan;
-  Status scanned = ScanRecords(file, path, file_size, scan);
+  Status scanned = ScanRecords(journal, path, file_size, scan);
   if (scanned.ok() && scan.txn_open) {
     // Crash mid-batch: the commit record never landed, so none of the
     // batch's installs/replaces happened. Rebuild the pre-batch state by
@@ -648,9 +593,7 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
     // records appended after recovery would sit behind a dangling open
     // transaction and be rolled back by every future replay.
     RecordScan before;
-    scanned = std::fseek(file, before.offset, SEEK_SET) == 0
-                  ? ScanRecords(file, path, scan.txn_begin_offset, before)
-                  : IoError("cannot rewind manifest journal " + path);
+    scanned = ScanRecords(journal, path, scan.txn_begin_offset, before);
     before.result.valid_bytes = scan.txn_begin_offset;
     before.result.rolled_back_update_batches = 1;
     result = std::move(before.result);
@@ -660,7 +603,6 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
     pending = std::move(scan.pending);
     result.valid_bytes = scan.offset;
   }
-  std::fclose(file);
   if (!scanned.ok()) return scanned;
   if (scan.max_epoch_seen > result.last_epoch) {
     result.last_epoch = scan.max_epoch_seen;
@@ -675,67 +617,41 @@ StatusOr<ManifestReplayResult> ManifestJournal::Replay(
 
 Status ManifestJournal::WriteCheckpoint(
     const std::string& path, const std::vector<ManifestViewRecord>& records,
-    const std::vector<uint64_t>& quarantined_epochs, uint64_t last_epoch) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    return IoError("cannot create manifest checkpoint " + tmp);
-  }
-  Status status = WriteJournalHeader(file, tmp);
-  bool crashed = false;
-  auto append = [&](ManifestRecordType type,
-                    const std::vector<uint8_t>& payload) {
-    if (!status.ok()) return;
-    std::vector<uint8_t> frame = FrameRecord(type, payload);
-    if (util::FaultInjector::Global().AtCrashPoint(
-            util::CrashPoint::kCrashMidCompaction)) {
-      // Simulated crash mid-compaction: half a frame reaches the tmp file
-      // and the process "dies" — the torn tmp stays on disk and the rename
-      // never happens, so the original journal must win on reopen.
-      std::fwrite(frame.data(), 1, frame.size() / 2, file);
-      std::fflush(file);
-      crashed = true;
-      status = Status::IoError("injected crash mid-compaction writing " + tmp);
-      return;
-    }
-    if (util::FaultInjector::Global().OnDiskCharge(frame.size())) {
-      // Full disk mid-compaction: the record never starts, the tmp file is
-      // removed below, and the rename never happens — the old journal stays
-      // the authoritative (and still replayable) manifest.
-      status = NoSpace("cannot write manifest checkpoint " + tmp);
-      return;
-    }
-    errno = 0;
-    if (std::fwrite(frame.data(), 1, frame.size(), file) != frame.size()) {
-      status = WriteError("cannot write manifest checkpoint " + tmp);
-    }
-  };
-  for (const ManifestViewRecord& r : records) {
-    append(ManifestRecordType::kInstall, EncodeInstall(r));
-  }
-  for (uint64_t epoch : quarantined_epochs) {
-    append(ManifestRecordType::kQuarantine, EncodePair(last_epoch, epoch));
-  }
-  // The epoch mark last (keeping leading epochs non-decreasing): a compact
-  // journal holds only surviving installs, whose epochs can all be far below
-  // the allocator's high-water mark (e.g. after quarantines or drops).
-  // Without the mark, reopening after a checkpoint would resume the epoch
-  // counter too low and mint epochs the old journal already used.
-  append(ManifestRecordType::kEpochMark, EncodeEpoch(last_epoch));
-  if (status.ok()) status = SyncFile(file, tmp);
-  std::fclose(file);
-  if (!status.ok()) {
-    // A genuine write error cleans up its tmp; an injected crash leaves it
-    // exactly as a kill -9 would, for recovery to sweep.
-    if (!crashed) std::remove(tmp.c_str());
-    return status;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status renamed = IoError("cannot install manifest checkpoint " + path);
-    std::remove(tmp.c_str());
-    return renamed;
-  }
-  return Status::Ok();
+    const std::vector<uint64_t>& quarantined_epochs, uint64_t last_epoch,
+    bool* renamed) {
+  return ReplaceFileDurably(
+      path,
+      [&](File& file) {
+        Status status = WriteJournalHeader(file);
+        // A torn frame is a simulated crash mid-compaction: the torn tmp
+        // stays on disk and the rename never happens, so the original
+        // journal wins on reopen. A full disk stops before the record
+        // starts, the tmp is removed, and the old journal stays the
+        // authoritative (and still replayable) manifest.
+        auto append = [&](ManifestRecordType type,
+                          const std::vector<uint8_t>& payload) {
+          if (!status.ok()) return;
+          std::vector<uint8_t> frame = FrameRecord(type, payload);
+          status = file.Append(frame.data(), frame.size(),
+                               util::CrashPoint::kCrashMidCompaction);
+        };
+        for (const ManifestViewRecord& r : records) {
+          append(ManifestRecordType::kInstall, EncodeInstall(r));
+        }
+        for (uint64_t epoch : quarantined_epochs) {
+          append(ManifestRecordType::kQuarantine,
+                 EncodePair(last_epoch, epoch));
+        }
+        // The epoch mark last (keeping leading epochs non-decreasing): a
+        // compact journal holds only surviving installs, whose epochs can
+        // all be far below the allocator's high-water mark (e.g. after
+        // quarantines or drops). Without the mark, reopening after a
+        // checkpoint would resume the epoch counter too low and mint epochs
+        // the old journal already used.
+        append(ManifestRecordType::kEpochMark, EncodeEpoch(last_epoch));
+        return status;
+      },
+      renamed);
 }
 
 size_t ManifestJournal::CheckpointBytes(
@@ -751,70 +667,44 @@ size_t ManifestJournal::CheckpointBytes(
 Status ManifestJournal::AppendRecord(ManifestRecordType type,
                                      const std::vector<uint8_t>& payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) {
-    return Status::IoError("manifest journal " + path_ + " is closed");
+  if (!file_.is_open()) {
+    return Status::IoError("manifest journal " + path() + " is closed");
   }
   std::vector<uint8_t> frame = FrameRecord(type, payload);
-  if (util::FaultInjector::Global().AtCrashPoint(
-          util::CrashPoint::kCrashMidJournal)) {
-    // Simulated crash mid-append: half the record reaches the file and the
-    // process "dies" — no CRC, no sync, no cleanup. Replay must treat the
-    // half-record as a torn tail and recovery must truncate it.
-    std::fwrite(frame.data(), 1, frame.size() / 2, file_);
-    std::fflush(file_);
-    return Status::IoError("injected crash mid-journal appending to " + path_);
-  }
-  if (util::FaultInjector::Global().OnDiskCharge(frame.size())) {
-    // Full disk: the record never starts, so the journal keeps its clean
-    // record boundary — no torn tail for recovery to truncate.
-    return NoSpace("cannot append to manifest journal " + path_);
-  }
-  errno = 0;
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    return WriteError("cannot append to manifest journal " + path_);
-  }
-  if (util::FaultInjector::Global().OnFlushAttempt()) {
-    // A failed fsync after a complete write: the whole record reaches the
-    // file, so a reopen may replay it although the append reports failure.
-    std::fflush(file_);
-    return Status::IoError("fsync failed appending to manifest journal " +
-                           path_ + ": injected flush fault");
-  }
-  return SyncFile(file_, path_);
+  // A crash mid-append tears the record: replay treats the half-record as a
+  // torn tail and recovery truncates it. A full disk never starts it, so
+  // the journal keeps its clean record boundary.
+  Status status = file_.Append(frame.data(), frame.size(),
+                               util::CrashPoint::kCrashMidJournal);
+  if (!status.ok()) return status;
+  // A failed fsync after a complete write: the whole record is in the file,
+  // so a reopen may replay it although the append reports failure.
+  status = FlushFault("fsync failed appending to manifest journal " + path());
+  if (!status.ok()) return status;
+  return file_.Sync();
 }
 
 long ManifestJournal::AppendOffset() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) return -1;
-  std::fflush(file_);
-  return std::ftell(file_);
+  if (!file_.is_open()) return -1;
+  return static_cast<long>(file_.append_offset());
 }
 
 Status ManifestJournal::TruncateTo(long offset) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (file_ == nullptr) {
-    return Status::IoError("manifest journal " + path_ + " is closed");
+  if (!file_.is_open()) {
+    return Status::IoError("manifest journal " + path() + " is closed");
   }
   if (offset < static_cast<long>(kJournalHeaderSize)) {
     return Status::InvalidArgument(
-        "refusing to truncate manifest journal " + path_ +
+        "refusing to truncate manifest journal " + path() +
         " into its header (offset " + std::to_string(offset) + ")");
   }
-  // A failed append may have latched the stream's error flag; clear it so
-  // the flush below does not refuse, then cut the file at the record
-  // boundary the caller captured before its transaction.
-  std::clearerr(file_);
-  (void)std::fflush(file_);
-  if (::ftruncate(::fileno(file_), offset) != 0) {
-    return Status::IoError("cannot truncate manifest journal " + path_ +
-                           " to " + std::to_string(offset) + " bytes: " +
-                           std::strerror(errno));
-  }
-  if (std::fseek(file_, offset, SEEK_SET) != 0) {
-    return Status::IoError("seek after truncate failed in manifest journal " +
-                           path_);
-  }
-  return SyncFile(file_, path_);
+  // Cut the file at the record boundary the caller captured before its
+  // transaction; appends resume there.
+  Status status = file_.Truncate(static_cast<uint64_t>(offset));
+  if (!status.ok()) return status;
+  return file_.Sync();
 }
 
 Status ManifestJournal::AppendBegin(uint64_t epoch, uint8_t scheme,

@@ -2,7 +2,6 @@
 #define VIEWJOIN_STORAGE_MANIFEST_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "storage/file.h"
 #include "storage/stored_list.h"
 #include "util/status.h"
 
@@ -154,12 +154,15 @@ class ManifestJournal {
   static util::StatusOr<ManifestReplayResult> Replay(const std::string& path);
 
   /// Atomically replaces `path` with a compact journal holding exactly
-  /// `records` (+ quarantine markers for `quarantined_epochs`), via
-  /// tmp file + fsync + rename. Used by checkpointing. The header write is
-  /// fault-injectable.
+  /// `records` (+ quarantine markers for `quarantined_epochs`), through
+  /// ReplaceFileDurably (tmp file, fsync, rename, directory fsync). Used by
+  /// checkpointing. The header write is fault-injectable. `*renamed` as in
+  /// ReplaceFileDurably: true when the compact journal is at `path`, even if
+  /// the call then failed.
   static util::Status WriteCheckpoint(
       const std::string& path, const std::vector<ManifestViewRecord>& records,
-      const std::vector<uint64_t>& quarantined_epochs, uint64_t last_epoch);
+      const std::vector<uint64_t>& quarantined_epochs, uint64_t last_epoch,
+      bool* renamed = nullptr);
 
   /// Size in bytes of the journal WriteCheckpoint would produce for
   /// `records` plus `quarantined` quarantine markers.
@@ -192,7 +195,8 @@ class ManifestJournal {
   /// monotone through the journal.
   util::Status AppendUpdateCommit(uint64_t epoch, uint64_t txn_epoch);
 
-  /// Current append position in bytes, or -1 if the handle is closed.
+  /// Current append position in bytes (tracked by the handle, no syscall),
+  /// or -1 if the handle is closed.
   /// Captured before a multi-record transaction so a clean in-process abort
   /// (a full disk, not a crash) can roll partial records back with
   /// TruncateTo — crash recovery never needs this (Replay drops an
@@ -207,16 +211,15 @@ class ManifestJournal {
   /// Closes the file handle (idempotent; the destructor calls it).
   void Close();
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_.path(); }
 
  private:
-  ManifestJournal(std::string path, std::FILE* file);
+  explicit ManifestJournal(File file);
 
   util::Status AppendRecord(ManifestRecordType type,
                             const std::vector<uint8_t>& payload);
 
-  std::string path_;
-  std::FILE* file_ = nullptr;
+  File file_;
   std::mutex mu_;
 };
 

@@ -1,13 +1,10 @@
 #include "storage/materialized_view.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <set>
 
+#include "storage/file.h"
 #include "storage/list_codec.h"
 #include "tpq/evaluator.h"
 #include "util/check.h"
@@ -181,18 +178,22 @@ util::Status ViewCatalog::Checkpoint() {
 
 util::Status ViewCatalog::CheckpointLocked(const BackupSnapshot& snap) {
   const std::string journal_path = ManifestJournal::PathFor(pager_->path());
+  bool renamed = false;
   util::Status written = ManifestJournal::WriteCheckpoint(
-      journal_path, snap.records, snap.quarantined_epochs, snap.epoch);
-  if (!written.ok()) return written;
+      journal_path, snap.records, snap.quarantined_epochs, snap.epoch,
+      &renamed);
+  if (!renamed) return written;
   // The rename replaced the inode the open journal handle points at; switch
-  // appends over to the fresh compact file.
+  // appends over to the fresh compact file, even when the directory sync
+  // after the rename failed — appending to the unlinked old inode would
+  // lose every later record.
   journal_->Close();
   auto reopened = ManifestJournal::OpenForAppend(journal_path,
                                                  /*valid_bytes=*/-1);
   if (!reopened.ok()) return reopened.status();
   journal_ = std::move(*reopened);
   checkpoint_bytes_ = journal_->AppendOffset();
-  return util::Status::Ok();
+  return written;
 }
 
 void ViewCatalog::MaybeCompactJournalLocked() {
@@ -247,9 +248,9 @@ namespace {
 /// garbage) — so deletion is always the right recovery action.
 void RemoveStagingFiles(const std::string& pager_path, RecoveryReport* report) {
   report->checkpoint_tmp_removed =
-      std::remove((ManifestJournal::PathFor(pager_path) + ".tmp").c_str()) == 0;
+      RemoveFile(ManifestJournal::PathFor(pager_path) + ".tmp");
   for (const char* suffix : {".updatedelta", ".updatedelta.tmp"}) {
-    if (std::remove((pager_path + suffix).c_str()) == 0) {
+    if (RemoveFile(pager_path + suffix)) {
       ++report->orphan_delta_files_removed;
     }
   }
@@ -316,28 +317,28 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
   // pager validates it: a crash between the data append and the journal
   // commit leaves uncommitted tail pages (possibly a partial page) that
   // would otherwise be rejected as a truncated/oversized file.
-  struct stat st;
-  if (::stat(path.c_str(), &st) == 0) {
-    const long expected =
-        static_cast<long>(Pager::kHeaderSize) +
-        static_cast<long>(replay.durable_page_count) *
-            static_cast<long>(Pager::kPhysicalPageSize);
-    if (st.st_size < expected) {
+  util::StatusOr<File> file = File::Open(path, File::Mode::kReadWrite);
+  if (file.ok()) {
+    const uint64_t size = file->append_offset();
+    const uint64_t expected =
+        Pager::kHeaderSize +
+        static_cast<uint64_t>(replay.durable_page_count) *
+            Pager::kPhysicalPageSize;
+    if (size < expected) {
       return util::Status::Corruption(
           "manifest for " + path + " records " +
           std::to_string(replay.durable_page_count) +
           " durable pages but the pager file is shorter — journal and data "
           "file are out of step");
     }
-    if (st.st_size > expected) {
-      if (::truncate(path.c_str(), expected) != 0) {
-        return util::Status::IoError("cannot roll back uncommitted pages of " +
-                                     path + ": " + std::strerror(errno));
-      }
+    if (size > expected) {
+      util::Status truncated = file->Truncate(expected);
+      if (!truncated.ok()) return truncated;
       report.orphan_pages_truncated = static_cast<uint32_t>(
-          (st.st_size - expected + Pager::kPhysicalPageSize - 1) /
+          (size - expected + Pager::kPhysicalPageSize - 1) /
           Pager::kPhysicalPageSize);
     }
+    (void)file->Close();
   }
 
   auto catalog = std::unique_ptr<ViewCatalog>(new ViewCatalog(
@@ -923,58 +924,6 @@ util::StatusOr<std::vector<ViewCatalog::ListDeltas>> DecodeDeltaSidecar(
   return deltas;
 }
 
-/// Writes the sidecar and makes it durable. Best-effort cleanup on failure
-/// (a genuine error path, not a simulated crash).
-util::Status WriteDeltaSidecar(const std::string& path,
-                               const std::vector<uint8_t>& bytes) {
-  if (util::FaultInjector::Global().OnDiskCharge(bytes.size())) {
-    // Full disk before the file exists: nothing to clean up, and the typed
-    // code lets the engine abort the batch instead of quarantining.
-    return util::Status::ResourceExhausted(
-        "cannot write delta spill file " + path +
-        ": no space left on device (injected)");
-  }
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    return util::Status::IoError("cannot create delta spill file " + path +
-                                 ": " + std::strerror(errno));
-  }
-  errno = 0;
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  ok = ok && std::fflush(file) == 0 && ::fsync(fileno(file)) == 0;
-  int err = errno;
-  std::fclose(file);
-  if (!ok) {
-    std::remove(path.c_str());
-    if (err == ENOSPC) {
-      return util::Status::ResourceExhausted("cannot write delta spill file " +
-                                             path +
-                                             ": no space left on device");
-    }
-    return util::Status::IoError("cannot write delta spill file " + path);
-  }
-  return util::Status::Ok();
-}
-
-util::StatusOr<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return util::Status::IoError("cannot open " + path + ": " +
-                                 std::strerror(errno));
-  }
-  std::fseek(file, 0, SEEK_END);
-  long size = std::ftell(file);
-  std::rewind(file);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size < 0 ? 0 : size));
-  size_t got = bytes.empty() ? 0 : std::fread(bytes.data(), 1, bytes.size(), file);
-  std::fclose(file);
-  if (got != bytes.size()) {
-    return util::Status::IoError("cannot read " + path);
-  }
-  return bytes;
-}
-
 }  // namespace
 
 util::StatusOr<std::unique_ptr<MaterializedView>>
@@ -1166,7 +1115,10 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
     std::vector<uint8_t> serialized = EncodeDeltaSidecar(delta_for);
     if (serialized.size() > kDeltaSpillBytes ||
         util::FaultInjector::Global().delta_spill_armed()) {
-      util::Status written = WriteDeltaSidecar(sidecar, serialized);
+      // A full disk fails the write with a typed code, so the engine aborts
+      // the batch instead of quarantining.
+      util::Status written = WriteFile(sidecar, serialized.data(),
+                                       serialized.size(), /*durable=*/true);
       if (!written.ok()) return written;
       sidecar_on_disk = true;
       util::StatusOr<std::vector<uint8_t>> reread = ReadWholeFile(sidecar);
@@ -1184,7 +1136,7 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   // From here on the sidecar (if any) must be removed on every non-crash
   // exit; injected crashes leave it for recovery.
   auto remove_sidecar = [&]() {
-    if (sidecar_on_disk) std::remove(sidecar.c_str());
+    if (sidecar_on_disk) RemoveFile(sidecar);
   };
 
   // ---- Stage every new view into one page run ------------------------------

@@ -1,11 +1,6 @@
 #include "storage/pager.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "storage/file.h"
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/env.h"
@@ -111,45 +107,9 @@ std::function<void(int)>& BackoffHook() {
   return hook;
 }
 
-off_t PageOffset(PageId id) {
-  return static_cast<off_t>(Pager::kHeaderSize) +
-         static_cast<off_t>(id) * static_cast<off_t>(Pager::kPhysicalPageSize);
-}
-
-/// Moves all `size` bytes at `off` with ::pread or ::pwrite, resuming short
-/// transfers. False on an error (errno set) or on end of file / a write that
-/// made no progress (errno left as the caller set it).
-template <typename Syscall, typename Byte>
-bool TransferFull(Syscall io, int fd, Byte* buf, size_t size, off_t off) {
-  while (size > 0) {
-    ssize_t n = io(fd, buf, size, off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    buf += n;
-    size -= static_cast<size_t>(n);
-    off += n;
-  }
-  return true;
-}
-
-/// Typed verdict for a failed write: a full device (real ENOSPC from the OS)
-/// is kResourceExhausted — an operational condition the engine degrades
-/// around, not a broken medium — while everything else stays kIoError.
-/// Callers clear errno before the write so a stale ENOSPC from an earlier
-/// syscall cannot retype an unrelated failure.
-util::Status WriteFailure(const std::string& what) {
-  int err = errno;
-  std::string detail =
-      what + ": " + (err != 0 ? std::strerror(err) : "short write");
-  if (err == ENOSPC) return util::Status::ResourceExhausted(detail);
-  return util::Status::IoError(detail);
-}
-
-/// The injected flavor of a full disk, phrased like the real one so callers
-/// and tests match on the code, not the message.
-util::Status InjectedNoSpace(const std::string& what) {
-  return util::Status::ResourceExhausted(what +
-                                         ": no space left on device (injected)");
+uint64_t PageOffset(PageId id) {
+  return Pager::kHeaderSize +
+         static_cast<uint64_t>(id) * Pager::kPhysicalPageSize;
 }
 
 }  // namespace
@@ -159,27 +119,23 @@ void Pager::SetRetryBackoffHook(std::function<void(int)> hook) {
 }
 
 Pager::Pager(const std::string& path, Mode mode) : path_(path), mode_(mode) {
-  int flags = O_RDWR | O_CREAT | O_TRUNC;
-  if (mode == Mode::kReopen) flags = O_RDWR;
-  if (mode == Mode::kReadOnly) flags = O_RDONLY;
-  fd_ = ::open(path.c_str(), flags | O_CLOEXEC, 0666);
-  if (fd_ < 0) {
-    init_status_ = (mode == Mode::kReopen || mode == Mode::kReadOnly)
-                       ? util::Status::NotFound("cannot open pager file " +
-                                                path + ": " +
-                                                std::strerror(errno))
-                       : util::Status::IoError("cannot create pager file " +
-                                               path + ": " +
-                                               std::strerror(errno));
+  const bool existing = mode == Mode::kReopen || mode == Mode::kReadOnly;
+  util::StatusOr<File> opened = File::Open(
+      path, mode == Mode::kReopen     ? File::Mode::kReadWrite
+            : mode == Mode::kReadOnly ? File::Mode::kReadOnly
+                                      : File::Mode::kCreate);
+  if (!opened.ok()) {
+    init_status_ = opened.status();
     return;
   }
-  init_status_ = (mode == Mode::kReopen || mode == Mode::kReadOnly)
-                     ? ValidateExistingFile()
-                     : WriteHeader();
-  if (!init_status_.ok()) {
-    ::close(fd_);
-    fd_ = -1;
+  file_ = std::move(*opened);
+  init_status_ = existing ? ValidateExistingFile() : WriteHeader();
+  // A durable store's file must survive a crash by name, not only by
+  // content: its creation is made durable once, here.
+  if (init_status_.ok() && mode == Mode::kPersist) {
+    init_status_ = SyncDirectoryOf(path);
   }
+  if (!init_status_.ok()) (void)file_.Close();
 }
 
 Pager::~Pager() {
@@ -191,22 +147,16 @@ Pager::~Pager() {
 
 util::Status Pager::Close() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return close_status_;  // already closed (idempotent)
+  if (!file_.is_open()) return close_status_;  // already closed (idempotent)
   // Writes go straight to the OS, so there is nothing left to flush; the
   // close-time flush stays an injectable event, and its verdict is latched
   // in close_status_ for ViewCatalog::Close to surface.
-  if ((mode_ == Mode::kPersist || mode_ == Mode::kReopen) &&
-      util::FaultInjector::Global().OnFlushAttempt()) {
-    close_status_ =
-        util::Status::IoError("pager close-time flush failed for " + path_ +
-                              ": injected flush fault");
+  if (mode_ == Mode::kPersist || mode_ == Mode::kReopen) {
+    close_status_ = FlushFault("pager close-time flush failed for " + path_);
   }
-  if (::close(fd_) != 0 && close_status_.ok() && mode_ != Mode::kTruncate) {
-    close_status_ = util::Status::IoError("pager close failed for " + path_ +
-                                          ": " + std::strerror(errno));
-  }
-  fd_ = -1;
-  if (mode_ == Mode::kTruncate) std::remove(path_.c_str());
+  util::Status closed = file_.Close();
+  if (close_status_.ok() && mode_ != Mode::kTruncate) close_status_ = closed;
+  if (mode_ == Mode::kTruncate) RemoveFile(path_);
   if (!close_status_.ok() && last_error_.ok()) last_error_ = close_status_;
   return close_status_;
 }
@@ -225,50 +175,32 @@ util::Status Pager::WriteHeader() {
   // shift every armed "nth write"). A short write leaves a truncated header
   // on disk and MUST fail the open: the next Reopen's header CRC would
   // otherwise read garbage geometry.
-  if (util::FaultInjector::Global().OnDiskCharge(kHeaderSize)) {
-    return InjectedNoSpace("cannot write pager header to " + path_);
+  util::Status charged = ChargeDisk(kHeaderSize, path_);
+  if (!charged.ok()) return charged;
+  const util::WriteFault fault =
+      util::FaultInjector::Global().OnHeaderWriteAttempt();
+  // A full disk rejects the write before any byte lands: the file stays
+  // untouched (here: empty), so the failed open leaves nothing torn.
+  if (fault == util::WriteFault::kNoSpace) return InjectedNoSpace(path_);
+  const size_t write_bytes =
+      ApplyWriteFault(fault, header, kHeaderSize, kHdrVersionOff, 0x01);
+  util::Status written = file_.WriteAt(header, write_bytes, 0);
+  if (written.ok() && write_bytes < kHeaderSize) {
+    return util::Status::IoError("injected short write of the header of " +
+                                 path_);
   }
-  size_t write_bytes = kHeaderSize;
-  bool report_failure = false;
-  switch (util::FaultInjector::Global().OnHeaderWriteAttempt()) {
-    case util::WriteFault::kNone:
-      break;
-    case util::WriteFault::kShortWrite:
-      write_bytes = kHeaderSize / 2;
-      report_failure = true;
-      break;
-    case util::WriteFault::kTornPage:
-      std::memset(header + kHeaderSize / 2, 0xAA, kHeaderSize / 2);
-      break;
-    case util::WriteFault::kBitFlip:
-      header[kHdrVersionOff] ^= 0x01;
-      break;
-    case util::WriteFault::kNoSpace:
-      // A full disk rejects the write before any byte lands: the file stays
-      // untouched (here: empty), so the failed open leaves nothing torn.
-      return InjectedNoSpace("cannot write pager header to " + path_);
-  }
-  errno = 0;
-  if (!TransferFull(::pwrite, fd_, header, write_bytes, 0) || report_failure) {
-    return WriteFailure("cannot write pager header to " + path_);
-  }
-  return util::Status::Ok();
+  return written;
 }
 
 util::Status Pager::ValidateExistingFile() {
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) {
-    return util::Status::IoError("cannot size pager file " + path_);
-  }
-  size_t size = static_cast<size_t>(st.st_size);
+  const uint64_t size = file_.append_offset();  // the size at open
   if (size < kHeaderSize) {
     return util::Status::Corruption("pager file " + path_ +
                                     " is truncated (no file header)");
   }
   uint8_t header[kHeaderSize];
-  if (!TransferFull(::pread, fd_, header, kHeaderSize, 0)) {
-    return util::Status::IoError("cannot read pager header of " + path_);
-  }
+  util::Status read = file_.ReadAt(header, kHeaderSize, 0);
+  if (!read.ok()) return read;
   if (std::memcmp(header + kHdrMagicOff, kFileMagic, sizeof(kFileMagic)) != 0) {
     return util::Status::Corruption(
         "pager file " + path_ +
@@ -288,7 +220,7 @@ util::Status Pager::ValidateExistingFile() {
       GetU32(header, kHdrHeaderSizeOff) != kHeaderSize) {
     return util::Status::Corruption("pager page geometry mismatch in " + path_);
   }
-  size_t body = size - kHeaderSize;
+  const uint64_t body = size - kHeaderSize;
   if (body % kPhysicalPageSize != 0) {
     return util::Status::Corruption(
         "pager file " + path_ + " is truncated: " + std::to_string(size) +
@@ -325,59 +257,14 @@ void Pager::EncodePhysicalPage(PageId id, const void* payload,
 
 util::Status Pager::WritePage(PageId id, const void* data) {
   if (!init_status_.ok()) return init_status_;
+  uint8_t phys[kPhysicalPageSize];
+  EncodePhysicalPage(id, data, phys);
   std::lock_guard<std::mutex> lock(mu_);
-  if (mode_ == Mode::kReadOnly) {
-    return Latch(util::Status::InvalidArgument(
-        "cannot write pages in read-only pager " + path_));
-  }
-  if (fd_ < 0) {
-    return Latch(util::Status::IoError("pager " + path_ + " is closed"));
-  }
   if (id >= page_count_) {
     return Latch(util::Status::InvalidArgument(
         "write of unallocated page " + std::to_string(id) + " in " + path_));
   }
-  if (util::FaultInjector::Global().OnDiskCharge(kPhysicalPageSize)) {
-    return Latch(InjectedNoSpace("page write failed for page " +
-                                 std::to_string(id) + " in " + path_));
-  }
-  util::Timer timer;
-  uint8_t phys[kPhysicalPageSize];
-  EncodePhysicalPage(id, data, phys);
-
-  size_t write_bytes = kPhysicalPageSize;
-  bool report_failure = false;
-  switch (util::FaultInjector::Global().OnWriteAttempt()) {
-    case util::WriteFault::kNone:
-      break;
-    case util::WriteFault::kShortWrite:
-      write_bytes = kPhysicalPageSize / 2;
-      report_failure = true;
-      break;
-    case util::WriteFault::kTornPage:
-      // Simulates power loss mid-write: the tail (footer included) never
-      // makes it, but the caller is told the write succeeded.
-      std::memset(phys + kPhysicalPageSize / 2, 0xAA, kPhysicalPageSize / 2);
-      break;
-    case util::WriteFault::kBitFlip:
-      phys[kBitFlipByte] ^= kBitFlipMask;
-      break;
-    case util::WriteFault::kNoSpace:
-      // The device refuses the page outright: nothing reaches the file, so
-      // the old page contents stay byte-identical (no torn overwrite).
-      return Latch(InjectedNoSpace("page write failed for page " +
-                                   std::to_string(id) + " in " + path_));
-  }
-
-  errno = 0;
-  bool landed = TransferFull(::pwrite, fd_, phys, write_bytes, PageOffset(id));
-  stats_.write_micros += timer.ElapsedMicros();
-  ++stats_.pages_written;
-  if (!landed || report_failure) {
-    return Latch(WriteFailure("page write failed for page " +
-                              std::to_string(id) + " in " + path_));
-  }
-  return util::Status::Ok();
+  return WritePhysicalPagesLocked(&id, phys, 1);
 }
 
 util::Status Pager::AppendPhysicalPages(const uint8_t* phys, uint32_t count) {
@@ -412,7 +299,7 @@ util::Status Pager::WritePhysicalPagesLocked(const PageId* ids,
     return Latch(util::Status::InvalidArgument(
         "cannot write pages to read-only pager " + path_));
   }
-  if (fd_ < 0) {
+  if (!file_.is_open()) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
   }
   if (count == 0) return util::Status::Ok();
@@ -422,68 +309,53 @@ util::Status Pager::WritePhysicalPagesLocked(const PageId* ids,
   // the same page whether it lands via WritePage or a staged write. Clean
   // pages with consecutive ids are gathered into runs that land with one
   // pwrite each.
-  bool failed = false;
-  bool no_space = false;
+  util::Status status;
+  util::Status refused;    // a full disk stopped the write at page p
   uint32_t written = 0;    // pages already in the file
   uint32_t run_start = 0;  // first clean page not yet written
   auto write_run = [&](uint32_t end) {
-    if (end == run_start) return true;
-    bool ok = TransferFull(
-        ::pwrite, fd_,
+    if (end == run_start) return util::Status::Ok();
+    util::Status landed = file_.WriteAt(
         phys + static_cast<size_t>(run_start) * kPhysicalPageSize,
         static_cast<size_t>(end - run_start) * kPhysicalPageSize,
         PageOffset(ids[run_start]));
-    if (ok) written += end - run_start;
+    if (landed.ok()) written += end - run_start;
     run_start = end;
-    return ok;
+    return landed;
   };
-  errno = 0;
   uint32_t p = 0;  // where the loop stopped: count, or the refused page
-  for (; p < count && !failed; ++p) {
-    if (util::FaultInjector::Global().OnDiskCharge(kPhysicalPageSize)) {
-      no_space = true;
-      break;
-    }
+  for (; p < count && status.ok(); ++p) {
+    refused = ChargeDisk(kPhysicalPageSize, path_);
+    if (!refused.ok()) break;
     util::WriteFault fault = util::FaultInjector::Global().OnWriteAttempt();
     if (fault == util::WriteFault::kNoSpace) {
       // A full disk stops the write before this page's first byte: appended
       // pages written so far are still dead bytes past page_count_, never a
       // torn page.
-      no_space = true;
+      refused = InjectedNoSpace(path_);
       break;
     }
     if (p > run_start && ids[p] != ids[p - 1] + 1) {
-      failed = !write_run(p);  // the id run breaks: land what is gathered
-      if (failed) break;
+      status = write_run(p);  // the id run breaks: land what is gathered
+      if (!status.ok()) break;
     }
     if (fault == util::WriteFault::kNone) continue;
-    failed = !write_run(p);  // land the clean run before the faulted page
-    if (failed) break;
+    status = write_run(p);  // land the clean run before the faulted page
+    if (!status.ok()) break;
     uint8_t page[kPhysicalPageSize];
     std::memcpy(page, phys + static_cast<size_t>(p) * kPhysicalPageSize,
                 kPhysicalPageSize);
-    size_t write_bytes = kPhysicalPageSize;
-    switch (fault) {
-      case util::WriteFault::kShortWrite:
-        write_bytes = kPhysicalPageSize / 2;
-        failed = true;
-        break;
-      case util::WriteFault::kTornPage:
-        std::memset(page + kPhysicalPageSize / 2, 0xAA, kPhysicalPageSize / 2);
-        break;
-      case util::WriteFault::kBitFlip:
-        page[kBitFlipByte] ^= kBitFlipMask;
-        break;
-      case util::WriteFault::kNone:
-      case util::WriteFault::kNoSpace:  // handled before the write above
-        break;
+    const size_t write_bytes = ApplyWriteFault(
+        fault, page, kPhysicalPageSize, kBitFlipByte, kBitFlipMask);
+    status = file_.WriteAt(page, write_bytes, PageOffset(ids[p]));
+    if (status.ok() && write_bytes < kPhysicalPageSize) {
+      status = util::Status::IoError("injected short write of page " +
+                                     std::to_string(ids[p]) + " in " + path_);
     }
-    failed |= !TransferFull(::pwrite, fd_, page, write_bytes,
-                            PageOffset(ids[p]));
-    if (!failed) ++written;
+    if (status.ok()) ++written;
     run_start = p + 1;
   }
-  if (!failed && !write_run(p)) failed = true;
+  if (status.ok()) status = write_run(p);
   stats_.write_micros += timer.ElapsedMicros();
   stats_.pages_written += written;
   // The write fails as a unit: page_count_ stays put, so a partial appended
@@ -491,15 +363,8 @@ util::Status Pager::WritePhysicalPagesLocked(const PageId* ids,
   // store), and rewritten pages hold bytes no committed page table names.
   // Torn pages and bit flips "succeed" here exactly as they do on real
   // hardware; the page checksum catches them at read time.
-  if (no_space) {
-    return Latch(InjectedNoSpace("write of " + std::to_string(count) +
-                                 " pages stopped after " +
-                                 std::to_string(written) + " in " + path_));
-  }
-  if (failed) {
-    return Latch(WriteFailure("write of " + std::to_string(count) +
-                              " pages failed in " + path_));
-  }
+  if (!refused.ok()) return Latch(refused);
+  if (!status.ok()) return Latch(status);
   for (uint32_t p = 0; p < count; ++p) {
     page_count_ = std::max(page_count_, ids[p] + 1);
   }
@@ -513,7 +378,7 @@ util::Status Pager::TruncateToPageCount(uint32_t count) {
     return Latch(util::Status::InvalidArgument(
         "cannot truncate read-only pager " + path_));
   }
-  if (fd_ < 0) {
+  if (!file_.is_open()) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
   }
   if (count > page_count_) {
@@ -521,11 +386,8 @@ util::Status Pager::TruncateToPageCount(uint32_t count) {
         "cannot truncate " + path_ + " to " + std::to_string(count) +
         " pages: only " + std::to_string(page_count_) + " committed"));
   }
-  if (::ftruncate(fd_, PageOffset(count)) != 0) {
-    return Latch(util::Status::IoError("cannot truncate " + path_ + " to " +
-                                       std::to_string(count) + " pages: " +
-                                       std::strerror(errno)));
-  }
+  util::Status truncated = file_.Truncate(PageOffset(count));
+  if (!truncated.ok()) return Latch(truncated);
   page_count_ = count;
   return util::Status::Ok();
 }
@@ -538,7 +400,7 @@ util::Status Pager::ReadPhysicalOnce(int fd, PageId id, uint8_t* phys) const {
     return util::Status::IoError("injected read fault on page " +
                                  std::to_string(id) + " in " + path_);
   }
-  if (!TransferFull(::pread, fd, phys, kPhysicalPageSize, PageOffset(id))) {
+  if (!File::ReadFull(fd, phys, kPhysicalPageSize, PageOffset(id))) {
     return util::Status::IoError("short read of page " + std::to_string(id) +
                                  " in " + path_);
   }
@@ -569,7 +431,7 @@ util::Status Pager::ReadPage(PageId id, void* out) {
       return Latch(util::Status::InvalidArgument(
           "read of unallocated page " + std::to_string(id) + " in " + path_));
     }
-    fd = fd_;
+    fd = file_.fd();
   }
   // A page below the snapshotted count is complete in the file and not
   // being rewritten (see the class comment): read and verify it unlocked.
@@ -599,7 +461,7 @@ util::Status Pager::VerifyPage(PageId id, void* out) {
       return util::Status::InvalidArgument("page " + std::to_string(id) +
                                            " is beyond the end of " + path_);
     }
-    fd = fd_;
+    fd = file_.fd();
   }
   uint8_t phys[kPhysicalPageSize];
   util::Status status = ReadPhysicalOnce(fd, id, phys);
@@ -610,18 +472,12 @@ util::Status Pager::VerifyPage(PageId id, void* out) {
 util::Status Pager::Sync() {
   if (!init_status_.ok()) return init_status_;
   std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) {
+  if (!file_.is_open()) {
     return Latch(util::Status::IoError("pager " + path_ + " is closed"));
   }
-  if (util::FaultInjector::Global().OnFlushAttempt()) {
-    return Latch(util::Status::IoError("sync failed for " + path_ +
-                                       ": injected flush fault"));
-  }
-  errno = 0;
-  if (::fsync(fd_) != 0) {
-    return Latch(WriteFailure("sync failed for " + path_));
-  }
-  return util::Status::Ok();
+  util::Status synced = FlushFault("sync failed for " + path_);
+  if (synced.ok()) synced = file_.Sync();
+  return Latch(synced);
 }
 
 }  // namespace viewjoin::storage

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/file.h"
 #include "storage/io_stats.h"
 #include "util/status.h"
 
@@ -202,13 +203,13 @@ class Pager {
 
   std::string path_;
   Mode mode_ = Mode::kTruncate;
-  int fd_ = -1;
+  File file_;
   uint32_t page_count_ = 0;
   util::Status init_status_;
   util::Status last_error_;
   util::Status close_status_;
   IoStats stats_;
-  /// Guards fd_, page_count_, the counters and the error latch; file reads
+  /// Guards file_, page_count_, the counters and the error latch; file reads
   /// run outside it. init_status_, path_ and mode_ are immutable after
   /// construction and need no lock.
   mutable std::mutex mu_;

@@ -45,10 +45,10 @@ enum class CrashPoint {
 const char* CrashPointName(CrashPoint point);
 
 /// Deterministic, programmatically-armed fault injector consulted by the
-/// pager on every physical read attempt and page write. Tests arm a fault
-/// relative to the current operation count ("fail the 2nd read from now"),
-/// run the scenario, and assert on the surfaced Status — no real disk faults
-/// or flaky timing involved.
+/// pager (page reads and writes) and by storage/file.h (disk charges,
+/// flushes, torn crash writes). Tests arm a fault relative to the current
+/// operation count ("fail the 2nd read from now"), run the scenario, and
+/// assert on the surfaced Status — no real disk faults or flaky timing.
 ///
 /// Thread-safe: the pager hooks and arming calls are mutex-guarded, so fault
 /// tests can run against concurrent ExecuteBatch workers ("fail the next N
@@ -78,8 +78,9 @@ class FaultInjector {
   void ArmHeaderWriteFault(WriteFault kind, uint64_t nth, int count = 1);
 
   /// Arms a failure of the `nth` upcoming Flush/Sync call (1-based): a
-  /// pager sync or close, or the fsync of a manifest journal append, whose
-  /// record then lands whole while the append reports failure.
+  /// pager sync or close, the fsync of a manifest journal append (whose
+  /// record then lands whole while the append reports failure), or a
+  /// directory sync after a file's creation or rename.
   /// count < 0 fails every flush from that point on.
   void ArmFlushFault(uint64_t nth, int count = 1);
 

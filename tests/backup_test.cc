@@ -538,76 +538,133 @@ TEST(EnospcTest, WriteSiteMatrixFailsTypedWithNoOrphans) {
   const uint64_t budgets[] = {0, Pager::kPhysicalPageSize,
                               8 * Pager::kPhysicalPageSize,
                               64 * Pager::kPhysicalPageSize};
+  // With the delta spill armed, every batch also writes its update-delta
+  // sidecar, which a full disk must refuse the same way.
   for (uint64_t budget : budgets) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    xml::Document doc = MakeDoc("r(a(b(c) a(b(c c)) b) a(x(b(c))) b(c))");
-    ASSERT_TRUE(doc.RelabelWithGap(64).ok());
-    const std::string path = TempPath("enospc_matrix.db");
-    CleanupStore(path);
-    uint64_t no_space_seen = 0;
-    {
-      EngineOptions options;
-      options.persistent = true;
-      Engine engine(&doc, path, options);
-      const MaterializedView* v1 =
-          engine.AddView("//a//b", Scheme::kLinkedElement);
-      const MaterializedView* v2 = engine.AddView("//c", Scheme::kLinkedElement);
-      const TreePattern query = MustParse("//a//b//c");
-      RunResult reference = engine.Execute(query, {v1, v2});
-      ASSERT_TRUE(reference.ok) << reference.error;
+    for (const bool spill : {false, true}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget) +
+                   (spill ? " spill" : ""));
+      xml::Document doc = MakeDoc("r(a(b(c) a(b(c c)) b) a(x(b(c))) b(c))");
+      ASSERT_TRUE(doc.RelabelWithGap(64).ok());
+      const std::string path = TempPath("enospc_matrix.db");
+      CleanupStore(path);
+      uint64_t no_space_seen = 0;
+      {
+        EngineOptions options;
+        options.persistent = true;
+        Engine engine(&doc, path, options);
+        const MaterializedView* v1 =
+            engine.AddView("//a//b", Scheme::kLinkedElement);
+        const MaterializedView* v2 =
+            engine.AddView("//c", Scheme::kLinkedElement);
+        const TreePattern query = MustParse("//a//b//c");
+        RunResult reference = engine.Execute(query, {v1, v2});
+        ASSERT_TRUE(reference.ok) << reference.error;
 
-      ScopedFaultInjection fi;
-      fi->ArmDiskBudget(budget);
+        ScopedFaultInjection fi;
+        fi->ArmDiskBudget(budget);
+        if (spill) fi->ArmDeltaSpill();
 
-      // Shadow build + manifest append site: a new view materialization.
-      auto added = engine.TryAddView("//x//b", Scheme::kElement);
-      if (!added.ok()) {
-        EXPECT_EQ(added.status().code(), StatusCode::kResourceExhausted)
-            << added.status().ToString();
+        // Shadow build + manifest append site: a new view materialization.
+        auto added = engine.TryAddView("//x//b", Scheme::kElement);
+        if (!added.ok()) {
+          EXPECT_EQ(added.status().code(), StatusCode::kResourceExhausted)
+              << added.status().ToString();
+        }
+        // Update batch site: delta merge, doc mutation journaling, installs.
+        UpdateOp op;
+        op.kind = UpdateOp::Kind::kInsertSubtree;
+        op.target_tag = "r";
+        op.target_start = doc.NodeLabel(doc.Root()).start;
+        op.subtree = frag_spec;
+        auto updated = engine.ApplyUpdates({op});
+        if (!updated.ok()) {
+          EXPECT_EQ(updated.status().code(), StatusCode::kResourceExhausted)
+              << updated.status().ToString();
+        }
+        no_space_seen = fi->injected_no_space_faults();
+
+        // Reads keep serving through a full disk — degrade like corruption,
+        // not crash. (The answer may legitimately include the batch if it
+        // committed within budget; with budget 0 nothing committed.)
+        RunResult under_pressure = engine.Execute(query, {v1, v2});
+        ASSERT_TRUE(under_pressure.ok) << under_pressure.error;
+        if (budget == 0) {
+          EXPECT_FALSE(added.ok());
+          EXPECT_FALSE(updated.ok());
+          EXPECT_EQ(under_pressure.result_hash, reference.result_hash);
+        }
+        fi->DisarmDiskBudget();
       }
-      // Update batch site: delta merge, doc mutation journaling, installs.
-      UpdateOp op;
-      op.kind = UpdateOp::Kind::kInsertSubtree;
-      op.target_tag = "r";
-      op.target_start = doc.NodeLabel(doc.Root()).start;
-      op.subtree = frag_spec;
-      auto updated = engine.ApplyUpdates({op});
-      if (!updated.ok()) {
-        EXPECT_EQ(updated.status().code(), StatusCode::kResourceExhausted)
-            << updated.status().ToString();
-      }
-      no_space_seen = fi->injected_no_space_faults();
-
-      // Reads keep serving through a full disk — degrade like corruption,
-      // not crash. (The answer may legitimately include the batch if it
-      // committed within budget; with budget 0 nothing committed.)
-      RunResult under_pressure = engine.Execute(query, {v1, v2});
-      ASSERT_TRUE(under_pressure.ok) << under_pressure.error;
       if (budget == 0) {
-        EXPECT_FALSE(added.ok());
-        EXPECT_FALSE(updated.ok());
-        EXPECT_EQ(under_pressure.result_hash, reference.result_hash);
+        EXPECT_GE(no_space_seen, 1u);
       }
-      fi->DisarmDiskBudget();
-    }
-    if (budget == 0) {
-      EXPECT_GE(no_space_seen, 1u);
-    }
 
-    // No orphan shadow or sidecar files; fsck finds a clean store.
-    EXPECT_FALSE(FileExists(path + ".updatedelta"));
-    EXPECT_FALSE(FileExists(path + ".manifest.tmp"));
-    storage::FsckCatalogReport fsck = storage::FsckCatalog(path);
-    EXPECT_FALSE(fsck.corrupt());
-    EXPECT_FALSE(fsck.repair_needed());
-    auto opened = ViewCatalog::Open(path, 64);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      // No orphan shadow or sidecar files; fsck finds a clean store.
+      EXPECT_FALSE(FileExists(path + ".updatedelta"));
+      EXPECT_FALSE(FileExists(path + ".manifest.tmp"));
+      storage::FsckCatalogReport fsck = storage::FsckCatalog(path);
+      EXPECT_FALSE(fsck.corrupt());
+      EXPECT_FALSE(fsck.repair_needed());
+      auto opened = ViewCatalog::Open(path, 64);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    }
   }
 }
 
 TEST(EnospcTest, BackupCreateEnospcLeavesNoPartialImage) {
   const std::string src = TempPath("enospc_backup.db");
   const std::string img = TempPath("enospc_backup_img");
+  const std::string probe = TempPath("enospc_backup_probe");
+  CleanupStore(src);
+  RemoveTree(img);
+  RemoveTree(probe);
+
+  xml::Document doc = MakeDoc("r(a(b(c)) a(b(c)))");
+  EngineOptions options;
+  options.persistent = true;
+  Engine engine(&doc, src, options);
+  engine.AddView("//a//b", Scheme::kLinkedElement);
+
+  // Every image byte is charged once, so a budget of exactly the image's
+  // file bytes lets every file land and refuses backup.meta, the commit
+  // point; a budget of 0 refuses the first write.
+  util::StatusOr<BackupReport> sized = engine.CreateBackup(probe);
+  ASSERT_TRUE(sized.ok()) << sized.status().ToString();
+  uint64_t image_bytes = 0;
+  for (const storage::BackupFileInfo& f : sized->files) image_bytes += f.size;
+  RemoveTree(probe);
+
+  for (const uint64_t budget : {uint64_t{0}, image_bytes}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    {
+      ScopedFaultInjection fi;
+      fi->ArmDiskBudget(budget);
+      util::StatusOr<BackupReport> report = engine.CreateBackup(img);
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+          << report.status().ToString();
+    }
+
+    // A failed backup cleans up after itself: no meta, no copied store —
+    // the directory is reusable once space is back.
+    EXPECT_FALSE(FileExists(img + "/" + storage::kBackupMetaName));
+    EXPECT_FALSE(FileExists(img + "/" + storage::kBackupMetaName + ".tmp"));
+    EXPECT_FALSE(
+        FileExists(img + "/" + std::string(storage::kBackupStoreName)));
+    EXPECT_FALSE(storage::IsBackupImageDir(img));
+  }
+  util::StatusOr<BackupReport> retried = engine.CreateBackup(img);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  ASSERT_TRUE(storage::VerifyBackupImage(img).ok());
+}
+
+// The image is committed by renaming backup.meta into place, and that
+// rename is durable only once the directory is fsynced. A failed directory
+// sync fails the backup, which then removes its files, the meta included.
+TEST(BackupCrashTest, FailedMetaDirectorySyncFailsTheBackup) {
+  const std::string src = TempPath("bk_dirsync.db");
+  const std::string img = TempPath("bk_dirsync_img");
   CleanupStore(src);
   RemoveTree(img);
 
@@ -616,20 +673,19 @@ TEST(EnospcTest, BackupCreateEnospcLeavesNoPartialImage) {
   options.persistent = true;
   Engine engine(&doc, src, options);
   engine.AddView("//a//b", Scheme::kLinkedElement);
-
   {
     ScopedFaultInjection fi;
-    fi->ArmDiskBudget(0);
+    // Flushes of a views-only backup: the image pager's creation (its
+    // directory sync), its sync and its close (1-3), the image manifest's
+    // directory sync (4), and backup.meta's directory sync (5).
+    fi->ArmFlushFault(5);
     util::StatusOr<BackupReport> report = engine.CreateBackup(img);
     ASSERT_FALSE(report.ok());
-    EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+    EXPECT_EQ(report.status().code(), StatusCode::kIoError);
+    EXPECT_NE(report.status().message().find("directory"), std::string::npos)
         << report.status().ToString();
   }
-
-  // A failed backup cleans up after itself: no meta, no copied store — the
-  // directory is reusable once space is back.
   EXPECT_FALSE(FileExists(img + "/" + storage::kBackupMetaName));
-  EXPECT_FALSE(FileExists(img + "/" + std::string(storage::kBackupStoreName)));
   EXPECT_FALSE(storage::IsBackupImageDir(img));
   util::StatusOr<BackupReport> retried = engine.CreateBackup(img);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();

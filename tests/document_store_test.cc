@@ -313,22 +313,34 @@ TEST(DocumentStoreTest, TruncatedXmlBuildLeavesNoFiles) {
 }
 
 TEST(DocumentStoreTest, InjectedWriteFaultAbortsWithoutOrphans) {
-  // Every page write fails: the build aborts mid-stream exactly where a full
-  // disk would stop it. The abort must remove the pager file and all runs
-  // and never write a manifest.
+  // Every page write fails, or the disk fills right after the pager header
+  // so the first spill run is refused: the build aborts mid-stream exactly
+  // where a full disk would stop it. The abort must remove the pager file
+  // and all runs and never write a manifest.
   const std::string path = TempPath("doc_wfault.doc");
-  util::ScopedFaultInjection faults;
-  faults->ArmWriteFault(util::WriteFault::kShortWrite, 1, -1);
-  DocumentStore::Options tiny;
-  tiny.parse_budget_bytes = 1;
-  auto store = DocumentStore::BuildFromText(path, BigXml(40), tiny);
-  ASSERT_FALSE(store.ok());
-  faults->Reset();
-  ExpectNoStoreFiles(path);
-  // And the failure is invisible to a later build at the same path.
-  auto retry = DocumentStore::BuildFromText(path, BigXml(40), tiny);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_GT((*retry)->node_count(), 0u);
+  for (const bool budget : {false, true}) {
+    SCOPED_TRACE(budget ? "disk budget" : "short page writes");
+    util::ScopedFaultInjection faults;
+    if (budget) {
+      faults->ArmDiskBudget(storage::Pager::kHeaderSize);
+    } else {
+      faults->ArmWriteFault(util::WriteFault::kShortWrite, 1, -1);
+    }
+    DocumentStore::Options tiny;
+    tiny.parse_budget_bytes = 1;
+    auto store = DocumentStore::BuildFromText(path, BigXml(40), tiny);
+    ASSERT_FALSE(store.ok());
+    if (budget) {
+      EXPECT_EQ(store.status().code(), util::StatusCode::kResourceExhausted)
+          << store.status().ToString();
+    }
+    faults->Reset();
+    ExpectNoStoreFiles(path);
+    // And the failure is invisible to a later build at the same path.
+    auto retry = DocumentStore::BuildFromText(path, BigXml(40), tiny);
+    ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+    EXPECT_GT((*retry)->node_count(), 0u);
+  }
 }
 
 // ---- fsck over document stores ---------------------------------------------

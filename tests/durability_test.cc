@@ -630,6 +630,58 @@ TEST(CloseTest, FlushFailureSurfacesThroughCatalogClose) {
   EXPECT_FALSE(catalog.pager()->LastFlushStatus().ok());
 }
 
+// ---- Directory sync of a checkpoint rename ---------------------------------
+
+// A checkpoint is durable only once its rename is: the directory is fsynced
+// after it, and a failure there fails the checkpoint. The compact journal is
+// at the path by then, so the catalog must still switch its append handle to
+// it; later batches appended to the unlinked old journal would vanish on
+// reopen.
+TEST(CheckpointTest, FailedDirectorySyncStillSwitchesTheJournalHandle) {
+  xml::Document doc = CrashDoc();
+  ASSERT_TRUE(doc.RelabelWithGap(64).ok());
+  const std::string path = TempPath("ckpt_dirsync.db");
+  CleanupStore(path);
+  const xml::SubtreeSpec graft = xml::SpecFromDocument(MakeDoc("a(b(c))"));
+  {
+    core::EngineOptions options;
+    options.persistent = true;
+    Engine engine(&doc, path, options);
+    engine.AddView("//a//b", Scheme::kElement);
+    engine.AddView("//c", Scheme::kElement);
+    {
+      ScopedFaultInjection fi;
+      // The checkpoint's one flush event: the directory sync after the
+      // rename (the tmp file's own fsync is not an injectable flush).
+      fi->ArmFlushFault(1);
+      util::Status checkpointed = engine.catalog()->Checkpoint();
+      ASSERT_FALSE(checkpointed.ok());
+      EXPECT_NE(checkpointed.message().find("directory"), std::string::npos)
+          << checkpointed.ToString();
+    }
+    for (int i = 0; i < 2; ++i) {
+      core::UpdateOp op;
+      op.kind = core::UpdateOp::Kind::kInsertSubtree;
+      op.target_tag = "r";
+      op.target_start = doc.NodeLabel(doc.Root()).start;
+      op.subtree = graft;
+      auto applied = engine.ApplyUpdates({op});
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+      ASSERT_EQ(applied->applied, 1u);
+    }
+  }
+  FsckCatalogReport fsck = FsckCatalog(path);
+  EXPECT_TRUE(fsck.clean()) << storage::ToJson(fsck);
+  auto reopened = ViewCatalog::Open(path, 64);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const MaterializedView* c =
+      (*reopened)->FindView(MustParse("//c").ToString(), Scheme::kElement);
+  ASSERT_NE(c, nullptr);
+  // Both batches replayed: the view holds every c the grafts added.
+  EXPECT_EQ(c->ListLength(0), doc.NodesOfTag(doc.FindTag("c")).size());
+  CleanupStore(path);
+}
+
 // ---- Scrubber ---------------------------------------------------------------
 
 TEST(ScrubberTest, DetectsQuarantinesAndHealsCorruptView) {

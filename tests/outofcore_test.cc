@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -179,6 +180,36 @@ TEST(OutOfCoreDifferentialTest, ReadAheadCountersSurfaceOnColdScans) {
   ASSERT_TRUE(memory.ok) << memory.error;
   EXPECT_EQ(memory.io.prefetch_issued, 0u);
   EXPECT_EQ(memory.result_hash, result.result_hash);
+}
+
+// A non-persistent engine is scratch all the way down: its document store
+// goes with it, like its view store, and no file under its path prefix
+// outlives it.
+TEST(OutOfCoreDifferentialTest, ScratchDiskEngineLeavesNoFiles) {
+  const std::string dir = ::testing::TempDir();
+  const std::string prefix = "ooc_scratch_leftovers.db";
+  auto leftovers = [&] {
+    std::vector<std::string> found;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind(prefix, 0) == 0) found.push_back(name);
+    }
+    return found;
+  };
+  for (const std::string& name : leftovers()) {
+    std::filesystem::remove(std::filesystem::path(dir) / name);
+  }
+  xml::Document doc = data::GenerateXmark({.scale = 0.05});
+  {
+    EngineOptions options;
+    options.doc_mode = DocMode::kDisk;
+    Engine engine(&doc, TempPath(prefix), options);
+    ASSERT_NE(engine.doc_store(), nullptr)
+        << engine.doc_store_status().ToString();
+    EXPECT_FALSE(leftovers().empty());
+  }
+  const std::vector<std::string> left = leftovers();
+  EXPECT_TRUE(left.empty()) << left.front();
 }
 
 }  // namespace

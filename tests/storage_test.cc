@@ -3,16 +3,19 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <thread>
 
 #include "core/engine.h"
 #include "storage/buffer_pool.h"
+#include "storage/file.h"
 #include "storage/materialized_view.h"
 #include "storage/pager.h"
 #include "storage/stored_list.h"
 #include "tests/test_util.h"
 #include "tpq/evaluator.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace viewjoin {
@@ -20,6 +23,7 @@ namespace {
 
 using storage::BufferPool;
 using storage::EntryIndex;
+using storage::File;
 using storage::kNullEntry;
 using storage::ListCursor;
 using storage::MaterializedView;
@@ -610,6 +614,97 @@ TEST(DecodedPoolTest, WarmRepeatOfAQueryDecodesNoPages) {
     }
     EXPECT_EQ(step_decodes, first.io.pages_decoded);
     EXPECT_NE(first.plan.ToString().find("decoded"), std::string::npos);
+  }
+}
+
+// ---- The File layer ---------------------------------------------------------
+
+std::string FileText(const std::string& path) {
+  util::StatusOr<std::vector<uint8_t>> bytes = storage::ReadWholeFile(path);
+  return bytes.ok() ? std::string(bytes->begin(), bytes->end()) : "<missing>";
+}
+
+// Every way a replacement can fail before its rename leaves the old file
+// byte-identical and no tmp file; a failed directory sync after the rename
+// reports failure with the new bytes in place and says it renamed.
+TEST(FileTest, FailedReplaceLeavesTheOldFileAndNoTmp) {
+  const std::string path = TempPath("file_replace.txt");
+  ASSERT_TRUE(storage::WriteFile(path, "old bytes", 9, /*durable=*/true).ok());
+  auto write_new = [](File& file) { return file.Append("new bytes!", 10); };
+  struct Case {
+    const char* name;
+    std::function<void(util::FaultInjector&)> arm;
+    std::function<util::Status(File&)> write;
+  };
+  const Case failing[] = {
+      {"writer error", [](util::FaultInjector&) {},
+       [](File& file) {
+         (void)file.Append("partial", 7);
+         return util::Status::IoError("writer gave up");
+       }},
+      {"full disk", [](util::FaultInjector& fi) { fi.ArmDiskBudget(4); },
+       write_new},
+  };
+  for (const Case& c : failing) {
+    SCOPED_TRACE(c.name);
+    util::ScopedFaultInjection fi;
+    c.arm(*fi);
+    bool renamed = true;
+    util::Status replaced =
+        storage::ReplaceFileDurably(path, c.write, &renamed);
+    EXPECT_FALSE(replaced.ok());
+    EXPECT_FALSE(renamed);
+    EXPECT_EQ(FileText(path), "old bytes");
+    EXPECT_FALSE(storage::FileExists(path + ".tmp"));
+  }
+  {
+    util::ScopedFaultInjection fi;
+    fi->ArmFlushFault(1);
+    bool renamed = false;
+    util::Status replaced =
+        storage::ReplaceFileDurably(path, write_new, &renamed);
+    EXPECT_FALSE(replaced.ok());
+    EXPECT_NE(replaced.message().find("directory"), std::string::npos)
+        << replaced.ToString();
+    EXPECT_TRUE(renamed);
+    EXPECT_EQ(FileText(path), "new bytes!");
+    EXPECT_FALSE(storage::FileExists(path + ".tmp"));
+  }
+  storage::RemoveFile(path);
+}
+
+// A torn write at the armed crash point lands exactly the first half of the
+// bytes and marks the handle crashed; a replacement torn that way keeps its
+// tmp file, as a killed process would.
+TEST(FileTest, TornWriteAtTheCrashPointLeavesExactlyHalf) {
+  const std::string path = TempPath("file_torn.bin");
+  util::ScopedFaultInjection fi;
+  fi->ArmCrashPoint(util::CrashPoint::kCrashMidJournal);
+  util::StatusOr<File> file = File::Open(path, File::Mode::kCreate);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_TRUE(file->Append("head", 4).ok());
+  util::Status torn = file->Append("0123456789", 10,
+                                   util::CrashPoint::kCrashMidJournal);
+  EXPECT_EQ(torn.code(), util::StatusCode::kIoError);
+  EXPECT_NE(torn.message().find("injected crash"), std::string::npos);
+  EXPECT_TRUE(file->crashed());
+  EXPECT_EQ(fi->injected_crashes(), 1u);
+  EXPECT_EQ(FileText(path), "head01234");
+
+  fi->ArmCrashPoint(util::CrashPoint::kCrashMidCompaction);
+  const std::string replaced = TempPath("file_torn_replace.bin");
+  ASSERT_TRUE(storage::WriteFile(replaced, "kept", 4, /*durable=*/false).ok());
+  // The tmp file buffers its appends; the tear lands them first.
+  util::Status status = storage::ReplaceFileDurably(replaced, [](File& tmp) {
+    util::Status head = tmp.Append("xy", 2);
+    if (!head.ok()) return head;
+    return tmp.Append("abcdef", 6, util::CrashPoint::kCrashMidCompaction);
+  });
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(FileText(replaced), "kept");
+  EXPECT_EQ(FileText(replaced + ".tmp"), "xyabc");
+  for (const std::string& p : {path, replaced, replaced + ".tmp"}) {
+    storage::RemoveFile(p);
   }
 }
 

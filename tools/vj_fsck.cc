@@ -38,27 +38,23 @@
 // (fields mirror storage::FsckCatalogReport / FsckDocStoreReport, plus the
 // derived verdicts); exit codes are unchanged, so scripts can use either.
 
-#include <sys/stat.h>
-
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "storage/backup.h"
+#include "storage/file.h"
 #include "storage/fsck.h"
 
 namespace {
+
+using viewjoin::storage::FileExists;
 
 int Usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--quiet] [--repair] [--json] [--doc] <pager-file>\n",
                prog);
   return 2;
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
 }
 
 void PrintDocReport(const std::string& path,
