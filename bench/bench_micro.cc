@@ -195,6 +195,8 @@ BENCHMARK(BM_CursorLanding)
     ->ArgNames({"le", "cold"})
     ->ArgsProduct({{0, 1}, {0, 1}});
 
+// Arg 0 declares the lists a superset (the semi-join filter runs), arg 1
+// declares them exact (TwigStack's certified flushes skip the filter).
 void BM_CandidateEnumerator(benchmark::State& state) {
   const xml::Document& doc = XmarkDoc();
   tpq::TreePattern pattern = *tpq::TreePattern::Parse("//item//text//keyword");
@@ -204,13 +206,16 @@ void BM_CandidateEnumerator(benchmark::State& state) {
   algo::CandidateLists lists =
       testing::WithLabels(doc, eval.SolutionNodes());
   algo::CandidateEnumerator enumerator(doc, pattern);
+  const algo::CandidateSet set = state.range(0) != 0
+                                     ? algo::CandidateSet::kExact
+                                     : algo::CandidateSet::kSuperset;
   for (auto _ : state) {
     tpq::CountingSink sink;
-    enumerator.Enumerate(&lists, &sink);
+    enumerator.Enumerate(&lists, &sink, nullptr, set);
     benchmark::DoNotOptimize(sink.count());
   }
 }
-BENCHMARK(BM_CandidateEnumerator);
+BENCHMARK(BM_CandidateEnumerator)->ArgName("exact")->Arg(0)->Arg(1);
 
 // The output pass's first step: every solution label of //item//text//keyword
 // resolved back to its node, one forward scan of each tag's start index.

@@ -188,6 +188,7 @@ RunResult BenchContext::Run(
   average.stats.pointer_jumps /= n;
   average.stats.candidates /= n;
   average.stats.flushes /= n;
+  average.stats.certified_flushes /= n;
   average.stats.spill_pages_written /= n;
   average.stats.spill_pages_read /= n;
   average.stats.output_pass_ms /= repeats;

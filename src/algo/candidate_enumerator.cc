@@ -123,7 +123,8 @@ void CandidateEnumerator::MarkChildrenWithParent(const CandidateLists& lists,
 }
 
 void CandidateEnumerator::Enumerate(CandidateLists* candidates,
-                                    tpq::MatchSink* sink, QueryContext* ctx) {
+                                    tpq::MatchSink* sink, QueryContext* ctx,
+                                    CandidateSet set) {
   CandidateLists& lists = *candidates;
   const size_t nq = pattern_.size();
   VJ_CHECK_EQ(lists.size(), nq);
@@ -135,16 +136,18 @@ void CandidateEnumerator::Enumerate(CandidateLists* candidates,
                              }));
   }
 
-  if (!SemiJoinFilter(lists)) return;
-  // Compact every list to its survivors, in place.
-  for (size_t q = 0; q < nq; ++q) {
-    std::vector<Candidate>& list = lists[q];
-    const std::vector<uint8_t>& keep = keep_[q];
-    size_t kept = 0;
-    for (size_t i = 0; i < list.size(); ++i) {
-      if (keep[i]) list[kept++] = list[i];
+  if (set == CandidateSet::kSuperset) {
+    if (!SemiJoinFilter(lists)) return;
+    // Compact every list to its survivors, in place.
+    for (size_t q = 0; q < nq; ++q) {
+      std::vector<Candidate>& list = lists[q];
+      const std::vector<uint8_t>& keep = keep_[q];
+      size_t kept = 0;
+      for (size_t i = 0; i < list.size(); ++i) {
+        if (keep[i]) list[kept++] = list[i];
+      }
+      list.resize(kept);
     }
-    list.resize(kept);
   }
 
   // first[q][i]: index of the first candidate of q whose start is after

@@ -20,6 +20,15 @@ struct Candidate {
 /// Per-pattern-node candidate lists, each in document (start) order.
 using CandidateLists = std::vector<std::vector<Candidate>>;
 
+/// What a caller knows about its candidate lists.
+enum class CandidateSet : uint8_t {
+  /// May hold candidates that join nothing: semi-join filter them first.
+  kSuperset,
+  /// Every candidate is in some match built from the lists themselves
+  /// (TwigStack's certified flushes), so the filter could remove nothing.
+  kExact,
+};
+
 /// Shared "merge" phase of the holistic algorithms: given per-query-node
 /// candidate solution nodes (document order), enumerates every embedding of
 /// `pattern` whose nodes all come from the candidate lists, and streams the
@@ -31,7 +40,8 @@ using CandidateLists = std::vector<std::vector<Candidate>>;
 /// defers pc-level checks to output time, paper Section IV-B), so the
 /// enumerator first semi-join-filters the candidates bottom-up and top-down
 /// (restricted to the candidate sets) and then enumerates output-sensitively.
-/// Every structural test reads the labels the candidates carry.
+/// Lists the caller declares kExact skip the filter. Every structural test
+/// reads the labels the candidates carry.
 ///
 /// Candidates must be sorted in document order; every emitted match is
 /// correct and complete *relative to the candidate lists*.
@@ -41,15 +51,19 @@ class CandidateEnumerator {
                       const tpq::TreePattern& pattern);
 
   /// Enumerates all matches embedded in `candidates` (indexed by pattern
-  /// node). The lists are filtered in place: on return they hold only
+  /// node). kSuperset lists are filtered in place: on return they hold only
   /// candidates that survived the semi-joins (or anything, if the call
-  /// stopped early). Scratch buffers are reused across calls, so one
-  /// enumerator serves one thread. A non-null `ctx` is checkpointed inside
-  /// the enumeration recursion so an output explosion cannot overshoot a
-  /// deadline or cancellation by one giant call; an aborted enumeration
-  /// stops mid-stream (the engine discards the run).
+  /// stopped early). kExact lists skip the filter and are left as they are:
+  /// on exact lists it would remove nothing, and the recursion checks
+  /// containment and levels itself, so the matches are the same.
+  /// Scratch buffers are reused across calls, so one enumerator serves one
+  /// thread. A non-null `ctx` is checkpointed inside the enumeration
+  /// recursion so an output explosion cannot overshoot a deadline or
+  /// cancellation by one giant call; an aborted enumeration stops
+  /// mid-stream (the engine discards the run).
   void Enumerate(CandidateLists* candidates, tpq::MatchSink* sink,
-                 QueryContext* ctx = nullptr);
+                 QueryContext* ctx = nullptr,
+                 CandidateSet set = CandidateSet::kSuperset);
 
  private:
   /// Stack-sweep semi-joins over the candidate lists, bottom-up then

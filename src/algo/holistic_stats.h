@@ -17,6 +17,9 @@ struct HolisticStats {
   uint64_t candidates = 0;
   /// Output flushes (per-root enumeration rounds).
   uint64_t flushes = 0;
+  /// Flushes whose candidates TwigStack proved exact, which skipped the
+  /// output pass's semi-join filter (CandidateSet::kExact).
+  uint64_t certified_flushes = 0;
   /// Peak number of buffered candidate nodes (memory-mode footprint proxy).
   uint64_t peak_buffered = 0;
   /// Pages written + read through the spill file (disk output mode).
@@ -35,6 +38,7 @@ struct HolisticStats {
     pointer_jumps += other.pointer_jumps;
     candidates += other.candidates;
     flushes += other.flushes;
+    certified_flushes += other.certified_flushes;
     if (other.peak_buffered > peak_buffered) {
       peak_buffered = other.peak_buffered;
     }

@@ -19,10 +19,11 @@ OutputPass::OutputPass(const QueryBinding& binding)
       enumerator_(binding.doc(), binding.query()),
       lists_(binding.query().size()) {}
 
-bool OutputPass::Enumerate(tpq::MatchSink* sink, QueryContext* ctx) {
+bool OutputPass::Enumerate(tpq::MatchSink* sink, QueryContext* ctx,
+                           CandidateSet set) {
   bool any = false;
   for (const std::vector<Candidate>& list : lists_) any |= !list.empty();
-  if (any) enumerator_.Enumerate(&lists_, sink, ctx);
+  if (any) enumerator_.Enumerate(&lists_, sink, ctx, set);
   for (std::vector<Candidate>& list : lists_) list.clear();
   return any;
 }

@@ -17,7 +17,8 @@ namespace viewjoin::algo {
 /// buffered candidate label is resolved to its document node once (the
 /// monotone resolver's forward scan over the per-tag start index), the
 /// (label, node) pairs are collected per query node, and the candidate
-/// enumerator semi-join-filters them in place and emits the matches.
+/// enumerator semi-join-filters them in place (unless the caller certified
+/// them exact) and emits the matches.
 ///
 /// Usage per flush: Resolve() every query node's buffered labels, release
 /// the caller's buffers, then Enumerate(). One pass serves one evaluation;
@@ -60,9 +61,11 @@ class OutputPass {
   }
 
   /// Enumerates the matches among the resolved candidates into `sink` and
-  /// empties the lists for the next flush. Returns false, emitting nothing,
-  /// when no label resolved at all (nothing was flushed).
-  bool Enumerate(tpq::MatchSink* sink, QueryContext* ctx);
+  /// empties the lists for the next flush. `set` says whether the caller
+  /// proved them exact (CandidateEnumerator::Enumerate). Returns false,
+  /// emitting nothing, when no label resolved at all (nothing was flushed).
+  bool Enumerate(tpq::MatchSink* sink, QueryContext* ctx,
+                 CandidateSet set = CandidateSet::kSuperset);
 
  private:
   MonotoneResolver resolver_;

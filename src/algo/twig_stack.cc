@@ -18,6 +18,15 @@ namespace {
 /// Sentinel head label for exhausted streams.
 constexpr Label kEndLabel{0xFFFFFFFFu, 0xFFFFFFFFu, 0};
 
+bool AllEdgesDescendant(const TreePattern& query) {
+  for (size_t q = 0; q < query.size(); ++q) {
+    if (query.node(static_cast<int>(q)).incoming != Axis::kDescendant) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 class TwigStack::Impl {
@@ -31,7 +40,8 @@ class TwigStack::Impl {
         mode_(mode),
         stats_(stats),
         ctx_(ctx != nullptr ? ctx : &default_ctx_),
-        output_(binding) {
+        output_(binding),
+        all_ad_(AllEdgesDescendant(binding.query())) {
     size_t nq = query_.size();
     cursors_.resize(nq);
     stacks_.resize(nq);
@@ -190,6 +200,7 @@ class TwigStack::Impl {
         if (ctx_->Checkpoint()) return;
         ++stats_->entries_scanned;
         Buffer(static_cast<int>(q), cursor.LabelAt());
+        drained_ = true;
         cursor.Next();
       }
     }
@@ -198,6 +209,13 @@ class TwigStack::Impl {
   /// Enumerates and clears everything collected so far. Safe whenever the
   /// root stack is empty: every buffered candidate then lies under a closed
   /// root and can join only with other buffered candidates.
+  ///
+  /// With only ad-edges (the root's included) every pushed candidate has a
+  /// solution extension below a stacked ancestor chain (Bruno et al.'s
+  /// optimality result), so it lies in a match built from this flush's
+  /// candidates alone: the flush is certified exact and skips the semi-join
+  /// filter. Drained entries carry no such proof, so a flush after a drain
+  /// is never certified.
   void Flush() {
     // An aborted run's candidates are never resolved or enumerated (their
     // partial output would be discarded anyway); the buffers die with Impl.
@@ -218,7 +236,13 @@ class TwigStack::Impl {
     // The flushed candidates are freed; return their budget charge.
     ctx_->ReleaseMemory(charged_memory_);
     charged_memory_ = 0;
-    if (output_.Enumerate(sink_, ctx_)) ++stats_->flushes;
+    const bool exact = all_ad_ && !drained_;
+    if (output_.Enumerate(sink_, ctx_,
+                          exact ? CandidateSet::kExact
+                                : CandidateSet::kSuperset)) {
+      ++stats_->flushes;
+      if (exact) ++stats_->certified_flushes;
+    }
   }
 
   static constexpr uint64_t kFlushThreshold = 8192;
@@ -231,6 +255,8 @@ class TwigStack::Impl {
   QueryContext default_ctx_;  // ungoverned stand-in when the caller passes none
   QueryContext* ctx_;
   OutputPass output_;
+  const bool all_ad_;     // every pattern edge, the root's included, is //
+  bool drained_ = false;  // Drain() has buffered an entry
   std::vector<ListCursor> cursors_;
   std::vector<Label> heads_;
   std::vector<std::vector<Label>> stacks_;

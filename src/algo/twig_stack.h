@@ -23,9 +23,11 @@ namespace viewjoin::algo {
 /// Phase 1 is the classic getNext/stack machinery that pushes candidate
 /// solution nodes; phase 2 (the path-merge) is the shared
 /// CandidateEnumerator, run at every root-boundary flush. For queries with
-/// only ad-edges the pushed candidates are exactly the solution nodes; with
-/// pc-edges they may over-approximate and the merge filters (TwigStack's
-/// documented suboptimality).
+/// only ad-edges the pushed candidates are exactly the solution nodes, so
+/// such a flush skips the merge's semi-join filter (a certified flush)
+/// unless the termination drain buffered entries; with pc-edges they may
+/// over-approximate and the merge filters (TwigStack's documented
+/// suboptimality).
 ///
 /// On a path query this degenerates to PathStack [Bruno et al.]: a chain of
 /// linked stacks — see path_stack.h.

@@ -35,11 +35,8 @@ namespace {
 void FindStagingFiles(const std::string& path, FsckCatalogReport* report) {
   const std::string checkpoint_tmp = ManifestJournal::PathFor(path) + ".tmp";
   if (FileExists(checkpoint_tmp)) report->checkpoint_tmp = checkpoint_tmp;
-  for (const char* suffix : {".updatedelta", ".updatedelta.tmp"}) {
-    if (FileExists(path + suffix)) {
-      report->orphan_delta_files.push_back(path + suffix);
-    }
-  }
+  const std::string delta = path + ".updatedelta";
+  if (FileExists(delta)) report->orphan_delta_files.push_back(delta);
 }
 
 /// The first page run of `list` that reaches past `durable`, rendered

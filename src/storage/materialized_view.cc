@@ -249,10 +249,8 @@ namespace {
 void RemoveStagingFiles(const std::string& pager_path, RecoveryReport* report) {
   report->checkpoint_tmp_removed =
       RemoveFile(ManifestJournal::PathFor(pager_path) + ".tmp");
-  for (const char* suffix : {".updatedelta", ".updatedelta.tmp"}) {
-    if (RemoveFile(pager_path + suffix)) {
-      ++report->orphan_delta_files_removed;
-    }
+  if (RemoveFile(pager_path + ".updatedelta")) {
+    ++report->orphan_delta_files_removed;
   }
 }
 

@@ -81,6 +81,23 @@ void ListCursor::EnsureBlock(EntryIndex i, uint32_t wanted) const {
   block_.fields |= wanted;
 }
 
+xml::Label ListCursor::LabelAtSlow(uint32_t k) const {
+  EnsureBlock(index_, 0);
+  if ((block_.fields & kLabelFields) != kLabelFields) {
+    // Undecoded fixed page: read the one record directly until the page has
+    // seen enough traffic to be worth de-interleaving.
+    if (block_.point_reads < kDecodeAfterPointReads) {
+      ++block_.point_reads;
+      uint32_t off = index_ - block_.first;
+      return {FixedFieldAt(off, 12 * k), FixedFieldAt(off, 12 * k + 4),
+              FixedFieldAt(off, 12 * k + 8)};
+    }
+    EnsureBlock(index_, kLabelFields);
+  }
+  uint32_t slot = (index_ - block_.first) * list_->layout.label_count + k;
+  return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
+}
+
 void ListCursor::MaybeReadAhead(uint32_t page) const {
   const size_t depth = pool_->read_ahead_depth();
   if (depth == 0) return;

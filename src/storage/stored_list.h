@@ -203,9 +203,13 @@ class ListCursor {
   }
   const StoredList& list() const { return *list_; }
 
+  /// Rewinds to entry 0 and drops the current page. The block goes with its
+  /// pin: a block left valid would let a later read on the same page take
+  /// values from a frame nothing pins any more.
   void Reset() {
     index_ = 0;
     pin_.Release();
+    block_.valid = false;
   }
 
   void Next() { ++index_; }
@@ -214,25 +218,21 @@ class ListCursor {
   void Seek(EntryIndex i) { index_ = i; }
 
   /// Label of the current record's `k`-th label (k = 0 for element/LE lists).
+  /// A head on the current block with its label arrays decoded is read in
+  /// line, three array loads; anything else goes through EnsureBlock.
   xml::Label LabelAt(uint32_t k = 0) const {
     if (mem_labels_ != nullptr) {
       VJ_DCHECK(!AtEnd());
       return mem_labels_[index_];
     }
-    EnsureBlock(index_, 0);
-    if ((block_.fields & kLabelFields) != kLabelFields) {
-      // Undecoded fixed page: read the one record directly until the page
-      // has seen enough traffic to be worth de-interleaving.
-      if (block_.point_reads < kDecodeAfterPointReads) {
-        ++block_.point_reads;
-        uint32_t off = index_ - block_.first;
-        return {FixedFieldAt(off, 12 * k), FixedFieldAt(off, 12 * k + 4),
-                FixedFieldAt(off, 12 * k + 8)};
-      }
-      EnsureBlock(index_, kLabelFields);
+    // Unsigned: an index before the block wraps past its count.
+    const uint32_t offset = index_ - block_.first;
+    if (block_.valid && offset < block_.count &&
+        (block_.fields & kLabelFields) == kLabelFields) {
+      const uint32_t slot = offset * list_->layout.label_count + k;
+      return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
     }
-    uint32_t slot = (index_ - block_.first) * list_->layout.label_count + k;
-    return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
+    return LabelAtSlow(k);
   }
 
   EntryIndex Following() const { return PointerAt(0); }
@@ -449,6 +449,10 @@ class ListCursor {
   /// delta page pins its decoded frame; landing on a fixed page decodes
   /// nothing until a field is wanted. No-op when already satisfied.
   void EnsureBlock(EntryIndex i, uint32_t wanted) const;
+
+  /// LabelAt off the in-line path: lands on the page first, then reads the
+  /// record directly (undecoded fixed page) or from the decoded block.
+  xml::Label LabelAtSlow(uint32_t k) const;
 
   /// Queues background fetches for the pages after `page` (a page index
   /// within the list), up to the pool's read-ahead depth and clamped to the

@@ -442,6 +442,21 @@ TEST(DecodedFrameTest, WarmFetchesReadTheFrameWithoutDecoding) {
   EXPECT_EQ(scope.misses(), 0u);
 }
 
+// Reset() drops the cursor's pin, so it must drop the block that pin held
+// up: a read after Reset on the same page pins the frame again instead of
+// reading one nothing pins any more.
+TEST(DecodedFrameTest, ResetDropsTheBlockWithItsPin) {
+  DeltaFile file = WriteDeltaFile("frame_reset.db", {1, true, 2}, 3000, 47);
+  BufferPool pool(file.pager.get(), 64);
+  ListCursor cursor(&file.list, &pool);
+  EXPECT_EQ(cursor.LabelAt().start, file.decoded[0][0]);
+  EXPECT_EQ(pool.pinned_frames(), 1u);
+  cursor.Reset();
+  EXPECT_EQ(pool.pinned_frames(), 0u);
+  EXPECT_EQ(cursor.LabelAt().start, file.decoded[0][0]);
+  EXPECT_EQ(pool.pinned_frames(), 1u);
+}
+
 TEST(DecodedFrameTest, DecodedFramesAreChargedTheirBytes) {
   DeltaFile file = WriteDeltaFile("frame_charge.db", {1, true, 3}, 6000, 43);
   const DecodeKey& key = file.keys.front();

@@ -296,7 +296,7 @@ TEST(DocumentStoreTest, TruncatedXmlBuildLeavesNoFiles) {
   // sweep every staged file, even under a spill-forcing budget.
   DocumentStore::Options tiny;
   tiny.parse_budget_bytes = 1;
-  for (const std::string xml :
+  for (const std::string& xml :
        {BigXml(20).substr(0, 500), BigXml(20).substr(0, 503)}) {
     const std::string path = TempPath("doc_truncated.doc");
     auto store = DocumentStore::BuildFromText(path, xml, tiny);

@@ -173,5 +173,128 @@ TEST_P(PathDifferentialTest, PathCombosMatchOracle) {
 INSTANTIATE_TEST_SUITE_P(RandomPathScenarios, PathDifferentialTest,
                          ::testing::Range(0, 80));
 
+/// `query` with every edge, the root's included, turned into `//`.
+TreePattern AllDescendant(const TreePattern& query) {
+  TreePattern ad;
+  for (size_t q = 0; q < query.size(); ++q) {
+    const tpq::PatternNode& node = query.node(static_cast<int>(q));
+    ad.AddNode(node.tag, node.parent, tpq::Axis::kDescendant);
+  }
+  return ad;
+}
+
+bool HasChildEdge(const TreePattern& query) {
+  for (size_t q = 0; q < query.size(); ++q) {
+    if (query.node(static_cast<int>(q)).incoming == tpq::Axis::kChild) {
+      return true;
+    }
+  }
+  return false;
+}
+
+uint64_t SolutionNodeCount(const xml::Document& doc, const TreePattern& query) {
+  uint64_t n = 0;
+  for (const auto& list : tpq::NaiveEvaluator(doc, query).SolutionNodes()) {
+    n += list.size();
+  }
+  return n;
+}
+
+/// Runs TwigStack over `views` in both output modes and checks the answer
+/// against the oracle. Returns the two runs' results.
+std::vector<RunResult> RunTwigStackBothModes(
+    Engine* engine, const TreePattern& query,
+    const std::vector<TreePattern>& views, const Expected& expected) {
+  std::vector<const MaterializedView*> stored;
+  for (const TreePattern& v : views) {
+    stored.push_back(engine->AddView(v, Scheme::kElement));
+  }
+  std::vector<RunResult> results;
+  for (OutputMode mode : {OutputMode::kMemory, OutputMode::kDisk}) {
+    RunOptions run;
+    run.algorithm = Algorithm::kTwigStack;
+    run.output_mode = mode;
+    RunResult result = engine->Execute(query, stored, run);
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.match_count, expected.count)
+        << (mode == OutputMode::kDisk ? "disk" : "mem");
+    EXPECT_EQ(result.result_hash, expected.hash)
+        << (mode == OutputMode::kDisk ? "disk" : "mem");
+    results.push_back(result);
+  }
+  return results;
+}
+
+// TwigStack certifies a flush exact, and skips the output pass's semi-join
+// filter, only for //-only queries whose termination drain buffered nothing.
+// A certified run's candidates must then be exactly the solution nodes: the
+// filter it skipped would have removed nothing.
+TEST(CertifiedFlushTest, CertifiedCandidatesAreExactlyTheSolutionNodes) {
+  const std::vector<std::string> tags = {"a", "b", "c", "d", "e", "f", "g"};
+  int certified_runs = 0;
+  int flushed_runs = 0;
+  for (uint64_t seed = 5000; seed < 5080; ++seed) {
+    util::Rng rng(seed);
+    xml::Document doc =
+        RandomDoc(&rng, 30 + static_cast<int>(rng.Uniform(270)), tags);
+    const TreePattern mixed =
+        RandomQuery(&rng, 2 + static_cast<int>(rng.Uniform(5)), tags);
+    const TreePattern ad = AllDescendant(mixed);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " query " + ad.ToString());
+    Engine engine(&doc, TempPath("certified_" + std::to_string(seed) + ".db"));
+    const uint64_t solutions = SolutionNodeCount(doc, ad);
+    for (const RunResult& r :
+         RunTwigStackBothModes(&engine, ad, RandomViewPartition(&rng, ad, 3),
+                               OracleFingerprint(doc, ad))) {
+      flushed_runs += r.stats.flushes > 0;
+      EXPECT_LE(r.stats.certified_flushes, r.stats.flushes);
+      if (r.stats.certified_flushes == r.stats.flushes) {
+        EXPECT_EQ(r.stats.candidates, solutions);
+        if (r.stats.certified_flushes > 0) ++certified_runs;
+      }
+    }
+    if (!HasChildEdge(mixed)) continue;
+    SCOPED_TRACE("with / edges: " + mixed.ToString());
+    for (const RunResult& r : RunTwigStackBothModes(
+             &engine, mixed, RandomViewPartition(&rng, mixed, 3),
+             OracleFingerprint(doc, mixed))) {
+      EXPECT_EQ(r.stats.certified_flushes, 0u);
+    }
+  }
+  // Most runs that flush anything drain nothing: the exact path must be
+  // exercised.
+  EXPECT_GT(certified_runs, flushed_runs / 2)
+      << certified_runs << " of " << flushed_runs;
+}
+
+// XMark Q10's shape: once the education stream runs out, the termination
+// drain buffers every remaining person and gender inside the buffered
+// people region, including a person with no profile and its gender, which
+// join nothing. That flush must not be certified, and the filter it keeps
+// must still give the oracle's answer.
+TEST(CertifiedFlushTest, FlushAfterADrainIsNotCertified) {
+  xml::Document doc = testing::MakeDoc(
+      "site(people(person(profile(education age) gender)"
+      " person(gender)))");
+  const TreePattern query = testing::MustParse(
+      "//people//person[//profile[//education]//age]//gender");
+  // One view per tag: its list holds every node of the tag, solution or not.
+  std::vector<TreePattern> views;
+  for (const char* tag :
+       {"people", "person", "profile", "education", "age", "gender"}) {
+    views.push_back(testing::MustParse(std::string("//") + tag));
+  }
+  Engine engine(&doc, TempPath("certified_drain.db"));
+  const uint64_t solutions = SolutionNodeCount(doc, query);
+  for (const RunResult& r : RunTwigStackBothModes(
+           &engine, query, views, OracleFingerprint(doc, query))) {
+    EXPECT_EQ(r.stats.flushes, 1u);
+    EXPECT_EQ(r.stats.certified_flushes, 0u);
+    EXPECT_GT(r.stats.candidates, solutions)
+        << "the drain buffered a candidate that joins nothing";
+  }
+  EXPECT_EQ(OracleFingerprint(doc, query).count, 1u);
+}
+
 }  // namespace
 }  // namespace viewjoin

@@ -535,7 +535,9 @@ TEST(EngineRetirementTest, ThreeHundredBatchesKeepOnlyLiveTipsCached) {
     if (live_set.count(v) != 0) continue;
     ++retired;
     for (PageId page : PagesOf(v)) {
-      if (live_pages.count(page) == 0) EXPECT_FALSE(pool->Contains(page));
+      if (live_pages.count(page) == 0) {
+        EXPECT_FALSE(pool->Contains(page));
+      }
     }
   }
   EXPECT_EQ(retired, 300 * standing);

@@ -292,7 +292,9 @@ TEST(BufferPoolTest, PinHeldPageSurvivesEvictionPressure) {
   // Thrash far past capacity; the pinned frame must neither move nor vanish.
   for (int round = 0; round < 3; ++round) {
     for (storage::PageId p = 0; p < 16; ++p) {
-      if (p != 3) EXPECT_EQ(pool.GetPage(p).data()[0], p);
+      if (p != 3) {
+        EXPECT_EQ(pool.GetPage(p).data()[0], p);
+      }
     }
   }
   EXPECT_GT(pool.eviction_version(), 0u);

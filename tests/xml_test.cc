@@ -126,7 +126,9 @@ void ExpectStartIndexConsistent(const Document& doc, util::Rng* rng) {
     for (size_t i = 0; i < nodes.size(); ++i) {
       ASSERT_EQ(starts[i], doc.NodeLabel(nodes[i]).start)
           << doc.TagName(t) << "[" << i << "]";
-      if (i > 0) ASSERT_LT(starts[i - 1], starts[i]);
+      if (i > 0) {
+        ASSERT_LT(starts[i - 1], starts[i]);
+      }
     }
   }
   const uint32_t max_pos = doc.NodeLabel(doc.Root()).end + 2;
