@@ -46,7 +46,8 @@ class TeeSink : public tpq::MatchSink {
 
 /// Buffers matches so a user-supplied sink only ever sees the matches of a
 /// run that finished without a storage fault. A faulted attempt's matches
-/// (possibly truncated by a poison page) are dropped with Reset().
+/// (possibly truncated by a page that failed its read) are dropped with
+/// Reset().
 class ReplaySink : public tpq::MatchSink {
  public:
   void OnMatch(const tpq::Match& match) override { matches_.push_back(match); }

@@ -33,19 +33,16 @@ BufferPool::PinnedPage::PinnedPage(BufferPool* pool, Shard* shard, Frame* frame)
       shard_(shard),
       frame_(frame),
       page_(frame->page),
-      data_(frame->values ? nullptr : frame->data.data()),
       values_(frame->values.get()) {}
 
-BufferPool::PinnedPage::PinnedPage(PageId page, const uint8_t* data,
-                                   const uint32_t* values)
-    : page_(page), data_(data), values_(values) {}
+BufferPool::PinnedPage::PinnedPage(PageId page, const uint32_t* values)
+    : page_(page), values_(values) {}
 
 BufferPool::PinnedPage::PinnedPage(const PinnedPage& other)
     : pool_(other.pool_),
       shard_(other.shard_),
       frame_(other.frame_),
       page_(other.page_),
-      data_(other.data_),
       values_(other.values_) {
   if (frame_ != nullptr) {
     std::lock_guard<std::mutex> lock(shard_->mu);
@@ -78,7 +75,6 @@ void BufferPool::PinnedPage::Steal(PinnedPage* other) {
   shard_ = std::exchange(other->shard_, nullptr);
   frame_ = std::exchange(other->frame_, nullptr);
   page_ = std::exchange(other->page_, kInvalidPage);
-  data_ = std::exchange(other->data_, nullptr);
   values_ = std::exchange(other->values_, nullptr);
 }
 
@@ -88,7 +84,6 @@ void BufferPool::PinnedPage::Release() {
   shard_ = nullptr;
   frame_ = nullptr;
   page_ = kInvalidPage;
-  data_ = nullptr;
   values_ = nullptr;
 }
 
@@ -126,7 +121,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity, size_t shards)
   shard_mask_ = static_cast<uint32_t>(count - 1);
   per_shard_capacity_ = capacity_ == 0 ? 1 : (capacity_ + count - 1) / count;
   shards_ = std::vector<Shard>(count);
-  poison_.assign(Pager::kPageSize, 0xFF);
 }
 
 BufferPool::~BufferPool() {
@@ -165,10 +159,10 @@ void BufferPool::EvictForSpace(Shard* shard, size_t incoming) {
 }
 
 BufferPool::Frame& BufferPool::Insert(Shard* shard, Frame frame) {
-  const uint64_t key = FrameKey(frame.page, frame.values != nullptr);
+  const PageId page = frame.page;
   shard->charge += frame.charge;
   shard->lru.push_front(std::move(frame));
-  shard->index.emplace(key, shard->lru.begin());
+  shard->index.emplace(page, shard->lru.begin());
   return shard->lru.front();
 }
 
@@ -178,7 +172,7 @@ void BufferPool::Drop(Shard* shard, std::list<Frame>::iterator it) {
     prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
   }
   shard->charge -= it->charge;
-  shard->index.erase(FrameKey(it->page, it->values != nullptr));
+  shard->index.erase(it->page);
   shard->lru.erase(it);
   evictions_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -215,64 +209,14 @@ util::Status CapacityZero() {
       "buffer pool has capacity 0; a pool needs at least one frame");
 }
 
-}  // namespace
-
-util::Status BufferPool::Fetch(PageId page, PinnedPage* out) {
-  if (capacity_ == 0) return CapacityZero();
-  Shard& shard = ShardFor(page);
-  const uint64_t key = FrameKey(page, /*decoded=*/false);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      *out = PinHit(&shard, it->second);
-      return util::Status::Ok();
-    }
-  }
-  // Miss: read outside the shard lock so hits on other pages of this shard
-  // are not blocked behind the physical read.
-  std::vector<uint8_t> data(Pager::kPageSize);
-  util::Status status = pager_->ReadPage(page, data.data());
-  CountMiss();
-  if (!status.ok()) return status;
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  // (If another thread cached the page while we read, ours is dropped and
-  // the already-cached copy is pinned — pages are immutable, both are equal.)
-  Frame* frame = nullptr;
-  if (it != shard.index.end()) {
-    frame = &*it->second;
-  } else {
-    EvictForSpace(&shard, 1);
-    Frame fresh;
-    fresh.page = page;
-    fresh.data = std::move(data);
-    frame = &Insert(&shard, std::move(fresh));
-  }
-  *out = PinDemanded(&shard, frame);
-  return util::Status::Ok();
-}
-
-BufferPool::PinnedPage BufferPool::GetPage(PageId page) {
-  PinnedPage pin;
-  util::Status status = Fetch(page, &pin);
-  if (status.ok()) return pin;
-  LatchError(status, page);
-  // 0xFF poison: labels read as the exhausted-stream sentinel and pointers as
-  // kNullEntry, so cursors terminate instead of chasing garbage.
-  return PinnedPage(page, poison_.data(), nullptr);
-}
-
-namespace {
-
 /// The per-thread raw page a decoded fetch reads into before decoding.
 uint8_t* ThreadPageBuffer() {
   thread_local std::vector<uint8_t> buffer(Pager::kPageSize);
   return buffer.data();
 }
 
-/// Sentinel records in the single-buffer layout: what a poison page yields
-/// under the fixed format, so governance sees the same values either way.
+/// Sentinel records in the single-buffer layout: an exhausted stream with
+/// null pointers.
 void FillSentinels(const DecodeKey& key, uint32_t* out) {
   const size_t labels =
       static_cast<size_t>(key.records) * key.layout.label_count;
@@ -305,7 +249,7 @@ BufferPool::PinnedPage BufferPool::GetDecoded(PageId page, const DecodeKey& key,
                                               std::vector<uint32_t>* scratch) {
   const size_t values = DecodedValues(key.layout, key.records);
   auto private_handle = [&] {
-    return PinnedPage(page, nullptr, scratch->data());
+    return PinnedPage(page, scratch->data());
   };
   auto sentinels = [&] {
     scratch->resize(values);
@@ -317,11 +261,10 @@ BufferPool::PinnedPage BufferPool::GetDecoded(PageId page, const DecodeKey& key,
     return sentinels();
   }
   Shard& shard = ShardFor(page);
-  const uint64_t frame_key = FrameKey(page, /*decoded=*/true);
   bool mismatch = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(frame_key);
+    auto it = shard.index.find(page);
     if (it != shard.index.end()) {
       if (it->second->key == key) return PinHit(&shard, it->second);
       mismatch = true;
@@ -349,7 +292,7 @@ BufferPool::PinnedPage BufferPool::GetDecoded(PageId page, const DecodeKey& key,
     return sentinels();
   }
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(frame_key);
+  auto it = shard.index.find(page);
   if (it == shard.index.end()) {
     Frame fresh;
     fresh.page = page;
@@ -461,17 +404,13 @@ std::vector<PageId> BufferPool::Discard(const std::vector<PageId>& pages) {
   for (PageId page : pages) {
     Shard& shard = ShardFor(page);
     std::lock_guard<std::mutex> lock(shard.mu);
-    bool held = false;
-    for (bool decoded : {false, true}) {
-      auto it = shard.index.find(FrameKey(page, decoded));
-      if (it == shard.index.end()) continue;
-      if (it->second->pins != 0) {
-        held = true;
-      } else {
-        Drop(&shard, it->second);
-      }
+    auto it = shard.index.find(page);
+    if (it == shard.index.end()) continue;
+    if (it->second->pins != 0) {
+      pinned.push_back(page);
+    } else {
+      Drop(&shard, it->second);
     }
-    if (held) pinned.push_back(page);
   }
   return pinned;
 }
@@ -500,31 +439,24 @@ bool BufferPool::Contains(PageId page) {
   if (page == kInvalidPage || capacity_ == 0) return false;
   Shard& shard = ShardFor(page);
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.index.count(FrameKey(page, false)) != 0 ||
-         shard.index.count(FrameKey(page, true)) != 0;
+  return shard.index.count(page) != 0;
 }
-
-void BufferPool::Prefetch(PageId page) { Enqueue({page, false, {}}); }
 
 void BufferPool::Prefetch(PageId page, const DecodeKey& key) {
-  Enqueue({page, true, key});
-}
-
-void BufferPool::Enqueue(const PrefetchRequest& request) {
   if (read_ahead_depth_.load(std::memory_order_relaxed) == 0) return;
-  if (request.page == kInvalidPage || capacity_ == 0) return;
+  if (page == kInvalidPage || capacity_ == 0) return;
   {
     // Already resident? Pure index probe — no LRU touch, no counters, so a
     // speculative inquiry never perturbs what the demand path measures.
-    Shard& shard = ShardFor(request.page);
+    Shard& shard = ShardFor(page);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.count(FrameKey(request.page, request.decoded)) != 0) return;
+    if (shard.index.count(page) != 0) return;
   }
   {
     std::lock_guard<std::mutex> lock(prefetch_mu_);
     if (prefetch_queue_.size() >= kMaxPrefetchQueue) return;
-    if (!prefetch_queued_.insert(request.page).second) return;
-    prefetch_queue_.push_back(request);
+    if (!prefetch_queued_.insert(page).second) return;
+    prefetch_queue_.push_back({page, key});
     prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
   }
   prefetch_cv_.notify_one();
@@ -560,11 +492,10 @@ void BufferPool::ReadAheadLoop() {
 
 void BufferPool::FulfillPrefetch(const PrefetchRequest& request) {
   const PageId page = request.page;
-  const uint64_t frame_key = FrameKey(page, request.decoded);
   Shard& shard = ShardFor(page);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.count(frame_key) != 0) return;
+    if (shard.index.count(page) != 0) return;
   }
   // Physical read (and decode) outside every lock. A failure is dropped on
   // the floor by design: the demand fetch will re-read with retry semantics
@@ -574,22 +505,15 @@ void BufferPool::FulfillPrefetch(const PrefetchRequest& request) {
   Frame fresh;
   fresh.page = page;
   fresh.prefetched = true;
-  if (request.decoded) {
-    fresh.charge = ChargeFor(request.key);
-    uint8_t* raw = ThreadPageBuffer();
-    if (!pager_->ReadPage(page, raw).ok()) return;
-    fresh.key = request.key;
-    fresh.values = std::make_unique_for_overwrite<uint32_t[]>(
-        DecodedValues(request.key.layout, request.key.records));
-    if (!Decode(raw, request.key, fresh.values.get(), /*demand=*/false)) {
-      return;
-    }
-  } else {
-    fresh.data.resize(Pager::kPageSize);
-    if (!pager_->ReadPage(page, fresh.data.data()).ok()) return;
-  }
+  fresh.charge = ChargeFor(request.key);
+  uint8_t* raw = ThreadPageBuffer();
+  if (!pager_->ReadPage(page, raw).ok()) return;
+  fresh.key = request.key;
+  fresh.values = std::make_unique_for_overwrite<uint32_t[]>(
+      DecodedValues(request.key.layout, request.key.records));
+  if (!Decode(raw, request.key, fresh.values.get(), /*demand=*/false)) return;
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.index.count(frame_key) != 0) return;
+  if (shard.index.count(page) != 0) return;
   // A Discard since the read began may have freed this page for reuse.
   if (discards_.load(std::memory_order_acquire) != discards) return;
   EvictForSpace(&shard, fresh.charge);

@@ -31,9 +31,9 @@ struct DecodeKey {
   bool operator==(const DecodeKey&) const = default;
 };
 
-/// Sharded LRU page cache in front of a Pager. All list cursors read through
-/// a pool; hit/miss counters let benches report logical vs. physical page
-/// accesses.
+/// Sharded LRU cache of decoded list pages in front of a Pager. All list
+/// cursors read through a pool; hit/miss counters let benches report
+/// logical vs. physical page accesses.
 ///
 /// Pages are immutable once written (views are write-once, read-many), so the
 /// pool never writes back. The pool is safe for concurrent readers: frames
@@ -41,42 +41,38 @@ struct DecodeKey {
 /// own mutex and LRU list, so queries running on different worker threads
 /// only contend when they touch the same shard at the same instant.
 ///
-/// Returned pages are *pinned*: Fetch/GetPage hand back a PinnedPage handle
-/// that holds a per-frame pin count, and a pinned frame is never evicted —
-/// the data pointer stays valid for as long as the handle lives, no matter
-/// what other threads fetch in the meantime. (The previous design returned
-/// raw pointers valid only "until the next eviction", a latent dangling-
-/// pointer hazard once two cursors shared one pool.) Eviction takes the
-/// least-recently-used *unpinned* frame; when every frame of a shard is
-/// pinned the shard temporarily overflows its capacity share rather than
-/// invalidating a held page.
-///
-/// Failure model: Fetch is the Status-returning primitive. GetPage keeps the
-/// infallible signature the join inner loops rely on — on a failed fetch it
-/// latches the error (error()/error_page()) and hands back a poison page of
-/// 0xFF bytes, which every algorithm reads as an exhausted stream with null
-/// pointers. The engine checks the latch after a run and discards the
-/// result, so a corrupt page can stop a run early but never fabricate a
-/// match. Every engine query installs a thread-local ErrorScope, so one
-/// query's poison latch never contaminates a sibling query running against
-/// the same pool; the pool-global latch catches faults outside any scope.
-///
-/// Delta list pages are cached *decoded*: GetDecoded fills the frame with the
+/// Every page is cached *decoded*: GetDecoded fills the frame with the
 /// page's struct-of-arrays block (list_codec.h's single-buffer form) when the
 /// page is read, and later fetches hand cursors pointers into it, so a page
 /// is varint-decoded once per residency rather than once per landing. The
-/// decoded block replaces the raw bytes; it is not kept beside them. Raw
-/// frames (GetPage/Fetch: fixed-format lists, the document store) and
-/// decoded frames of one page id are cached under separate index keys.
+/// raw bytes are not kept beside the block.
 ///
-/// `capacity` is counted in kPageSize slots and must be >= 1: a raw frame
-/// takes one slot, a decoded frame ceil(bytes / kPageSize), so the cached
-/// bytes stay within capacity * kPageSize. A pool constructed with capacity
-/// 0 is rejected at use: every Fetch returns Status::InvalidArgument (and
-/// GetPage/GetDecoded latch it and return poison). Capacity is split evenly
-/// across shards (at least one slot per shard), and a shard whose share is
-/// smaller than one decoded frame holds that frame alone, so tiny pools may
-/// cache slightly more than `capacity` slots in total.
+/// Returned frames are *pinned*: GetDecoded hands back a PinnedPage handle
+/// that holds a per-frame pin count, and a pinned frame is never evicted —
+/// the arrays stay valid for as long as the handle lives, no matter what
+/// other threads fetch in the meantime. Eviction takes the least-recently-
+/// used *unpinned* frame; when every frame of a shard is pinned the shard
+/// temporarily overflows its capacity share rather than invalidating a held
+/// page.
+///
+/// Failure model: GetDecoded keeps the infallible signature the join inner
+/// loops rely on — on a failed read it latches the error (error()/
+/// error_page()) and hands back sentinel records, which every algorithm
+/// reads as an exhausted stream with null pointers. The engine checks the
+/// latch after a run and discards the result, so a corrupt page can stop a
+/// run early but never fabricate a match. Every engine query installs a
+/// thread-local ErrorScope, so one query's latch never contaminates a
+/// sibling query running against the same pool; the pool-global latch
+/// catches faults outside any scope.
+///
+/// `capacity` is counted in kPageSize slots and must be >= 1: a frame is
+/// charged ceil(decoded bytes / kPageSize) slots, so the cached bytes stay
+/// within capacity * kPageSize. A pool constructed with capacity 0 is
+/// rejected at use: every GetDecoded latches InvalidArgument and returns
+/// sentinels. Capacity is split evenly across shards (at least one slot per
+/// shard), and a shard whose share is smaller than one frame holds that
+/// frame alone, so tiny pools may cache slightly more than `capacity` slots
+/// in total.
 class BufferPool {
  private:
   struct Frame;
@@ -94,10 +90,10 @@ class BufferPool {
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// RAII pin on one cached page. While any PinnedPage for a frame lives,
-  /// the frame cannot be evicted and data() stays valid. Copying re-pins;
+  /// the frame cannot be evicted and values() stays valid. Copying re-pins;
   /// destruction (or Release) unpins. A default-constructed handle is
-  /// invalid; a poison handle (from a failed GetPage) is valid but unpinned
-  /// (the poison page is owned by the pool and immortal).
+  /// invalid; a handle on a caller's scratch arrays (see GetDecoded) is
+  /// valid but unpinned.
   class PinnedPage {
    public:
     PinnedPage() = default;
@@ -107,14 +103,11 @@ class BufferPool {
     PinnedPage& operator=(PinnedPage&& other) noexcept;
     ~PinnedPage() { Release(); }
 
-    bool valid() const { return data_ != nullptr || values_ != nullptr; }
+    bool valid() const { return values_ != nullptr; }
     /// Page id this handle was fetched for (kInvalidPage when invalid).
     PageId page() const { return page_; }
-    /// The kPageSize-byte page content (nullptr when invalid, and for
-    /// handles from GetDecoded).
-    const uint8_t* data() const { return data_; }
-    /// The decoded arrays of a GetDecoded handle, in list_codec.h's
-    /// single-buffer layout (nullptr for raw handles).
+    /// The page's decoded arrays, in list_codec.h's single-buffer layout
+    /// (nullptr when invalid).
     const uint32_t* values() const { return values_; }
 
     /// Drops the pin (idempotent); the handle becomes invalid.
@@ -123,16 +116,14 @@ class BufferPool {
    private:
     friend class BufferPool;
     PinnedPage(BufferPool* pool, Shard* shard, Frame* frame);
-    /// Unpinned handle on memory the frame table does not own: the poison
-    /// page, or a caller's scratch arrays.
-    PinnedPage(PageId page, const uint8_t* data, const uint32_t* values);
+    /// Unpinned handle on a caller's scratch arrays.
+    PinnedPage(PageId page, const uint32_t* values);
     void Steal(PinnedPage* other);
 
     BufferPool* pool_ = nullptr;  // null for empty and unpinned handles
     Shard* shard_ = nullptr;
     Frame* frame_ = nullptr;
     PageId page_ = kInvalidPage;
-    const uint8_t* data_ = nullptr;
     const uint32_t* values_ = nullptr;
   };
 
@@ -199,17 +190,8 @@ class BufferPool {
     uint64_t pages_decoded_ = 0;
   };
 
-  /// Fetches `page` through the cache and pins it into `*out` (replacing
-  /// whatever `*out` held). Failed reads are not cached and do not touch the
-  /// error latch.
-  util::Status Fetch(PageId page, PinnedPage* out);
-
-  /// Returns a pinned handle on `page`, or an unpinned poison handle (all
-  /// 0xFF) after latching the error when the read fails.
-  PinnedPage GetPage(PageId page);
-
-  /// Returns delta list page `page` decoded under `key`; values() points at
-  /// its arrays. A miss reads the page into a reused per-thread buffer and
+  /// Returns list page `page` decoded under `key`; values() points at its
+  /// arrays. A miss reads the page into a reused per-thread buffer and
   /// decodes it once into a new frame, which is never written again; every
   /// later fetch under the same key is a hit that decodes nothing.
   ///
@@ -217,9 +199,8 @@ class BufferPool {
   /// values() points into `*scratch` (valid until `*scratch` is next
   /// touched), which receives:
   ///   - sentinel records (0xFFFFFFFF starts/ends, level 0, null pointers)
-  ///     when the read fails (the error is latched as GetPage does) or the
-  ///     payload fails to decode; neither is cached, so every landing
-  ///     re-reads;
+  ///     when the read fails (the error is latched) or the payload fails to
+  ///     decode; neither is cached, so every landing re-reads;
   ///   - a private decode when the cached frame was filled under another key
   ///     (counted by decode_mismatches()).
   PinnedPage GetDecoded(PageId page, const DecodeKey& key,
@@ -232,12 +213,12 @@ class BufferPool {
   PageId error_page() const;
   /// Clears the pool-global error latch. Clear() also does this, and the
   /// engine's quarantine path calls it after re-materializing a view so a
-  /// stale poison latch cannot outlive the fault it recorded.
+  /// stale latch cannot outlive the fault it recorded.
   void ResetError();
 
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  /// Delta pages decoded so far, by demand fetches and read-ahead alike.
+  /// Pages decoded so far, by demand fetches and read-ahead alike.
   uint64_t pages_decoded() const {
     return pages_decoded_.load(std::memory_order_relaxed);
   }
@@ -280,14 +261,13 @@ class BufferPool {
     return read_ahead_depth_.load(std::memory_order_relaxed);
   }
 
-  /// Enqueues `page` for background fetch: raw, or (with `key`) decoded
-  /// into the frame GetDecoded would fill. No-op when read-ahead is off,
-  /// the page is already cached or queued, or the queue is full (speculation
-  /// never blocks the caller).
-  void Prefetch(PageId page);
+  /// Enqueues `page` for background fetch, decoded under `key` into the
+  /// frame GetDecoded would fill. No-op when read-ahead is off, the page is
+  /// already cached or queued, or the queue is full (speculation never
+  /// blocks the caller).
   void Prefetch(PageId page, const DecodeKey& key);
 
-  /// True when `page` is currently cached, raw or decoded (pinned or not).
+  /// True when `page` is currently cached (pinned or not).
   /// A one-shard probe with no LRU movement and no counter side effects —
   /// the planner uses it to price resident vs cold lists.
   bool Contains(PageId page);
@@ -327,8 +307,7 @@ class BufferPool {
   /// must not keep reporting a fault from a previous run.
   void Clear();
 
-  /// Drops the unpinned frames (raw and decoded) of `pages`, and any
-  /// read-ahead still queued
+  /// Drops the unpinned frames of `pages`, and any read-ahead still queued
   /// or in flight for them. The catalog calls this when a view version is
   /// superseded, with the pages no live version shares, and again before it
   /// reuses such a page for new bytes. Returns the pages whose frames stayed
@@ -342,12 +321,9 @@ class BufferPool {
     /// Landed via the read-ahead thread and not yet demanded (guarded by the
     /// owning shard's mutex, like pins).
     bool prefetched = false;
-    /// Capacity slots this frame is charged: 1 raw, ceil(bytes / kPageSize)
-    /// decoded.
+    /// Capacity slots this frame is charged: ceil(bytes / kPageSize).
     uint32_t charge = 1;
-    /// Raw frames: the kPageSize page bytes.
-    std::vector<uint8_t> data;
-    /// Decoded frames: the key they were filled under and the arrays.
+    /// The key the frame was filled under, and its arrays.
     DecodeKey key;
     std::unique_ptr<uint32_t[]> values;
   };
@@ -355,21 +331,16 @@ class BufferPool {
   struct Shard {
     std::mutex mu;
     std::list<Frame> lru;  // front = most recent; node addresses are stable
-    /// Keyed by FrameKey(page, decoded).
-    std::unordered_map<uint64_t, std::list<Frame>::iterator> index;
+    std::unordered_map<PageId, std::list<Frame>::iterator> index;
     size_t charge = 0;  // sum of the frames' charges
   };
 
-  /// A queued read-ahead: raw unless `decoded`.
+  /// A queued read-ahead.
   struct PrefetchRequest {
     PageId page = kInvalidPage;
-    bool decoded = false;
     DecodeKey key;
   };
 
-  static uint64_t FrameKey(PageId page, bool decoded) {
-    return (static_cast<uint64_t>(page) << 1) | (decoded ? 1 : 0);
-  }
   Shard& ShardFor(PageId page);
   /// Evicts LRU unpinned frames until `incoming` more slots fit the shard's
   /// capacity share. Caller holds the shard mutex.
@@ -394,7 +365,6 @@ class BufferPool {
               bool demand);
   /// Capacity slots a decoded frame for `key` is charged.
   static uint32_t ChargeFor(const DecodeKey& key);
-  void Enqueue(const PrefetchRequest& request);
   /// The background read-ahead thread's main loop.
   void ReadAheadLoop();
   /// Fetches one prefetch request (outside all shard locks) and inserts it.
@@ -418,7 +388,6 @@ class BufferPool {
   mutable std::mutex error_mu_;
   util::Status error_;
   PageId error_page_ = kInvalidPage;
-  std::vector<uint8_t> poison_;
 
   // Read-ahead state. The queue and its membership set are guarded by
   // prefetch_mu_; the worker thread exists iff read_ahead_depth_ > 0 (both

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <queue>
 
 #include "storage/file.h"
 #include "storage/manifest.h"
@@ -13,15 +12,13 @@
 namespace viewjoin::storage {
 namespace {
 
-/// One parsed element, complete once its closing tag was seen. 24 bytes —
-/// the unit both the spill runs and the node arena are made of.
+/// One parsed element, complete once its closing tag was seen — the unit
+/// the spill runs are made of.
 struct DocRecord {
   uint32_t tag = 0;
   uint32_t start = 0;
   uint32_t end = 0;
   uint32_t level = 0;
-  uint32_t parent = xml::kInvalidNode;
-  uint32_t reserved = 0;
 };
 
 /// (tag, start) — the merge order that groups records into per-tag sorted
@@ -30,15 +27,8 @@ bool TagOrder(const DocRecord& a, const DocRecord& b) {
   return a.tag != b.tag ? a.tag < b.tag : a.start < b.start;
 }
 
-/// Start order. Both the streaming parser and Document assign start
-/// positions and node ids from the same monotone counters, so for a fresh
-/// parse start order *is* node-id (preorder) order — the arena order.
-bool StartOrder(const DocRecord& a, const DocRecord& b) {
-  return a.start < b.start;
-}
-
-std::string RunPath(const std::string& path, size_t run, char order) {
-  return path + ".run" + std::to_string(run) + "." + order;
+std::string RunPath(const std::string& path, size_t run) {
+  return path + ".run" + std::to_string(run);
 }
 
 /// Writes one sorted run to disk. Typed failure: a full disk (real ENOSPC or
@@ -73,7 +63,7 @@ class RunReader {
 
  private:
   /// Reads the next batch; a failed read ends the run early, like end of
-  /// file (the arena pass then counts fewer records than nodes).
+  /// file (EmitStore then counts fewer records than were parsed).
   void Refill() {
     const uint64_t size = file_.append_offset();  // the run's size
     buf_.resize(std::min<uint64_t>(kBatch,
@@ -90,22 +80,19 @@ class RunReader {
   size_t pos_ = 0;
 };
 
-/// Merged, ordered record stream: either a single sorted in-memory vector
-/// (no spill happened) or a k-way merge over sorted run files.
+/// Merged (tag, start)-ordered record stream: either a single sorted
+/// in-memory vector (no spill happened) or a k-way merge over sorted run
+/// files.
 class RecordSource {
  public:
-  using Less = bool (*)(const DocRecord&, const DocRecord&);
-
-  /// In-memory source; `recs` must already be sorted by `less`.
-  RecordSource(const std::vector<DocRecord>* recs, Less less)
-      : mem_(recs), less_(less) {}
+  /// In-memory source; `recs` must already be sorted by TagOrder.
+  explicit RecordSource(const std::vector<DocRecord>* recs) : mem_(recs) {}
 
   /// Run-file source. `ok()` is false when a run failed to open.
-  RecordSource(const std::string& path, size_t runs, char order, Less less)
-      : less_(less) {
+  RecordSource(const std::string& path, size_t runs) {
     readers_.resize(runs);
     for (size_t r = 0; r < runs; ++r) {
-      if (!readers_[r].Open(RunPath(path, r, order))) {
+      if (!readers_[r].Open(RunPath(path, r))) {
         ok_ = false;
         return;
       }
@@ -121,7 +108,7 @@ class RecordSource {
     RunReader* best = nullptr;
     for (RunReader& r : readers_) {
       if (r.exhausted()) continue;
-      if (best == nullptr || less_(r.Peek(), best->Peek())) best = &r;
+      if (best == nullptr || TagOrder(r.Peek(), best->Peek())) best = &r;
     }
     if (best == nullptr) return nullptr;
     current_ = best->Peek();
@@ -132,54 +119,9 @@ class RecordSource {
  private:
   const std::vector<DocRecord>* mem_ = nullptr;
   size_t mem_pos_ = 0;
-  Less less_;
   std::vector<RunReader> readers_;
   DocRecord current_;
   bool ok_ = true;
-};
-
-/// Appends fixed-size records to pager pages, flushing each page as it
-/// fills. Pages are zero-padded — a poison read is distinguishable (0xFF).
-class PageWriter {
- public:
-  explicit PageWriter(Pager* pager) : pager_(pager) {
-    page_.resize(Pager::kPageSize);
-  }
-
-  util::Status Append(const void* rec, size_t size) {
-    if (fill_ + size > Pager::kPageSize) {
-      util::Status s = FlushPage();
-      if (!s.ok()) return s;
-    }
-    std::memcpy(page_.data() + fill_, rec, size);
-    fill_ += size;
-    return util::Status::Ok();
-  }
-
-  /// Flushes a partial trailing page (no-op when empty).
-  util::Status Finish() {
-    if (fill_ == 0) return util::Status::Ok();
-    return FlushPage();
-  }
-
-  uint32_t pages_written() const { return pages_written_; }
-
- private:
-  util::Status FlushPage() {
-    std::memset(page_.data() + fill_, 0, Pager::kPageSize - fill_);
-    auto id = pager_->AllocatePage();
-    if (!id.ok()) return id.status();
-    util::Status s = pager_->WritePage(*id, page_.data());
-    if (!s.ok()) return s;
-    fill_ = 0;
-    ++pages_written_;
-    return util::Status::Ok();
-  }
-
-  Pager* pager_;
-  std::vector<uint8_t> page_;
-  size_t fill_ = 0;
-  uint32_t pages_written_ = 0;
 };
 
 /// ParseHandler that labels elements exactly as xml::Document does (same
@@ -195,23 +137,20 @@ class StoreBuilder : public xml::ParseHandler {
   }
 
   bool StartElement(std::string_view name) override {
-    xml::TagId tag = Intern(name);
-    Open open;
-    open.record.tag = tag;
-    open.record.start = next_pos_++;
-    open.record.level = static_cast<uint32_t>(open_.size()) + 1;
-    open.record.parent =
-        open_.empty() ? xml::kInvalidNode : open_.back().node_id;
-    open.node_id = next_node_id_++;
-    open_.push_back(open);
+    DocRecord record;
+    record.tag = Intern(name);
+    record.start = next_pos_++;
+    record.level = static_cast<uint32_t>(open_.size()) + 1;
+    open_.push_back(record);
     return true;
   }
 
   bool EndElement() override {
-    Open open = open_.back();
+    DocRecord record = open_.back();
     open_.pop_back();
-    open.record.end = next_pos_++;
-    buffer_.push_back(open.record);
+    record.end = next_pos_++;
+    buffer_.push_back(record);
+    ++record_count_;
     if (buffer_.size() >= budget_records_) return Spill();
     return true;
   }
@@ -225,13 +164,11 @@ class StoreBuilder : public xml::ParseHandler {
   /// spill_status() carries the typed reason (ENOSPC vs generic I/O).
   bool spill_failed() const { return !spill_status_.ok(); }
   const util::Status& spill_status() const { return spill_status_; }
-  size_t run_count() const { return runs_; }
-  uint64_t node_count() const { return next_node_id_; }
+  uint64_t record_count() const { return record_count_; }
   std::vector<std::string>& tag_names() { return tag_names_; }
   std::unordered_map<std::string, xml::TagId>& tag_ids() { return tag_ids_; }
 
-  /// Sorted streams over everything parsed. With runs on disk the in-memory
-  /// tail is flushed as the final run first.
+  /// With runs on disk, flushes the in-memory tail as the final run.
   util::Status FinishInput() {
     if (runs_ > 0 && !buffer_.empty()) {
       if (!Spill()) return spill_status_;
@@ -239,35 +176,21 @@ class StoreBuilder : public xml::ParseHandler {
     return util::Status::Ok();
   }
 
-  std::unique_ptr<RecordSource> TagSource() {
+  /// The sorted stream over everything parsed.
+  RecordSource Source() {
     if (runs_ == 0) {
       std::sort(buffer_.begin(), buffer_.end(), TagOrder);
-      return std::make_unique<RecordSource>(&buffer_, TagOrder);
+      return RecordSource(&buffer_);
     }
-    return std::make_unique<RecordSource>(path_, runs_, 'a', TagOrder);
-  }
-  std::unique_ptr<RecordSource> ArenaSource() {
-    if (runs_ == 0) {
-      std::sort(buffer_.begin(), buffer_.end(), StartOrder);
-      return std::make_unique<RecordSource>(&buffer_, StartOrder);
-    }
-    return std::make_unique<RecordSource>(path_, runs_, 'b', StartOrder);
+    return RecordSource(path_, runs_);
   }
 
   /// Removes every run file this builder created (idempotent).
   void RemoveRuns() {
-    for (size_t r = 0; r < runs_; ++r) {
-      RemoveFile(RunPath(path_, r, 'a'));
-      RemoveFile(RunPath(path_, r, 'b'));
-    }
+    for (size_t r = 0; r < runs_; ++r) RemoveFile(RunPath(path_, r));
   }
 
  private:
-  struct Open {
-    DocRecord record;
-    xml::NodeId node_id = 0;
-  };
-
   xml::TagId Intern(std::string_view name) {
     auto it = tag_ids_.find(std::string(name));
     if (it != tag_ids_.end()) return it->second;
@@ -277,14 +200,11 @@ class StoreBuilder : public xml::ParseHandler {
     return id;
   }
 
-  /// Writes the buffer as one run in both merge orders, then drops it.
-  /// Returning false aborts the parse (ParseHandler contract).
+  /// Writes the buffer as one sorted run, then drops it. Returning false
+  /// aborts the parse (ParseHandler contract).
   bool Spill() {
     std::sort(buffer_.begin(), buffer_.end(), TagOrder);
-    spill_status_ = WriteRun(RunPath(path_, runs_, 'a'), buffer_);
-    if (!spill_status_.ok()) return false;
-    std::sort(buffer_.begin(), buffer_.end(), StartOrder);
-    spill_status_ = WriteRun(RunPath(path_, runs_, 'b'), buffer_);
+    spill_status_ = WriteRun(RunPath(path_, runs_), buffer_);
     if (!spill_status_.ok()) return false;
     ++runs_;
     buffer_.clear();
@@ -295,21 +215,14 @@ class StoreBuilder : public xml::ParseHandler {
   size_t budget_records_;
   std::vector<DocRecord> buffer_;
   size_t runs_ = 0;
+  uint64_t record_count_ = 0;
   util::Status spill_status_ = util::Status::Ok();
 
   std::vector<std::string> tag_names_;
   std::unordered_map<std::string, xml::TagId> tag_ids_;
-  std::vector<Open> open_;
+  std::vector<DocRecord> open_;  // elements whose closing tag is pending
   uint32_t next_pos_ = 1;
-  xml::NodeId next_node_id_ = 0;
 };
-
-void EncodeLabelRecord(uint8_t* out, uint32_t start, uint32_t end,
-                       uint32_t level) {
-  std::memcpy(out, &start, 4);
-  std::memcpy(out + 4, &end, 4);
-  std::memcpy(out + 8, &level, 4);
-}
 
 }  // namespace
 
@@ -339,24 +252,6 @@ xml::TagId DocumentStore::FindTag(std::string_view name) const {
   return it == tag_ids_.end() ? xml::kInvalidTag : it->second;
 }
 
-util::StatusOr<StoredNode> DocumentStore::NodeAt(xml::NodeId id) const {
-  if (id >= nodes_list_.count) {
-    return util::Status::InvalidArgument("node id past the arena: " +
-                                         std::to_string(id));
-  }
-  BufferPool::PinnedPage pin;
-  util::Status s = pool_->Fetch(nodes_list_.PageOf(id), &pin);
-  if (!s.ok()) return s;
-  const uint8_t* rec = pin.data() + nodes_list_.OffsetOf(id);
-  StoredNode node;
-  std::memcpy(&node.start, rec, 4);
-  std::memcpy(&node.end, rec + 4, 4);
-  std::memcpy(&node.level, rec + 8, 4);
-  std::memcpy(&node.tag, rec + 12, 4);
-  std::memcpy(&node.parent, rec + 16, 4);
-  return node;
-}
-
 IoStats DocumentStore::Stats() const {
   IoStats stats = pager_->stats();
   stats.pool_hits = pool_->hits();
@@ -376,104 +271,62 @@ void DocumentStore::ResetStats() {
 
 namespace {
 
-using SourceFactory = std::function<std::unique_ptr<RecordSource>()>;
-
-/// Encodes the merged (tag, start) stream into per-tag list pages and the
-/// start-ordered stream into arena pages, then commits the TOC. Shared by
-/// the streaming and from-document builds — both reduce to two sorted
-/// record streams plus a tag table.
-///
-/// The streams arrive as factories, not live sources: when no spill
-/// happened, both of the streaming builder's sources are views over the
-/// SAME in-memory vector (each factory sorts it into its own order), so the
-/// arena source must not be created until the tag pass has fully consumed
-/// its stream.
+/// Encodes the (tag, start)-ordered stream into per-tag delta lists, one
+/// page in memory at a time, then commits the TOC. Shared by the streaming
+/// and from-document builds. `expected` is the number of records the stream
+/// must yield; a spill run that failed to read back yields fewer.
 util::Status EmitStore(DocumentStore* store, Pager* pager,
                        const std::vector<std::string>& tag_names,
-                       const SourceFactory& make_tag_source,
-                       const SourceFactory& make_arena_source,
-                       uint64_t node_count, std::vector<StoredList>* lists,
-                       StoredList* nodes_list) {
+                       RecordSource source, uint64_t expected,
+                       std::vector<StoredList>* lists) {
+  if (!source.ok()) {
+    return util::Status::IoError("document store: spill run unreadable");
+  }
   const RecordLayout label_layout{1, false, 0};
-  const RecordLayout arena_layout{2, false, 0};
   lists->assign(tag_names.size(), StoredList{});
   for (StoredList& l : *lists) l.layout = label_layout;
 
-  // Per-tag label lists, in one pass over the (tag, start) stream.
-  {
-    std::unique_ptr<RecordSource> tag_source = make_tag_source();
-    if (!tag_source->ok()) {
-      return util::Status::IoError("document store: spill run unreadable");
-    }
-    PageWriter writer(pager);
-    xml::TagId current = xml::kInvalidTag;
-    uint32_t page_base = pager->page_count();
-    uint32_t records_on_page = 0;
-    const uint32_t per_page = label_layout.RecordSize() == 0
-                                  ? 0
-                                  : Pager::kPageSize / label_layout.RecordSize();
-    auto close_tag = [&]() -> util::Status {
-      if (current == xml::kInvalidTag) return util::Status::Ok();
-      util::Status s = writer.Finish();
+  DeltaPageEncoder encoder(label_layout);
+  std::vector<uint8_t> page(Pager::kPageSize);
+  StoredList* list = nullptr;  // the list the encoder's open page belongs to
+  auto flush = [&]() -> util::Status {
+    list->page_first_entry.push_back(encoder.first_entry());
+    list->page_first_start.push_back(encoder.first_start());
+    encoder.Flush(page.data());
+    util::StatusOr<PageId> id = pager->AllocatePage();
+    if (!id.ok()) return id.status();
+    list->pages.push_back(*id);
+    return pager->WritePage(*id, page.data());
+  };
+  uint64_t emitted = 0;
+  for (const DocRecord* rec = source.Next(); rec != nullptr;
+       rec = source.Next()) {
+    VJ_CHECK(rec->tag < lists->size());
+    if (list != &(*lists)[rec->tag] && !encoder.empty()) {
+      util::Status s = flush();  // the previous tag's last page
       if (!s.ok()) return s;
-      (*lists)[current].AssignRun(page_base);
-      records_on_page = 0;
-      return util::Status::Ok();
-    };
-    uint8_t rec_bytes[12];
-    for (const DocRecord* rec = tag_source->Next(); rec != nullptr;
-         rec = tag_source->Next()) {
-      if (rec->tag != current) {
-        util::Status s = close_tag();
-        if (!s.ok()) return s;
-        current = rec->tag;
-        VJ_CHECK(current < lists->size());
-        page_base = pager->page_count();
-      }
-      StoredList& list = (*lists)[current];
-      if (records_on_page == 0) list.page_first_start.push_back(rec->start);
-      EncodeLabelRecord(rec_bytes, rec->start, rec->end, rec->level);
-      util::Status s = writer.Append(rec_bytes, sizeof(rec_bytes));
-      if (!s.ok()) return s;
-      ++list.count;
-      records_on_page = (records_on_page + 1) % per_page;
     }
-    util::Status s = close_tag();
+    list = &(*lists)[rec->tag];
+    uint8_t bytes[12];
+    std::memcpy(bytes, &rec->start, 4);
+    std::memcpy(bytes + 4, &rec->end, 4);
+    std::memcpy(bytes + 8, &rec->level, 4);
+    if (!encoder.Add(bytes, list->count)) {
+      util::Status s = flush();
+      if (!s.ok()) return s;
+      encoder.Add(bytes, list->count);
+    }
+    ++list->count;
+    ++emitted;
+  }
+  if (!encoder.empty()) {
+    util::Status s = flush();
     if (!s.ok()) return s;
   }
-
-  // The node arena, in node-id (start) order.
-  {
-    std::unique_ptr<RecordSource> arena_source = make_arena_source();
-    if (!arena_source->ok()) {
-      return util::Status::IoError("document store: spill run unreadable");
-    }
-    PageWriter writer(pager);
-    nodes_list->layout = arena_layout;
-    const PageId arena_base = pager->page_count();
-    uint8_t rec_bytes[24];
-    uint64_t emitted = 0;
-    for (const DocRecord* rec = arena_source->Next(); rec != nullptr;
-         rec = arena_source->Next()) {
-      std::memcpy(rec_bytes, &rec->start, 4);
-      std::memcpy(rec_bytes + 4, &rec->end, 4);
-      std::memcpy(rec_bytes + 8, &rec->level, 4);
-      std::memcpy(rec_bytes + 12, &rec->tag, 4);
-      std::memcpy(rec_bytes + 16, &rec->parent, 4);
-      std::memcpy(rec_bytes + 20, &rec->reserved, 4);
-      util::Status s = writer.Append(rec_bytes, sizeof(rec_bytes));
-      if (!s.ok()) return s;
-      ++emitted;
-    }
-    util::Status s = writer.Finish();
-    if (!s.ok()) return s;
-    nodes_list->count = static_cast<uint32_t>(node_count);
-    nodes_list->AssignRun(arena_base);
-    if (emitted != node_count) {
-      return util::Status::Corruption(
-          "document store: arena stream lost records (" +
-          std::to_string(emitted) + " of " + std::to_string(node_count) + ")");
-    }
+  if (emitted != expected) {
+    return util::Status::Corruption(
+        "document store: spill runs lost records (" + std::to_string(emitted) +
+        " of " + std::to_string(expected) + ")");
   }
 
   // Durability barrier, then the atomic commit point: data before TOC.
@@ -481,7 +334,7 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
   if (!s.ok()) return s;
 
   std::vector<ManifestViewRecord> records;
-  records.reserve(tag_names.size() + 1);
+  records.reserve(tag_names.size());
   uint64_t epoch = 0;
   uint32_t pages_so_far = 0;
   for (size_t t = 0; t < tag_names.size(); ++t) {
@@ -496,19 +349,6 @@ util::Status EmitStore(DocumentStore* store, Pager* pager,
     rec.page_count_after = pages_so_far;
     rec.list_lengths = {list.count};
     rec.lists = {list};
-    records.push_back(std::move(rec));
-  }
-  {
-    ManifestViewRecord rec;
-    rec.epoch = ++epoch;
-    rec.scheme = 0;
-    rec.pattern = DocumentStore::kNodesPattern;
-    rec.match_count = nodes_list->count;
-    rec.size_bytes =
-        static_cast<uint64_t>(nodes_list->PageSpan()) * Pager::kPageSize;
-    rec.page_count_after = pager->page_count();
-    rec.list_lengths = {nodes_list->count};
-    rec.lists = {*nodes_list};
     records.push_back(std::move(rec));
   }
   return ManifestJournal::WriteCheckpoint(ManifestJournal::PathFor(store->path()),
@@ -563,9 +403,7 @@ util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::BuildStreamed(
       store->tag_names_ = std::move(builder.tag_names());
       store->tag_ids_ = std::move(builder.tag_ids());
       s = EmitStore(store, store->pager_.get(), store->tag_names_,
-                    [&builder] { return builder.TagSource(); },
-                    [&builder] { return builder.ArenaSource(); },
-                    builder.node_count(), &store->lists_, &store->nodes_list_);
+                    builder.Source(), builder.record_count(), &store->lists_);
     }
     builder.RemoveRuns();
     return s;
@@ -596,39 +434,20 @@ util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::BuildFromDocument(
       store->tag_ids_.emplace(store->tag_names_.back(), t);
     }
 
-    // The document already holds both orders: per-tag streams are sorted by
-    // start, and node ids index the arrays directly. Adapt them to the same
-    // two sorted streams the streaming build produces. Tag lists carry only
-    // live nodes (tombstones leave the streams); the arena keeps every id so
-    // NodeAt(id) answers for exactly the ids the document answers for.
+    // The document's per-tag streams are already sorted by start and hold
+    // only live nodes (tombstones leave the streams), so concatenated in tag
+    // order they are the (tag, start) stream the streaming build merges.
     std::vector<DocRecord> tag_stream;
     tag_stream.reserve(doc.LiveNodeCount());
     for (xml::TagId t = 0; t < doc.TagCount(); ++t) {
       for (xml::NodeId n : doc.NodesOfTag(t)) {
         const xml::Label& l = doc.NodeLabel(n);
-        tag_stream.push_back(DocRecord{t, l.start, l.end, l.level,
-                                       doc.Parent(n), 0});
+        tag_stream.push_back(DocRecord{t, l.start, l.end, l.level});
       }
     }
-    std::vector<DocRecord> arena_stream;
-    arena_stream.reserve(doc.NodeCount());
-    for (xml::NodeId n = 0; n < doc.NodeCount(); ++n) {
-      const xml::Label& l = doc.NodeLabel(n);
-      arena_stream.push_back(DocRecord{doc.NodeTag(n), l.start, l.end, l.level,
-                                       doc.Parent(n), 0});
-    }
-    // Deliberately NOT sorted: arena order is id order here (post-update ids
-    // are not start-ordered), and the tag stream is already grouped/sorted.
-    // Two distinct vectors, so the factories just wrap them.
-    return EmitStore(
-        store, store->pager_.get(), store->tag_names_,
-        [&tag_stream] {
-          return std::make_unique<RecordSource>(&tag_stream, TagOrder);
-        },
-        [&arena_stream] {
-          return std::make_unique<RecordSource>(&arena_stream, StartOrder);
-        },
-        doc.NodeCount(), &store->lists_, &store->nodes_list_);
+    return EmitStore(store, store->pager_.get(), store->tag_names_,
+                     RecordSource(&tag_stream), tag_stream.size(),
+                     &store->lists_);
   });
 }
 
@@ -643,25 +462,16 @@ util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::Open(
   if (!store->pager_->init_status().ok()) return store->pager_->init_status();
   const uint32_t page_count = store->pager_->page_count();
 
-  bool arena_seen = false;
   for (const ManifestViewRecord& rec : replay->installed) {
     if (rec.lists.size() != 1) {
       return util::Status::Corruption(
           "document store record '" + rec.pattern + "' must hold one list");
     }
     const StoredList& list = rec.lists[0];
-    if (list.count > 0 &&
-        !list.PagesWithin(page_count)) {
+    if (!list.DirectoryValid() || !list.PagesWithin(page_count)) {
       return util::Status::Corruption("document store list '" + rec.pattern +
-                                      "' points past the pager file");
-    }
-    if (rec.pattern == kNodesPattern) {
-      if (arena_seen) {
-        return util::Status::Corruption("document store has two node arenas");
-      }
-      arena_seen = true;
-      store->nodes_list_ = list;
-      continue;
+                                      "' points past the pager file or has a "
+                                      "malformed page directory");
     }
     xml::TagId id = static_cast<xml::TagId>(store->tag_names_.size());
     if (!store->tag_ids_.emplace(rec.pattern, id).second) {
@@ -670,9 +480,6 @@ util::StatusOr<std::unique_ptr<DocumentStore>> DocumentStore::Open(
     }
     store->tag_names_.push_back(rec.pattern);
     store->lists_.push_back(list);
-  }
-  if (!arena_seen) {
-    return util::Status::Corruption("document store is missing its node arena");
   }
   util::Status s = store->AttachPool(options.pool_pages);
   if (!s.ok()) return s;

@@ -14,50 +14,34 @@
 #include "storage/stored_list.h"
 #include "util/status.h"
 #include "xml/document.h"
-#include "xml/label.h"
 #include "xml/parser.h"
 
 namespace viewjoin::storage {
 
-/// One record of the node arena (see DocumentStore). The disk image packs
-/// the six uint32 fields as two 12-byte pseudo-labels so the arena reuses
-/// the fixed-record page math of StoredList (RecordLayout{label_count=2}).
-struct StoredNode {
-  uint32_t start = 0;
-  uint32_t end = 0;
-  uint32_t level = 0;
-  xml::TagId tag = xml::kInvalidTag;
-  xml::NodeId parent = xml::kInvalidNode;
-
-  xml::Label label() const { return xml::Label{start, end, level}; }
-};
-
-/// Paged, persistent image of a base document — the out-of-core counterpart
-/// of xml::Document, built on the same Pager/BufferPool/StoredList stack the
-/// view catalog uses.
+/// Paged, persistent image of a base document's element streams — the
+/// out-of-core counterpart of xml::Document's tag lists, built on the same
+/// Pager/BufferPool/StoredList stack the view catalog uses.
 ///
-/// Contents, all immutable once built:
-///   - one sorted label list per element type (the "element streams" every
-///     join algorithm scans), stored as fixed 12-byte records with per-page
-///     fence keys so ListCursor's block decode, galloping seeks and
-///     read-ahead all apply unchanged;
-///   - a node arena of 24-byte StoredNode records indexed by NodeId
-///     (preorder), which witness probes and structural checks read
-///     point-wise through pinned pages.
+/// Contents, all immutable once built: one sorted label list per element
+/// type (the "element streams" every join algorithm scans), stored as delta
+/// pages with a page directory and fence keys, so ListCursor's decoded
+/// frames, galloping seeks and read-ahead all apply unchanged. The lists
+/// hold every node's start, end, level and tag, and a node's parent follows
+/// from label nesting, so they are the whole document structure: there is
+/// no separate node table.
 ///
 /// The table of contents is a ManifestJournal checkpoint ("<path>.manifest")
-/// holding one install record per tag list — pattern is the tag name — plus
-/// one for the arena under the reserved pattern "#nodes" ('#' cannot start
-/// an XML name, so no tag collides). The checkpoint is written *after* the
-/// pager file is fsynced, making it the single atomic commit point: a store
-/// whose manifest exists is complete, a pager file without one is an
-/// aborted-build orphan. vj_fsck verifies both with the catalog machinery,
-/// since manifest patterns are opaque strings.
+/// holding one install record per tag list — pattern is the tag name. The
+/// checkpoint is written *after* the pager file is fsynced, making it the
+/// single atomic commit point: a store whose manifest exists is complete, a
+/// pager file without one is an aborted-build orphan. vj_fsck verifies both
+/// with the catalog machinery, since manifest patterns are opaque strings.
 ///
 /// Builds stream: the XML parser emits element events into the builder,
 /// which keeps at most `parse_budget_bytes` of label records in memory and
-/// spills sorted runs ("<path>.runN") beyond that, k-way merging them into
-/// list pages at Finish — peak memory is the budget plus one page per run,
+/// spills (tag, start)-sorted runs ("<path>.runN") beyond that, k-way
+/// merging them into list pages at Finish — pages are encoded and written
+/// one at a time, so peak memory is the budget plus one read buffer per run,
 /// independent of document size. A failed or aborted build removes the
 /// pager file and every run file and writes no manifest (no orphans).
 class DocumentStore {
@@ -86,10 +70,9 @@ class DocumentStore {
       const std::string& path, std::string_view xml, const Options& options);
 
   /// Snapshots an in-memory document into a fresh store at `path`. Labels
-  /// are copied verbatim — including gap labels and post-update id order —
-  /// so cursors over the store see byte-for-byte the labels the in-memory
-  /// streams hold, and NodeAt(id) agrees with doc.NodeLabel(id) for every
-  /// id (tombstoned nodes keep their record but leave the tag lists).
+  /// are copied verbatim — including gap labels — so cursors over the store
+  /// see exactly the labels the in-memory streams hold (tombstoned nodes
+  /// are in neither).
   static util::StatusOr<std::unique_ptr<DocumentStore>> BuildFromDocument(
       const std::string& path, const xml::Document& doc,
       const Options& options);
@@ -105,28 +88,17 @@ class DocumentStore {
   DocumentStore(const DocumentStore&) = delete;
   DocumentStore& operator=(const DocumentStore&) = delete;
 
-  /// The reserved manifest pattern of the node arena.
-  static constexpr const char* kNodesPattern = "#nodes";
-
   // ---- Tag table (same first-seen interning order as the parse) -----------
 
   xml::TagId FindTag(std::string_view name) const;
   const std::string& TagName(xml::TagId tag) const { return tag_names_[tag]; }
   size_t TagCount() const { return tag_names_.size(); }
 
-  // ---- Lists and nodes ----------------------------------------------------
+  // ---- Lists --------------------------------------------------------------
 
   /// The sorted label list of `tag`. Stable pointer (the store outlives any
   /// cursor over it); an unknown/absent tag yields a shared empty list.
   const StoredList* ListOfTag(xml::TagId tag) const;
-
-  /// Number of element records in the arena (== document NodeCount()).
-  uint64_t node_count() const { return nodes_list_.count; }
-
-  /// Point-reads one arena record through the buffer pool. Returns
-  /// kInvalidArgument past the arena, kCorruption/kIoError when the page
-  /// fails its read (poison pages are never decoded into a node).
-  util::StatusOr<StoredNode> NodeAt(xml::NodeId id) const;
 
   // ---- Plumbing -----------------------------------------------------------
 
@@ -166,7 +138,6 @@ class DocumentStore {
   std::vector<std::string> tag_names_;
   std::unordered_map<std::string, xml::TagId> tag_ids_;
   std::vector<StoredList> lists_;  // indexed by TagId; stable after build
-  StoredList nodes_list_;          // the "#nodes" arena
   StoredList empty_list_;          // returned for unknown tags
 };
 

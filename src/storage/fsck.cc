@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <unordered_set>
 #include <vector>
 
-#include "storage/document_store.h"
 #include "storage/file.h"
 #include "storage/list_codec.h"
 #include "storage/manifest.h"
@@ -71,38 +70,31 @@ void CheckViewRanges(const ManifestViewRecord& record, uint32_t durable,
   check(record.tuple_list, "tuple list");
 }
 
-/// Verifies one delta-format list end to end: directory invariants, then a
-/// full decode of every page with record counts and fence keys cross-checked
-/// against the directory. `pager` is the read-only page source; pages that
-/// fail their checksum are skipped here (the page scan already reported
-/// them). Findings are appended as "epoch <e> (<pattern>): <what> <problem>".
-void CheckDeltaList(Pager& pager, const ManifestViewRecord& record,
-                    const StoredList& list, const std::string& what,
-                    std::vector<std::string>* bad) {
-  auto report = [&](const std::string& problem) {
-    bad->push_back("epoch " + std::to_string(record.epoch) + " (" +
-                   record.pattern + "): " + what + " " + problem);
-  };
-  const size_t pages = list.page_first_entry.size();
-  if (pages == 0 || list.page_first_entry.front() != 0 ||
-      list.page_first_entry.back() >= list.count ||
-      list.page_first_start.size() != pages) {
+/// Verifies one list end to end: directory invariants, then a full decode
+/// of every page with record counts and fence keys cross-checked against
+/// the directory. With `sorted_starts` (a document store's tag list) the
+/// decoded starts must also strictly increase across the whole list: one
+/// element has one start, so a repeat means the merge emitted a record
+/// twice. `pager` is the read-only page source; pages that fail their
+/// checksum are skipped here (the page scan already reported them), and
+/// the order check restarts after such a hole. Each finding is `report`ed.
+void CheckDeltaList(Pager& pager, const StoredList& list, bool sorted_starts,
+                    const std::function<void(const std::string&)>& report) {
+  if (list.count == 0) return;
+  if (!list.DirectoryValid()) {
     report("has an inconsistent page directory");
     return;
   }
-  for (size_t p = 1; p < pages; ++p) {
-    if (list.page_first_entry[p] <= list.page_first_entry[p - 1] ||
-        list.page_first_start[p] < list.page_first_start[p - 1]) {
-      report("has a non-monotone page directory at slot " + std::to_string(p));
-      return;
-    }
-  }
+  const uint32_t pages = list.PageSpan();
   const RecordLayout& layout = list.layout;
   std::vector<uint8_t> page(Pager::kPageSize);
   std::vector<uint32_t> starts, ends, levels, pointers;
+  bool have_prev = false;
+  uint32_t prev_start = 0;
   for (uint32_t p = 0; p < pages; ++p) {
     if (p >= list.pages.size() ||
         !pager.VerifyPage(list.pages[p], page.data()).ok()) {
+      have_prev = false;  // cannot order-check across a hole
       continue;
     }
     const uint32_t first = list.page_first_entry[p];
@@ -124,6 +116,16 @@ void CheckDeltaList(Pager& pager, const ManifestViewRecord& record,
              std::to_string(starts[0]) + " disagrees with fence key " +
              std::to_string(list.page_first_start[p]));
       return;
+    }
+    if (!sorted_starts) continue;
+    for (uint32_t r = 0; r < expected; ++r) {
+      if (have_prev && starts[r] <= prev_start) {
+        report("starts not strictly increasing at page " + std::to_string(p) +
+               " record " + std::to_string(r));
+        return;
+      }
+      prev_start = starts[r];
+      have_prev = true;
     }
   }
 }
@@ -198,18 +200,22 @@ FsckCatalogReport FsckCatalog(const std::string& path) {
   std::erase_if(report.pager.bad_pages, [&](const auto& bad) {
     return bad.first < durable && !referenced[bad.first];
   });
-  // Delta-format lists: a checksum-clean page can still carry a lying varint
-  // payload (truncated stream, impossible deltas), which the page scan above
-  // cannot see. Decode every compressed page and cross-check the directory.
+  // A checksum-clean page can still carry a lying varint payload (truncated
+  // stream, impossible deltas), which the page scan above cannot see.
+  // Decode every page and cross-check the directory.
   if (report.pager.file_status.ok()) {
     Pager pager(path, Pager::Mode::kReadOnly);
     if (pager.init_status().ok()) {
       auto check = [&](const ManifestViewRecord& record,
                        const StoredList& list, const std::string& what) {
-        if (list.format != ListFormat::kDelta || list.count == 0) return;
+        if (list.count == 0) return;
         ++report.compressed_lists_checked;
-        CheckDeltaList(pager, record, list, what,
-                       &report.bad_compressed_lists);
+        CheckDeltaList(pager, list, /*sorted_starts=*/false,
+                       [&](const std::string& problem) {
+                         report.bad_compressed_lists.push_back(
+                             "epoch " + std::to_string(record.epoch) + " (" +
+                             record.pattern + "): " + what + " " + problem);
+                       });
       };
       for (const ManifestViewRecord* record : live) {
         for (size_t q = 0; q < record->lists.size(); ++q) {
@@ -251,7 +257,7 @@ FsckCatalogReport FsckCatalog(const std::string& path) {
 
 namespace {
 
-/// Leftover "<base>.runN.{a,b}" spill files next to a document store —
+/// Leftover "<base>.runN" spill files next to a document store —
 /// artifacts of an interrupted streaming build.
 std::vector<std::string> FindStrayRuns(const std::string& path) {
   const std::filesystem::path store(path);
@@ -266,62 +272,6 @@ std::vector<std::string> FindStrayRuns(const std::string& path) {
   }
   std::sort(found.begin(), found.end());
   return found;
-}
-
-/// Verifies one fixed-format tag list of a document store: page ranges
-/// inside the durable prefix, strictly increasing starts (one element has
-/// one start; duplicates mean the merge emitted a record twice), and fence
-/// keys agreeing with the first record of each page. Checksum-bad pages are
-/// skipped (the page scan already reported them).
-void CheckDocList(Pager& pager, const ManifestViewRecord& record,
-                  uint32_t durable, std::vector<std::string>* bad) {
-  auto report = [&](const std::string& problem) {
-    bad->push_back(record.pattern + ": " + problem);
-  };
-  const StoredList& list = record.lists[0];
-  if (list.count == 0) return;
-  const std::string run = RunPastPrefix(list, durable);
-  if (!run.empty()) {
-    report("spans pages " + run + " past durable prefix " +
-           std::to_string(durable));
-    return;
-  }
-  const bool is_arena =
-      record.pattern == DocumentStore::kNodesPattern;
-  const uint32_t record_size = list.layout.RecordSize();
-  std::vector<uint8_t> page(Pager::kPageSize);
-  uint32_t prev_start = 0;
-  bool have_prev = false;
-  for (uint32_t p = 0; p < list.PageSpan(); ++p) {
-    if (!pager.VerifyPage(list.pages[p], page.data()).ok()) {
-      have_prev = false;  // cannot order-check across a hole
-      continue;
-    }
-    const uint32_t n = list.RecordsOnPage(p);
-    for (uint32_t r = 0; r < n; ++r) {
-      uint32_t start;
-      std::memcpy(&start, page.data() + static_cast<size_t>(r) * record_size,
-                  4);
-      // The arena is NodeId-ordered, which after live updates is not start
-      // order — only the tag lists promise sorted starts.
-      if (!is_arena) {
-        if (r == 0 && p < list.page_first_start.size() &&
-            list.page_first_start[p] != start) {
-          report("page " + std::to_string(p) + " first start " +
-                 std::to_string(start) + " disagrees with fence key " +
-                 std::to_string(list.page_first_start[p]));
-          return;
-        }
-        if (have_prev && start <= prev_start) {
-          report("starts not strictly increasing at page " +
-                 std::to_string(p) + " record " + std::to_string(r));
-          return;
-        }
-        prev_start = start;
-        have_prev = true;
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -352,7 +302,6 @@ FsckDocStoreReport FsckDocumentStore(const std::string& path) {
 
   const ManifestReplayResult& journal = *replayed;
   report.durable_page_count = journal.durable_page_count;
-  bool arena_seen = false;
   std::vector<std::string> tags;
   for (const ManifestViewRecord& record : journal.installed) {
     if (record.lists.size() != 1) {
@@ -361,16 +310,7 @@ FsckDocStoreReport FsckDocumentStore(const std::string& path) {
                                  " lists (document records hold exactly 1)");
       continue;
     }
-    if (record.pattern == DocumentStore::kNodesPattern) {
-      if (arena_seen) {
-        report.bad_lists.push_back(std::string(DocumentStore::kNodesPattern) +
-                                   ": duplicate node arena record");
-      }
-      arena_seen = true;
-      report.node_count = record.lists[0].count;
-    } else {
-      tags.push_back(record.pattern);
-    }
+    tags.push_back(record.pattern);
   }
   report.tag_count = tags.size();
   std::sort(tags.begin(), tags.end());
@@ -379,15 +319,24 @@ FsckDocStoreReport FsckDocumentStore(const std::string& path) {
       report.bad_lists.push_back(tags[i] + ": duplicate tag record");
     }
   }
-  if (!arena_seen) report.arena_missing = true;
 
   if (report.pager.file_status.ok()) {
     Pager pager(path, Pager::Mode::kReadOnly);
     if (pager.init_status().ok()) {
       for (const ManifestViewRecord& record : journal.installed) {
         if (record.lists.size() != 1) continue;
-        CheckDocList(pager, record, journal.durable_page_count,
-                     &report.bad_lists);
+        auto bad = [&](const std::string& problem) {
+          report.bad_lists.push_back(record.pattern + ": " + problem);
+        };
+        const StoredList& list = record.lists[0];
+        const std::string run =
+            RunPastPrefix(list, journal.durable_page_count);
+        if (!run.empty()) {
+          bad("spans pages " + run + " past durable prefix " +
+              std::to_string(journal.durable_page_count));
+          continue;
+        }
+        CheckDeltaList(pager, list, /*sorted_starts=*/true, bad);
       }
     }
   }
@@ -621,13 +570,11 @@ std::string ToJson(const FsckDocStoreReport& report) {
   out += "  },\n";
   out += "  \"manifest_status\": " +
          JsonQuote(report.manifest_status.ToString()) + ",\n";
-  out += "  \"node_count\": " + std::to_string(report.node_count) + ",\n";
   out += "  \"tag_count\": " + std::to_string(report.tag_count) + ",\n";
   out += "  \"durable_page_count\": " +
          std::to_string(report.durable_page_count) + ",\n";
   out += "  \"corrupt_durable_pages\": " +
          std::to_string(report.corrupt_durable_pages) + ",\n";
-  out += "  \"arena_missing\": " + JsonBool(report.arena_missing) + ",\n";
   out += "  \"data_missing\": " + JsonBool(report.data_missing) + ",\n";
   out += "  \"bad_lists\": " + JsonStringArray(report.bad_lists) + ",\n";
   out += "  \"stray_runs\": " + JsonStringArray(report.stray_runs) + "\n";

@@ -153,9 +153,9 @@ util::StatusOr<RecoveryReport> RepairCatalog(const std::string& path,
 
 /// Result of verifying a paged base-document store (DocumentStore): the
 /// pager file, its manifest checkpoint (the store's table of contents), and
-/// the doc-specific invariants — one list per record, a single "#nodes"
-/// arena, unique tags, page ranges inside the durable prefix, and sorted
-/// starts with fence keys that match the pages they describe. Base-document
+/// the doc-specific invariants — one list per record, unique tags, page
+/// ranges inside the durable prefix, and lists that decode with strictly
+/// increasing starts and fence keys that match the pages they describe. Base-document
 /// corruption is a *different failure domain* than view corruption: views
 /// rebuild from the document, but a rotten document store must be rebuilt
 /// from the source XML — vj_fsck reports it with its own exit code.
@@ -172,15 +172,12 @@ struct FsckDocStoreReport {
   bool orphan = false;
 
   // -- TOC summary (valid when manifest_status is OK) -----------------------
-  uint64_t node_count = 0;
   size_t tag_count = 0;
   uint32_t durable_page_count = 0;
 
   // -- Corruption findings --------------------------------------------------
   /// Checksum/footer failures within the durable prefix.
   uint32_t corrupt_durable_pages = 0;
-  /// The manifest carries no "#nodes" arena record.
-  bool arena_missing = false;
   /// Structural findings per record, as "<pattern>: <problem>" (bad ranges,
   /// duplicate tags, unsorted label lists, fence-key mismatches).
   std::vector<std::string> bad_lists;
@@ -188,7 +185,7 @@ struct FsckDocStoreReport {
   bool data_missing = false;
 
   // -- Crash artifacts ------------------------------------------------------
-  /// Leftover "<path>.runN.{a,b}" spill files from an interrupted build.
+  /// Leftover "<path>.runN" spill files from an interrupted build.
   std::vector<std::string> stray_runs;
 
   bool clean() const {
@@ -196,7 +193,7 @@ struct FsckDocStoreReport {
                         !orphan && stray_runs.empty());
   }
   bool corrupt() const {
-    return corrupt_durable_pages > 0 || arena_missing || data_missing ||
+    return corrupt_durable_pages > 0 || data_missing ||
            !bad_lists.empty() ||
            manifest_status.code() == util::StatusCode::kCorruption ||
            (present && !orphan && !pager.file_status.ok());

@@ -1,9 +1,10 @@
 #include "storage/list_codec.h"
 
 #include <cstring>
+#include <string>
 
 #include "storage/pager.h"
-#include "storage/stored_list.h"
+#include "storage/stored_list.h"  // kNullEntry
 #include "util/check.h"
 
 namespace viewjoin::storage {
@@ -83,58 +84,81 @@ void EncodeRecord(const uint8_t* rec, uint32_t index,
 
 }  // namespace
 
-uint32_t MaxEncodedRecordSize(const RecordLayout& layout) {
+util::Status CheckPageFit(const RecordLayout& layout) {
   // Every field is a varint of a value that fits 34 bits (zigzagged 33-bit
   // deltas, +1), i.e. at most 5 bytes.
-  uint32_t slots = layout.has_pointers ? 2 + layout.child_count : 0;
-  return 5 * (3 * layout.label_count + slots);
+  const uint64_t worst =
+      5ull * (3ull * layout.label_count + layout.PointerSlots());
+  if (layout.label_count == 0 || layout.RecordSize() > Pager::kPageSize ||
+      kPageHeaderSize + worst > Pager::kPageSize) {
+    return util::Status::InvalidArgument(
+        "list record layout (" + std::to_string(layout.label_count) +
+        " labels, " + std::to_string(layout.PointerSlots()) +
+        " pointers) does not fit a " + std::to_string(Pager::kPageSize) +
+        "-byte page; pattern fan-out too wide to materialize");
+  }
+  return util::Status::Ok();
 }
 
-util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records, uint32_t count,
-                                       const RecordLayout& layout) {
-  const uint32_t record_size = layout.RecordSize();
-  if (record_size == 0 ||
-      kPageHeaderSize + MaxEncodedRecordSize(layout) > Pager::kPageSize) {
-    return util::Status::InvalidArgument(
-        "list record too wide for delta page encoding");
+DeltaPageEncoder::DeltaPageEncoder(const RecordLayout& layout)
+    : layout_(layout) {
+  VJ_DCHECK(CheckPageFit(layout).ok());
+  body_.reserve(Pager::kPageSize);
+}
+
+bool DeltaPageEncoder::Add(const uint8_t* record, uint32_t index) {
+  record_.clear();
+  uint32_t prev_start = prev_start_;
+  EncodeRecord(record, index, layout_, &prev_start, &record_);
+  if (kPageHeaderSize + body_.size() + record_.size() > Pager::kPageSize) {
+    VJ_DCHECK(records_ > 0);
+    return false;
   }
+  if (records_ == 0) {
+    first_entry_ = index;
+    std::memcpy(&first_start_, record, 4);
+  }
+  body_.insert(body_.end(), record_.begin(), record_.end());
+  prev_start_ = prev_start;
+  ++records_;
+  return true;
+}
+
+void DeltaPageEncoder::Flush(uint8_t* page) {
+  VJ_DCHECK(records_ > 0);
+  const uint16_t n = static_cast<uint16_t>(records_);
+  std::memcpy(page, &n, 2);
+  std::memset(page + 2, 0, 2);  // flags
+  std::memcpy(page + kPageHeaderSize, body_.data(), body_.size());
+  std::memset(page + kPageHeaderSize + body_.size(), 0,
+              Pager::kPageSize - kPageHeaderSize - body_.size());
+  body_.clear();
+  records_ = 0;
+  prev_start_ = 0;
+}
+
+util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records,
+                                             uint32_t count,
+                                             const RecordLayout& layout) {
+  util::Status fits = CheckPageFit(layout);
+  if (!fits.ok()) return fits;
   DeltaEncoded out;
-  std::vector<uint8_t> body;      // encoded records of the open page
-  std::vector<uint8_t> scratch;   // one speculatively encoded record
-  uint32_t page_records = 0;
-  uint32_t prev_start = 0;
-  uint32_t page_first = 0;
-  auto close_page = [&] {
-    std::vector<uint8_t> page(Pager::kPageSize, 0);
-    uint16_t n = static_cast<uint16_t>(page_records);
-    std::memcpy(page.data(), &n, 2);  // flags at [2,4) stay 0
-    std::memcpy(page.data() + kPageHeaderSize, body.data(), body.size());
-    out.pages.push_back(std::move(page));
-    body.clear();
-    page_records = 0;
-    prev_start = 0;
+  DeltaPageEncoder encoder(layout);
+  auto flush = [&] {
+    out.page_first_entry.push_back(encoder.first_entry());
+    out.page_first_start.push_back(encoder.first_start());
+    out.pages.emplace_back(Pager::kPageSize);
+    encoder.Flush(out.pages.back().data());
   };
+  const size_t record_size = layout.RecordSize();
   for (uint32_t i = 0; i < count; ++i) {
-    const uint8_t* rec = records + static_cast<size_t>(i) * record_size;
-    scratch.clear();
-    EncodeRecord(rec, i, layout, &prev_start, &scratch);
-    if (kPageHeaderSize + body.size() + scratch.size() > Pager::kPageSize) {
-      close_page();
-      // Re-encode with the fresh page's reset delta state.
-      scratch.clear();
-      EncodeRecord(rec, i, layout, &prev_start, &scratch);
+    const uint8_t* rec = records + i * record_size;
+    if (!encoder.Add(rec, i)) {
+      flush();
+      encoder.Add(rec, i);
     }
-    if (page_records == 0) {
-      page_first = i;
-      uint32_t start;
-      std::memcpy(&start, rec, 4);
-      out.page_first_entry.push_back(page_first);
-      out.page_first_start.push_back(start);
-    }
-    body.insert(body.end(), scratch.begin(), scratch.end());
-    ++page_records;
   }
-  if (page_records > 0) close_page();
+  if (!encoder.empty()) flush();
   return out;
 }
 

@@ -9,7 +9,8 @@
 
 namespace viewjoin::storage {
 
-/// On-disk record layouts of a list (all little-endian uint32 fields):
+/// Flat record layouts of a list — the form writers hand records to the
+/// page encoder in (all little-endian uint32 fields):
 ///
 ///  element record  : start, end, level                          (12 bytes)
 ///  LE record       : start, end, level, following, descendant,
@@ -32,7 +33,8 @@ struct RecordLayout {
   bool operator==(const RecordLayout&) const = default;
 };
 
-/// Prefix/delta varint codec for list pages (list format kDelta).
+/// Prefix/delta varint codec for list pages — the one on-page format of
+/// every stored list.
 ///
 /// Page payload layout (within the pager's 4096-byte logical page):
 ///
@@ -53,8 +55,45 @@ struct RecordLayout {
 /// the next record's first label, hence zigzag rather than unsigned deltas.
 ///
 /// Records never span pages; a page holds a variable number of whole
-/// records, so delta lists carry a page directory (first entry index + first
+/// records, so lists carry a page directory (first entry index + first
 /// start per page) in the StoredList metadata for random access.
+
+/// InvalidArgument when a single worst-case record of `layout` could not fit
+/// a page (a pattern whose fan-out makes its LE records too wide).
+util::Status CheckPageFit(const RecordLayout& layout);
+
+/// Fills delta pages one record at a time, so a writer streaming a list
+/// holds one page of it rather than the whole list. The layout must pass
+/// CheckPageFit.
+class DeltaPageEncoder {
+ public:
+  explicit DeltaPageEncoder(const RecordLayout& layout);
+
+  /// Appends one flat record (see RecordLayout) as list entry
+  /// `index` to the open page. Returns false, appending nothing, when the
+  /// page has no room left for it: the caller flushes the page and adds the
+  /// record again, which always fits an empty page.
+  bool Add(const uint8_t* record, uint32_t index);
+
+  bool empty() const { return records_ == 0; }
+  /// Directory entry of the open page: its first record's entry index and
+  /// label-0 start (the fence key).
+  uint32_t first_entry() const { return first_entry_; }
+  uint32_t first_start() const { return first_start_; }
+
+  /// Writes the open page (kPageSize bytes, zero-padded) to `page` and
+  /// starts an empty one. Requires !empty().
+  void Flush(uint8_t* page);
+
+ private:
+  RecordLayout layout_;
+  std::vector<uint8_t> body_;    // encoded records of the open page
+  std::vector<uint8_t> record_;  // one speculatively encoded record
+  uint32_t records_ = 0;
+  uint32_t prev_start_ = 0;
+  uint32_t first_entry_ = 0;
+  uint32_t first_start_ = 0;
+};
 
 /// One encoded list: page payloads (each exactly Pager::kPageSize bytes)
 /// plus the per-page directory.
@@ -64,11 +103,11 @@ struct DeltaEncoded {
   std::vector<uint32_t> page_first_start;  // label 0 start of that record (fence key)
 };
 
-/// Encodes `count` fixed-layout records (the materializer's flat blob) into
-/// delta pages. InvalidArgument when a single worst-case record could not
-/// fit a page (the delta analogue of the fixed-format fan-out guard).
-util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records, uint32_t count,
-                                       const RecordLayout& layout);
+/// Encodes `count` flat records (the materializer's blob) into
+/// delta pages with DeltaPageEncoder. Fails as CheckPageFit does.
+util::StatusOr<DeltaEncoded> EncodeDeltaList(const uint8_t* records,
+                                             uint32_t count,
+                                             const RecordLayout& layout);
 
 /// Decodes one delta page into struct-of-arrays scratch. `starts`/`ends`/
 /// `levels` receive label_count * expected_records values (record-major);
@@ -96,9 +135,6 @@ inline size_t DecodedValues(const RecordLayout& layout, uint32_t records) {
 util::Status DecodeDeltaPage(const uint8_t* payload, const RecordLayout& layout,
                              uint32_t first_entry, uint32_t expected_records,
                              uint32_t* out);
-
-/// Worst-case encoded size of one record — the page-fit guard bound.
-uint32_t MaxEncodedRecordSize(const RecordLayout& layout);
 
 }  // namespace viewjoin::storage
 

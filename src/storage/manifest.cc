@@ -81,6 +81,8 @@ class PayloadReader {
 
   bool failed() const { return failed_; }
   bool exhausted() const { return pos_ == size_; }
+  /// Marks the payload undecodable (a field holds a value no writer emits).
+  void Fail() { failed_ = true; }
 
  private:
   bool Take(size_t n) {
@@ -96,6 +98,10 @@ class PayloadReader {
   size_t pos_ = 0;
   bool failed_ = false;
 };
+
+/// The list format byte: every list is delta pages (list_codec.h), and a
+/// record carrying any other value does not decode.
+constexpr uint8_t kDeltaFormat = 1;
 
 /// Format-byte flag of a list whose page table is more than one run; the
 /// runs then follow the fence keys. A single-run list spends no bytes on
@@ -115,11 +121,10 @@ void EncodeStoredList(std::vector<uint8_t>& out, const StoredList& list) {
   PutU32(out, list.layout.label_count);
   PutU8(out, list.layout.has_pointers ? 1 : 0);
   PutU32(out, list.layout.child_count);
-  // v2 extensions: physical format plus the page directory (delta lists)
-  // and fence keys (both formats) that make page-level galloping possible.
+  // v2 extensions: format byte plus the page directory and fence keys that
+  // locate records and make page-level galloping possible.
   const bool multi_run = runs.size() > 1;
-  PutU8(out, static_cast<uint8_t>(list.format) |
-                 (multi_run ? kMultiRunFlag : 0));
+  PutU8(out, kDeltaFormat | (multi_run ? kMultiRunFlag : 0));
   PutU32(out, static_cast<uint32_t>(list.page_first_entry.size()));
   for (uint32_t e : list.page_first_entry) PutU32(out, e);
   PutU32(out, static_cast<uint32_t>(list.page_first_start.size()));
@@ -162,10 +167,7 @@ StoredList DecodeStoredList(PayloadReader& in) {
   uint8_t format = in.U8();
   const bool multi_run = (format & kMultiRunFlag) != 0;
   format &= static_cast<uint8_t>(~kMultiRunFlag);
-  // An unknown format byte cannot pass the record CRC unless a newer
-  // writer produced it; degrade to fixed so ListInRange rejects cleanly.
-  list.format =
-      format <= 1 ? static_cast<ListFormat>(format) : ListFormat::kFixed;
+  if (format != kDeltaFormat) in.Fail();
   uint32_t dir_count = in.U32();
   if (dir_count > ManifestJournal::kMaxPayload / 4) dir_count = 0;
   list.page_first_entry.reserve(dir_count);

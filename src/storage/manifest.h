@@ -124,9 +124,9 @@ struct ManifestReplayResult {
 class ManifestJournal {
  public:
   /// The only version written and read. Each StoredList carries a list
-  /// format byte and the delta page directory / fence keys; a list whose
-  /// page table is several runs sets bit 0x80 of that byte and appends the
-  /// runs.
+  /// format byte (1, delta pages; a record with any other value fails to
+  /// decode) and the page directory / fence keys; a list whose page table
+  /// is several runs sets bit 0x80 of that byte and appends the runs.
   static constexpr uint32_t kFormatVersion = 2;
   /// Sanity cap on one record's payload (a view with thousands of lists is
   /// still far below this); a larger length prefix is treated as garbage.

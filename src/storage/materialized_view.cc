@@ -56,63 +56,30 @@ struct ViewCatalog::StagedPages {
 
 util::StatusOr<StoredList> ViewCatalog::StageList(
     StagedPages& staged, const std::vector<uint8_t>& bytes, RecordLayout layout,
-    uint32_t count, ListFormat format) {
+    uint32_t count) {
+  // Wide fan-out patterns (LE child pointers grow the record by one slot per
+  // pc/ad child) must be rejected here, at materialization, with a typed
+  // error — not fail later in the page encoder or the cursor.
+  util::Status fits = CheckPageFit(layout);
+  if (!fits.ok()) return fits;
   StoredList list;
   list.layout = layout;
   list.count = count;
-  list.format = format;
-  uint32_t record_size = layout.RecordSize();
-  // A record wider than one page has no (page, offset) representation:
-  // RecordsPerPage() would be 0 and every PageOf/OffsetOf a division by
-  // zero. Wide fan-out patterns (LE child pointers grow the record by 4
-  // bytes per pc/ad child) must be rejected here, at materialization, with
-  // a typed error — not crash in the cursor arithmetic later.
-  if (record_size == 0 || record_size > Pager::kPageSize) {
-    return util::Status::InvalidArgument(
-        "list record layout (" + std::to_string(record_size) +
-        " bytes) does not fit a " + std::to_string(Pager::kPageSize) +
-        "-byte page; pattern fan-out too wide to materialize");
-  }
   if (count == 0) return list;
-  if (format == ListFormat::kDelta) {
-    util::StatusOr<DeltaEncoded> encoded =
-        EncodeDeltaList(bytes.data(), count, layout);
-    if (!encoded.ok()) return encoded.status();
-    uint32_t pages = static_cast<uint32_t>(encoded->pages.size());
-    list.page_first_entry = std::move(encoded->page_first_entry);
-    list.page_first_start = std::move(encoded->page_first_start);
-    list.AssignRun(staged.base + staged.page_count);
-    staged.payload.resize(
-        static_cast<size_t>(staged.page_count + pages) * Pager::kPageSize, 0);
-    for (uint32_t p = 0; p < pages; ++p) {
-      std::memcpy(staged.payload.data() +
-                      static_cast<size_t>(staged.page_count + p) *
-                          Pager::kPageSize,
-                  encoded->pages[p].data(), Pager::kPageSize);
-    }
-    staged.page_count += pages;
-    return list;
-  }
-  uint32_t per_page = static_cast<uint32_t>(Pager::kPageSize) / record_size;
-  uint32_t pages = (count + per_page - 1) / per_page;
+  util::StatusOr<DeltaEncoded> encoded =
+      EncodeDeltaList(bytes.data(), count, layout);
+  if (!encoded.ok()) return encoded.status();
+  const uint32_t pages = static_cast<uint32_t>(encoded->pages.size());
+  list.page_first_entry = std::move(encoded->page_first_entry);
+  list.page_first_start = std::move(encoded->page_first_start);
   list.AssignRun(staged.base + staged.page_count);
   staged.payload.resize(
       static_cast<size_t>(staged.page_count + pages) * Pager::kPageSize, 0);
-  list.page_first_start.reserve(pages);
   for (uint32_t p = 0; p < pages; ++p) {
-    uint32_t first_record = p * per_page;
-    uint32_t n_records = std::min(per_page, count - first_record);
     std::memcpy(staged.payload.data() +
                     static_cast<size_t>(staged.page_count + p) *
                         Pager::kPageSize,
-                bytes.data() + static_cast<size_t>(first_record) * record_size,
-                static_cast<size_t>(n_records) * record_size);
-    // Fence key: the first record's start label, for page-level galloping.
-    uint32_t fence;
-    std::memcpy(&fence,
-                bytes.data() + static_cast<size_t>(first_record) * record_size,
-                4);
-    list.page_first_start.push_back(fence);
+                encoded->pages[p].data(), Pager::kPageSize);
   }
   staged.page_count += pages;
   return list;
@@ -261,32 +228,11 @@ util::Status MalformedManifest(const std::string& path,
 }
 
 /// Every stored list must lie inside the (checksummed) pager file; a
-/// manifest pointing past the end means one of the two files is stale.
+/// manifest pointing past the end means one of the two files is stale. A
+/// list whose page directory is malformed would send cursors to arbitrary
+/// records, so it is rejected as decisively as an out-of-range page.
 bool ListInRange(const StoredList& list, uint32_t pages) {
-  if (list.count == 0) return true;
-  uint32_t record = list.layout.RecordSize();
-  if (record == 0 || record > Pager::kPageSize) return false;
-  if (list.format == ListFormat::kDelta) {
-    // Delta lists locate records through the page directory; a manifest with
-    // a non-monotone or truncated directory would send cursors to arbitrary
-    // offsets, so reject it as decisively as an out-of-range page.
-    if (list.page_first_entry.empty() ||
-        list.page_first_entry.size() != list.page_first_start.size() ||
-        list.page_first_entry.front() != 0 ||
-        list.page_first_entry.back() >= list.count) {
-      return false;
-    }
-    for (size_t p = 1; p < list.page_first_entry.size(); ++p) {
-      if (list.page_first_entry[p] <= list.page_first_entry[p - 1] ||
-          list.page_first_start[p] < list.page_first_start[p - 1]) {
-        return false;
-      }
-    }
-  } else if (!list.page_first_start.empty() &&
-             list.page_first_start.size() != list.PageSpan()) {
-    return false;
-  }
-  return list.PagesWithin(pages);
+  return list.DirectoryValid() && list.PagesWithin(pages);
 }
 
 }  // namespace
@@ -697,8 +643,10 @@ const MaterializedView* ViewCatalog::Materialize(const Document& doc,
 
 util::StatusOr<const MaterializedView*> ViewCatalog::TryMaterialize(
     const Document& doc, const TreePattern& pattern, Scheme scheme) {
-  VJ_CHECK(pattern.HasUniqueTags())
-      << "view patterns must have unique element types: " << pattern.ToString();
+  if (!pattern.HasUniqueTags()) {
+    return util::Status::InvalidArgument(
+        "view patterns must have unique element types: " + pattern.ToString());
+  }
   tpq::NaiveEvaluator evaluator(doc, pattern);
 
   if (scheme == Scheme::kTuple) {
@@ -712,8 +660,7 @@ util::StatusOr<const MaterializedView*> ViewCatalog::TryMaterialize(
     layout.label_count = static_cast<uint32_t>(pattern.size());
     StagedPages staged;
     util::StatusOr<StoredList> tuples =
-        StageList(staged, bytes, layout, static_cast<uint32_t>(sink.count()),
-                  list_format_);
+        StageList(staged, bytes, layout, static_cast<uint32_t>(sink.count()));
     if (!tuples.ok()) return tuples.status();
     view->tuple_list_ = *tuples;
     view->match_count_ = sink.count();
@@ -758,7 +705,7 @@ util::StatusOr<std::unique_ptr<MaterializedView>> ViewCatalog::StageListView(
     if (!bytes.ok()) return bytes.status();
     util::StatusOr<StoredList> staged_list =
         StageList(staged, *bytes, layout,
-                  static_cast<uint32_t>(labels[q].size()), list_format_);
+                  static_cast<uint32_t>(labels[q].size()));
     if (!staged_list.ok()) return staged_list.status();
     view->lists_[q] = *staged_list;
   }
@@ -944,16 +891,11 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
     RecordLayout layout;
     layout.label_count = 1;
 
-    // Prefix sharing needs per-page fence keys to prove a page holds only
-    // labels below the first change; v1 lists without fences re-encode
-    // fully (prefix_pages stays 0).
+    // The per-page fence keys prove a page holds only labels below the
+    // first change.
     const uint32_t old_pages = old_list.PageSpan();
-    const bool fenced =
-        old_list.count > 0 && old_list.page_first_start.size() == old_pages &&
-        (old_list.format != ListFormat::kDelta ||
-         old_list.page_first_entry.size() == old_pages);
     uint32_t prefix_pages = 0;
-    if (fenced) {
+    if (old_list.count > 0) {
       if (added.empty() && removed.empty()) {
         prefix_pages = old_pages;  // untouched list: share every page
       } else {
@@ -984,20 +926,12 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
     std::vector<Label> tail_old;
     tail_old.reserve(old_list.count - prefix_entries);
     ListCursor cursor(&old_list, pool_.get());
-    cursor.Seek(prefix_entries);
-    if (cursor.block_capable()) {
-      while (!cursor.AtEnd()) {
-        const BlockView block = cursor.CurrentBlock();
-        const uint32_t off = cursor.index() - block.first;
-        for (uint32_t j = off; j < block.count; ++j) {
-          tail_old.push_back({block.starts[j], block.ends[j], block.levels[j]});
-        }
-        cursor.Seek(block.first + block.count);
+    for (cursor.Seek(prefix_entries); !cursor.AtEnd();) {
+      const BlockView block = cursor.CurrentBlock();
+      for (uint32_t j = cursor.index() - block.first; j < block.count; ++j) {
+        tail_old.push_back({block.starts[j], block.ends[j], block.levels[j]});
       }
-    }
-    while (!cursor.AtEnd()) {
-      tail_old.push_back(cursor.LabelAt(0));
-      cursor.Next();
+      cursor.Seek(block.first + block.count);
     }
     util::StatusOr<std::vector<Label>> merged = MergeDelta(
         tail_old, removed, added,
@@ -1006,7 +940,6 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
 
     StoredList list;
     list.layout = layout;
-    list.format = old_list.format;
     list.count = prefix_entries + static_cast<uint32_t>(merged->size());
     if (list.count != 0) {
       // The prefix pages are committed, hence immutable: reference them.
@@ -1015,18 +948,16 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
       list.page_first_start.assign(
           old_list.page_first_start.begin(),
           old_list.page_first_start.begin() + prefix_pages);
-      if (old_list.format == ListFormat::kDelta) {
-        list.page_first_entry.assign(
-            old_list.page_first_entry.begin(),
-            old_list.page_first_entry.begin() + prefix_pages);
-      }
+      list.page_first_entry.assign(
+          old_list.page_first_entry.begin(),
+          old_list.page_first_entry.begin() + prefix_pages);
       if (!merged->empty()) {
         std::vector<uint8_t> bytes;
         bytes.reserve(merged->size() * 12);
         for (const Label& l : *merged) AppendLabel(&bytes, l);
         util::StatusOr<StoredList> tail =
             StageList(staged, bytes, layout,
-                      static_cast<uint32_t>(merged->size()), old_list.format);
+                      static_cast<uint32_t>(merged->size()));
         if (!tail.ok()) return tail.status();
         list.pages.insert(list.pages.end(), tail->pages.begin(),
                           tail->pages.end());
@@ -1159,8 +1090,7 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       RecordLayout layout;
       layout.label_count = static_cast<uint32_t>(pattern.size());
       util::StatusOr<StoredList> tuples =
-          StageList(staged, bytes, layout, static_cast<uint32_t>(sink.count()),
-                    list_format_);
+          StageList(staged, bytes, layout, static_cast<uint32_t>(sink.count()));
       if (!tuples.ok()) {
         remove_sidecar();
         return tuples.status();

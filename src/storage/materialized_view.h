@@ -235,8 +235,9 @@ class ViewCatalog {
                                       const tpq::TreePattern& pattern,
                                       Scheme scheme);
 
-  /// Recoverable materialization: surfaces staging/install failures as a
-  /// Status and leaves the catalog's view list untouched on failure (an
+  /// Recoverable materialization: surfaces a pattern that repeats an element
+  /// type (InvalidArgument) and staging/install failures as a Status and
+  /// leaves the catalog's view list untouched on failure (an
   /// interrupted install leaves at most dead bytes past the durable prefix,
   /// which the next Open truncates).
   util::StatusOr<const MaterializedView*> TryMaterialize(
@@ -410,12 +411,6 @@ class ViewCatalog {
   const MaterializedView* FindView(const std::string& pattern_string,
                                    Scheme scheme) const;
 
-  /// Physical encoding for lists materialized after the call (existing views
-  /// keep the format they were built with; both read fine side by side).
-  /// Defaults to delta.
-  ListFormat list_format() const { return list_format_; }
-  void set_list_format(ListFormat format) { list_format_ = format; }
-
  private:
   /// Payload pages of a view staged in memory before installation.
   struct StagedPages;
@@ -423,16 +418,14 @@ class ViewCatalog {
   ViewCatalog(const std::string& path, size_t pool_pages, bool persistent,
               Pager::Mode mode);
 
-  /// Lays `bytes` (records of `layout`) out into staged pages — verbatim
-  /// fixed records or delta-compressed varint pages per `format`; the
+  /// Encodes `bytes` (records of `layout`) into staged delta pages; the
   /// returned list's page table names staged ids (see StagedPages), which
   /// the install rebases onto final page ids. InvalidArgument when a record
   /// cannot fit one page (pathological pattern fan-out).
   static util::StatusOr<StoredList> StageList(StagedPages& staged,
                                               const std::vector<uint8_t>& bytes,
                                               RecordLayout layout,
-                                              uint32_t count,
-                                              ListFormat format);
+                                              uint32_t count);
 
   /// The install protocol (see class comment). Takes ownership of `view`; on
   /// success the registered pointer is returned.
@@ -557,7 +550,6 @@ class ViewCatalog {
   long checkpoint_bytes_ = 0;
   RecoveryReport recovery_;
   bool persistent_ = false;
-  ListFormat list_format_ = ListFormat::kDelta;
 };
 
 }  // namespace viewjoin::storage

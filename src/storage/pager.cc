@@ -107,7 +107,7 @@ std::function<void(int)>& BackoffHook() {
   return hook;
 }
 
-uint64_t PageOffset(PageId id) {
+uint64_t PhysicalOffset(PageId id) {
   return Pager::kHeaderSize +
          static_cast<uint64_t>(id) * Pager::kPhysicalPageSize;
 }
@@ -318,7 +318,7 @@ util::Status Pager::WritePhysicalPagesLocked(const PageId* ids,
     util::Status landed = file_.WriteAt(
         phys + static_cast<size_t>(run_start) * kPhysicalPageSize,
         static_cast<size_t>(end - run_start) * kPhysicalPageSize,
-        PageOffset(ids[run_start]));
+        PhysicalOffset(ids[run_start]));
     if (landed.ok()) written += end - run_start;
     run_start = end;
     return landed;
@@ -347,7 +347,7 @@ util::Status Pager::WritePhysicalPagesLocked(const PageId* ids,
                 kPhysicalPageSize);
     const size_t write_bytes = ApplyWriteFault(
         fault, page, kPhysicalPageSize, kBitFlipByte, kBitFlipMask);
-    status = file_.WriteAt(page, write_bytes, PageOffset(ids[p]));
+    status = file_.WriteAt(page, write_bytes, PhysicalOffset(ids[p]));
     if (status.ok() && write_bytes < kPhysicalPageSize) {
       status = util::Status::IoError("injected short write of page " +
                                      std::to_string(ids[p]) + " in " + path_);
@@ -386,7 +386,7 @@ util::Status Pager::TruncateToPageCount(uint32_t count) {
         "cannot truncate " + path_ + " to " + std::to_string(count) +
         " pages: only " + std::to_string(page_count_) + " committed"));
   }
-  util::Status truncated = file_.Truncate(PageOffset(count));
+  util::Status truncated = file_.Truncate(PhysicalOffset(count));
   if (!truncated.ok()) return Latch(truncated);
   page_count_ = count;
   return util::Status::Ok();
@@ -400,7 +400,7 @@ util::Status Pager::ReadPhysicalOnce(int fd, PageId id, uint8_t* phys) const {
     return util::Status::IoError("injected read fault on page " +
                                  std::to_string(id) + " in " + path_);
   }
-  if (!File::ReadFull(fd, phys, kPhysicalPageSize, PageOffset(id))) {
+  if (!File::ReadFull(fd, phys, kPhysicalPageSize, PhysicalOffset(id))) {
     return util::Status::IoError("short read of page " + std::to_string(id) +
                                  " in " + path_);
   }

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -17,18 +16,13 @@
 namespace viewjoin::storage {
 
 /// Index of an entry within a stored list; the on-disk encoding of the LE
-/// scheme's child/descendant/following pointers. Entry indexes convert
-/// to/from the paper's (page number, byte offset) pairs arithmetically since
-/// records are fixed-size and never span pages.
+/// scheme's child/descendant/following pointers. The paper's pointers are
+/// (page number, byte offset) pairs; a delta page holds a variable number of
+/// records, so an entry index resolves to its page through the list's page
+/// directory (StoredList::PageIndexOf) instead.
 using EntryIndex = uint32_t;
 
 inline constexpr EntryIndex kNullEntry = 0xFFFFFFFFu;
-
-/// Physical encoding of a list's pages.
-enum class ListFormat : uint8_t {
-  kFixed = 0,  // fixed-size records at arithmetic offsets (original format)
-  kDelta = 1,  // prefix/delta varint pages (list_codec.h) + page directory
-};
 
 /// A maximal run of consecutive pager pages in a list's page table.
 struct PageRun {
@@ -36,8 +30,9 @@ struct PageRun {
   uint32_t count = 0;
 };
 
-/// Metadata of one immutable list stored in a pager file. Created by the
-/// materializer; read through ListCursor.
+/// Metadata of one immutable list stored in a pager file as delta pages
+/// (list_codec.h). Created by the materializer and the document store; read
+/// through ListCursor.
 ///
 /// `pages` is the list's page table: pages[p] is the pager page holding the
 /// list's p-th page, one entry per page of PageSpan(). A list built from
@@ -46,66 +41,38 @@ struct PageRun {
 /// its table is that version's prefix followed by fresh pages. Ids ascend
 /// either way (fresh pages land at the pager's tail).
 ///
-/// kFixed lists locate entries arithmetically (PageOf/OffsetOf). kDelta
-/// pages hold a variable number of whole records, so they carry a page
-/// directory: `page_first_entry[p]` is the entry index of page p's first
-/// record. Both formats carry `page_first_start` fence keys (the first
-/// record's start label per page), which let seeks gallop across pages
-/// without touching them.
+/// Pages hold a variable number of whole records, so the list carries a
+/// page directory: `page_first_entry[p]` is the entry index of page p's
+/// first record, and `page_first_start[p]` that record's start label (the
+/// fence key), which lets seeks gallop across pages without touching them.
 struct StoredList {
   std::vector<PageId> pages;  // page table; empty for an empty list
   uint32_t count = 0;
   RecordLayout layout;
-  ListFormat format = ListFormat::kFixed;
-  std::vector<uint32_t> page_first_entry;  // kDelta only
-  std::vector<uint32_t> page_first_start;  // fence keys, one per page
+  std::vector<uint32_t> page_first_entry;
+  std::vector<uint32_t> page_first_start;
 
-  uint32_t RecordsPerPage() const {
-    VJ_DCHECK(layout.RecordSize() != 0 &&
-              layout.RecordSize() <= Pager::kPageSize);
-    return static_cast<uint32_t>(Pager::kPageSize) / layout.RecordSize();
-  }
-  /// Page/offset of an entry — the paper's pointer representation.
-  PageId PageOf(EntryIndex i) const {
-    VJ_DCHECK(format == ListFormat::kFixed);
-    return pages[i / RecordsPerPage()];
-  }
-  uint32_t OffsetOf(EntryIndex i) const {
-    VJ_DCHECK(format == ListFormat::kFixed);
-    return (i % RecordsPerPage()) * layout.RecordSize();
-  }
   uint32_t PageSpan() const {
-    if (format == ListFormat::kDelta) {
-      return static_cast<uint32_t>(page_first_entry.size());
-    }
-    if (count == 0) return 0;
-    return (count + RecordsPerPage() - 1) / RecordsPerPage();
+    return static_cast<uint32_t>(page_first_entry.size());
   }
   /// Zero-based page holding entry `i`.
   uint32_t PageIndexOf(EntryIndex i) const {
-    if (format == ListFormat::kFixed) return i / RecordsPerPage();
     // Last directory slot with first_entry <= i.
-    uint32_t p = simd::LowerBoundGt(
-        page_first_entry.data(),
-        static_cast<uint32_t>(page_first_entry.size()), i);
+    uint32_t p = simd::LowerBoundGt(page_first_entry.data(), PageSpan(), i);
     VJ_DCHECK(p > 0);
     return p - 1;
   }
-  EntryIndex FirstEntryOfPage(uint32_t p) const {
-    if (format == ListFormat::kFixed) return p * RecordsPerPage();
-    return page_first_entry[p];
-  }
+  EntryIndex FirstEntryOfPage(uint32_t p) const { return page_first_entry[p]; }
   uint32_t RecordsOnPage(uint32_t p) const {
-    EntryIndex first = FirstEntryOfPage(p);
-    EntryIndex next = p + 1 < PageSpan() ? FirstEntryOfPage(p + 1) : count;
-    return next - first;
+    EntryIndex next = p + 1 < PageSpan() ? page_first_entry[p + 1] : count;
+    return next - page_first_entry[p];
   }
-  /// What delta page p decodes under (BufferPool::GetDecoded).
+  /// What page p decodes under (BufferPool::GetDecoded).
   DecodeKey DecodeKeyOf(uint32_t p) const {
     return {FirstEntryOfPage(p), RecordsOnPage(p), layout};
   }
-  /// Sets the page table to the run [first, first + PageSpan()); count,
-  /// format and directory must already be final.
+  /// Sets the page table to the run [first, first + PageSpan()); count and
+  /// directory must already be final.
   void AssignRun(PageId first) {
     pages.resize(PageSpan());
     for (uint32_t p = 0; p < pages.size(); ++p) pages[p] = first + p;
@@ -122,6 +89,27 @@ struct StoredList {
       }
     }
     return runs;
+  }
+  /// True when the page directory can be trusted to locate records: one
+  /// entry and one fence key per page, entries strictly ascending from 0
+  /// and below count, fence keys non-decreasing. An empty list has none.
+  /// A directory that fails this would send cursors to arbitrary records.
+  bool DirectoryValid() const {
+    if (count == 0) {
+      return page_first_entry.empty() && page_first_start.empty();
+    }
+    if (page_first_entry.empty() ||
+        page_first_entry.size() != page_first_start.size() ||
+        page_first_entry.front() != 0 || page_first_entry.back() >= count) {
+      return false;
+    }
+    for (size_t p = 1; p < page_first_entry.size(); ++p) {
+      if (page_first_entry[p] <= page_first_entry[p - 1] ||
+          page_first_start[p] < page_first_start[p - 1]) {
+        return false;
+      }
+    }
+    return true;
   }
   /// True when the table covers exactly PageSpan() pages, all below `limit`
   /// (a pager's page count or durable prefix). False for a record layout no
@@ -158,21 +146,19 @@ struct BlockView {
 
 /// Cursor over a StoredList. Provides sequential Next() and random Seek()
 /// (how pointer jumps land). The cursor reads a page at a time: it holds a
-/// *pin* on its current page, so the page cannot be evicted (and its
-/// pointer never dangles) while the cursor sits on it — even when other
-/// queries thrash the shared pool concurrently — and serves LabelAt/pointer
-/// reads and the galloping/SIMD skip primitives from struct-of-arrays
-/// blocks. A delta page's block is the pool's decoded frame itself, read in
-/// place (the pool decodes each page once per residency); a fixed page is
-/// de-interleaved lazily per field into per-cursor scratch. A page that
-/// fails to read (the pool's poison page) or fails delta decode yields
-/// sentinel records — 0xFFFFFFFF labels, null pointers — so governance sees
-/// the same values under either format.
+/// *pin* on its current page's decoded frame, so the frame cannot be
+/// evicted (and its arrays never dangle) while the cursor sits on it — even
+/// when other queries thrash the shared pool concurrently — and serves
+/// LabelAt/pointer reads and the galloping/SIMD skip primitives from those
+/// struct-of-arrays blocks in place (the pool decodes each page once per
+/// residency). A page that fails to read or to decode yields sentinel
+/// records — 0xFFFFFFFF labels, null pointers — which every algorithm reads
+/// as an exhausted stream.
 ///
 /// A second, memory-backed mode wraps a plain label array instead of a pager
-/// list: the base-document fallback streams the document's own tag lists
-/// through the same cursor interface, so TwigStack runs unchanged when the
-/// view store is unavailable. Memory mode carries no pointers.
+/// list: memory doc mode streams the document's own tag lists through the
+/// same cursor interface, so the join algorithms run unchanged over either.
+/// Memory mode carries no pointers.
 ///
 /// The skip primitives take a checkpoint hook `ck(n)` — charge `n` entries
 /// of governance work, return true to abort (see QueryContext::CheckpointN)
@@ -218,21 +204,20 @@ class ListCursor {
   void Seek(EntryIndex i) { index_ = i; }
 
   /// Label of the current record's `k`-th label (k = 0 for element/LE lists).
-  /// A head on the current block with its label arrays decoded is read in
-  /// line, three array loads; anything else goes through EnsureBlock.
+  /// A head on the current block is read in line, three array loads;
+  /// anything else lands on its page first.
   xml::Label LabelAt(uint32_t k = 0) const {
     if (mem_labels_ != nullptr) {
       VJ_DCHECK(!AtEnd());
       return mem_labels_[index_];
     }
     // Unsigned: an index before the block wraps past its count.
-    const uint32_t offset = index_ - block_.first;
-    if (block_.valid && offset < block_.count &&
-        (block_.fields & kLabelFields) == kLabelFields) {
-      const uint32_t slot = offset * list_->layout.label_count + k;
-      return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
+    if (!block_.valid || index_ - block_.first >= block_.count) {
+      EnsureBlock(index_);
     }
-    return LabelAtSlow(k);
+    const uint32_t slot =
+        (index_ - block_.first) * list_->layout.label_count + k;
+    return {block_.starts[slot], block_.ends[slot], block_.levels[slot]};
   }
 
   EntryIndex Following() const { return PointerAt(0); }
@@ -246,7 +231,7 @@ class ListCursor {
   /// Decoded block containing the current entry (block-capable only).
   BlockView CurrentBlock() const {
     VJ_DCHECK(block_capable() && !AtEnd());
-    EnsureBlock(index_, kLabelFields);
+    EnsureBlock(index_);
     return {block_.first, block_.count, block_.starts, block_.ends,
             block_.levels};
   }
@@ -264,11 +249,9 @@ class ListCursor {
       ++bound;  // first start > old bound == first start >= bound+1
     }
     if (index_ >= size()) return {size(), false};
-    if (list_ != nullptr && !list_->page_first_start.empty()) {
-      return FindFirstStartBlocks(bound, probes, ck);
-    }
-    // Entry-level gallop: memory mode (or a list without fence keys).
-    auto below = [&](EntryIndex i) { return StartAt(i) < bound; };
+    if (list_ != nullptr) return FindFirstStartBlocks(bound, probes, ck);
+    // Memory mode: entry-level gallop.
+    auto below = [&](EntryIndex i) { return mem_labels_[i].start < bound; };
     auto on_probe = [&] {
       ++*probes;
       return ck(1);
@@ -291,40 +274,12 @@ class ListCursor {
     VJ_DCHECK(mem_labels_ != nullptr || list_->layout.label_count == 1);
     if (list_ != nullptr) {
       while (index_ < size()) {
-        EnsureBlock(index_, 0);
-        uint32_t offset = index_ - block_.first;
-        if ((block_.fields & kEndsField) == 0 &&
-            block_.point_reads < kDecodeAfterPointReads) {
-          // Undecoded fixed page: step directly off the page first. Most
-          // pointer-jump landing zones qualify within a few entries, and
-          // de-interleaving a whole page for them would cost more than the
-          // reads it saves. Sustained traffic trips the decode.
-          bool stopped = false;
-          uint32_t passed = 0;
-          while (offset < block_.count &&
-                 block_.point_reads < kDecodeAfterPointReads) {
-            ++block_.point_reads;
-            if (FixedFieldAt(offset, 4) >= bound) {
-              stopped = true;
-              break;
-            }
-            ++offset;
-            ++passed;
-          }
-          *scanned += passed;
-          index_ = block_.first + offset;
-          if (ck(passed > 0 ? passed : 1)) return true;
-          if (stopped) return false;
-          if (offset >= block_.count) {
-            if (one_block) return false;
-            continue;
-          }
-        }
-        EnsureBlock(index_, kEndsField);
-        offset = index_ - block_.first;
-        uint32_t pos = offset + simd::FirstGe(block_.ends + offset,
-                                              block_.count - offset, bound);
-        uint32_t passed = pos - offset;
+        EnsureBlock(index_);
+        const uint32_t offset = index_ - block_.first;
+        const uint32_t pos =
+            offset + simd::FirstGe(block_.ends + offset,
+                                   block_.count - offset, bound);
+        const uint32_t passed = pos - offset;
         *scanned += passed;
         index_ = block_.first + pos;
         if (ck(passed > 0 ? passed : 1)) return true;
@@ -333,7 +288,7 @@ class ListCursor {
       return false;
     }
     // Memory mode: per-entry steps, per-entry checkpoints.
-    while (index_ < size() && EndAt(index_) < bound) {
+    while (index_ < size() && mem_labels_[index_].end < bound) {
       ++index_;
       ++*scanned;
       if (ck(1)) return true;
@@ -363,35 +318,12 @@ class ListCursor {
     }
     if (list_ != nullptr) {
       while (index_ < size()) {
-        EnsureBlock(index_, 0);
-        uint32_t offset = index_ - block_.first;
-        if ((block_.fields & kStartsField) == 0 &&
-            block_.point_reads < kDecodeAfterPointReads) {
-          // Same landing-zone fast path as SkipEndsBelow: probe the fixed
-          // page directly until the adaptive threshold trips a decode.
-          bool stopped = false;
-          uint32_t passed = 0;
-          while (offset < block_.count &&
-                 block_.point_reads < kDecodeAfterPointReads) {
-            ++block_.point_reads;
-            if (FixedFieldAt(offset, 0) >= bound) {
-              stopped = true;
-              break;
-            }
-            ++offset;
-            ++passed;
-          }
-          *scanned += passed;
-          index_ = block_.first + offset;
-          if (ck(passed > 0 ? passed : 1)) return true;
-          if (stopped) return false;
-          if (offset >= block_.count) continue;
-        }
-        EnsureBlock(index_, kStartsField);
-        offset = index_ - block_.first;
-        uint32_t pos = offset + simd::LowerBoundGe(block_.starts + offset,
-                                                   block_.count - offset, bound);
-        uint32_t passed = pos - offset;
+        EnsureBlock(index_);
+        const uint32_t offset = index_ - block_.first;
+        const uint32_t pos =
+            offset + simd::LowerBoundGe(block_.starts + offset,
+                                        block_.count - offset, bound);
+        const uint32_t passed = pos - offset;
         *scanned += passed;
         index_ = block_.first + pos;
         if (ck(passed > 0 ? passed : 1)) return true;
@@ -399,7 +331,7 @@ class ListCursor {
       }
       return false;
     }
-    while (index_ < size() && StartAt(index_) < bound) {
+    while (index_ < size() && mem_labels_[index_].start < bound) {
       ++index_;
       ++*scanned;
       if (ck(1)) return true;
@@ -408,70 +340,29 @@ class ListCursor {
   }
 
  private:
-  /// Which SoA arrays of the current block hold decoded data. Delta pages
-  /// arrive fully decoded from the pool (varints have no random access);
-  /// fixed pages decode *lazily per field* — a pointer-jump landing that
-  /// reads two labels must not pay for de-interleaving a whole page of
-  /// records.
-  enum BlockField : uint32_t {
-    kStartsField = 1,
-    kEndsField = 2,
-    kLevelsField = 4,
-    kPointersField = 8,
-    kLabelFields = kStartsField | kEndsField | kLevelsField,
-    kAllBlockFields = kLabelFields | kPointersField,
-  };
-
-  /// Point reads served straight off an undecoded fixed page before the
-  /// cursor decodes it: sparse landings (pointer chasing) stay cheap, while
-  /// a page that sees sustained traffic (sequential scans, repeated seeks)
-  /// trips the decode and amortizes it over the rest of the page.
-  static constexpr uint32_t kDecodeAfterPointReads = 16;
-
   struct Block {
-    bool valid = false;      // first/count/pin describe the current page
-    uint32_t fields = 0;     // BlockField bitmask of decoded arrays
-    uint32_t point_reads = 0;  // direct reads on this page so far
+    bool valid = false;  // first/count/pin describe the current page
     EntryIndex first = 0;
     uint32_t count = 0;
     const uint32_t* starts = nullptr;  // label_count-strided, record-major
     const uint32_t* ends = nullptr;
     const uint32_t* levels = nullptr;
     const uint32_t* pointers = nullptr;  // PointerSlots()-strided
-    /// Cursor-private arrays in list_codec.h's single-buffer layout: a fixed
-    /// page's lazily decoded fields, or a delta page the pool could not
-    /// serve from a frame (sentinels, or a private decode).
+    /// Cursor-private arrays in list_codec.h's single-buffer layout, for a
+    /// page the pool could not serve from a frame (sentinels, or a private
+    /// decode).
     std::vector<uint32_t> scratch;
   };
 
-  /// Makes block_ describe (and pin_ hold) the page containing entry `i`,
-  /// with at least the `wanted` BlockField arrays decoded. Landing on a
-  /// delta page pins its decoded frame; landing on a fixed page decodes
-  /// nothing until a field is wanted. No-op when already satisfied.
-  void EnsureBlock(EntryIndex i, uint32_t wanted) const;
-
-  /// LabelAt off the in-line path: lands on the page first, then reads the
-  /// record directly (undecoded fixed page) or from the decoded block.
-  xml::Label LabelAtSlow(uint32_t k) const;
+  /// Makes block_ describe (and pin_ hold) the decoded page containing
+  /// entry `i`. No-op when already there.
+  void EnsureBlock(EntryIndex i) const;
 
   /// Queues background fetches for the pages after `page` (a page index
   /// within the list), up to the pool's read-ahead depth and clamped to the
   /// list's page span. Tracks the furthest page already queued so a cursor
   /// grinding through one page does not re-enqueue its successors.
   void MaybeReadAhead(uint32_t page) const;
-
-  /// One uint32 field of the record at `offset` within the current *fixed*
-  /// block, read straight off the pinned page (`byte_off` is the field's
-  /// offset within the record). The undecoded point-read path.
-  uint32_t FixedFieldAt(uint32_t offset, uint32_t byte_off) const {
-    uint32_t value;
-    std::memcpy(&value,
-                pin_.data() +
-                    static_cast<size_t>(offset) * list_->layout.RecordSize() +
-                    byte_off,
-                4);
-    return value;
-  }
 
   /// Fence-directed seek: gallop page fences, then binary-search one block.
   template <typename Ck>
@@ -498,32 +389,10 @@ class ListCursor {
       return {std::max(index_, safe), true};
     }
     uint32_t page = fence.pos > from_page ? fence.pos - 1 : from_page;
-    EnsureBlock(list_->FirstEntryOfPage(page), 0);
+    EnsureBlock(list_->FirstEntryOfPage(page));
     ++*probes;  // the block's binary search touches one page
     if (ck(1)) return {std::max(index_, block_.first), true};
-    uint32_t pos;
-    if ((block_.fields & kStartsField) != 0) {
-      pos = simd::LowerBoundGe(block_.starts, block_.count, bound);
-    } else {
-      // Undecoded fixed page: a log2(n) strided binary search beats
-      // de-interleaving the page for a single seek; repeated seeks against
-      // the same page accumulate point reads and trip the decode.
-      uint32_t lo = 0;
-      uint32_t hi = block_.count;
-      while (lo < hi) {
-        uint32_t mid = lo + (hi - lo) / 2;
-        if (FixedFieldAt(mid, 0) < bound) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      pos = lo;
-      block_.point_reads += 8;  // ~the search's probe count
-      if (block_.point_reads >= kDecodeAfterPointReads) {
-        EnsureBlock(block_.first, kStartsField);
-      }
-    }
+    const uint32_t pos = simd::LowerBoundGe(block_.starts, block_.count, bound);
     EntryIndex found = pos < block_.count
                            ? block_.first + pos
                            : (page + 1 < pages
@@ -532,22 +401,12 @@ class ListCursor {
     return {std::max(index_, found), false};
   }
 
-  /// Random-access field reads that do not move the cursor (probe reads).
-  uint32_t StartAt(EntryIndex i) const;
-  uint32_t EndAt(EntryIndex i) const;
-
   EntryIndex PointerAt(uint32_t slot) const {
     VJ_DCHECK(list_ != nullptr && list_->layout.has_pointers);
-    EnsureBlock(index_, 0);
-    if ((block_.fields & kPointersField) == 0) {
-      // Fixed pages never SoA-decode pointers: each is read at most a
-      // couple of times per record, so the direct read always wins.
-      return FixedFieldAt(index_ - block_.first,
-                          12 * list_->layout.label_count + 4 * slot);
-    }
-    uint32_t idx =
-        (index_ - block_.first) * list_->layout.PointerSlots() + slot;
-    return block_.pointers[idx];
+    EnsureBlock(index_);
+    return block_.pointers[(index_ - block_.first) *
+                               list_->layout.PointerSlots() +
+                           slot];
   }
 
   const StoredList* list_ = nullptr;

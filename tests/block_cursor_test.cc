@@ -1,11 +1,11 @@
 // Block-at-a-time cursor tests: the SIMD scan kernels against scalar
 // references, the overflow-safe gallop helper, the delta codec round trip,
-// the buffer pool's decoded delta frames (fill once, key checks, discard,
+// the buffer pool's decoded frames (fill once, key checks, discard,
 // read-ahead, sentinel pages, concurrent cold landings), randomized
-// differential checks of both list formats against a scalar oracle over
-// fixed pages, the wide-fan-out materialization guard, abort soundness of
-// the skip primitives, and fsck's verification of the compressed list
-// format.
+// differential checks of stored-list cursors against the source label
+// arrays and a memory-mode cursor over them, the wide-fan-out
+// materialization guard, abort soundness of the skip primitives, and
+// fsck's verification of list pages.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +39,6 @@ using storage::GallopLowerBound;
 using storage::GallopResult;
 using storage::kNullEntry;
 using storage::ListCursor;
-using storage::ListFormat;
 using storage::MaterializedView;
 using storage::PageId;
 using storage::Pager;
@@ -349,9 +348,11 @@ TEST(DeltaCodecTest, TruncatedRecordsAreCorruption) {
 // ---- Decoded frames in the buffer pool --------------------------------------
 
 /// A random delta list written to a pager file, one pager page per list
-/// page, with the decode key and reference decode of every page.
+/// page, with its source records and the decode key and reference decode of
+/// every page.
 struct DeltaFile {
   std::unique_ptr<Pager> pager;
+  std::vector<uint8_t> blob;  // the source records (RandomRecords)
   StoredList list;
   std::vector<DecodeKey> keys;
   std::vector<std::vector<uint32_t>> decoded;
@@ -366,19 +367,42 @@ std::vector<uint32_t> ReferenceDecode(const uint8_t* page,
   return out;
 }
 
+/// With `sorted_starts`, the records are reordered by their first start,
+/// the order single-label lists keep and the seek primitives rely on.
 DeltaFile WriteDeltaFile(const char* name, const RecordLayout& layout,
-                         uint32_t count, uint64_t seed) {
+                         uint32_t count, uint64_t seed,
+                         bool sorted_starts = false) {
   DeltaFile file;
   const std::string path = TempPath(name);
   std::remove(path.c_str());
   file.pager = std::make_unique<Pager>(path);
   util::Rng rng(seed);
-  std::vector<uint8_t> blob = RandomRecords(&rng, count, layout);
-  auto encoded = storage::EncodeDeltaList(blob.data(), count, layout);
+  file.blob = RandomRecords(&rng, count, layout);
+  if (sorted_starts) {
+    const size_t size = layout.RecordSize();
+    std::vector<std::vector<uint8_t>> records;
+    for (size_t at = 0; at < file.blob.size(); at += size) {
+      records.emplace_back(file.blob.begin() + at,
+                           file.blob.begin() + at + size);
+    }
+    auto start = [](const std::vector<uint8_t>& rec) {
+      uint32_t s;
+      std::memcpy(&s, rec.data(), 4);
+      return s;
+    };
+    std::stable_sort(records.begin(), records.end(),
+                     [&](const auto& a, const auto& b) {
+                       return start(a) < start(b);
+                     });
+    file.blob.clear();
+    for (const auto& rec : records) {
+      file.blob.insert(file.blob.end(), rec.begin(), rec.end());
+    }
+  }
+  auto encoded = storage::EncodeDeltaList(file.blob.data(), count, layout);
   EXPECT_TRUE(encoded.ok());
   file.list.count = count;
   file.list.layout = layout;
-  file.list.format = ListFormat::kDelta;
   file.list.page_first_entry = encoded->page_first_entry;
   file.list.page_first_start = encoded->page_first_start;
   for (uint32_t p = 0; p < encoded->pages.size(); ++p) {
@@ -409,7 +433,6 @@ TEST(DecodedFrameTest, WarmFetchesReadTheFrameWithoutDecoding) {
   for (size_t p = 0; p < file.list.pages.size(); ++p) {
     BufferPool::PinnedPage pin =
         pool.GetDecoded(file.list.pages[p], file.keys[p], &scratch);
-    EXPECT_EQ(pin.data(), nullptr) << "decoded frames keep no raw bytes";
     EXPECT_EQ(Values(pin, file.keys[p]), file.decoded[p]);
   }
   const uint64_t decoded = pool.pages_decoded();
@@ -672,19 +695,118 @@ TEST(DecodedFrameTest, PrefetchFillsDecodedFrames) {
   pool.SetReadAhead(0);
 }
 
-// ---- Differential: both formats against a scalar fixed-page oracle ---------
+// ---- Differential: stored-list cursors against the source arrays ----------
 
-/// Reads fixed-format entry `i` of `list` the plain way — pin the page at
-/// PageOf(i), memcpy the record at OffsetOf(i) — with none of the cursor's
-/// block decoding: its label and its following pointer.
-void ReadFixedEntry(const StoredList& list, BufferPool* pool, EntryIndex i,
-                    Label* label, EntryIndex* following) {
-  BufferPool::PinnedPage pin = pool->GetPage(list.PageOf(i));
-  const uint8_t* rec = pin.data() + list.OffsetOf(i);
-  std::memcpy(&label->start, rec, 4);
-  std::memcpy(&label->end, rec + 4, 4);
-  std::memcpy(&label->level, rec + 8, 4);
-  std::memcpy(following, rec + 12 * list.layout.label_count, 4);
+/// Runs every cursor primitive over `cursor` at random positions and bounds
+/// and checks it against `labels`, the list's source labels — and against a
+/// memory-mode cursor over the same labels. `follows`, when given, are the
+/// source following pointers. Bounds are drawn below `bound_limit`.
+void ExpectCursorMatchesSource(ListCursor& cursor,
+                               const std::vector<Label>& labels,
+                               const std::vector<EntryIndex>* follows,
+                               uint32_t bound_limit, util::Rng* rng) {
+  const uint32_t n = static_cast<uint32_t>(labels.size());
+  ASSERT_EQ(cursor.size(), n);
+  ASSERT_GT(n, 0u);
+  ListCursor mem(labels.data(), n);
+  auto never = [](uint32_t) { return false; };
+
+  // Sequential labels + pointers.
+  cursor.Reset();
+  for (uint32_t i = 0; i < n; ++i, cursor.Next()) {
+    ASSERT_EQ(cursor.LabelAt(), labels[i]) << "entry " << i;
+    if (follows != nullptr) {
+      ASSERT_EQ(cursor.Following(), (*follows)[i]);
+    }
+  }
+
+  // Random FindFirstStart probes, strict and non-strict, from random cursor
+  // positions, with ck-charge units matching the probe count.
+  for (int t = 0; t < 40; ++t) {
+    uint32_t from = rng->Uniform(n + 1);
+    uint32_t bound = t % 5 == 0 ? labels[rng->Uniform(n)].start
+                                : static_cast<uint32_t>(
+                                      rng->Uniform(bound_limit));
+    bool strict = (t & 1) != 0;
+    uint32_t expected = from;
+    while (expected < n && (strict ? labels[expected].start <= bound
+                                   : labels[expected].start < bound)) {
+      ++expected;
+    }
+    cursor.Seek(from);
+    uint64_t probes = 0;
+    uint64_t charged = 0;
+    SeekOutcome out =
+        cursor.FindFirstStart(bound, strict, &probes, [&](uint32_t c) {
+          charged += c;
+          return false;
+        });
+    ASSERT_FALSE(out.aborted);
+    ASSERT_EQ(out.pos, expected)
+        << "from " << from << " bound " << bound << " strict " << strict;
+    ASSERT_EQ(cursor.index(), from) << "FindFirstStart must not move";
+    // Governance accounting pins: every probe charged, exactly once.
+    ASSERT_EQ(charged, probes);
+    mem.Seek(from);
+    uint64_t mem_probes = 0;
+    ASSERT_EQ(mem.FindFirstStart(bound, strict, &mem_probes, never).pos,
+              expected);
+  }
+
+  // SkipEndsBelow / SkipStartsBelow land on the same entries.
+  for (int t = 0; t < 40; ++t) {
+    uint32_t from = rng->Uniform(n + 1);
+    uint32_t bound = static_cast<uint32_t>(rng->Uniform(bound_limit));
+    uint32_t expect_end = from;
+    while (expect_end < n && labels[expect_end].end < bound) ++expect_end;
+    cursor.Seek(from);
+    uint64_t scanned = 0;
+    ASSERT_FALSE(
+        cursor.SkipEndsBelow(bound, /*one_block=*/false, &scanned, never));
+    ASSERT_EQ(cursor.index(), expect_end);
+    ASSERT_EQ(scanned, expect_end - from) << "every passed entry is counted";
+
+    uint32_t expect_start = from;
+    while (expect_start < n && labels[expect_start].start < bound) {
+      ++expect_start;
+    }
+    cursor.Seek(from);
+    scanned = 0;
+    ASSERT_FALSE(
+        cursor.SkipStartsBelow(bound, /*strict=*/false, &scanned, never));
+    ASSERT_EQ(cursor.index(), expect_start);
+    ASSERT_EQ(scanned, expect_start - from);
+  }
+}
+
+TEST(BlockCursorTest, EncodedListsAgreeWithTheirSourceRecords) {
+  // Random records, duplicate starts and null/far pointers included, read
+  // back through pooled cursors whose pool holds only a few of the pages.
+  util::Rng rng(23);
+  for (const RecordLayout& layout :
+       {RecordLayout{1, false, 0}, RecordLayout{1, true, 0},
+        RecordLayout{1, true, 3}}) {
+    DeltaFile file = WriteDeltaFile("diff_records.db", layout, 6000, 29,
+                                    /*sorted_starts=*/true);
+    ASSERT_GE(file.list.PageSpan(), 3u);
+    const uint32_t n = file.list.count;
+    const uint32_t record_size = layout.RecordSize();
+    std::vector<Label> labels(n);
+    std::vector<EntryIndex> follows(n, kNullEntry);
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint8_t* rec = file.blob.data() + size_t{i} * record_size;
+      std::memcpy(&labels[i].start, rec, 4);
+      std::memcpy(&labels[i].end, rec + 4, 4);
+      std::memcpy(&labels[i].level, rec + 8, 4);
+      if (layout.has_pointers) std::memcpy(&follows[i], rec + 12, 4);
+    }
+    BufferPool pool(file.pager.get(), 4);
+    ListCursor cursor(&file.list, &pool);
+    ExpectCursorMatchesSource(cursor, labels,
+                              layout.has_pointers ? &follows : nullptr,
+                              labels.back().start + 2000, &rng);
+    if (HasFatalFailure()) return;
+  }
 }
 
 struct CursorStore {
@@ -693,121 +815,37 @@ struct CursorStore {
 };
 
 CursorStore BuildStore(const xml::Document& doc, const char* path,
-                       ListFormat format, Scheme scheme) {
+                       Scheme scheme) {
   CursorStore store;
   store.catalog = std::make_unique<ViewCatalog>(TempPath(path), 128);
-  store.catalog->set_list_format(format);
   store.view = store.catalog->Materialize(doc, MustParse("//a//b"), scheme);
   return store;
 }
 
-TEST(BlockCursorTest, BothFormatsAgreeWithScalarFixedOracle) {
+TEST(BlockCursorTest, MaterializedListsAgreeWithTheDocument) {
   util::Rng rng(23);
   for (uint64_t seed : {1u, 2u, 3u}) {
     util::Rng doc_rng(seed);
     xml::Document doc =
         testing::RandomDoc(&doc_rng, 3000, {"a", "b", "c"});
+    // The b list of //a//b: every b with an a ancestor, in document order.
+    const xml::TagId a = doc.FindTag("a");
+    std::vector<Label> labels;
+    for (xml::NodeId b : doc.NodesOfTag(doc.FindTag("b"))) {
+      xml::NodeId up = doc.Parent(b);
+      while (up != xml::kInvalidNode && doc.NodeTag(up) != a) {
+        up = doc.Parent(up);
+      }
+      if (up != xml::kInvalidNode) labels.push_back(doc.NodeLabel(b));
+    }
     for (Scheme scheme :
          {Scheme::kLinkedElement, Scheme::kLinkedElementPartial}) {
-      CursorStore fixed =
-          BuildStore(doc, "diff_fixed.db", ListFormat::kFixed, scheme);
-      CursorStore delta =
-          BuildStore(doc, "diff_delta.db", ListFormat::kDelta, scheme);
-      const StoredList* ref_list = &fixed.view->list(1);  // the b list
-      ASSERT_GT(ref_list->count, 0u);
-      const uint32_t n = ref_list->count;
-
-      // Reference answers read straight off the fixed pages.
-      std::vector<Label> labels(n);
-      std::vector<EntryIndex> follows(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        ReadFixedEntry(*ref_list, fixed.catalog->pool(), i, &labels[i],
-                       &follows[i]);
-      }
-
-      // Memory-backed cursor participates in the label differential.
-      std::vector<Label> mem_copy = labels;
-
-      auto never = [](uint32_t) { return false; };
-      for (int variant = 0; variant < 2; ++variant) {
-        const CursorStore& store = variant == 0 ? fixed : delta;
-        ListCursor cursor(&store.view->list(1), store.catalog->pool());
-        ListCursor mem(mem_copy.data(), n);
-
-        // Sequential labels + pointers.
-        for (uint32_t i = 0; i < n; ++i, cursor.Next()) {
-          ASSERT_EQ(cursor.LabelAt(), labels[i])
-              << "variant " << variant << " entry " << i;
-          ASSERT_EQ(cursor.Following(), follows[i]);
-        }
-
-        // Random FindFirstStart probes, strict and non-strict, from random
-        // cursor positions, with ck-charge units matching the probe count.
-        for (int t = 0; t < 40; ++t) {
-          uint32_t from = rng.Uniform(n + 1);
-          uint32_t bound =
-              t % 5 == 0
-                  ? labels[rng.Uniform(n)].start
-                  : static_cast<uint32_t>(
-                        rng.Uniform(2 * doc.NodeCount() + 2));
-          bool strict = (t & 1) != 0;
-          uint32_t expected = from;
-          while (expected < n &&
-                 (strict ? labels[expected].start <= bound
-                         : labels[expected].start < bound)) {
-            ++expected;
-          }
-          cursor.Seek(from);
-          uint64_t probes = 0;
-          uint64_t charged = 0;
-          SeekOutcome out = cursor.FindFirstStart(
-              bound, strict, &probes, [&](uint32_t c) {
-                charged += c;
-                return false;
-              });
-          ASSERT_FALSE(out.aborted);
-          ASSERT_EQ(out.pos, expected)
-              << "variant " << variant << " from " << from << " bound "
-              << bound << " strict " << strict;
-          ASSERT_EQ(cursor.index(), from) << "FindFirstStart must not move";
-          // Governance accounting pins: every probe charged, exactly once.
-          ASSERT_EQ(charged, probes);
-          mem.Seek(from);
-          uint64_t mem_probes = 0;
-          ASSERT_EQ(mem.FindFirstStart(bound, strict, &mem_probes, never).pos,
-                    expected);
-        }
-
-        // SkipEndsBelow / SkipStartsBelow land on the same entries.
-        for (int t = 0; t < 40; ++t) {
-          uint32_t from = rng.Uniform(n + 1);
-          uint32_t bound =
-              static_cast<uint32_t>(rng.Uniform(2 * doc.NodeCount() + 2));
-          uint32_t expect_end = from;
-          while (expect_end < n && labels[expect_end].end < bound) {
-            ++expect_end;
-          }
-          cursor.Seek(from);
-          uint64_t scanned = 0;
-          ASSERT_FALSE(
-              cursor.SkipEndsBelow(bound, /*one_block=*/false, &scanned,
-                                   never));
-          ASSERT_EQ(cursor.index(), expect_end);
-          ASSERT_EQ(scanned, expect_end - from)
-              << "every passed entry is counted";
-
-          uint32_t expect_start = from;
-          while (expect_start < n && labels[expect_start].start < bound) {
-            ++expect_start;
-          }
-          cursor.Seek(from);
-          scanned = 0;
-          ASSERT_FALSE(cursor.SkipStartsBelow(bound, /*strict=*/false,
-                                              &scanned, never));
-          ASSERT_EQ(cursor.index(), expect_start);
-          ASSERT_EQ(scanned, expect_start - from);
-        }
-      }
+      CursorStore store = BuildStore(doc, "diff_view.db", scheme);
+      ListCursor cursor(&store.view->list(1), store.catalog->pool());
+      ExpectCursorMatchesSource(
+          cursor, labels, nullptr,
+          static_cast<uint32_t>(2 * doc.NodeCount() + 2), &rng);
+      if (HasFatalFailure()) return;
     }
   }
 }
@@ -816,18 +854,18 @@ TEST(BlockCursorTest, BothFormatsAgreeWithScalarFixedOracle) {
 
 TEST(FanOutGuardTest, RecordWiderThanPageIsATypedError) {
   // 1025 pc-children make an LE record 20 + 4*1025 = 4120 bytes — wider
-  // than a page, so no (page, offset) encoding exists. This must surface as
-  // InvalidArgument at materialization, not a division crash in cursor
-  // arithmetic.
+  // than a page. 814 children fit 3276 bytes, but a worst-case encoded
+  // record (5 bytes for each of 3 + 816 fields, behind the 4-byte page
+  // header) does not. Both must surface as InvalidArgument at
+  // materialization, not fail later in the encoder or a cursor.
   xml::Document doc = testing::MakeDoc("r(x)");
-  tpq::TreePattern wide;
-  int root = wide.AddNode("r", -1, tpq::Axis::kDescendant);
-  for (int i = 0; i < 1025; ++i) {
-    wide.AddNode("c" + std::to_string(i), root, tpq::Axis::kChild);
-  }
-  for (ListFormat format : {ListFormat::kFixed, ListFormat::kDelta}) {
+  for (int children : {1025, 814}) {
+    tpq::TreePattern wide;
+    int root = wide.AddNode("r", -1, tpq::Axis::kDescendant);
+    for (int i = 0; i < children; ++i) {
+      wide.AddNode("c" + std::to_string(i), root, tpq::Axis::kChild);
+    }
     ViewCatalog catalog(TempPath("fanout.db"), 16);
-    catalog.set_list_format(format);
     auto result =
         catalog.TryMaterialize(doc, wide, Scheme::kLinkedElement);
     ASSERT_FALSE(result.ok());
@@ -842,8 +880,7 @@ TEST(FanOutGuardTest, RecordWiderThanPageIsATypedError) {
 TEST(FindFirstStartAbortTest, CutShortSeeksNeverSkipLiveEntries) {
   util::Rng doc_rng(31);
   xml::Document doc = testing::RandomDoc(&doc_rng, 4000, {"a", "b"});
-  CursorStore store = BuildStore(doc, "abort_seek.db", ListFormat::kDelta,
-                                 Scheme::kLinkedElement);
+  CursorStore store = BuildStore(doc, "abort_seek.db", Scheme::kLinkedElement);
   const StoredList* list = &store.view->list(1);
   const uint32_t n = list->count;
   ASSERT_GT(n, 100u);
@@ -887,16 +924,14 @@ TEST(FsckDeltaTest, VerifiesCompressedListsAndFlagsLyingPayloads) {
   storage::PageId victim;
   {
     ViewCatalog catalog(path, 64, /*persistent=*/true);
-    catalog.set_list_format(ListFormat::kDelta);
     const MaterializedView* view =
         catalog.Materialize(doc, MustParse("//a//b"), Scheme::kLinkedElement);
-    ASSERT_EQ(view->list(0).format, ListFormat::kDelta);
     victim = view->list(0).pages.front();
     ASSERT_TRUE(catalog.Close().ok());
   }
   storage::FsckCatalogReport clean = storage::FsckCatalog(path);
   EXPECT_TRUE(clean.clean()) << storage::ToJson(clean);
-  EXPECT_GE(clean.compressed_lists_checked, 2u);  // both lists are delta
+  EXPECT_GE(clean.compressed_lists_checked, 2u);  // both lists
   EXPECT_TRUE(clean.bad_compressed_lists.empty());
 
   // Overwrite one compressed page with checksum-valid zeros: the page scan

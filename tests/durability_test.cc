@@ -343,6 +343,87 @@ TEST(ManifestJournalTest, RetiredHeadersAreCorruptionForEveryReader) {
   CleanupStore(doc_path);
 }
 
+/// Rewrites the list format byte of the first view list in every install
+/// record of the journal `bytes` to `format` and re-seals each record's
+/// CRC. Install payload: u64 epoch, u8 scheme, u16 + pattern, three u64
+/// counters, u32 page count, then the (here empty, 26-byte) tuple list, a
+/// u32 list count and the lists, whose format byte follows 17 bytes of
+/// first page, count and layout.
+std::string WithListFormatByte(std::string bytes, uint8_t format) {
+  auto u32_at = [&bytes](size_t at) {
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[at + i])) << 8 * i;
+    }
+    return v;
+  };
+  size_t installs = 0;
+  for (size_t pos = 16; pos + 5 <= bytes.size();) {
+    const uint32_t length = u32_at(pos);
+    const size_t payload = pos + 5;
+    if (bytes[pos + 4] ==
+        static_cast<char>(storage::ManifestRecordType::kInstall)) {
+      const size_t pattern = static_cast<uint8_t>(bytes[payload + 9]) |
+                             static_cast<uint8_t>(bytes[payload + 10]) << 8;
+      const size_t tuple_list = payload + 39 + pattern;
+      EXPECT_EQ(u32_at(tuple_list + 4), 0u) << "tuple list not empty";
+      const size_t byte = tuple_list + 26 + 4 + 17;
+      bytes[byte] = static_cast<char>((bytes[byte] & 0x80) | format);
+      const uint32_t crc = util::Crc32(bytes.data() + pos + 4, 1 + length);
+      for (int i = 0; i < 4; ++i) {
+        bytes[payload + length + i] = static_cast<char>(crc >> 8 * i);
+      }
+      ++installs;
+    }
+    pos = payload + length + 4;
+  }
+  EXPECT_GT(installs, 0u);
+  return bytes;
+}
+
+TEST(ManifestJournalTest, RetiredListFormatByteIsCorruptionForEveryReader) {
+  // Format byte 0 named the fixed-record list pages no build writes any
+  // more. A record carrying it must fail to decode for every reader of the
+  // journal, view catalog and document store alike: a typed Corruption,
+  // never a list read under a format that no longer exists.
+  xml::Document doc = CrashDoc();
+  const std::string path = TempPath("retired_format.db");
+  const std::string doc_path = TempPath("retired_format.doc");
+  CleanupStore(path);
+  CleanupStore(doc_path);
+  {
+    ViewCatalog catalog(path, 64, /*persistent=*/true);
+    catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
+  }
+  ASSERT_TRUE(
+      storage::DocumentStore::BuildFromText(doc_path, "<r><a><b/></a></r>", {})
+          .ok());
+  for (const std::string& store : {path, doc_path}) {
+    const std::string journal = ManifestJournal::PathFor(store);
+    const std::string clean = ReadFile(journal);
+    // Re-sealing the unchanged byte must leave the file as it was, so the
+    // helper edits exactly the byte it names.
+    ASSERT_EQ(WithListFormatByte(clean, 1), clean) << store;
+    WriteFile(journal, WithListFormatByte(clean, 0));
+  }
+  auto catalog = ViewCatalog::Open(path, 64);
+  ASSERT_FALSE(catalog.ok());
+  EXPECT_EQ(catalog.status().code(), StatusCode::kCorruption)
+      << catalog.status().ToString();
+  auto doc_store = storage::DocumentStore::Open(doc_path, {});
+  ASSERT_FALSE(doc_store.ok());
+  EXPECT_EQ(doc_store.status().code(), StatusCode::kCorruption)
+      << doc_store.status().ToString();
+  FsckCatalogReport report = FsckCatalog(path);
+  EXPECT_EQ(report.manifest_status.code(), StatusCode::kCorruption);
+  EXPECT_TRUE(report.corrupt());
+  storage::FsckDocStoreReport doc_report = storage::FsckDocumentStore(doc_path);
+  EXPECT_EQ(doc_report.manifest_status.code(), StatusCode::kCorruption);
+  EXPECT_TRUE(doc_report.corrupt());
+  CleanupStore(path);
+  CleanupStore(doc_path);
+}
+
 TEST(ManifestJournalTest, CheckpointSurvivesHeaderShortWrite) {
   xml::Document doc = CrashDoc();
   std::string path = TempPath("ckpt_short.db");
@@ -404,7 +485,6 @@ TEST(ManifestJournalTest, SingleRunListsKeepTheirRecordBytes) {
   std::string path = TempPath("manifest_single_run.db");
   CleanupStore(path);
   ViewCatalog catalog(path, 64, /*persistent=*/true);
-  catalog.set_list_format(storage::ListFormat::kDelta);
   const MaterializedView* view =
       catalog.Materialize(doc, MustParse("//a//b"), Scheme::kElement);
   auto list_bytes = [](const storage::StoredList& list) {
@@ -426,11 +506,12 @@ TEST(ManifestJournalTest, SingleRunListsKeepTheirRecordBytes) {
 }
 
 TEST(ManifestJournalTest, MultiRunPageTablesRoundTripAsRuns) {
-  // Three fixed pages of 341 records each; the table {5, 9, 10} is the runs
-  // (5, 1) and (9, 2).
+  // Three pages of 341, 341 and 318 records; the table {5, 9, 10} is the
+  // runs (5, 1) and (9, 2).
   storage::StoredList list;
   list.count = 1000;
   list.layout.label_count = 1;
+  list.page_first_entry = {0, 341, 682};
   list.page_first_start = {0, 3410, 6820};
   list.AssignRun(5);
   storage::ManifestViewRecord record;

@@ -99,23 +99,39 @@ std::vector<PageId> PagesOf(const MaterializedView* view) {
   return pages;
 }
 
+/// Every page of the view's stored lists with the key it decodes under.
+std::vector<std::pair<PageId, storage::DecodeKey>> KeyedPagesOf(
+    const MaterializedView* view) {
+  std::vector<std::pair<PageId, storage::DecodeKey>> pages;
+  auto add = [&pages](const StoredList& list) {
+    for (uint32_t p = 0; p < list.pages.size(); ++p) {
+      pages.emplace_back(list.pages[p], list.DecodeKeyOf(p));
+    }
+  };
+  for (const StoredList& list : view->lists()) add(list);
+  add(view->tuple_list());
+  return pages;
+}
+
+/// Reads every page of the view into `pool`.
+void CacheEveryPage(BufferPool* pool, const MaterializedView* view) {
+  std::vector<uint32_t> scratch;
+  for (const auto& [page, key] : KeyedPagesOf(view)) {
+    (void)pool->GetDecoded(page, key, &scratch);
+  }
+}
+
 // ---- BufferPool::Discard ----------------------------------------------------
 
 TEST(BufferPoolDiscardTest, DropsUnpinnedFramesAndKeepsPinnedOnes) {
   const std::string path = TempPath("retire_pool.db");
   std::remove(path.c_str());
   Pager pager(path);
-  std::vector<uint8_t> page(Pager::kPageSize);
-  for (uint8_t i = 0; i < 6; ++i) {
-    std::fill(page.begin(), page.end(), i);
-    auto id = pager.AllocatePage();
-    ASSERT_TRUE(id.ok());
-    ASSERT_EQ(*id, i);
-    ASSERT_TRUE(pager.WritePage(i, page.data()).ok());
-  }
+  const storage::DecodeKey key = testing::WriteTaggedPages(&pager, 6);
   BufferPool pool(&pager, 16);
-  for (PageId p = 0; p < 6; ++p) (void)pool.GetPage(p);
-  BufferPool::PinnedPage held = pool.GetPage(2);
+  for (PageId p = 0; p < 6; ++p) testing::PageTag(&pool, p, key);
+  std::vector<uint32_t> scratch;
+  BufferPool::PinnedPage held = pool.GetDecoded(2, key, &scratch);
 
   pool.Discard({1, 2, 3});
   EXPECT_TRUE(pool.Contains(0));
@@ -123,14 +139,12 @@ TEST(BufferPoolDiscardTest, DropsUnpinnedFramesAndKeepsPinnedOnes) {
   EXPECT_TRUE(pool.Contains(2)) << "a pinned frame must survive Discard";
   EXPECT_FALSE(pool.Contains(3));
   EXPECT_TRUE(pool.Contains(4));
-  EXPECT_EQ(held.data()[0], 2);
+  EXPECT_EQ(held.values()[0], 2u);
 
-  // A discarded page re-reads from disk: one miss, the same bytes.
+  // A discarded page re-reads from disk: one miss, the same record.
   const uint64_t misses = pool.misses();
-  BufferPool::PinnedPage again = pool.GetPage(3);
+  EXPECT_EQ(testing::PageTag(&pool, 3, key), 3u);
   EXPECT_EQ(pool.misses(), misses + 1);
-  EXPECT_EQ(again.data()[Pager::kPageSize - 1], 3);
-  again.Release();
 
   // Once unpinned, the survivor goes with the next Discard.
   held.Release();
@@ -486,9 +500,7 @@ TEST(EngineRetirementTest, ThreeHundredBatchesKeepOnlyLiveTipsCached) {
     // Cache every page of every live tip, so retirement has work to do.
     std::vector<const MaterializedView*> tips = catalog->LiveViews();
     ASSERT_TRUE(fx.engine->Execute(fx.query, fx.QueryViews(), warm).ok);
-    for (const MaterializedView* tip : tips) {
-      for (PageId page : PagesOf(tip)) (void)pool->GetPage(page);
-    }
+    for (const MaterializedView* tip : tips) CacheEveryPage(pool, tip);
 
     fx.ApplyBatch(i);
     if (HasFatalFailure()) return;
@@ -565,19 +577,26 @@ TEST(EngineRetirementTest, PinnedStaleReadersStayCorrectWhileBatchesRetire) {
     allowed.insert(oracle_hash(fx.mirror));
   }
 
-  // The original version's bytes, which its pages keep on disk while a
+  // The original version's records, which its pages keep on disk while a
   // reader pinned before its retirement lives: the readers below reach the
-  // pages through raw pool pins, so this pin covers them for the whole run.
+  // pages through pool pins, so this pin covers them for the whole run.
   const storage::PageReclaimer::Pin reader_pin =
       fx.engine->catalog()->PinReader();
-  std::vector<PageId> pages;
+  std::vector<std::pair<PageId, storage::DecodeKey>> pages;
   for (const MaterializedView* v : fx.QueryViews()) {
-    for (PageId page : PagesOf(v)) pages.push_back(page);
+    for (const auto& keyed : KeyedPagesOf(v)) pages.push_back(keyed);
   }
-  std::vector<std::vector<uint8_t>> bytes;
-  for (PageId page : pages) {
-    BufferPool::PinnedPage pin = pool->GetPage(page);
-    bytes.emplace_back(pin.data(), pin.data() + Pager::kPageSize);
+  auto values_of = [&pages](size_t k, const BufferPool::PinnedPage& pin) {
+    const storage::DecodeKey& key = pages[k].second;
+    return std::vector<uint32_t>(
+        pin.values(),
+        pin.values() + storage::DecodedValues(key.layout, key.records));
+  };
+  std::vector<std::vector<uint32_t>> values;
+  for (size_t k = 0; k < pages.size(); ++k) {
+    std::vector<uint32_t> scratch;
+    values.push_back(values_of(
+        k, pool->GetDecoded(pages[k].first, pages[k].second, &scratch)));
   }
 
   std::mutex failures_mu;
@@ -597,11 +616,12 @@ TEST(EngineRetirementTest, PinnedStaleReadersStayCorrectWhileBatchesRetire) {
          ++iteration) {
       // Pin the stale version's pages across a query and a retirement.
       std::vector<BufferPool::PinnedPage> held;
+      std::vector<std::vector<uint32_t>> scratch(pages.size());
       for (size_t k = 0; k < pages.size(); ++k) {
-        held.push_back(pool->GetPage(pages[k]));
-        if (std::memcmp(held.back().data(), bytes[k].data(),
-                        Pager::kPageSize) != 0) {
-          fail("stale page " + std::to_string(pages[k]) + " changed");
+        held.push_back(
+            pool->GetDecoded(pages[k].first, pages[k].second, &scratch[k]));
+        if (values_of(k, held.back()) != values[k]) {
+          fail("stale page " + std::to_string(pages[k].first) + " changed");
           return;
         }
       }
@@ -615,9 +635,8 @@ TEST(EngineRetirementTest, PinnedStaleReadersStayCorrectWhileBatchesRetire) {
         return;
       }
       for (size_t k = 0; k < held.size(); ++k) {
-        if (std::memcmp(held[k].data(), bytes[k].data(), Pager::kPageSize) !=
-            0) {
-          fail("pinned page " + std::to_string(pages[k]) +
+        if (values_of(k, held[k]) != values[k]) {
+          fail("pinned page " + std::to_string(pages[k].first) +
                " changed under its pin");
           return;
         }
@@ -807,9 +826,7 @@ TEST(CopyOnWriteTest, BatchSharesUnchangedPagesAndAppendsOnlyTheSuffix) {
     }
   }
   // Cache every page of the live versions, so retirement has work to do.
-  for (const MaterializedView* v : before) {
-    for (PageId page : PagesOf(v)) (void)pool->GetPage(page);
-  }
+  for (const MaterializedView* v : before) CacheEveryPage(pool, v);
   const uint32_t pages_before = catalog->pager()->page_count();
 
   fx.ApplyBatch(kSharingParents - 2);

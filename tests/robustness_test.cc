@@ -440,18 +440,14 @@ TEST(FsckTest, RejectsGarbageFileViaHeader) {
 
 // ---- Error-latch lifecycle ----------------------------------------------
 
-TEST(PoolLatchTest, ClearResetsThePoisonLatch) {
+TEST(PoolLatchTest, ClearResetsTheErrorLatch) {
   std::string path = TempPath("latch_clear.db");
   storage::Pager pager(path, storage::Pager::Mode::kTruncate);
   ASSERT_TRUE(pager.init_status().ok());
-  std::vector<uint8_t> page(storage::Pager::kPageSize, 1);
-  storage::PageId id = *pager.AllocatePage();
-  ASSERT_TRUE(pager.WritePage(id, page.data()).ok());
+  const storage::DecodeKey key = testing::WriteTaggedPages(&pager, 1);
   storage::BufferPool pool(&pager, 4);
-  // Out-of-range read: GetPage hands back poison and latches the error.
-  storage::BufferPool::PinnedPage poison = pool.GetPage(999);
-  ASSERT_TRUE(poison.valid());
-  EXPECT_EQ(poison.data()[0], 0xFF);
+  // Out-of-range read: the pool hands back sentinels and latches the error.
+  EXPECT_EQ(testing::PageTag(&pool, 999, key), 0xFFFFFFFFu);
   EXPECT_FALSE(pool.error().ok());
   EXPECT_EQ(pool.error_page(), 999u);
   // Regression: Clear() (the cold-cache path) must reset the latch along
@@ -461,14 +457,13 @@ TEST(PoolLatchTest, ClearResetsThePoisonLatch) {
   EXPECT_TRUE(pool.error().ok());
   EXPECT_EQ(pool.error_page(), storage::kInvalidPage);
   // ResetError() — the quarantine path's explicit reset — works on its own.
-  pool.GetPage(999);
+  testing::PageTag(&pool, 999, key);
   EXPECT_FALSE(pool.error().ok());
   pool.ResetError();
   EXPECT_TRUE(pool.error().ok());
   EXPECT_EQ(pool.error_page(), storage::kInvalidPage);
   // A valid page still reads correctly after both resets.
-  storage::BufferPool::PinnedPage pin = pool.GetPage(id);
-  EXPECT_EQ(pin.data()[0], 1);
+  EXPECT_EQ(testing::PageTag(&pool, 0, key), 0u);
   EXPECT_TRUE(pool.error().ok());
   std::remove(path.c_str());
 }

@@ -341,6 +341,28 @@ TEST(ServerTest, BadQueryIsTypedErrorAndServerSurvives) {
   EXPECT_EQ(response->verdict, Verdict::kOk) << response->error;
 }
 
+TEST(ServerTest, RepeatedTagViewIsTypedErrorAndServerSurvives) {
+  // A view pattern must name each element type once. A request naming one
+  // that does not gets an error verdict instead of aborting the server.
+  Fixture fx(10, {}, {}, "serve_repeated_tag.db");
+  Client client = fx.Connected();
+
+  QueryRequest bad = GroupRequest();
+  bad.query = "//parlist//listitem";
+  bad.views = {"//parlist//parlist", "//listitem"};
+  util::StatusOr<QueryResponse> response = client.Query(bad);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->verdict, Verdict::kError);
+  EXPECT_NE(response->error.find("unique element types"), std::string::npos)
+      << response->error;
+
+  // The same connection, and the server behind it, still answer.
+  response = client.Query(GroupRequest());
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->verdict, Verdict::kOk) << response->error;
+  EXPECT_EQ(response->match_count, 10u);
+}
+
 TEST(ServerTest, OverQuotaIsRejectedWithRetryAfter) {
   ServerOptions options;
   options.quota_rate_per_sec = 0.001;  // effectively: the burst and no more

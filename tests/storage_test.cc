@@ -33,6 +33,7 @@ using storage::StoredList;
 using storage::ViewCatalog;
 using testing::MakeDoc;
 using testing::MustParse;
+using testing::PageTag;
 using xml::Label;
 using xml::NodeId;
 
@@ -226,39 +227,29 @@ TEST(PagerTest, LegacyStoreReopensAndWritesIdenticalBytes) {
   std::remove(fresh.c_str());
 }
 
-/// Writes `pages` pages whose first byte is the page id (mod 256).
-void FillPages(Pager* pager, int pages) {
-  std::vector<uint8_t> page(Pager::kPageSize, 0);
-  for (int i = 0; i < pages; ++i) {
-    storage::PageId id = *pager->AllocatePage();
-    page[0] = static_cast<uint8_t>(i);
-    pager->WritePage(id, page.data());
-  }
-}
-
 TEST(BufferPoolTest, CachesAndEvictsLru) {
   Pager pager(TempPath("pool_lru.db"));
-  FillPages(&pager, 4);
+  const storage::DecodeKey key = testing::WriteTaggedPages(&pager, 4);
   // One shard so the pool behaves as one exact global LRU.
   BufferPool pool(&pager, 2, /*shards=*/1);
   ASSERT_EQ(pool.shard_count(), 1u);
-  EXPECT_EQ(pool.GetPage(0).data()[0], 0);
-  EXPECT_EQ(pool.GetPage(1).data()[0], 1);
-  EXPECT_EQ(pool.GetPage(0).data()[0], 0);  // hit
+  EXPECT_EQ(PageTag(&pool, 0, key), 0u);
+  EXPECT_EQ(PageTag(&pool, 1, key), 1u);
+  EXPECT_EQ(PageTag(&pool, 0, key), 0u);  // hit
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_EQ(pool.misses(), 2u);
-  pool.GetPage(2);  // evicts page 1 (LRU)
+  PageTag(&pool, 2, key);  // evicts page 1 (LRU)
   uint64_t version = pool.eviction_version();
   EXPECT_GT(version, 0u);
-  pool.GetPage(0);  // still cached
+  PageTag(&pool, 0, key);  // still cached
   EXPECT_EQ(pool.hits(), 2u);
-  pool.GetPage(1);  // miss again
+  PageTag(&pool, 1, key);  // miss again
   EXPECT_EQ(pool.misses(), 4u);
 }
 
 TEST(BufferPoolTest, ShardCountRoundsToPowerOfTwoWithinCapacity) {
   Pager pager(TempPath("pool_shards.db"));
-  FillPages(&pager, 1);
+  testing::WriteTaggedPages(&pager, 1);
   BufferPool six(&pager, 64, /*shards=*/6);
   EXPECT_EQ(six.shard_count(), 4u);  // floor to a power of two
   BufferPool tiny(&pager, 3);        // default 8 shards, capped by capacity
@@ -269,48 +260,49 @@ TEST(BufferPoolTest, ShardCountRoundsToPowerOfTwoWithinCapacity) {
 
 TEST(BufferPoolTest, CapacityZeroIsRejected) {
   Pager pager(TempPath("pool_zero.db"));
-  FillPages(&pager, 1);
+  const storage::DecodeKey key = testing::WriteTaggedPages(&pager, 1);
   BufferPool pool(&pager, 0);
-  BufferPool::PinnedPage pin;
-  util::Status status = pool.Fetch(0, &pin);
-  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
-  EXPECT_FALSE(pin.valid());
-  // The infallible spelling latches the error and hands back poison.
-  BufferPool::PinnedPage poison = pool.GetPage(0);
-  ASSERT_TRUE(poison.valid());
-  EXPECT_EQ(poison.data()[0], 0xFF);
+  // The read latches the error and hands back sentinels, caching nothing.
+  std::vector<uint32_t> scratch;
+  BufferPool::PinnedPage pin = pool.GetDecoded(0, key, &scratch);
+  ASSERT_TRUE(pin.valid());
+  EXPECT_EQ(pin.values()[0], 0xFFFFFFFFu);
   EXPECT_EQ(pool.error().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_FALSE(pool.Contains(0));
+  EXPECT_EQ(pool.pinned_frames(), 0u);
 }
 
 TEST(BufferPoolTest, PinHeldPageSurvivesEvictionPressure) {
   Pager pager(TempPath("pool_pin.db"));
-  FillPages(&pager, 16);
+  const storage::DecodeKey key = testing::WriteTaggedPages(&pager, 16);
   BufferPool pool(&pager, 2, /*shards=*/1);
-  BufferPool::PinnedPage held = pool.GetPage(3);
+  std::vector<uint32_t> scratch;
+  BufferPool::PinnedPage held = pool.GetDecoded(3, key, &scratch);
   ASSERT_TRUE(held.valid());
-  const uint8_t* data = held.data();
+  const uint32_t* values = held.values();
   // Thrash far past capacity; the pinned frame must neither move nor vanish.
   for (int round = 0; round < 3; ++round) {
     for (storage::PageId p = 0; p < 16; ++p) {
       if (p != 3) {
-        EXPECT_EQ(pool.GetPage(p).data()[0], p);
+        EXPECT_EQ(PageTag(&pool, p, key), p);
       }
     }
   }
   EXPECT_GT(pool.eviction_version(), 0u);
-  EXPECT_EQ(held.data(), data);
-  EXPECT_EQ(held.data()[0], 3);
+  EXPECT_EQ(held.values(), values);
+  EXPECT_EQ(held.values()[0], 3u);
   // Copying re-pins: the copy keeps the frame alive after the original dies.
   BufferPool::PinnedPage copy = held;
   held.Release();
-  for (storage::PageId p = 0; p < 16; ++p) pool.GetPage(p);
-  EXPECT_EQ(copy.data()[0], 3);
+  for (storage::PageId p = 0; p < 16; ++p) PageTag(&pool, p, key);
+  EXPECT_EQ(copy.values(), values);
+  EXPECT_EQ(copy.values()[0], 3u);
 }
 
 TEST(BufferPoolTest, ConcurrentOverlappingFetches) {
   Pager pager(TempPath("pool_conc.db"));
   constexpr int kPages = 32;
-  FillPages(&pager, kPages);
+  const storage::DecodeKey key = testing::WriteTaggedPages(&pager, kPages);
   // Tiny per-shard capacity so threads race on eviction constantly.
   BufferPool pool(&pager, 4, /*shards=*/4);
   constexpr int kThreads = 8;
@@ -319,11 +311,12 @@ TEST(BufferPoolTest, ConcurrentOverlappingFetches) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      std::vector<uint32_t> scratch;
       for (int i = 0; i < kIters; ++i) {
         storage::PageId page =
             static_cast<storage::PageId>((i * 7 + t * 13) % kPages);
-        BufferPool::PinnedPage pin = pool.GetPage(page);
-        if (!pin.valid() || pin.data()[0] != static_cast<uint8_t>(page)) {
+        BufferPool::PinnedPage pin = pool.GetDecoded(page, key, &scratch);
+        if (!pin.valid() || pin.values()[0] != page) {
           mismatches.fetch_add(1);
         }
       }
@@ -338,21 +331,21 @@ TEST(BufferPoolTest, ConcurrentOverlappingFetches) {
 
 TEST(BufferPoolTest, ErrorScopeIsolatesLatchesPerThread) {
   Pager pager(TempPath("pool_scope.db"));
-  FillPages(&pager, 4);
+  const storage::DecodeKey key = testing::WriteTaggedPages(&pager, 4);
   BufferPool pool(&pager, 4);
   constexpr storage::PageId kBadPage = 999;  // beyond the file
   std::atomic<bool> faulting_saw_error{false};
   std::atomic<bool> clean_saw_error{false};
   std::thread faulting([&] {
     BufferPool::ErrorScope scope(&pool);
-    for (int i = 0; i < 100; ++i) pool.GetPage(i % 4);
-    pool.GetPage(kBadPage);
+    for (int i = 0; i < 100; ++i) PageTag(&pool, i % 4, key);
+    PageTag(&pool, kBadPage, key);
     faulting_saw_error =
         !scope.error().ok() && scope.error_page() == kBadPage;
   });
   std::thread clean([&] {
     BufferPool::ErrorScope scope(&pool);
-    for (int i = 0; i < 100; ++i) pool.GetPage(i % 4);
+    for (int i = 0; i < 100; ++i) PageTag(&pool, i % 4, key);
     clean_saw_error = !scope.error().ok();
   });
   faulting.join();
@@ -362,7 +355,7 @@ TEST(BufferPoolTest, ErrorScopeIsolatesLatchesPerThread) {
   // Scoped faults never leak into the pool-global latch.
   EXPECT_TRUE(pool.error().ok());
   // Without a scope the same fault latches globally; Clear() resets it.
-  pool.GetPage(kBadPage);
+  EXPECT_EQ(PageTag(&pool, kBadPage, key), 0xFFFFFFFFu);
   EXPECT_FALSE(pool.error().ok());
   EXPECT_EQ(pool.error_page(), kBadPage);
   pool.Clear();
@@ -370,19 +363,33 @@ TEST(BufferPoolTest, ErrorScopeIsolatesLatchesPerThread) {
   EXPECT_EQ(pool.error_page(), storage::kInvalidPage);
 }
 
-TEST(StoredListTest, PageOffsetArithmetic) {
+TEST(StoredListTest, PageDirectoryLocatesEntries) {
+  // Three pages of 341, 300 and 359 records at pager pages 3, 4, 5.
   StoredList list;
   list.count = 1000;
-  list.layout.label_count = 1;
+  list.page_first_entry = {0, 341, 641};
+  list.page_first_start = {10, 2000, 5000};
   list.AssignRun(3);
-  ASSERT_EQ(list.layout.RecordSize(), 12u);
-  EXPECT_EQ(list.RecordsPerPage(), 341u);
-  EXPECT_EQ(list.PageOf(0), 3u);
-  EXPECT_EQ(list.PageOf(340), 3u);
-  EXPECT_EQ(list.PageOf(341), 4u);
-  EXPECT_EQ(list.OffsetOf(341), 0u);
-  EXPECT_EQ(list.OffsetOf(342), 12u);
   EXPECT_EQ(list.PageSpan(), 3u);
+  EXPECT_EQ(list.pages, (std::vector<storage::PageId>{3, 4, 5}));
+  EXPECT_TRUE(list.DirectoryValid());
+  EXPECT_EQ(list.PageIndexOf(0), 0u);
+  EXPECT_EQ(list.PageIndexOf(340), 0u);
+  EXPECT_EQ(list.PageIndexOf(341), 1u);
+  EXPECT_EQ(list.PageIndexOf(999), 2u);
+  EXPECT_EQ(list.RecordsOnPage(1), 300u);
+  EXPECT_EQ(list.RecordsOnPage(2), 359u);
+  EXPECT_EQ(list.DecodeKeyOf(1).first_entry, 341u);
+  // A directory that would send cursors to arbitrary records is invalid.
+  StoredList bad = list;
+  bad.page_first_entry[1] = 0;
+  EXPECT_FALSE(bad.DirectoryValid());
+  bad = list;
+  bad.page_first_start[2] = 5;
+  EXPECT_FALSE(bad.DirectoryValid());
+  bad = list;
+  bad.page_first_entry.back() = 1000;
+  EXPECT_FALSE(bad.DirectoryValid());
 }
 
 class MaterializeTest : public ::testing::Test {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
+
+#include "storage/list_codec.h"
 
 namespace viewjoin::testing {
 
@@ -208,6 +211,28 @@ std::vector<TreePattern> RandomViewPartition(util::Rng* rng,
     if (!view.empty()) result.push_back(std::move(view));
   }
   return result;
+}
+
+storage::DecodeKey WriteTaggedPages(storage::Pager* pager, int pages) {
+  const storage::RecordLayout layout{1, false, 0};
+  for (int k = 0; k < pages; ++k) {
+    const uint32_t fields[3] = {static_cast<uint32_t>(k),
+                                static_cast<uint32_t>(k), 1};
+    uint8_t record[12];
+    std::memcpy(record, fields, sizeof(record));
+    auto encoded = storage::EncodeDeltaList(record, 1, layout);
+    VJ_CHECK(encoded.ok() && encoded->pages.size() == 1);
+    auto id = pager->AllocatePage();
+    VJ_CHECK(id.ok());
+    VJ_CHECK(pager->WritePage(*id, encoded->pages[0].data()).ok());
+  }
+  return {0, 1, layout};
+}
+
+uint32_t PageTag(storage::BufferPool* pool, storage::PageId page,
+                 const storage::DecodeKey& key) {
+  std::vector<uint32_t> scratch;
+  return pool->GetDecoded(page, key, &scratch).values()[0];
 }
 
 }  // namespace viewjoin::testing

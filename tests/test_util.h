@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "algo/candidate_enumerator.h"
+#include "storage/buffer_pool.h"
+#include "storage/pager.h"
 #include "tpq/pattern.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -49,6 +51,16 @@ tpq::TreePattern RandomQuery(util::Rng* rng, int num_nodes,
 std::vector<tpq::TreePattern> RandomViewPartition(util::Rng* rng,
                                                   const tpq::TreePattern& query,
                                                   int max_views);
+
+/// Appends `pages` one-record list pages to `pager`; the k-th page's record
+/// has start label k (so a fresh pager's page id is its tag). Returns the
+/// decode key all of them share (first entry 0, one element record).
+storage::DecodeKey WriteTaggedPages(storage::Pager* pager, int pages);
+
+/// The tag of `page` (see WriteTaggedPages), read through `pool`; the
+/// 0xFFFFFFFF sentinel when the pool cannot serve the page.
+uint32_t PageTag(storage::BufferPool* pool, storage::PageId page,
+                 const storage::DecodeKey& key);
 
 }  // namespace viewjoin::testing
 

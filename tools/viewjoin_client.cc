@@ -1,6 +1,6 @@
 // viewjoin_client — command-line client for viewjoin_server.
 //
-//   viewjoin_client --port-file /tmp/vj.port \
+//   viewjoin_client --port-file /tmp/vj.port
 //       --query '//people//person//name' --views '//people//person;//name'
 //   viewjoin_client --port 4711 --status
 //

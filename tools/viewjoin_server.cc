@@ -4,7 +4,7 @@
 // the length-prefixed binary protocol in src/server/wire.h, with per-tenant
 // quotas, load shedding, slowloris read deadlines, and graceful drain.
 //
-//   viewjoin_server --xmark 0.5 --store /tmp/views.db --port 0 \
+//   viewjoin_server --xmark 0.5 --store /tmp/views.db --port 0
 //                   --port-file /tmp/vj.port
 //
 // Shutdown contract (what the drain tests and the CI smoke job exercise):

@@ -69,7 +69,6 @@ void PrintDocReport(const std::string& path,
   if (report.orphan) {
     std::printf("doc store: pager file without manifest (aborted build)\n");
   }
-  if (report.arena_missing) std::printf("doc store: node arena missing\n");
   if (report.data_missing) {
     std::printf("doc data file shorter than manifest's durable prefix "
                 "(%u pages)\n",
@@ -81,10 +80,9 @@ void PrintDocReport(const std::string& path,
   for (const std::string& run : report.stray_runs) {
     std::printf("stray spill run: %s\n", run.c_str());
   }
-  std::printf("%s: %zu tag list(s), %llu node(s), %u durable page(s), %u bad\n",
-              path.c_str(), report.tag_count,
-              static_cast<unsigned long long>(report.node_count),
-              report.durable_page_count, report.corrupt_durable_pages);
+  std::printf("%s: %zu tag list(s), %u durable page(s), %u bad\n",
+              path.c_str(), report.tag_count, report.durable_page_count,
+              report.corrupt_durable_pages);
 }
 
 /// Exit code of a doc-store check in isolation: 0 clean, 4 corrupt,
