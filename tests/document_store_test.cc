@@ -393,6 +393,46 @@ TEST(DocStoreFsckTest, CleanOrphanStrayAndCorruptVerdicts) {
   EXPECT_FALSE(orphan.clean());
 }
 
+TEST(DocStoreFsckTest, RepeatedRecordsFailTheDecodedOrderCheck) {
+  // A TOC whose "para" list names its first page twice, with a directory
+  // that agrees: every page decodes and matches its fence key, so only the
+  // check that decoded starts strictly increase across the list sees that
+  // the list holds each of those elements twice.
+  const std::string path = TempPath("doc_fsck_order.doc");
+  {
+    auto store = DocumentStore::BuildFromText(path, BigXml(25), {});
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+  }
+  ASSERT_TRUE(FsckDocumentStore(path).clean());
+  const std::string toc = storage::ManifestJournal::PathFor(path);
+  auto replay = storage::ManifestJournal::Replay(toc);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  std::vector<storage::ManifestViewRecord> records = replay->installed;
+  bool doubled = false;
+  for (storage::ManifestViewRecord& record : records) {
+    if (record.pattern != "para") continue;
+    StoredList& list = record.lists[0];
+    const uint32_t first = list.RecordsOnPage(0);
+    list.pages = {list.pages[0], list.pages[0]};
+    list.page_first_entry = {0, first};
+    list.page_first_start = {list.page_first_start[0],
+                             list.page_first_start[0]};
+    list.count = 2 * first;
+    record.list_lengths = {list.count};
+    doubled = true;
+  }
+  ASSERT_TRUE(doubled);
+  ASSERT_TRUE(storage::ManifestJournal::WriteCheckpoint(toc, records, {},
+                                                        replay->last_epoch)
+                  .ok());
+  FsckDocStoreReport report = FsckDocumentStore(path);
+  EXPECT_TRUE(report.corrupt()) << storage::ToJson(report);
+  ASSERT_EQ(report.bad_lists.size(), 1u) << storage::ToJson(report);
+  EXPECT_NE(report.bad_lists[0].find("para: starts not strictly increasing"),
+            std::string::npos)
+      << report.bad_lists[0];
+}
+
 // ---- streaming parser ------------------------------------------------------
 
 /// Handler that records the event sequence and optionally aborts after a
