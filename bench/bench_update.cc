@@ -56,7 +56,6 @@ void RemoveStore(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".manifest").c_str());
   std::remove((path + ".spill").c_str());
-  std::remove((path + ".updatedelta").c_str());
 }
 
 /// A new bidder subtree, shaped like the generator's: grafting one under

@@ -84,30 +84,18 @@ InterJoin::Relation InterJoin::LoadView(size_t view_index, QueryContext* ctx) {
   ListCursor cursor(&view->tuple_list(), pool_);
   size_t arity = rel.arity();
   rel.labels.reserve(static_cast<size_t>(view->tuple_list().count) * arity);
-  cursor.Reset();
-  if (cursor.block_capable()) {
-    // Block path: copy each decoded page's SoA spans in one pass instead of
-    // re-entering the cursor per entry and per tuple slot.
-    while (!cursor.AtEnd()) {
-      storage::BlockView block = cursor.CurrentBlock();
-      uint32_t values = block.count * static_cast<uint32_t>(arity);
-      for (uint32_t v = 0; v < values; ++v) {
-        rel.labels.push_back({block.starts[v], block.ends[v], block.levels[v]});
-      }
-      ctx->ChargeMemory(static_cast<uint64_t>(values) * sizeof(Label));
-      stats_.entries_scanned += block.count;
-      cursor.Seek(block.first + block.count);
-      if (ctx->CheckpointN(block.count)) break;
+  // Copy each decoded page's SoA spans in one pass instead of re-entering
+  // the cursor per entry and per tuple slot.
+  while (!cursor.AtEnd()) {
+    storage::BlockView block = cursor.CurrentBlock();
+    uint32_t values = block.count * static_cast<uint32_t>(arity);
+    for (uint32_t v = 0; v < values; ++v) {
+      rel.labels.push_back({block.starts[v], block.ends[v], block.levels[v]});
     }
-    return rel;
-  }
-  for (; !cursor.AtEnd(); cursor.Next()) {
-    if (ctx->Checkpoint()) break;
-    for (size_t k = 0; k < arity; ++k) {
-      rel.labels.push_back(cursor.LabelAt(static_cast<uint32_t>(k)));
-    }
-    ctx->ChargeMemory(arity * sizeof(Label));
-    ++stats_.entries_scanned;
+    ctx->ChargeMemory(static_cast<uint64_t>(values) * sizeof(Label));
+    stats_.entries_scanned += block.count;
+    cursor.Seek(block.first + block.count);
+    if (ctx->CheckpointN(block.count)) break;
   }
   return rel;
 }

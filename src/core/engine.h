@@ -431,8 +431,6 @@ class Engine {
   ///   - plans invalidate via the catalog epoch; the planner's document
   ///     statistics, once collected, are kept current per inserted and
   ///     deleted subtree instead of being re-collected.
-  /// Serialized deltas over 1 MiB spill to a sidecar file (see
-  /// ViewCatalog::ApplyUpdateBatch).
   /// Fails with InvalidArgument when constructed over a const document.
   /// Update batches are serialized engine-wide.
   util::StatusOr<UpdateResult> ApplyUpdates(const std::vector<UpdateOp>& ops);

@@ -37,8 +37,7 @@ std::string RunPath(const std::string& path, size_t run) {
 /// on disk. Runs are scratch, read back by this build only: no fsync.
 util::Status WriteRun(const std::string& run_path,
                       const std::vector<DocRecord>& recs) {
-  return WriteFile(run_path, recs.data(), recs.size() * sizeof(DocRecord),
-                   /*durable=*/false);
+  return WriteFile(run_path, recs.data(), recs.size() * sizeof(DocRecord));
 }
 
 /// Buffered sequential reader over one spill run.

@@ -228,12 +228,11 @@ util::StatusOr<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
   return bytes;
 }
 
-util::Status WriteFile(const std::string& path, const void* data, size_t size,
-                       bool durable) {
+util::Status WriteFile(const std::string& path, const void* data,
+                       size_t size) {
   util::StatusOr<File> file = File::Open(path, File::Mode::kCreate);
   if (!file.ok()) return file.status();
   util::Status status = file->Append(data, size);
-  if (status.ok() && durable) status = file->Sync();
   if (status.ok()) status = file->Close();
   if (!status.ok()) RemoveFile(path);
   return status;

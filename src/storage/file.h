@@ -127,9 +127,8 @@ bool RemoveFile(const std::string& path);
 util::StatusOr<std::vector<uint8_t>> ReadWholeFile(const std::string& path);
 
 /// Creates (or truncates) `path` holding exactly `data`, charging the disk
-/// budget first; `durable` fsyncs it. On failure the file is removed.
-util::Status WriteFile(const std::string& path, const void* data, size_t size,
-                       bool durable);
+/// budget first; no fsync. On failure the file is removed.
+util::Status WriteFile(const std::string& path, const void* data, size_t size);
 
 /// Atomically replaces `path`: `write` fills "<path>.tmp", which is fsynced
 /// and renamed over `path`, and then the parent directory is fsynced so the

@@ -29,15 +29,6 @@ FsckReport FsckPagerFile(const std::string& path) {
 
 namespace {
 
-/// Records the staging files a crash can leave next to the pager file (the
-/// same set ViewCatalog::Open deletes).
-void FindStagingFiles(const std::string& path, FsckCatalogReport* report) {
-  const std::string checkpoint_tmp = ManifestJournal::PathFor(path) + ".tmp";
-  if (FileExists(checkpoint_tmp)) report->checkpoint_tmp = checkpoint_tmp;
-  const std::string delta = path + ".updatedelta";
-  if (FileExists(delta)) report->orphan_delta_files.push_back(delta);
-}
-
 /// The first page run of `list` that reaches past `durable`, rendered
 /// "[first, end)", or empty when the whole table lies inside the prefix. A
 /// table that does not cover the list's pages renders as "(no page table)".
@@ -134,7 +125,9 @@ void CheckDeltaList(Pager& pager, const StoredList& list, bool sorted_starts,
 
 FsckCatalogReport FsckCatalog(const std::string& path) {
   FsckCatalogReport report;
-  FindStagingFiles(path, &report);
+  // The staging file a crash can leave, which ViewCatalog::Open deletes.
+  const std::string checkpoint_tmp = ManifestJournal::PathFor(path) + ".tmp";
+  if (FileExists(checkpoint_tmp)) report.checkpoint_tmp = checkpoint_tmp;
 
   util::StatusOr<ManifestReplayResult> replayed =
       ManifestJournal::Replay(ManifestJournal::PathFor(path));
@@ -478,8 +471,6 @@ std::string ToJson(const FsckCatalogReport& report) {
   out += "  \"pager_tail_partial\": " + JsonBool(report.pager_tail_partial) +
          ",\n";
   out += "  \"checkpoint_tmp\": " + JsonQuote(report.checkpoint_tmp) + ",\n";
-  out += "  \"orphan_delta_files\": " +
-         JsonStringArray(report.orphan_delta_files) + ",\n";
   out += "  \"corrupt_durable_pages\": " +
          std::to_string(report.corrupt_durable_pages) + ",\n";
   out += "  \"data_missing\": " + JsonBool(report.data_missing) + ",\n";
@@ -527,9 +518,6 @@ std::string ToText(const FsckCatalogReport& report, const std::string& path) {
   if (!report.checkpoint_tmp.empty()) {
     out += "stale checkpoint tmp: " + report.checkpoint_tmp + "\n";
   }
-  for (const std::string& file : report.orphan_delta_files) {
-    out += "leftover update delta: " + file + "\n";
-  }
   std::snprintf(line, sizeof(line),
                 "%s: %zu view(s), %zu quarantined, epoch %llu, "
                 "%u durable page(s), %u free, %u bad, %zu compressed list(s) "
@@ -547,10 +535,6 @@ std::string ToText(const RecoveryReport& report) {
   out += std::to_string(report.orphan_pages_truncated) +
          " orphan page(s) truncated, ";
   if (report.checkpoint_tmp_removed) out += "stale checkpoint tmp removed, ";
-  if (report.orphan_delta_files_removed > 0) {
-    out += std::to_string(report.orphan_delta_files_removed) +
-           " leftover update delta file(s) removed, ";
-  }
   return out + std::to_string(report.pending_rebuild.size()) +
          " view(s) pending rebuild\n";
 }

@@ -75,9 +75,6 @@ struct FsckCatalogReport {
   /// Path of a stale "<path>.manifest.tmp" from a checkpoint cut short
   /// before its rename; empty when there is none.
   std::string checkpoint_tmp;
-  /// Leftover "<path>.updatedelta" spill files (whole or torn) from an
-  /// interrupted update batch; pure staging, swept by the next Open.
-  std::vector<std::string> orphan_delta_files;
   /// Update batches whose commit record never landed: replay rolls them
   /// back and the next Open truncates the half-applied journal suffix.
   uint64_t rolled_back_update_batches = 0;
@@ -130,8 +127,7 @@ struct FsckCatalogReport {
   /// Crash artifacts present that RepairCatalog / Open would clean up.
   bool repair_needed() const {
     return journal_tail_torn || orphan_pages > 0 || pager_tail_partial ||
-           !checkpoint_tmp.empty() || !orphan_delta_files.empty() ||
-           rolled_back_update_batches > 0;
+           !checkpoint_tmp.empty() || rolled_back_update_batches > 0;
   }
 };
 

@@ -8,7 +8,6 @@
 #include "storage/list_codec.h"
 #include "tpq/evaluator.h"
 #include "util/check.h"
-#include "util/crc32.h"
 #include "util/fault_injection.h"
 
 namespace viewjoin::storage {
@@ -208,19 +207,6 @@ ViewCatalog::BackupSnapshot ViewCatalog::SnapshotLocked() const {
 
 namespace {
 
-/// Deletes the staging files a crash can leave next to the pager file: a
-/// checkpoint tmp cut short before its rename, and an update batch's delta
-/// spill sidecar (whole or torn). Each is pure staging — its batch or
-/// checkpoint either committed (file redundant) or rolled back (file
-/// garbage) — so deletion is always the right recovery action.
-void RemoveStagingFiles(const std::string& pager_path, RecoveryReport* report) {
-  report->checkpoint_tmp_removed =
-      RemoveFile(ManifestJournal::PathFor(pager_path) + ".tmp");
-  if (RemoveFile(pager_path + ".updatedelta")) {
-    ++report->orphan_delta_files_removed;
-  }
-}
-
 util::Status MalformedManifest(const std::string& path,
                                const std::string& message) {
   return util::Status::Corruption("malformed manifest for " + path + ": " +
@@ -254,7 +240,9 @@ util::StatusOr<std::unique_ptr<ViewCatalog>> ViewCatalog::Open(
   ManifestReplayResult replay = std::move(*replayed);
 
   RecoveryReport report;
-  RemoveStagingFiles(path, &report);
+  // A checkpoint tmp cut short before its rename is pure staging: the
+  // journal it would have replaced is still whole.
+  report.checkpoint_tmp_removed = RemoveFile(journal_path + ".tmp");
   report.rolled_back_update_batches = replay.rolled_back_update_batches;
 
   // Roll the pager file back to the journal's durable prefix *before* the
@@ -777,96 +765,22 @@ util::StatusOr<std::vector<Label>> MergeDelta(
   return merged;
 }
 
-// Delta spill sidecar ("<pager>.updatedelta"): update batches whose
-// serialized deltas exceed kDeltaSpillBytes stage them on disk instead of
-// holding two copies in memory. Layout: magic "VJUPDELT" | u32 spec_count | per spec (u32 nq, per node:
-// u32 added_count, labels..., u32 removed_count, labels...) | u32 CRC32 of
-// everything after the magic. The file is pure staging: recovery deletes
-// any survivor, torn or whole.
-
-constexpr char kDeltaMagic[8] = {'V', 'J', 'U', 'P', 'D', 'E', 'L', 'T'};
-constexpr size_t kDeltaSpillBytes = 1u << 20;
-
-void PutLabelVec(std::vector<uint8_t>* out, const std::vector<Label>& v) {
-  AppendU32(out, static_cast<uint32_t>(v.size()));
-  for (const Label& l : v) AppendLabel(out, l);
-}
-
-std::vector<uint8_t> EncodeDeltaSidecar(
-    const std::vector<const ViewCatalog::ListDeltas*>& deltas) {
-  std::vector<uint8_t> out(kDeltaMagic, kDeltaMagic + sizeof(kDeltaMagic));
-  AppendU32(&out, static_cast<uint32_t>(deltas.size()));
-  for (const ViewCatalog::ListDeltas* d : deltas) {
-    if (d == nullptr) {
-      AppendU32(&out, 0);
-      continue;
+/// The labels of single-label `list` from entry `first` to its end, copied
+/// one decoded page at a time.
+std::vector<Label> ReadLabels(const StoredList& list, BufferPool* pool,
+                              EntryIndex first) {
+  VJ_DCHECK(list.layout.label_count == 1 && first <= list.count);
+  std::vector<Label> labels;
+  labels.reserve(list.count - first);
+  ListCursor cursor(&list, pool);
+  for (cursor.Seek(first); !cursor.AtEnd();) {
+    const BlockView block = cursor.CurrentBlock();
+    for (uint32_t j = cursor.index() - block.first; j < block.count; ++j) {
+      labels.push_back({block.starts[j], block.ends[j], block.levels[j]});
     }
-    AppendU32(&out, static_cast<uint32_t>(d->added.size()));
-    for (size_t q = 0; q < d->added.size(); ++q) {
-      PutLabelVec(&out, d->added[q]);
-      PutLabelVec(&out, d->removed[q]);
-    }
+    cursor.Seek(block.first + block.count);
   }
-  AppendU32(&out, util::Crc32(out.data() + sizeof(kDeltaMagic),
-                              out.size() - sizeof(kDeltaMagic)));
-  return out;
-}
-
-util::StatusOr<std::vector<ViewCatalog::ListDeltas>> DecodeDeltaSidecar(
-    const std::vector<uint8_t>& bytes, const std::string& path) {
-  auto torn = [&path]() {
-    return util::Status::Corruption("delta spill file " + path +
-                                    " is torn or corrupt");
-  };
-  if (bytes.size() < sizeof(kDeltaMagic) + 8 ||
-      std::memcmp(bytes.data(), kDeltaMagic, sizeof(kDeltaMagic)) != 0) {
-    return torn();
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + bytes.size() - 4, 4);
-  if (stored_crc != util::Crc32(bytes.data() + sizeof(kDeltaMagic),
-                                bytes.size() - sizeof(kDeltaMagic) - 4)) {
-    return torn();
-  }
-  size_t pos = sizeof(kDeltaMagic);
-  const size_t end = bytes.size() - 4;
-  auto read_u32 = [&](uint32_t* v) {
-    if (end - pos < 4) return false;
-    std::memcpy(v, bytes.data() + pos, 4);
-    pos += 4;
-    return true;
-  };
-  auto read_labels = [&](std::vector<Label>* v) {
-    uint32_t n = 0;
-    if (!read_u32(&n) || (end - pos) / 12 < n) return false;
-    v->reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Label l;
-      std::memcpy(&l.start, bytes.data() + pos, 4);
-      std::memcpy(&l.end, bytes.data() + pos + 4, 4);
-      std::memcpy(&l.level, bytes.data() + pos + 8, 4);
-      pos += 12;
-      v->push_back(l);
-    }
-    return true;
-  };
-  uint32_t spec_count = 0;
-  if (!read_u32(&spec_count)) return torn();
-  std::vector<ViewCatalog::ListDeltas> deltas(spec_count);
-  for (uint32_t s = 0; s < spec_count; ++s) {
-    uint32_t nq = 0;
-    if (!read_u32(&nq)) return torn();
-    deltas[s].added.resize(nq);
-    deltas[s].removed.resize(nq);
-    for (uint32_t q = 0; q < nq; ++q) {
-      if (!read_labels(&deltas[s].added[q]) ||
-          !read_labels(&deltas[s].removed[q])) {
-        return torn();
-      }
-    }
-  }
-  if (pos != end) return torn();
-  return deltas;
+  return labels;
 }
 
 }  // namespace
@@ -923,18 +837,8 @@ ViewCatalog::StageMergedElementView(const MaterializedView& old,
 
     // Read the affected suffix, merge the deltas, re-encode it as fresh
     // staged pages behind the shared prefix.
-    std::vector<Label> tail_old;
-    tail_old.reserve(old_list.count - prefix_entries);
-    ListCursor cursor(&old_list, pool_.get());
-    for (cursor.Seek(prefix_entries); !cursor.AtEnd();) {
-      const BlockView block = cursor.CurrentBlock();
-      for (uint32_t j = cursor.index() - block.first; j < block.count; ++j) {
-        tail_old.push_back({block.starts[j], block.ends[j], block.levels[j]});
-      }
-      cursor.Seek(block.first + block.count);
-    }
     util::StatusOr<std::vector<Label>> merged = MergeDelta(
-        tail_old, removed, added,
+        ReadLabels(old_list, pool_.get(), prefix_entries), removed, added,
         pattern.ToString() + " node " + std::to_string(q));
     if (!merged.ok()) return merged.status();
 
@@ -1030,44 +934,6 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
 
   if (todo.empty()) return result;
 
-  // ---- Spill large deltas through the on-disk sidecar ----------------------
-  // The merge below then consumes the re-read, CRC-verified copy, so the
-  // spill path is exercised end to end whenever it is taken.
-  std::vector<const ListDeltas*> delta_for(todo.size(), nullptr);
-  for (size_t i = 0; i < todo.size(); ++i) {
-    if (!todo[i]->full_rebuild) delta_for[i] = &todo[i]->deltas;
-  }
-  const std::string sidecar = pager_->path() + ".updatedelta";
-  std::vector<ListDeltas> spilled;
-  bool sidecar_on_disk = false;
-  if (persistent_) {
-    std::vector<uint8_t> serialized = EncodeDeltaSidecar(delta_for);
-    if (serialized.size() > kDeltaSpillBytes ||
-        util::FaultInjector::Global().delta_spill_armed()) {
-      // A full disk fails the write with a typed code, so the engine aborts
-      // the batch instead of quarantining.
-      util::Status written = WriteFile(sidecar, serialized.data(),
-                                       serialized.size(), /*durable=*/true);
-      if (!written.ok()) return written;
-      sidecar_on_disk = true;
-      util::StatusOr<std::vector<uint8_t>> reread = ReadWholeFile(sidecar);
-      if (!reread.ok()) return reread.status();
-      util::StatusOr<std::vector<ListDeltas>> decoded =
-          DecodeDeltaSidecar(*reread, sidecar);
-      if (!decoded.ok()) return decoded.status();
-      spilled = std::move(*decoded);
-      for (size_t i = 0; i < todo.size(); ++i) {
-        if (delta_for[i] != nullptr) delta_for[i] = &spilled[i];
-      }
-      result.deltas_spilled = true;
-    }
-  }
-  // From here on the sidecar (if any) must be removed on every non-crash
-  // exit; injected crashes leave it for recovery.
-  auto remove_sidecar = [&]() {
-    if (sidecar_on_disk) RemoveFile(sidecar);
-  };
-
   // ---- Stage every new view into one page run ------------------------------
   // The install lock freezes the pager's page count, so the run is staged
   // at its final ids, above every page a merged view shares.
@@ -1091,10 +957,7 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       layout.label_count = static_cast<uint32_t>(pattern.size());
       util::StatusOr<StoredList> tuples =
           StageList(staged, bytes, layout, static_cast<uint32_t>(sink.count()));
-      if (!tuples.ok()) {
-        remove_sidecar();
-        return tuples.status();
-      }
+      if (!tuples.ok()) return tuples.status();
       view->tuple_list_ = *tuples;
       view->match_count_ = sink.count();
       view->size_bytes_ = sink.count() * 12ull * pattern.size();
@@ -1109,11 +972,8 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       // E-scheme delta merge: share the old version's pages below the first
       // changed label instead of decoding and re-encoding whole lists.
       util::StatusOr<std::unique_ptr<MaterializedView>> view =
-          StageMergedElementView(old, *delta_for[i], staged);
-      if (!view.ok()) {
-        remove_sidecar();
-        return view.status();
-      }
+          StageMergedElementView(old, spec.deltas, staged);
+      if (!view.ok()) return view.status();
       new_views.push_back(std::move(*view));
       ++result.delta_maintained;
       continue;
@@ -1126,47 +986,20 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
       }
       ++result.fully_rebuilt;
     } else {
-      // Sorted-merge the deltas into the stored lists. Block-capable
-      // cursors hand back whole decoded pages as struct-of-arrays spans —
-      // one decode per page instead of one block lookup per record; scalar
-      // cursors and multi-label layouts fall back to record-at-a-time.
+      // Sorted-merge the deltas into the stored lists.
       for (size_t q = 0; q < pattern.size(); ++q) {
-        std::vector<Label> old_labels;
-        old_labels.reserve(old.ListLength(static_cast<int>(q)));
-        ListCursor cursor(&old.list(static_cast<int>(q)), pool_.get());
-        if (cursor.block_capable() &&
-            old.list(static_cast<int>(q)).layout.label_count == 1) {
-          while (!cursor.AtEnd()) {
-            const BlockView block = cursor.CurrentBlock();
-            const uint32_t off = cursor.index() - block.first;
-            for (uint32_t j = off; j < block.count; ++j) {
-              old_labels.push_back(
-                  {block.starts[j], block.ends[j], block.levels[j]});
-            }
-            cursor.Seek(block.first + block.count);
-          }
-        }
-        while (!cursor.AtEnd()) {
-          old_labels.push_back(cursor.LabelAt(0));
-          cursor.Next();
-        }
         util::StatusOr<std::vector<Label>> merged = MergeDelta(
-            old_labels, delta_for[i]->removed[q], delta_for[i]->added[q],
+            ReadLabels(old.list(static_cast<int>(q)), pool_.get(), 0),
+            spec.deltas.removed[q], spec.deltas.added[q],
             pattern.ToString() + " node " + std::to_string(q));
-        if (!merged.ok()) {
-          remove_sidecar();
-          return merged.status();
-        }
+        if (!merged.ok()) return merged.status();
         labels[q] = std::move(*merged);
       }
       ++result.delta_maintained;
     }
     util::StatusOr<std::unique_ptr<MaterializedView>> view =
         StageListView(pattern, old.scheme(), labels, staged);
-    if (!view.ok()) {
-      remove_sidecar();
-      return view.status();
-    }
+    if (!view.ok()) return view.status();
     new_views.push_back(std::move(*view));
   }
 
@@ -1178,30 +1011,20 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   if (journal_ != nullptr) {
     util::Status begun =
         journal_->AppendUpdateBegin(ue, static_cast<uint32_t>(todo.size()));
-    if (!begun.ok()) {
-      remove_sidecar();
-      return begun;
-    }
+    if (!begun.ok()) return begun;
   }
 
   // Until the commit record lands, every exit goes through
-  // AbortUncommitted; an ENOSPC abort also deletes the sidecar, while
-  // injected crashes leave it (and the rest) for recovery.
+  // AbortUncommitted.
   const PageId tail = pager_->page_count();
   std::vector<PageId> ids;
   auto fail = [&](const util::Status& status) {
-    if (status.code() == util::StatusCode::kResourceExhausted) {
-      remove_sidecar();
-    }
     return AbortUncommitted(status, tail, journal_mark, ids);
   };
   std::vector<MaterializedView*> placing;
   for (const auto& view : new_views) placing.push_back(view.get());
   util::Status placed = PlaceStagedPages(staged, placing, &ids);
-  if (!placed.ok()) {
-    remove_sidecar();
-    return fail(placed);
-  }
+  if (!placed.ok()) return fail(placed);
 
   // Per-view install + replace records inside the transaction. The crash
   // point fires at the top of the nth armed iteration, leaving views
@@ -1236,10 +1059,8 @@ util::StatusOr<ViewCatalog::UpdateBatchResult> ViewCatalog::ApplyUpdateBatch(
   }
   if (injector.AtCrashPoint(util::CrashPoint::kCrashAfterEpochBump)) {
     return util::Status::IoError(
-        "injected crash after the update commit, before staging cleanup");
+        "injected crash after the update commit, before registration");
   }
-
-  remove_sidecar();
 
   Retirements retired;
   {

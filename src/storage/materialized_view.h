@@ -115,9 +115,6 @@ struct RecoveryReport {
   /// installs back wholesale and recovery truncated the half-applied suffix,
   /// so the store reopened at the pre-batch epoch with the pre-batch views.
   uint64_t rolled_back_update_batches = 0;
-  /// Leftover delta spill files ("<base>.updatedelta") from interrupted
-  /// update batches that were deleted (pure staging).
-  int orphan_delta_files_removed = 0;
   /// Views whose (re-)materialization a crash rolled back, plus quarantined
   /// views with no healthy replacement: the store serves without them, but a
   /// caller holding the source document should re-materialize each one.
@@ -304,8 +301,6 @@ class ViewCatalog {
     size_t fully_rebuilt = 0;
     /// Specs skipped because their version was superseded.
     size_t superseded = 0;
-    /// The deltas took the spill-sidecar path.
-    bool deltas_spilled = false;
   };
 
   /// Applies one update batch atomically (see section comment). `doc` is the
@@ -315,10 +310,8 @@ class ViewCatalog {
   /// catalog object must be abandoned and the store reopened, like the
   /// install crash points. InvalidArgument when a delta does not match the
   /// stored list (a removed label absent, an added label already present, a
-  /// T-scheme spec without full_rebuild). Serialized deltas over 1 MiB (or
-  /// any, under FaultInjector::ArmDeltaSpill) spill to a CRC-checked
-  /// "<path>.updatedelta" sidecar, re-read before merging and removed at
-  /// commit; recovery sweeps a crash's leftover and fsck reports it.
+  /// T-scheme spec without full_rebuild). Merges read each spec's deltas
+  /// in place: the batch writes no file besides the pager and the journal.
   ///
   /// A spec naming a version that a replacement superseded before the batch
   /// took the install lock is skipped (counted in `superseded`; no
@@ -396,10 +389,6 @@ class ViewCatalog {
   /// this process or a previous one — invalidates every plan referencing the
   /// old catalog state without the cache having to enumerate dependencies.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// Pre-journal name for epoch(), kept for callers of the old in-memory
-  /// version counter.
-  uint64_t version() const { return epoch(); }
 
   /// The healthy view with the given pattern serialization and scheme, or
   /// nullptr. Quarantined views (without a replacement) never match; a

@@ -224,13 +224,10 @@ class ListCursor {
   EntryIndex Descendant() const { return PointerAt(1); }
   EntryIndex Child(uint32_t k) const { return PointerAt(2 + k); }
 
-  /// True for storage-backed cursors, whose reads decode whole pages —
-  /// callers may then batch via CurrentBlock() instead of per-entry reads.
-  bool block_capable() const { return list_ != nullptr; }
-
-  /// Decoded block containing the current entry (block-capable only).
+  /// Decoded block containing the current entry (storage-backed only):
+  /// callers batch over its spans instead of reading entry by entry.
   BlockView CurrentBlock() const {
-    VJ_DCHECK(block_capable() && !AtEnd());
+    VJ_DCHECK(list_ != nullptr && !AtEnd());
     EnsureBlock(index_);
     return {block_.first, block_.count, block_.starts, block_.ends,
             block_.levels};

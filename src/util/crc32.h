@@ -11,7 +11,7 @@ namespace viewjoin::util {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected form 0xEDB88320) over a byte
 /// range. Used by the pager to checksum page payloads and its file header,
-/// and by the manifest, delta sidecars and backup images. `seed` chains:
+/// and by the manifest and backup images. `seed` chains:
 /// Crc32(b, m, Crc32(a, n)) equals the CRC of a followed by b.
 ///
 /// Slicing-by-16: table k maps a byte to its CRC contribution k bytes before

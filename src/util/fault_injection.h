@@ -31,7 +31,8 @@ enum class CrashPoint {
   // anywhere before the commit record must roll the whole batch back.
   kCrashMidDeltaMerge,    // some views of the batch installed, others not
   kCrashBeforeEpochBump,  // all views staged+installed, commit record missing
-  kCrashAfterEpochBump,   // commit durable; sidecar not yet removed
+  kCrashAfterEpochBump,   // commit durable; new versions not yet registered,
+                          // old ones not yet retired
   // Checkpoint compaction crash point: the rewritten journal torn mid-write,
   // tmp left on disk, the original journal untouched.
   kCrashMidCompaction,
@@ -126,18 +127,6 @@ class FaultInjector {
   bool update_barrier_reached() const {
     std::lock_guard<std::mutex> lock(mu_);
     return update_barrier_waiting_;
-  }
-
-  /// Makes every update batch of a persistent catalog spill its serialized
-  /// deltas to the sidecar file, however small, until Reset(): the spill
-  /// round trip without a megabyte of updates.
-  void ArmDeltaSpill() {
-    std::lock_guard<std::mutex> lock(mu_);
-    delta_spill_armed_ = true;
-  }
-  bool delta_spill_armed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return delta_spill_armed_;
   }
 
   bool armed() const {
@@ -251,7 +240,6 @@ class FaultInjector {
   bool recovery_barrier_armed_ = false;
   bool update_barrier_armed_ = false;
   bool update_barrier_waiting_ = false;
-  bool delta_spill_armed_ = false;
 };
 
 // ---- Network fault injection ----------------------------------------------

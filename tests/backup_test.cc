@@ -78,7 +78,7 @@ bool FileExists(const std::string& path) {
 /// Removes a store's files (pager, manifest, sidecars) plus leftovers.
 void CleanupStore(const std::string& path) {
   for (const char* suffix : {"", ".manifest", ".manifest.tmp", ".doc",
-                             ".doc.manifest", ".updatedelta", ".spill"}) {
+                             ".doc.manifest", ".spill"}) {
     std::remove((path + suffix).c_str());
   }
 }
@@ -528,7 +528,7 @@ TEST(EnospcTest, CheckpointCompactionEnospcLeavesOldJournalIntact) {
 
 // Write-site matrix: with the free-space injector armed at several budgets,
 // every failing operation — shadow view builds, manifest appends, pager
-// page appends, update-delta handling — must surface as a typed
+// page appends, update batches — must surface as a typed
 // ResourceExhausted, leave no orphan files, and keep reads serving. fsck
 // vouches for the store afterwards at every budget.
 TEST(EnospcTest, WriteSiteMatrixFailsTypedWithNoOrphans) {
@@ -538,77 +538,70 @@ TEST(EnospcTest, WriteSiteMatrixFailsTypedWithNoOrphans) {
   const uint64_t budgets[] = {0, Pager::kPhysicalPageSize,
                               8 * Pager::kPhysicalPageSize,
                               64 * Pager::kPhysicalPageSize};
-  // With the delta spill armed, every batch also writes its update-delta
-  // sidecar, which a full disk must refuse the same way.
   for (uint64_t budget : budgets) {
-    for (const bool spill : {false, true}) {
-      SCOPED_TRACE("budget=" + std::to_string(budget) +
-                   (spill ? " spill" : ""));
-      xml::Document doc = MakeDoc("r(a(b(c) a(b(c c)) b) a(x(b(c))) b(c))");
-      ASSERT_TRUE(doc.RelabelWithGap(64).ok());
-      const std::string path = TempPath("enospc_matrix.db");
-      CleanupStore(path);
-      uint64_t no_space_seen = 0;
-      {
-        EngineOptions options;
-        options.persistent = true;
-        Engine engine(&doc, path, options);
-        const MaterializedView* v1 =
-            engine.AddView("//a//b", Scheme::kLinkedElement);
-        const MaterializedView* v2 =
-            engine.AddView("//c", Scheme::kLinkedElement);
-        const TreePattern query = MustParse("//a//b//c");
-        RunResult reference = engine.Execute(query, {v1, v2});
-        ASSERT_TRUE(reference.ok) << reference.error;
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    xml::Document doc = MakeDoc("r(a(b(c) a(b(c c)) b) a(x(b(c))) b(c))");
+    ASSERT_TRUE(doc.RelabelWithGap(64).ok());
+    const std::string path = TempPath("enospc_matrix.db");
+    CleanupStore(path);
+    uint64_t no_space_seen = 0;
+    {
+      EngineOptions options;
+      options.persistent = true;
+      Engine engine(&doc, path, options);
+      const MaterializedView* v1 =
+          engine.AddView("//a//b", Scheme::kLinkedElement);
+      const MaterializedView* v2 =
+          engine.AddView("//c", Scheme::kLinkedElement);
+      const TreePattern query = MustParse("//a//b//c");
+      RunResult reference = engine.Execute(query, {v1, v2});
+      ASSERT_TRUE(reference.ok) << reference.error;
 
-        ScopedFaultInjection fi;
-        fi->ArmDiskBudget(budget);
-        if (spill) fi->ArmDeltaSpill();
+      ScopedFaultInjection fi;
+      fi->ArmDiskBudget(budget);
 
-        // Shadow build + manifest append site: a new view materialization.
-        auto added = engine.TryAddView("//x//b", Scheme::kElement);
-        if (!added.ok()) {
-          EXPECT_EQ(added.status().code(), StatusCode::kResourceExhausted)
-              << added.status().ToString();
-        }
-        // Update batch site: delta merge, doc mutation journaling, installs.
-        UpdateOp op;
-        op.kind = UpdateOp::Kind::kInsertSubtree;
-        op.target_tag = "r";
-        op.target_start = doc.NodeLabel(doc.Root()).start;
-        op.subtree = frag_spec;
-        auto updated = engine.ApplyUpdates({op});
-        if (!updated.ok()) {
-          EXPECT_EQ(updated.status().code(), StatusCode::kResourceExhausted)
-              << updated.status().ToString();
-        }
-        no_space_seen = fi->injected_no_space_faults();
-
-        // Reads keep serving through a full disk — degrade like corruption,
-        // not crash. (The answer may legitimately include the batch if it
-        // committed within budget; with budget 0 nothing committed.)
-        RunResult under_pressure = engine.Execute(query, {v1, v2});
-        ASSERT_TRUE(under_pressure.ok) << under_pressure.error;
-        if (budget == 0) {
-          EXPECT_FALSE(added.ok());
-          EXPECT_FALSE(updated.ok());
-          EXPECT_EQ(under_pressure.result_hash, reference.result_hash);
-        }
-        fi->DisarmDiskBudget();
+      // Shadow build + manifest append site: a new view materialization.
+      auto added = engine.TryAddView("//x//b", Scheme::kElement);
+      if (!added.ok()) {
+        EXPECT_EQ(added.status().code(), StatusCode::kResourceExhausted)
+            << added.status().ToString();
       }
+      // Update batch site: delta merge, doc mutation journaling, installs.
+      UpdateOp op;
+      op.kind = UpdateOp::Kind::kInsertSubtree;
+      op.target_tag = "r";
+      op.target_start = doc.NodeLabel(doc.Root()).start;
+      op.subtree = frag_spec;
+      auto updated = engine.ApplyUpdates({op});
+      if (!updated.ok()) {
+        EXPECT_EQ(updated.status().code(), StatusCode::kResourceExhausted)
+            << updated.status().ToString();
+      }
+      no_space_seen = fi->injected_no_space_faults();
+
+      // Reads keep serving through a full disk — degrade like corruption,
+      // not crash. (The answer may legitimately include the batch if it
+      // committed within budget; with budget 0 nothing committed.)
+      RunResult under_pressure = engine.Execute(query, {v1, v2});
+      ASSERT_TRUE(under_pressure.ok) << under_pressure.error;
       if (budget == 0) {
-        EXPECT_GE(no_space_seen, 1u);
+        EXPECT_FALSE(added.ok());
+        EXPECT_FALSE(updated.ok());
+        EXPECT_EQ(under_pressure.result_hash, reference.result_hash);
       }
-
-      // No orphan shadow or sidecar files; fsck finds a clean store.
-      EXPECT_FALSE(FileExists(path + ".updatedelta"));
-      EXPECT_FALSE(FileExists(path + ".manifest.tmp"));
-      storage::FsckCatalogReport fsck = storage::FsckCatalog(path);
-      EXPECT_FALSE(fsck.corrupt());
-      EXPECT_FALSE(fsck.repair_needed());
-      auto opened = ViewCatalog::Open(path, 64);
-      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      fi->DisarmDiskBudget();
     }
+    if (budget == 0) {
+      EXPECT_GE(no_space_seen, 1u);
+    }
+
+    // No orphan checkpoint tmp; fsck finds a clean store.
+    EXPECT_FALSE(FileExists(path + ".manifest.tmp"));
+    storage::FsckCatalogReport fsck = storage::FsckCatalog(path);
+    EXPECT_FALSE(fsck.corrupt());
+    EXPECT_FALSE(fsck.repair_needed());
+    auto opened = ViewCatalog::Open(path, 64);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   }
 }
 

@@ -235,15 +235,15 @@ TEST(PlanCacheTest, QuarantineAndRematerializationInvalidate) {
     ASSERT_TRUE(clean.ok) << clean.error;
   }
 
-  const uint64_t version_before = engine.catalog()->version();
+  const uint64_t epoch_before = engine.catalog()->epoch();
   RunResult faulted = engine.Execute(query, {ab, c});
   ASSERT_TRUE(faulted.ok) << faulted.error;
   EXPECT_TRUE(faulted.degraded);
   ASSERT_FALSE(faulted.quarantined_views.empty());
   EXPECT_EQ(faulted.result_hash, clean.result_hash);
   EXPECT_FALSE(faulted.plan.from_cache);
-  // Quarantine + replacement re-materialization moved the catalog version.
-  EXPECT_GT(engine.catalog()->version(), version_before);
+  // Quarantine + replacement re-materialization moved the catalog epoch.
+  EXPECT_GT(engine.catalog()->epoch(), epoch_before);
 
   // The cached plan predates the quarantine: it must NOT be served again.
   RunResult after = engine.Execute(query, {ab, c});

@@ -81,7 +81,6 @@ void RemoveStore(const std::string& path) {
   std::remove((path + ".manifest").c_str());
   std::remove((path + ".manifest.tmp").c_str());
   std::remove((path + ".spill").c_str());
-  std::remove((path + ".updatedelta").c_str());
 }
 
 void RemoveTree(const std::string& dir) {

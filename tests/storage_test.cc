@@ -638,7 +638,7 @@ std::string FileText(const std::string& path) {
 // reports failure with the new bytes in place and says it renamed.
 TEST(FileTest, FailedReplaceLeavesTheOldFileAndNoTmp) {
   const std::string path = TempPath("file_replace.txt");
-  ASSERT_TRUE(storage::WriteFile(path, "old bytes", 9, /*durable=*/true).ok());
+  ASSERT_TRUE(storage::WriteFile(path, "old bytes", 9).ok());
   auto write_new = [](File& file) { return file.Append("new bytes!", 10); };
   struct Case {
     const char* name;
@@ -702,7 +702,7 @@ TEST(FileTest, TornWriteAtTheCrashPointLeavesExactlyHalf) {
 
   fi->ArmCrashPoint(util::CrashPoint::kCrashMidCompaction);
   const std::string replaced = TempPath("file_torn_replace.bin");
-  ASSERT_TRUE(storage::WriteFile(replaced, "kept", 4, /*durable=*/false).ok());
+  ASSERT_TRUE(storage::WriteFile(replaced, "kept", 4).ok());
   // The tmp file buffers its appends; the tear lands them first.
   util::Status status = storage::ReplaceFileDurably(replaced, [](File& tmp) {
     util::Status head = tmp.Append("xy", 2);

@@ -6,22 +6,22 @@
 //   - view::DeltaCollector, differentially against the NaiveEvaluator oracle
 //     on random documents (post == pre + added - removed, per pattern node);
 //   - core::Engine::ApplyUpdates (delta maintenance vs. rebuild, the relabel
-//     fallback, per-op skip semantics, plan-cache invalidation, the forced
-//     delta spill, concurrent queries during a batch);
+//     fallback, per-op skip semantics, plan-cache invalidation, concurrent
+//     queries during a batch);
 //   - the update crash matrix: kill -9 simulated inside ApplyUpdateBatch at
-//     every transaction instant x every storage scheme, with the delta spill
-//     sidecar forced on — reopen must land exactly on the pre-batch or the
-//     post-batch catalog, with answers matching a clean run, no orphan
-//     sidecars, and no epoch reuse;
+//     every transaction instant x every storage scheme — reopen must land
+//     exactly on the pre-batch or the post-batch catalog, with answers
+//     matching a clean run and no epoch reuse; a batch whose deltas run to
+//     megabytes leaves no file besides the pager and its manifest;
 //   - manifest checkpoint compaction torn mid-write (the original journal
 //     must win) and vj_fsck's epoch-monotonicity reporting.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -77,12 +77,11 @@ bool FileExists(const std::string& path) {
 }
 
 /// Removes the store plus every staging artifact a previous (failed) run may
-/// have left: manifest, checkpoint tmp, the delta spill sidecar.
+/// have left: manifest, checkpoint tmp, spill file.
 void CleanupStore(const std::string& path) {
   std::remove(path.c_str());
   std::remove((path + ".manifest").c_str());
   std::remove((path + ".manifest.tmp").c_str());
-  std::remove((path + ".updatedelta").c_str());
   std::remove((path + ".spill").c_str());
 }
 
@@ -486,24 +485,6 @@ TEST(EngineUpdateTest, PlanCacheInvalidatesOnEpochBump) {
   EXPECT_EQ(third.match_count, fx.OracleCount());
 }
 
-// ---- Forced delta spill ----------------------------------------------------
-
-TEST(EngineUpdateSpillTest, ForcedDeltaSpillRoundTripsAndCleansUp) {
-  EngineOptions options;
-  options.persistent = true;
-  EngineFixture fx(Scheme::kLinkedElement, options);
-  ScopedFaultInjection fi;
-  fi->ArmDeltaSpill();
-  auto result = fx.engine->ApplyUpdates(fx.CanonicalOps());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->delta_maintained, 2u);
-  // The sidecar was written, re-read, merged from, and removed at commit.
-  EXPECT_FALSE(FileExists(fx.path + ".updatedelta"));
-  RunResult r = fx.engine->Execute(fx.query, {fx.v1, fx.v2});
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.match_count, fx.OracleCount());
-}
-
 // ---- Concurrent queries during update batches -------------------------------
 
 // Sessions hammer the query while the main thread applies batches: every
@@ -739,8 +720,6 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
     }
 
     ScopedFaultInjection fi;
-    // Force the delta spill sidecar so the crash leaves it on disk too.
-    fi->ArmDeltaSpill();
     // Mid-delta-merge fires at the top of the nth per-view install: nth=2
     // leaves view 0 installed and view 1 missing — the half-merged state.
     fi->ArmCrashPoint(param.point,
@@ -754,23 +733,17 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
     // Scope exit abandons the catalog with the mid-flight on-disk state.
   }
 
-  // The crash left its staging artifact behind: the spilled delta sidecar
-  // (cleanup runs only after the commit point).
-  EXPECT_TRUE(FileExists(path + ".updatedelta"));
-
-  // Offline fsck before recovery: artifacts, never corruption.
+  // Offline fsck before recovery: a crash before the commit record leaves
+  // a batch to roll back; after it, the store is already whole.
   FsckCatalogReport before = FsckCatalog(path);
   EXPECT_FALSE(before.corrupt()) << storage::ToJson(before);
-  EXPECT_TRUE(before.repair_needed());
   EXPECT_EQ(before.epoch_regressions, 0u);
-  EXPECT_FALSE(before.orphan_delta_files.empty());
   EXPECT_GE(before.max_epoch, pre_epoch);
   if (!committed) {
     EXPECT_EQ(before.rolled_back_update_batches, 1u)
         << storage::ToJson(before);
   } else {
-    EXPECT_EQ(before.rolled_back_update_batches, 0u)
-        << storage::ToJson(before);
+    EXPECT_TRUE(before.clean()) << storage::ToJson(before);
     EXPECT_GT(before.max_epoch, pre_epoch);
   }
   const uint64_t high_water = before.max_epoch;
@@ -781,9 +754,6 @@ TEST_P(UpdateCrashMatrixTest, ReopenLandsOnExactlyOneEpoch) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ViewCatalog& catalog = **reopened;
 
-  // Staging artifacts are swept either way.
-  EXPECT_FALSE(FileExists(path + ".updatedelta"));
-  EXPECT_GE(catalog.recovery_report().orphan_delta_files_removed, 1);
   if (!committed) {
     EXPECT_EQ(catalog.recovery_report().rolled_back_update_batches, 1u);
   } else {
@@ -863,63 +833,76 @@ INSTANTIATE_TEST_SUITE_P(
         UpdateCrashCase{CrashPoint::kCrashAfterEpochBump, Scheme::kTuple}),
     UpdateCrashCaseName);
 
-// A torn delta sidecar (crash mid-spill-write) is a crash artifact: fsck
-// lists it, recovery sweeps it, nothing is corrupt.
-TEST(UpdateCrashTest, TornDeltaSidecarIsSweptOnReopen) {
-  const std::string path = TempPath("update_torn_sidecar.db");
-  CleanupStore(path);
-  const TreePattern p1 = MustParse("//a//b");
-  xml::Document doc = MakeDoc(kMatrixDocSpec);
-  ASSERT_TRUE(doc.RelabelWithGap(32).ok());
-  uint64_t pre_length = 0;
+// A batch whose deltas run past a megabyte merges from memory like any
+// other: crashed right after its commit record, it leaves nothing to repair
+// and no file besides the pager and its manifest.
+TEST(UpdateCrashTest, LargeBatchLeavesOnlyThePagerAndItsManifest) {
+  constexpr uint32_t kLeaves = 90000;  // 12-byte labels: 1.08 MB of deltas
+  const std::string dir = TempPath("update_large_batch");
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string path = dir + "/store.db";
+
+  std::string spec = "r(a(";
+  for (uint32_t i = 0; i < kLeaves; ++i) spec += "b ";
+  spec += ") c(b b) b)";
+  xml::Document doc = MakeDoc(spec);
+  const TreePattern pb = MustParse("//b");
+  const TreePattern pc = MustParse("//c");
+  uint64_t pre_epoch = 0, post_epoch = 0;
   {
     ViewCatalog victim(path, 128, /*persistent=*/true);
-    const MaterializedView* v1 = victim.Materialize(doc, p1, Scheme::kElement);
-    pre_length = v1->ListLength(0);
-    DeltaCollector collector(&doc, {p1});
-    MutateMatrixDoc(&doc, &collector);
+    const MaterializedView* vb = victim.Materialize(doc, pb, Scheme::kElement);
+    victim.Materialize(doc, pc, Scheme::kElement);
+    ASSERT_EQ(vb->ListLength(0), kLeaves + 3);
+    pre_epoch = victim.epoch();
+
+    // Delete every leaf under a in one op.
+    DeltaCollector collector(&doc, {pb});
+    const xml::NodeId a = FirstOfTag(doc, "a");
+    collector.WillDelete(a);
+    ASSERT_TRUE(doc.DeleteSubtree(a).ok());
+    collector.DidDelete();
     std::vector<PatternDeltas> deltas = collector.TakeDeltas();
+    ASSERT_EQ(deltas[0].removed[0].size(), kLeaves);
     std::vector<ViewCatalog::ViewUpdateSpec> specs(1);
-    specs[0].view = v1;
+    specs[0].view = vb;
     specs[0].deltas.added = std::move(deltas[0].added);
     specs[0].deltas.removed = std::move(deltas[0].removed);
-    ScopedFaultInjection fi;
-    fi->ArmDeltaSpill();
-    fi->ArmCrashPoint(CrashPoint::kCrashBeforeEpochBump);
-    ASSERT_FALSE(victim.ApplyUpdateBatch(doc, specs).ok());
-  }
-  // Tear the sidecar in half, as a crash mid-write would.
-  const std::string sidecar = path + ".updatedelta";
-  ASSERT_TRUE(FileExists(sidecar));
-  struct stat st;
-  ASSERT_EQ(::stat(sidecar.c_str(), &st), 0);
-  ASSERT_EQ(::truncate(sidecar.c_str(), st.st_size / 2), 0);
 
+    ScopedFaultInjection fi;
+    fi->ArmCrashPoint(CrashPoint::kCrashAfterEpochBump);
+    auto failed = victim.ApplyUpdateBatch(doc, specs);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(fi->injected_crashes(), 1u);
+    post_epoch = victim.epoch();
+  }
+  EXPECT_GT(post_epoch, pre_epoch);
+
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, (std::set<std::string>{"store.db", "store.db.manifest"}));
   FsckCatalogReport report = FsckCatalog(path);
-  EXPECT_FALSE(report.corrupt()) << storage::ToJson(report);
-  ASSERT_EQ(report.orphan_delta_files.size(), 1u);
-  EXPECT_TRUE(report.repair_needed());
-  // vj_fsck's text output names the file it exits 3 for.
-  EXPECT_NE(storage::ToText(report, path).find("leftover update delta: " +
-                                               sidecar + "\n"),
-            std::string::npos)
-      << storage::ToText(report, path);
+  EXPECT_TRUE(report.clean()) << storage::ToJson(report);
 
   auto reopened = ViewCatalog::Open(path, 128);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  EXPECT_GE((*reopened)->recovery_report().orphan_delta_files_removed, 1);
-  // ... and the --repair line counts it.
-  const std::string repaired = storage::ToText((*reopened)->recovery_report());
-  EXPECT_NE(repaired.find("1 leftover update delta file(s) removed"),
-            std::string::npos)
-      << repaired;
-  EXPECT_FALSE(FileExists(sidecar));
-  // The rolled-back view is the pre-batch one, intact.
-  const MaterializedView* v = (*reopened)->FindView(p1.ToString(),
-                                                    Scheme::kElement);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->ListLength(0), pre_length);
-  EXPECT_TRUE((*reopened)->VerifyView(v).ok());
+  ViewCatalog& catalog = **reopened;
+  EXPECT_EQ(catalog.epoch(), post_epoch);
+  const MaterializedView* rb = catalog.FindView(pb.ToString(), Scheme::kElement);
+  const MaterializedView* rc = catalog.FindView(pc.ToString(), Scheme::kElement);
+  ASSERT_NE(rb, nullptr);
+  ASSERT_NE(rc, nullptr);
+  EXPECT_EQ(rb->ListLength(0), NaiveEvaluator(doc, pb).Count());
+  const TreePattern query = MustParse("//c//b");
+  tpq::HashingSink oracle;
+  NaiveEvaluator(doc, query).Evaluate(&oracle);
+  EXPECT_EQ(oracle.count(), 2u);
+  EXPECT_EQ(QueryHash(doc, &catalog, query, {rc, rb}), oracle.hash());
+  EXPECT_TRUE(catalog.Close().ok());
+  std::filesystem::remove_all(dir);
 }
 
 // ---- Checkpoint compaction torn mid-write (satellite: compaction fix) ------
