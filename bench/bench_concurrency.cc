@@ -1,10 +1,11 @@
-// Concurrent query serving: throughput of Engine::ExecuteBatch over the
-// Fig. 5 path workloads as the worker count sweeps 1/2/4/8. Each batch runs
-// the dataset's path queries (replicated a few times so every worker has
-// work) against a deliberately small shared buffer pool, so the sharded
-// pool's locking, pinning and eviction all run under real contention. Every
-// batch result's match hash is cross-checked against a plain single-query
-// Execute of the same query; a mismatch aborts the run.
+// Concurrent query serving: throughput of one Engine::Session per thread
+// (RunOnSessions) over the Fig. 5 path workloads as the thread count sweeps
+// 1/2/4/8. Each batch runs the dataset's path queries (replicated a few
+// times so every thread has work) against a deliberately small shared
+// buffer pool, so the sharded pool's locking, pinning and eviction all run
+// under real contention. Every batch result's match hash is cross-checked
+// against a plain single-query Execute of the same query; a mismatch aborts
+// the run.
 //
 // Simulated per-page read latency defaults to 150 us in *sleep* mode
 // (VIEWJOIN_PAGE_READ_MICROS / VIEWJOIN_PAGE_READ_SLEEP, overridable from
@@ -15,7 +16,7 @@
 // `--json BENCH_concurrency.json` emits machine-readable rows (see
 // bench/README.md for the schema). `--smoke` shrinks the datasets, replica
 // count and thread sweep to a seconds-long run for CI: it validates the
-// batch path end to end (results are still hash-checked) without producing
+// session path end to end (results are still hash-checked) without producing
 // publishable numbers.
 
 #include <cstdio>
@@ -90,7 +91,7 @@ void RunDataset(const std::string& dataset, const xml::Document& doc,
   core::Engine engine(&doc, path, options);
   std::vector<PreparedQuery> prepared = Prepare(&engine, specs, combo);
 
-  std::vector<core::BatchQuery> batch;
+  std::vector<SessionQuery> batch;
   for (int r = 0; r < replicas; ++r) {
     for (const PreparedQuery& q : prepared) {
       batch.push_back({&q.pattern, q.views});
@@ -104,13 +105,12 @@ void RunDataset(const std::string& dataset, const xml::Document& doc,
                             "speedup", "pages read", "degraded"});
   double single_thread_ms = 0;
   for (int threads : thread_sweep) {
-    core::BatchOptions batch_options;
-    batch_options.threads = static_cast<size_t>(threads);
-    batch_options.run.algorithm = combo.algorithm;
-    batch_options.run.cold_cache = true;  // whole batch starts cold
+    core::RunOptions run;
+    run.algorithm = combo.algorithm;
+    engine.catalog()->DropCaches();  // whole batch starts cold
     util::Timer timer;
     std::vector<core::RunResult> results =
-        engine.ExecuteBatch(batch, batch_options);
+        RunOnSessions(&engine, batch, static_cast<size_t>(threads), run);
     double wall_ms = timer.ElapsedMillis();
 
     uint64_t pages_read = 0;
@@ -188,7 +188,7 @@ void Main(int argc, char** argv) {
                  std::string(std::getenv("VIEWJOIN_PAGE_READ_MICROS")));
   report.SetMeta("pool_pages", static_cast<uint64_t>(64));
 
-  std::printf("Concurrent serving bench: ExecuteBatch over Fig. 5 paths\n");
+  std::printf("Concurrent serving bench: sessions over Fig. 5 paths\n");
   std::printf("(simulated page read latency %s us, sleep mode %s)\n\n",
               std::getenv("VIEWJOIN_PAGE_READ_MICROS"),
               std::getenv("VIEWJOIN_PAGE_READ_SLEEP"));

@@ -133,7 +133,7 @@ void BenchScrubAndOverhead(const xml::Document& doc, int batch_replicas,
                            JsonReport* report) {
   RemoveStore(kEnginePath);
   core::Engine engine(&doc, kEnginePath);
-  std::vector<core::BatchQuery> batch;
+  std::vector<SessionQuery> batch;
   std::vector<tpq::TreePattern> patterns = StorePatterns();
   std::vector<std::vector<const MaterializedView*>> views(patterns.size());
   for (size_t i = 0; i < patterns.size(); ++i) {
@@ -166,19 +166,19 @@ void BenchScrubAndOverhead(const xml::Document& doc, int batch_replicas,
       .Set("pass_ms", scrub_ms)
       .Set("pages_per_sec", pages_per_sec);
 
-  // Section 3: batch wall time without, then with, the background scrubber.
+  // Section 3: batch wall time on four sessions without, then with, the
+  // background scrubber. Every batch starts from a cold pool.
   auto run_batch = [&]() -> double {
-    core::BatchOptions options;
-    options.threads = 4;
+    engine.catalog()->DropCaches();
     util::Timer timer;
-    std::vector<core::RunResult> results = engine.ExecuteBatch(batch, options);
+    std::vector<core::RunResult> results = RunOnSessions(&engine, batch, 4);
     double wall_ms = timer.ElapsedMillis();
     for (const core::RunResult& r : results) {
       VJ_CHECK(r.ok) << r.error;
     }
     return wall_ms;
   };
-  run_batch();  // warm the pool so both measured runs start equal
+  run_batch();  // one unmeasured run so both measured runs start equal
   double off_ms = run_batch();
   engine.scrubber()->Start(std::chrono::milliseconds(1), 64);
   double on_ms = run_batch();

@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "util/check.h"
 #include "xml/statistics.h"
@@ -202,6 +204,27 @@ RunResult BenchContext::RunSplit(const std::string& xpath, const Combo& combo,
   TreePattern query = ParseQuery(xpath);
   std::vector<TreePattern> split = SplitViews(query, pieces);
   return Run(query, Views(split, combo.scheme), combo, mode);
+}
+
+std::vector<RunResult> RunOnSessions(core::Engine* engine,
+                                     const std::vector<SessionQuery>& queries,
+                                     size_t threads, const RunOptions& run) {
+  VJ_CHECK(threads > 0);
+  std::vector<RunResult> results(queries.size());
+  std::atomic<size_t> next{0};
+  auto serve = [&](size_t id) {
+    core::Engine::Session session(engine, id);
+    for (size_t i = next.fetch_add(1); i < queries.size();
+         i = next.fetch_add(1)) {
+      results[i] = session.Run(*queries[i].pattern, queries[i].views, run);
+    }
+  };
+  std::vector<std::thread> pool;
+  for (size_t id = 0; id < std::min(threads, queries.size()); ++id) {
+    pool.emplace_back(serve, id);
+  }
+  for (std::thread& t : pool) t.join();
+  return results;
 }
 
 TreePattern ParseQuery(const std::string& xpath) {

@@ -85,6 +85,22 @@ class BenchContext {
       view_cache_;
 };
 
+/// One query for RunOnSessions: a pattern that outlives the call and its
+/// covering views.
+struct SessionQuery {
+  const tpq::TreePattern* pattern = nullptr;
+  std::vector<const storage::MaterializedView*> views;
+};
+
+/// Runs `queries` on up to `threads` threads, each holding one
+/// core::Engine::Session of `engine` (ids 0..threads-1). Threads claim the
+/// next query from one atomic index, and results[i] answers queries[i].
+/// Session::Run never drops caches: a caller that wants a cold start drops
+/// them before the call.
+std::vector<core::RunResult> RunOnSessions(
+    core::Engine* engine, const std::vector<SessionQuery>& queries,
+    size_t threads, const core::RunOptions& run = {});
+
 /// Parses an XPath, dying on failure.
 tpq::TreePattern ParseQuery(const std::string& xpath);
 

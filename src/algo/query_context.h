@@ -31,7 +31,7 @@ const char* AbortReasonName(AbortReason reason);
 /// only consulted every kCheckInterval advances, so governance overhead is
 /// amortized to noise (the acceptance bar is < 3% on the paper's Fig. 5
 /// paths). Evaluation loops additionally test aborted() in their conditions
-/// so an abort requested by another thread (the batch watchdog) is observed
+/// so an abort requested by another thread (the server watchdog) is observed
 /// within one loop iteration.
 ///
 /// Thread model: configuration and budget accounting belong to the owning

@@ -1,9 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <optional>
 #include <thread>
 
@@ -130,7 +128,7 @@ Engine::Engine(const xml::Document* doc, const std::string& storage_path,
   // The scrubber's healer mirrors the query path's recovery step: rebuild
   // the quarantined view from the in-memory document and register the
   // replacement. recovery_mu_ serializes it against query-path rebuilds, so
-  // a scrub heal and a batch worker tripping over the same view build one
+  // a scrub heal and a session tripping over the same view build one
   // replacement between them.
   scrubber_ = std::make_unique<storage::Scrubber>(
       catalog_.get(),
@@ -480,7 +478,7 @@ RunResult Engine::ExecuteInternal(
     if (!view_err.ok()) {
       // Quarantine the view owning the failed page — or, if the page cannot
       // be attributed, every active view — and rebuild from the document.
-      // Serialized engine-wide so concurrent batch workers tripping over the
+      // Serialized engine-wide so concurrent sessions tripping over the
       // same corrupt view rebuild it once and share the replacement.
       std::lock_guard<std::mutex> recovery_lock(recovery_mu_);
       std::vector<const MaterializedView*> suspects;
@@ -517,15 +515,15 @@ RunResult Engine::ExecuteInternal(
       scope.Clear();
       if (!rebuilt) break;  // medium too sick to rebuild on — fall back
     }
-    // Test hook: an armed recovery barrier holds the worker here — between
+    // Test hook: an armed recovery barrier holds the session here — between
     // the rebuild and the retry run — so tests can land an event (e.g. a
     // cancellation) in this window deterministically.
     util::FaultInjector::Global().OnRecoveryPoint();
   }
 
   // The view store is persistently failing. Callers that disabled the
-  // base-document fallback get a typed, retryable error instead — the batch
-  // retry ladder (bounded, with backoff) is their recovery path.
+  // base-document fallback get a typed, retryable error instead — the
+  // session's retry ladder (bounded, with backoff) is their recovery path.
   if (!run.allow_base_fallback) {
     scope.Clear();
     spill->ClearError();
@@ -564,99 +562,6 @@ RunResult Engine::ExecuteInternal(
   result.degraded = true;
   if (gov->aborted()) return finish_aborted();
   return finish(tee);
-}
-
-std::vector<RunResult> Engine::ExecuteBatch(
-    const std::vector<BatchQuery>& queries, const BatchOptions& options) {
-  std::vector<RunResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  // Cold cache applies to the batch as a whole: the pool is shared, so a
-  // per-query drop would evict pages siblings are still cursoring over.
-  if (options.run.cold_cache) DropCaches();
-
-  size_t workers = std::min(std::max<size_t>(options.threads, 1),
-                            queries.size());
-
-  // Admission control: workers serve at most `threads + max_queued` queries;
-  // the positional overflow is bounced immediately with kRejected and never
-  // executed, so an oversized batch cannot queue unboundedly behind slow
-  // siblings. Rejection happens before execution starts and cannot perturb
-  // admitted queries' results.
-  size_t admitted = queries.size();
-  if (options.max_queued < queries.size()) {
-    admitted = std::min(queries.size(), workers + options.max_queued);
-  }
-  for (size_t i = admitted; i < queries.size(); ++i) {
-    results[i].admission = BatchAdmission::kRejected;
-    results[i].error = "rejected: admission queue full";
-  }
-  if (admitted == 0) return results;
-
-  // One session per worker, each spooling disk-mode intermediates into a
-  // private scratch file ("<storage_path>.spill.<worker>", removed when the
-  // batch ends). The sessions outlive both workers and watchdog.
-  std::vector<std::unique_ptr<Session>> sessions;
-  sessions.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    sessions.emplace_back(
-        new Session(this, storage_path_ + ".spill." + std::to_string(w),
-                    static_cast<uint64_t>(w) << 32));
-  }
-  std::atomic<size_t> next{0};
-
-  auto serve = [&](Session* session) {
-    for (size_t i = next.fetch_add(1); i < admitted; i = next.fetch_add(1)) {
-      const BatchQuery& q = queries[i];
-      VJ_CHECK(q.query != nullptr) << "batch query " << i << " has no pattern";
-      RunOptions mine = options.run;
-      if (q.deadline_ms >= 0) mine.deadline_ms = q.deadline_ms;
-      if (q.cancel != nullptr) mine.cancel = q.cancel;
-      results[i] = session->Run(*q.query, q.views, mine, options.retry);
-    }
-  };
-
-  // Watchdog: cooperative checkpoints cannot run while a worker sits inside
-  // a long page read, so deadlines are also fired from outside. The worker
-  // observes the abort flag at its next loop iteration.
-  bool need_watchdog = options.run.deadline_ms > 0;
-  for (const BatchQuery& q : queries) need_watchdog |= q.deadline_ms > 0;
-  std::mutex wd_mu;
-  std::condition_variable wd_cv;
-  bool wd_stop = false;
-  std::thread watchdog;
-  if (need_watchdog) {
-    watchdog = std::thread([&] {
-      std::unique_lock<std::mutex> lock(wd_mu);
-      while (!wd_stop) {
-        wd_cv.wait_for(lock, std::chrono::milliseconds(5));
-        for (const std::unique_ptr<Session>& session : sessions) {
-          session->governance()->FireIfExpired();
-        }
-      }
-    });
-  }
-
-  if (workers == 1) {
-    serve(sessions[0].get());
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (const std::unique_ptr<Session>& session : sessions) {
-      pool.emplace_back(serve, session.get());
-    }
-    for (std::thread& t : pool) t.join();
-  }
-
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(wd_mu);
-      wd_stop = true;
-    }
-    wd_cv.notify_all();
-    watchdog.join();
-  }
-  return results;
 }
 
 Engine::Session::Session(Engine* engine, size_t id)
@@ -818,56 +723,6 @@ RunResult Engine::ExecuteToView(
   }
   *result_view = *stored;
   return result;
-}
-
-RunResult Engine::SelectAndExecute(
-    const TreePattern& query, const std::vector<TreePattern>& candidates,
-    Scheme scheme, const RunOptions& run, view::SelectionResult* selection) {
-  util::Timer timer;
-  view::SelectionOptions options;
-  std::shared_lock<std::shared_mutex> doc_lock(doc_mu_);
-  view::SelectionResult picked = view::SelectViews(*doc_, query, candidates,
-                                                   options);
-  if (selection != nullptr) *selection = picked;
-  RunResult result;
-  if (!picked.covers) {
-    result.error = "candidate views cannot cover the query";
-    return result;
-  }
-  std::vector<const MaterializedView*> views;
-  views.reserve(picked.selected.size());
-  for (size_t index : picked.selected) {
-    // Selection + materialization count against the caller's deadline and
-    // cancellation token too — a query with a 50 ms deadline must not spend
-    // seconds materializing views first.
-    if (run.deadline_ms > 0 && timer.ElapsedMillis() >= run.deadline_ms) {
-      result.timed_out = true;
-      result.error = "deadline exceeded";
-      return result;
-    }
-    if (run.cancel != nullptr &&
-        run.cancel->load(std::memory_order_relaxed)) {
-      result.cancelled = true;
-      result.error = "cancelled";
-      return result;
-    }
-    util::StatusOr<const MaterializedView*> made =
-        catalog_->TryMaterialize(*doc_, candidates[index], scheme);
-    if (!made.ok()) {
-      result.retryable = true;
-      result.error = made.status().ToString();
-      return result;
-    }
-    views.push_back(*made);
-  }
-  // The remaining deadline budget (not a fresh full one) governs the query.
-  RunOptions remaining = run;
-  if (run.deadline_ms > 0) {
-    remaining.deadline_ms =
-        std::max(1.0, run.deadline_ms - timer.ElapsedMillis());
-  }
-  doc_lock.unlock();  // Execute re-acquires shared; the lock is not recursive
-  return Execute(query, views, remaining);
 }
 
 util::StatusOr<UpdateResult> Engine::ApplyUpdates(

@@ -23,7 +23,6 @@
 #include "storage/scrubber.h"
 #include "tpq/pattern.h"
 #include "util/status.h"
-#include "view/selection.h"
 #include "xml/document.h"
 #include "xml/statistics.h"
 
@@ -115,27 +114,15 @@ struct RunOptions {
   uint64_t disk_budget_bytes = 0;
   /// When false, a view-store fault that outlasts quarantine + rebuild fails
   /// the query with a retryable error instead of silently answering from the
-  /// base document — batch serving prefers bounded retry over the fallback's
+  /// base document — a server prefers bounded retry over the fallback's
   /// unbounded full-document scan.
   bool allow_base_fallback = true;
-};
-
-/// One query of an ExecuteBatch call: the pattern plus its covering views.
-/// The pointed-to pattern must outlive the batch call.
-struct BatchQuery {
-  const tpq::TreePattern* query = nullptr;
-  std::vector<const storage::MaterializedView*> views;
-  /// Per-query deadline override in ms; < 0 inherits
-  /// BatchOptions::run.deadline_ms.
-  double deadline_ms = -1;
-  /// Per-query cancellation token; overrides BatchOptions::run.cancel.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Bounded retry for queries that failed on a transient storage fault
 /// (RunResult::retryable): up to `max_retries` re-executions with
 /// decorrelated-jitter backoff — each delay is uniform in
-/// [backoff_ms, min(backoff_cap_ms, 3 x previous delay)], so workers that
+/// [backoff_ms, min(backoff_cap_ms, 3 x previous delay)], so sessions that
 /// faulted together retry spread out instead of in lockstep (the
 /// thundering-herd hazard of deterministic doubling). Deterministic failures
 /// (bad bindings, budget exhaustion, deadline, cancel) are never retried.
@@ -143,30 +130,6 @@ struct RetryPolicy {
   int max_retries = 0;
   double backoff_ms = 1.0;
   double backoff_cap_ms = 100.0;
-};
-
-struct BatchOptions {
-  /// Worker threads serving the batch (clamped to [1, queries.size()]).
-  size_t threads = 4;
-  /// Admission control: at most `threads + max_queued` queries are admitted;
-  /// the overflow is returned immediately with BatchAdmission::kRejected and
-  /// never executed (backpressure instead of unbounded queueing). The
-  /// default admits everything.
-  size_t max_queued = SIZE_MAX;
-  /// Retry ladder applied to every admitted query.
-  RetryPolicy retry;
-  /// Per-query options. A deadline's clock starts when a worker picks the
-  /// query up; it is enforced both cooperatively and by a watchdog thread
-  /// that fires deadlines on workers stuck inside long page reads.
-  /// `cold_cache` applies once to the whole batch (the pool is shared;
-  /// dropping it per query would evict siblings' pages).
-  RunOptions run;
-};
-
-/// Admission verdict of a batch query (see BatchOptions::max_queued).
-enum class BatchAdmission {
-  kAdmitted,
-  kRejected,  // bounced by admission control; never executed
 };
 
 struct RunResult {
@@ -180,9 +143,6 @@ struct RunResult {
   /// False for deterministic failures; true when the failure was a storage
   /// fault that a retry might not hit (the retry ladder keys on this).
   bool retryable = false;
-  /// Admission verdict (always kAdmitted outside ExecuteBatch). Rejected
-  /// queries carry no other information: they were never executed.
-  BatchAdmission admission = BatchAdmission::kAdmitted;
   /// Execution attempts the retry ladder spent (1 = no retry).
   int attempts = 1;
   /// Peak bytes of buffered intermediate solutions charged against the
@@ -282,17 +242,24 @@ struct UpdateResult {
 class Engine {
  public:
   /// The one code path that runs a query: Execute runs on the engine's own
-  /// session, ExecuteBatch on one session per worker, and a query server's
-  /// worker thread holds one for its lifetime. Each session owns a private
-  /// spill pager and one reusable governance context, and runs queries
-  /// through the fault-recovery + bounded-retry ladder, one at a time,
-  /// concurrently with sibling sessions on the same engine.
+  /// session, and a caller that wants parallel queries holds one session per
+  /// thread, as a query server's workers do. Each session owns a private
+  /// spill pager ("<storage_path>.session.<id>") and one reusable governance
+  /// context, and runs queries through the fault-recovery + bounded-retry
+  /// ladder, one at a time, concurrently with sibling sessions on the same
+  /// engine. Per-query isolation: a storage fault degrades only the
+  /// RunResult of the query that hit it (page faults latch per query via
+  /// BufferPool::ErrorScope), and quarantine + re-materialization is
+  /// serialized engine-wide, so a session reuses a replacement a sibling
+  /// already rebuilt. io counters come from the shared pool and pagers, so
+  /// they attribute sibling I/O to whichever query observed it.
   ///
   /// Rules: Run() is serial per session (one query at a time); sessions on
   /// one engine may Run() concurrently with each other and with the
-  /// scrubber, but not with Execute/ExecuteBatch (those drop caches for
-  /// cold_cache). governance() is safe to poll from a watchdog thread while
-  /// Run() executes — FireIfExpired/RequestAbort only.
+  /// scrubber, but not with Execute (which drops caches for cold_cache).
+  /// Sessions run no watchdog: governance() is safe to poll from the
+  /// caller's watchdog thread while Run() executes — FireIfExpired/
+  /// RequestAbort only.
   class Session {
    public:
     Session(Engine* engine, size_t id);
@@ -367,32 +334,11 @@ class Engine {
   /// Runs `query` over the covering `views`, streaming matches into an
   /// internal hashing sink (see Result) — or into `sink` when provided — on
   /// the engine's own session (spill file "<storage_path>.spill"), after a
-  /// cache drop when run.cold_cache is set. One Execute at a time.
+  /// cache drop when run.cold_cache is set. One Execute at a time, and none
+  /// while a session runs.
   RunResult Execute(const tpq::TreePattern& query,
                  const std::vector<const storage::MaterializedView*>& views,
                  const RunOptions& run = {}, tpq::MatchSink* sink = nullptr);
-
-  /// Serves `queries` concurrently on a fixed pool of `options.threads`
-  /// workers sharing this engine's view store and buffer pool. Results are
-  /// positional: results[i] answers queries[i], with the same fault-recovery
-  /// ladder as Execute. Per-query isolation guarantees:
-  ///   - a storage fault in one query degrades *that* RunResult only (error
-  ///     latching is per-query via BufferPool::ErrorScope);
-  ///   - quarantine + re-materialization is serialized engine-wide, and a
-  ///     worker reuses a replacement a sibling already rebuilt;
-  ///   - each worker spools disk-mode intermediates into its own spill file
-  ///     ("<storage_path>.spill.<worker>").
-  /// Each worker is a Session. Governance (see BatchOptions): queries beyond
-  /// threads + max_queued are rejected up front (kRejected) without
-  /// perturbing admitted queries; a watchdog thread fires per-query
-  /// deadlines on stuck workers; queries failing on transient storage
-  /// faults are retried with jittered backoff up to retry.max_retries times.
-  /// io counters in batch results come from the shared pool/pager and so
-  /// attribute sibling I/O to whichever query observed it; use the aggregate
-  /// across the batch, not per-query splits. Not reentrant: one batch (or
-  /// Execute) at a time per engine.
-  std::vector<RunResult> ExecuteBatch(const std::vector<BatchQuery>& queries,
-                                      const BatchOptions& options = {});
 
   /// Runs the query and stores its answer back as a new materialized view:
   /// the distinct solution nodes per query node become the view's lists
@@ -406,19 +352,11 @@ class Engine {
       storage::Scheme result_scheme,
       const storage::MaterializedView** result_view, const RunOptions& run = {});
 
-  /// Convenience: greedy view selection (paper Section V) over candidate
-  /// patterns, materialization in `scheme`, then Execute. The selection
-  /// details are returned through *selection when non-null.
-  RunResult SelectAndExecute(const tpq::TreePattern& query,
-                          const std::vector<tpq::TreePattern>& candidates,
-                          storage::Scheme scheme, const RunOptions& run = {},
-                          view::SelectionResult* selection = nullptr);
-
   /// Applies a batch of live-document updates and delta-maintains every
   /// affected materialized view, atomically (one manifest update
   /// transaction; see storage::ViewCatalog::ApplyUpdateBatch):
   ///   - the document mutates under an exclusive lock, so concurrent
-  ///     queries (sessions, batches) never observe a half-applied batch;
+  ///     queries (sessions) never observe a half-applied batch;
   ///     queries running while the new views install keep answering from
   ///     the still-registered previous-epoch views;
   ///   - list-scheme views get sorted label deltas merged into their stored
@@ -490,7 +428,7 @@ class Engine {
       const RunOptions& run, tpq::MatchSink* sink, storage::Pager* spill,
       algo::QueryContext* gov);
 
-  /// Cold start for Execute/ExecuteBatch: drops the cached pages of the view
+  /// Cold start for Execute: drops the cached pages of the view
   /// store and the document store and resets their I/O counters (and the
   /// engine session's spill counters).
   void DropCaches();
@@ -546,8 +484,8 @@ class Engine {
   /// first; ~Engine also stops it explicitly before members tear down.
   std::unique_ptr<storage::Scrubber> scrubber_;
   plan::PlanCache plan_cache_;
-  /// Serializes quarantine + re-materialization across batch workers so two
-  /// workers hitting the same corrupt view rebuild it once.
+  /// Serializes quarantine + re-materialization across sessions so two
+  /// sessions hitting the same corrupt view rebuild it once.
   std::mutex recovery_mu_;
 };
 

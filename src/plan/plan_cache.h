@@ -24,7 +24,7 @@ namespace viewjoin::plan {
 /// are overwritten lazily on the next insert with the same (fingerprint,
 /// env) pair.
 ///
-/// Thread-safe; ExecuteBatch workers share one cache. View pointers inside
+/// Thread-safe; concurrent engine sessions share one cache. View pointers inside
 /// cached plans stay valid because the catalog owns every view for its
 /// lifetime (quarantined views included).
 class PlanCache {

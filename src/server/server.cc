@@ -505,8 +505,7 @@ void QueryServer::WatchdogLoop() {
   while (state_.load(std::memory_order_acquire) != State::kStopped) {
     std::this_thread::sleep_for(kWatchdogTick);
     // Cooperative checkpoints cannot run while a worker sits inside a long
-    // page read; expired deadlines are fired from here, exactly as the batch
-    // watchdog does.
+    // page read; expired deadlines are fired from here.
     for (const std::unique_ptr<core::Engine::Session>& session : sessions_) {
       session->governance()->FireIfExpired();
     }

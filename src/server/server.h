@@ -44,8 +44,7 @@ struct ServerOptions {
   double default_deadline_ms = 10000;
   double max_deadline_ms = 60000;
   /// Per-tenant token-bucket quota (<= 0 disables): sustained queries/sec
-  /// and burst allowance. Over quota is a typed kRejected with Retry-After,
-  /// layered *above* the engine's own admission control.
+  /// and burst allowance. Over quota is a typed kRejected with Retry-After.
   double quota_rate_per_sec = 0;
   double quota_burst = 10;
   /// Per-query intermediate-solution budget in bytes (0 = unlimited).

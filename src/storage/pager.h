@@ -46,7 +46,7 @@ inline constexpr PageId kInvalidPage = 0xFFFFFFFFu;
 /// no call shares a file position. ReadPage and VerifyPage hold the internal
 /// mutex only to snapshot the page count (and descriptor); the positioned
 /// read and the footer/CRC check run unlocked, so concurrent buffer-pool
-/// misses (ExecuteBatch workers, server threads, read-ahead) read in
+/// misses (engine sessions, server threads, read-ahead) read in
 /// parallel, and the stats and error latch are then updated under the lock.
 /// A page below the snapshotted count is complete in the file: appends bump
 /// the count only after their bytes landed. Callers must not write a page

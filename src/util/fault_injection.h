@@ -52,7 +52,7 @@ const char* CrashPointName(CrashPoint point);
 /// assert on the surfaced Status — no real disk faults or flaky timing.
 ///
 /// Thread-safe: the pager hooks and arming calls are mutex-guarded, so fault
-/// tests can run against concurrent ExecuteBatch workers ("fail the next N
+/// tests can run against concurrent engine sessions ("fail the next N
 /// reads, whichever thread issues them"). All state lives in the process-wide
 /// instance returned by Global(); prefer ScopedFaultInjection in tests so a
 /// failing test cannot leak armed faults into the next one.

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "core/engine.h"
 #include "core/segmented_query.h"
 #include "core/view_join.h"
@@ -268,7 +269,7 @@ TEST_F(EngineTest, ExecuteReportsBindErrors) {
   EXPECT_FALSE(r.error.empty());
 }
 
-TEST_F(EngineTest, ExecuteBatchMatchesSequentialExecute) {
+TEST_F(EngineTest, SessionsMatchSequentialExecute) {
   TreePattern q1 = MustParse("//a//b//c");
   TreePattern q2 = MustParse("//a//b");
   TreePattern q3 = MustParse("//b//c");
@@ -285,16 +286,15 @@ TEST_F(EngineTest, ExecuteBatchMatchesSequentialExecute) {
     ASSERT_TRUE(sequential.back().ok) << sequential.back().error;
   }
 
-  std::vector<core::BatchQuery> batch;
+  std::vector<bench::SessionQuery> batch;
   for (int rep = 0; rep < 3; ++rep) {
     for (size_t i = 0; i < queries.size(); ++i) {
       batch.push_back({queries[i], views[i]});
     }
   }
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    core::BatchOptions options;
-    options.threads = threads;
-    std::vector<core::RunResult> results = engine_.ExecuteBatch(batch, options);
+    std::vector<core::RunResult> results =
+        bench::RunOnSessions(&engine_, batch, threads);
     ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < results.size(); ++i) {
       const core::RunResult& ref = sequential[i % queries.size()];
@@ -308,20 +308,19 @@ TEST_F(EngineTest, ExecuteBatchMatchesSequentialExecute) {
   }
 }
 
-TEST_F(EngineTest, ExecuteBatchIsolatesBindErrors) {
+TEST_F(EngineTest, SessionsIsolateBindErrors) {
   TreePattern query = MustParse("//a//b//c");
   auto* ab = engine_.AddView("//a//b", Scheme::kLinkedElement);
   auto* c = engine_.AddView("//c", Scheme::kLinkedElement);
   core::RunResult ref = engine_.Execute(query, {ab, c});
   ASSERT_TRUE(ref.ok) << ref.error;
-  std::vector<core::BatchQuery> batch = {
+  std::vector<bench::SessionQuery> batch = {
       {&query, {ab, c}},
       {&query, {ab}},  // uncovered query node: bind error
       {&query, {ab, c}},
   };
-  core::BatchOptions options;
-  options.threads = 3;
-  std::vector<core::RunResult> results = engine_.ExecuteBatch(batch, options);
+  std::vector<core::RunResult> results =
+      bench::RunOnSessions(&engine_, batch, 3);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_TRUE(results[0].ok) << results[0].error;
   EXPECT_FALSE(results[1].ok);
@@ -329,34 +328,6 @@ TEST_F(EngineTest, ExecuteBatchIsolatesBindErrors) {
   EXPECT_TRUE(results[2].ok) << results[2].error;
   EXPECT_EQ(results[0].result_hash, ref.result_hash);
   EXPECT_EQ(results[2].result_hash, ref.result_hash);
-}
-
-TEST_F(EngineTest, ExecuteBatchHandlesEmptyAndOversubscribedBatches) {
-  EXPECT_TRUE(engine_.ExecuteBatch({}).empty());
-  TreePattern query = MustParse("//a//b");
-  auto* ab = engine_.AddView("//a//b", Scheme::kLinkedElement);
-  core::RunResult ref = engine_.Execute(query, {ab});
-  ASSERT_TRUE(ref.ok) << ref.error;
-  core::BatchOptions options;
-  options.threads = 8;  // clamped to the batch size
-  std::vector<core::RunResult> results =
-      engine_.ExecuteBatch({{&query, {ab}}}, options);
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].ok) << results[0].error;
-  EXPECT_EQ(results[0].result_hash, ref.result_hash);
-}
-
-TEST_F(EngineTest, SelectAndExecuteCoversQuery) {
-  TreePattern query = MustParse("//a//b//c");
-  std::vector<TreePattern> candidates = {
-      MustParse("//a//b"), MustParse("//a"), MustParse("//b"),
-      MustParse("//c"), MustParse("//b//c")};
-  view::SelectionResult selection;
-  core::RunResult r = engine_.SelectAndExecute(
-      query, candidates, Scheme::kLinkedElement, {}, &selection);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(selection.covers);
-  EXPECT_EQ(r.match_count, tpq::NaiveEvaluator(doc_, query).Count());
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 
 #include "algo/query_binding.h"
 #include "algo/twig_stack.h"
+#include "bench/harness.h"
 #include "core/engine.h"
 #include "storage/document_store.h"
 #include "storage/fsck.h"
@@ -847,21 +848,15 @@ TEST(ScrubberTest, BackgroundScrubWithConcurrentBatchQueries) {
   core::RunResult clean = engine.Execute(query, {ab, c});
   ASSERT_TRUE(clean.ok);
 
-  // A fast background scrubber races real batch traffic over healthy views:
-  // every query must stay clean and bit-identical (this is the tsan target
-  // for scrubber-vs-query interleavings).
+  // A fast background scrubber races query traffic on four sessions over
+  // healthy views: every query must stay clean and bit-identical (this is
+  // the tsan target for scrubber-vs-query interleavings).
   engine.scrubber()->Start(std::chrono::milliseconds(1), 16);
   EXPECT_TRUE(engine.scrubber()->running());
   for (int round = 0; round < 5; ++round) {
-    std::vector<core::BatchQuery> batch(8);
-    for (core::BatchQuery& q : batch) {
-      q.query = &query;
-      q.views = {ab, c};
-    }
-    core::BatchOptions batch_options;
-    batch_options.threads = 4;
+    std::vector<bench::SessionQuery> batch(8, {&query, {ab, c}});
     std::vector<core::RunResult> results =
-        engine.ExecuteBatch(batch, batch_options);
+        bench::RunOnSessions(&engine, batch, 4);
     for (const core::RunResult& r : results) {
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_EQ(r.result_hash, clean.result_hash);

@@ -1,8 +1,8 @@
 // Query-lifecycle governance tests: deadlines, cooperative cancellation,
-// memory/disk budgets, batch admission control, the watchdog, and the
-// bounded retry ladder. An aborted query must stop promptly, leak no buffer
-// pins, and leave no spill files behind; a degraded (budget-downgraded)
-// query must still produce the exact clean answer.
+// memory/disk budgets, watchdog firing, and the bounded retry ladder. An
+// aborted query must stop promptly, leak no buffer pins, and leave no spill
+// files behind; a degraded (budget-downgraded) query must still produce the
+// exact clean answer.
 //
 // This binary simulates a slow disk: main() arms per-page read latency
 // (VIEWJOIN_PAGE_READ_MICROS, sleep mode) before the pager caches the
@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,10 +34,8 @@ namespace viewjoin {
 namespace {
 
 using core::Algorithm;
-using core::BatchAdmission;
-using core::BatchOptions;
-using core::BatchQuery;
 using core::Engine;
+using core::RetryPolicy;
 using core::RunOptions;
 using core::RunResult;
 using storage::MaterializedView;
@@ -225,32 +222,6 @@ TEST(CancelMidGallopTest, GallopObservesCancellationBetweenProbes) {
   }
 }
 
-TEST_F(SlowGovernanceTest, BatchWatchdogFiresPerQueryDeadlines) {
-  std::string path = TempPath("gov_watchdog.db");
-  Engine engine(doc_, path);
-  std::vector<const MaterializedView*> views = AddGroupViews(&engine);
-  BatchQuery governed{query_, views};
-  governed.deadline_ms = 40;  // per-query override; sibling inherits "none"
-  BatchQuery free_running{query_, views};
-  BatchOptions options;
-  options.threads = 2;
-  std::vector<RunResult> results =
-      engine.ExecuteBatch({governed, free_running}, options);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].ok);
-  EXPECT_TRUE(results[0].timed_out) << results[0].error;
-  EXPECT_LT(results[0].total_ms, clean_->total_ms / 2);
-  // The sibling without a deadline is untouched by the watchdog.
-  ASSERT_TRUE(results[1].ok) << results[1].error;
-  EXPECT_EQ(results[1].match_count, static_cast<uint64_t>(kGroups));
-  EXPECT_EQ(results[1].result_hash, clean_->result_hash);
-  EXPECT_EQ(engine.catalog()->pool()->pinned_frames(), 0u);
-  // Worker spill spools are per-call scratch: gone as soon as the batch
-  // returns, even though query 0 was killed mid-flight.
-  EXPECT_FALSE(Exists(path + ".spill.0"));
-  EXPECT_FALSE(Exists(path + ".spill.1"));
-}
-
 // ---- Budgets ---------------------------------------------------------------
 
 TEST(BudgetTest, MemoryOverrunDegradesToDiskSpillingWithExactAnswer) {
@@ -351,17 +322,6 @@ TEST(SessionCountersTest, LightQueryAfterHeavyReportsItsOwnPeak) {
   RunResult again = engine.Execute(light, light_views);
   ASSERT_TRUE(again.ok) << again.error;
   EXPECT_EQ(again.peak_memory_bytes, fresh.peak_memory_bytes);
-
-  // A one-worker batch serves both queries on one session.
-  BatchOptions options;
-  options.threads = 1;
-  std::vector<RunResult> batch = engine.ExecuteBatch(
-      {BatchQuery{&heavy, heavy_views}, BatchQuery{&light, light_views}},
-      options);
-  ASSERT_TRUE(batch[0].ok) << batch[0].error;
-  ASSERT_TRUE(batch[1].ok) << batch[1].error;
-  EXPECT_EQ(batch[0].peak_memory_bytes, h.peak_memory_bytes);
-  EXPECT_EQ(batch[1].peak_memory_bytes, fresh.peak_memory_bytes);
 }
 
 // ---- Watchdog firing -------------------------------------------------------
@@ -385,52 +345,9 @@ TEST(WatchdogFireTest, FiresAnExpiredArmingButNotALaterOne) {
   EXPECT_FALSE(ctx.aborted());
 }
 
-// ---- Admission control -----------------------------------------------------
-
-TEST(AdmissionTest, OverflowIsRejectedWithoutPerturbingAdmittedQueries) {
-  xml::Document doc = GroupDoc(500);
-  TreePattern query = MustParse("//a//b//c");
-  Engine engine(&doc, TempPath("gov_admission.db"));
-  std::vector<const MaterializedView*> views = AddGroupViews(&engine);
-  RunResult clean = engine.Execute(query, views);
-  ASSERT_TRUE(clean.ok) << clean.error;
-
-  std::vector<BatchQuery> batch(8, BatchQuery{&query, views});
-  BatchOptions options;
-  options.threads = 2;
-  options.max_queued = 2;  // admit 2 (workers) + 2 (queue) = 4 of 8
-  std::vector<RunResult> results = engine.ExecuteBatch(batch, options);
-  ASSERT_EQ(results.size(), 8u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(results[i].admission, BatchAdmission::kAdmitted) << i;
-    ASSERT_TRUE(results[i].ok) << i << ": " << results[i].error;
-    EXPECT_EQ(results[i].match_count, clean.match_count) << i;
-    EXPECT_EQ(results[i].result_hash, clean.result_hash) << i;
-  }
-  for (size_t i = 4; i < 8; ++i) {
-    EXPECT_EQ(results[i].admission, BatchAdmission::kRejected) << i;
-    EXPECT_FALSE(results[i].ok) << i;
-    EXPECT_NE(results[i].error.find("admission"), std::string::npos) << i;
-    EXPECT_EQ(results[i].match_count, 0u) << i;
-  }
-}
-
-TEST(AdmissionTest, DefaultOptionsAdmitEverything) {
-  xml::Document doc = GroupDoc(200);
-  TreePattern query = MustParse("//a//b//c");
-  Engine engine(&doc, TempPath("gov_admit_all.db"));
-  std::vector<const MaterializedView*> views = AddGroupViews(&engine);
-  std::vector<BatchQuery> batch(6, BatchQuery{&query, views});
-  std::vector<RunResult> results = engine.ExecuteBatch(batch, {});
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].admission, BatchAdmission::kAdmitted) << i;
-    EXPECT_TRUE(results[i].ok) << i << ": " << results[i].error;
-  }
-}
-
 // ---- Bounded retry ---------------------------------------------------------
 
-TEST(BatchRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
+TEST(SessionRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
   util::Rng rng(31);
   xml::Document doc = testing::RandomDoc(&rng, 600, {"a", "b", "c"});
   TreePattern query = MustParse("//a//b//c");
@@ -452,15 +369,13 @@ TEST(BatchRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     Engine engine(&doc, TempPath("gov_retry_cal.db"));
     std::vector<const MaterializedView*> views = AddGroupViews(&engine);
     fi->ArmReadFault(/*nth=*/1, /*count=*/-1);
-    BatchOptions options;
-    options.threads = 1;
-    options.retry.max_retries = 0;
-    options.run.allow_base_fallback = false;
-    std::vector<RunResult> results =
-        engine.ExecuteBatch({BatchQuery{&query, views}}, options);
-    ASSERT_FALSE(results[0].ok);
-    EXPECT_TRUE(results[0].retryable) << results[0].error;
-    EXPECT_EQ(results[0].attempts, 1);
+    RunOptions run;
+    run.allow_base_fallback = false;
+    Engine::Session session(&engine, 0);
+    RunResult r = session.Run(query, views, run, RetryPolicy{});
+    ASSERT_FALSE(r.ok);
+    EXPECT_TRUE(r.retryable) << r.error;
+    EXPECT_EQ(r.attempts, 1);
     consumed = fi->injected_read_faults();
     ASSERT_GT(consumed, 0u);
   }
@@ -473,64 +388,65 @@ TEST(BatchRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     Engine engine(&doc, TempPath("gov_retry_real.db"));
     std::vector<const MaterializedView*> views = AddGroupViews(&engine);
     fi->ArmReadFault(/*nth=*/1, /*count=*/static_cast<int>(consumed));
-    BatchOptions options;
-    options.threads = 1;
-    options.retry.max_retries = 5;
-    options.retry.backoff_ms = 0.1;
-    options.run.allow_base_fallback = false;
-    std::vector<RunResult> results =
-        engine.ExecuteBatch({BatchQuery{&query, views}}, options);
-    ASSERT_TRUE(results[0].ok) << results[0].error;
-    EXPECT_GE(results[0].attempts, 2);
-    EXPECT_EQ(results[0].result_hash, clean_hash);
+    RunOptions run;
+    run.allow_base_fallback = false;
+    RetryPolicy retry;
+    retry.max_retries = 5;
+    retry.backoff_ms = 0.1;
+    Engine::Session session(&engine, 0);
+    RunResult r = session.Run(query, views, run, retry);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_GE(r.attempts, 2);
+    EXPECT_EQ(r.result_hash, clean_hash);
     EXPECT_EQ(engine.catalog()->pool()->pinned_frames(), 0u);
   }
 }
 
-TEST(BatchRetryTest, DeterministicFailuresAreNeverRetried) {
+TEST(SessionRetryTest, DeterministicFailuresAreNeverRetried) {
   xml::Document doc = GroupDoc(100);
   TreePattern query = MustParse("//a//b//c");
   Engine engine(&doc, TempPath("gov_noretry.db"));
   // Views that do not cover the query: a bind error, not a storage fault.
   std::vector<const MaterializedView*> bad = {
       engine.AddView("//a//b", Scheme::kLinkedElement)};
-  BatchOptions options;
-  options.threads = 1;
-  options.retry.max_retries = 5;
-  std::vector<RunResult> results =
-      engine.ExecuteBatch({BatchQuery{&query, bad}}, options);
-  ASSERT_FALSE(results[0].ok);
-  EXPECT_FALSE(results[0].retryable);
-  EXPECT_EQ(results[0].attempts, 1);  // the ladder never spun
+  RetryPolicy retry;
+  retry.max_retries = 5;
+  Engine::Session session(&engine, 0);
+  RunResult r = session.Run(query, bad, {}, retry);
+  ASSERT_FALSE(r.ok);
+  EXPECT_FALSE(r.retryable);
+  EXPECT_EQ(r.attempts, 1);  // the ladder never spun
 }
 
-TEST(BatchRetryTest, RetryBackoffIsJitteredNotADeterministicLadder) {
+TEST(SessionRetryTest, RetryBackoffIsJitteredNotADeterministicLadder) {
   // A deterministic base, 2*base, 4*base... schedule re-synchronizes every
   // retrier that tripped on the same fault (a thundering herd). The ladder
-  // now draws each delay from [base, min(cap, 3 x previous)], seeded per
-  // worker — so the recorded sleeps must spread across that interval, not
-  // collapse onto one schedule.
+  // now draws each delay from [base, min(cap, 3 x previous)], reseeded per
+  // query and per session — so the recorded sleeps must spread across that
+  // interval, not collapse onto one schedule.
   xml::Document doc = GroupDoc(200);
   TreePattern query = MustParse("//a//b//c");
   util::ScopedFaultInjection fi;
   Engine engine(&doc, TempPath("gov_jitter.db"));
   std::vector<const MaterializedView*> views = AddGroupViews(&engine);
 
-  std::mutex mu;
   std::vector<double> delays;
-  Engine::SetRetrySleepHookForTest([&](double ms) {
-    std::lock_guard<std::mutex> lock(mu);
-    delays.push_back(ms);
-  });
+  Engine::SetRetrySleepHookForTest([&](double ms) { delays.push_back(ms); });
   fi->ArmReadFault(/*nth=*/1, /*count=*/-1);  // permanently dead disk
-  BatchOptions options;
-  options.threads = 2;
-  options.retry.max_retries = 4;
-  options.retry.backoff_ms = 1.0;
-  options.retry.backoff_cap_ms = 8.0;
-  options.run.allow_base_fallback = false;
-  std::vector<BatchQuery> batch(4, BatchQuery{&query, views});
-  std::vector<RunResult> results = engine.ExecuteBatch(batch, options);
+  RunOptions run;
+  run.allow_base_fallback = false;
+  RetryPolicy retry;
+  retry.max_retries = 4;
+  retry.backoff_ms = 1.0;
+  retry.backoff_cap_ms = 8.0;
+  // Two sessions, two queries each: each query reseeds its session's ladder.
+  std::vector<RunResult> results;
+  for (size_t id = 0; id < 2; ++id) {
+    Engine::Session session(&engine, id);
+    for (int q = 0; q < 2; ++q) {
+      results.push_back(session.Run(query, views, run, retry));
+    }
+  }
   Engine::SetRetrySleepHookForTest(nullptr);
   fi->Reset();
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "algo/monotone_resolver.h"
+#include "bench/harness.h"
 #include "core/engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/fsck.h"
@@ -508,14 +509,12 @@ TEST(BatchFaultIsolationTest, CorruptViewDegradesOnlyItsOwnQuery) {
   const MaterializedView* d = engine.AddView("//d", Scheme::kLinkedElement);
   fi->ArmWriteFault(util::WriteFault::kBitFlip, /*nth=*/1, /*count=*/1);
   const MaterializedView* b = engine.AddView("//b", Scheme::kLinkedElement);
-  std::vector<core::BatchQuery> batch;
+  std::vector<bench::SessionQuery> batch;
   for (int rep = 0; rep < 4; ++rep) {
     batch.push_back({&q_bad, {a, b}});    // touches the corrupt view
     batch.push_back({&q_good, {c, d}});   // never touches it
   }
-  core::BatchOptions options;
-  options.threads = 4;
-  std::vector<RunResult> results = engine.ExecuteBatch(batch, options);
+  std::vector<RunResult> results = bench::RunOnSessions(&engine, batch, 4);
   ASSERT_EQ(results.size(), batch.size());
   bool any_bad_degraded = false;
   for (size_t i = 0; i < results.size(); ++i) {
@@ -540,11 +539,12 @@ TEST(BatchFaultIsolationTest, CorruptViewDegradesOnlyItsOwnQuery) {
 TEST(BatchFaultIsolationTest, CancelDuringQuarantineRecoveryLeaksNothing) {
   // A query hits a corrupt view, the engine quarantines and rebuilds it, and
   // the caller cancels *during* that recovery: an armed recovery barrier
-  // holds the victim's worker between the rebuild and the retry run until
+  // holds the victim's session between the rebuild and the retry run until
   // the canceller has flipped the token, so the cancellation lands
   // mid-recovery deterministically — the retry can never outrun it. The
   // cancelled query must stop without leaking buffer pins or spill files,
-  // and sibling batch queries must complete with clean answers.
+  // and sibling queries on a second session must complete with clean
+  // answers.
   util::Rng rng(33);
   xml::Document doc = testing::RandomDoc(&rng, 40000, {"a", "b", "c", "d"});
   TreePattern q_bad = MustParse("//a//b");
@@ -573,13 +573,20 @@ TEST(BatchFaultIsolationTest, CancelDuringQuarantineRecoveryLeaksNothing) {
     util::FaultInjector::Global().ReleaseRecoveryBarrier();
   });
 
-  core::BatchQuery victim{&q_bad, {a, b}};
-  victim.cancel = &cancel;
-  std::vector<core::BatchQuery> batch = {
-      victim, {&q_good, {c, d}}, {&q_good, {c, d}}};
-  core::BatchOptions options;
-  options.threads = 2;
-  std::vector<RunResult> results = engine.ExecuteBatch(batch, options);
+  std::vector<RunResult> results(3);
+  std::thread victim([&] {
+    Engine::Session session(&engine, 0);
+    RunOptions run;
+    run.cancel = &cancel;
+    results[0] = session.Run(q_bad, {a, b}, run);
+  });
+  std::thread siblings([&] {
+    Engine::Session session(&engine, 1);
+    results[1] = session.Run(q_good, {c, d}, {});
+    results[2] = session.Run(q_good, {c, d}, {});
+  });
+  victim.join();
+  siblings.join();
   canceller.join();
 
   ASSERT_EQ(results.size(), 3u);
@@ -589,10 +596,10 @@ TEST(BatchFaultIsolationTest, CancelDuringQuarantineRecoveryLeaksNothing) {
   EXPECT_GE(engine.catalog()->quarantined_count(), 1u);
   ASSERT_FALSE(results[0].quarantined_views.empty());
   EXPECT_EQ(results[0].quarantined_views[0], "//b");
-  // No pins survive the abort and the worker spill spools are gone.
+  // No pins survive the abort and the session spill spools are gone.
   EXPECT_EQ(engine.catalog()->pool()->pinned_frames(), 0u);
-  EXPECT_FALSE(std::filesystem::exists(path + ".spill.0"));
-  EXPECT_FALSE(std::filesystem::exists(path + ".spill.1"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".session.0"));
+  EXPECT_FALSE(std::filesystem::exists(path + ".session.1"));
   // Siblings were untouched by both the fault and the cancellation.
   for (size_t i = 1; i < 3; ++i) {
     ASSERT_TRUE(results[i].ok) << "sibling " << i << ": " << results[i].error;

@@ -571,13 +571,56 @@ TEST(ServerFaultTest, StalledServerSendIsBoundedByClientDeadline) {
   EXPECT_EQ(response->verdict, Verdict::kOk) << response->error;
 }
 
-// ---- Drain and shutdown races ----------------------------------------------
+// ---- Request deadlines, drain and shutdown races ---------------------------
 //
-// These run against the big slow-read document (see main()): one query takes
-// hundreds of milliseconds, so a drain issued 50 ms in genuinely overlaps
-// execution.
+// These run against the big slow-read document (see main()): one cold query
+// takes hundreds of milliseconds, so a deadline or a drain issued well inside
+// that genuinely overlaps execution.
 
 constexpr int kSlowGroups = 20000;
+
+TEST(ServerTest, RequestDeadlineTimesOutOnASlowWorker) {
+  ServerOptions options;
+  options.default_deadline_ms = 60000;  // the free-running request's budget
+  Fixture fx(kSlowGroups, options, {}, "serve_deadline.db");
+  // Execute drops caches first, so this is a clean cold run.
+  core::RunResult reference = fx.engine->Execute(
+      testing::MustParse("//a//b//c"),
+      {fx.engine->AddView("//a//b", storage::Scheme::kLinkedElement),
+       fx.engine->AddView("//c", storage::Scheme::kLinkedElement)});
+  ASSERT_TRUE(reference.ok) << reference.error;
+  ASSERT_GT(reference.total_ms, 200.0);  // slow enough to time out inside
+
+  // Both requests below start cold, on two connections and two workers.
+  fx.engine->catalog()->DropCaches();
+  util::StatusOr<QueryResponse> free_running =
+      util::Status::IoError("never ran");
+  std::thread querier([&] {
+    Client client = fx.Connected();
+    client.set_deadline_ms(120000);
+    free_running = client.Query(GroupRequest());  // carries no deadline
+  });
+  ASSERT_TRUE(WaitFor(fx.server.get(), [](const StatusResponse& s) {
+    return s.in_flight >= 1;
+  }));
+
+  Client client = fx.Connected();
+  client.set_deadline_ms(120000);
+  QueryRequest governed = GroupRequest();
+  governed.deadline_ms = 40;
+  util::StatusOr<QueryResponse> timed = client.Query(governed);
+  ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+  EXPECT_EQ(timed->verdict, Verdict::kTimeout) << timed->error;
+  EXPECT_LT(timed->server_ms, reference.total_ms / 2);
+
+  // The sibling without a deadline is untouched by the watchdog.
+  querier.join();
+  ASSERT_TRUE(free_running.ok()) << free_running.status().ToString();
+  EXPECT_EQ(free_running->verdict, Verdict::kOk) << free_running->error;
+  EXPECT_EQ(free_running->match_count, static_cast<uint64_t>(kSlowGroups));
+  EXPECT_EQ(free_running->result_hash, reference.result_hash);
+  EXPECT_EQ(fx.engine->catalog()->pool()->pinned_frames(), 0u);
+}
 
 TEST(DrainTest, DrainFinishesInFlightQueriesAndStoreIsClean) {
   std::string store = TempPath("drain_inflight.db");

@@ -404,9 +404,19 @@ int Run(const Options& options) {
     std::printf("selected views:");
     for (size_t index : selection.selected) {
       std::printf(" %s", candidates[index].ToString().c_str());
-      views.push_back(engine.AddView(candidates[index], options.scheme));
     }
     std::printf("\n");
+    for (size_t index : selection.selected) {
+      // candidates[i] was parsed from options.candidates[i].
+      auto added = engine.TryAddView(options.candidates[index], options.scheme);
+      if (!added.ok()) {
+        std::fprintf(stderr, "candidate view '%s': %s\n",
+                     options.candidates[index].c_str(),
+                     added.status().ToString().c_str());
+        return 1;
+      }
+      views.push_back(*added);
+    }
   }
 
   if (options.explain && options.scheme != Scheme::kTuple) {
