@@ -293,9 +293,12 @@ TEST_F(EngineTest, SessionsMatchSequentialExecute) {
     }
   }
   for (size_t threads : {size_t{1}, size_t{4}}) {
+    // Each batch starts cold, so its sessions miss the shared pool together.
+    engine_.catalog()->DropCaches();
     std::vector<core::RunResult> results =
         bench::RunOnSessions(&engine_, batch, threads);
     ASSERT_EQ(results.size(), batch.size());
+    uint64_t pages_read = 0;
     for (size_t i = 0; i < results.size(); ++i) {
       const core::RunResult& ref = sequential[i % queries.size()];
       ASSERT_TRUE(results[i].ok) << results[i].error;
@@ -304,7 +307,9 @@ TEST_F(EngineTest, SessionsMatchSequentialExecute) {
       EXPECT_EQ(results[i].result_hash, ref.result_hash)
           << threads << " threads, query " << i;
       EXPECT_FALSE(results[i].degraded);
+      pages_read += results[i].io.pages_read;
     }
+    EXPECT_GT(pages_read, 0u) << threads << " threads never read the pager";
   }
 }
 
@@ -319,6 +324,7 @@ TEST_F(EngineTest, SessionsIsolateBindErrors) {
       {&query, {ab}},  // uncovered query node: bind error
       {&query, {ab, c}},
   };
+  engine_.catalog()->DropCaches();
   std::vector<core::RunResult> results =
       bench::RunOnSessions(&engine_, batch, 3);
   ASSERT_EQ(results.size(), 3u);

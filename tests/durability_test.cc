@@ -855,12 +855,18 @@ TEST(ScrubberTest, BackgroundScrubWithConcurrentBatchQueries) {
   EXPECT_TRUE(engine.scrubber()->running());
   for (int round = 0; round < 5; ++round) {
     std::vector<bench::SessionQuery> batch(8, {&query, {ab, c}});
+    // Each round starts cold, so its queries read the pager while the
+    // scrubber verifies pages.
+    engine.catalog()->DropCaches();
     std::vector<core::RunResult> results =
         bench::RunOnSessions(&engine, batch, 4);
+    uint64_t pages_read = 0;
     for (const core::RunResult& r : results) {
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_EQ(r.result_hash, clean.result_hash);
+      pages_read += r.io.pages_read;
     }
+    EXPECT_GT(pages_read, 0u) << "round " << round << " never read the pager";
   }
   engine.scrubber()->Stop();
   EXPECT_FALSE(engine.scrubber()->running());

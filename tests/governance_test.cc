@@ -371,6 +371,7 @@ TEST(SessionRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     fi->ArmReadFault(/*nth=*/1, /*count=*/-1);
     RunOptions run;
     run.allow_base_fallback = false;
+    engine.catalog()->DropCaches();  // every view page is read under fault
     Engine::Session session(&engine, 0);
     RunResult r = session.Run(query, views, run, RetryPolicy{});
     ASSERT_FALSE(r.ok);
@@ -393,6 +394,7 @@ TEST(SessionRetryTest, TransientStorageFaultIsRetriedWithBackoff) {
     RetryPolicy retry;
     retry.max_retries = 5;
     retry.backoff_ms = 0.1;
+    engine.catalog()->DropCaches();  // cold, as in the calibration pass
     Engine::Session session(&engine, 0);
     RunResult r = session.Run(query, views, run, retry);
     ASSERT_TRUE(r.ok) << r.error;
@@ -440,6 +442,7 @@ TEST(SessionRetryTest, RetryBackoffIsJitteredNotADeterministicLadder) {
   retry.backoff_ms = 1.0;
   retry.backoff_cap_ms = 8.0;
   // Two sessions, two queries each: each query reseeds its session's ladder.
+  engine.catalog()->DropCaches();
   std::vector<RunResult> results;
   for (size_t id = 0; id < 2; ++id) {
     Engine::Session session(&engine, id);

@@ -514,6 +514,8 @@ TEST(BatchFaultIsolationTest, CorruptViewDegradesOnlyItsOwnQuery) {
     batch.push_back({&q_bad, {a, b}});    // touches the corrupt view
     batch.push_back({&q_good, {c, d}});   // never touches it
   }
+  // A cold pool: the queries must read the corrupt page from the pager.
+  engine.catalog()->DropCaches();
   std::vector<RunResult> results = bench::RunOnSessions(&engine, batch, 4);
   ASSERT_EQ(results.size(), batch.size());
   bool any_bad_degraded = false;
@@ -573,6 +575,7 @@ TEST(BatchFaultIsolationTest, CancelDuringQuarantineRecoveryLeaksNothing) {
     util::FaultInjector::Global().ReleaseRecoveryBarrier();
   });
 
+  engine.catalog()->DropCaches();  // the victim reads the corrupt page
   std::vector<RunResult> results(3);
   std::thread victim([&] {
     Engine::Session session(&engine, 0);
