@@ -13,6 +13,10 @@
 // overlap their simulated I/O the way parallel requests overlap on a real
 // disk — which is what makes batch throughput scale even on a single core.
 //
+// Each sweep point runs its batch 7 times (2 with --smoke), each from a
+// cold pool, and reports the median wall time with its min-max spread;
+// throughput and speedup come from the medians.
+//
 // `--json BENCH_concurrency.json` emits machine-readable rows (see
 // bench/README.md for the schema). `--smoke` shrinks the datasets, replica
 // count and thread sweep to a seconds-long run for CI: it validates the
@@ -81,7 +85,7 @@ std::vector<PreparedQuery> Prepare(core::Engine* engine,
 void RunDataset(const std::string& dataset, const xml::Document& doc,
                 const std::vector<QuerySpec>& specs, const Combo& combo,
                 int replicas, const std::vector<int>& thread_sweep,
-                JsonReport* report) {
+                int repeats, JsonReport* report) {
   // A small pool keeps replicated queries from serving each other entirely
   // out of cache: eviction pressure forces real (simulated) I/O per query,
   // which is the workload a concurrent server actually faces.
@@ -101,36 +105,44 @@ void RunDataset(const std::string& dataset, const xml::Document& doc,
   std::printf("-- %s path queries, %s, batch of %zu (%zu queries x %d) --\n",
               dataset.c_str(), combo.Label().c_str(), batch.size(),
               prepared.size(), replicas);
-  util::TablePrinter table({"threads", "wall (ms)", "throughput (q/s)",
-                            "speedup", "pages read", "degraded"});
+  util::TablePrinter table({"threads", "n", "wall med (ms)", "wall min-max",
+                            "throughput (q/s)", "speedup", "pages read",
+                            "degraded"});
   double single_thread_ms = 0;
   for (int threads : thread_sweep) {
     core::RunOptions run;
     run.algorithm = combo.algorithm;
-    engine.catalog()->DropCaches();  // whole batch starts cold
-    util::Timer timer;
-    std::vector<core::RunResult> results =
-        RunOnSessions(&engine, batch, static_cast<size_t>(threads), run);
-    double wall_ms = timer.ElapsedMillis();
-
+    std::vector<double> walls;
     uint64_t pages_read = 0;
     int degraded = 0;
-    for (size_t i = 0; i < results.size(); ++i) {
-      const PreparedQuery& q = prepared[i % prepared.size()];
-      VJ_CHECK(results[i].ok) << q.name << ": " << results[i].error;
-      VJ_CHECK(results[i].result_hash == q.expected_hash &&
-               results[i].match_count == q.expected_count)
-          << q.name << " diverged from single-query Execute at " << threads
-          << " threads: " << results[i].match_count << " matches vs "
-          << q.expected_count;
-      pages_read += results[i].io.pages_read;
-      degraded += results[i].degraded ? 1 : 0;
+    for (int r = 0; r < repeats; ++r) {
+      engine.catalog()->DropCaches();  // every batch starts cold
+      util::Timer timer;
+      std::vector<core::RunResult> results =
+          RunOnSessions(&engine, batch, static_cast<size_t>(threads), run);
+      walls.push_back(timer.ElapsedMillis());
+      for (size_t i = 0; i < results.size(); ++i) {
+        const PreparedQuery& q = prepared[i % prepared.size()];
+        VJ_CHECK(results[i].ok) << q.name << ": " << results[i].error;
+        VJ_CHECK(results[i].result_hash == q.expected_hash &&
+                 results[i].match_count == q.expected_count)
+            << q.name << " diverged from single-query Execute at " << threads
+            << " threads: " << results[i].match_count << " matches vs "
+            << q.expected_count;
+        pages_read += results[i].io.pages_read;
+        degraded += results[i].degraded ? 1 : 0;
+      }
     }
+    pages_read /= static_cast<uint64_t>(repeats);
+    const SampleSummary wall = Summarize(walls);
 
-    if (threads == 1) single_thread_ms = wall_ms;
-    double qps = wall_ms > 0 ? 1000.0 * batch.size() / wall_ms : 0;
-    double speedup = wall_ms > 0 ? single_thread_ms / wall_ms : 0;
-    table.AddRow({std::to_string(threads), util::FormatDouble(wall_ms, 1),
+    if (threads == 1) single_thread_ms = wall.median;
+    double qps = wall.median > 0 ? 1000.0 * batch.size() / wall.median : 0;
+    double speedup = wall.median > 0 ? single_thread_ms / wall.median : 0;
+    table.AddRow({std::to_string(threads), std::to_string(wall.n),
+                  util::FormatDouble(wall.median, 1),
+                  util::FormatDouble(wall.min, 1) + "-" +
+                      util::FormatDouble(wall.max, 1),
                   util::FormatDouble(qps, 1), util::FormatDouble(speedup, 2),
                   std::to_string(pages_read), std::to_string(degraded)});
     report->AddRow()
@@ -138,7 +150,10 @@ void RunDataset(const std::string& dataset, const xml::Document& doc,
         .Set("combo", combo.Label())
         .Set("threads", threads)
         .Set("batch_size", static_cast<uint64_t>(batch.size()))
-        .Set("wall_ms", wall_ms)
+        .Set("n", wall.n)
+        .Set("wall_ms", wall.median)
+        .Set("wall_ms_min", wall.min)
+        .Set("wall_ms_max", wall.max)
         .Set("throughput_qps", qps)
         .Set("speedup_vs_single", speedup)
         .Set("pages_read", pages_read)
@@ -178,8 +193,10 @@ void Main(int argc, char** argv) {
                         std::end(kSmokeThreadSweep));
   }
 
+  const int repeats = smoke ? 2 : 7;
   JsonReport report("concurrency");
   report.ParseArgs(static_cast<int>(args.size()), args.data());
+  report.SetMeta("repeats", repeats);
   report.SetMeta("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
   report.SetMeta("xmark_scale", xmark_scale);
   report.SetMeta("nasa_datasets", static_cast<uint64_t>(nasa_datasets));
@@ -205,13 +222,13 @@ void Main(int argc, char** argv) {
   Combo vj{core::Algorithm::kViewJoin, storage::Scheme::kLinkedElement};
   Combo ts{core::Algorithm::kTwigStack, storage::Scheme::kLinkedElement};
   RunDataset("xmark", xmark, XmarkPathQueries(), vj, replicas, thread_sweep,
-             &report);
+             repeats, &report);
   RunDataset("xmark", xmark, XmarkPathQueries(), ts, replicas, thread_sweep,
-             &report);
+             repeats, &report);
   RunDataset("nasa", nasa, NasaPathQueries(), vj, replicas, thread_sweep,
-             &report);
+             repeats, &report);
   RunDataset("nasa", nasa, NasaPathQueries(), ts, replicas, thread_sweep,
-             &report);
+             repeats, &report);
   report.Write();
 }
 

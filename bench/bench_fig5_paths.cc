@@ -3,74 +3,25 @@
 // (IJ+T, TS+E, TS+LE, TS+LE_p, VJ+E, VJ+LE, VJ+LE_p) on the XMark and
 // NASA-like datasets. Every combo's match set is cross-checked against the
 // others; a mismatch aborts the run.
+//
+// `--repeats N` (default 3) sets the cold runs per cell; each cell reports
+// n, median and p95 (the JSON row's total_ms is the median).
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "bench/harness.h"
 #include "bench/workloads.h"
-#include "util/check.h"
-#include "util/table_printer.h"
 
 namespace viewjoin::bench {
 namespace {
-
-void RunDataset(const std::string& title, const std::string& dataset,
-                BenchContext* context, const std::vector<QuerySpec>& queries,
-                JsonReport* report) {
-  PrintBanner(title, *context);
-  std::vector<Combo> combos = AllCombos();
-  std::vector<std::string> header = {"query", "matches"};
-  for (const Combo& c : combos) header.push_back(c.Label() + " (ms)");
-  util::TablePrinter table(header);
-  std::vector<std::string> pheader = {"query"};
-  for (const Combo& c : combos) pheader.push_back(c.Label() + " (pages)");
-  util::TablePrinter pages(pheader);
-  for (const QuerySpec& spec : queries) {
-    tpq::TreePattern query = ParseQuery(spec.xpath);
-    std::vector<tpq::TreePattern> split = PairViews(query);
-    std::vector<std::string> row = {spec.name, ""};
-    std::vector<std::string> prow = {spec.name};
-    uint64_t count = 0;
-    uint64_t hash = 0;
-    bool first = true;
-    for (const Combo& combo : combos) {
-      core::RunResult result = context->Run(
-          query, context->Views(split, combo.scheme), combo);
-      if (first) {
-        count = result.match_count;
-        hash = result.result_hash;
-        first = false;
-      } else {
-        VJ_CHECK(result.match_count == count && result.result_hash == hash)
-            << spec.name << " " << combo.Label() << " diverged: "
-            << result.match_count << " vs " << count;
-      }
-      row.push_back(util::FormatDouble(result.total_ms, 2));
-      prow.push_back(std::to_string(result.io.pages_read));
-      report->AddRow()
-          .Set("dataset", dataset)
-          .Set("query", spec.name)
-          .Set("combo", combo.Label())
-          .Metrics(result);
-    }
-    row[1] = std::to_string(count);
-    table.AddRow(row);
-    pages.AddRow(prow);
-  }
-  table.Print();
-  std::printf("\npage reads per cold run (the I/O the LE pointers save):\n");
-  pages.Print();
-  std::printf("\n");
-}
 
 void Main(int argc, char** argv) {
   double xmark_scale = EnvScale("VIEWJOIN_XMARK_SCALE", 2.0);
   int64_t nasa_datasets =
       static_cast<int64_t>(EnvScale("VIEWJOIN_NASA_DATASETS", 800));
+  int repeats = 3;
   JsonReport report("fig5_paths");
-  report.ParseArgs(argc, argv);
+  report.ParseArgs(argc, argv, &repeats);
   report.SetMeta("xmark_scale", xmark_scale);
   report.SetMeta("nasa_datasets", static_cast<uint64_t>(nasa_datasets));
 
@@ -78,12 +29,12 @@ void Main(int argc, char** argv) {
   std::printf("(views per query: covering set of ~2-node subpattern views)\n\n");
 
   auto xmark = BenchContext::Xmark(xmark_scale);
-  RunDataset("XMark path queries (Fig. 5a)", "xmark", xmark.get(),
-             XmarkPathQueries(), &report);
+  RunFig5Panel("XMark path queries (Fig. 5a)", "xmark", xmark.get(),
+               XmarkPathQueries(), AllCombos(), repeats, &report);
 
   auto nasa = BenchContext::Nasa(nasa_datasets);
-  RunDataset("NASA path queries (Fig. 5b)", "nasa", nasa.get(),
-             NasaPathQueries(), &report);
+  RunFig5Panel("NASA path queries (Fig. 5b)", "nasa", nasa.get(), NasaPathQueries(),
+               AllCombos(), repeats, &report);
   report.Write();
 }
 

@@ -1,85 +1,37 @@
 // Reproduces Fig. 5(c)/(d): total processing time of twig queries over
 // materialized views for the six list-scheme combinations (TS/VJ × E/LE/LE_p;
 // InterJoin handles only path queries and is excluded, as in the paper).
+//
+// `--repeats N` (default 3) sets the cold runs per cell; each cell reports
+// n, median and p95 (the JSON row's total_ms is the median).
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "bench/harness.h"
 #include "bench/workloads.h"
-#include "util/check.h"
-#include "util/table_printer.h"
 
 namespace viewjoin::bench {
 namespace {
-
-void RunDataset(const std::string& title, const std::string& dataset,
-                BenchContext* context, const std::vector<QuerySpec>& queries,
-                JsonReport* report) {
-  PrintBanner(title, *context);
-  std::vector<Combo> combos = ListCombos();
-  std::vector<std::string> header = {"query", "matches"};
-  for (const Combo& c : combos) header.push_back(c.Label() + " (ms)");
-  util::TablePrinter table(header);
-  std::vector<std::string> pheader = {"query"};
-  for (const Combo& c : combos) pheader.push_back(c.Label() + " (pages)");
-  util::TablePrinter pages(pheader);
-  for (const QuerySpec& spec : queries) {
-    tpq::TreePattern query = ParseQuery(spec.xpath);
-    std::vector<tpq::TreePattern> split = PairViews(query);
-    std::vector<std::string> row = {spec.name, ""};
-    std::vector<std::string> prow = {spec.name};
-    uint64_t count = 0;
-    uint64_t hash = 0;
-    bool first = true;
-    for (const Combo& combo : combos) {
-      core::RunResult result =
-          context->Run(query, context->Views(split, combo.scheme), combo);
-      if (first) {
-        count = result.match_count;
-        hash = result.result_hash;
-        first = false;
-      } else {
-        VJ_CHECK(result.match_count == count && result.result_hash == hash)
-            << spec.name << " " << combo.Label() << " diverged";
-      }
-      row.push_back(util::FormatDouble(result.total_ms, 2));
-      prow.push_back(std::to_string(result.io.pages_read));
-      report->AddRow()
-          .Set("dataset", dataset)
-          .Set("query", spec.name)
-          .Set("combo", combo.Label())
-          .Metrics(result);
-    }
-    row[1] = std::to_string(count);
-    table.AddRow(row);
-    pages.AddRow(prow);
-  }
-  table.Print();
-  std::printf("\npage reads per cold run (the I/O the LE pointers save):\n");
-  pages.Print();
-  std::printf("\n");
-}
 
 void Main(int argc, char** argv) {
   double xmark_scale = EnvScale("VIEWJOIN_XMARK_SCALE", 2.0);
   int64_t nasa_datasets =
       static_cast<int64_t>(EnvScale("VIEWJOIN_NASA_DATASETS", 800));
+  int repeats = 3;
   JsonReport report("fig5_twigs");
-  report.ParseArgs(argc, argv);
+  report.ParseArgs(argc, argv, &repeats);
   report.SetMeta("xmark_scale", xmark_scale);
   report.SetMeta("nasa_datasets", static_cast<uint64_t>(nasa_datasets));
 
   std::printf("Fig. 5(c)/(d) reproduction: twig queries with twig views\n\n");
 
   auto xmark = BenchContext::Xmark(xmark_scale);
-  RunDataset("XMark twig queries (Fig. 5c)", "xmark", xmark.get(),
-             XmarkTwigQueries(), &report);
+  RunFig5Panel("XMark twig queries (Fig. 5c)", "xmark", xmark.get(),
+               XmarkTwigQueries(), ListCombos(), repeats, &report);
 
   auto nasa = BenchContext::Nasa(nasa_datasets);
-  RunDataset("NASA twig queries (Fig. 5d)", "nasa", nasa.get(),
-             NasaTwigQueries(), &report);
+  RunFig5Panel("NASA twig queries (Fig. 5d)", "nasa", nasa.get(), NasaTwigQueries(),
+               ListCombos(), repeats, &report);
   report.Write();
 }
 

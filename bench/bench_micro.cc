@@ -195,8 +195,11 @@ BENCHMARK(BM_CursorLanding)
     ->ArgNames({"le", "cold"})
     ->ArgsProduct({{0, 1}, {0, 1}});
 
-// Arg 0 declares the lists a superset (the semi-join filter runs), arg 1
-// declares them exact (TwigStack's certified flushes skip the filter).
+// The proof marks the caller passes: arg 0 leaves every node unproven (the
+// full semi-join filter runs), arg 1 proves every node (a certified flush
+// skips the filter), arg 2 leaves only the middle node `text` unproven (a
+// partial proof, as after a drain into one node: the filter sweeps only the
+// edges into and out of it).
 void BM_CandidateEnumerator(benchmark::State& state) {
   const xml::Document& doc = XmarkDoc();
   tpq::TreePattern pattern = *tpq::TreePattern::Parse("//item//text//keyword");
@@ -206,16 +209,15 @@ void BM_CandidateEnumerator(benchmark::State& state) {
   algo::CandidateLists lists =
       testing::WithLabels(doc, eval.SolutionNodes());
   algo::CandidateEnumerator enumerator(doc, pattern);
-  const algo::CandidateSet set = state.range(0) != 0
-                                     ? algo::CandidateSet::kExact
-                                     : algo::CandidateSet::kSuperset;
+  algo::ProofMarks unproven(pattern.size(), state.range(0) == 1 ? 0 : 1);
+  if (state.range(0) == 2) unproven = {0, 1, 0};
   for (auto _ : state) {
     tpq::CountingSink sink;
-    enumerator.Enumerate(&lists, &sink, nullptr, set);
+    enumerator.Enumerate(&lists, unproven, &sink);
     benchmark::DoNotOptimize(sink.count());
   }
 }
-BENCHMARK(BM_CandidateEnumerator)->ArgName("exact")->Arg(0)->Arg(1);
+BENCHMARK(BM_CandidateEnumerator)->ArgName("proof")->Arg(0)->Arg(1)->Arg(2);
 
 // The output pass's first step: every solution label of //item//text//keyword
 // resolved back to its node, one forward scan of each tag's start index.

@@ -1,12 +1,14 @@
-// Out-of-core sweep: the same XMark workload answered three ways — base
-// document in memory (baseline), paged on disk through a deliberately tiny
-// buffer pool, and paged on disk with async read-ahead. Expectations: every
-// variant produces bit-identical solutions; disk variants pay real page
-// traffic (pages_read > 0 on cold scans); read-ahead converts demand misses
-// into prefetch hits, so disk+RA never demand-misses more than disk alone
-// and its hit rate is visible in the JSON (`prefetch_hits` / issued). A
-// failed expectation is reported by name after the engines have removed
-// their scratch files, and the exit status is then 1.
+// Out-of-core sweep: the XMark queries answered by TwigStack over the base
+// document's own tag lists (no views), three ways — in memory (baseline),
+// paged on disk through a deliberately tiny document-store pool, and paged
+// on disk with async read-ahead. Each run scans the tag lists of its query
+// from the document store the sweep sizes. Expectations: every variant
+// produces bit-identical solutions; disk variants pay real page traffic
+// (pages_read > 0 on cold scans); read-ahead converts demand misses into
+// prefetch hits, so disk+RA never demand-misses more than disk alone and its
+// hit rate is visible in the JSON (`prefetch_hits` / issued). A failed
+// expectation is reported by name after the engines have removed their
+// scratch files, and the exit status is then 1.
 //
 // Knobs: VIEWJOIN_XMARK_SCALE (default 2.0), VIEWJOIN_OOC_POOL_PAGES
 // (default 32 — far below the store's page count, forcing the out-of-core
@@ -17,12 +19,16 @@
 #include <string>
 #include <vector>
 
+#include "algo/query_context.h"
 #include "bench/harness.h"
 #include "bench/workloads.h"
 #include "core/engine.h"
 #include "data/xmark_generator.h"
-#include "storage/materialized_view.h"
+#include "plan/operator.h"
+#include "storage/document_store.h"
+#include "tpq/evaluator.h"
 #include "util/table_printer.h"
+#include "util/timer.h"
 
 namespace viewjoin::bench {
 namespace {
@@ -32,14 +38,37 @@ struct Variant {
   core::Engine* engine;
 };
 
-std::vector<const storage::MaterializedView*> MakeViews(
-    core::Engine& engine, const std::vector<tpq::TreePattern>& patterns,
-    storage::Scheme scheme) {
-  std::vector<const storage::MaterializedView*> views;
-  for (const tpq::TreePattern& pattern : patterns) {
-    views.push_back(engine.AddView(pattern, scheme));
+/// One cold TwigStack run over the base binding of `engine`'s document: its
+/// in-memory tag lists, or in disk doc mode the document store's page lists
+/// through the store's pool. Fills the fields Row::Metrics reports; `io` is
+/// the document store's traffic.
+core::RunResult RunBase(core::Engine& engine, const tpq::TreePattern& query) {
+  core::RunResult result;
+  const storage::DocumentStore* store = engine.doc_store();
+  storage::IoStats before;
+  if (store != nullptr) {
+    store->pool()->Clear();  // every scan is cold
+    before = store->Stats();
   }
-  return views;
+  util::Timer timer;
+  std::unique_ptr<plan::Operator> op = plan::MakeBaseFallbackOperator(
+      engine.doc(), query, engine.catalog()->pool(), store);
+  util::Status open = op->Open();
+  if (!open.ok()) {
+    result.error = open.message();
+    return result;
+  }
+  tpq::HashingSink sink;
+  algo::QueryContext ctx;
+  op->Evaluate(&sink, &ctx);
+  op->Close();
+  result.total_ms = timer.ElapsedMillis();
+  result.ok = true;
+  result.match_count = sink.count();
+  result.result_hash = sink.hash();
+  result.stats = op->stats();
+  if (store != nullptr) result.io = store->Stats().Delta(before);
+  return result;
 }
 
 /// Demand misses and read-ahead counters summed over the query sweep.
@@ -79,19 +108,13 @@ Totals Sweep(const xml::Document& doc, size_t pool_pages, size_t readahead,
 
   // TwigStack over the base document is the pure tag-list-scan workload:
   // every query tag streams its full list through the doc pool.
-  Combo ts{core::Algorithm::kTwigStack, storage::Scheme::kLinkedElement};
   util::TablePrinter table({"query", "matches", "mem ms", "disk ms",
                             "disk+ra ms", "disk pages", "ra hit rate"});
   for (const QuerySpec& spec : XmarkQueries()) {
     tpq::TreePattern query = ParseQuery(spec.xpath);
-    std::vector<tpq::TreePattern> split = PairViews(query);
-    core::RunOptions run;
-    run.algorithm = ts.algorithm;
-    run.cold_cache = true;  // DropCaches before each run: every scan is cold
     core::RunResult results[3];
     for (int v = 0; v < 3; ++v) {
-      auto views = MakeViews(*variants[v].engine, split, ts.scheme);
-      results[v] = variants[v].engine->Execute(query, views, run);
+      results[v] = RunBase(*variants[v].engine, query);
       if (!results[v].ok) {
         failed->push_back(spec.name + " " + variants[v].name +
                           " ran: " + results[v].error);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <unistd.h>
 
@@ -10,6 +11,7 @@
 #include <thread>
 
 #include "util/check.h"
+#include "util/table_printer.h"
 #include "xml/statistics.h"
 #include "xml/writer.h"
 
@@ -124,7 +126,7 @@ std::vector<const MaterializedView*> BenchContext::Views(
 RunResult BenchContext::Run(
     const TreePattern& query,
     const std::vector<const MaterializedView*>& views, const Combo& combo,
-    algo::OutputMode mode, int repeats) {
+    algo::OutputMode mode, int repeats, std::vector<double>* times_ms) {
   VJ_CHECK(repeats > 0);
   RunOptions run;
   run.algorithm = combo.algorithm;
@@ -157,6 +159,7 @@ RunResult BenchContext::Run(
         }
       }
     }
+    if (times_ms != nullptr) times_ms->push_back(result.total_ms);
     total += result.total_ms;
     io += result.io_ms;
     io_sum += result.io;
@@ -191,6 +194,9 @@ RunResult BenchContext::Run(
   average.stats.candidates /= n;
   average.stats.flushes /= n;
   average.stats.certified_flushes /= n;
+  average.stats.filtered_lists /= n;
+  average.stats.extended /= n;
+  average.stats.drained /= n;
   average.stats.spill_pages_written /= n;
   average.stats.spill_pages_read /= n;
   average.stats.output_pass_ms /= repeats;
@@ -225,6 +231,84 @@ std::vector<RunResult> RunOnSessions(core::Engine* engine,
   }
   for (std::thread& t : pool) t.join();
   return results;
+}
+
+SampleSummary Summarize(std::vector<double> samples) {
+  SampleSummary summary;
+  if (samples.empty()) return summary;
+  std::sort(samples.begin(), samples.end());
+  // Nearest rank: the smallest sample with at least p of the sample at or
+  // below it.
+  auto rank = [&](double p) {
+    size_t k = static_cast<size_t>(std::ceil(p * samples.size()));
+    return samples[k == 0 ? 0 : k - 1];
+  };
+  summary.n = samples.size();
+  summary.median = rank(0.5);
+  summary.p95 = rank(0.95);
+  summary.min = samples.front();
+  summary.max = samples.back();
+  return summary;
+}
+
+void RunFig5Panel(const std::string& title, const std::string& dataset,
+                  BenchContext* context, const std::vector<QuerySpec>& queries,
+                  const std::vector<Combo>& combos, int repeats,
+                  JsonReport* report) {
+  PrintBanner(title, *context);
+  std::vector<std::string> header = {"query", "matches"};
+  for (const Combo& c : combos) header.push_back(c.Label() + " med/p95 ms");
+  util::TablePrinter table(header);
+  std::vector<std::string> pheader = {"query"};
+  for (const Combo& c : combos) pheader.push_back(c.Label() + " (pages)");
+  util::TablePrinter pages(pheader);
+  for (const QuerySpec& spec : queries) {
+    TreePattern query = ParseQuery(spec.xpath);
+    std::vector<TreePattern> split = PairViews(query);
+    std::vector<std::string> row = {spec.name, ""};
+    std::vector<std::string> prow = {spec.name};
+    uint64_t count = 0;
+    uint64_t hash = 0;
+    bool first = true;
+    for (const Combo& combo : combos) {
+      std::vector<double> times;
+      RunResult result =
+          context->Run(query, context->Views(split, combo.scheme), combo,
+                       algo::OutputMode::kMemory, repeats, &times);
+      if (first) {
+        count = result.match_count;
+        hash = result.result_hash;
+        first = false;
+      } else {
+        VJ_CHECK(result.match_count == count && result.result_hash == hash)
+            << spec.name << " " << combo.Label() << " diverged: "
+            << result.match_count << " vs " << count;
+      }
+      const SampleSummary summary = Summarize(times);
+      result.total_ms = summary.median;
+      row.push_back(util::FormatDouble(summary.median, 3) + "/" +
+                    util::FormatDouble(summary.p95, 3));
+      prow.push_back(std::to_string(result.io.pages_read));
+      report->AddRow()
+          .Set("dataset", dataset)
+          .Set("query", spec.name)
+          .Set("combo", combo.Label())
+          .Metrics(result)
+          .Set("n", summary.n)
+          .Set("p95_ms", summary.p95)
+          .Set("entries_scanned", result.stats.entries_scanned)
+          .Set("flushes", result.stats.flushes)
+          .Set("certified_flushes", result.stats.certified_flushes);
+    }
+    row[1] = std::to_string(count);
+    table.AddRow(row);
+    pages.AddRow(prow);
+  }
+  std::printf("cold runs per cell: %d\n", repeats);
+  table.Print();
+  std::printf("\npage reads per cold run (the I/O the LE pointers save):\n");
+  pages.Print();
+  std::printf("\n");
 }
 
 TreePattern ParseQuery(const std::string& xpath) {
@@ -342,7 +426,7 @@ JsonReport::Row& JsonReport::Row::Metrics(const core::RunResult& result) {
   return *this;
 }
 
-void JsonReport::ParseArgs(int argc, char** argv) {
+void JsonReport::ParseArgs(int argc, char** argv, int* repeats) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--json") == 0) {
@@ -350,11 +434,18 @@ void JsonReport::ParseArgs(int argc, char** argv) {
       set_path(argv[++i]);
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       set_path(arg + 7);
+    } else if (repeats != nullptr && std::strcmp(arg, "--repeats") == 0) {
+      VJ_CHECK(i + 1 < argc) << "--repeats requires a count";
+      *repeats = std::atoi(argv[++i]);
+      VJ_CHECK(*repeats >= 1) << "--repeats must be at least 1";
     } else {
-      VJ_CHECK(false) << "unknown argument '" << arg
-                      << "' (benches take --json <path> only)";
+      VJ_CHECK(false) << "unknown argument '" << arg << "' (this bench takes "
+                      << (repeats != nullptr ? "--json <path> and --repeats N"
+                                             : "--json <path> only")
+                      << ")";
     }
   }
+  if (repeats != nullptr) SetMeta("repeats", *repeats);
 }
 
 JsonReport::Row& JsonReport::AddRow() {

@@ -19,6 +19,8 @@
 
 namespace viewjoin::bench {
 
+class JsonReport;
+
 /// One algorithm × storage-scheme combination (a column of Fig. 5).
 struct Combo {
   core::Algorithm algorithm;
@@ -63,12 +65,14 @@ class BenchContext {
   /// page/pool counters, retries — are averaged consistently over the
   /// repeats, not taken from the last run only. Match count/hash must be
   /// identical across repeats (checked); degraded/quarantine info is the
-  /// union over repeats.
+  /// union over repeats. A non-null `times_ms` receives each repeat's
+  /// total_ms, in run order.
   core::RunResult Run(const tpq::TreePattern& query,
                       const std::vector<const storage::MaterializedView*>& views,
                       const Combo& combo,
                       algo::OutputMode mode = algo::OutputMode::kMemory,
-                      int repeats = 3);
+                      int repeats = 3,
+                      std::vector<double>* times_ms = nullptr);
 
   /// Convenience: split the query with SplitViews, materialize, run.
   core::RunResult RunSplit(const std::string& xpath, const Combo& combo,
@@ -100,6 +104,29 @@ struct SessionQuery {
 std::vector<core::RunResult> RunOnSessions(
     core::Engine* engine, const std::vector<SessionQuery>& queries,
     size_t threads, const core::RunOptions& run = {});
+
+/// Count, median, 95th percentile and range of a sample.
+struct SampleSummary {
+  uint64_t n = 0;
+  double median = 0;
+  double p95 = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// Summarizes `samples` with nearest-rank percentiles; all zero when empty.
+SampleSummary Summarize(std::vector<double> samples);
+
+/// One panel of Fig. 5: every query of `queries` over its PairViews covering
+/// set under each of `combos`, `repeats` cold runs per cell. Every combo must
+/// return the same answer (checked). Prints the per-cell n, median and p95
+/// time and the page reads, and adds one JSON row per cell whose `total_ms`
+/// is the median (with `n` and `p95_ms` beside it) and which carries the
+/// join counters (`entries_scanned`, `flushes`, `certified_flushes`).
+void RunFig5Panel(const std::string& title, const std::string& dataset,
+                  BenchContext* context, const std::vector<QuerySpec>& queries,
+                  const std::vector<Combo>& combos, int repeats,
+                  JsonReport* report);
 
 /// Parses an XPath, dying on failure.
 tpq::TreePattern ParseQuery(const std::string& xpath);
@@ -145,9 +172,11 @@ class JsonReport {
   explicit JsonReport(std::string bench_name)
       : bench_name_(std::move(bench_name)) {}
 
-  /// Consumes `--json PATH` / `--json=PATH` from the command line (the only
-  /// flag benches take). Dies on an unknown argument so typos surface.
-  void ParseArgs(int argc, char** argv);
+  /// Consumes `--json PATH` / `--json=PATH` from the command line, and
+  /// `--repeats N` (N >= 1, recorded as meta "repeats") when `repeats` is
+  /// non-null: benches that repeat their measurements take it, the others
+  /// reject it. Dies on an unknown argument so typos surface.
+  void ParseArgs(int argc, char** argv, int* repeats = nullptr);
 
   void set_path(std::string path) { path_ = std::move(path); }
   bool enabled() const { return !path_.empty(); }

@@ -18,27 +18,37 @@ CandidateEnumerator::CandidateEnumerator(const xml::Document& doc,
 
 // Candidate lists are in document order, so each query edge costs one linear
 // merge with a nesting stack — no hash maps or per-candidate ancestor walks
-// on the output path.
-bool CandidateEnumerator::SemiJoinFilter(const CandidateLists& lists) {
+// on the output path. Proven nodes keep every candidate, so only the edges
+// out of and into unproven nodes are swept.
+bool CandidateEnumerator::SemiJoinFilter(const CandidateLists& lists,
+                                         const ProofMarks& unproven) {
   const size_t nq = pattern_.size();
   keep_.resize(nq);
-  for (size_t q = 0; q < nq; ++q) keep_[q].assign(lists[q].size(), 1);
+  for (size_t q = 0; q < nq; ++q) {
+    if (unproven[q]) keep_[q].assign(lists[q].size(), 1);
+  }
   // Bottom-up: child lists are final before their parent is processed
   // (reverse preorder), so marking uses final flags of children.
   for (int q = static_cast<int>(nq) - 1; q >= 0; --q) {
-    for (int c : pattern_.node(q).children) MarkParentsWithChild(lists, q, c);
+    if (!unproven[static_cast<size_t>(q)]) continue;
+    for (int c : pattern_.node(q).children) {
+      MarkParentsWithChild(lists, q, c, KeepOf(unproven, c));
+    }
   }
   // Top-down, in place: a parent's flags are final before its children's.
-  if (pattern_.node(0).incoming == Axis::kChild) {
+  if (unproven[0] && pattern_.node(0).incoming == Axis::kChild) {
     for (size_t i = 0; i < lists[0].size(); ++i) {
       if (lists[0][i].node != doc_.Root()) keep_[0][i] = 0;
     }
   }
   for (size_t q = 1; q < nq; ++q) {
-    MarkChildrenWithParent(lists, static_cast<int>(q));
+    if (!unproven[q]) continue;
+    const int c = static_cast<int>(q);
+    MarkChildrenWithParent(lists, c, KeepOf(unproven, pattern_.node(c).parent));
   }
   for (size_t q = 0; q < nq; ++q) {
-    if (std::find(keep_[q].begin(), keep_[q].end(), 1) == keep_[q].end()) {
+    if (unproven[q] &&
+        std::find(keep_[q].begin(), keep_[q].end(), 1) == keep_[q].end()) {
       return false;
     }
   }
@@ -46,18 +56,19 @@ bool CandidateEnumerator::SemiJoinFilter(const CandidateLists& lists) {
 }
 
 /// Bottom-up step for edge (q -> c): clear keep[q][i] unless candidate i
-/// has a kept c child (pc) / descendant (ad).
+/// has a kept c child (pc) / descendant (ad). `child_keep` is null when c
+/// is proven.
 void CandidateEnumerator::MarkParentsWithChild(const CandidateLists& lists,
-                                               int q, int c) {
+                                               int q, int c,
+                                               const uint8_t* child_keep) {
   const std::vector<Candidate>& pl = lists[static_cast<size_t>(q)];
   const std::vector<Candidate>& cl = lists[static_cast<size_t>(c)];
-  const std::vector<uint8_t>& child_keep = keep_[static_cast<size_t>(c)];
   marked_.assign(pl.size(), 0);
   open_.clear();
   const Axis axis = pattern_.node(c).incoming;
   size_t i = 0;
   for (size_t j = 0; j < cl.size(); ++j) {
-    if (!child_keep[j]) continue;
+    if (child_keep != nullptr && !child_keep[j]) continue;
     const Label& child = cl[j].label;
     // Open every parent candidate starting before the child.
     while (i < pl.size() && pl[i].label.start < child.start) {
@@ -89,13 +100,14 @@ void CandidateEnumerator::MarkParentsWithChild(const CandidateLists& lists,
 }
 
 /// Top-down step for node c with parent p: keep[c][j] stays set only if c
-/// has a kept p ancestor (ad) / parent (pc).
+/// has a kept p ancestor (ad) / parent (pc). `parent_keep` is null when p
+/// is proven.
 void CandidateEnumerator::MarkChildrenWithParent(const CandidateLists& lists,
-                                                 int c) {
+                                                 int c,
+                                                 const uint8_t* parent_keep) {
   const int p = pattern_.node(c).parent;
   const std::vector<Candidate>& pl = lists[static_cast<size_t>(p)];
   const std::vector<Candidate>& cl = lists[static_cast<size_t>(c)];
-  const std::vector<uint8_t>& parent_keep = keep_[static_cast<size_t>(p)];
   std::vector<uint8_t>& flags = keep_[static_cast<size_t>(c)];
   const Axis axis = pattern_.node(c).incoming;
   open_.clear();  // kept open parent candidates
@@ -104,7 +116,7 @@ void CandidateEnumerator::MarkChildrenWithParent(const CandidateLists& lists,
     if (!flags[j]) continue;
     const Label& child = cl[j].label;
     while (i < pl.size() && pl[i].label.start < child.start) {
-      if (parent_keep[i]) {
+      if (parent_keep == nullptr || parent_keep[i]) {
         while (!open_.empty() &&
                pl[open_.back()].label.end < pl[i].label.start) {
           open_.pop_back();
@@ -123,11 +135,12 @@ void CandidateEnumerator::MarkChildrenWithParent(const CandidateLists& lists,
 }
 
 void CandidateEnumerator::Enumerate(CandidateLists* candidates,
-                                    tpq::MatchSink* sink, QueryContext* ctx,
-                                    CandidateSet set) {
+                                    const ProofMarks& unproven,
+                                    tpq::MatchSink* sink, QueryContext* ctx) {
   CandidateLists& lists = *candidates;
   const size_t nq = pattern_.size();
   VJ_CHECK_EQ(lists.size(), nq);
+  VJ_CHECK_EQ(unproven.size(), nq);
   for (const auto& list : lists) {
     if (list.empty()) return;
     VJ_DCHECK(std::is_sorted(list.begin(), list.end(),
@@ -136,10 +149,11 @@ void CandidateEnumerator::Enumerate(CandidateLists* candidates,
                              }));
   }
 
-  if (set == CandidateSet::kSuperset) {
-    if (!SemiJoinFilter(lists)) return;
-    // Compact every list to its survivors, in place.
+  if (std::find(unproven.begin(), unproven.end(), 1) != unproven.end()) {
+    if (!SemiJoinFilter(lists, unproven)) return;
+    // Compact every filtered list to its survivors, in place.
     for (size_t q = 0; q < nq; ++q) {
+      if (!unproven[q]) continue;
       std::vector<Candidate>& list = lists[q];
       const std::vector<uint8_t>& keep = keep_[q];
       size_t kept = 0;

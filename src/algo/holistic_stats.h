@@ -17,9 +17,17 @@ struct HolisticStats {
   uint64_t candidates = 0;
   /// Output flushes (per-root enumeration rounds).
   uint64_t flushes = 0;
-  /// Flushes whose candidates TwigStack proved exact, which skipped the
-  /// output pass's semi-join filter (CandidateSet::kExact).
+  /// Flushes whose every candidate list carried a proof, which skipped the
+  /// output pass's semi-join filter (OutputPass).
   uint64_t certified_flushes = 0;
+  /// Candidate lists the semi-join filter checked, summed over flushes: one
+  /// per query node left unproven by its flush.
+  uint64_t filtered_lists = 0;
+  /// Entries the output pass's extension step collected for query nodes
+  /// removed from the segmented query (ViewJoin).
+  uint64_t extended = 0;
+  /// Entries the termination drain buffered (counted in `candidates` too).
+  uint64_t drained = 0;
   /// Peak number of buffered candidate nodes (memory-mode footprint proxy).
   uint64_t peak_buffered = 0;
   /// Pages written + read through the spill file (disk output mode).
@@ -39,6 +47,9 @@ struct HolisticStats {
     candidates += other.candidates;
     flushes += other.flushes;
     certified_flushes += other.certified_flushes;
+    filtered_lists += other.filtered_lists;
+    extended += other.extended;
+    drained += other.drained;
     if (other.peak_buffered > peak_buffered) {
       peak_buffered = other.peak_buffered;
     }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "algo/candidate_enumerator.h"
+#include "algo/holistic_stats.h"
 #include "algo/monotone_resolver.h"
 #include "algo/query_binding.h"
 #include "algo/query_context.h"
@@ -17,15 +18,27 @@ namespace viewjoin::algo {
 /// buffered candidate label is resolved to its document node once (the
 /// monotone resolver's forward scan over the per-tag start index), the
 /// (label, node) pairs are collected per query node, and the candidate
-/// enumerator semi-join-filters them in place (unless the caller certified
-/// them exact) and emits the matches.
+/// enumerator semi-join-filters the lists of the unproven query nodes in
+/// place and emits the matches.
+///
+/// Proofs: with every query edge `//` (the root's included), a join whose
+/// pushes carry a proof (`pushes_proven`) starts each flush with every node
+/// proven: each pushed candidate lies in a match built from pushed
+/// candidates (DESIGN.md §6 item 3). The join marks the nodes that took
+/// entries without that proof (drained or extended under drained ones)
+/// through MarkUnproven. Any other query or join has every node unproven on
+/// every flush.
 ///
 /// Usage per flush: Resolve() every query node's buffered labels, release
 /// the caller's buffers, then Enumerate(). One pass serves one evaluation;
 /// its lists keep their capacity across flushes.
 class OutputPass {
  public:
-  explicit OutputPass(const QueryBinding& binding);
+  OutputPass(const QueryBinding& binding, bool pushes_proven);
+
+  /// Marks query node `q`'s candidates of the pending flush unproven.
+  void MarkUnproven(size_t q) { unproven_[q] = 1; }
+  bool unproven(size_t q) const { return unproven_[q] != 0; }
 
   /// Resolves query node `q`'s buffered entries, in ascending start order;
   /// `label_of(entry)` yields an entry's label. A label that resolves to no
@@ -60,17 +73,20 @@ class OutputPass {
     return Resolve(q, labels, identity, ctx);
   }
 
-  /// Enumerates the matches among the resolved candidates into `sink` and
-  /// empties the lists for the next flush. `set` says whether the caller
-  /// proved them exact (CandidateEnumerator::Enumerate). Returns false,
-  /// emitting nothing, when no label resolved at all (nothing was flushed).
+  /// Enumerates the matches among the resolved candidates into `sink`,
+  /// empties the lists and resets the proof marks for the next flush. A
+  /// flush counts into `stats` (`flushes`, `filtered_lists`, and
+  /// `certified_flushes` when no node was unproven). Returns false, emitting
+  /// and counting nothing, when no label resolved at all.
   bool Enumerate(tpq::MatchSink* sink, QueryContext* ctx,
-                 CandidateSet set = CandidateSet::kSuperset);
+                 HolisticStats* stats);
 
  private:
   MonotoneResolver resolver_;
   CandidateEnumerator enumerator_;
   CandidateLists lists_;
+  const uint8_t flush_start_;  // every node's mark when a flush begins
+  ProofMarks unproven_;
 };
 
 }  // namespace viewjoin::algo

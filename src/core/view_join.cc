@@ -36,6 +36,18 @@ struct FEntry {
   EntryIndex index;
 };
 
+/// True when some Q' edge is not a Q edge: a removed node lies between a
+/// kept node and its Q' parent. Such an edge joins Q' candidates that no
+/// removed node connects (DESIGN.md §6 item 3), so pushes prove nothing.
+bool HasCollapsedEdge(const TreePattern& query, const SegmentedQuery& sq) {
+  for (size_t q = 1; q < query.size(); ++q) {
+    if (sq.kept[q] && sq.parent[q] != query.node(static_cast<int>(q)).parent) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 class ViewJoin::Impl {
@@ -51,7 +63,8 @@ class ViewJoin::Impl {
         mode_(mode),
         stats_(stats),
         ctx_(ctx != nullptr ? ctx : &default_ctx_),
-        output_(binding) {
+        output_(binding, /*pushes_proven=*/!HasCollapsedEdge(binding.query(),
+                                                             sq)) {
     size_t nq = query_.size();
     cursors_.resize(nq);
     stacks_.resize(nq);
@@ -117,8 +130,12 @@ class ViewJoin::Impl {
           Flush();
         }
         Push(q, nq);
+        Advance(q);
+      } else {
+        // No stacked parent holds q's head: it is dead, and so is every q
+        // entry that starts before the parent's head.
+        SkipDead(q, Head(parent).start);
       }
-      Advance(q);
     }
     Drain();
     Flush();
@@ -161,6 +178,8 @@ class ViewJoin::Impl {
         if (ctx_->Checkpoint()) return;
         ++stats_->entries_scanned;
         Buffer(static_cast<int>(q), cursor.LabelAt(), cursor.index());
+        output_.MarkUnproven(q);
+        ++stats_->drained;
         cursor.Next();
       }
     }
@@ -227,43 +246,40 @@ class ViewJoin::Impl {
     RefreshHead(q);
   }
 
-  /// Skips the provably dead prefix of child c's list.
+  /// Skips q's provably dead entries once its head found its Q' parent's
+  /// stack empty: every entry that starts before `skip_to`, the parent's
+  /// head.
   ///
   /// Parent stacks are cleaned only with labels that arrive in ascending
   /// start order (getNext returns the minimal extendable head for direct
-  /// children), so the parent stack is never over-popped: a pending c-entry
+  /// children), so the parent stack is never over-popped: a pending q-entry
   /// e can belong to a match only if some *stacked* parent region contains
   /// it, the parent cursor's current head region will, or a future parent
-  /// candidate (start >= Head(q).start) will. Hence every entry below
-  ///   skip_to = min(Head(q).start, lowest stacked parent start)
-  /// is dead once the stack bottom's region lies entirely before it.
+  /// candidate (start >= the parent's head start) will. With the stack
+  /// empty, an entry that starts before the parent's head has none of them.
   ///
-  /// LE/LE_p views jump over the dead range (their materialized pointers
-  /// make lists random-access; charged as one pointer jump); E-scheme views
-  /// advance sequentially, as the paper's advancePointers does for segment
-  /// roots (lines 9-11).
-  void SkipDead(int q, int c) {
-    ListCursor& cursor = cursors_[static_cast<size_t>(c)];
-    if (cursor.AtEnd()) return;
-    const Label& hc = Head(c);
-    uint32_t skip_to = Head(q).start;
-    const auto& stack = stacks_[static_cast<size_t>(q)];
-    if (!stack.empty()) {
-      const Label& bottom = stack.front();
-      if (bottom.start < hc.start) {
-        if (bottom.end > hc.start) return;  // hc sits in an open parent
-        // The whole chain ended before hc; it constrains nothing ahead.
-      } else if (bottom.start < skip_to) {
-        skip_to = bottom.start;  // do not skip into a stacked parent region
-      }
-    }
-    if (hc.start >= skip_to) return;
+  /// TwigStack discards such entries one Run iteration each; the skip costs
+  /// getNext nothing, since it runs only where an entry is discarded. Past
+  /// the current block, LE/LE_p views jump over whole dead pages (their
+  /// materialized pointers make lists random-access; charged as one pointer
+  /// jump); E-scheme views advance sequentially, as the paper's
+  /// advancePointers does for segment roots (lines 9-11). Out of line, so
+  /// the Run loop stays as small as TwigStack's.
+  [[gnu::noinline]] void SkipDead(int q, uint32_t skip_to) {
+    ListCursor& cursor = cursors_[static_cast<size_t>(q)];
     auto ck = [&](uint32_t n) { return ctx_->CheckpointN(n); };
-    if (has_pointers_[static_cast<size_t>(c)]) {
-      // Galloping search (overflow-safe, checkpointed — see list_search.h):
-      // dead gaps are often a handful of entries, so the cursor probes
-      // exponentially before binary-searching the last span; with fence keys
-      // the gallop runs over pages and touches a single block.
+    // Dead entries are passed by a search over the decoded starts of the
+    // blocks they lie on, counted as the entries it passes, as a scan
+    // counts them. LE/LE_p lists stop at the block boundary first: when the
+    // next page lies wholly below skip_to, they gallop instead (see
+    // PageDeadBelow).
+    const bool jump = has_pointers_[static_cast<size_t>(q)] != 0;
+    uint64_t scanned = 0;
+    bool aborted = cursor.SkipStartsBelow(skip_to, /*strict=*/false,
+                                          /*one_block=*/jump, &scanned, ck);
+    if (jump && !aborted && PageDeadBelow(cursor, skip_to)) {
+      // Galloping search (overflow-safe, checkpointed — see list_search.h)
+      // over the page fence keys, which reads only the landing page.
       EntryIndex from = cursor.index();
       uint64_t probes = 0;
       storage::SeekOutcome out =
@@ -272,13 +288,25 @@ class ViewJoin::Impl {
       stats_->entries_skipped += out.pos - from;
       ++stats_->pointer_jumps;
       cursor.Seek(out.pos);
-      RefreshHead(c);
-    } else {
-      uint64_t scanned = 0;
-      cursor.SkipStartsBelow(skip_to, /*strict=*/false, &scanned, ck);
-      stats_->entries_scanned += scanned;
-      RefreshHead(c);
+    } else if (jump && !aborted) {
+      cursor.SkipStartsBelow(skip_to, /*strict=*/false, /*one_block=*/false,
+                             &scanned, ck);
     }
+    stats_->entries_scanned += scanned;
+    RefreshHead(q);
+  }
+
+  /// True when `cursor` sits on the first entry of a page that is not the
+  /// list's last and lies wholly below `bound` (the next page's fence key
+  /// is at most `bound`). A gallop from there skips at least that page,
+  /// more entries than it probes, and reads no page but where it lands.
+  static bool PageDeadBelow(const ListCursor& cursor, uint32_t bound) {
+    if (cursor.AtEnd()) return false;
+    const storage::StoredList& list = cursor.list();
+    const uint32_t page = list.PageIndexOf(cursor.index());
+    return list.FirstEntryOfPage(page) == cursor.index() &&
+           page + 1 < list.PageSpan() &&
+           list.page_first_start[page + 1] <= bound;
   }
 
   /// Holistic getNext over the view-segmented query Q' (children per Q'
@@ -290,14 +318,14 @@ class ViewJoin::Impl {
     int qmin = -1;
     int qmax = -1;
     for (int c : children) {
-      SkipDead(q, c);
       int n = GetNext(c);
       if (n != c) return n;
       Label head = Head(c);
       if (qmin < 0 || head.start < Head(qmin).start) qmin = c;
       if (qmax < 0 || head.start > Head(qmax).start) qmax = c;
     }
-    AdvancePast(q, Head(qmax).start);
+    const uint32_t max_start = Head(qmax).start;
+    if (Head(q).end < max_start) AdvancePast(q, max_start);
     if (Head(q).start < Head(qmin).start) return q;
     return qmin;
   }
@@ -357,10 +385,15 @@ class ViewJoin::Impl {
   }
 
   void FlushImpl() {
-    // Step 1: extension. Removed nodes are visited anchors-first.
+    // Step 1: extension. Removed nodes are visited anchors-first, so an
+    // anchor's proof mark is final before its removed children take it:
+    // entries extended under unproven (drained) anchors are unproven too.
     for (size_t i = 0; i < sq_.removed.size(); ++i) {
       int r = sq_.removed[i];
       int anchor = sq_.removed_anchor[i];
+      if (output_.unproven(static_cast<size_t>(anchor))) {
+        output_.MarkUnproven(static_cast<size_t>(r));
+      }
       ExtendRemoved(r, anchor, removed_slot_[i], removed_edge_ad_[i] != 0);
       if (ctx_->aborted()) return;
     }
@@ -386,7 +419,7 @@ class ViewJoin::Impl {
     // The flushed F entries are freed; return their budget charge.
     ctx_->ReleaseMemory(charged_memory_);
     charged_memory_ = 0;
-    if (output_.Enumerate(sink_, ctx_)) ++stats_->flushes;
+    output_.Enumerate(sink_, ctx_, stats_);
   }
 
   /// Collects the F entries of removed node `r` under the buffered entries
@@ -427,7 +460,8 @@ class ViewJoin::Impl {
       } else {
         // E scheme: shared monotone scan of L_r.
         uint64_t scanned = 0;
-        rcursor.SkipStartsBelow(a.label.start, /*strict=*/true, &scanned,
+        rcursor.SkipStartsBelow(a.label.start, /*strict=*/true,
+                                /*one_block=*/false, &scanned,
                                 [&](uint32_t n) { return ctx_->CheckpointN(n); });
         stats_->entries_scanned += scanned;
         RefreshHead(r);
@@ -437,6 +471,7 @@ class ViewJoin::Impl {
         Label label = rcursor.LabelAt();
         if (label.start > a.label.end) break;
         ++stats_->entries_scanned;
+        ++stats_->extended;
         if (mode_ == OutputMode::kDisk) {
           spill_->Append(static_cast<size_t>(r), label);
           // Stay resident only when this node anchors a deeper removed node.

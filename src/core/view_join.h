@@ -29,7 +29,11 @@ namespace viewjoin::core {
 ///     from Q' by walking child pointers from their in-view anchor's
 ///     buffered entries (LE/LE_p) or by a single shared sequential scan of
 ///     their lists (E), then enumerate and emit all matches embedded in F —
-///     pc-edge level checks happen here, as in the paper.
+///     pc-edge level checks happen here, as in the paper. On a //-only query
+///     whose Q' edges are all Q edges, pushed and extended candidates are
+///     proven to lie in matches, and the output pass filters only the lists
+///     of drained nodes and of removed nodes extended under them (DESIGN.md
+///     §6 item 3).
 ///
 /// Safety deviations from the paper's pseudocode are documented in
 /// DESIGN.md: every skip used here is provably complete (the unconstrained

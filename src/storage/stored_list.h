@@ -298,11 +298,12 @@ class ListCursor {
   /// `strict`) or the list ends. Unlike FindFirstStart this *walks* —
   /// touching every page and counting every passed entry into `*scanned` —
   /// preserving the sequential-I/O cost profile of pointerless (E) scans
-  /// while still vectorizing within decoded blocks. Returns true if `ck`
-  /// aborted.
+  /// while still vectorizing within decoded blocks. With `one_block`, stops
+  /// at the first block boundary (a memory-backed cursor is one block).
+  /// Returns true if `ck` aborted.
   template <typename Ck>
-  bool SkipStartsBelow(uint32_t bound, bool strict, uint64_t* scanned,
-                       Ck&& ck) {
+  bool SkipStartsBelow(uint32_t bound, bool strict, bool one_block,
+                       uint64_t* scanned, Ck&& ck) {
     VJ_DCHECK(mem_labels_ != nullptr || list_->layout.label_count == 1);
     if (strict) {
       if (bound == 0xFFFFFFFFu) {
@@ -324,7 +325,7 @@ class ListCursor {
         *scanned += passed;
         index_ = block_.first + pos;
         if (ck(passed > 0 ? passed : 1)) return true;
-        if (pos < block_.count) return false;
+        if (pos < block_.count || one_block) return false;
       }
       return false;
     }
@@ -398,9 +399,13 @@ class ListCursor {
     return {std::max(index_, found), false};
   }
 
+  /// Pointer `slot` of the current record, read in line from the current
+  /// block as LabelAt reads labels.
   EntryIndex PointerAt(uint32_t slot) const {
     VJ_DCHECK(list_ != nullptr && list_->layout.has_pointers);
-    EnsureBlock(index_);
+    if (!block_.valid || index_ - block_.first >= block_.count) {
+      EnsureBlock(index_);
+    }
     return block_.pointers[(index_ - block_.first) *
                                list_->layout.PointerSlots() +
                            slot];

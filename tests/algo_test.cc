@@ -253,7 +253,7 @@ TEST(CandidateEnumeratorTest, FiltersNonJoiningCandidates) {
                                                       doc.NodesOfTag(b)};
   algo::CandidateLists lists = testing::WithLabels(doc, candidates);
   tpq::CollectingSink sink;
-  enumerator.Enumerate(&lists, &sink);
+  enumerator.Enumerate(&lists, algo::ProofMarks(2, 1), &sink);
   std::vector<Match> matches = sink.matches();
   tpq::SortMatches(&matches);
   EXPECT_EQ(matches, SortedOracle(doc, query));
@@ -265,7 +265,7 @@ TEST(CandidateEnumeratorTest, EmptyCandidateListShortCircuits) {
   algo::CandidateEnumerator enumerator(doc, query);
   tpq::CollectingSink sink;
   algo::CandidateLists lists = testing::WithLabels(doc, {{0}, {}});
-  enumerator.Enumerate(&lists, &sink);
+  enumerator.Enumerate(&lists, algo::ProofMarks(2, 1), &sink);
   EXPECT_TRUE(sink.matches().empty());
 }
 
@@ -277,7 +277,7 @@ void ExpectEnumerationMatchesOracle(
   algo::CandidateEnumerator enumerator(doc, query);
   algo::CandidateLists lists = testing::WithLabels(doc, candidates);
   tpq::CollectingSink sink;
-  enumerator.Enumerate(&lists, &sink);
+  enumerator.Enumerate(&lists, algo::ProofMarks(query.size(), 1), &sink);
   std::vector<Match> matches = sink.matches();
   tpq::SortMatches(&matches);
   EXPECT_EQ(matches, SortedOracle(doc, query)) << query.ToString();
@@ -361,20 +361,24 @@ TEST(OutputPassTest, PhantomLabelIsDroppedBeforeTheSemiJoin) {
   Label phantom = doc.NodeLabel(c);
   ASSERT_TRUE(IsAncestor(doc.NodeLabel(as[0]), phantom));
 
-  algo::OutputPass pass(*binding);
+  // Candidates without a proof: the semi-join filter checks every node.
+  algo::OutputPass pass(*binding, /*pushes_proven=*/false);
   algo::QueryContext ctx;
+  algo::HolisticStats stats;
   ASSERT_TRUE(pass.Resolve(0, LabelsOf(doc, as), &ctx));
   ASSERT_TRUE(pass.Resolve(1, {phantom, doc.NodeLabel(b)}, &ctx));
   tpq::CollectingSink sink;
-  EXPECT_TRUE(pass.Enumerate(&sink, &ctx));
+  EXPECT_TRUE(pass.Enumerate(&sink, &ctx, &stats));
   ASSERT_EQ(sink.matches(), (std::vector<Match>{{as[1], b}}));
+  EXPECT_EQ(stats.filtered_lists, 2u);
 
   // A flush whose every label is a phantom resolves nothing and enumerates
   // nothing.
   ASSERT_TRUE(pass.Resolve(1, {phantom}, &ctx));
   tpq::CollectingSink empty;
-  EXPECT_FALSE(pass.Enumerate(&empty, &ctx));
+  EXPECT_FALSE(pass.Enumerate(&empty, &ctx, &stats));
   EXPECT_TRUE(empty.matches().empty());
+  EXPECT_EQ(stats.flushes, 1u);
 }
 
 // The resolver's forward pointers persist across the flushes of one
@@ -394,8 +398,9 @@ TEST(OutputPassTest, ResolutionStaysMonotoneAcrossFlushes) {
   std::optional<QueryBinding> binding = QueryBinding::BindBase(doc, query);
   ASSERT_TRUE(binding.has_value());
 
-  algo::OutputPass pass(*binding);
+  algo::OutputPass pass(*binding, /*pushes_proven=*/false);
   algo::QueryContext ctx;
+  algo::HolisticStats stats;
   std::vector<Match> all;
   const xml::TagId b = doc.FindTag("b");
   size_t flushes = 0;
@@ -407,7 +412,7 @@ TEST(OutputPassTest, ResolutionStaysMonotoneAcrossFlushes) {
     ASSERT_TRUE(pass.Resolve(0, LabelsOf(doc, {a}), &ctx));
     ASSERT_TRUE(pass.Resolve(1, LabelsOf(doc, bs), &ctx));
     tpq::CollectingSink sink;
-    flushes += pass.Enumerate(&sink, &ctx);
+    flushes += pass.Enumerate(&sink, &ctx, &stats);
     for (const Match& m : sink.matches()) {
       EXPECT_EQ(m[0], a);
       all.push_back(m);

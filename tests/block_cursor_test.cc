@@ -773,7 +773,8 @@ void ExpectCursorMatchesSource(ListCursor& cursor,
     cursor.Seek(from);
     scanned = 0;
     ASSERT_FALSE(
-        cursor.SkipStartsBelow(bound, /*strict=*/false, &scanned, never));
+        cursor.SkipStartsBelow(bound, /*strict=*/false, /*one_block=*/false,
+                               &scanned, never));
     ASSERT_EQ(cursor.index(), expect_start);
     ASSERT_EQ(scanned, expect_start - from);
   }

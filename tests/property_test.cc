@@ -200,29 +200,40 @@ uint64_t SolutionNodeCount(const xml::Document& doc, const TreePattern& query) {
   return n;
 }
 
+/// Runs `algorithm` over `views` stored in `scheme`, in both output modes,
+/// and checks the answer against the oracle. Returns the two runs' results.
+std::vector<RunResult> RunBothModes(Engine* engine, Algorithm algorithm,
+                                    Scheme scheme, const TreePattern& query,
+                                    const std::vector<TreePattern>& views,
+                                    const Expected& expected) {
+  std::vector<const MaterializedView*> stored;
+  for (const TreePattern& v : views) {
+    stored.push_back(engine->AddView(v, scheme));
+  }
+  std::vector<RunResult> results;
+  for (OutputMode mode : {OutputMode::kMemory, OutputMode::kDisk}) {
+    SCOPED_TRACE(std::string(core::AlgorithmName(algorithm)) + "+" +
+                 storage::SchemeName(scheme) +
+                 (mode == OutputMode::kDisk ? " disk" : " mem"));
+    RunOptions run;
+    run.algorithm = algorithm;
+    run.output_mode = mode;
+    RunResult result = engine->Execute(query, stored, run);
+    EXPECT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.match_count, expected.count);
+    EXPECT_EQ(result.result_hash, expected.hash);
+    results.push_back(result);
+  }
+  return results;
+}
+
 /// Runs TwigStack over `views` in both output modes and checks the answer
 /// against the oracle. Returns the two runs' results.
 std::vector<RunResult> RunTwigStackBothModes(
     Engine* engine, const TreePattern& query,
     const std::vector<TreePattern>& views, const Expected& expected) {
-  std::vector<const MaterializedView*> stored;
-  for (const TreePattern& v : views) {
-    stored.push_back(engine->AddView(v, Scheme::kElement));
-  }
-  std::vector<RunResult> results;
-  for (OutputMode mode : {OutputMode::kMemory, OutputMode::kDisk}) {
-    RunOptions run;
-    run.algorithm = Algorithm::kTwigStack;
-    run.output_mode = mode;
-    RunResult result = engine->Execute(query, stored, run);
-    EXPECT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(result.match_count, expected.count)
-        << (mode == OutputMode::kDisk ? "disk" : "mem");
-    EXPECT_EQ(result.result_hash, expected.hash)
-        << (mode == OutputMode::kDisk ? "disk" : "mem");
-    results.push_back(result);
-  }
-  return results;
+  return RunBothModes(engine, Algorithm::kTwigStack, Scheme::kElement, query,
+                      views, expected);
 }
 
 // TwigStack certifies a flush exact, and skips the output pass's semi-join
@@ -265,6 +276,120 @@ TEST(CertifiedFlushTest, CertifiedCandidatesAreExactlyTheSolutionNodes) {
   // exercised.
   EXPECT_GT(certified_runs, flushed_runs / 2)
       << certified_runs << " of " << flushed_runs;
+}
+
+// ViewJoin certifies a flush when the query is //-only, the drain buffered
+// nothing and no removed node lies between a kept node and its Q' parent.
+// Its kept candidates plus the entries extended for removed nodes must then
+// be exactly the solution nodes, under every list scheme.
+TEST(CertifiedFlushTest, CertifiedViewJoinFlushesHoldExactlyTheSolutionNodes) {
+  const std::vector<std::string> tags = {"a", "b", "c", "d", "e", "f", "g"};
+  int certified_runs = 0;
+  int extended_certified_runs = 0;
+  int flushed_runs = 0;
+  for (uint64_t seed = 5000; seed < 5080; ++seed) {
+    util::Rng rng(seed);
+    xml::Document doc =
+        RandomDoc(&rng, 30 + static_cast<int>(rng.Uniform(270)), tags);
+    const TreePattern ad = AllDescendant(
+        RandomQuery(&rng, 2 + static_cast<int>(rng.Uniform(5)), tags));
+    const std::vector<TreePattern> views = RandomViewPartition(&rng, ad, 3);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " query " + ad.ToString());
+    Engine engine(&doc, TempPath("certified_vj_" + std::to_string(seed) +
+                                 ".db"));
+    const uint64_t solutions = SolutionNodeCount(doc, ad);
+    const Expected expected = OracleFingerprint(doc, ad);
+    for (Scheme scheme : {Scheme::kElement, Scheme::kLinkedElement,
+                          Scheme::kLinkedElementPartial}) {
+      for (const RunResult& r : RunBothModes(&engine, Algorithm::kViewJoin,
+                                             scheme, ad, views, expected)) {
+        flushed_runs += r.stats.flushes > 0;
+        EXPECT_LE(r.stats.certified_flushes, r.stats.flushes);
+        if (r.stats.flushes > 0 &&
+            r.stats.certified_flushes == r.stats.flushes) {
+          EXPECT_EQ(r.stats.candidates + r.stats.extended, solutions)
+              << storage::SchemeName(scheme);
+          EXPECT_EQ(r.stats.filtered_lists, 0u);
+          ++certified_runs;
+          extended_certified_runs += r.stats.extended > 0;
+        }
+      }
+    }
+  }
+  // Most runs that flush neither drain nor collapse a Q' edge: the certified
+  // path, and its extension walk, must be exercised (288 of 336, 228 of
+  // them with extended entries, when this was written).
+  EXPECT_GT(certified_runs, flushed_runs / 2)
+      << certified_runs << " of " << flushed_runs;
+  EXPECT_GT(extended_certified_runs, 0);
+}
+
+// A removed node between a kept node and its Q' parent: over the document
+// a0(r0(a1(r1(q2) q1(x1)))) with views //a//r//q and //x, Q' is
+// {a} -> {q} -> {x}, and a1 contains q1 and x1, so ViewJoin pushes a1. But
+// a1's only r descendant, r1, holds no q with an x below it: a1 is in no
+// match. Such a flush must not be certified, and the filter it keeps must
+// give the oracle's answer.
+TEST(CertifiedFlushTest, CollapsedQPrimeEdgeIsNotCertified) {
+  xml::Document doc = testing::MakeDoc("a(r(a(r(q) q(x))))");
+  const TreePattern query = testing::MustParse("//a//r//q//x");
+  const std::vector<TreePattern> views = {testing::MustParse("//a//r//q"),
+                                          testing::MustParse("//x")};
+  Engine engine(&doc, TempPath("certified_collapsed.db"));
+  const uint64_t solutions = SolutionNodeCount(doc, query);
+  const Expected expected = OracleFingerprint(doc, query);
+  EXPECT_EQ(expected.count, 1u);
+  for (Scheme scheme : {Scheme::kElement, Scheme::kLinkedElement,
+                        Scheme::kLinkedElementPartial}) {
+    for (const RunResult& r : RunBothModes(&engine, Algorithm::kViewJoin,
+                                           scheme, query, views, expected)) {
+      EXPECT_EQ(r.stats.flushes, 1u);
+      EXPECT_EQ(r.stats.certified_flushes, 0u);
+      EXPECT_EQ(r.stats.filtered_lists, query.size());
+      EXPECT_GT(r.stats.candidates + r.stats.extended, solutions)
+          << "a1 is pushed although it is in no match";
+    }
+  }
+}
+
+// XMark Q10's shape again, for both joins: the drain buffers into person and
+// gender only, so only their lists are filtered. With gender in person's
+// view, ViewJoin removes gender from Q' and extends it under the drained
+// person entries: gender is then unproven as an extended node, not as a
+// drained one.
+TEST(CertifiedFlushTest, OnlyDrainedNodesAreFiltered) {
+  xml::Document doc = testing::MakeDoc(
+      "site(people(person(profile(education age) gender)"
+      " person(gender)))");
+  const TreePattern query = testing::MustParse(
+      "//people//person[//profile[//education]//age]//gender");
+  std::vector<TreePattern> per_tag;
+  for (const char* tag :
+       {"people", "person", "profile", "education", "age", "gender"}) {
+    per_tag.push_back(testing::MustParse(std::string("//") + tag));
+  }
+  std::vector<TreePattern> gender_removed = {
+      testing::MustParse("//people"), testing::MustParse("//person//gender"),
+      testing::MustParse("//profile"), testing::MustParse("//education"),
+      testing::MustParse("//age")};
+  Engine engine(&doc, TempPath("certified_partial.db"));
+  const Expected expected = OracleFingerprint(doc, query);
+  for (const std::vector<TreePattern>* views :
+       {&per_tag, &gender_removed}) {
+    SCOPED_TRACE(views == &per_tag ? "one view per tag" : "gender removed");
+    for (Scheme scheme : {Scheme::kElement, Scheme::kLinkedElement,
+                          Scheme::kLinkedElementPartial}) {
+      for (Algorithm algorithm :
+           {Algorithm::kTwigStack, Algorithm::kViewJoin}) {
+        for (const RunResult& r : RunBothModes(&engine, algorithm, scheme,
+                                               query, *views, expected)) {
+          EXPECT_EQ(r.stats.flushes, 1u);
+          EXPECT_EQ(r.stats.certified_flushes, 0u);
+          EXPECT_EQ(r.stats.filtered_lists, 2u) << "person and gender";
+        }
+      }
+    }
+  }
 }
 
 // XMark Q10's shape: once the education stream runs out, the termination
