@@ -2,7 +2,10 @@
 // (XMark and NASA), runs every forced algorithm × scheme combination, then
 // lets --algo auto plan the same query with all scheme twins materialized,
 // and reports whether the planner picked the empirically fastest algorithm.
-// Emits BENCH_plan.json via --json; `--smoke` shrinks the datasets for CI.
+// It scores four arms: two covers (the query's PairViews, and one view equal
+// to the query) each run cold (pool dropped before every run) and warm (pool
+// holding every list). Emits BENCH_plan.json via --json; `--smoke` shrinks
+// the datasets for CI.
 
 #include <cstdio>
 #include <cstring>
@@ -14,6 +17,7 @@
 #include "bench/harness.h"
 #include "bench/workloads.h"
 #include "core/engine.h"
+#include "plan/plan_cache.h"
 #include "util/check.h"
 #include "util/table_printer.h"
 
@@ -22,106 +26,176 @@ namespace {
 
 using core::Algorithm;
 
-struct Tally {
+/// One scored arm: a cover shape under one cache state.
+struct Arm {
+  std::string name;  // e.g. "cold_pairs"
+  bool own_view = false;
+  bool cold = true;
   int queries = 0;
   int optimal = 0;       // auto picked the fastest algorithm
   int near_optimal = 0;  // auto's runtime within 10% of the best forced combo
+  int ij_misfires = 0;   // auto picked IJ where IJ is > 1.5x the best combo
 };
 
-void RunWorkload(const std::string& dataset, BenchContext* context,
-                 const std::vector<QuerySpec>& queries, int repeats,
-                 JsonReport* report, Tally* tally) {
-  util::TablePrinter table({"query", "matches", "fastest", "best (ms)",
-                            "auto pick", "auto (ms)", "optimal"});
-  for (const QuerySpec& spec : queries) {
-    tpq::TreePattern query = ParseQuery(spec.xpath);
-    std::vector<tpq::TreePattern> split = PairViews(query);
-    // Materialize every scheme up front: the forced combos need their own
-    // sets and the planner prices the same twins through the catalog.
-    for (storage::Scheme s :
-         {storage::Scheme::kElement, storage::Scheme::kTuple,
-          storage::Scheme::kLinkedElement,
-          storage::Scheme::kLinkedElementPartial}) {
-      context->Views(split, s);
+/// One timed cell of a query's grid: a forced combo, or kAuto (last).
+struct Cell {
+  Combo combo;
+  std::vector<const storage::MaterializedView*> views;
+  std::vector<double> times_ms;
+  core::RunResult last;
+};
+
+/// Times every cell of one query under one arm, interleaving the cells in
+/// each repeat so drift spreads over all of them, then scores kAuto's pick.
+/// Returns the table cells {fastest, best ms, auto pick, auto ms, optimal}.
+std::vector<std::string> ScoreArm(const std::string& dataset,
+                                  const QuerySpec& spec,
+                                  const tpq::TreePattern& query,
+                                  BenchContext* context,
+                                  std::vector<Cell>* cells, int repeats,
+                                  Arm* arm, JsonReport* report) {
+  core::Engine& engine = context->engine();
+  // kAuto plans afresh under this arm's residency: a plan cached by the
+  // other arm would carry the other arm's page pricing.
+  engine.plan_cache()->Clear();
+  core::RunOptions run;
+  run.cold_cache = arm->cold;
+  for (Cell& cell : *cells) cell.times_ms.clear();
+  const int first_round = arm->cold ? 0 : -1;  // warm: one warm-up round
+  for (int r = first_round; r < repeats; ++r) {
+    for (Cell& cell : *cells) {
+      run.algorithm = cell.combo.algorithm;
+      core::RunResult result = engine.Execute(query, cell.views, run);
+      VJ_CHECK(result.ok) << spec.name << " " << cell.combo.Label() << ": "
+                          << result.error;
+      VJ_CHECK(r == first_round ||
+               (result.match_count == cell.last.match_count &&
+                result.result_hash == cell.last.result_hash))
+          << spec.name << " " << cell.combo.Label() << " drifted";
+      if (r >= 0) cell.times_ms.push_back(result.total_ms);
+      cell.last = std::move(result);
     }
-    std::vector<Combo> combos = spec.is_path ? AllCombos() : ListCombos();
-    double best_ms = std::numeric_limits<double>::infinity();
-    Algorithm best_algorithm = Algorithm::kViewJoin;
-    std::string best_label;
-    std::map<Algorithm, double> best_by_algorithm;
-    uint64_t count = 0, hash = 0;
-    bool first = true;
-    for (const Combo& combo : combos) {
-      core::RunResult result = context->Run(
-          query, context->Views(split, combo.scheme), combo,
-          algo::OutputMode::kMemory, repeats);
-      if (first) {
-        count = result.match_count;
-        hash = result.result_hash;
-        first = false;
-      } else {
-        VJ_CHECK(result.match_count == count && result.result_hash == hash)
-            << spec.name << " " << combo.Label() << " diverged";
-      }
-      auto [it, fresh] =
-          best_by_algorithm.emplace(combo.algorithm, result.total_ms);
-      if (!fresh) it->second = std::min(it->second, result.total_ms);
-      if (result.total_ms < best_ms) {
-        best_ms = result.total_ms;
-        best_algorithm = combo.algorithm;
-        best_label = combo.Label();
-      }
-      report->AddRow()
-          .Set("dataset", dataset)
-          .Set("query", spec.name)
-          .Set("combo", combo.Label())
-          .Metrics(result);
+  }
+
+  double best_ms = std::numeric_limits<double>::infinity();
+  Algorithm best_algorithm = Algorithm::kViewJoin;
+  std::string best_label;
+  std::map<Algorithm, double> best_by_algorithm;
+  const Cell& auto_cell = cells->back();
+  for (Cell& cell : *cells) {
+    VJ_CHECK(cell.last.match_count == auto_cell.last.match_count &&
+             cell.last.result_hash == auto_cell.last.result_hash)
+        << spec.name << " " << cell.combo.Label() << " diverged";
+    const SampleSummary summary = Summarize(cell.times_ms);
+    cell.last.total_ms = summary.median;
+    if (&cell == &auto_cell) continue;
+    auto [it, fresh] =
+        best_by_algorithm.emplace(cell.combo.algorithm, summary.median);
+    if (!fresh) it->second = std::min(it->second, summary.median);
+    if (summary.median < best_ms) {
+      best_ms = summary.median;
+      best_algorithm = cell.combo.algorithm;
+      best_label = cell.combo.Label();
     }
-    core::RunResult auto_run = context->Run(
-        query, context->Views(split, storage::Scheme::kLinkedElement),
-        {Algorithm::kAuto, storage::Scheme::kLinkedElement},
-        algo::OutputMode::kMemory, repeats);
-    VJ_CHECK(auto_run.match_count == count && auto_run.result_hash == hash)
-        << spec.name << " auto diverged";
-    const Algorithm picked = auto_run.plan.algorithm;
-    // "Picked the empirically fastest algorithm": the picked algorithm's own
-    // best forced time is within 5% of the overall best — forced combos that
-    // close are retried-measurement ties, and either side of a tie IS the
-    // empirically fastest. `strict` records exact label equality for
-    // reference (it flips with timer noise on tied queries).
-    const bool strict = picked == best_algorithm;
-    const double picked_best_ms = best_by_algorithm.count(picked) != 0
-                                      ? best_by_algorithm[picked]
-                                      : std::numeric_limits<double>::infinity();
-    const bool optimal = strict || picked_best_ms <= 1.05 * best_ms;
-    const bool near_optimal =
-        optimal || auto_run.total_ms <= 1.1 * best_ms;
-    tally->queries += 1;
-    tally->optimal += optimal ? 1 : 0;
-    tally->near_optimal += near_optimal ? 1 : 0;
     report->AddRow()
         .Set("dataset", dataset)
         .Set("query", spec.name)
-        .Set("combo", "auto")
-        .Set("picked_algorithm", core::AlgorithmName(picked))
-        .Set("fastest_algorithm", core::AlgorithmName(best_algorithm))
-        .Set("fastest_combo", best_label)
-        .Set("best_forced_ms", best_ms)
-        .Set("picked_best_forced_ms", picked_best_ms)
-        .Set("optimal", optimal)
-        .Set("strict_optimal", strict)
-        .Set("near_optimal", near_optimal)
-        .Set("estimated_cost", auto_run.plan.estimated_cost)
-        .Set("plan", auto_run.plan.text)
-        .Metrics(auto_run);
-    table.AddRow({spec.name, std::to_string(count), best_label,
-                  util::FormatDouble(best_ms, 3),
-                  core::AlgorithmName(picked),
-                  util::FormatDouble(auto_run.total_ms, 3),
-                  optimal ? "yes" : (near_optimal ? "near" : "NO")});
+        .Set("arm", arm->name)
+        .Set("combo", cell.combo.Label())
+        .Metrics(cell.last)
+        .Set("n", summary.n)
+        .Set("p95_ms", summary.p95);
   }
-  table.Print();
-  std::printf("\n");
+
+  const Algorithm picked = auto_cell.last.plan.algorithm;
+  // "Picked the empirically fastest algorithm": the picked algorithm's own
+  // best forced time is within 5% of the overall best — forced combos that
+  // close are measurement ties, and either side of a tie IS the empirically
+  // fastest. `strict` records exact label equality for reference (it flips
+  // with timer noise on tied queries).
+  const bool strict = picked == best_algorithm;
+  const double picked_best_ms = best_by_algorithm.count(picked) != 0
+                                    ? best_by_algorithm[picked]
+                                    : std::numeric_limits<double>::infinity();
+  const bool optimal = strict || picked_best_ms <= 1.05 * best_ms;
+  const bool near_optimal =
+      optimal || auto_cell.last.total_ms <= 1.1 * best_ms;
+  const bool ij_misfire =
+      picked == Algorithm::kInterJoin && picked_best_ms > 1.5 * best_ms;
+  arm->queries += 1;
+  arm->optimal += optimal ? 1 : 0;
+  arm->near_optimal += near_optimal ? 1 : 0;
+  arm->ij_misfires += ij_misfire ? 1 : 0;
+  const SampleSummary auto_summary = Summarize(auto_cell.times_ms);
+  report->AddRow()
+      .Set("dataset", dataset)
+      .Set("query", spec.name)
+      .Set("arm", arm->name)
+      .Set("combo", "auto")
+      .Set("picked_algorithm", core::AlgorithmName(picked))
+      .Set("fastest_algorithm", core::AlgorithmName(best_algorithm))
+      .Set("fastest_combo", best_label)
+      .Set("best_forced_ms", best_ms)
+      .Set("picked_best_forced_ms", picked_best_ms)
+      .Set("optimal", optimal)
+      .Set("strict_optimal", strict)
+      .Set("near_optimal", near_optimal)
+      .Set("ij_misfire", ij_misfire)
+      .Set("estimated_cost", auto_cell.last.plan.estimated_cost)
+      .Set("plan", auto_cell.last.plan.text)
+      .Metrics(auto_cell.last)
+      .Set("n", auto_summary.n)
+      .Set("p95_ms", auto_summary.p95);
+  return {best_label, util::FormatDouble(best_ms, 3),
+          core::AlgorithmName(picked),
+          util::FormatDouble(auto_cell.last.total_ms, 3),
+          optimal ? "yes" : (near_optimal ? "near" : "NO")};
+}
+
+void RunWorkload(const std::string& dataset, BenchContext* context,
+                 const std::vector<QuerySpec>& queries, int repeats,
+                 JsonReport* report, std::vector<Arm>* arms) {
+  for (bool own_view : {false, true}) {
+    std::printf("cover: %s\n", own_view ? "one view equal to the query"
+                                        : "PairViews");
+    util::TablePrinter table({"query", "matches", "cold fastest", "ms",
+                              "auto", "ms", "optimal", "warm fastest", "ms",
+                              "auto", "ms", "optimal"});
+    for (const QuerySpec& spec : queries) {
+      tpq::TreePattern query = ParseQuery(spec.xpath);
+      std::vector<tpq::TreePattern> cover =
+          own_view ? std::vector<tpq::TreePattern>{query} : PairViews(query);
+      // Materialize every scheme up front: the forced combos need their own
+      // sets and the planner prices the same twins through the catalog.
+      for (storage::Scheme s :
+           {storage::Scheme::kElement, storage::Scheme::kTuple,
+            storage::Scheme::kLinkedElement,
+            storage::Scheme::kLinkedElementPartial}) {
+        context->Views(cover, s);
+      }
+      std::vector<Cell> cells;
+      for (const Combo& combo : spec.is_path ? AllCombos() : ListCombos()) {
+        cells.push_back({combo, context->Views(cover, combo.scheme), {}, {}});
+      }
+      cells.push_back(
+          {{Algorithm::kAuto, storage::Scheme::kLinkedElement},
+           context->Views(cover, storage::Scheme::kLinkedElement),
+           {},
+           {}});
+      std::vector<std::string> row = {spec.name, ""};
+      for (Arm& arm : *arms) {
+        if (arm.own_view != own_view) continue;
+        for (std::string& text : ScoreArm(dataset, spec, query, context,
+                                          &cells, repeats, &arm, report)) {
+          row.push_back(std::move(text));
+        }
+      }
+      row[1] = std::to_string(cells.back().last.match_count);
+      table.AddRow(row);
+    }
+    table.Print();
+    std::printf("\n");
+  }
 }
 
 void Main(int argc, char** argv) {
@@ -137,7 +211,7 @@ void Main(int argc, char** argv) {
   double xmark_scale = EnvScale("VIEWJOIN_XMARK_SCALE", smoke ? 0.2 : 2.0);
   int64_t nasa_datasets = static_cast<int64_t>(
       EnvScale("VIEWJOIN_NASA_DATASETS", smoke ? 100 : 800));
-  int repeats = smoke ? 2 : 5;
+  int repeats = smoke ? 2 : 9;
 
   JsonReport report("plan");
   report.ParseArgs(static_cast<int>(rest.size()), rest.data());
@@ -147,41 +221,52 @@ void Main(int argc, char** argv) {
   report.SetMeta("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
 
   std::printf("Planner accuracy over the Fig. 5 workloads:\n");
-  std::printf("every forced combo vs --algo auto (all schemes available)\n\n");
+  std::printf(
+      "every forced combo vs --algo auto (all schemes available), median of "
+      "%d interleaved runs, cold and warm\n\n",
+      repeats);
 
-  Tally tally;
+  // Table columns follow this order: cold before warm within each cover.
+  std::vector<Arm> arms = {{"cold_pairs", false, true},
+                           {"warm_pairs", false, false},
+                           {"cold_own_view", true, true},
+                           {"warm_own_view", true, false}};
   auto xmark = BenchContext::Xmark(xmark_scale);
   PrintBanner("XMark path queries", *xmark);
   RunWorkload("xmark", xmark.get(), XmarkPathQueries(), repeats, &report,
-              &tally);
+              &arms);
   PrintBanner("XMark twig queries", *xmark);
   RunWorkload("xmark", xmark.get(), XmarkTwigQueries(), repeats, &report,
-              &tally);
+              &arms);
 
   auto nasa = BenchContext::Nasa(nasa_datasets);
   PrintBanner("NASA path queries", *nasa);
   RunWorkload("nasa", nasa.get(), NasaPathQueries(), repeats, &report,
-              &tally);
+              &arms);
   PrintBanner("NASA twig queries", *nasa);
   RunWorkload("nasa", nasa.get(), NasaTwigQueries(), repeats, &report,
-              &tally);
+              &arms);
 
-  const double optimal_fraction =
-      tally.queries > 0 ? static_cast<double>(tally.optimal) / tally.queries
+  for (const Arm& arm : arms) {
+    const double fraction =
+        arm.queries > 0 ? static_cast<double>(arm.optimal) / arm.queries : 0;
+    const double near =
+        arm.queries > 0 ? static_cast<double>(arm.near_optimal) / arm.queries
                         : 0;
-  const double near_fraction =
-      tally.queries > 0
-          ? static_cast<double>(tally.near_optimal) / tally.queries
-          : 0;
-  report.SetMeta("queries", static_cast<uint64_t>(tally.queries));
-  report.SetMeta("auto_optimal", static_cast<uint64_t>(tally.optimal));
-  report.SetMeta("auto_optimal_fraction", optimal_fraction);
-  report.SetMeta("auto_near_optimal_fraction", near_fraction);
-  std::printf(
-      "planner picked the fastest algorithm on %d/%d queries (%.0f%%); "
-      "within 10%% of the best combo on %d/%d (%.0f%%)\n",
-      tally.optimal, tally.queries, 100 * optimal_fraction,
-      tally.near_optimal, tally.queries, 100 * near_fraction);
+    report.SetMeta("queries_" + arm.name, static_cast<uint64_t>(arm.queries));
+    report.SetMeta("auto_optimal_" + arm.name,
+                   static_cast<uint64_t>(arm.optimal));
+    report.SetMeta("auto_optimal_fraction_" + arm.name, fraction);
+    report.SetMeta("auto_near_optimal_fraction_" + arm.name, near);
+    report.SetMeta("auto_ij_misfires_" + arm.name,
+                   static_cast<uint64_t>(arm.ij_misfires));
+    std::printf(
+        "%-14s planner picked the fastest algorithm on %d/%d queries "
+        "(%.0f%%, bar 80%%); within 10%% of the best combo on %d/%d "
+        "(%.0f%%); IJ picked at > 1.5x the best: %d\n",
+        arm.name.c_str(), arm.optimal, arm.queries, 100 * fraction,
+        arm.near_optimal, arm.queries, 100 * near, arm.ij_misfires);
+  }
   report.Write();
 }
 

@@ -277,7 +277,7 @@ RunResult Engine::ExecuteInternal(
   result.plan.algorithm = algorithm;
   result.plan.from_cache = plan_cached;
   result.plan.estimated_cost = planned->estimated_cost;
-  result.plan.text = planned->ToString();
+  result.plan.text = planned->text;
   result.plan.steps = planned->steps;  // stats columns start at zero
 
   auto step = [&](plan::StepKind kind) -> plan::PlanStep* {

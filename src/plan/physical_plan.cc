@@ -31,7 +31,6 @@ std::string PhysicalPlan::ToString() const {
     out << " cost=" << buf;
   }
   out << " views=" << views.size();
-  if (from_cache) out << " (cached)";
   out << "\n";
   for (const PlanStep& step : steps) {
     out << "  -> " << StepKindName(step.kind);

@@ -59,8 +59,8 @@ struct PlanStep {
 
 /// The typed execution plan for one query: the resolved algorithm (never
 /// kAuto), the covering views in use, the output mode, and the step pipeline.
-/// Built by the Planner; interpreted by Engine::ExecuteInternal; rendered by
-/// ToString() for EXPLAIN.
+/// Built by the Planner, which renders it once into `text` for EXPLAIN;
+/// interpreted by Engine::ExecuteInternal.
 struct PhysicalPlan {
   Algorithm algorithm = Algorithm::kViewJoin;
   algo::OutputMode mode = algo::OutputMode::kMemory;
@@ -74,7 +74,9 @@ struct PhysicalPlan {
   /// Cache bookkeeping: the key this plan was stored under.
   uint64_t query_fingerprint = 0;
   uint64_t catalog_epoch = 0;
-  bool from_cache = false;
+  /// ToString() as of planning time, so a run copies it instead of
+  /// rendering it again.
+  std::string text;
 
   /// Renders the plan tree without stats, e.g.
   ///   Plan [VJ, memory] cost=412 views=2
@@ -92,7 +94,7 @@ struct ExplainResult {
   Algorithm algorithm = Algorithm::kViewJoin;
   bool from_cache = false;
   double estimated_cost = 0;
-  /// Plan rendering (PhysicalPlan::ToString()).
+  /// Plan rendering (PhysicalPlan::text).
   std::string text;
   /// Steps with measured stats (empty until the query has executed).
   std::vector<PlanStep> steps;

@@ -9,7 +9,6 @@
 
 #include "algo/query_binding.h"
 #include "core/segmented_query.h"
-#include "storage/pager.h"
 #include "storage/stored_list.h"
 #include "tpq/subpattern.h"
 #include "view/cardinality.h"
@@ -25,99 +24,53 @@ namespace {
 
 // ---- Cost constants (entry units) ------------------------------------------
 //
-// Calibrated against BENCH_plan.json on the Fig. 5 path/twig workloads: the
-// absolute values are arbitrary, only the ratios matter for the argmin.
+// One unit is TwigStack's cost of one resident list entry. The constants were
+// fitted to per-query thread CPU times of every forced algorithm x scheme
+// combination on the Fig. 5 queries (XMark 2 and 4, NASA 400 and 800), over
+// both their PairViews covers and the single view equal to the query, warm and
+// cold; only their ratios matter for the argmin.
 
-/// Per-entry scan weight of each scheme: wider records cost more pages for
-/// the same |L_q| (paper Table IV — LE stores all pointers, LE_p only child
-/// + far pointers, E none). Scanning a kept list touches every entry no
-/// matter the scheme, so pointers only ever add width here; their payoff is
-/// the removed-node terms below.
-double WidthFactor(Scheme scheme) {
-  switch (scheme) {
-    case Scheme::kElement:
-      return 1.0;
-    case Scheme::kTuple:
-      return 1.0;
-    case Scheme::kLinkedElement:
-      return 1.35;
-    case Scheme::kLinkedElementPartial:
-      return 1.2;
-  }
-  return 1.0;
-}
+/// Cost of one list page that is not resident in the pool: a synchronous
+/// read and decode, about what scanning 136 resident entries costs.
+/// Background read-ahead overlaps part of the read with the join. A resident
+/// page costs nothing beyond its entries.
+constexpr double kColdPage = 136;
+constexpr double kColdPageReadAhead = 107;
+/// ViewJoin's cost per entry of a kept list that lies inside its Q' parent's
+/// regions. The joins inside a segment are precomputed in its view, so only
+/// the inter-view edges are checked. Entries outside every parent region are
+/// skipped in bulk and cost nothing.
+constexpr double kSegmentEntry = 0.95;
+/// Per entry of the smaller side of each inter-view edge: the condition check
+/// ViewJoin runs where a structural join remains.
+constexpr double kInterViewEdge = 0.1;
+/// Per entry of a node removed from Q' and recovered in the output pass. The
+/// extension walk collects the entries under each anchor without any getNext
+/// machinery: by a shared monotone scan under E, by a child-pointer seek
+/// under LE/LE_p, or by a galloping search when the removed node hangs from
+/// its anchor by a '/' edge.
+constexpr double kExtendScan = 0.65;
+constexpr double kExtendPointer = 0.6;
+constexpr double kExtendSeek = 0.85;
+/// Per-tuple weight of InterJoin's binary-join cascade growth per extra view.
+constexpr double kInterJoinGrowth = 0.5;
 
 bool HasPointers(Scheme scheme) {
   return scheme == Scheme::kLinkedElement ||
          scheme == Scheme::kLinkedElementPartial;
 }
 
-/// Measured scan-width ratio of one stored list against the 12-byte E
-/// record: pages it actually occupies × page size ÷ entry count. Unlike the
-/// scheme constants this sees the on-disk format — a delta-compressed LE
-/// list can scan *cheaper* per entry than an uncompressed E list — and the
-/// one-page floor correctly prices tiny lists as one page read. Falls back
-/// to the scheme constant for empty or memory-backed lists.
-double MeasuredWidthFactor(const MaterializedView* view, int vn,
-                           Scheme scheme) {
-  const storage::StoredList& list = view->list(vn);
-  if (list.count == 0 || list.PageSpan() == 0) return WidthFactor(scheme);
-  double per_entry = static_cast<double>(list.PageSpan()) *
-                     storage::Pager::kPageSize /
-                     static_cast<double>(list.count);
-  return std::max(0.25, per_entry / 12.0);
+/// Cost of reading the pages of one stored list: zero when its first page
+/// is cached (sequential scans find the whole list warm or fault it in from
+/// the front, so the head page is a faithful proxy), else one cold page cost
+/// per page. Memory-backed and empty lists have no pages.
+double PageCost(storage::BufferPool* pool, const storage::StoredList& list,
+                size_t readahead_pages) {
+  if (pool == nullptr || list.count == 0 || list.PageSpan() == 0) return 0;
+  if (pool->Contains(list.pages.front())) return 0;
+  return list.PageSpan() *
+         (readahead_pages > 0 ? kColdPageReadAhead : kColdPage);
 }
-
-/// Residency surcharge of one stored list: a list whose first page is not
-/// cached scans cold — every block landing is a synchronous page read —
-/// while a resident list is mostly a memory walk. Probing only the first
-/// page is deliberate: sequential scans either find the whole list warm or
-/// fault it in from the front, so the head page is a faithful proxy.
-/// Background read-ahead overlaps the cold reads with decode/join work and
-/// shrinks (without erasing) the penalty.
-double ColdFactor(storage::BufferPool* pool, const MaterializedView* view,
-                  int vn, size_t readahead_pages) {
-  constexpr double kColdScan = 1.4;       // synchronous read per block landing
-  constexpr double kColdReadAhead = 1.1;  // reads overlapped by the IO thread
-  const storage::StoredList& list = view->list(vn);
-  if (pool == nullptr || list.count == 0 || list.PageSpan() == 0) return 1.0;
-  if (pool->Contains(list.pages.front())) return 1.0;
-  return readahead_pages > 0 ? kColdReadAhead : kColdScan;
-}
-
-/// CPU weight of one inter-view structural comparison, per entry of the
-/// SMALLER edge side: the interleaving check advances the sparser list and
-/// probes the denser one, so its cost tracks min(|L_parent|, |L_child|).
-/// Fitted on the one-edge NASA paths, where VJ's measured overhead over TS
-/// is 9% (N1: min side 13% of volume), 26% (N2: 40%) and 20% (N3: 19%).
-constexpr double kInterViewEdgeCpu = 0.65;
-/// Far-pointer skipping on a kept list only pays when the entries that
-/// survive the full query's constraints are rare — the effective scan is
-/// min(len, est_qualifying·kSkipCost + anchors·kSkipFanout), where
-/// est_qualifying is the cardinality estimate of the node under the whole
-/// query (each retained entry is reached by a pointer chase, hence the
-/// kSkipCost weight) and the second term charges the jump overhead per
-/// anchor region. Raw anchor count alone is the wrong gate: a one-entry
-/// //site anchor spans the whole document, so nothing under it is skippable
-/// even though the anchor is tiny (XMark Q6), and a 2× reduction (XMark Q1)
-/// is eaten by the chase overhead — only order-of-magnitude skew like N8's
-/// 236 description anchors over a 107k-entry //para list wins outright.
-/// Cursors gallop over fence keys and binary-search inside one decoded page
-/// per landing, so a pointer-directed skip costs O(log) probes rather than
-/// per-entry stepping; both weights are calibrated for that.
-constexpr double kSkipCost = 1.6;
-constexpr double kSkipFanout = 4.0;
-/// Per-anchor-entry weight of recovering a removed trunk node through child
-/// pointers in the output pass: every surviving segment match chases and
-/// enumerates, which costs well more than scanning the dropped list would
-/// have unless that list dwarfs its anchor.
-constexpr double kExtensionPointer = 2.5;
-/// Per-anchor-entry weight of verifying a removed branch predicate through
-/// pointers: an existence probe with early exit, much cheaper than trunk
-/// enumeration.
-constexpr double kBranchVerify = 0.5;
-/// Per-tuple weight of InterJoin's binary-join cascade growth per extra view.
-constexpr double kInterJoinGrowth = 0.5;
 
 // ---- Candidate bookkeeping -------------------------------------------------
 
@@ -261,7 +214,6 @@ struct CoverShape {
   std::vector<double> lengths;  // |L_q| per query node
   std::vector<int> eq;          // inter-view edges incident to q
   std::vector<uint8_t> kept;    // survives into Q'
-  std::vector<int> children;    // query children per node (branch detection)
 };
 
 CoverShape ShapeCover(const TreePattern& query,
@@ -282,10 +234,8 @@ CoverShape ShapeCover(const TreePattern& query,
           cand.representative->ListLength(vn);
     }
   }
-  shape.children.assign(nq, 0);
   for (size_t q = 1; q < nq; ++q) {
     int p = query.node(static_cast<int>(q)).parent;
-    ++shape.children[static_cast<size_t>(p)];
     if (shape.view_of[q] != shape.view_of[static_cast<size_t>(p)]) {
       ++shape.eq[q];
       ++shape.eq[static_cast<size_t>(p)];
@@ -355,8 +305,7 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
     plan->algorithm = in.algorithm;
     plan->views = std::move(active);
     BuildSteps(in, plan.get());
-    if (cache_ != nullptr) cache_->Insert(key, plan);
-    return plan;
+    return Publish(key, std::move(plan));
   }
 
   // ---- kAuto: candidate pool = caller views + catalog scheme twins ---------
@@ -400,20 +349,20 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
     plan->algorithm = Algorithm::kViewJoin;
     plan->views = std::move(active);
     BuildSteps(in, plan.get());
-    if (cache_ != nullptr) cache_->Insert(key, plan);
-    return plan;
+    return Publish(key, std::move(plan));
   }
 
   CoverShape shape = ShapeCover(*in.query, candidates, chosen);
 
-  // Estimated |L_q| under the FULL query's constraints — how many entries of
-  // each kept list actually fall inside qualifying regions, the quantity
-  // far-pointer skipping can shrink a scan to.
-  std::vector<double> est_qualifying;
+  // Estimated entries of each list that lie under a match of the query path
+  // above them: the part of a kept list ViewJoin cannot skip in bulk.
+  std::vector<double> under_ancestors;
   if (in.statistics != nullptr && in.doc != nullptr) {
-    est_qualifying =
-        view::EstimateListLengths(*in.statistics, *in.doc, *in.query);
+    under_ancestors =
+        view::EstimateUnderAncestors(*in.statistics, *in.doc, *in.query);
   }
+  storage::BufferPool* pool =
+      in.catalog != nullptr ? in.catalog->pool() : nullptr;
 
   // ---- Cost the alternatives, choosing each view's scheme per algorithm ----
 
@@ -423,31 +372,17 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
   for (size_t q = 1; q < in.query->size(); ++q) {
     int p = in.query->node(static_cast<int>(q)).parent;
     if (shape.view_of[q] != shape.view_of[static_cast<size_t>(p)]) {
-      edge_cost += kInterViewEdgeCpu *
+      edge_cost += kInterViewEdge *
                    std::min(shape.lengths[q],
                             shape.lengths[static_cast<size_t>(p)]);
     }
   }
-  // Smallest kept list per chosen view (segment anchor), and for each view
-  // the smallest anchor among the OTHER views — the partner a kept list's
-  // far-pointer skipping is gated on.
-  std::vector<double> kept_min(chosen.size(),
-                               std::numeric_limits<double>::infinity());
-  for (size_t q = 0; q < in.query->size(); ++q) {
-    if (shape.kept[q] != 0 && shape.view_of[q] >= 0) {
-      size_t slot = static_cast<size_t>(shape.view_of[q]);
-      kept_min[slot] = std::min(kept_min[slot], shape.lengths[q]);
-    }
-  }
 
-  // TwigStack scans every list fully; the cheapest scheme is the narrowest.
+  // TwigStack runs getNext over every entry of every list.
   double cost_ts = 0;
   std::vector<const MaterializedView*> ts_views;
-  // ViewJoin scans kept lists (far pointers may shrink the effective scan
-  // under extreme anchor skew), pays the inter-view condition checks, and
-  // recovers removed nodes in the output pass. Without pointers nothing can
-  // be removed — the binder keeps the whole view in Q' — so the E variant
-  // prices every node as kept.
+  // ViewJoin runs getNext over the kept lists only, pays the inter-view
+  // condition checks, and recovers the removed nodes in the output pass.
   double cost_vj = edge_cost;
   std::vector<const MaterializedView*> vj_views;
   for (size_t slot = 0; slot < chosen.size(); ++slot) {
@@ -456,11 +391,6 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
     double best_vj = std::numeric_limits<double>::infinity();
     const MaterializedView* best_ts_view = nullptr;
     const MaterializedView* best_vj_view = nullptr;
-    double anchor = std::isinf(kept_min[slot]) ? 0 : kept_min[slot];
-    double partner = std::numeric_limits<double>::infinity();
-    for (size_t other = 0; other < chosen.size(); ++other) {
-      if (other != slot) partner = std::min(partner, kept_min[other]);
-    }
     for (const auto& [scheme, view] : cand.schemes) {
       if (scheme == Scheme::kTuple) continue;  // element family only
       double ts = 0;
@@ -468,26 +398,22 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
       for (int vn = 0; vn < static_cast<int>(cand.mapping.size()); ++vn) {
         size_t q = static_cast<size_t>(cand.mapping[static_cast<size_t>(vn)]);
         double len = shape.lengths[q];
-        double width = MeasuredWidthFactor(view, vn, scheme) *
-                       ColdFactor(in.catalog != nullptr ? in.catalog->pool()
-                                                        : nullptr,
-                                  view, vn, in.readahead_pages);
-        ts += len * width;
-        if (shape.kept[q] == 0 && HasPointers(scheme)) {
-          // Removed from Q': branch predicates verify cheaply with early
-          // exit, trunk nodes enumerate into every output tuple.
-          int parent = in.query->node(static_cast<int>(q)).parent;
-          bool branch =
-              parent >= 0 && shape.children[static_cast<size_t>(parent)] > 1;
-          vj += anchor * (branch ? kBranchVerify : kExtensionPointer);
+        double pages = PageCost(pool, view->list(vn), in.readahead_pages);
+        ts += len + pages;
+        if (shape.kept[q] != 0) {
+          double live = q > 0 && q < under_ancestors.size()
+                            ? std::min(len, under_ancestors[q])
+                            : len;
+          vj += kSegmentEntry * live + pages;
         } else {
-          double effective = len;
-          if (HasPointers(scheme) && shape.eq[q] > 0 &&
-              !std::isinf(partner) && q < est_qualifying.size()) {
-            effective = std::min(
-                len, est_qualifying[q] * kSkipCost + partner * kSkipFanout);
+          double per_entry = kExtendScan;
+          if (HasPointers(scheme)) {
+            per_entry = in.query->node(static_cast<int>(q)).incoming ==
+                                tpq::Axis::kChild
+                            ? kExtendSeek
+                            : kExtendPointer;
           }
-          vj += effective * width;
+          vj += per_entry * len + pages;
         }
       }
       if (ts < best_ts) {
@@ -516,6 +442,7 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
   std::vector<const MaterializedView*> ij_views;
   if (in.query->IsPath()) {
     double tuples = 0;
+    double pages = 0;
     bool feasible = true;
     for (size_t c : chosen) {
       const Candidate& cand = candidates[c];
@@ -527,25 +454,25 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
       ij_views.push_back(tuple);
       tuples += static_cast<double>(tuple->MatchCount()) *
                 static_cast<double>(tuple->pattern().size());
+      pages += PageCost(pool, tuple->tuple_list(), in.readahead_pages);
     }
     if (feasible && !ij_views.empty()) {
       cost_ij = tuples * (1.0 + kInterJoinGrowth *
-                                    static_cast<double>(ij_views.size() - 1));
+                                    static_cast<double>(ij_views.size() - 1)) +
+                pages;
     } else {
       ij_views.clear();
     }
   }
 
-  // Cheapest alternative wins; ties fall to TwigStack, which measures
-  // fastest on tied workloads (its getNext loop has no condition-check or
-  // extension machinery to set up).
-  plan->algorithm = Algorithm::kTwigStack;
-  plan->views = ts_views;
-  plan->estimated_cost = cost_ts;
-  if (cost_vj < plan->estimated_cost) {
-    plan->algorithm = Algorithm::kViewJoin;
-    plan->views = vj_views;
-    plan->estimated_cost = cost_vj;
+  // Cheapest alternative wins; an exact tie stays with ViewJoin.
+  plan->algorithm = Algorithm::kViewJoin;
+  plan->views = vj_views;
+  plan->estimated_cost = cost_vj;
+  if (cost_ts < plan->estimated_cost) {
+    plan->algorithm = Algorithm::kTwigStack;
+    plan->views = ts_views;
+    plan->estimated_cost = cost_ts;
   }
   if (cost_ij < plan->estimated_cost) {
     plan->algorithm = Algorithm::kInterJoin;
@@ -570,6 +497,12 @@ std::shared_ptr<const PhysicalPlan> Planner::Plan(const PlannerInput& in,
           << "]";
     plan->steps[0].detail = costs.str();
   }
+  return Publish(key, std::move(plan));
+}
+
+std::shared_ptr<const PhysicalPlan> Planner::Publish(
+    const PlanCache::Key& key, std::shared_ptr<PhysicalPlan> plan) const {
+  plan->text = plan->ToString();
   if (cache_ != nullptr) cache_->Insert(key, plan);
   return plan;
 }

@@ -25,7 +25,8 @@ struct PlannerInput {
   /// Catalog for replacement lookups and (kAuto) scheme-twin discovery.
   storage::ViewCatalog* catalog = nullptr;
   /// Document statistics for cardinality estimation under kAuto (optional;
-  /// without them the far-pointer skip discount never engages).
+  /// without them ViewJoin is priced as scanning every entry of its kept
+  /// lists).
   const xml::DocumentStatistics* statistics = nullptr;
   Algorithm algorithm = Algorithm::kViewJoin;
   algo::OutputMode mode = algo::OutputMode::kMemory;
@@ -82,6 +83,10 @@ class Planner {
       bool disk_doc_mode = false, size_t readahead_pages = 0);
 
  private:
+  /// Renders the finished plan's text once and caches the plan under `key`.
+  std::shared_ptr<const PhysicalPlan> Publish(
+      const PlanCache::Key& key, std::shared_ptr<PhysicalPlan> plan) const;
+
   PlanCache* cache_;
 };
 

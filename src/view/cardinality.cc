@@ -78,6 +78,18 @@ std::vector<double> EstimateListLengths(const DocumentStatistics& stats,
   return lengths;
 }
 
+std::vector<double> EstimateUnderAncestors(const DocumentStatistics& stats,
+                                           const xml::Document& doc,
+                                           const TreePattern& pattern) {
+  NodeEstimates est = ComputeFractions(stats, doc, pattern);
+  std::vector<double> counts(pattern.size());
+  for (size_t q = 0; q < pattern.size(); ++q) {
+    counts[q] =
+        static_cast<double>(stats.TagCount(est.tags[q])) * est.chain[q];
+  }
+  return counts;
+}
+
 double EstimateMatchCount(const DocumentStatistics& stats,
                           const xml::Document& doc,
                           const TreePattern& pattern) {

@@ -27,6 +27,13 @@ std::vector<double> EstimateListLengths(const xml::DocumentStatistics& stats,
                                         const xml::Document& doc,
                                         const tpq::TreePattern& pattern);
 
+/// Estimated number of each pattern node's tag entries that lie under a
+/// match of the pattern path above it: count(tag_q) · chain(q), the ancestor
+/// side of EstimateListLengths without the subtree fraction.
+std::vector<double> EstimateUnderAncestors(
+    const xml::DocumentStatistics& stats, const xml::Document& doc,
+    const tpq::TreePattern& pattern);
+
 /// Estimated total matches of the pattern (product along expected fan-outs;
 /// a coarse figure for planning, exact for paths of length <= 2).
 double EstimateMatchCount(const xml::DocumentStatistics& stats,

@@ -181,6 +181,112 @@ TEST(PlanStepStatsTest, GallopProbesAreAccountedOnSkipHeavyRuns) {
   EXPECT_EQ(sum.pages_read, r.io.pages_read);
 }
 
+// Runs `query` under kAuto and under forced TwigStack over the same views,
+// checks that both return the same matches, and returns the kAuto run.
+RunResult AutoAgainstTwigStack(
+    Engine* engine, const TreePattern& query,
+    const std::vector<const MaterializedView*>& views) {
+  RunOptions run;
+  run.algorithm = Algorithm::kAuto;
+  RunResult chosen = engine->Execute(query, views, run);
+  EXPECT_TRUE(chosen.ok) << chosen.error;
+  run.algorithm = Algorithm::kTwigStack;
+  RunResult ts = engine->Execute(query, views, run);
+  EXPECT_TRUE(ts.ok) << ts.error;
+  EXPECT_GT(ts.match_count, 0u);
+  EXPECT_EQ(chosen.match_count, ts.match_count);
+  EXPECT_EQ(chosen.result_hash, ts.result_hash);
+  return chosen;
+}
+
+// A single view equal to the query leaves Q' with its root alone: ViewJoin
+// joins nothing and only extends the removed nodes in the output pass, so
+// kAuto must run it rather than TwigStack over the same lists.
+TEST(PlannerChoiceTest, SingleViewEqualToTheQueryRunsViewJoin) {
+  util::Rng rng(23);
+  xml::Document doc = testing::RandomDoc(&rng, 3000, {"a", "b", "c", "d"});
+  Engine engine(&doc, TempPath("plan_single_view.db"));
+  TreePattern query = MustParse("//a//b[//d]//c");
+  std::vector<const MaterializedView*> views = {
+      engine.AddView(query, Scheme::kElement)};
+  RunResult chosen = AutoAgainstTwigStack(&engine, query, views);
+  EXPECT_EQ(chosen.plan.algorithm, Algorithm::kViewJoin) << chosen.plan.text;
+}
+
+// A twig over one view per pair of query nodes, with no pointer scheme in the
+// catalog: most c and d entries lie outside every a//b region, which ViewJoin
+// skips in bulk and TwigStack steps through, so VJ over the E views must be
+// choosable.
+TEST(PlannerChoiceTest, PairViewTwigWithoutPointersCanRunViewJoin) {
+  xml::Document doc;
+  doc.StartElement("r");
+  for (int i = 0; i < 400; ++i) {
+    doc.StartElement(i % 4 == 0 ? "a" : "x");
+    doc.StartElement(i % 4 == 0 ? "b" : "y");
+    for (const char* leaf : {"c", "d"}) {
+      doc.StartElement(leaf);
+      doc.EndElement();
+    }
+    doc.EndElement();
+    doc.EndElement();
+  }
+  doc.EndElement();
+  Engine engine(&doc, TempPath("plan_pair_twig.db"));
+  TreePattern query = MustParse("//a//b[//d]//c");
+  std::vector<const MaterializedView*> views = {
+      engine.AddView("//a//b", Scheme::kElement),
+      engine.AddView("//c", Scheme::kElement),
+      engine.AddView("//d", Scheme::kElement),
+  };
+  RunResult chosen = AutoAgainstTwigStack(&engine, query, views);
+  EXPECT_EQ(chosen.match_count, 100u);
+  EXPECT_EQ(chosen.plan.algorithm, Algorithm::kViewJoin) << chosen.plan.text;
+}
+
+// XMark Q5's shape: a one-entry root list, then one page each of
+// closed_auction and price entries. InterJoin over the tuple twins reads more
+// tuple entries than TwigStack reads list entries, so kAuto must not pick it,
+// cold or warm.
+TEST(PlannerChoiceTest, InterJoinIsNotPickedOverMoreTuplesThanEntries) {
+  xml::Document doc;
+  doc.StartElement("site");
+  doc.StartElement("closed_auctions");
+  for (int i = 0; i < 240; ++i) {
+    doc.StartElement("closed_auction");
+    doc.StartElement("price");
+    doc.EndElement();
+    doc.EndElement();
+  }
+  doc.EndElement();
+  doc.EndElement();
+  Engine engine(&doc, TempPath("plan_q5_shape.db"));
+  TreePattern query = MustParse("//closed_auctions//closed_auction//price");
+  std::vector<const MaterializedView*> views;
+  uint64_t entries = 0;
+  uint64_t tuple_entries = 0;
+  for (const char* piece : {"//closed_auctions//closed_auction", "//price"}) {
+    const MaterializedView* e = engine.AddView(piece, Scheme::kElement);
+    const MaterializedView* t = engine.AddView(piece, Scheme::kTuple);
+    views.push_back(e);
+    for (int vn = 0; vn < static_cast<int>(e->pattern().size()); ++vn) {
+      entries += e->ListLength(vn);
+    }
+    tuple_entries += t->MatchCount() * t->pattern().size();
+  }
+  ASSERT_GT(tuple_entries, entries);
+  for (bool cold : {true, false}) {
+    engine.plan_cache()->Clear();
+    RunOptions run;
+    run.algorithm = Algorithm::kAuto;
+    run.cold_cache = cold;
+    RunResult chosen = engine.Execute(query, views, run);
+    ASSERT_TRUE(chosen.ok) << chosen.error;
+    EXPECT_EQ(chosen.match_count, 240u);
+    EXPECT_NE(chosen.plan.algorithm, Algorithm::kInterJoin)
+        << (cold ? "cold: " : "warm: ") << chosen.plan.text;
+  }
+}
+
 TEST(PlanCacheTest, RepeatedQueriesHitTheCache) {
   xml::Document doc = testing::MakeDoc("r(a(b(c) b) a(b(c c)))");
   Engine engine(&doc, TempPath("plan_cache_hit.db"));
@@ -198,6 +304,9 @@ TEST(PlanCacheTest, RepeatedQueriesHitTheCache) {
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_TRUE(second.plan.from_cache);
   EXPECT_EQ(second.plan.algorithm, first.plan.algorithm);
+  // The text is rendered once, when the plan is built, and served as is.
+  EXPECT_EQ(second.plan.text, first.plan.text);
+  EXPECT_EQ(first.plan.text.rfind("Plan [", 0), 0u) << first.plan.text;
   EXPECT_EQ(second.match_count, first.match_count);
   EXPECT_GE(engine.plan_cache()->hits(), 1u);
   // A different forced algorithm is a different environment, not a stale hit.
